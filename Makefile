@@ -48,12 +48,13 @@ fuzz-smoke:
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against
 # the live pipeline (supervised workers, store retries, quorum
-# degradation, shed/abandon accounting). Fault schedules are
+# degradation, shed/abandon accounting), the scorer's own table test,
+# and the Live-vs-Mechanism differential. Fault schedules are
 # seed-driven, so the run is deterministic per seed.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \
-		'TestChaos|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds' \
+		'TestChaos|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
 		./internal/core/
 
 # recovery-smoke kills a checkpointing live pipeline with SIGKILL and

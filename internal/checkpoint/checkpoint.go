@@ -66,7 +66,7 @@ type Snapshot struct {
 	// FeatureWidth is the feature-vector length models were scoring.
 	FeatureWidth int
 	// Seq increments per checkpoint written by a process; it names the
-	// file and orders candidates in Latest.
+	// file and orders candidates in LatestChain.
 	Seq uint64
 	// TakenAtUnixNano is the wall-clock write time, for operators.
 	TakenAtUnixNano int64

@@ -207,11 +207,25 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 }
 
+// latestFull resolves dir's newest restorable state through
+// LatestChain and requires it to be a single full snapshot.
+func latestFull(t *testing.T, dir string) (*Snapshot, string, bool, error) {
+	t.Helper()
+	chain, paths, ok, err := LatestChain(dir)
+	if !ok || err != nil {
+		return nil, "", ok, err
+	}
+	if len(chain) != 1 || chain[0].Delta {
+		t.Fatalf("want a single-file chain, got %d files (delta=%v)", len(chain), chain[0].Delta)
+	}
+	return chain[0], paths[0], true, nil
+}
+
 func TestWriteLatestPrune(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ckpts")
 
-	// Latest on a missing dir is a clean first-boot miss.
-	if _, _, ok, err := Latest(dir); ok || err != nil {
+	// A missing dir is a clean first-boot miss.
+	if _, _, ok, err := latestFull(t, dir); ok || err != nil {
 		t.Fatalf("missing dir: ok=%v err=%v", ok, err)
 	}
 
@@ -219,7 +233,7 @@ func TestWriteLatestPrune(t *testing.T) {
 	for seq := uint64(1); seq <= 4; seq++ {
 		snap := randSnapshot(int64(seq))
 		snap.Seq = seq
-		path, n, err := WriteDir(dir, snap)
+		path, n, _, err := WriteDirOpts(dir, snap, EncodeOptions{})
 		if err != nil || n == 0 {
 			t.Fatalf("write seq %d: n=%d err=%v", seq, n, err)
 		}
@@ -229,7 +243,7 @@ func TestWriteLatestPrune(t *testing.T) {
 		wrote = append(wrote, snap)
 	}
 
-	got, path, ok, err := Latest(dir)
+	got, path, ok, err := latestFull(t, dir)
 	if !ok || err != nil {
 		t.Fatalf("latest: ok=%v err=%v", ok, err)
 	}
@@ -240,11 +254,11 @@ func TestWriteLatestPrune(t *testing.T) {
 		t.Fatal("loaded snapshot differs from written")
 	}
 
-	// Corrupt the newest: Latest must fall back to seq 3.
+	// Corrupt the newest: restore must fall back to seq 3.
 	if err := os.WriteFile(filepath.Join(dir, FileName(4)), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, _, ok, err = Latest(dir)
+	got, _, ok, err = latestFull(t, dir)
 	if !ok || err != nil || got.Seq != 3 {
 		t.Fatalf("fallback: ok=%v err=%v seq=%v", ok, err, got)
 	}
@@ -267,7 +281,7 @@ func TestWriteLatestPrune(t *testing.T) {
 	// Every file corrupt → explicit error, not a silent empty start.
 	baddir := t.TempDir()
 	os.WriteFile(filepath.Join(baddir, FileName(1)), []byte("nope"), 0o644)
-	if _, _, ok, err := Latest(baddir); ok || err == nil {
+	if _, _, ok, err := latestFull(t, baddir); ok || err == nil {
 		t.Fatalf("all-corrupt dir: ok=%v err=%v", ok, err)
 	}
 }

@@ -25,13 +25,6 @@ func FileName(seq uint64) string {
 	return fmt.Sprintf("ckpt-%016d.amck", seq)
 }
 
-// Write encodes snap and writes it to path atomically. Kept for
-// callers that don't need the stream CRC; see WriteOpts.
-func Write(path string, snap *Snapshot) (int, error) {
-	n, _, err := WriteOpts(path, snap, EncodeOptions{})
-	return n, err
-}
-
 // WriteOpts encodes snap (optionally with compressed sections) and
 // writes it to path atomically: streamed into a temp file in the same
 // directory — never materializing the whole encoding in memory — then
@@ -85,16 +78,9 @@ func writeTempBuffered(tmp *os.File, snap *Snapshot, opt EncodeOptions) (int64, 
 	return n, crc, err
 }
 
-// WriteDir writes snap into dir (created if absent) under its
-// canonical sequence-numbered name and returns the path and encoded
-// size.
-func WriteDir(dir string, snap *Snapshot) (string, int, error) {
-	path, n, _, err := WriteDirOpts(dir, snap, EncodeOptions{})
-	return path, n, err
-}
-
-// WriteDirOpts is WriteDir with encoding options, also returning the
-// whole-file CRC for delta chaining.
+// WriteDirOpts writes snap into dir (created if absent) under its
+// canonical sequence-numbered name and returns the path, the encoded
+// size, and the whole-file CRC for delta chaining.
 func WriteDirOpts(dir string, snap *Snapshot, opt EncodeOptions) (string, int, uint32, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", 0, 0, fmt.Errorf("checkpoint: mkdir %s: %w", dir, err)
@@ -115,38 +101,6 @@ func Load(path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("checkpoint: %s: %w", path, err)
 	}
 	return snap, nil
-}
-
-// Latest loads the newest valid checkpoint file in dir, skipping
-// files that fail to decode (a torn write that predates atomic
-// renames, a foreign file) and falling back to the next-newest. The
-// returned snapshot may be a delta — callers restoring state should
-// use LatestChain, which resolves the whole base-plus-deltas chain;
-// Latest remains the single-file view (inspection, tests, retention).
-// ok is false when dir holds no valid checkpoint (including when dir
-// does not exist — a first boot).
-func Latest(dir string) (snap *Snapshot, path string, ok bool, err error) {
-	names, err := candidates(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, "", false, nil
-		}
-		return nil, "", false, err
-	}
-	var lastErr error
-	for i := len(names) - 1; i >= 0; i-- {
-		p := filepath.Join(dir, names[i])
-		s, err := Load(p)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return s, p, true, nil
-	}
-	if lastErr != nil {
-		return nil, "", false, fmt.Errorf("checkpoint: no valid checkpoint in %s (newest failure: %w)", dir, lastErr)
-	}
-	return nil, "", false, nil
 }
 
 // LatestChain resolves the newest restorable state in dir: the newest
@@ -186,13 +140,9 @@ func LatestChain(dir string) (chain []*Snapshot, paths []string, ok bool, err er
 // base-first.
 func loadChain(dir, name string) ([]*Snapshot, []string, error) {
 	path := filepath.Join(dir, name)
-	data, err := os.ReadFile(path)
+	snap, err := Load(path)
 	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: read %s: %w", path, err)
-	}
-	snap, err := Decode(data)
-	if err != nil {
-		return nil, nil, fmt.Errorf("checkpoint: %s: %w", path, err)
+		return nil, nil, err
 	}
 	chain := []*Snapshot{snap}
 	paths := []string{path}

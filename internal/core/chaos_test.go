@@ -11,6 +11,7 @@ import (
 
 	"github.com/amlight/intddos/internal/fault"
 	"github.com/amlight/intddos/internal/ml"
+	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/telemetry"
 )
@@ -590,11 +591,29 @@ func TestMalformedSnapshotsAbandonedNotFatal(t *testing.T) {
 // check: a model reporting a trained width that disagrees with the
 // scaler is a config error, not a runtime panic.
 func TestLiveRejectsMismatchedBundle(t *testing.T) {
-	cfg := liveConfig(shapedModel{stubModel: namedDetector("W"), width: 3})
-	if _, err := NewLive(cfg); err == nil {
-		t.Error("mismatched model width accepted")
+	wide := shapedModel{stubModel: namedDetector("W"), width: 3}
+	if _, err := NewLive(liveConfig(wide)); err == nil {
+		t.Error("NewLive accepted a mismatched model width")
+	}
+	if _, err := New(netsim.NewEngine(), testConfig(wide)); err == nil {
+		t.Error("New accepted a mismatched model width")
+	}
+	// The stage-0 triage model is held to the same width.
+	cfg := testConfig(namedDetector("A"))
+	cfg.Triage = true
+	cfg.TriageModel = shapedProba{probaModel: probaModel{stubModel: namedDetector("T")}, width: 3}
+	if _, err := New(netsim.NewEngine(), cfg); err == nil {
+		t.Error("New accepted a mismatched triage model width")
 	}
 }
+
+// shapedProba is a stage-0 model reporting a fixed trained input width.
+type shapedProba struct {
+	probaModel
+	width int
+}
+
+func (s shapedProba) Features() int { return s.width }
 
 // shapedModel reports a fixed trained input width.
 type shapedModel struct {

@@ -112,7 +112,7 @@ func (l *Live) restoreLatest(dir string) error {
 		if err := l.tables.RestoreShard(s, sh.Table); err != nil {
 			return fmt.Errorf("core: restore %s: %w", basePath, err)
 		}
-		if err := l.ckptStore.ImportShard(s, sh.Store); err != nil {
+		if err := l.rawDB.ImportShard(s, sh.Store); err != nil {
 			return fmt.Errorf("core: restore %s: %w", basePath, err)
 		}
 	}
@@ -123,19 +123,16 @@ func (l *Live) restoreLatest(dir string) error {
 	if len(base.Predictions) > 0 {
 		// Version-1 snapshot: the prediction log is one global section;
 		// ImportPredictions routes it onto the per-shard logs.
-		l.ckptStore.ImportPredictions(base.Predictions)
+		l.rawDB.ImportPredictions(base.Predictions)
 	}
 	for i, d := range chain[1:] {
 		path := paths[i+1]
-		if l.deltaStore == nil {
-			return fmt.Errorf("core: restore %s: store does not support incremental checkpoints", path)
-		}
 		for s := range d.ShardStates {
 			sh := &d.ShardStates[s]
 			if err := l.tables.RestoreShardDelta(s, sh.Table, sh.Removed); err != nil {
 				return fmt.Errorf("core: restore %s: %w", path, err)
 			}
-			err := l.deltaStore.ApplyShardDelta(s, store.ShardDeltaExport{
+			err := l.rawDB.ApplyShardDelta(s, store.ShardDeltaExport{
 				Flows:   sh.Store.Flows,
 				Removed: sh.Removed,
 				Journal: sh.Store.Journal,
@@ -183,7 +180,7 @@ func (l *Live) restoreLatest(dir string) error {
 
 // ErrBarrierTimeout reports that the checkpoint barrier could not
 // quiesce the pipeline: records handed to the workers did not finish
-// within CheckpointBarrierTimeout (a stalled or permanently down
+// within checkpointBarrierTimeout (a stalled or permanently down
 // worker). The checkpoint is skipped — a snapshot with in-flight
 // records would restore them nowhere.
 var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting for in-flight records")
@@ -196,15 +193,23 @@ var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting f
 // demux queue the crash model discards.
 func (l *Live) settleIngest() error {
 	target := l.ingestAccepted.Load()
-	deadline := time.Now().Add(l.cfg.CheckpointBarrierTimeout)
-	for l.ingestDone.Load() < target {
+	if !awaitSettled(func() bool { return l.ingestDone.Load() >= target }) {
+		return fmt.Errorf("%w (accepted=%d journaled=%d)",
+			ErrBarrierTimeout, target, l.ingestDone.Load())
+	}
+	return nil
+}
+
+// awaitSettled polls done until it holds or checkpointBarrierTimeout passes.
+func awaitSettled(done func() bool) bool {
+	deadline := time.Now().Add(checkpointBarrierTimeout)
+	for !done() {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%w (accepted=%d journaled=%d)",
-				ErrBarrierTimeout, target, l.ingestDone.Load())
+			return false
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-	return nil
+	return true
 }
 
 // settleInflight waits until every record the pollers handed off is
@@ -212,17 +217,13 @@ func (l *Live) settleIngest() error {
 // ckptMu write lock, so pollers, ingest, and the sweeper are parked
 // and the counts can only converge.
 func (l *Live) settleInflight() error {
-	deadline := time.Now().Add(l.cfg.CheckpointBarrierTimeout)
-	for {
-		if l.Polled.Load() == l.completed.Load()+l.Shed.Load()+l.Abandoned.Load() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("%w (polled=%d completed=%d shed=%d abandoned=%d)",
-				ErrBarrierTimeout, l.Polled.Load(), l.completed.Load(), l.Shed.Load(), l.Abandoned.Load())
-		}
-		time.Sleep(200 * time.Microsecond)
+	if !awaitSettled(func() bool {
+		return l.Polled.Load() == l.completed.Load()+l.Shed.Load()+l.Abandoned.Load()
+	}) {
+		return fmt.Errorf("%w (polled=%d completed=%d shed=%d abandoned=%d)",
+			ErrBarrierTimeout, l.Polled.Load(), l.completed.Load(), l.Shed.Load(), l.Abandoned.Load())
 	}
+	return nil
 }
 
 // CaptureCheckpoint quiesces the pipeline and captures a consistent
@@ -236,17 +237,6 @@ func (l *Live) settleInflight() error {
 // the locks are released.
 func (l *Live) CaptureCheckpoint() (*checkpoint.Snapshot, error) {
 	return l.capture(false, nil)
-}
-
-// CaptureDelta captures an incremental snapshot under the same
-// barrier: only the records, windows, and log tails dirtied since the
-// previous capture, plus the keys removed since it. The caller owns
-// the parent link (BaseSeq, BaseCRC) — WriteCheckpoint fills it from
-// the newest file it wrote. A delta capture consumes the dirty marks
-// whether or not the snapshot reaches disk, so a capture that is then
-// dropped must be followed by a full one.
-func (l *Live) CaptureDelta() (*checkpoint.Snapshot, error) {
-	return l.capture(true, nil)
 }
 
 // LastCheckpointBarrier returns the barrier hold of the most recent
@@ -265,20 +255,16 @@ type captureScratch struct {
 	votes   []int
 }
 
-// intoExporter is the optional scratch-reusing export surface of a
-// store (DB and ShardedDB implement it); stores without it fall back
-// to plain ExportShard.
-type intoExporter interface {
+// durableStore is what checkpointing needs of the concrete store: the
+// full and incremental export/import surfaces plus the scratch-reusing
+// export. store.DB and store.ShardedDB both provide all of it.
+type durableStore interface {
+	store.Store
+	store.DeltaCheckpointable
 	ExportShardInto(shard int, pre store.ShardExport) store.ShardExport
 }
 
 func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapshot, error) {
-	if l.ckptStore == nil {
-		return nil, errors.New("core: store does not support checkpointing")
-	}
-	if delta && (l.deltaStore == nil || !l.deltaTrack) {
-		return nil, errors.New("core: delta capture requires a delta-capable store with tracking enabled")
-	}
 	if err := l.settleIngest(); err != nil {
 		return nil, err
 	}
@@ -333,7 +319,7 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 	for s := 0; s < l.nShards; s++ {
 		if delta {
 			states, tableRemoved := l.tables.ExportShardDelta(s)
-			d := l.deltaStore.ExportShardDelta(s)
+			d := l.rawDB.ExportShardDelta(s)
 			snap.ShardStates[s] = checkpoint.ShardState{
 				Table: states,
 				Store: store.ShardExport{Flows: d.Flows, Journal: d.Journal, Seq: d.Seq, Preds: d.Preds},
@@ -349,15 +335,10 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 				preTable = scratch.tables[s]
 				preStore = scratch.stores[s]
 			}
-			st := checkpoint.ShardState{
+			snap.ShardStates[s] = checkpoint.ShardState{
 				Table: l.tables.ExportShardInto(s, preTable),
+				Store: l.rawDB.ExportShardInto(s, preStore),
 			}
-			if into, ok := l.ckptStore.(intoExporter); ok {
-				st.Store = into.ExportShardInto(s, preStore)
-			} else {
-				st.Store = l.ckptStore.ExportShard(s)
-			}
-			snap.ShardStates[s] = st
 		}
 	}
 	// Vote copies land in one flat slab with each Window holding a
@@ -528,21 +509,4 @@ func (l *Live) WriteCheckpoint() (string, int, error) {
 		l.event("checkpoint prune failed", "component", "checkpoint", "err", err.Error())
 	}
 	return path, n, nil
-}
-
-// checkpointer writes a checkpoint every CheckpointEvery until Stop.
-func (l *Live) checkpointer() {
-	defer l.pollWg.Done()
-	ticker := time.NewTicker(l.cfg.CheckpointEvery)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-ticker.C:
-			// Errors are counted and reported via metrics/healthz; the
-			// next tick retries.
-			l.WriteCheckpoint()
-		}
-	}
 }

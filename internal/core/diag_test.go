@@ -164,3 +164,20 @@ func TestHealthTransitionsRenderFromEvents(t *testing.T) {
 		t.Errorf("transition format drifted: %q", trs[1])
 	}
 }
+
+// TestDescribeConfigReportsEffectiveProfiling pins the bundle's
+// config.txt to what the pipeline really runs with: contention
+// profiling is always on at prof's default rates, so those — not the
+// zero value of a knob nobody set — are what the file must say.
+func TestDescribeConfigReportsEffectiveProfiling(t *testing.T) {
+	l, err := NewLive(liveConfig(attackDetector()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := l.describeConfig()
+	for _, want := range []string{"profile_mutex_fraction=100\n", "profile_block_rate_ns=10000\n"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("config.txt missing %q:\n%s", want, got)
+		}
+	}
+}

@@ -188,14 +188,19 @@ func (l *Live) reassessHealth() {
 	l.setHealthState(target, "reassess")
 }
 
-// queueOccupancy returns the fraction of total worker-queue capacity
-// in use.
-func (l *Live) queueOccupancy() float64 {
-	used, capacity := 0, 0
+// queueLoad sums the worker queues' occupancy and capacity.
+func (l *Live) queueLoad() (used, capacity int) {
 	for _, ch := range l.workerChs {
 		used += len(ch)
 		capacity += cap(ch)
 	}
+	return used, capacity
+}
+
+// queueOccupancy returns the fraction of total worker-queue capacity
+// in use.
+func (l *Live) queueOccupancy() float64 {
+	used, capacity := l.queueLoad()
 	if capacity == 0 {
 		return 0
 	}
@@ -283,21 +288,7 @@ func (l *Live) HealthTransitions() []string {
 // allocated per call, because the rows are retained in Decisions.
 func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int) {
 	models := l.cfg.Models
-	if cap(s.votes) < len(X) {
-		s.votes = make([][]int, len(X))
-	}
-	if cap(s.ones) < len(X) {
-		s.ones = make([]int, len(X))
-	}
-	votes = s.votes[:len(X)]
-	ones = s.ones[:len(X)]
-	for i := range ones {
-		ones[i] = 0
-	}
-	flat := make([]int, len(X)*len(models))
-	for i := range votes {
-		votes[i] = flat[i*len(models) : (i+1)*len(models) : (i+1)*len(models)]
-	}
+	votes, ones = s.vs.Rows(len(X), len(models))
 	now := time.Now()
 	for mi, m := range models {
 		mh := l.modelHealth[mi]
@@ -337,17 +328,4 @@ func markAbsent(votes [][]int, mi int) {
 	for i := range votes {
 		votes[i][mi] = VoteAbsent
 	}
-}
-
-// effectiveQuorum returns the attack-vote threshold for a batch
-// scored by navail of the configured members. At full strength it is
-// the configured quorum (the paper's 2-of-3); with members out it
-// degrades to majority-of-available — 2-of-2, 1-of-1 — so detection
-// keeps producing best-effort answers instead of silently requiring
-// votes that can no longer arrive.
-func (l *Live) effectiveQuorum(navail int) int {
-	if navail >= len(l.cfg.Models) {
-		return l.cfg.ModelQuorum
-	}
-	return navail/2 + 1
 }

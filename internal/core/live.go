@@ -1,11 +1,8 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"log/slog"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,372 +11,12 @@ import (
 	"github.com/amlight/intddos/internal/fault"
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/ml/sketch"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/obs/prof"
 	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
 )
-
-// LiveConfig parameterizes the wall-clock runtime of the mechanism.
-type LiveConfig struct {
-	// Features selects the model input vector (default: the paper's
-	// 15 INT features).
-	Features flow.FeatureSet
-	// Models is the pre-trained ensemble.
-	Models []ml.Classifier
-	// Scaler standardizes snapshots; required.
-	Scaler *ml.StandardScaler
-
-	// PollInterval is the CentralServer polling period (default 5 ms
-	// wall time). With sharding, every shard poller ticks at this
-	// period independently.
-	PollInterval time.Duration
-	// PollBatch bounds records fetched per poll per shard (default 256).
-	PollBatch int
-	// QueueCap bounds the prediction input channels (default 4096,
-	// divided across workers); beyond it updates are shed and counted.
-	QueueCap int
-	// Workers is the number of prediction goroutines (default 1,
-	// like the paper's single Python predictor). Each worker owns its
-	// own input channel; shards are assigned to workers round-robin,
-	// so all updates of one flow are predicted by one worker in
-	// journal order — the invariant the vote window needs.
-	Workers int
-
-	// IngestQueueCap bounds each shard's ingest queue (default 1024).
-	// HandleReport demuxes reports onto per-shard queues by flow-key
-	// hash; one ingester goroutine per shard drains its queue into the
-	// flow table and journal, so report producers never serialize on a
-	// single journal appender. A full queue applies backpressure to
-	// the producer (like the paper's collector socket) rather than
-	// dropping; reports arriving after Stop are dropped and counted in
-	// intddos_ingest_dropped_total.
-	IngestQueueCap int
-
-	// Shards stripes the flow table, the database journal, and the
-	// dispatch to prediction workers by flow.Key hash. Zero selects
-	// the legacy single-lock store.DB (the paper's one-database
-	// layout); n >= 1 selects a store.ShardedDB with n shards, which
-	// at n=1 is observably identical to the legacy layout.
-	Shards int
-
-	// PredictBatch caps the micro-batch a prediction worker drains
-	// from its shard queue per wakeup: queued records already waiting
-	// are scored through the scaler and ensemble batch paths in one
-	// amortized call instead of one record per wakeup. The batch
-	// contract makes results row-for-row identical to per-record
-	// scoring, so this only trades per-record overhead for batching.
-	// Zero or one keeps the paper's record-at-a-time behavior.
-	PredictBatch int
-	// PredictLinger is how long a worker with an unfilled micro-batch
-	// waits for more records before scoring what it has (default 0:
-	// score immediately — batches only form from backlog). Lingering
-	// trades per-record latency for larger batches under load.
-	PredictLinger time.Duration
-
-	// Triage enables tiered inference: per-shard streaming sketches
-	// (count-min heavy hitter + flow-key entropy) over the ingest
-	// stream and a confidence-thresholded stage-0 model early-exit
-	// confident rows before the full ensemble vote; only uncertain
-	// rows — and anything the sketch flags suspicious — pay for
-	// MLP+RF+GNB. Off (the default) keeps the score-everything
-	// contract bit-identical to the legacy path. TriageThreshold is
-	// the minimum stage-0 confidence |2p-1| to exit (<= 0 leaves the
-	// cascade inert: the tiered code path runs, every row falls
-	// through, output stays bit-identical — the exact-mode property
-	// the tests pin). TriageModel picks the stage-0 model; nil selects
-	// the last probability-capable ensemble member. The sketches are
-	// updated only under the per-shard checkpoint barrier, so they are
-	// quiescent at every capture; they are deliberately not persisted
-	// (rewarmed from live traffic after restore).
-	Triage          bool
-	TriageThreshold float64
-	TriageModel     ml.Classifier
-
-	// ModelQuorum and VoteWindow mirror the simulated mechanism
-	// (defaults 2-of-ensemble and 3). When ensemble members are
-	// marked unhealthy the quorum degrades to majority-of-available;
-	// see effectiveQuorum.
-	ModelQuorum int
-	VoteWindow  int
-	// SkipNewRecords restricts prediction to record updates (§III-3
-	// strict reading).
-	SkipNewRecords bool
-
-	// FlowIdleTimeout evicts flows idle past this TTL — their vote
-	// windows, flow-table state, and database records — so long runs
-	// don't accumulate per-flow memory without bound. Zero disables
-	// eviction. Evictions are counted in intddos_evictions_total.
-	FlowIdleTimeout time.Duration
-	// SweepInterval is how often the eviction pass runs (default:
-	// FlowIdleTimeout).
-	SweepInterval time.Duration
-
-	// CheckpointDir enables crash-consistent checkpointing: snapshots
-	// of the pipeline's durable state (flow tables, store shards with
-	// journal tails, vote windows, prediction log) are written
-	// atomically into this directory, and NewLive restores from the
-	// newest valid one at boot. Empty disables checkpointing.
-	CheckpointDir string
-	// CheckpointEvery is the periodic checkpoint interval. Zero writes
-	// no periodic checkpoints — WriteCheckpoint can still be called
-	// explicitly (shutdown, signal handler, tests).
-	CheckpointEvery time.Duration
-	// CheckpointKeep is how many checkpoint files to retain (default 3;
-	// a delta's chain ancestors are always retained with it).
-	CheckpointKeep int
-	// CheckpointBarrierTimeout bounds how long a checkpoint waits for
-	// in-flight records to finish before giving up (default 5s).
-	CheckpointBarrierTimeout time.Duration
-	// CheckpointFullEvery sets the full-snapshot cadence: every Nth
-	// checkpoint is a self-contained full snapshot and the N-1 between
-	// are incremental deltas carrying only state dirtied since the
-	// previous capture. 0 or 1 writes only full snapshots (the legacy
-	// behavior). Deltas keep the capture barrier's hold time
-	// proportional to the churn since the last checkpoint, not to the
-	// total flow count.
-	CheckpointFullEvery int
-	// CheckpointCompress flate-compresses checkpoint section payloads —
-	// smaller files for slower disks, more CPU outside the barrier.
-	CheckpointCompress bool
-
-	// Registry receives the runtime's metrics, stage histograms, and
-	// decision tracer; nil builds a private registry, readable via
-	// Obs(). A registry should be scoped to one pipeline instance.
-	Registry *obs.Registry
-	// TraceSampleEvery routes 1-in-N flow records through the
-	// per-stage span tracer (default 64; negative disables tracing).
-	TraceSampleEvery int
-
-	// JourneySampleEvery follows 1-in-N flow updates end to end —
-	// ingest → journal → poll → batch → predict → vote, one wall-clock
-	// stamp per hop, across every goroutine handoff — queryable on
-	// /traces/flow (default 256; negative disables journey tracing).
-	JourneySampleEvery int
-
-	// ProfileMutexFraction and ProfileBlockRate configure always-on
-	// contention profiling for the pipeline's lifetime: 1-in-N
-	// contended mutex events sampled, one block sample per N ns of
-	// blocked time. Zero selects prof's defaults (100 and 10µs);
-	// negative leaves the runtime's settings untouched. The resulting
-	// attribution report is served on /debug/attrib.
-	ProfileMutexFraction int
-	ProfileBlockRate     int
-	// ProfileDir, when set, enables periodic on-disk profile captures
-	// (CPU/mutex/block/goroutine/heap) into a bounded ring of files;
-	// ProfileInterval is the capture period (default 30s).
-	ProfileDir      string
-	ProfileInterval time.Duration
-
-	// DedupWindow enables per-source report deduplication at
-	// HandleReport: each source's last DedupWindow sequence numbers are
-	// remembered, duplicate and stale reports are suppressed before
-	// they can become flow observations (one report never becomes two
-	// decisions over a duplicating wire), and reordered arrivals within
-	// the window are admitted. Zero (the default) disables dedup — the
-	// report path is byte-identical to the pre-dedup pipeline. Only
-	// reports carrying a meaningful source key participate: dedup is
-	// per exporter, never global.
-	DedupWindow int
-	// DedupMaxSources bounds the dedup tracker's per-source state
-	// (least-recently-active eviction; default 1024).
-	DedupMaxSources int
-
-	// Fault injects a deterministic fault schedule into the pipeline:
-	// telemetry drop/corrupt/delay at ingestion, store stalls and
-	// transient errors (the store is wrapped automatically), worker
-	// panics, and per-model scoring failures. Nil injects nothing and
-	// costs one branch per event.
-	Fault *fault.Injector
-
-	// DrainOnStop makes Stop score every record still queued to the
-	// prediction workers instead of abandoning them. Off (the
-	// default, matching the paper's shutdown) queued records are
-	// counted in intddos_records_abandoned{reason="stop"} — observable
-	// either way, lost silently never.
-	DrainOnStop bool
-
-	// WorkerRestartBudget bounds how many times the supervisor
-	// restarts a panicking prediction worker before declaring it down
-	// (default 8; negative: unlimited). A down worker's queue is
-	// drained into intddos_records_abandoned{reason="worker_down"}
-	// and the pipeline reports shedding.
-	WorkerRestartBudget int
-	// WorkerRestartBackoff is the supervisor's initial restart delay,
-	// doubling per consecutive restart up to one second (default 10ms).
-	WorkerRestartBackoff time.Duration
-
-	// StoreRetries bounds retry attempts after a transient store
-	// error (default 3). Writes still failing after the budget are
-	// dropped and counted in intddos_store_dropped_total; polls
-	// simply retry at the next tick (the journal cursor is unchanged,
-	// so nothing is lost).
-	StoreRetries int
-	// StoreRetryBackoff is the initial delay between store retries,
-	// doubling per attempt (default 2ms).
-	StoreRetryBackoff time.Duration
-
-	// ModelFailThreshold is how many consecutive scoring failures
-	// mark an ensemble member unhealthy (default 3).
-	ModelFailThreshold int
-	// ModelProbeAfter is how long an unhealthy member sits out before
-	// a recovery probe re-includes it in a scoring attempt (default 1s).
-	ModelProbeAfter time.Duration
-
-	// HealthRecency is how long after the last fault event the
-	// pipeline keeps reporting the corresponding non-healthy state
-	// before reassessment may lower it (default 5s).
-	HealthRecency time.Duration
-}
-
-// liveMetrics bundles the runtime's obs instruments. All fields are
-// nil-safe, so a zero value disables instrumentation.
-type liveMetrics struct {
-	reports     *obs.Counter
-	dupReports  *obs.Counter
-	staleReps   *obs.Counter
-	reordered   *obs.Counter
-	seqGaps     *obs.Counter
-	snapshots   *obs.Counter
-	predictions *obs.Counter
-	shed        *obs.Counter
-	polls       *obs.Counter
-	polledRecs  *obs.Counter
-	evictions   *obs.Counter
-
-	decisions *obs.CounterVec // by attack_type
-	misclass  *obs.CounterVec // by attack_type
-
-	// Bottleneck-attribution instruments: ingest calls that found the
-	// checkpoint barrier held, reports dropped at the ingest demux
-	// after Stop, and per-shard poll throughput.
-	ingestStalls  *obs.Counter
-	ingestDropped *obs.Counter
-	shardPolled   *obs.CounterVec // by shard
-
-	// Robustness accounting: every record the pollers hand off is
-	// eventually a decision, a shed, or an abandonment with a reason —
-	// nothing vanishes silently.
-	abandoned         *obs.CounterVec // by reason: stop/panic/worker_down/no_model/malformed
-	workerRestarts    *obs.Counter
-	workerPanics      *obs.Counter
-	storeRetries      *obs.Counter
-	storeDropped      *obs.Counter
-	degradedBatches   *obs.Counter
-	modelFailures     *obs.CounterVec // by model
-	modelHealthy      *obs.GaugeVec   // by model, 1 healthy / 0 unhealthy
-	healthTransitions *obs.CounterVec // by state entered
-
-	predictLatency *obs.Histogram // end-to-end §III-2 prediction latency
-	batchSize      *obs.Histogram // records per micro-batch scoring call
-	sampleLatency  *obs.Histogram // per-sample share of the batch scoring call
-
-	// Tiered-inference instruments: per-stage exit counters (label
-	// "fallthrough" counts rows that paid for the full ensemble; the
-	// stage-1 and fallthrough children are cached off the hot path)
-	// and the cost of the triage pass itself.
-	triageExits       *obs.CounterVec // by stage: "1", ..., "fallthrough"
-	triageExitStage1  *obs.Counter
-	triageFallthrough *obs.Counter
-	triageLatency     *obs.Histogram
-
-	// Checkpoint/restore instruments. ckptDuration covers the whole
-	// write (capture + encode + fsync); ckptBarrier only the pause the
-	// pipeline actually feels — the window in which the per-shard
-	// barrier locks are held. Prune failures are counted apart from
-	// write failures: a failed write lost a snapshot, a failed prune
-	// only leaked disk.
-	ckpts             *obs.Counter
-	ckptFailures      *obs.Counter
-	ckptPruneFailures *obs.Counter
-	ckptBytes         *obs.Counter
-	ckptDuration      *obs.Histogram
-	ckptBarrier       *obs.Histogram
-	ckptLastSuccess   *obs.Gauge
-	restores          *obs.Counter
-	restoredRecs      *obs.CounterVec // by kind: flows/store_flows/journal_pending/windows/predictions
-
-	// Per-stage latency histograms (children of intddos_stage_seconds
-	// cached so the hot path skips the vec lookup).
-	stageIngest  *obs.Histogram
-	stageJournal *obs.Histogram
-	stageQueue   *obs.Histogram
-	stagePredict *obs.Histogram
-	stageVote    *obs.Histogram
-}
-
-// newLiveMetrics registers the runtime's instruments on reg.
-func newLiveMetrics(reg *obs.Registry) liveMetrics {
-	stages := reg.HistogramVec("intddos_stage_seconds", "stage", nil)
-	triageExits := reg.CounterVec("intddos_triage_exits_total", "stage")
-	return liveMetrics{
-		triageExits:       triageExits,
-		triageExitStage1:  triageExits.With("1"),
-		triageFallthrough: triageExits.With("fallthrough"),
-		triageLatency:     reg.Histogram("intddos_triage_seconds", nil),
-		reports:           reg.Counter("intddos_reports_total"),
-		dupReports:        reg.Counter("intddos_reports_duplicate_total"),
-		staleReps:         reg.Counter("intddos_reports_stale_total"),
-		reordered:         reg.Counter("intddos_reports_reordered_total"),
-		seqGaps:           reg.Counter("intddos_reports_seq_gaps_total"),
-		snapshots:         reg.Counter("intddos_snapshots_total"),
-		predictions:       reg.Counter("intddos_predictions_total"),
-		shed:              reg.Counter("intddos_shed_total"),
-		polls:             reg.Counter("intddos_polls_total"),
-		polledRecs:        reg.Counter("intddos_records_polled_total"),
-		evictions:         reg.Counter("intddos_evictions_total"),
-		decisions:         reg.CounterVec("intddos_decisions_total", "attack_type"),
-		misclass:          reg.CounterVec("intddos_misclassified_total", "attack_type"),
-		ingestStalls:      reg.Counter("intddos_ingest_barrier_stalls_total"),
-		ingestDropped:     reg.Counter("intddos_ingest_dropped_total"),
-		shardPolled:       reg.CounterVec("intddos_shard_polled_total", "shard"),
-		abandoned:         reg.CounterVec("intddos_records_abandoned", "reason"),
-		workerRestarts:    reg.Counter("intddos_worker_restarts_total"),
-		workerPanics:      reg.Counter("intddos_worker_panics_total"),
-		storeRetries:      reg.Counter("intddos_store_retries_total"),
-		storeDropped:      reg.Counter("intddos_store_dropped_total"),
-		degradedBatches:   reg.Counter("intddos_degraded_batches_total"),
-		modelFailures:     reg.CounterVec("intddos_model_failures_total", "model"),
-		modelHealthy:      reg.GaugeVec("intddos_model_healthy", "model"),
-		healthTransitions: reg.CounterVec("intddos_health_transitions_total", "state"),
-		predictLatency:    reg.Histogram("intddos_predict_latency_seconds", nil),
-		batchSize:         reg.Histogram("intddos_predict_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		sampleLatency:     reg.Histogram("intddos_predict_sample_seconds", nil),
-		ckpts:             reg.Counter("intddos_checkpoints_total"),
-		ckptFailures:      reg.Counter("intddos_checkpoint_failures_total"),
-		ckptPruneFailures: reg.Counter("intddos_checkpoint_prune_failures_total"),
-		ckptBytes:         reg.Counter("intddos_checkpoint_bytes_total"),
-		ckptDuration:      reg.Histogram("intddos_checkpoint_duration_seconds", nil),
-		ckptBarrier:       reg.Histogram("intddos_checkpoint_barrier_seconds", nil),
-		ckptLastSuccess:   reg.Gauge("intddos_checkpoint_last_success_unixtime"),
-		restores:          reg.Counter("intddos_restores_total"),
-		restoredRecs:      reg.CounterVec("intddos_restored_records_total", "kind"),
-		stageIngest:       stages.With("ingest"),
-		stageJournal:      stages.With("journal_wait"),
-		stageQueue:        stages.With("queue_wait"),
-		stagePredict:      stages.With("scale_predict"),
-		stageVote:         stages.With("vote"),
-	}
-}
-
-// queued is one flow record in flight to the prediction workers,
-// carrying the timestamps and (for sampled records) the span trace
-// that make per-stage latencies observable.
-type queued struct {
-	rec        store.FlowRecord
-	enqueuedAt time.Time
-	tr         *obs.Trace
-}
-
-// workerBatch is the micro-batch a worker is currently scoring, with
-// how many of its records have been finished — the bookkeeping panic
-// recovery needs to account for every dequeued record exactly once.
-type workerBatch struct {
-	batch []queued
-	done  int
-}
 
 // liveShard is the per-shard mutable state of the runtime: the vote
 // windows of the flows hashed onto the shard. The flow-table stripe
@@ -428,13 +65,10 @@ type Live struct {
 	tables *flow.ShardedTable
 	shards []*liveShard
 
-	// Tiered inference (nil when LiveConfig.Triage is off): the
-	// early-exit cascade shared read-only by every prediction worker,
-	// and one triage sketch per shard — single writer (the shard's
-	// ingester, under the shard's checkpoint-barrier read lock),
-	// concurrent readers (workers), atomics throughout.
-	cascade  *ml.Cascade
-	sketches []*sketch.Sketch
+	// scorer is the Prediction module, shared read-only by every
+	// prediction worker; its per-shard triage sketches are fed by the
+	// shard's ingester under the checkpoint-barrier read lock.
+	scorer *scorer
 
 	DB  store.Store
 	fdb store.Fallible // non-nil when DB surfaces transient errors
@@ -446,24 +80,20 @@ type Live struct {
 	// every lock in ascending shard order (all-read and all-write
 	// respectively — the fixed order keeps the set acyclic), wait for
 	// in-flight records to settle, and export a consistent cut.
-	// rawDB/ckptStore reference the concrete store beneath any fault
-	// wrapper — a checkpoint must read real state, not a fault-shaped
-	// view of it.
+	// rawDB is the concrete store beneath any fault wrapper — a
+	// checkpoint must read real state, not a fault-shaped view of it.
 	ckptMu      []sync.RWMutex
-	ckptStore   store.Checkpointable
-	rawDB       store.Store
+	rawDB       durableStore
 	ckptSeq     atomic.Uint64
 	fingerprint uint64
 	restored    *RestoreSummary
 	completed   atomic.Int64 // records fully finished (decision + prediction logged)
 
-	// Incremental checkpointing. deltaStore is the concrete store's
-	// delta surface (non-nil for DB/ShardedDB); deltaTrack reports that
-	// dirty tracking is live across the table, store, and window layers
-	// (set once in NewLive when CheckpointDir is configured, before any
-	// concurrent use). lastBarrierNs is the most recent capture's
-	// barrier hold, for the bench and /metrics.
-	deltaStore    store.DeltaCheckpointable
+	// Incremental checkpointing. deltaTrack reports that dirty tracking
+	// is live across the table, store, and window layers (set once in
+	// NewLive when CheckpointDir is configured, before any concurrent
+	// use). lastBarrierNs is the most recent capture's barrier hold, for
+	// the bench and /metrics.
 	deltaTrack    bool
 	lastBarrierNs atomic.Int64
 
@@ -576,112 +206,23 @@ type Live struct {
 
 // NewLive validates cfg and builds the runtime.
 func NewLive(cfg LiveConfig) (*Live, error) {
-	if len(cfg.Models) == 0 {
-		return nil, errors.New("core: no models configured")
+	cfg.defaults()
+	nShards := max(cfg.Shards, 1)
+	// The bundle is validated — and the triage model resolved — before
+	// fault wrapping: the cascade needs the model's probability path,
+	// which fault wrappers do not expose. Triage is a performance tier,
+	// not a fault surface — fall-through rows still score through the
+	// wrapped ensemble.
+	sc, err := newScorer(cfg.Models, cfg.Scaler, cfg.ModelQuorum, nShards,
+		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scaler == nil {
-		return nil, errors.New("core: scaler required")
-	}
-	if cfg.Features == nil {
-		cfg.Features = flow.INTFeatures()
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = 256
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 4096
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
-	}
-	if cfg.IngestQueueCap <= 0 {
-		cfg.IngestQueueCap = 1024
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
-	if cfg.PredictBatch < 1 {
-		cfg.PredictBatch = 1
-	}
-	if cfg.ModelQuorum <= 0 {
-		cfg.ModelQuorum = (len(cfg.Models) + 2) / 2
-	}
-	if cfg.ModelQuorum > len(cfg.Models) {
-		cfg.ModelQuorum = (len(cfg.Models) + 1) / 2
-	}
-	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = 3
-	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.FlowIdleTimeout
-	}
-	if cfg.WorkerRestartBudget == 0 {
-		cfg.WorkerRestartBudget = 8
-	}
-	if cfg.WorkerRestartBackoff <= 0 {
-		cfg.WorkerRestartBackoff = 10 * time.Millisecond
-	}
-	if cfg.StoreRetries <= 0 {
-		cfg.StoreRetries = 3
-	}
-	if cfg.StoreRetryBackoff <= 0 {
-		cfg.StoreRetryBackoff = 2 * time.Millisecond
-	}
-	if cfg.ModelFailThreshold <= 0 {
-		cfg.ModelFailThreshold = 3
-	}
-	if cfg.ModelProbeAfter <= 0 {
-		cfg.ModelProbeAfter = time.Second
-	}
-	if cfg.HealthRecency <= 0 {
-		cfg.HealthRecency = 5 * time.Second
-	}
-	if cfg.CheckpointKeep <= 0 {
-		cfg.CheckpointKeep = 3
-	}
-	if cfg.CheckpointFullEvery < 0 {
-		cfg.CheckpointFullEvery = 0
-	}
-	if cfg.CheckpointBarrierTimeout <= 0 {
-		cfg.CheckpointBarrierTimeout = 5 * time.Second
-	}
-	if cfg.Registry == nil {
-		cfg.Registry = obs.NewRegistry()
-	}
-	// A model that reports its trained input width must agree with
-	// the scaler — a mismatched bundle would otherwise panic a worker
-	// at the first scoring call.
-	for _, m := range cfg.Models {
-		if w := ml.ExpectedFeatures(m); w > 0 && w != len(cfg.Scaler.Mean) {
-			return nil, fmt.Errorf("core: model %s expects %d features, scaler has %d",
-				m.Name(), w, len(cfg.Scaler.Mean))
-		}
-	}
+	cfg.ModelQuorum = sc.quorum
 	// The bundle fingerprint is computed over the caller's models
 	// before fault wrapping (WrapModel preserves Name(), but the
 	// fingerprint should describe the bundle, not the harness).
 	fingerprint := bundleFingerprint(cfg.Models, cfg.Scaler, cfg.Features)
-	// The triage model is resolved before fault wrapping too: the
-	// cascade needs the model's probability path, which fault wrappers
-	// do not expose. Triage is a performance tier, not a fault surface
-	// — fall-through rows still score through the wrapped ensemble.
-	var cascade *ml.Cascade
-	if cfg.Triage {
-		pm, ok := resolveTriageModel(cfg.TriageModel, cfg.Models)
-		if !ok {
-			return nil, errors.New("core: triage enabled but no probability-capable model available")
-		}
-		if w := ml.ExpectedFeatures(pm); w > 0 && w != len(cfg.Scaler.Mean) {
-			return nil, fmt.Errorf("core: triage model %s expects %d features, scaler has %d",
-				pm.Name(), w, len(cfg.Scaler.Mean))
-		}
-		cascade = &ml.Cascade{Stages: []ml.CascadeStage{
-			{Name: pm.Name(), Model: pm, Threshold: cfg.TriageThreshold},
-		}}
-	}
 	// The ensemble is scored through each model's fallible path; with
 	// an injector configured the models are wrapped so scheduled
 	// scoring failures and latency can fire. The slice is copied —
@@ -695,21 +236,13 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	cfg.Models = models
 
-	nShards := cfg.Shards
-	if nShards < 1 {
-		nShards = 1
-	}
-	var db store.Store
-	if cfg.Shards == 0 {
-		db = store.New() // the paper's exact single-lock layout
-	} else {
-		db = store.NewSharded(cfg.Shards)
-	}
-	// Capture the concrete store before any fault wrapping: the
+	// The concrete store is kept apart from any fault wrapping: the
 	// checkpoint path exports and imports the real state directly.
-	rawDB := db
-	ckptStore, _ := db.(store.Checkpointable)
-	deltaStore, _ := db.(store.DeltaCheckpointable)
+	var rawDB durableStore = store.New() // the paper's exact single-lock layout
+	if cfg.Shards > 0 {
+		rawDB = store.NewSharded(cfg.Shards)
+	}
+	var db store.Store = rawDB
 	if cfg.Fault != nil && cfg.Fault.Spec().HasStoreFaults() {
 		db = fault.WrapStore(db, cfg.Fault)
 	}
@@ -720,17 +253,17 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		shards:      make([]*liveShard, nShards),
 		DB:          db,
 		rawDB:       rawDB,
-		ckptStore:   ckptStore,
-		deltaStore:  deltaStore,
 		fingerprint: fingerprint,
+		scorer:      sc,
 		ckptMu:      make([]sync.RWMutex, nShards),
 		ingestQuit:  make(chan struct{}),
 		quit:        make(chan struct{}),
 		reg:         cfg.Registry,
 	}
+	sc.ensemble = l.scoreBatch
 	l.fdb, _ = db.(store.Fallible)
 	if cfg.DedupWindow > 0 {
-		l.dedup = telemetry.NewSeqTracker(cfg.DedupWindow, cfg.DedupMaxSources)
+		l.dedup = telemetry.NewSeqTracker(cfg.DedupWindow, dedupMaxSources)
 	}
 	for i := range l.shards {
 		l.shards[i] = &liveShard{
@@ -739,16 +272,9 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 			removed: make(map[flow.Key]struct{}),
 		}
 	}
-	if cascade != nil {
-		l.cascade = cascade
-		l.sketches = make([]*sketch.Sketch, nShards)
-		for i := range l.sketches {
-			l.sketches[i] = sketch.New(0, 0)
-		}
-	}
 	l.ingestChs = make([]chan flow.PacketInfo, nShards)
 	for i := range l.ingestChs {
-		l.ingestChs[i] = make(chan flow.PacketInfo, cfg.IngestQueueCap)
+		l.ingestChs[i] = make(chan flow.PacketInfo, ingestQueueCap)
 	}
 	perWorkerCap := cfg.QueueCap / cfg.Workers
 	if perWorkerCap < 1 {
@@ -796,18 +322,12 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		l.tracer = l.reg.Tracer("intddos_pipeline", cfg.TraceSampleEvery, 64)
 	}
 	l.reg.GaugeFunc("intddos_queue_depth", func() float64 {
-		n := 0
-		for _, ch := range l.workerChs {
-			n += len(ch)
-		}
-		return float64(n)
+		used, _ := l.queueLoad()
+		return float64(used)
 	})
 	l.reg.GaugeFunc("intddos_queue_capacity", func() float64 {
-		n := 0
-		for _, ch := range l.workerChs {
-			n += cap(ch)
-		}
-		return float64(n)
+		_, capacity := l.queueLoad()
+		return float64(capacity)
 	})
 	l.reg.GaugeFunc("intddos_ingest_queue_depth", func() float64 {
 		n := 0
@@ -852,11 +372,10 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	// toward 1 means the count-min counters are filling up (widen the
 	// sketch or shorten its life), entropy collapsing toward 0 means
 	// the shard's key distribution has — the triage veto is active.
-	if l.sketches != nil {
+	if sc.sketches != nil {
 		occVec := l.reg.GaugeVec("intddos_sketch_occupancy", "shard")
 		entVec := l.reg.GaugeVec("intddos_sketch_entropy", "shard")
-		for s := range l.sketches {
-			sk := l.sketches[s]
+		for s, sk := range sc.sketches {
 			ss := strconv.Itoa(s)
 			occVec.WithFunc(ss, sk.Occupancy)
 			entVec.WithFunc(ss, sk.Entropy)
@@ -879,17 +398,12 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	})
 	l.DB.Instrument(l.reg)
 	if cfg.CheckpointDir != "" {
-		if ckptStore == nil {
-			return nil, errors.New("core: CheckpointDir set but store does not support checkpointing")
-		}
 		// Dirty tracking goes live before the restore and before any
 		// concurrent use: restore resets the marks it touches, and every
 		// layer's hot path reads its track flag without synchronization.
-		if deltaStore != nil {
-			l.deltaTrack = true
-			deltaStore.SetDeltaTracking(true)
-			l.tables.SetDeltaTracking(true)
-		}
+		l.deltaTrack = true
+		rawDB.SetDeltaTracking(true)
+		l.tables.SetDeltaTracking(true)
 		if err := l.restoreLatest(cfg.CheckpointDir); err != nil {
 			return nil, err
 		}
@@ -932,11 +446,13 @@ func (l *Live) Start() {
 	}
 	if l.cfg.FlowIdleTimeout > 0 {
 		l.pollWg.Add(1)
-		go l.sweeper()
+		go l.every(l.cfg.SweepInterval, l.sweep)
 	}
 	if l.cfg.CheckpointDir != "" && l.cfg.CheckpointEvery > 0 {
 		l.pollWg.Add(1)
-		go l.checkpointer()
+		// Errors are counted and reported via metrics/healthz; the next
+		// tick retries.
+		go l.every(l.cfg.CheckpointEvery, func() { l.WriteCheckpoint() })
 	}
 }
 
@@ -958,16 +474,7 @@ func (l *Live) Stop() {
 		// ingester's final drain; fold those in before the pollers stop
 		// so they are journaled, not stranded.
 		for _, ch := range l.ingestChs {
-		drain:
-			for {
-				select {
-				case pi := <-ch:
-					l.Ingest(pi)
-					l.ingestDone.Add(1)
-				default:
-					break drain
-				}
-			}
+			l.drainIngest(ch)
 		}
 		close(l.quit)
 		l.pollWg.Wait()
@@ -991,8 +498,8 @@ func (l *Live) Stop() {
 // profiling without on-disk snapshots.
 func (l *Live) startProfiler() {
 	cfg := prof.Config{
-		MutexFraction: l.cfg.ProfileMutexFraction,
-		BlockRateNs:   l.cfg.ProfileBlockRate,
+		MutexFraction: prof.DefaultMutexFraction,
+		BlockRateNs:   prof.DefaultBlockRateNs,
 		Dir:           l.cfg.ProfileDir,
 		Interval:      l.cfg.ProfileInterval,
 		Registry:      l.reg,
@@ -1042,38 +549,6 @@ func (l *Live) jAbort(key flow.Key, seq int, reason string) {
 	l.journeys.Abort(key.String(), seq, reason)
 }
 
-// describeConfig renders the resolved runtime configuration for
-// diagnostic bundles — what this pipeline actually ran with, defaults
-// applied, not what the flags said.
-func (l *Live) describeConfig() string {
-	cfg := l.cfg
-	models := make([]string, len(cfg.Models))
-	for i, m := range cfg.Models {
-		models[i] = m.Name()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "shards=%d\nworkers=%d\n", l.nShards, cfg.Workers)
-	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), cfg.ModelQuorum, cfg.VoteWindow)
-	fmt.Fprintf(&b, "features=%d\n", len(cfg.Scaler.Mean))
-	fmt.Fprintf(&b, "poll_interval=%s\npoll_batch=%d\nqueue_cap=%d\ningest_queue_cap=%d\n", cfg.PollInterval, cfg.PollBatch, cfg.QueueCap, cfg.IngestQueueCap)
-	fmt.Fprintf(&b, "predict_batch=%d\npredict_linger=%s\n", cfg.PredictBatch, cfg.PredictLinger)
-	triageModel := ""
-	if l.cascade != nil && len(l.cascade.Stages) > 0 {
-		triageModel = l.cascade.Stages[0].Name
-	}
-	fmt.Fprintf(&b, "triage=%t\ntriage_threshold=%g\ntriage_model=%s\n", cfg.Triage, cfg.TriageThreshold, triageModel)
-	fmt.Fprintf(&b, "skip_new_records=%t\ndrain_on_stop=%t\n", cfg.SkipNewRecords, cfg.DrainOnStop)
-	fmt.Fprintf(&b, "flow_idle_timeout=%s\nsweep_interval=%s\n", cfg.FlowIdleTimeout, cfg.SweepInterval)
-	fmt.Fprintf(&b, "checkpoint_dir=%s\ncheckpoint_every=%s\ncheckpoint_keep=%d\n", cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
-	fmt.Fprintf(&b, "checkpoint_full_every=%d\ncheckpoint_compress=%t\n", cfg.CheckpointFullEvery, cfg.CheckpointCompress)
-	fmt.Fprintf(&b, "worker_restart_budget=%d\nstore_retries=%d\n", cfg.WorkerRestartBudget, cfg.StoreRetries)
-	fmt.Fprintf(&b, "model_fail_threshold=%d\nmodel_probe_after=%s\nhealth_recency=%s\n", cfg.ModelFailThreshold, cfg.ModelProbeAfter, cfg.HealthRecency)
-	fmt.Fprintf(&b, "trace_sample_every=%d\njourney_sample_every=%d\n", cfg.TraceSampleEvery, l.journeys.SampleEvery())
-	fmt.Fprintf(&b, "profile_mutex_fraction=%d\nprofile_block_rate_ns=%d\nprofile_dir=%s\n", cfg.ProfileMutexFraction, cfg.ProfileBlockRate, cfg.ProfileDir)
-	fmt.Fprintf(&b, "fingerprint=%016x\n", l.fingerprint)
-	return b.String()
-}
-
 // stopping reports whether Stop has been requested.
 func (l *Live) stopping() bool {
 	select {
@@ -1097,193 +572,19 @@ func (l *Live) sleepQuit(d time.Duration) bool {
 	}
 }
 
-// HandleReport ingests one decoded INT report (INT Data Collection →
-// Data Processor), applying the telemetry fault schedule when one is
-// configured. Safe for concurrent use from any number of producers:
-// reports are demuxed onto per-shard ingest queues and journaled by
-// the shard's ingester goroutine, so producers only hash the key and
-// enqueue.
-func (l *Live) HandleReport(r *telemetry.Report) {
-	l.Reports.Add(1)
-	l.met.reports.Inc()
-	// Duplicate suppression runs before the fault schedule and the
-	// demux: over a duplicating or reordering wire, one exported report
-	// must never become two flow observations (and so two decisions),
-	// and a stale straggler must not rewind a flow's history. Reports
-	// with no source identity skip dedup — sequence numbers are only
-	// meaningful per exporter.
-	if l.dedup != nil && r.SourceKey() != "" {
-		res := l.dedup.Observe(r.SourceKey(), r.Seq)
-		if res.Gaps > 0 {
-			l.SeqGaps.Add(int64(res.Gaps))
-			l.met.seqGaps.Add(int64(res.Gaps))
-		}
-		switch res.Verdict {
-		case telemetry.SeqDuplicate:
-			l.Duplicates.Add(1)
-			l.met.dupReports.Inc()
-			return
-		case telemetry.SeqStale:
-			l.StaleReps.Add(1)
-			l.met.staleReps.Inc()
-			return
-		case telemetry.SeqReordered:
-			l.Reordered.Add(1)
-			l.met.reordered.Inc()
-		}
-	}
-	in := l.cfg.Fault
-	if in == nil {
-		l.IngestAsync(flow.FromINT(r, now()))
-		return
-	}
-	if in.CorruptReport(r) {
-		in.Taint(flow.FromINT(r, 0).Key.String())
-	}
-	pi := flow.FromINT(r, now())
-	if in.DropReport() {
-		in.Taint(pi.Key.String())
-		return
-	}
-	if d := in.ReportDelay(); d > 0 {
-		in.Taint(pi.Key.String())
-		time.Sleep(d)
-		pi.At = now()
-	}
-	l.IngestAsync(pi)
-}
-
-// IngestAsync hands a normalized observation to its shard's ingester
-// goroutine. The observation timestamp is taken here — arrival order
-// at the demux, not queue-drain order, defines the flow's clock. A
-// full shard queue blocks the producer (backpressure, like the
-// paper's collector socket); after Stop begins the report is dropped
-// and counted instead, because the ingesters are gone.
-func (l *Live) IngestAsync(pi flow.PacketInfo) {
-	if pi.At == 0 {
-		pi.At = now()
-	}
-	select {
-	case l.ingestChs[pi.Key.Shard(l.nShards)] <- pi:
-		l.ingestAccepted.Add(1)
-	case <-l.ingestQuit:
-		l.met.ingestDropped.Inc()
-	}
-}
-
-// IngestBacklog is how many accepted observations are still queued at
-// the ingest demux, not yet folded into the flow table and journal.
-func (l *Live) IngestBacklog() int64 {
-	return l.ingestAccepted.Load() - l.ingestDone.Load()
-}
-
-// ingester owns one shard's ingest: it drains the shard's queue into
-// the flow-table stripe and journal. One goroutine per shard keeps
-// journal appends single-writer per stripe while producers fan in
-// concurrently. On Stop it drains what is queued, then exits.
-func (l *Live) ingester(shard int) {
-	defer l.ingestWg.Done()
-	ch := l.ingestChs[shard]
+// every runs fn each period until Stop: the eviction sweeper's and
+// the periodic checkpointer's goroutine.
+func (l *Live) every(period time.Duration, fn func()) {
+	defer l.pollWg.Done()
+	ticker := time.NewTicker(period)
+	defer ticker.Stop()
 	for {
 		select {
-		case pi := <-ch:
-			l.Ingest(pi)
-			l.ingestDone.Add(1)
-		case <-l.ingestQuit:
-			for {
-				select {
-				case pi := <-ch:
-					l.Ingest(pi)
-					l.ingestDone.Add(1)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// Ingest folds a normalized observation into its flow-table stripe
-// and writes the snapshot to the database shard, retrying transient
-// store errors with backoff. Safe for concurrent use; observations of
-// flows on different shards never contend. Most callers want
-// IngestAsync — Ingest applies the observation on the calling
-// goroutine.
-func (l *Live) Ingest(pi flow.PacketInfo) {
-	// Checkpoint barrier: a capture in progress parks ingest until the
-	// consistent cut is taken. Only this shard's barrier lock is taken,
-	// so ingest on different shards never serializes here. A miss on
-	// the read lock means the shard's ingest stalled behind the
-	// barrier — counted, because from the outside it is
-	// indistinguishable from slow ingest.
-	shard := pi.Key.Shard(l.nShards)
-	bar := &l.ckptMu[shard]
-	if !bar.TryRLock() {
-		l.met.ingestStalls.Inc()
-		bar.RLock()
-	}
-	defer bar.RUnlock()
-	start := time.Now()
-	if pi.At == 0 {
-		pi.At = now()
-	}
-	// Triage sketch: fed on the ingest path, under the shard barrier,
-	// so a checkpoint capture (which holds every barrier for write)
-	// never races an update — the sketch is quiescent at the cut.
-	if l.sketches != nil {
-		l.sketches[shard].Update(pi.Key.Hash())
-	}
-	var (
-		feats   []float64
-		key     flow.Key
-		reg     netsim.Time
-		last    netsim.Time
-		updates int
-	)
-	l.tables.ObserveFunc(pi, func(st *flow.State) {
-		feats = st.Features(nil, l.cfg.Features)
-		key, reg, last, updates = st.Key, st.RegisteredAt, st.LastAt, st.Updates
-	})
-	if l.journeys.ShouldSample() {
-		l.journeys.Begin(key.String(), updates, "ingest")
-	}
-	l.upsertFlow(key, feats, reg, last, updates, pi.Label, pi.AttackType)
-	l.jHop(key, updates, "journal")
-	l.Snapshots.Add(1)
-	l.met.snapshots.Inc()
-	l.met.stageIngest.Since(start)
-}
-
-// upsertFlow writes one snapshot, retrying transient failures with
-// exponential backoff when the store surfaces them. A write still
-// failing after the retry budget is dropped — counted, tainted, and
-// raised to shedding, because a lost snapshot is a lost record.
-func (l *Live) upsertFlow(key flow.Key, feats []float64, reg, last netsim.Time, updates int, truth bool, attackType string) {
-	if l.fdb == nil {
-		l.DB.UpsertFlow(key, feats, reg, last, updates, truth, attackType)
-		return
-	}
-	backoff := l.cfg.StoreRetryBackoff
-	for attempt := 0; ; attempt++ {
-		_, err := l.fdb.TryUpsertFlow(key, feats, reg, last, updates, truth, attackType)
-		if err == nil {
+		case <-l.quit:
 			return
+		case <-ticker.C:
+			fn()
 		}
-		l.StoreRetries.Add(1)
-		l.met.storeRetries.Inc()
-		l.noteDegraded("store upsert retry")
-		if attempt >= l.cfg.StoreRetries {
-			l.StoreDropped.Add(1)
-			l.met.storeDropped.Inc()
-			l.taintKey(key)
-			l.jAbort(key, updates, "store_dropped")
-			l.event("store write dropped", "component", "store",
-				"flow", key.String(), "attempts", attempt+1)
-			l.noteShedding("store write dropped")
-			return
-		}
-		time.Sleep(backoff)
-		backoff *= 2
 	}
 }
 
@@ -1309,13 +610,18 @@ func (l *Live) AbandonedByReason() map[string]int64 {
 	return l.met.abandoned.Values()
 }
 
-// abandon accounts n records lost for a reason.
-func (l *Live) abandon(n int64, reason string) {
-	if n <= 0 {
-		return
-	}
-	l.Abandoned.Add(n)
-	l.met.abandoned.With(reason).Add(n)
+// abandon accounts one record lost for a reason.
+func (l *Live) abandon(reason string) {
+	l.Abandoned.Add(1)
+	l.met.abandoned.With(reason).Inc()
+}
+
+// abandonRecord accounts one record lost to a fault: counted, its flow
+// tainted, its sampled journey aborted.
+func (l *Live) abandonRecord(rec store.FlowRecord, reason string) {
+	l.abandon(reason)
+	l.taintKey(rec.Key)
+	l.jAbort(rec.Key, rec.Updates, reason)
 }
 
 // taintKey marks a flow as fault-touched when an injector is wired.
@@ -1334,600 +640,4 @@ func (l *Live) windowCount() int {
 		sh.mu.Unlock()
 	}
 	return n
-}
-
-// workerFor maps a shard to its prediction worker's channel. The
-// static shard→worker assignment (round-robin) is what gives workers
-// shard affinity: one flow is always predicted by one worker.
-func (l *Live) workerFor(shard int) chan queued {
-	return l.workerChs[shard%len(l.workerChs)]
-}
-
-// shardPoller is one shard's CentralServer: it polls the shard's
-// journal through a private cursor and feeds the shard's worker,
-// shedding when the worker queue is full and retrying transient
-// store errors. Pollers of different shards share no locks.
-func (l *Live) shardPoller(shard int) {
-	defer l.pollWg.Done()
-	ch := l.workerFor(shard)
-	polledC := l.met.shardPolled.With(strconv.Itoa(shard))
-	ticker := time.NewTicker(l.cfg.PollInterval)
-	defer ticker.Stop()
-	var cursor uint64
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-ticker.C:
-			// Checkpoint barrier: while a capture is in progress no new
-			// records are polled or handed off, so in-flight work can
-			// only drain. Each poller takes only its own shard's lock.
-			l.ckptMu[shard].RLock()
-			recs, cur, ok := l.pollOnce(shard, cursor)
-			l.met.polls.Inc()
-			if !ok {
-				// Transient poll failure: the cursor is unchanged, so
-				// the same entries come back at the next tick.
-				l.ckptMu[shard].RUnlock()
-				l.reassessHealth()
-				continue
-			}
-			cursor = cur
-			polled := time.Now()
-			for _, rec := range recs {
-				l.Polled.Add(1)
-				l.met.polledRecs.Inc()
-				polledC.Inc()
-				// Journal wait: snapshot write → this poll.
-				updated := time.Unix(0, int64(rec.UpdatedAt))
-				l.met.stageJournal.ObserveDuration(polled.Sub(updated))
-				l.jHop(rec.Key, rec.Updates, "poll")
-				tr := l.tracer.Sample(rec.Key.String())
-				tr.StageAt("journal_wait", updated, polled)
-				select {
-				case ch <- queued{rec: rec, enqueuedAt: polled, tr: tr}:
-				default:
-					l.Shed.Add(1)
-					l.met.shed.Inc()
-					l.taintKey(rec.Key)
-					l.jAbort(rec.Key, rec.Updates, "shed")
-					l.noteShedding("worker queue full")
-				}
-			}
-			l.ckptMu[shard].RUnlock()
-			l.reassessHealth()
-		}
-	}
-}
-
-// pollOnce polls one shard's journal, retrying transient store errors
-// with backoff inside the tick. On persistent failure it reports !ok
-// and the poller retries at the next tick — the cursor only advances
-// on success, so no journal entry is ever skipped.
-func (l *Live) pollOnce(shard int, cursor uint64) ([]store.FlowRecord, uint64, bool) {
-	if l.fdb == nil {
-		recs, cur := l.DB.PollShard(shard, cursor, l.cfg.PollBatch)
-		l.DB.TrimShard(shard, cur)
-		return recs, cur, true
-	}
-	backoff := l.cfg.StoreRetryBackoff
-	for attempt := 0; ; attempt++ {
-		recs, cur, err := l.fdb.TryPollShard(shard, cursor, l.cfg.PollBatch)
-		if err == nil {
-			l.DB.TrimShard(shard, cur)
-			return recs, cur, true
-		}
-		l.StoreRetries.Add(1)
-		l.met.storeRetries.Inc()
-		l.noteDegraded("store poll retry")
-		if attempt >= l.cfg.StoreRetries || !l.sleepQuit(backoff) {
-			return nil, cursor, false
-		}
-		backoff *= 2
-	}
-}
-
-// sweeper periodically evicts flows idle past FlowIdleTimeout.
-func (l *Live) sweeper() {
-	defer l.pollWg.Done()
-	ticker := time.NewTicker(l.cfg.SweepInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-l.quit:
-			return
-		case <-ticker.C:
-			l.sweep()
-		}
-	}
-}
-
-// onEvict is the flow table's eviction hook: when Sweep removes a
-// flow, its database record and vote window go with it — exact,
-// single-pass eviction instead of the old two-pass scan, which left
-// store rows behind for flows created between the scan and the sweep
-// and let the store grow without bound under spoofed-source floods.
-// Runs under the evicting table shard's lock; it takes only the store
-// and window locks (table → store, table → window — no path takes
-// those locks and then the table's, so the order is acyclic).
-func (l *Live) onEvict(key flow.Key) {
-	l.DB.DeleteFlow(key)
-	sh := l.shards[key.Shard(l.nShards)]
-	sh.mu.Lock()
-	if _, ok := sh.windows[key]; ok {
-		delete(sh.windows, key)
-		if l.deltaTrack {
-			sh.removed[key] = struct{}{}
-			delete(sh.dirty, key)
-		}
-	}
-	sh.mu.Unlock()
-}
-
-// sweep evicts flows idle past FlowIdleTimeout. The table sweep fires
-// onEvict per eviction, which removes the database record and vote
-// window in the same pass; a safety pass then clears orphaned windows
-// (a late decision can re-create a window after its flow was swept).
-func (l *Live) sweep() {
-	// Checkpoint barrier: sweeps mutate all three stores at once and
-	// must not interleave with a capture, so every shard's barrier is
-	// held for read — in ascending order, the same order a capture
-	// takes the write side.
-	for s := range l.ckptMu {
-		l.ckptMu[s].RLock()
-	}
-	defer func() {
-		for s := range l.ckptMu {
-			l.ckptMu[s].RUnlock()
-		}
-	}()
-	evicted := l.tables.Sweep(now())
-	// Orphan pass: collect keys under the window lock, probe the table
-	// without holding it (the eviction hook locks window under table;
-	// nesting the other way here would deadlock).
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		keys := make([]flow.Key, 0, len(sh.windows))
-		for key := range sh.windows {
-			keys = append(keys, key)
-		}
-		sh.mu.Unlock()
-		for _, key := range keys {
-			if !l.tables.Get(key, nil) {
-				sh.mu.Lock()
-				if _, ok := sh.windows[key]; ok {
-					delete(sh.windows, key)
-					if l.deltaTrack {
-						sh.removed[key] = struct{}{}
-						delete(sh.dirty, key)
-					}
-				}
-				sh.mu.Unlock()
-			}
-		}
-	}
-	l.Evictions.Add(int64(evicted))
-	l.met.evictions.Add(int64(evicted))
-	if evicted > 0 {
-		l.event("flows evicted", "component", "sweep", "evicted", evicted)
-	}
-}
-
-// batchScratch is a prediction worker's reusable scoring buffers: the
-// feature-row view of the current micro-batch, the standardized rows
-// the ensemble reads, the vote buffers recycled across batches (only
-// the flat per-row vote storage is allocated per batch — callers
-// retain those rows in Decisions), and the triage-path buffers. One
-// worker owns one scratch, so batch calls never allocate row storage
-// after warm-up.
-type batchScratch struct {
-	rows   [][]float64
-	scaled [][]float64
-
-	// scoreBatch buffers (reused headers; see ml.EnsembleVotesInto
-	// for the retention rationale).
-	votes [][]int
-	ones  []int
-
-	// Tiered-inference buffers.
-	cs  ml.CascadeScratch
-	sus []bool
-	sub [][]float64
-}
-
-// superviseWorker owns one prediction worker slot: it runs the worker
-// and, when the worker dies to a panic, restarts it with exponential
-// backoff under the restart budget. A worker that exhausts the budget
-// is declared down — its queue is drained into
-// intddos_records_abandoned{reason="worker_down"} so shutdown
-// accounting still closes, and the pipeline reports shedding.
-func (l *Live) superviseWorker(w int) {
-	defer l.workWg.Done()
-	const maxBackoff = time.Second
-	backoff := l.cfg.WorkerRestartBackoff
-	restarts := 0
-	for {
-		if l.runWorker(w) {
-			return // clean exit: channel closed at Stop
-		}
-		l.met.workerPanics.Inc()
-		if l.cfg.WorkerRestartBudget >= 0 && restarts >= l.cfg.WorkerRestartBudget {
-			l.workersDown.Add(1)
-			l.event("worker down", "component", "worker",
-				"worker", w, "restarts", restarts)
-			l.noteShedding(fmt.Sprintf("worker %d restart budget exhausted", w))
-			l.abandonRemaining(w)
-			return
-		}
-		restarts++
-		l.WorkerRestarts.Add(1)
-		l.met.workerRestarts.Inc()
-		l.event("worker restarted", "component", "worker",
-			"worker", w, "restarts", restarts)
-		l.noteDegraded(fmt.Sprintf("worker %d restarted", w))
-		l.sleepQuit(backoff)
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// abandonRemaining consumes a down worker's queue until Stop closes
-// it, accounting every record. Consuming (instead of leaving the
-// queue to fill) keeps the shard pollers running, so flows of other
-// shards mapped to healthy workers are unaffected.
-func (l *Live) abandonRemaining(w int) {
-	for q := range l.workerChs[w] {
-		l.abandon(1, "worker_down")
-		l.taintKey(q.rec.Key)
-		l.jAbort(q.rec.Key, q.rec.Updates, "worker_down")
-	}
-}
-
-// runWorker is one prediction worker run: it drains the worker's
-// channel into micro-batches and scores them until the channel closes
-// (clean=true) or a panic escapes a batch (clean=false, after
-// accounting the batch's unfinished records). Panics inside a model
-// are already contained by the scoring path; what reaches here is an
-// injected worker fault or a genuine bug in the voting/logging path —
-// either way the supervisor decides whether to restart.
-func (l *Live) runWorker(w int) (clean bool) {
-	ch := l.workerChs[w]
-	maxBatch := l.cfg.PredictBatch
-	scratch := &batchScratch{}
-	var cur workerBatch
-	cur.batch = make([]queued, 0, maxBatch)
-	defer func() {
-		if r := recover(); r != nil {
-			clean = false
-			rest := cur.batch[cur.done:]
-			l.abandon(int64(len(rest)), "panic")
-			for _, q := range rest {
-				l.taintKey(q.rec.Key)
-				l.jAbort(q.rec.Key, q.rec.Updates, "panic")
-			}
-		}
-	}()
-	for {
-		q, ok := <-ch
-		if !ok {
-			return true
-		}
-		if l.stopping() && !l.cfg.DrainOnStop {
-			l.abandon(1, "stop")
-			l.jAbort(q.rec.Key, q.rec.Updates, "stop")
-			continue
-		}
-		cur.batch = append(cur.batch[:0], q)
-		cur.done = 0
-		closed := l.fillBatch(&cur, ch, maxBatch)
-		if l.cfg.Fault.WorkerPanicNow() {
-			panic(fault.InjectedPanic{Site: fault.SiteWorkerPanic})
-		}
-		busyT0 := time.Now()
-		l.predictBatch(&cur, scratch)
-		l.workerBusy[w].Add(int64(time.Since(busyT0)))
-		cur.batch = cur.batch[:0]
-		cur.done = 0
-		if closed {
-			return true
-		}
-	}
-}
-
-// fillBatch tops up the current micro-batch from backlog already
-// queued (never blocking) and then, if configured, lingers briefly
-// for stragglers. Reports whether the channel closed while filling —
-// the batch in hand is still scored.
-func (l *Live) fillBatch(cur *workerBatch, ch chan queued, maxBatch int) (closed bool) {
-drain:
-	for len(cur.batch) < maxBatch {
-		select {
-		case q, ok := <-ch:
-			if !ok {
-				return true
-			}
-			cur.batch = append(cur.batch, q)
-		default:
-			break drain
-		}
-	}
-	if l.cfg.PredictLinger > 0 && len(cur.batch) < maxBatch {
-		timer := time.NewTimer(l.cfg.PredictLinger)
-	linger:
-		for len(cur.batch) < maxBatch {
-			select {
-			case <-l.quit:
-				break linger
-			case q, ok := <-ch:
-				if !ok {
-					timer.Stop()
-					return true
-				}
-				cur.batch = append(cur.batch, q)
-			case <-timer.C:
-				break linger
-			}
-		}
-		timer.Stop()
-	}
-	return false
-}
-
-// predictBatch scores one micro-batch — standardization, fault-
-// isolated ensemble votes, effective quorum — and finishes every
-// record in arrival order, so the per-flow decision sequence a single
-// worker produces is independent of how records were grouped into
-// batches. Records that cannot be scored (malformed snapshot, no
-// model available) are abandoned with a reason, never lost silently.
-func (l *Live) predictBatch(b *workerBatch, s *batchScratch) {
-	// Shape guard: a snapshot whose width disagrees with the scaler
-	// would panic inside a kernel; abandon it instead.
-	want := len(l.cfg.Scaler.Mean)
-	kept := b.batch[:0]
-	for _, q := range b.batch {
-		if len(q.rec.Features) != want {
-			l.abandon(1, "malformed")
-			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "malformed")
-			continue
-		}
-		kept = append(kept, q)
-	}
-	b.batch = kept
-	if len(b.batch) == 0 {
-		return
-	}
-	dequeued := time.Now()
-	s.rows = s.rows[:0]
-	for _, q := range b.batch {
-		l.met.stageQueue.ObserveDuration(dequeued.Sub(q.enqueuedAt))
-		q.tr.StageAt("queue_wait", q.enqueuedAt, dequeued)
-		l.jHop(q.rec.Key, q.rec.Updates, "batch")
-		s.rows = append(s.rows, q.rec.Features)
-	}
-	s.scaled = l.cfg.Scaler.TransformBatch(s.scaled, s.rows)
-	if l.cascade != nil {
-		l.triageBatch(b, s, dequeued)
-		return
-	}
-	votes, ones, navail := l.scoreBatch(s, s.scaled)
-	if navail == 0 {
-		// Every ensemble member is out: no best-effort answer exists.
-		l.abandon(int64(len(b.batch)), "no_model")
-		for _, q := range b.batch {
-			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "no_model")
-		}
-		b.done = len(b.batch)
-		return
-	}
-	quorum := l.effectiveQuorum(navail)
-	if navail < len(l.cfg.Models) {
-		// Degraded vote: decisions still flow, at reduced fidelity.
-		l.met.degradedBatches.Inc()
-		for _, q := range b.batch {
-			l.taintKey(q.rec.Key)
-		}
-	}
-	n := len(b.batch)
-	l.Predictions.Add(int64(n))
-	l.met.predictions.Add(int64(n))
-	predicted := time.Now()
-	// The batch call's cost is attributed evenly to its samples: at
-	// batch size one this is the same duration the per-record path
-	// observed.
-	perSample := predicted.Sub(dequeued) / time.Duration(n)
-	l.met.batchSize.Observe(float64(n))
-	for i := range b.batch {
-		l.met.stagePredict.Observe(perSample.Seconds())
-		l.met.sampleLatency.Observe(perSample.Seconds())
-		b.batch[i].tr.StageAt("scale_predict", dequeued, predicted)
-		l.jHop(b.batch[i].rec.Key, b.batch[i].rec.Updates, "predict")
-		raw := 0
-		if ones[i] >= quorum {
-			raw = 1
-		}
-		l.finish(b.batch[i], raw, votes[i], predicted, 0)
-		b.done++
-	}
-}
-
-// triageBatch is predictBatch's tiered path: the per-shard sketches
-// veto benign exits for suspicious flows, the cascade early-exits
-// rows its stage-0 model is confident about, and only the
-// fall-through remainder pays for the fault-isolated ensemble vote.
-// Records are finished in arrival order regardless of which tier
-// decided them, so the per-flow decision sequence is identical to the
-// untiered path's — only the votes behind confident rows change.
-// With an inert cascade (threshold <= 0) every row falls through and
-// the output is bit-identical to the legacy path.
-func (l *Live) triageBatch(b *workerBatch, s *batchScratch, dequeued time.Time) {
-	triageT0 := time.Now()
-	if cap(s.sus) < len(b.batch) {
-		s.sus = make([]bool, len(b.batch))
-	}
-	sus := s.sus[:len(b.batch)]
-	for i, q := range b.batch {
-		sk := l.sketches[q.rec.Key.Shard(l.nShards)]
-		sus[i] = sk.Suspicious(q.rec.Key.Hash(),
-			triageHeavyHitterFrac, triageEntropyFloor, triageMinSample)
-	}
-	stage, tlabel := l.cascade.TriageBatch(s.scaled, sus, &s.cs)
-	l.met.triageLatency.Since(triageT0)
-
-	// Full ensemble on the fall-through remainder only, in batch
-	// order.
-	if cap(s.sub) < len(b.batch) {
-		s.sub = make([][]float64, len(b.batch))
-	}
-	sub := s.sub[:0]
-	nExit := 0
-	for i := range b.batch {
-		if stage[i] == 0 {
-			sub = append(sub, s.scaled[i])
-		} else {
-			nExit++
-		}
-	}
-	var votes [][]int
-	var ones []int
-	navail, quorum := 0, 0
-	if len(sub) > 0 {
-		votes, ones, navail = l.scoreBatch(s, sub)
-		if navail > 0 {
-			quorum = l.effectiveQuorum(navail)
-			if navail < len(l.cfg.Models) {
-				l.met.degradedBatches.Inc()
-			}
-		}
-	}
-
-	predicted := time.Now()
-	n := len(b.batch)
-	perSample := predicted.Sub(dequeued) / time.Duration(n)
-	l.met.batchSize.Observe(float64(n))
-	// Exited rows carry their single stage-0 vote as provenance; the
-	// slices are retained in Decisions, so they get fresh storage —
-	// one flat allocation for the whole batch.
-	exitFlat := make([]int, nExit)
-	e, j := 0, 0
-	decided := 0
-	for i := range b.batch {
-		l.met.stagePredict.Observe(perSample.Seconds())
-		l.met.sampleLatency.Observe(perSample.Seconds())
-		b.batch[i].tr.StageAt("scale_predict", dequeued, predicted)
-		l.jHop(b.batch[i].rec.Key, b.batch[i].rec.Updates, "predict")
-		if st := stage[i]; st > 0 {
-			if st == 1 {
-				l.met.triageExitStage1.Inc()
-			} else {
-				l.met.triageExits.With(strconv.Itoa(st)).Inc()
-			}
-			ev := exitFlat[e : e+1 : e+1]
-			ev[0] = tlabel[i]
-			e++
-			l.finish(b.batch[i], tlabel[i], ev, predicted, st)
-			decided++
-			b.done++
-			continue
-		}
-		l.met.triageFallthrough.Inc()
-		if navail == 0 {
-			// Every ensemble member is out: no best-effort answer
-			// exists for fall-through rows. Exited rows still decide —
-			// the cascade's stage-0 model answered before the ensemble
-			// was consulted.
-			q := b.batch[i]
-			l.abandon(1, "no_model")
-			l.taintKey(q.rec.Key)
-			l.jAbort(q.rec.Key, q.rec.Updates, "no_model")
-			b.done++
-			continue
-		}
-		if navail < len(l.cfg.Models) {
-			l.taintKey(b.batch[i].rec.Key)
-		}
-		raw := 0
-		if ones[j] >= quorum {
-			raw = 1
-		}
-		l.finish(b.batch[i], raw, votes[j], predicted, 0)
-		decided++
-		j++
-		b.done++
-	}
-	l.Predictions.Add(int64(decided))
-	l.met.predictions.Add(int64(decided))
-}
-
-// finish applies window voting on the flow's shard and logs the
-// decision. stage is the decision's cascade provenance (0 for the
-// full-ensemble path).
-func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage int) {
-	rec := q.rec
-	t := now()
-	sh := l.shards[rec.Key.Shard(l.nShards)]
-	sh.mu.Lock()
-	w := append(sh.windows[rec.Key], raw)
-	if len(w) > l.cfg.VoteWindow {
-		w = w[len(w)-l.cfg.VoteWindow:]
-	}
-	sh.windows[rec.Key] = w
-	if l.deltaTrack {
-		sh.dirty[rec.Key] = struct{}{}
-		delete(sh.removed, rec.Key)
-	}
-	sum := 0
-	for _, v := range w {
-		sum += v
-	}
-	sh.mu.Unlock()
-	label := 0
-	if 2*sum > len(w) {
-		label = 1
-	}
-	d := Decision{
-		Key:        rec.Key,
-		Label:      label,
-		Seq:        rec.Updates - 1,
-		At:         t,
-		Latency:    t - rec.UpdatedAt,
-		Votes:      votes,
-		Stage:      stage,
-		Truth:      rec.Truth,
-		AttackType: rec.AttackType,
-	}
-	l.decMu.Lock()
-	l.decisions = append(l.decisions, d)
-	cb := l.OnDecision
-	l.decMu.Unlock()
-
-	typ := rec.AttackType
-	if typ == "" {
-		typ = "unknown"
-	}
-	l.met.decisions.With(typ).Inc()
-	if !d.Correct() {
-		l.met.misclass.With(typ).Inc()
-	}
-	l.met.predictLatency.Observe(d.Latency.Seconds())
-	voted := time.Now()
-	l.met.stageVote.ObserveDuration(voted.Sub(predicted))
-	q.tr.StageAt("vote", predicted, voted)
-	l.tracer.Finish(q.tr)
-
-	l.DB.AppendPrediction(store.PredictionRecord{
-		Key: rec.Key, Label: label, At: t, Latency: d.Latency,
-		Votes: votes, Truth: rec.Truth, AttackType: rec.AttackType,
-	})
-	if cb != nil {
-		cb(d)
-	}
-	// Completion mark for the checkpoint barrier: the record's window
-	// vote, decision, and prediction are all durable-state-visible, so
-	// a capture that observes this count sees everything the record
-	// produced.
-	l.jComplete(rec.Key, rec.Updates)
-	l.completed.Add(1)
 }

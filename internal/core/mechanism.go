@@ -20,11 +20,8 @@
 package core
 
 import (
-	"errors"
-
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/ml/sketch"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
@@ -151,29 +148,13 @@ type Mechanism struct {
 	busy    bool
 	windows map[flow.Key][]int
 
-	scaled [][]float64 // reusable standardization batch buffer
-	// scoredVotes/scoredRaw/scoredStages cache batch-scored results
-	// for the queue head: index 0 always corresponds to queue[0].
+	// scorer is the Prediction module; scored caches its verdicts for
+	// the queue head block: index 0 always corresponds to queue[0].
 	// Scoring is pure, so scoring records at batch time instead of
-	// service time changes nothing observable. scoredRaw is the raw
-	// verdict (quorum vote, or the stage-0 label for exited records)
-	// and scoredStages the cascade provenance per record.
-	scoredVotes  [][]int
-	scoredRaw    []int
-	scoredStages []int
-
-	// Tiered inference (nil/unused when Config.Triage is off): the
-	// early-exit cascade, the streaming triage sketch fed by observe,
-	// and the reusable scoring buffers behind the scored caches.
-	cascade  *ml.Cascade
-	sketch   *sketch.Sketch
-	vs       ml.VoteScratch
-	cs       ml.CascadeScratch
-	votesBuf [][]int
-	rawBuf   []int
-	stageBuf []int
-	subBuf   [][]float64
-	susBuf   []bool
+	// service time changes nothing observable.
+	scorer  *scorer
+	scratch batchScratch
+	scored  []verdict
 
 	// OnDecision observes every final decision as it is made.
 	OnDecision func(Decision)
@@ -195,12 +176,12 @@ type Mechanism struct {
 
 // New validates cfg and builds a mechanism.
 func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
-	if len(cfg.Models) == 0 {
-		return nil, errors.New("core: no models configured")
+	sc, err := newScorer(cfg.Models, cfg.Scaler, cfg.ModelQuorum, 1,
+		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Scaler == nil {
-		return nil, errors.New("core: scaler required")
-	}
+	cfg.ModelQuorum = sc.quorum
 	if cfg.Features == nil {
 		cfg.Features = flow.INTFeatures()
 	}
@@ -212,9 +193,6 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = netsim.Millisecond
-	}
-	if cfg.ModelQuorum <= 0 {
-		cfg.ModelQuorum = (len(cfg.Models) + 2) / 2
 	}
 	if cfg.VoteWindow <= 0 {
 		cfg.VoteWindow = 3
@@ -228,10 +206,8 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	if cfg.PredictBatch < 1 {
 		cfg.PredictBatch = 1
 	}
-	var db store.Store
-	if cfg.Shards == 0 {
-		db = store.New()
-	} else {
+	var db store.Store = store.New()
+	if cfg.Shards > 0 {
 		db = store.NewSharded(cfg.Shards)
 	}
 	m := &Mechanism{
@@ -240,6 +216,13 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		Table:   flow.NewTable(),
 		DB:      db,
 		windows: make(map[flow.Key][]int),
+		scorer:  sc,
+	}
+	// The simulation's ensemble call is the plain batch path: every
+	// member always votes.
+	sc.ensemble = func(s *batchScratch, X [][]float64) ([][]int, []int, int) {
+		votes, ones := ml.EnsembleVotesInto(&s.vs, m.cfg.Models, X)
+		return votes, ones, len(m.cfg.Models)
 	}
 	m.Table.IdleTimeout = cfg.FlowIdleTimeout
 	// Eviction is single-pass: when Sweep removes a flow, its database
@@ -251,16 +234,6 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		delete(m.windows, k)
 	}
 	m.DB.SetJournalNew(!cfg.SkipNewRecords)
-	if cfg.Triage {
-		pm, ok := resolveTriageModel(cfg.TriageModel, cfg.Models)
-		if !ok {
-			return nil, errors.New("core: triage enabled but no probability-capable model available")
-		}
-		m.cascade = &ml.Cascade{Stages: []ml.CascadeStage{
-			{Name: pm.Name(), Model: pm, Threshold: cfg.TriageThreshold},
-		}}
-		m.sketch = sketch.New(0, 0)
-	}
 	return m, nil
 }
 
@@ -279,19 +252,15 @@ func (m *Mechanism) Start() {
 // telemetry collector's OnReport.
 func (m *Mechanism) HandleReport(r *telemetry.Report, at netsim.Time) {
 	m.Reports++
-	m.observe(flow.FromINT(r, at))
+	m.Observe(flow.FromINT(r, at))
 }
 
-// Observe feeds a normalized observation directly (used by tests and
-// by the sFlow-driven variant of the mechanism).
-func (m *Mechanism) Observe(pi flow.PacketInfo) { m.observe(pi) }
-
-// observe is the Data Processor ingest path: update the flow table
-// and write the feature snapshot to the database.
-func (m *Mechanism) observe(pi flow.PacketInfo) {
-	if m.sketch != nil {
-		m.sketch.Update(pi.Key.Hash())
-	}
+// Observe is the Data Processor ingest path: update the flow table
+// and write the feature snapshot to the database. Tests and the
+// sFlow-driven variant of the mechanism feed it normalized
+// observations directly.
+func (m *Mechanism) Observe(pi flow.PacketInfo) {
+	m.scorer.observe(pi.Key)
 	st, _ := m.Table.Observe(pi)
 	feats := st.Features(nil, m.cfg.Features)
 	m.DB.UpsertFlow(st.Key, feats, st.RegisteredAt, st.LastAt, st.Updates, pi.Label, pi.AttackType)
@@ -328,143 +297,40 @@ func (m *Mechanism) startService() {
 	m.eng.After(m.cfg.ServiceTime, m.completeService)
 }
 
-// scoreHead batch-scores the queue's head block through the scaler
-// and the tiered scoring path, filling the scored caches consumed one
-// record per service completion. Without triage the block goes
-// straight through the ensemble batch path; with triage the cascade
-// early-exits confident rows (under the sketch's suspicion veto) and
-// only the fall-through remainder pays for the full ensemble vote.
+// scoreHead scores the queue's head block (one record at the default
+// PredictBatch) and caches the verdicts, consumed one record per
+// service completion.
 func (m *Mechanism) scoreHead() {
-	k := m.cfg.PredictBatch
-	if k > len(m.queue) {
-		k = len(m.queue)
+	s := &m.scratch
+	s.rows, s.keys = s.rows[:0], s.keys[:0]
+	for _, rec := range m.queue[:min(m.cfg.PredictBatch, len(m.queue))] {
+		s.rows = append(s.rows, rec.Features)
+		s.keys = append(s.keys, rec.Key)
 	}
-	rows := make([][]float64, k)
-	for i := 0; i < k; i++ {
-		rows[i] = m.queue[i].Features
-	}
-	m.scaled = m.cfg.Scaler.TransformBatch(m.scaled, rows)
-	if cap(m.rawBuf) < k {
-		m.rawBuf = make([]int, k)
-	}
-	if cap(m.stageBuf) < k {
-		m.stageBuf = make([]int, k)
-	}
-	m.scoredRaw = m.rawBuf[:k]
-	m.scoredStages = m.stageBuf[:k]
-
-	if m.cascade == nil {
-		var ones []int
-		m.scoredVotes, ones = ml.EnsembleVotesInto(&m.vs, m.cfg.Models, m.scaled)
-		for i := 0; i < k; i++ {
-			m.scoredStages[i] = 0
-			raw := 0
-			if ones[i] >= m.cfg.ModelQuorum {
-				raw = 1
-			}
-			m.scoredRaw[i] = raw
-		}
-		return
-	}
-
-	// Stage-0 sketch verdict: a suspicious flow (heavy hitter, or any
-	// flow while key entropy has collapsed) is never early-exited
-	// benign.
-	if cap(m.susBuf) < k {
-		m.susBuf = make([]bool, k)
-	}
-	sus := m.susBuf[:k]
-	for i := 0; i < k; i++ {
-		sus[i] = m.sketch.Suspicious(m.queue[i].Key.Hash(),
-			triageHeavyHitterFrac, triageEntropyFloor, triageMinSample)
-	}
-	stage, tlabel := m.cascade.TriageBatch(m.scaled, sus, &m.cs)
-
-	// Full ensemble on the fall-through remainder only, preserving
-	// queue order inside the sub-batch.
-	if cap(m.subBuf) < k {
-		m.subBuf = make([][]float64, k)
-	}
-	sub := m.subBuf[:0]
-	nExit := 0
-	for i := 0; i < k; i++ {
-		if stage[i] == 0 {
-			sub = append(sub, m.scaled[i])
-		} else {
-			nExit++
-		}
-	}
-	var subVotes [][]int
-	var subOnes []int
-	if len(sub) > 0 {
-		subVotes, subOnes = ml.EnsembleVotesInto(&m.vs, m.cfg.Models, sub)
-	}
-	if cap(m.votesBuf) < k {
-		m.votesBuf = make([][]int, k)
-	}
-	m.scoredVotes = m.votesBuf[:k]
-	// Exited records carry their single stage-0 vote as provenance;
-	// the rows are retained in Decisions, so they get fresh storage.
-	exitFlat := make([]int, nExit)
-	e, j := 0, 0
-	for i := 0; i < k; i++ {
-		if stage[i] > 0 {
-			ev := exitFlat[e : e+1 : e+1]
-			ev[0] = tlabel[i]
-			e++
-			m.scoredVotes[i] = ev
-			m.scoredRaw[i] = tlabel[i]
-			m.scoredStages[i] = stage[i]
-			m.TriageExited++
-			continue
-		}
-		m.scoredVotes[i] = subVotes[j]
-		raw := 0
-		if subOnes[j] >= m.cfg.ModelQuorum {
-			raw = 1
-		}
-		m.scoredRaw[i] = raw
-		m.scoredStages[i] = 0
-		m.TriageFallthrough++
-		j++
-	}
+	m.scored, _ = m.scorer.score(s.rows, s.keys, s)
 }
 
 // completeService is the Prediction module finishing one item, plus
 // the Data Processor's aggregation of the result (§IV-C4 ensemble
 // and window voting).
 func (m *Mechanism) completeService() {
-	// Prediction module: standardize and run the ensemble over the
-	// queue head block (a 1-record block at the default PredictBatch),
-	// then consume one cached result per completion.
-	if len(m.scoredVotes) == 0 {
+	if len(m.scored) == 0 {
 		m.scoreHead()
 	}
-	rec := m.queue[0]
+	rec, v := m.queue[0], m.scored[0]
 	copy(m.queue, m.queue[1:])
 	m.queue = m.queue[:len(m.queue)-1]
-	votes, raw, stage := m.scoredVotes[0], m.scoredRaw[0], m.scoredStages[0]
-	m.scoredVotes = m.scoredVotes[1:]
-	m.scoredRaw = m.scoredRaw[1:]
-	m.scoredStages = m.scoredStages[1:]
+	m.scored = m.scored[1:]
 
 	m.Predictions++
+	if v.stage > 0 {
+		m.TriageExited++
+	} else if m.scorer.cascade != nil {
+		m.TriageFallthrough++
+	}
 
-	// Data Processor aggregation: slide the per-flow window and take
-	// a strict majority (ties resolve benign).
-	w := append(m.windows[rec.Key], raw)
-	if len(w) > m.cfg.VoteWindow {
-		w = w[len(w)-m.cfg.VoteWindow:]
-	}
-	m.windows[rec.Key] = w
-	sum := 0
-	for _, v := range w {
-		sum += v
-	}
-	label := 0
-	if 2*sum > len(w) {
-		label = 1
-	}
+	var label int
+	m.windows[rec.Key], label = slideVote(m.windows[rec.Key], v.raw, m.cfg.VoteWindow)
 
 	now := m.eng.Now()
 	d := Decision{
@@ -473,15 +339,15 @@ func (m *Mechanism) completeService() {
 		Seq:        rec.Updates - 1,
 		At:         now,
 		Latency:    now - rec.UpdatedAt,
-		Votes:      votes,
-		Stage:      stage,
+		Votes:      v.votes,
+		Stage:      v.stage,
 		Truth:      rec.Truth,
 		AttackType: rec.AttackType,
 	}
 	m.Decisions = append(m.Decisions, d)
 	m.DB.AppendPrediction(store.PredictionRecord{
 		Key: rec.Key, Label: label, At: now, Latency: d.Latency,
-		Votes: votes, Truth: rec.Truth, AttackType: rec.AttackType,
+		Votes: v.votes, Truth: rec.Truth, AttackType: rec.AttackType,
 	})
 	if m.OnDecision != nil {
 		m.OnDecision(d)
@@ -507,6 +373,3 @@ func (m *Mechanism) sweepTick() {
 	}
 	m.eng.After(m.cfg.SweepInterval, m.sweepTick)
 }
-
-// QueueLen exposes the prediction backlog for tests and monitoring.
-func (m *Mechanism) QueueLen() int { return len(m.queue) }

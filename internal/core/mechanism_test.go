@@ -93,6 +93,29 @@ func TestMechanismValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestMechanismQuorumClamped pins the clamp the simulated mechanism
+// shares with NewLive: a quorum the ensemble can never reach degrades
+// to a majority of its members instead of silently never flagging.
+func TestMechanismQuorumClamped(t *testing.T) {
+	eng := netsim.NewEngine()
+	one := 1
+	cfg := testConfig(stubModel{name: "always", always: &one})
+	cfg.ModelQuorum = 3
+	m, err := New(eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Config().ModelQuorum; got != 1 {
+		t.Errorf("effective quorum = %d over a 1-model ensemble, want 1", got)
+	}
+	m.Start()
+	eng.Schedule(0, func() { m.Observe(simObs(7, eng.Now(), 40, true, "synflood")) })
+	eng.RunUntil(50 * netsim.Millisecond)
+	if len(m.Decisions) != 1 || m.Decisions[0].Label != 1 {
+		t.Fatalf("decisions = %+v, want one attack decision", m.Decisions)
+	}
+}
+
 func TestMechanismEndToEndDecision(t *testing.T) {
 	eng := netsim.NewEngine()
 	m, err := New(eng, testConfig(attackDetector()))
@@ -327,17 +350,5 @@ func TestSummarizeByType(t *testing.T) {
 	}
 	if f.Misclassified != 1 || f.Accuracy != 0.5 || f.AvgLatency != 20 {
 		t.Errorf("flood row = %+v", f)
-	}
-}
-
-func TestMisclassBySeq(t *testing.T) {
-	ds := []Decision{
-		{AttackType: "slowloris", Seq: 0, Label: 0, Truth: true},
-		{AttackType: "slowloris", Seq: 1, Label: 1, Truth: true},
-		{AttackType: "benign", Seq: 0, Label: 0, Truth: false},
-	}
-	seq, wrong := MisclassBySeq(ds, "slowloris")
-	if len(seq) != 2 || !wrong[0] || wrong[1] {
-		t.Errorf("seq=%v wrong=%v", seq, wrong)
 	}
 }

@@ -56,17 +56,3 @@ func SummarizeByType(ds []Decision) []TypeResult {
 	}
 	return out
 }
-
-// MisclassBySeq histograms misclassifications by per-flow decision
-// index, the Figure 7 view: errors concentrating at low Seq mean
-// flows are misread only while their features are immature.
-func MisclassBySeq(ds []Decision, attackType string) (seq []int, wrong []bool) {
-	for _, d := range ds {
-		if d.AttackType != attackType {
-			continue
-		}
-		seq = append(seq, d.Seq)
-		wrong = append(wrong, !d.Correct())
-	}
-	return seq, wrong
-}

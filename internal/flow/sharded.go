@@ -79,9 +79,6 @@ func (t *ShardedTable) SetDeltaTracking(on bool) {
 // Shards returns the stripe count.
 func (t *ShardedTable) Shards() int { return len(t.shards) }
 
-// ShardFor returns the shard index key routes to.
-func (t *ShardedTable) ShardFor(key Key) int { return key.Shard(len(t.shards)) }
-
 // SetIdleTimeout configures idle eviction on every shard.
 func (t *ShardedTable) SetIdleTimeout(d netsim.Time) {
 	for i := range t.shards {
@@ -297,14 +294,6 @@ func (t *ShardedTable) Len() int {
 		t.shards[i].mu.Unlock()
 	}
 	return n
-}
-
-// ShardLen returns the number of live records on one shard.
-func (t *ShardedTable) ShardLen(shard int) int {
-	s := &t.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.Len()
 }
 
 // Created sums per-shard creation counts.

@@ -19,6 +19,29 @@ type VoteScratch struct {
 	ones  []int
 }
 
+// Rows returns the vote buffers for one batch of n rows scored by
+// nModels members: the recycled votes header with each row sliced out
+// of one fresh flat slab (callers retain the rows), and the recycled
+// ones counters zeroed.
+func (s *VoteScratch) Rows(n, nModels int) (votes [][]int, ones []int) {
+	if cap(s.votes) < n {
+		s.votes = make([][]int, n)
+	}
+	if cap(s.ones) < n {
+		s.ones = make([]int, n)
+	}
+	votes = s.votes[:n]
+	ones = s.ones[:n]
+	for i := range ones {
+		ones[i] = 0
+	}
+	flat := make([]int, n*nModels)
+	for i := range votes {
+		votes[i] = flat[i*nModels : (i+1)*nModels : (i+1)*nModels]
+	}
+	return votes, ones
+}
+
 // EnsembleVotesInto is EnsembleVotes with the outer votes header and
 // the ones buffer recycled from s across calls — the per-batch
 // allocations a prediction worker would otherwise pay on every
@@ -30,21 +53,7 @@ func EnsembleVotesInto(s *VoteScratch, models []Classifier, X [][]float64) (vote
 	if s == nil {
 		s = &VoteScratch{}
 	}
-	if cap(s.votes) < len(X) {
-		s.votes = make([][]int, len(X))
-	}
-	if cap(s.ones) < len(X) {
-		s.ones = make([]int, len(X))
-	}
-	votes = s.votes[:len(X)]
-	ones = s.ones[:len(X)]
-	for i := range ones {
-		ones[i] = 0
-	}
-	flat := make([]int, len(X)*len(models))
-	for i := range votes {
-		votes[i] = flat[i*len(models) : (i+1)*len(models) : (i+1)*len(models)]
-	}
+	votes, ones = s.Rows(len(X), len(models))
 	for mi, m := range models {
 		labels := PredictBatch(m, X)
 		for i, lab := range labels {

@@ -98,10 +98,11 @@ func PipelineStages() []StageRule {
 		{"core.(*Live).upsertFlow", "core.ingest"},
 		{"core.(*Live).shardPoller", "core.poll"},
 		{"core.(*Live).pollOnce", "core.poll"},
-		// Triage rules precede core.predict: triageBatch calls scoreBatch
-		// for fall-through rows, so a stack blocked under the cascade
-		// attributes to the triage stage, not the generic predict bucket.
-		{"core.(*Live).triageBatch", "core.triage"},
+		// Triage rules precede core.predict: the scorer's triage pass
+		// runs under predictBatch, so a stack blocked under the sketch
+		// veto or the cascade attributes to the triage stage, not the
+		// generic predict bucket.
+		{"core.(*scorer).triage", "core.triage"},
 		{"ml.(*Cascade)", "core.triage"},
 		{"sketch.(*Sketch)", "core.triage"},
 		{"core.(*Live).predictBatch", "core.predict"},

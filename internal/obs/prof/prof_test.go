@@ -74,6 +74,20 @@ func TestAttributionSeesInducedContention(t *testing.T) {
 	}
 }
 
+// TestPipelineStagesScoringBuckets pins the rules to the scoring
+// core's frame names: a stack under the scorer's triage pass is
+// core.triage, the rest of a scoring call is core.predict.
+func TestPipelineStagesScoringBuckets(t *testing.T) {
+	const core = "github.com/amlight/intddos/internal/core."
+	worker := []string{core + "(*scorer).score", core + "(*Live).predictBatch", core + "(*Live).runWorker"}
+	if got := attribute(append([]string{core + "(*scorer).triage"}, worker...), PipelineStages()); got != "core.triage" {
+		t.Errorf("triage stack attributed to %q, want core.triage", got)
+	}
+	if got := attribute(worker, PipelineStages()); got != "core.predict" {
+		t.Errorf("scoring stack attributed to %q, want core.predict", got)
+	}
+}
+
 func TestEnableRatesNesting(t *testing.T) {
 	base := runtime.SetMutexProfileFraction(-1)
 	r1 := EnableRates(7, 1000)
