@@ -4,15 +4,17 @@
 # fault-injection suite under the race detector), the recovery smoke
 # (kill -9 a checkpointing live pipeline, restart, verify restore and
 # closed accounting), the diagnostics smoke (pull and validate
-# diagnostic bundles from a running pipeline), and the soak smoke (the
+# diagnostic bundles from a running pipeline), the soak smoke (the
 # live pipeline under an impaired wire plus a scrambled multi-pass
-# feed, with both accounting ledgers required to close).
+# feed, with both accounting ledgers required to close), and the
+# benchmark smoke (the performance ledger's correctness checks on
+# every workload).
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-obs bench-shard bench-shard-smoke bench-batch bench-checkpoint bench-checkpoint-smoke bench-tier bench-tier-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
+.PHONY: check vet build test race bench bench-smoke bench-obs bench-shard bench-shard-smoke bench-batch bench-checkpoint bench-checkpoint-smoke bench-tier bench-tier-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
 
-check: vet build test race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke
+check: vet build test race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -48,13 +50,15 @@ fuzz-smoke:
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against
 # the live pipeline (supervised workers, store retries, quorum
-# degradation, shed/abandon accounting), the scorer's own table test,
-# and the Live-vs-Mechanism differential. Fault schedules are
-# seed-driven, so the run is deterministic per seed.
+# degradation, shed/abandon accounting), the push hand-off's failure
+# modes (lone report, concurrent callers on one shard, restored journal
+# tail, store outage then silence, queue of one), the scorer's own
+# table test, and the Live-vs-Mechanism differential. Fault schedules
+# are seed-driven, so the run is deterministic per seed.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \
-		'TestChaos|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
+		'TestChaos|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
 		./internal/core/
 
 # recovery-smoke kills a checkpointing live pipeline with SIGKILL and
@@ -87,8 +91,19 @@ impair-smoke:
 	$(GO) run ./scripts/diagcheck -impair $(CURDIR)/impair_smoke.json
 	rm -f $(CURDIR)/impair_smoke.json
 
+# bench runs the one performance ledger (benchmark/, BENCHMARK.json):
+# four paced workloads, the gated end-to-end metrics and every
+# correctness check, ~2 min. `sh benchmark/run.sh -trace 1` is the
+# per-layer run; see benchmark/README.md for -out/-compare.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 1x .
+	sh benchmark/run.sh
+
+# bench-smoke is the ledger's correctness half alone: 1 s per workload
+# through the real ingest path, then the closed ledger, the
+# decision-to-row join, per-flow Seq order, and prediction-log ==
+# decisions checks.
+bench-smoke:
+	$(GO) run ./benchmark -smoke
 
 # bench-obs runs the live-pipeline latency benchmark and writes the
 # stage/prediction latency percentiles to BENCH_obs.json.
@@ -173,4 +188,5 @@ bench-checkpoint-smoke:
 
 clean:
 	rm -f BENCH_obs.json BENCH_shard.json BENCH_shard_smoke.json BENCH_batch.json BENCH_checkpoint.json BENCH_checkpoint_smoke.json BENCH_tier.json BENCH_tier_smoke.json impair_smoke.json
+	rm -rf .bench_build benchmark/out
 	$(GO) clean ./...

@@ -41,7 +41,6 @@ func main() {
 	shards := flag.Int("shards", 0, "stripe the flow table, database, and dispatch over N shards (0: the paper's single-lock layout)")
 	workers := flag.Int("workers", 0, "prediction worker goroutines for -live (0: one, like the paper's single predictor)")
 	predictBatch := flag.Int("predict-batch", 0, "scoring micro-batch size (0/1: the paper's record-at-a-time prediction; results are identical at any size)")
-	predictLinger := flag.Duration("predict-linger", 0, "how long a -live prediction worker waits to fill a micro-batch (0: score immediately)")
 	faultSpec := flag.String("fault-spec", "", "inject faults into the -live pipeline, e.g. \"drop=0.01,store.err=0.1,panic=0.02\" (see README: fault tolerance)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 	netemSpec := flag.String("netem", "", "impair the -live replay's report wire, e.g. \"netem[link=agent->collector]:loss=1%,dup=0.1%\" (see README: adverse networks)")
@@ -92,7 +91,7 @@ func main() {
 		if nseed == 0 {
 			nseed = *seed
 		}
-		runLive(*scale, *seed, *packets, *liveFor, *shards, *workers, *predictBatch, *predictLinger, injector, netem, nseed, *dedupWindow, *checkpointDir, *checkpointEvery, *checkpointFullEvery, *checkpointCompress, *diagBundle, *profileDir, *profileEvery, *triage, *triageThreshold, *triageModel, reg, *verbose)
+		runLive(*scale, *seed, *packets, *liveFor, *shards, *workers, *predictBatch, injector, netem, nseed, *dedupWindow, *checkpointDir, *checkpointEvery, *checkpointFullEvery, *checkpointCompress, *diagBundle, *profileDir, *profileEvery, *triage, *triageThreshold, *triageModel, reg, *verbose)
 		return
 	}
 	if *faultSpec != "" {
@@ -145,7 +144,7 @@ func main() {
 // registry continuously scrapeable while doing so. A final metrics
 // summary — counters, queue gauges, per-stage latency percentiles —
 // is printed on exit.
-func runLive(scale string, seed int64, packets int, liveFor time.Duration, shards, workers, predictBatch int, predictLinger time.Duration, injector *intddos.FaultInjector, netem intddos.NetemSpec, netemSeed int64, dedupWindow int, checkpointDir string, checkpointEvery time.Duration, checkpointFullEvery int, checkpointCompress bool, diagBundle, profileDir string, profileEvery time.Duration, triage bool, triageThreshold float64, triageModel string, reg *intddos.ObsRegistry, verbose bool) {
+func runLive(scale string, seed int64, packets int, liveFor time.Duration, shards, workers, predictBatch int, injector *intddos.FaultInjector, netem intddos.NetemSpec, netemSeed int64, dedupWindow int, checkpointDir string, checkpointEvery time.Duration, checkpointFullEvery int, checkpointCompress bool, diagBundle, profileDir string, profileEvery time.Duration, triage bool, triageThreshold float64, triageModel string, reg *intddos.ObsRegistry, verbose bool) {
 	capture, err := intddos.Collect(intddos.DataConfig{Scale: scale, Seed: seed})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "intddos:", err)
@@ -188,7 +187,6 @@ func runLive(scale string, seed int64, packets int, liveFor time.Duration, shard
 		Shards:              shards,
 		Workers:             workers,
 		PredictBatch:        predictBatch,
-		PredictLinger:       predictLinger,
 		Fault:               injector,
 		CheckpointDir:       checkpointDir,
 		CheckpointEvery:     checkpointEvery,

@@ -65,11 +65,10 @@ func TestMechanismPredictBatchInvariant(t *testing.T) {
 // by sequence number. Wall-clock timestamps differ run to run, so the
 // invariant under batching is the per-flow label/vote sequence, which
 // shard affinity plus in-order batch finishing must preserve.
-func runLiveBatch(t *testing.T, predictBatch int, linger time.Duration) map[string][]int {
+func runLiveBatch(t *testing.T, predictBatch int) map[string][]int {
 	t.Helper()
 	cfg := liveConfig(attackDetector())
 	cfg.PredictBatch = predictBatch
-	cfg.PredictLinger = linger
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -97,21 +96,18 @@ func runLiveBatch(t *testing.T, predictBatch int, linger time.Duration) map[stri
 
 // TestLivePredictBatchEquivalence requires the micro-batched workers
 // to label every flow update exactly as the record-at-a-time pipeline
-// does, with and without a linger window.
+// does, whatever batches the backlog happens to form.
 func TestLivePredictBatchEquivalence(t *testing.T) {
-	base := runLiveBatch(t, 1, 0)
-	for _, tc := range []struct {
-		batch  int
-		linger time.Duration
-	}{{8, 0}, {32, 2 * time.Millisecond}} {
-		got := runLiveBatch(t, tc.batch, tc.linger)
+	base := runLiveBatch(t, 1)
+	for _, batch := range []int{8, 32} {
+		got := runLiveBatch(t, batch)
 		if len(got) != len(base) {
-			t.Fatalf("batch=%d: %d flows, want %d", tc.batch, len(got), len(base))
+			t.Fatalf("batch=%d: %d flows, want %d", batch, len(got), len(base))
 		}
 		for k, labels := range base {
 			if fmt.Sprint(got[k]) != fmt.Sprint(labels) {
-				t.Errorf("batch=%d linger=%v flow %s labels diverged:\nbatch=1: %v\nbatched: %v",
-					tc.batch, tc.linger, k, labels, got[k])
+				t.Errorf("batch=%d flow %s labels diverged:\nbatch=1: %v\nbatched: %v",
+					batch, k, labels, got[k])
 			}
 		}
 	}

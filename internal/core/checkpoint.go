@@ -23,7 +23,7 @@ type RestoreSummary struct {
 
 	// Flows counts flow-table records restored; StoreFlows database
 	// records; JournalPending journal entries written before the crash
-	// but not yet polled — the pollers pick them up on the first tick,
+	// but not yet handed off — each shard pushes its tail once at Start,
 	// so every pre-crash record ends decided, shed, abandoned, or
 	// restored-pending, never silently gone.
 	Flows          int
@@ -212,10 +212,10 @@ func awaitSettled(done func() bool) bool {
 	return true
 }
 
-// settleInflight waits until every record the pollers handed off is
-// accounted — decided, shed, or abandoned. Callers hold every shard's
-// ckptMu write lock, so pollers, ingest, and the sweeper are parked
-// and the counts can only converge.
+// settleInflight waits until every record handed off is accounted —
+// decided, shed, or abandoned. Callers hold every shard's ckptMu write
+// lock, so ingest, its hand-off, and the sweeper are parked and the
+// counts can only converge.
 func (l *Live) settleInflight() error {
 	if !awaitSettled(func() bool {
 		return l.Polled.Load() == l.completed.Load()+l.Shed.Load()+l.Abandoned.Load()
@@ -229,7 +229,7 @@ func (l *Live) settleInflight() error {
 // CaptureCheckpoint quiesces the pipeline and captures a consistent
 // full snapshot of its durable state: it first drains the ingest
 // demux of everything accepted so far, then blocks new ingest,
-// polling, and sweeps (per-shard write locks the hot paths hold for
+// hand-off, and sweeps (per-shard write locks the hot paths hold for
 // reads per operation), waits for in-flight records to finish, and
 // exports every shard's flow table and store state (per-shard
 // prediction logs included) and the vote windows. The freeze lasts

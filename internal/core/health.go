@@ -125,9 +125,6 @@ const healthLogCap = 32
 // quorum never counts absent votes.
 const VoteAbsent = -1
 
-// Health returns the pipeline's current aggregate state.
-func (l *Live) Health() HealthState { return HealthState(l.health.state.Load()) }
-
 // setHealthState moves the state machine, logging and counting the
 // transition when the state actually changes.
 func (l *Live) setHealthState(s HealthState, why string) {
@@ -145,7 +142,7 @@ func (l *Live) setHealthState(s HealthState, why string) {
 // degraded.
 func (l *Live) noteDegraded(why string) {
 	l.health.lastDegraded.Store(time.Now().UnixNano())
-	if l.Health() < HealthDegraded {
+	if HealthState(l.health.state.Load()) < HealthDegraded {
 		l.setHealthState(HealthDegraded, why)
 	}
 }
@@ -153,7 +150,7 @@ func (l *Live) noteDegraded(why string) {
 // noteShedding records a shedding-class fault event (shed record,
 // dead worker, dropped store write) and raises the state to shedding.
 // Shed events hit the event log at most once per second — under
-// saturation every poll tick sheds, and a flood of identical events
+// saturation every hand-off sheds, and a flood of identical events
 // would wash the operational tail out of the ring.
 func (l *Live) noteShedding(why string) {
 	l.health.lastShed.Store(time.Now().UnixNano())
@@ -161,16 +158,16 @@ func (l *Live) noteShedding(why string) {
 	if last := l.lastShedEvent.Load(); sec > last && l.lastShedEvent.CompareAndSwap(last, sec) {
 		l.event("records shed", "component", "load", "why", why)
 	}
-	if l.Health() < HealthShedding {
+	if HealthState(l.health.state.Load()) < HealthShedding {
 		l.setHealthState(HealthShedding, why)
 	}
 }
 
-// reassessHealth recomputes the state from current conditions,
-// lowering it when faults have cleared. Called from the shard pollers
-// once per tick, so recovery is observed within a poll interval of
-// the recency window expiring.
-func (l *Live) reassessHealth() {
+// Health returns the pipeline's aggregate state. Fault events raise it
+// the moment they happen; lowering it — faults cleared, recency window
+// expired — is recomputed here, on read: an idle pipeline has no tick
+// to notice, and nothing but a reader cares when it does.
+func (l *Live) Health() HealthState {
 	now := time.Now().UnixNano()
 	recency := l.cfg.HealthRecency.Nanoseconds()
 	target := HealthHealthy
@@ -183,9 +180,8 @@ func (l *Live) reassessHealth() {
 		now-l.health.lastDegraded.Load() < recency:
 		target = HealthDegraded
 	}
-	// Only transitions change anything; steady state is one atomic
-	// load in setHealthState's Swap plus the comparisons above.
 	l.setHealthState(target, "reassess")
+	return HealthState(l.health.state.Load())
 }
 
 // queueLoad sums the worker queues' occupancy and capacity.

@@ -33,6 +33,10 @@ type liveShard struct {
 	windows map[flow.Key][]int
 	dirty   map[flow.Key]struct{}
 	removed map[flow.Key]struct{}
+
+	hand   sync.Mutex         // serializes the shard's hand-offs (Live.handoff)
+	recs   []store.FlowRecord // journal-drain buffer, reused; guarded by hand
+	polled *obs.Counter       // intddos_shard_polled_total{shard}
 }
 
 // Live runs the four Figure 2 modules as concurrent goroutines over
@@ -43,18 +47,22 @@ type liveShard struct {
 // repository uses.
 //
 // The hot path is sharded end to end by flow.Key hash: each shard has
-// its own flow-table stripe, database journal with cursor, and poller
-// goroutine, and shards map to prediction workers round-robin, so
-// every update of one flow flows through one lock stripe, one
-// journal, one poller, and one worker — per-flow prediction order is
-// preserved at any worker count. With Shards=0 (the default) the
-// layout degenerates to the legacy single-lock pipeline.
+// its own flow-table stripe, database journal, and ingester goroutine,
+// and shards map to prediction workers round-robin, so every update of
+// one flow flows through one lock stripe, one journal, one serialized
+// hand-off, and one worker — per-flow prediction order is preserved at
+// any worker count. With Shards=0 (the default) the layout degenerates
+// to the legacy single-lock pipeline.
+// Whoever journals a snapshot hands it to the shard's worker on the
+// spot, and micro-batches form from the backlog a worker finds when it
+// wakes: no timer sits between a report and its decision (the
+// simulated Mechanism keeps the paper's poll-tick clock).
 //
 // The runtime is supervised: prediction workers recover from panics
 // and are restarted with exponential backoff under a restart budget,
 // transient store errors are retried with backoff, unhealthy ensemble
 // members are voted around (quorum degrades to majority-of-available),
-// and every record the pollers hand off is accounted for — decided,
+// and every record handed off is accounted for — decided,
 // shed, or abandoned with a reason — even across panics and shutdown.
 // The aggregate condition (healthy/degraded/shedding) is reported on
 // /healthz.
@@ -74,8 +82,8 @@ type Live struct {
 	fdb store.Fallible // non-nil when DB surfaces transient errors
 
 	// Checkpointing. ckptMu is the capture barrier, one lock per
-	// shard: ingesters and shard pollers hold only their own shard's
-	// lock for read per operation, so shards never contend with each
+	// shard: ingest and the hand-off it ends in hold only their own
+	// shard's lock for read per burst, so shards never contend with each
 	// other on the barrier; the sweeper and a checkpoint capture take
 	// every lock in ascending shard order (all-read and all-write
 	// respectively — the fixed order keeps the set acyclic), wait for
@@ -133,22 +141,23 @@ type Live struct {
 
 	// Multi-producer ingest: HandleReport demuxes reports onto
 	// per-shard queues; one ingester goroutine per shard owns the
-	// journal appends for its stripe. ingestQuit (not a channel close
-	// — producers are external and uncounted) stops the ingesters,
-	// which drain their queues before exiting. ingestAccepted counts
+	// journal appends for its stripe. quit (not a channel close —
+	// producers are external and uncounted) is Stop's one signal: the
+	// ingesters drain their queues and exit, the periodic goroutines
+	// return, backoffs are cut short. ingestAccepted counts
 	// observations enqueued, ingestDone observations journaled; the
 	// difference is the demux backlog, which a checkpoint capture
 	// settles before its cut (an accepted report must not vanish into
 	// a queue the simulated crash discards).
 	ingestChs      []chan flow.PacketInfo
-	ingestQuit     chan struct{}
+	quit           chan struct{}
 	ingestWg       sync.WaitGroup
 	ingestAccepted atomic.Int64
 	ingestDone     atomic.Int64
 
 	workerChs []chan queued
-	quit      chan struct{}
-	pollWg    sync.WaitGroup // pollers + sweeper (stop first)
+	handing   atomic.Bool    // hand-off is live: set by Start, cleared by Stop
+	everyWg   sync.WaitGroup // sweeper + periodic checkpointer
 	workWg    sync.WaitGroup // worker supervisors (stop after channels close)
 	stop      sync.Once
 
@@ -195,7 +204,7 @@ type Live struct {
 	Evictions   atomic.Int64
 
 	// Robustness accounting (atomics: read while running).
-	Polled         atomic.Int64 // records handed off by the pollers
+	Polled         atomic.Int64 // records handed off to the workers
 	Abandoned      atomic.Int64 // records abandoned, any reason
 	StoreRetries   atomic.Int64 // transient store errors retried
 	StoreDropped   atomic.Int64 // store writes dropped after retries
@@ -256,11 +265,11 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		fingerprint: fingerprint,
 		scorer:      sc,
 		ckptMu:      make([]sync.RWMutex, nShards),
-		ingestQuit:  make(chan struct{}),
 		quit:        make(chan struct{}),
 		reg:         cfg.Registry,
 	}
 	sc.ensemble = l.scoreBatch
+	l.met = newLiveMetrics(l.reg)
 	l.fdb, _ = db.(store.Fallible)
 	if cfg.DedupWindow > 0 {
 		l.dedup = telemetry.NewSeqTracker(cfg.DedupWindow, dedupMaxSources)
@@ -270,6 +279,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 			windows: make(map[flow.Key][]int),
 			dirty:   make(map[flow.Key]struct{}),
 			removed: make(map[flow.Key]struct{}),
+			polled:  l.met.shardPolled.With(strconv.Itoa(i)),
 		}
 	}
 	l.ingestChs = make([]chan flow.PacketInfo, nShards)
@@ -291,7 +301,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	// every layer (previously swept flows leaked store records).
 	l.tables.SetOnEvict(l.onEvict)
 	l.DB.SetJournalNew(!cfg.SkipNewRecords)
-	l.met = newLiveMetrics(l.reg)
 	// Diagnostics: the event log must exist before anything below can
 	// log (restore does), and the registry carries the journey sampler
 	// and runtime telemetry for /traces/flow and /metrics.
@@ -427,29 +436,28 @@ func (l *Live) Shards() int { return l.nShards }
 // now returns the wall clock in the repository's Time domain.
 func now() netsim.Time { return netsim.Time(time.Now().UnixNano()) }
 
-// Start launches the per-shard CentralServer pollers, the supervised
-// Prediction workers, and (when a TTL is configured) the eviction
-// sweeper.
+// Start launches the per-shard ingesters, the supervised Prediction
+// workers, and (when configured) the eviction sweeper and the periodic
+// checkpointer.
 func (l *Live) Start() {
 	l.startProfiler()
 	l.event("pipeline started", "component", "lifecycle",
 		"shards", l.nShards, "workers", l.cfg.Workers)
+	l.handing.Store(true)
 	for s := 0; s < l.nShards; s++ {
 		l.ingestWg.Add(1)
 		go l.ingester(s)
-		l.pollWg.Add(1)
-		go l.shardPoller(s)
 	}
 	for w := 0; w < l.cfg.Workers; w++ {
 		l.workWg.Add(1)
 		go l.superviseWorker(w)
 	}
 	if l.cfg.FlowIdleTimeout > 0 {
-		l.pollWg.Add(1)
+		l.everyWg.Add(1)
 		go l.every(l.cfg.SweepInterval, l.sweep)
 	}
 	if l.cfg.CheckpointDir != "" && l.cfg.CheckpointEvery > 0 {
-		l.pollWg.Add(1)
+		l.everyWg.Add(1)
 		// Errors are counted and reported via metrics/healthz; the next
 		// tick retries.
 		go l.every(l.cfg.CheckpointEvery, func() { l.WriteCheckpoint() })
@@ -457,7 +465,7 @@ func (l *Live) Start() {
 }
 
 // Stop terminates the pipeline in three phases — the ingesters drain
-// their queues and exit, then the pollers stop, then the worker
+// their queues and exit, then hand-off stops, then the worker
 // channels are closed and the workers drain them — and waits for
 // every goroutine. What happens to records still queued is policy:
 // with DrainOnStop they are scored and logged like any other record;
@@ -468,19 +476,25 @@ func (l *Live) Start() {
 // extra and concurrent calls wait for the same shutdown and return.
 func (l *Live) Stop() {
 	l.stop.Do(func() {
-		close(l.ingestQuit)
+		close(l.quit)
 		l.ingestWg.Wait()
 		// A producer racing Stop can land a report in a queue after its
-		// ingester's final drain; fold those in before the pollers stop
+		// ingester's final drain; fold those in before hand-off stops
 		// so they are journaled, not stranded.
 		for _, ch := range l.ingestChs {
 			l.drainIngest(ch)
 		}
-		close(l.quit)
-		l.pollWg.Wait()
-		// Only the pollers write to the worker channels, so after
-		// they exit the channels can close; the workers run out their
-		// queues (scoring or accounting per DrainOnStop) and return.
+		l.everyWg.Wait()
+		// Only hand-offs write to the worker channels. One already under
+		// its shard's hand lock finishes its sends; a later one sees
+		// handing cleared and leaves its rows journaled. Then the
+		// channels can close; the workers run out their queues (scoring
+		// or accounting per DrainOnStop) and return.
+		l.handing.Store(false)
+		for _, sh := range l.shards {
+			sh.hand.Lock()
+			sh.hand.Unlock()
+		}
 		for _, ch := range l.workerChs {
 			close(ch)
 		}
@@ -549,18 +563,8 @@ func (l *Live) jAbort(key flow.Key, seq int, reason string) {
 	l.journeys.Abort(key.String(), seq, reason)
 }
 
-// stopping reports whether Stop has been requested.
-func (l *Live) stopping() bool {
-	select {
-	case <-l.quit:
-		return true
-	default:
-		return false
-	}
-}
-
-// sleepQuit sleeps for d or until Stop, reporting whether the full
-// duration elapsed.
+// sleepQuit sleeps for d — a retry backoff — or until Stop begins,
+// reporting whether the full duration elapsed.
 func (l *Live) sleepQuit(d time.Duration) bool {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
@@ -575,7 +579,7 @@ func (l *Live) sleepQuit(d time.Duration) bool {
 // every runs fn each period until Stop: the eviction sweeper's and
 // the periodic checkpointer's goroutine.
 func (l *Live) every(period time.Duration, fn func()) {
-	defer l.pollWg.Done()
+	defer l.everyWg.Done()
 	ticker := time.NewTicker(period)
 	defer ticker.Stop()
 	for {

@@ -22,12 +22,6 @@ type LiveConfig struct {
 	// Scaler standardizes snapshots; required.
 	Scaler *ml.StandardScaler
 
-	// PollInterval is the CentralServer polling period (default 5 ms
-	// wall time). With sharding, every shard poller ticks at this
-	// period independently.
-	PollInterval time.Duration
-	// PollBatch bounds records fetched per poll per shard (default 256).
-	PollBatch int
 	// QueueCap bounds the prediction input channels (default 4096,
 	// divided across workers); beyond it updates are shed and counted.
 	QueueCap int
@@ -35,7 +29,7 @@ type LiveConfig struct {
 	// like the paper's single Python predictor). Each worker owns its
 	// own input channel; shards are assigned to workers round-robin,
 	// so all updates of one flow are predicted by one worker in
-	// journal order — the invariant the vote window needs.
+	// hand-off order — the invariant the vote window needs.
 	Workers int
 
 	// Shards stripes the flow table, the database journal, and the
@@ -48,16 +42,13 @@ type LiveConfig struct {
 	// PredictBatch caps the micro-batch a prediction worker drains
 	// from its shard queue per wakeup: queued records already waiting
 	// are scored through the scaler and ensemble batch paths in one
-	// amortized call instead of one record per wakeup. The batch
-	// contract makes results row-for-row identical to per-record
-	// scoring, so this only trades per-record overhead for batching.
-	// Zero or one keeps the paper's record-at-a-time behavior.
+	// amortized call instead of one record per wakeup. Batches form
+	// only from backlog — a worker never waits for one to fill — so
+	// their size follows load. The batch contract makes results
+	// row-for-row identical to per-record scoring, so this only trades
+	// per-record overhead for batching. Zero or one keeps the paper's
+	// record-at-a-time behavior.
 	PredictBatch int
-	// PredictLinger is how long a worker with an unfilled micro-batch
-	// waits for more records before scoring what it has (default 0:
-	// score immediately — batches only form from backlog). Lingering
-	// trades per-record latency for larger batches under load.
-	PredictLinger time.Duration
 
 	// Triage enables tiered inference: per-shard streaming sketches
 	// (count-min heavy hitter + flow-key entropy) over the ingest
@@ -131,7 +122,7 @@ type LiveConfig struct {
 	TraceSampleEvery int
 
 	// JourneySampleEvery follows 1-in-N flow updates end to end —
-	// ingest → journal → poll → batch → predict → vote, one wall-clock
+	// ingest → journal → poll (the hand-off) → batch → predict → vote, one wall-clock
 	// stamp per hop, across every goroutine handoff — queryable on
 	// /traces/flow (default 256; negative disables journey tracing).
 	JourneySampleEvery int
@@ -182,12 +173,12 @@ type LiveConfig struct {
 
 	// StoreRetries bounds retry attempts after a transient store
 	// error (default 3). Writes still failing after the budget are
-	// dropped and counted in intddos_store_dropped_total; polls
-	// simply retry at the next tick (the journal cursor is unchanged,
-	// so nothing is lost).
+	// dropped and counted in intddos_store_dropped_total. A failed
+	// journal drain has no budget: it consumed nothing, so the
+	// hand-off retries it on the same backoff until it succeeds.
 	StoreRetries int
 	// StoreRetryBackoff is the initial delay between store retries,
-	// doubling per attempt (default 2ms).
+	// doubling per attempt (default 2ms; journal drains cap at 1s).
 	StoreRetryBackoff time.Duration
 
 	// ModelFailThreshold is how many consecutive scoring failures
@@ -216,6 +207,9 @@ const (
 	// dedupMaxSources bounds the dedup tracker's per-source state
 	// (least-recently-active eviction).
 	dedupMaxSources = 1024
+	// maxRetryBackoff caps the doubling backoffs that have no attempt
+	// budget: worker restarts and journal-drain retries.
+	maxRetryBackoff = time.Second
 )
 
 // defaults resolves every zero-valued knob except the model bundle's
@@ -223,12 +217,6 @@ const (
 func (cfg *LiveConfig) defaults() {
 	if cfg.Features == nil {
 		cfg.Features = flow.INTFeatures()
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 5 * time.Millisecond
-	}
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = 256
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
@@ -293,8 +281,7 @@ func (l *Live) describeConfig() string {
 	fmt.Fprintf(&b, "shards=%d\nworkers=%d\n", l.nShards, cfg.Workers)
 	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), cfg.ModelQuorum, cfg.VoteWindow)
 	fmt.Fprintf(&b, "features=%d\n", len(cfg.Scaler.Mean))
-	fmt.Fprintf(&b, "poll_interval=%s\npoll_batch=%d\nqueue_cap=%d\ningest_queue_cap=%d\n", cfg.PollInterval, cfg.PollBatch, cfg.QueueCap, ingestQueueCap)
-	fmt.Fprintf(&b, "predict_batch=%d\npredict_linger=%s\n", cfg.PredictBatch, cfg.PredictLinger)
+	fmt.Fprintf(&b, "queue_cap=%d\ningest_queue_cap=%d\npredict_batch=%d\n", cfg.QueueCap, ingestQueueCap, cfg.PredictBatch)
 	triageModel := ""
 	if c := l.scorer.cascade; c != nil {
 		triageModel = c.Stages[0].Name

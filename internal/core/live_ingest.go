@@ -77,30 +77,46 @@ func (l *Live) IngestAsync(pi flow.PacketInfo) {
 	select {
 	case l.ingestChs[pi.Key.Shard(l.nShards)] <- pi:
 		l.ingestAccepted.Add(1)
-	case <-l.ingestQuit:
+	case <-l.quit:
 		l.met.ingestDropped.Inc()
 	}
 }
 
-// IngestBacklog is how many accepted observations are still queued at
-// the ingest demux, not yet folded into the flow table and journal.
+// IngestBacklog is how many accepted observations are not yet folded
+// into the flow table and journal.
 func (l *Live) IngestBacklog() int64 {
 	return l.ingestAccepted.Load() - l.ingestDone.Load()
 }
 
 // ingester owns one shard's ingest: it drains the shard's queue into
-// the flow-table stripe and journal. One goroutine per shard keeps
-// journal appends single-writer per stripe while producers fan in
-// concurrently. On Stop it drains what is queued, then exits.
+// the flow-table stripe and journal and pushes what it journaled to
+// the shard's worker. One goroutine per shard keeps journal appends
+// single-writer per stripe while producers fan in concurrently. On
+// Stop it drains what is queued, then exits.
 func (l *Live) ingester(shard int) {
 	defer l.ingestWg.Done()
 	ch := l.ingestChs[shard]
+	// A journal tail restored from a checkpoint, or written before
+	// Start, has no report behind it to push it: hand it off once.
+	ok := l.push(shard)
+	backoff := l.cfg.StoreRetryBackoff
 	for {
+		// Nothing ticks, so a hand-off whose journal drain failed is
+		// retried on a timer, armed only while such rows wait — no later
+		// report may come to retry it. Ingest carries on meanwhile.
+		var retry <-chan time.Time
+		if ok {
+			backoff = l.cfg.StoreRetryBackoff
+		} else {
+			retry = time.After(backoff)
+			backoff = min(2*backoff, maxRetryBackoff)
+		}
 		select {
 		case pi := <-ch:
-			l.Ingest(pi)
-			l.ingestDone.Add(1)
-		case <-l.ingestQuit:
+			ok = l.ingestBurst(pi, ch)
+		case <-retry:
+			ok = l.push(shard)
+		case <-l.quit:
 			l.drainIngest(ch)
 			return
 		}
@@ -112,27 +128,41 @@ func (l *Live) drainIngest(ch chan flow.PacketInfo) {
 	for {
 		select {
 		case pi := <-ch:
-			l.Ingest(pi)
-			l.ingestDone.Add(1)
+			l.ingestBurst(pi, ch)
 		default:
 			return
 		}
 	}
 }
 
-// Ingest folds a normalized observation into its flow-table stripe
-// and writes the snapshot to the database shard, retrying transient
-// store errors with backoff. Safe for concurrent use; observations of
-// flows on different shards never contend. Most callers want
-// IngestAsync — Ingest applies the observation on the calling
-// goroutine.
+// Ingest folds a normalized observation into its flow-table stripe,
+// writes the snapshot to the database shard (retrying transient store
+// errors with backoff) and hands it to the shard's prediction worker.
+// Safe for concurrent use; observations of flows on different shards
+// never contend. Most callers want IngestAsync — Ingest applies the
+// observation on the calling goroutine.
 func (l *Live) Ingest(pi flow.PacketInfo) {
+	l.ingestAccepted.Add(1)
+	ok := l.ingestBurst(pi, nil)
+	// No ingester stands behind a direct caller to retry a failed
+	// hand-off, so the caller backs off and retries it here.
+	for backoff := l.cfg.StoreRetryBackoff; !ok && l.sleepQuit(backoff); backoff = min(2*backoff, maxRetryBackoff) {
+		ok = l.push(pi.Key.Shard(l.nShards))
+	}
+}
+
+// ingestBurst journals pi and every observation already queued behind
+// it on more (the shard's ingest queue, whose only receiver is the
+// caller; nil for a direct Ingest), then hands the shard's journal
+// tail to its worker: one barrier acquisition, one journal drain and
+// at most one worker wake-up per burst, however many reports it holds.
+// It reports whether the hand-off went through.
+func (l *Live) ingestBurst(pi flow.PacketInfo, more chan flow.PacketInfo) bool {
 	// Checkpoint barrier: a capture in progress parks ingest until the
-	// consistent cut is taken. Only this shard's barrier lock is taken,
-	// so ingest on different shards never serializes here. A miss on
-	// the read lock means the shard's ingest stalled behind the
-	// barrier — counted, because from the outside it is
-	// indistinguishable from slow ingest.
+	// consistent cut is taken. Only this shard's lock is taken, so
+	// shards never serialize here. A miss on the read lock is ingest
+	// stalled behind the barrier — counted, because from the outside it
+	// is indistinguishable from slow ingest.
 	shard := pi.Key.Shard(l.nShards)
 	bar := &l.ckptMu[shard]
 	if !bar.TryRLock() {
@@ -140,6 +170,29 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 		bar.RLock()
 	}
 	defer bar.RUnlock()
+	l.journal(pi)
+	n := int64(1)
+	for behind := len(more); behind > 0; behind-- {
+		l.journal(<-more)
+		n++
+	}
+	l.ingestDone.Add(n)
+	return l.handoff(shard)
+}
+
+// push hands the shard's journal tail to its worker on behalf of no
+// report: Start's first hand-off, and the retry of a failed one. The
+// barrier is held per attempt, so a store outage holds up no capture.
+func (l *Live) push(shard int) bool {
+	l.ckptMu[shard].RLock()
+	defer l.ckptMu[shard].RUnlock()
+	return l.handoff(shard)
+}
+
+// journal folds one observation into its flow-table stripe and writes
+// the snapshot to the database shard. Callers hold the shard's
+// checkpoint barrier for read.
+func (l *Live) journal(pi flow.PacketInfo) {
 	start := time.Now()
 	if pi.At == 0 {
 		pi.At = now()
@@ -167,6 +220,73 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 	l.Snapshots.Add(1)
 	l.met.snapshots.Inc()
 	l.met.stageIngest.Since(start)
+}
+
+// handoff is the shard's CentralServer step, run by whoever just
+// journaled: it drains the shard's journal into the shard's worker
+// queue, shedding what does not fit. The journal is what checkpoints
+// and restore read, not a queue between two goroutines — a record
+// leaves it the moment it is written unless the drain fails, in which
+// case nothing was consumed and handoff reports false.
+//
+// Callers hold ckptMu[shard] for read, so a capture sees no hand-off
+// in progress; handoff must not take it again — a recursive RLock
+// deadlocks behind a pending capture. hand serializes concurrent
+// callers on one shard: records reach the worker in journal order.
+func (l *Live) handoff(shard int) bool {
+	sh := l.shards[shard]
+	sh.hand.Lock()
+	defer sh.hand.Unlock()
+	// Outside Start..Stop there is no worker to hand to: what is
+	// journaled stays journaled, for Start's push or a checkpoint.
+	if !l.handing.Load() {
+		return true
+	}
+	var err error
+	if l.fdb == nil {
+		sh.recs = l.DB.DrainShard(shard, sh.recs[:0])
+	} else {
+		sh.recs, err = l.fdb.TryDrainShard(shard, sh.recs[:0])
+	}
+	l.met.polls.Inc()
+	if err != nil {
+		l.StoreRetries.Add(1)
+		l.met.storeRetries.Inc()
+		l.noteDegraded("store poll retry")
+		return false
+	}
+	// The static round-robin shard→worker assignment is what gives
+	// workers shard affinity: one flow is always predicted by one worker.
+	ch := l.workerChs[shard%len(l.workerChs)]
+	polled := time.Now()
+	n := int64(len(sh.recs))
+	l.Polled.Add(n)
+	l.met.polledRecs.Add(n)
+	sh.polled.Add(n)
+	for i := range sh.recs {
+		rec := &sh.recs[i]
+		// Journal wait: snapshot write → this hand-off.
+		updated := time.Unix(0, int64(rec.UpdatedAt))
+		l.met.stageJournal.ObserveDuration(polled.Sub(updated))
+		l.jHop(rec.Key, rec.Updates, "poll")
+		// Decide first, format only when sampled: rendering the key
+		// costs two address formats and an allocation.
+		tr := l.tracer.Sample("")
+		if tr != nil {
+			tr.Flow = rec.Key.String()
+			tr.StageAt("journal_wait", updated, polled)
+		}
+		select {
+		case ch <- queued{rec: *rec, enqueuedAt: polled, tr: tr}:
+		default:
+			l.Shed.Add(1)
+			l.met.shed.Inc()
+			l.taintKey(rec.Key)
+			l.jAbort(rec.Key, rec.Updates, "shed")
+			l.noteShedding("worker queue full")
+		}
+	}
+	return true
 }
 
 // upsertFlow writes one snapshot, retrying transient failures with

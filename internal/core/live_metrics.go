@@ -22,12 +22,12 @@ type liveMetrics struct {
 
 	// Bottleneck-attribution instruments: ingest calls that found the
 	// checkpoint barrier held, reports dropped at the ingest demux
-	// after Stop, and per-shard poll throughput.
+	// after Stop, and per-shard hand-off throughput.
 	ingestStalls  *obs.Counter
 	ingestDropped *obs.Counter
 	shardPolled   *obs.CounterVec // by shard
 
-	// Robustness accounting: every record the pollers hand off is
+	// Robustness accounting: every record handed to a worker is
 	// eventually a decision, a shed, or an abandonment with a reason —
 	// nothing vanishes silently.
 	abandoned         *obs.CounterVec // by reason: stop/panic/worker_down/no_model/malformed

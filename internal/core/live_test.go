@@ -15,10 +15,9 @@ import (
 func liveConfig(models ...ml.Classifier) LiveConfig {
 	feats := flow.INTFeatures()
 	return LiveConfig{
-		Features:     feats,
-		Models:       models,
-		Scaler:       identityScaler(len(feats)),
-		PollInterval: time.Millisecond,
+		Features: feats,
+		Models:   models,
+		Scaler:   identityScaler(len(feats)),
 	}
 }
 
@@ -214,7 +213,6 @@ func (s slowModel) Predict([]float64) int        { time.Sleep(s.d); return 0 }
 func TestLiveShedsUnderOverload(t *testing.T) {
 	cfg := liveConfig(slowModel{d: 20 * time.Millisecond})
 	cfg.QueueCap = 4
-	cfg.PollInterval = time.Millisecond
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)

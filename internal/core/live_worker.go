@@ -35,7 +35,6 @@ type workerBatch struct {
 // accounting still closes, and the pipeline reports shedding.
 func (l *Live) superviseWorker(w int) {
 	defer l.workWg.Done()
-	const maxBackoff = time.Second
 	backoff := l.cfg.WorkerRestartBackoff
 	restarts := 0
 	for {
@@ -58,16 +57,15 @@ func (l *Live) superviseWorker(w int) {
 			"worker", w, "restarts", restarts)
 		l.noteDegraded(fmt.Sprintf("worker %d restarted", w))
 		l.sleepQuit(backoff)
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		backoff = min(2*backoff, maxRetryBackoff)
 	}
 }
 
 // abandonRemaining consumes a down worker's queue until Stop closes
 // it, accounting every record. Consuming (instead of leaving the
-// queue to fill) keeps the shard pollers running, so flows of other
-// shards mapped to healthy workers are unaffected.
+// queue to fill) keeps its shards' hand-offs from shedding into a
+// dead queue, and flows of shards mapped to healthy workers are
+// unaffected either way.
 func (l *Live) abandonRemaining(w int) {
 	for q := range l.workerChs[w] {
 		l.abandonRecord(q.rec, "worker_down")
@@ -100,14 +98,14 @@ func (l *Live) runWorker(w int) (clean bool) {
 		if !ok {
 			return true
 		}
-		if l.stopping() && !l.cfg.DrainOnStop {
+		if !l.handing.Load() && !l.cfg.DrainOnStop {
 			l.abandon("stop")
 			l.jAbort(q.rec.Key, q.rec.Updates, "stop")
 			continue
 		}
 		cur.batch = append(cur.batch[:0], q)
 		cur.done = 0
-		closed := l.fillBatch(&cur, ch, maxBatch)
+		closed := fillBatch(&cur, ch, maxBatch)
 		if l.cfg.Fault.WorkerPanicNow() {
 			panic(fault.InjectedPanic{Site: fault.SiteWorkerPanic})
 		}
@@ -122,12 +120,11 @@ func (l *Live) runWorker(w int) (clean bool) {
 	}
 }
 
-// fillBatch tops up the current micro-batch from backlog already
-// queued (never blocking) and then, if configured, lingers briefly
-// for stragglers. Reports whether the channel closed while filling —
-// the batch in hand is still scored.
-func (l *Live) fillBatch(cur *workerBatch, ch chan queued, maxBatch int) (closed bool) {
-drain:
+// fillBatch tops up the current micro-batch from the backlog already
+// queued, never blocking: batch size follows load, not a timer.
+// Reports whether the channel closed while filling — the batch in
+// hand is still scored.
+func fillBatch(cur *workerBatch, ch chan queued, maxBatch int) (closed bool) {
 	for len(cur.batch) < maxBatch {
 		select {
 		case q, ok := <-ch:
@@ -136,27 +133,8 @@ drain:
 			}
 			cur.batch = append(cur.batch, q)
 		default:
-			break drain
+			return false
 		}
-	}
-	if l.cfg.PredictLinger > 0 && len(cur.batch) < maxBatch {
-		timer := time.NewTimer(l.cfg.PredictLinger)
-	linger:
-		for len(cur.batch) < maxBatch {
-			select {
-			case <-l.quit:
-				break linger
-			case q, ok := <-ch:
-				if !ok {
-					timer.Stop()
-					return true
-				}
-				cur.batch = append(cur.batch, q)
-			case <-timer.C:
-				break linger
-			}
-		}
-		timer.Stop()
 	}
 	return false
 }

@@ -13,13 +13,12 @@ import (
 // TestLiveShardAffinityOrdering is the tentpole's correctness
 // contract: with many workers AND many shards, every flow's decisions
 // must still arrive in per-flow journal order, because a flow maps to
-// one shard, one poller, and one worker. Cross-flow order is
+// one shard, one serialized hand-off, and one worker. Cross-flow order is
 // unspecified; per-flow order is what the 2-of-3 vote window needs.
 func TestLiveShardAffinityOrdering(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Workers = 8
 	cfg.Shards = 8
-	cfg.PollInterval = time.Millisecond
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -162,8 +162,8 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); !errors.Is(err, ErrInjected) {
 		t.Fatalf("TryUpsertFlow error = %v, want ErrInjected", err)
 	}
-	if _, _, err := db.TryPollShard(0, 0, 10); !errors.Is(err, ErrInjected) {
-		t.Fatalf("TryPollShard error = %v, want ErrInjected", err)
+	if recs, err := db.TryDrainShard(0, nil); !errors.Is(err, ErrInjected) || len(recs) != 0 {
+		t.Fatalf("TryDrainShard = %d recs, error %v, want none and ErrInjected", len(recs), err)
 	}
 	// The plain Store interface has no error returns, so those paths
 	// must keep working even at store.err=1.
@@ -188,9 +188,12 @@ func TestStoreWrapperCleanWhenNoStoreFaults(t *testing.T) {
 	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); err != nil {
 		t.Fatalf("TryUpsertFlow = %v", err)
 	}
-	recs, _, err := db.TryPollShard(0, 0, 10)
+	recs, err := db.TryDrainShard(0, nil)
 	if err != nil || len(recs) != 1 {
-		t.Fatalf("TryPollShard = %d recs, %v", len(recs), err)
+		t.Fatalf("TryDrainShard = %d recs, %v", len(recs), err)
+	}
+	if db.JournalLen() != 0 {
+		t.Errorf("journal holds %d entries after a drain", db.JournalLen())
 	}
 }
 

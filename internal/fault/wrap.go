@@ -15,7 +15,7 @@ import (
 // store.Fallible paths — transient errors. The plain Store methods
 // stall but cannot fail (the interface has no error returns), so
 // consumers that want the full fault surface must use TryUpsertFlow
-// and TryPollShard; core.Live does.
+// and TryDrainShard; core.Live does.
 type Store struct {
 	inner store.Store
 	in    *Injector
@@ -70,14 +70,20 @@ func (s *Store) PollShard(shard int, cursor uint64, max int) ([]store.FlowRecord
 	return s.inner.PollShard(shard, cursor, max)
 }
 
-// TryPollShard stalls, then fails transiently or polls through.
-func (s *Store) TryPollShard(shard int, cursor uint64, max int) ([]store.FlowRecord, uint64, error) {
+// DrainShard stalls, then drains through.
+func (s *Store) DrainShard(shard int, buf []store.FlowRecord) []store.FlowRecord {
+	s.stall()
+	return s.inner.DrainShard(shard, buf)
+}
+
+// TryDrainShard stalls, then fails transiently — consuming nothing —
+// or drains through.
+func (s *Store) TryDrainShard(shard int, buf []store.FlowRecord) ([]store.FlowRecord, error) {
 	s.stall()
 	if err := s.in.StoreErr(); err != nil {
-		return nil, cursor, err
+		return buf, err
 	}
-	recs, cur := s.inner.PollShard(shard, cursor, max)
-	return recs, cur, nil
+	return s.inner.DrainShard(shard, buf), nil
 }
 
 // TrimShard writes through (trim is bookkeeping; failing it would

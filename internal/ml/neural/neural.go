@@ -10,6 +10,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Config parameterizes an MLP.
@@ -57,6 +58,27 @@ type Network struct {
 	cfg    Config
 	layers []layer
 	ready  bool
+
+	// scratch pools the forward pass's activation buffers, sized to
+	// layers: several KB that would otherwise be allocated on every
+	// scoring call, whatever the batch size. Prediction workers share
+	// one Network, so each call takes its own set. Replaced whenever
+	// layers is (init, UnmarshalBinary), which retires buffers of the
+	// old shape.
+	scratch *sync.Pool
+}
+
+// inferScratch is one call's activation buffers: packed four-row
+// planes for forwardBlock4 and single-row acts for forward.
+type inferScratch struct {
+	planes, acts [][]float64
+}
+
+// newScratchPool returns a pool of buffers sized to the current layers.
+func (n *Network) newScratchPool() *sync.Pool {
+	return &sync.Pool{New: func() any {
+		return &inferScratch{planes: n.makePlanes(), acts: n.makeActs()}
+	}}
 }
 
 // New constructs an untrained network; zero-valued config fields take
@@ -113,6 +135,7 @@ func (n *Network) init(features int, rng *rand.Rand) {
 		}
 		n.layers[li] = l
 	}
+	n.scratch = n.newScratchPool()
 }
 
 // forward computes activations for one row. acts[0] is the input;
@@ -254,9 +277,10 @@ func (n *Network) Proba(x []float64) float64 {
 	if !n.ready {
 		return 0
 	}
-	acts := n.makeActs()
-	n.forward(x, acts)
-	return acts[len(acts)-1][0]
+	sc := n.scratch.Get().(*inferScratch)
+	defer n.scratch.Put(sc)
+	n.forward(x, sc.acts)
+	return sc.acts[len(sc.acts)-1][0]
 }
 
 // Predict implements ml.Classifier with a 0.5 threshold.
@@ -331,25 +355,23 @@ func (n *Network) makePlanes() [][]float64 {
 }
 
 // PredictProbaBatch returns P(attack|x) for every row of X. The batch
-// runs through a single set of reused activation buffers in four-row
+// runs through one pooled set of activation buffers in four-row
 // blocks; scores are bit-identical to per-row Proba calls.
 func (n *Network) PredictProbaBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	if !n.ready || len(X) == 0 {
 		return out
 	}
-	planes := n.makePlanes()
+	sc := n.scratch.Get().(*inferScratch)
+	defer n.scratch.Put(sc)
 	i := 0
 	for ; i+blockRows <= len(X); i += blockRows {
 		out[i], out[i+1], out[i+2], out[i+3] =
-			n.forwardBlock4(X[i], X[i+1], X[i+2], X[i+3], planes)
+			n.forwardBlock4(X[i], X[i+1], X[i+2], X[i+3], sc.planes)
 	}
-	if i < len(X) {
-		acts := n.makeActs()
-		for ; i < len(X); i++ {
-			n.forward(X[i], acts)
-			out[i] = acts[len(acts)-1][0]
-		}
+	for ; i < len(X); i++ {
+		n.forward(X[i], sc.acts)
+		out[i] = sc.acts[len(sc.acts)-1][0]
 	}
 	return out
 }

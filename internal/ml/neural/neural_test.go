@@ -3,6 +3,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/amlight/intddos/internal/ml"
@@ -186,4 +187,43 @@ func TestNetworkUnmarshalRejectsCorruption(t *testing.T) {
 	if _, err := New(ShallowNN(1)).MarshalBinary(); err == nil {
 		t.Error("untrained marshal accepted")
 	}
+}
+
+// TestPredictBatchConcurrentMatchesPredict pins the pooled scratch
+// under the sharing the live pipeline has: prediction workers call one
+// Network at once, each with its own batch, and every label must equal
+// the single-row Predict — at sizes on both sides of the four-row
+// block, so the packed planes and the scalar remainder are both shared.
+func TestPredictBatchConcurrentMatchesPredict(t *testing.T) {
+	X, y := blobs(400, 17)
+	var sc ml.StandardScaler
+	Z, _ := sc.FitTransform(X)
+	n := New(Config{Hidden: []int{16, 8}, Epochs: 5, Seed: 3})
+	if err := n.Fit(Z, y); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]int, len(Z))
+	for i, x := range Z {
+		want[i] = n.Predict(x)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			size := []int{1, 3, 4, 7, 32}[g%5]
+			for round := 0; round < 20; round++ {
+				for lo := 0; lo+size <= len(Z); lo += size {
+					for i, got := range n.PredictBatch(Z[lo : lo+size]) {
+						if got != want[lo+i] {
+							t.Errorf("goroutine %d batch %d row %d: PredictBatch %d, Predict %d",
+								g, size, lo+i, got, want[lo+i])
+							return
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

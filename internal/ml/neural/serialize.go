@@ -65,6 +65,7 @@ func (n *Network) UnmarshalBinary(buf []byte) error {
 	if n.layers[len(n.layers)-1].out != 1 {
 		return fmt.Errorf("neural: final layer width %d, want 1", n.layers[len(n.layers)-1].out)
 	}
+	n.scratch = n.newScratchPool()
 	n.ready = true
 	return nil
 }

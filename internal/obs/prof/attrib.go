@@ -85,6 +85,7 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},
 		{"store.(*DB).TrimJournal", "store.journal_poll"},
+		{"store.(*DB).DrainJournal", "store.journal_poll"},
 		{"store.(*DB).PollGlobal", "store.journal_poll"},
 		{"store.(*DB).TrimGlobal", "store.journal_poll"},
 		{"store.(*ShardedDB).PollGlobal", "store.journal_poll"},
@@ -92,12 +93,14 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).FlowCount", "store.journal_scan"},
 		{"flow.(*ShardedTable)", "flow.table"},
 		{"core.(*Live).finish", "core.finish"},
+		// The hand-off runs on the goroutine that journaled, under the
+		// ingester's or a direct Ingest's frames, so its rule precedes
+		// theirs: time blocked handing rows to a worker is not ingest.
+		{"core.(*Live).handoff", "core.handoff"},
 		{"core.(*Live).IngestAsync", "core.ingest_demux"},
 		{"core.(*Live).ingester", "core.ingest"},
 		{"core.(*Live).Ingest", "core.ingest"},
 		{"core.(*Live).upsertFlow", "core.ingest"},
-		{"core.(*Live).shardPoller", "core.poll"},
-		{"core.(*Live).pollOnce", "core.poll"},
 		// Triage rules precede core.predict: the scorer's triage pass
 		// runs under predictBatch, so a stack blocked under the sketch
 		// veto or the cascade attributes to the triage stage, not the
@@ -106,7 +109,6 @@ func PipelineStages() []StageRule {
 		{"ml.(*Cascade)", "core.triage"},
 		{"sketch.(*Sketch)", "core.triage"},
 		{"core.(*Live).predictBatch", "core.predict"},
-		{"core.(*Live).fillBatch", "worker.queue_recv"},
 		{"core.(*Live).runWorker", "worker.queue_recv"},
 		{"telemetry.", "telemetry.ingest"},
 		// Harness and runtime background stacks block on channels too;

@@ -76,7 +76,9 @@ func TestAttributionSeesInducedContention(t *testing.T) {
 
 // TestPipelineStagesScoringBuckets pins the rules to the scoring
 // core's frame names: a stack under the scorer's triage pass is
-// core.triage, the rest of a scoring call is core.predict.
+// core.triage, the rest of a scoring call is core.predict; a stack
+// under the hand-off is core.handoff whichever goroutine journaled,
+// and the rest of that goroutine's work is core.ingest.
 func TestPipelineStagesScoringBuckets(t *testing.T) {
 	const core = "github.com/amlight/intddos/internal/core."
 	worker := []string{core + "(*scorer).score", core + "(*Live).predictBatch", core + "(*Live).runWorker"}
@@ -85,6 +87,19 @@ func TestPipelineStagesScoringBuckets(t *testing.T) {
 	}
 	if got := attribute(worker, PipelineStages()); got != "core.predict" {
 		t.Errorf("scoring stack attributed to %q, want core.predict", got)
+	}
+	for _, journaler := range [][]string{
+		{core + "(*Live).ingestBurst", core + "(*Live).ingester"},
+		{core + "(*Live).ingestBurst", core + "(*Live).Ingest"},
+		{core + "(*Live).push", core + "(*Live).ingester"},
+	} {
+		stack := append([]string{"sync.(*Mutex).Lock", core + "(*Live).handoff"}, journaler...)
+		if got := attribute(stack, PipelineStages()); got != "core.handoff" {
+			t.Errorf("hand-off stack %v attributed to %q, want core.handoff", journaler, got)
+		}
+		if got := attribute(journaler, PipelineStages()); got != "core.ingest" {
+			t.Errorf("ingest stack %v attributed to %q, want core.ingest", journaler, got)
+		}
 	}
 }
 

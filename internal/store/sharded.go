@@ -107,6 +107,15 @@ func (s *ShardedDB) TrimShard(shard int, cursor uint64) {
 	s.shards[shard].TrimJournal(cursor)
 }
 
+// DrainShard appends one shard's unconsumed journal entries to buf and
+// empties that journal; out-of-range shards yield nothing.
+func (s *ShardedDB) DrainShard(shard int, buf []FlowRecord) []FlowRecord {
+	if shard < 0 || shard >= len(s.shards) {
+		return buf
+	}
+	return s.shards[shard].DrainJournal(buf)
+}
+
 // PollGlobal returns up to max journal entries after cursor in global
 // ingest order: a k-way merge of the per-shard journals by their
 // global stamp. Each shard's journal is gseq-sorted, so the merge

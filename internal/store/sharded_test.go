@@ -144,6 +144,9 @@ func TestPollShardOutOfRangeIsEmpty(t *testing.T) {
 			t.Errorf("DB.PollShard(%d) = %v, %d; want empty, cursor unchanged", sh, recs, cur)
 		}
 		db.TrimShard(sh, 99) // must not panic or trim shard 0
+		if recs := db.DrainShard(sh, nil); len(recs) != 0 {
+			t.Errorf("DB.DrainShard(%d) = %v; want empty", sh, recs)
+		}
 	}
 	if db.JournalLen() != 1 {
 		t.Error("out-of-range trim touched the real journal")
@@ -156,8 +159,50 @@ func TestPollShardOutOfRangeIsEmpty(t *testing.T) {
 			t.Errorf("ShardedDB.PollShard(%d) = %v, %d; want empty, cursor unchanged", sh, recs, cur)
 		}
 		s.TrimShard(sh, 99)
+		if recs := s.DrainShard(sh, nil); len(recs) != 0 {
+			t.Errorf("ShardedDB.DrainShard(%d) = %v; want empty", sh, recs)
+		}
 	}
 	if s.JournalLen() != 1 {
 		t.Error("out-of-range trim touched a real journal")
+	}
+}
+
+// TestDrainShardIsPollPlusTrim pins the hand-off feed against the
+// cursor feed it replaces in the live pipeline: over the same writes,
+// draining a shard into a reused buffer yields the records PollShard
+// would, in the same order, and leaves the journal as TrimShard would.
+func TestDrainShardIsPollPlusTrim(t *testing.T) {
+	for _, mk := range []func() Store{func() Store { return New() }, func() Store { return NewSharded(3) }} {
+		polled, drained := mk(), mk()
+		cursors := make([]uint64, polled.Shards())
+		var buf []FlowRecord
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 10+round; i++ {
+				k := key(uint16(i % 7))
+				f := []float64{float64(round), float64(i)}
+				polled.UpsertFlow(k, f, 0, netsim.Time(i), i+1, false, "")
+				drained.UpsertFlow(k, f, 0, netsim.Time(i), i+1, false, "")
+			}
+			for sh := range cursors {
+				want, cur := polled.PollShard(sh, cursors[sh], 0)
+				polled.TrimShard(sh, cur)
+				cursors[sh] = cur
+				buf = drained.DrainShard(sh, buf[:0])
+				if len(buf) != len(want) {
+					t.Fatalf("round %d shard %d: drained %d records, polled %d", round, sh, len(buf), len(want))
+				}
+				for i := range want {
+					if buf[i].Key != want[i].Key || buf[i].Updates != want[i].Updates ||
+						buf[i].Features[1] != want[i].Features[1] {
+						t.Errorf("round %d shard %d record %d: drained %+v, polled %+v", round, sh, i, buf[i], want[i])
+					}
+				}
+			}
+			if drained.JournalLen() != 0 || polled.JournalLen() != 0 {
+				t.Fatalf("round %d: journal lengths %d/%d after consuming everything",
+					round, drained.JournalLen(), polled.JournalLen())
+			}
+		}
 	}
 }

@@ -68,9 +68,9 @@ type PredictionRecord struct {
 // mutex around one flow map (the shape of the original Python
 // deployment's one database), and ShardedDB, N lock-striped DB shards
 // for multi-core ingest. The journal is exposed per shard — Shards,
-// PollShard, TrimShard — so a poller per shard never touches a global
-// lock; a single-shard store is polled exactly like the legacy
-// PollUpdates/TrimJournal pair.
+// DrainShard, PollShard, TrimShard — so a shard's consumer never
+// touches a global lock; a single-shard store is polled exactly like
+// the legacy PollUpdates/TrimJournal pair.
 type Store interface {
 	// UpsertFlow writes a feature snapshot for key, returning whether
 	// the record was created. The features slice is copied.
@@ -89,6 +89,11 @@ type Store interface {
 	PollShard(shard int, cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimShard drops one shard's journal entries at or before cursor.
 	TrimShard(shard int, cursor uint64)
+	// DrainShard appends one shard's unconsumed journal entries to buf
+	// and drops them from the journal — PollShard and TrimShard in one
+	// lock hold, into the caller's buffer: the live pipeline's hand-off
+	// feed, which consumes everything it reads and keeps no cursor.
+	DrainShard(shard int, buf []FlowRecord) []FlowRecord
 	// PollGlobal returns up to max journal entries after cursor in
 	// global ingest order — entries are stamped with a global sequence
 	// shared across shards at write time, and the sharded store merges
@@ -127,10 +132,10 @@ type Fallible interface {
 	// TryUpsertFlow is UpsertFlow with a transient-failure path. On
 	// error the write did not happen and may be retried.
 	TryUpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool, err error)
-	// TryPollShard is PollShard with a transient-failure path. On
-	// error no journal entries were consumed; the cursor is unchanged
-	// and the poll may be retried.
-	TryPollShard(shard int, cursor uint64, max int) ([]FlowRecord, uint64, error)
+	// TryDrainShard is DrainShard with a transient-failure path. On
+	// error no journal entries were consumed and the drain may be
+	// retried.
+	TryDrainShard(shard int, buf []FlowRecord) ([]FlowRecord, error)
 }
 
 // journalEntry marks one update available to pollers.
@@ -143,7 +148,7 @@ type journalEntry struct {
 // DB is the in-memory database. Its state is split across three
 // locks so the hot paths never serialize on each other: mu guards the
 // flow map (ingest's record work), jmu the journal and sequence
-// counters (ingest's append vs. the pollers), and pmu the prediction
+// counters (ingest's append vs. its consumer), and pmu the prediction
 // log (the workers). UpsertFlow nests jmu inside mu — the map update
 // and journal append of one flow stay atomic, preserving per-flow
 // journal order — and no path takes jmu or pmu and then mu, so the
@@ -337,6 +342,20 @@ func (db *DB) TrimJournal(cursor uint64) {
 	db.journal = append(db.journal[:0], db.journal[i:]...)
 }
 
+// DrainJournal appends every unconsumed journal entry to buf and
+// empties the journal. The emptied slots are cleared so the journal's
+// backing array does not keep consumed snapshots alive.
+func (db *DB) DrainJournal(buf []FlowRecord) []FlowRecord {
+	db.jmu.Lock()
+	defer db.jmu.Unlock()
+	for i := range db.journal {
+		buf = append(buf, db.journal[i].rec)
+	}
+	clear(db.journal)
+	db.journal = db.journal[:0]
+	return buf
+}
+
 // JournalLen returns the number of unconsumed journal entries.
 func (db *DB) JournalLen() int {
 	db.jmu.Lock()
@@ -458,6 +477,15 @@ func (db *DB) TrimShard(shard int, cursor uint64) {
 		return
 	}
 	db.TrimJournal(cursor)
+}
+
+// DrainShard is DrainJournal on the store's only stripe; out-of-range
+// shards yield nothing for the same reason PollShard returns empty.
+func (db *DB) DrainShard(shard int, buf []FlowRecord) []FlowRecord {
+	if shard != 0 {
+		return buf
+	}
+	return db.DrainJournal(buf)
 }
 
 // SetJournalNew toggles journaling of brand-new records.
