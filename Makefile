@@ -6,13 +6,18 @@
 # closed accounting), the diagnostics smoke (pull and validate
 # diagnostic bundles from a running pipeline), the soak smoke (the
 # live pipeline under an impaired wire plus a scrambled multi-pass
-# feed, with both accounting ledgers required to close), and the
-# benchmark smoke (the performance ledger's correctness checks on
-# every workload).
+# feed, with both accounting ledgers required to close), the
+# checkpoint sweep smoke, and the benchmark smoke (the performance
+# ledger's correctness checks on every workload).
+#
+# CI runs each target once: its `check` job runs `make vet build test
+# race fuzz-smoke`, and every smoke (plus impair-smoke, which `make
+# check` leaves out) is a job of its own, so the two together cover
+# exactly what `make check` does locally.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-obs bench-shard bench-shard-smoke bench-batch bench-checkpoint bench-checkpoint-smoke bench-tier bench-tier-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
+.PHONY: check vet build test race bench bench-smoke bench-checkpoint bench-checkpoint-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
 
 check: vet build test race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
 
@@ -52,13 +57,15 @@ fuzz-smoke:
 # the live pipeline (supervised workers, store retries, quorum
 # degradation, shed/abandon accounting), the push hand-off's failure
 # modes (lone report, concurrent callers on one shard, restored journal
-# tail, store outage then silence, queue of one), the scorer's own
-# table test, and the Live-vs-Mechanism differential. Fault schedules
-# are seed-driven, so the run is deterministic per seed.
+# tail, store outage then silence, queue of one), the one ledger
+# definition (table test over Closed/Settled, reports parked at ingest,
+# SkipNewRecords, the /healthz and stop-event rendering), the scorer's
+# own table test, and the Live-vs-Mechanism differential. Fault
+# schedules are seed-driven, so the run is deterministic per seed.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \
-		'TestChaos|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
+		'TestChaos|TestLedger|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
 		./internal/core/
 
 # recovery-smoke kills a checkpointing live pipeline with SIGKILL and
@@ -105,67 +112,6 @@ bench:
 bench-smoke:
 	$(GO) run ./benchmark -smoke
 
-# bench-obs runs the live-pipeline latency benchmark and writes the
-# stage/prediction latency percentiles to BENCH_obs.json.
-bench-obs:
-	BENCH_OBS_OUT=$(CURDIR)/BENCH_obs.json $(GO) test -run '^$$' \
-		-bench BenchmarkLivePipeline_Latency -benchtime 5000x .
-	@echo wrote $(CURDIR)/BENCH_obs.json
-
-# bench-shard sweeps the sharded pipeline (legacy baseline plus
-# shards×workers configurations) with mutex/block profiling on and
-# writes the throughput/contention table — plus the sweep-wide
-# contention attribution (blocked time by pipeline stage) — to
-# BENCH_shard.json. 50000 ingests per configuration: the contention
-# counters and profiles need enough overlapping operations to sample
-# the serialization points, especially on few-core hosts.
-bench-shard:
-	BENCH_SHARD_OUT=$(CURDIR)/BENCH_shard.json $(GO) test -run '^$$' \
-		-bench BenchmarkShardScaling -benchtime 50000x .
-	@echo wrote $(CURDIR)/BENCH_shard.json
-
-# bench-shard-smoke is the CI gate for the scaling sweep: one short
-# iteration per configuration (enough to exercise the multi-producer
-# demux and the contention sampling, not to measure), then diagcheck
-# validates the JSON shape — legacy baseline row, sharded rows,
-# positive throughput, populated contention attribution.
-bench-shard-smoke:
-	BENCH_SHARD_OUT=$(CURDIR)/BENCH_shard_smoke.json $(GO) test -run '^$$' \
-		-bench BenchmarkShardScaling -benchtime 1000x .
-	$(GO) run ./scripts/diagcheck -bench-shard $(CURDIR)/BENCH_shard_smoke.json
-	rm -f $(CURDIR)/BENCH_shard_smoke.json
-
-# bench-tier sweeps tiered inference on a 95%-benign stream — the
-# end-to-end pipeline (BenchmarkTieredLive) and the scoring stack in
-# isolation (BenchmarkTieredScoring) — across stage-0 models and
-# thresholds, and writes throughput, exit rate, and speedup per
-# configuration to BENCH_tier.json. 20000 iterations: the live halves
-# need enough rows per config for stable decision/exit accounting.
-bench-tier:
-	BENCH_TIER_OUT=$(CURDIR)/BENCH_tier.json $(GO) test -run '^$$' \
-		-bench BenchmarkTiered -benchtime 20000x -timeout 30m .
-	@echo wrote $(CURDIR)/BENCH_tier.json
-
-# bench-tier-smoke is the CI gate for the tiered-inference sweep: a
-# short pass per configuration (enough to exercise the cascade and the
-# exit accounting, not to measure), then diagcheck validates the JSON
-# shape — untiered baselines, triaged rows, positive throughput, exit
-# rates in [0, 1], speedups recorded.
-bench-tier-smoke:
-	BENCH_TIER_OUT=$(CURDIR)/BENCH_tier_smoke.json $(GO) test -run '^$$' \
-		-bench BenchmarkTiered -benchtime 200x .
-	$(GO) run ./scripts/diagcheck -bench-tier $(CURDIR)/BENCH_tier_smoke.json
-	rm -f $(CURDIR)/BENCH_tier_smoke.json
-
-# bench-batch sweeps batched ensemble scoring and the live runtime
-# across micro-batch sizes (1/8/32/128) and writes the throughput and
-# speedup table to BENCH_batch.json.
-bench-batch:
-	BENCH_BATCH_OUT=$(CURDIR)/BENCH_batch.json $(GO) test -run '^$$' \
-		-bench 'BenchmarkEnsembleBatchScaling|BenchmarkLiveBatchScaling' \
-		-benchtime 2000x .
-	@echo wrote $(CURDIR)/BENCH_batch.json
-
 # bench-checkpoint measures checkpoint write (barrier + export +
 # encode + atomic rename) and cold-boot restore at 10k/100k/1M
 # resident flows and writes the sweep to BENCH_checkpoint.json.
@@ -187,6 +133,6 @@ bench-checkpoint-smoke:
 	rm -f $(CURDIR)/BENCH_checkpoint_smoke.json
 
 clean:
-	rm -f BENCH_obs.json BENCH_shard.json BENCH_shard_smoke.json BENCH_batch.json BENCH_checkpoint.json BENCH_checkpoint_smoke.json BENCH_tier.json BENCH_tier_smoke.json impair_smoke.json
+	rm -f BENCH_checkpoint_smoke.json impair_smoke.json
 	rm -rf .bench_build benchmark/out
 	$(GO) clean ./...

@@ -1,23 +1,16 @@
 // Benchmarks for the batched-inference contract: per-model
-// PredictBatch throughput against the sequential sample loop, the
-// ensemble scoring sweep across micro-batch sizes, and the live
-// runtime under each LiveConfig.PredictBatch setting. Results
-// accumulate into BENCH_batch.json when BENCH_BATCH_OUT names a file
-// (see `make bench-batch`).
+// PredictBatch throughput against the sequential sample loop, and the
+// ensemble scoring sweep across micro-batch sizes. What batching buys
+// the live runtime end to end is the ledger's business (benchmark/,
+// `default` vs `tuned`).
 package intddos
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
-	"time"
 
-	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/traffic"
 )
 
 // batchFixture is the shared scoring workload: the stage-2 ensemble
@@ -112,84 +105,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 }
 
-// batchBenchResult is one sweep configuration's outcome. Speedup is
-// computed against the same scope's batch=1 row when the JSON is
-// written.
-type batchBenchResult struct {
-	Scope      string  `json:"scope"` // "ensemble" or "live"
-	Batch      int     `json:"batch"`
-	NsPerRow   float64 `json:"ns_per_row"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	SpeedupVs1 float64 `json:"speedup_vs_batch1,omitempty"`
-	// Live-sweep extras.
-	IngestPerSec  float64 `json:"ingest_per_sec,omitempty"`
-	MeanBatchSize float64 `json:"mean_batch_size,omitempty"`
-	SampleP50s    float64 `json:"sample_p50_s,omitempty"`
-	Predictions   int64   `json:"predictions,omitempty"`
-}
-
-var (
-	batchBenchMu      sync.Mutex
-	batchBenchResults []batchBenchResult
-)
-
-// recordBatchBench keeps the latest result per (scope, batch) — the
-// harness reruns each sub-benchmark after the N=1 sizing pass — and
-// rewrites the JSON artifact.
-func recordBatchBench(b *testing.B, res batchBenchResult) {
-	batchBenchMu.Lock()
-	defer batchBenchMu.Unlock()
-	replaced := false
-	for i := range batchBenchResults {
-		if batchBenchResults[i].Scope == res.Scope && batchBenchResults[i].Batch == res.Batch {
-			batchBenchResults[i] = res
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		batchBenchResults = append(batchBenchResults, res)
-	}
-	writeBatchBench(b, batchBenchResults)
-}
-
-// writeBatchBench rewrites the accumulated sweep as JSON when the
-// BENCH_BATCH_OUT environment variable names a file (caller holds
-// batchBenchMu).
-func writeBatchBench(b *testing.B, results []batchBenchResult) {
-	path := os.Getenv("BENCH_BATCH_OUT")
-	if path == "" {
-		return
-	}
-	base := map[string]float64{}
-	for _, r := range results {
-		if r.Batch == 1 {
-			base[r.Scope] = r.RowsPerSec
-		}
-	}
-	out := struct {
-		Bench   string             `json:"bench"`
-		When    string             `json:"when"`
-		Results []batchBenchResult `json:"results"`
-	}{
-		Bench: "BenchmarkEnsembleBatchScaling+BenchmarkLiveBatchScaling",
-		When:  time.Now().UTC().Format(time.RFC3339),
-	}
-	for _, r := range results {
-		if b1 := base[r.Scope]; b1 > 0 && r.Batch != 1 {
-			r.SpeedupVs1 = r.RowsPerSec / b1
-		}
-		out.Results = append(out.Results, r)
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkEnsembleBatchScaling sweeps the full scoring pipeline —
 // standardization plus 2-of-3 ensemble votes — across micro-batch
 // sizes. batch-1 is the true record-at-a-time path (TransformRow and
@@ -228,83 +143,7 @@ func BenchmarkEnsembleBatchScaling(b *testing.B) {
 				}
 			}
 			rows := float64(len(fix.rows)) * float64(b.N)
-			perSec := rows / b.Elapsed().Seconds()
-			b.ReportMetric(perSec, "rows/sec")
-			recordBatchBench(b, batchBenchResult{
-				Scope: "ensemble", Batch: k,
-				NsPerRow:   float64(b.Elapsed().Nanoseconds()) / rows,
-				RowsPerSec: perSec,
-			})
-		})
-	}
-}
-
-// BenchmarkLiveBatchScaling sweeps LiveConfig.PredictBatch over the
-// wall-clock runtime: parallel ingest keeps the worker's queue full so
-// micro-batches actually form, and the per-sample scoring histogram
-// shows the amortization the batch path buys end to end.
-func BenchmarkLiveBatchScaling(b *testing.B) {
-	fix := batchSetup(b)
-	for _, k := range []int{1, 8, 32, 128} {
-		k := k
-		b.Run(fmt.Sprintf("batch-%d", k), func(b *testing.B) {
-			reg := NewObsRegistry()
-			live, err := NewLiveRuntime(LiveRuntimeConfig{
-				Models: fix.ensemble, Scaler: fix.scaler, Registry: reg,
-				PredictBatch: k,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			live.Start()
-			defer live.Stop()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				pi := flow.PacketInfo{
-					Key:    flow.Key{Src: traffic.ServerAddr, Dst: traffic.ServerAddr, DstPort: 80, Proto: netsim.TCP},
-					Length: 777, HasTelemetry: true,
-				}
-				i := 0
-				for pb.Next() {
-					pi.Key.SrcPort = uint16(i % 512) // spread load over flows
-					live.Ingest(pi)
-					i++
-				}
-			})
-			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-
-			// Drain so the scoring-side histograms are meaningful.
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				if live.DB.JournalLen() == 0 && int(live.Predictions.Load())+int(live.Shed.Load()) > 0 {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-
-			snap := live.MetricsSnapshot()
-			res := batchBenchResult{
-				Scope: "live", Batch: k,
-				IngestPerSec: 1e9 / nsPerOp,
-				Predictions:  int64(live.Predictions.Load()),
-			}
-			if h, ok := snap.Histogram("intddos_predict_batch_size"); ok && h.Count > 0 {
-				res.MeanBatchSize = h.Mean()
-				b.ReportMetric(h.Mean(), "mean-batch")
-			}
-			if h, ok := snap.Histogram("intddos_predict_sample_seconds"); ok && h.Count > 0 {
-				res.SampleP50s = h.Quantile(0.50)
-				res.NsPerRow = h.Mean() * 1e9
-				if h.Mean() > 0 {
-					res.RowsPerSec = 1 / h.Mean()
-				}
-				b.ReportMetric(h.Quantile(0.50)*1e6, "sample-p50-us")
-			}
-			b.ReportMetric(res.IngestPerSec, "ingest/sec")
-			recordBatchBench(b, res)
+			b.ReportMetric(rows/b.Elapsed().Seconds(), "rows/sec")
 		})
 	}
 }

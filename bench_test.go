@@ -19,7 +19,6 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/obs/prof"
 	"github.com/amlight/intddos/internal/telemetry"
 	"github.com/amlight/intddos/internal/traffic"
 )
@@ -570,108 +569,6 @@ func BenchmarkMechanismIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkLivePipeline_Latency measures the wall-clock concurrent
-// runtime end to end: per-iteration cost of ingesting one observation
-// into the running pipeline, with the stage/prediction latency
-// percentiles from the obs registry attached via b.ReportMetric.
-// When BENCH_OBS_OUT names a file, the full latency snapshot is also
-// written there as JSON (see `make bench-obs`).
-func BenchmarkLivePipeline_Latency(b *testing.B) {
-	c := benchSetup(b)
-	train, _ := c.INT.Split(0.1, 42)
-	model, scaler, err := FitModel(StageTwoModels()[1], train.Subsample(20000, 42), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reg := NewObsRegistry()
-	live, err := NewLiveRuntime(LiveRuntimeConfig{
-		Models: []Classifier{model}, Scaler: scaler, Registry: reg,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	live.Start()
-	defer live.Stop()
-
-	pi := flow.PacketInfo{
-		Key:    flow.Key{Src: traffic.ServerAddr, Dst: traffic.ServerAddr, DstPort: 80, Proto: netsim.TCP},
-		Length: 777, HasTelemetry: true,
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Leave pi.At zero: the live runtime stamps wall-clock arrival
-		// itself, which keeps journal-wait measurements meaningful.
-		pi.Key.SrcPort = uint16(i % 512) // spread load over flows
-		live.Ingest(pi)
-	}
-	b.StopTimer()
-	// Drain: the poller coalesces updates per flow, so wait for the
-	// journal and queue to empty rather than for b.N decisions.
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if live.DB.JournalLen() == 0 && int(live.Predictions.Load())+int(live.Shed.Load()) > 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	snap := live.MetricsSnapshot()
-	if h, ok := snap.Histogram("intddos_predict_latency_seconds"); ok && h.Count > 0 {
-		b.ReportMetric(h.Quantile(0.50)*1e3, "p50-ms")
-		b.ReportMetric(h.Quantile(0.95)*1e3, "p95-ms")
-		b.ReportMetric(h.Quantile(0.99)*1e3, "p99-ms")
-		b.ReportMetric(h.Max*1e3, "max-ms")
-	}
-	writeBenchObs(b, snap)
-}
-
-// writeBenchObs dumps the latency histograms of a metrics snapshot as
-// JSON when the BENCH_OBS_OUT environment variable names a file.
-func writeBenchObs(b *testing.B, snap ObsSnapshot) {
-	path := os.Getenv("BENCH_OBS_OUT")
-	if path == "" {
-		return
-	}
-	type histJSON struct {
-		Count uint64  `json:"count"`
-		P50   float64 `json:"p50_s"`
-		P95   float64 `json:"p95_s"`
-		P99   float64 `json:"p99_s"`
-		Max   float64 `json:"max_s"`
-		Mean  float64 `json:"mean_s"`
-	}
-	out := struct {
-		Bench      string              `json:"bench"`
-		When       string              `json:"when"`
-		Histograms map[string]histJSON `json:"histograms"`
-		Counters   map[string]int64    `json:"counters"`
-	}{
-		Bench:      b.Name(),
-		When:       time.Now().UTC().Format(time.RFC3339),
-		Histograms: map[string]histJSON{},
-		Counters:   snap.Counters,
-	}
-	for name, h := range snap.Histograms {
-		if h.Count == 0 {
-			continue
-		}
-		out.Histograms[name] = histJSON{
-			Count: h.Count,
-			P50:   h.Quantile(0.50), P95: h.Quantile(0.95), P99: h.Quantile(0.99),
-			Max: h.Max, Mean: h.Mean(),
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	b.Logf("wrote latency snapshot to %s", path)
-}
-
 // benchName formats a sampling rate sub-benchmark name.
 func benchName(rate int) string {
 	switch rate {
@@ -685,202 +582,6 @@ func benchName(rate int) string {
 		return "rate-1in4096"
 	default:
 		return "rate-1in16384"
-	}
-}
-
-// shardBenchResult is one BenchmarkShardScaling configuration's
-// outcome, accumulated across sub-benchmarks and dumped as
-// BENCH_shard.json (see `make bench-shard`).
-type shardBenchResult struct {
-	Shards       int     `json:"shards"` // 0 = legacy single-lock DB
-	Workers      int     `json:"workers"`
-	NsPerIngest  float64 `json:"ns_per_ingest"`
-	IngestPerSec float64 `json:"ingest_per_sec"`
-	Predictions  int64   `json:"predictions"`
-	Shed         int64   `json:"shed"`
-	// Contention counters are true deltas across the driven interval
-	// (snapshot before traffic, snapshot after drain), split by
-	// serialization point: the shard upsert mutexes, the shared
-	// prediction log, and the flow table stripes.
-	Contention        int64   `json:"lock_contention"`
-	PredLogContention int64   `json:"predlog_contention"`
-	FlowContention    int64   `json:"flow_table_contention"`
-	Imbalance         float64 `json:"shard_imbalance"`
-}
-
-var (
-	shardBenchMu      sync.Mutex
-	shardBenchResults []shardBenchResult
-	// shardBenchAttrib is the sweep-wide contention attribution (mutex +
-	// block profile deltas since the benchmark enabled profiling),
-	// refreshed after every sub-benchmark so the final BENCH_shard.json
-	// carries the full picture.
-	shardBenchAttrib *prof.Report
-)
-
-// BenchmarkShardScaling sweeps the sharded pipeline across
-// shard×worker configurations, driving the multi-producer ingest
-// demux from parallel goroutines — the contention profile the
-// striping and the per-shard journal-append goroutines exist to fix.
-// The timed region covers accepted→journaled: RunParallel fans
-// observations into the per-shard ingest queues and the timer stops
-// only once the ingesters have drained the backlog, so ns_per_ingest
-// is the end-to-end data-path rate, not the cost of a channel send.
-// The shards=0 row is the paper-faithful single-lock baseline. On a
-// single-core host the sweep mainly shows the striping costs nothing;
-// the throughput separation appears with 4+ cores.
-func BenchmarkShardScaling(b *testing.B) {
-	c := benchSetup(b)
-	train, _ := c.INT.Split(0.1, 42)
-	model, scaler, err := FitModel(StageTwoModels()[1], train.Subsample(20000, 42), 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Dense mutex/block sampling for the sweep: the point of this
-	// benchmark is finding the serialization points, so sampling noise
-	// matters more than the (small) profiling overhead.
-	restoreProf := prof.EnableRates(2, 2000)
-	defer restoreProf()
-	attribBase := prof.Attribution(0, nil)
-
-	configs := []struct{ shards, workers int }{
-		{0, 1}, {1, 1}, {2, 2}, {4, 4}, {8, 8},
-	}
-	for _, cfg := range configs {
-		name := "legacy"
-		if cfg.shards > 0 {
-			name = benchShardName(cfg.shards, cfg.workers)
-		}
-		b.Run(name, func(b *testing.B) {
-			reg := NewObsRegistry()
-			live, err := NewLiveRuntime(LiveRuntimeConfig{
-				Models: []Classifier{model}, Scaler: scaler, Registry: reg,
-				Shards: cfg.shards, Workers: cfg.workers,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			live.Start()
-			defer live.Stop()
-
-			// Baseline the contention counters after startup so the
-			// recorded values are the delta the driven traffic caused.
-			pre := live.MetricsSnapshot()
-
-			b.ReportAllocs()
-			b.SetParallelism(4) // contend even on a single-core host
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				pi := flow.PacketInfo{
-					Key:    flow.Key{Src: traffic.ServerAddr, Dst: traffic.ServerAddr, DstPort: 80, Proto: netsim.TCP},
-					Length: 777, HasTelemetry: true,
-				}
-				i := 0
-				for pb.Next() {
-					pi.Key.SrcPort = uint16(i % 512) // spread load over flows/shards
-					live.IngestAsync(pi)
-					i++
-				}
-			})
-			// Keep the clock running until every accepted observation is
-			// journaled: the demux alone isn't the pipeline.
-			for live.IngestBacklog() > 0 {
-				time.Sleep(100 * time.Microsecond)
-			}
-			b.StopTimer()
-			nsPerOp := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-
-			// Drain briefly so prediction-side counters are meaningful.
-			deadline := time.Now().Add(5 * time.Second)
-			for time.Now().Before(deadline) {
-				if live.DB.JournalLen() == 0 && int(live.Predictions.Load())+int(live.Shed.Load()) > 0 {
-					break
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-
-			snap := live.MetricsSnapshot()
-			delta := func(name string) int64 { return snap.Counters[name] - pre.Counters[name] }
-			res := shardBenchResult{
-				Shards: cfg.shards, Workers: cfg.workers,
-				NsPerIngest:       nsPerOp,
-				IngestPerSec:      1e9 / nsPerOp,
-				Predictions:       int64(live.Predictions.Load()),
-				Shed:              int64(live.Shed.Load()),
-				Contention:        delta("intddos_store_lock_contention_total"),
-				PredLogContention: delta("intddos_store_predlog_contention_total"),
-				FlowContention:    delta("intddos_flow_table_contention_total"),
-				Imbalance:         snap.Gauges["intddos_store_shard_imbalance"],
-			}
-			b.ReportMetric(res.IngestPerSec, "ingest/sec")
-			if res.Imbalance > 0 {
-				b.ReportMetric(res.Imbalance, "imbalance")
-			}
-			// The harness runs each sub-benchmark more than once (the
-			// N=1 sizing pass first); keep only the latest result per
-			// configuration.
-			shardBenchMu.Lock()
-			replaced := false
-			for i := range shardBenchResults {
-				if shardBenchResults[i].Shards == res.Shards && shardBenchResults[i].Workers == res.Workers {
-					shardBenchResults[i] = res
-					replaced = true
-					break
-				}
-			}
-			if !replaced {
-				shardBenchResults = append(shardBenchResults, res)
-			}
-			shardBenchAttrib = prof.Diff(attribBase, prof.Attribution(0, nil))
-			writeShardBench(b, shardBenchResults)
-			shardBenchMu.Unlock()
-		})
-	}
-}
-
-// benchShardName formats a shard/worker sub-benchmark name.
-func benchShardName(shards, workers int) string {
-	return fmt.Sprintf("shards-%d-w%d", shards, workers)
-}
-
-// writeShardBench rewrites the accumulated sweep as JSON when the
-// BENCH_SHARD_OUT environment variable names a file (caller holds
-// shardBenchMu).
-func writeShardBench(b *testing.B, results []shardBenchResult) {
-	path := os.Getenv("BENCH_SHARD_OUT")
-	if path == "" {
-		return
-	}
-	type attribJSON struct {
-		MutexFraction int        `json:"mutex_fraction"`
-		BlockRateNs   int        `json:"block_rate_ns"`
-		Stages        []prof.Row `json:"stages"`
-		TopStacks     []prof.Row `json:"top_stacks"`
-	}
-	out := struct {
-		Bench       string             `json:"bench"`
-		When        string             `json:"when"`
-		Results     []shardBenchResult `json:"results"`
-		Attribution *attribJSON        `json:"contention_attribution,omitempty"`
-	}{
-		Bench:   "BenchmarkShardScaling",
-		When:    time.Now().UTC().Format(time.RFC3339),
-		Results: results,
-	}
-	if shardBenchAttrib != nil {
-		out.Attribution = &attribJSON{
-			MutexFraction: shardBenchAttrib.MutexFraction,
-			BlockRateNs:   shardBenchAttrib.BlockRateNs,
-			Stages:        shardBenchAttrib.StageTotals(),
-			TopStacks:     shardBenchAttrib.Top(10),
-		}
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
 
@@ -939,8 +640,8 @@ func BenchmarkCheckpoint(b *testing.B) {
 				pi.Key.SrcPort = uint16(i%32768 + 1024)
 				live.Ingest(pi)
 			}
-			// Drain the journal: a running pipeline's pollers trim it
-			// continuously, so steady state is an empty tail.
+			// Drain the journal: a running pipeline hands every row off as
+			// it is journaled, so steady state is an empty tail.
 			for s := 0; s < 4; s++ {
 				_, cur := live.DB.PollShard(s, 0, 0)
 				live.DB.TrimShard(s, cur)

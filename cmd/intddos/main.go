@@ -252,8 +252,8 @@ replay:
 	for {
 		for i, r := range reports {
 			live.HandleReport(r)
-			// Pace in small batches so the poll/predict loop keeps up
-			// and queue-depth metrics show realistic occupancy.
+			// Pace in small batches: a wall-clock feed, so queue-depth
+			// metrics show realistic occupancy.
 			if i%64 == 63 {
 				select {
 				case <-sig:
@@ -273,15 +273,8 @@ replay:
 		}
 	}
 
-	// Drain the backlog briefly, then stop and summarize.
-	drain := time.Now().Add(5 * time.Second)
-	for time.Now().Before(drain) {
-		done := len(live.Decisions()) + int(live.Shed.Load())
-		if done >= int(live.Reports.Load()) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
+	// Let what was fed settle — briefly — then stop and summarize.
+	live.AwaitSettled(5 * time.Second)
 	if checkpointDir != "" {
 		// Final snapshot: a clean shutdown leaves the directory exactly
 		// where a restart should pick up.
@@ -303,7 +296,7 @@ replay:
 	}
 
 	fmt.Printf("\n%d passes, %d reports, %d decisions, %d shed, %d evicted\n",
-		passes, live.Reports.Load(), len(live.Decisions()), live.Shed.Load(), live.Evictions.Load())
+		passes, live.Reports.Load(), live.DecisionCount(), live.Shed.Load(), live.Evictions.Load())
 	if dedupWindow > 0 {
 		fmt.Printf("dedup (window %d): %d duplicates, %d stale, %d reordered, %d sequence gaps\n",
 			dedupWindow, live.Duplicates.Load(), live.StaleReps.Load(), live.Reordered.Load(), live.SeqGaps.Load())
@@ -312,11 +305,8 @@ replay:
 		fmt.Printf("netem %s: sent=%d delivered=%d lost=%d dup=%d reordered=%d rate_dropped=%d\n",
 			name, ls.Sent, ls.Delivered, ls.Lost, ls.Duplicated, ls.Reordered, ls.RateDropped)
 	}
-	if polled, decided, shed, abandoned := live.Polled.Load(), int64(live.DecisionCount()), live.Shed.Load(), live.Abandoned.Load(); polled == decided+shed+abandoned {
-		fmt.Printf("accounting: CLOSED (polled=%d == decided=%d + shed=%d + abandoned=%d)\n", polled, decided, shed, abandoned)
-	} else {
-		fmt.Printf("accounting: LEAK (polled=%d != decided=%d + shed=%d + abandoned=%d)\n", polled, decided, shed, abandoned)
-	}
+	ledger := live.Ledger()
+	fmt.Println(ledger)
 	if injector != nil {
 		fmt.Printf("health: %s; abandoned: %v; faults fired: %s; tainted flows: %d\n",
 			live.Health(), live.AbandonedByReason(), injector.Summary(), injector.TaintCount())
@@ -326,6 +316,10 @@ replay:
 	}
 	fmt.Println("\n# metrics snapshot")
 	fmt.Print(live.MetricsSnapshot().FormatSummary())
+	if !ledger.Closed() || !ledger.ReportsClosed() {
+		fmt.Fprintln(os.Stderr, "intddos: ledger open after Stop")
+		os.Exit(1)
+	}
 }
 
 // writeDiagBundle snapshots the registry's diagnostic bundle to path.

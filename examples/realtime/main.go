@@ -81,15 +81,13 @@ func main() {
 	snd.Close()
 
 	// 4. Drain, then join decisions against ground truth offline (the
-	//    wire carries no labels, as in a real deployment).
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		received := int(col.Received.Load())
-		done := len(live.Decisions()) + int(live.Shed.Load())
-		if received >= len(reports) && done >= received {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
+	//    wire carries no labels, as in a real deployment). Loopback
+	//    delivery is synchronous with Send, so what the collector has
+	//    not read yet sits in its socket buffer: one more pacing
+	//    interval lets it through before the pipeline settles.
+	time.Sleep(20 * time.Millisecond)
+	if !live.AwaitSettled(10 * time.Second) {
+		log.Printf("pipeline did not settle: %s", live.Ledger())
 	}
 	live.Stop()
 	col.Close()

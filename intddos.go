@@ -210,6 +210,9 @@ type (
 	// RestoreSummary describes the checkpoint a live runtime resumed
 	// from (see Live.Restore and LiveRuntimeConfig.CheckpointDir).
 	RestoreSummary = core.RestoreSummary
+	// Ledger is one reading of a live runtime's accounting (see
+	// Live.Ledger and Live.AwaitSettled).
+	Ledger = core.Ledger
 	// TypeResult is one Table VI row.
 	TypeResult = core.TypeResult
 	// HealthState is the live pipeline's aggregate condition

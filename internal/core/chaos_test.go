@@ -17,17 +17,12 @@ import (
 )
 
 // assertAccounting checks the pipeline's terminal invariant: every
-// record the pollers handed off is a decision, a shed, or an
-// abandonment — nothing vanished.
+// record handed off is a decision, a shed, or an abandonment —
+// nothing vanished.
 func assertAccounting(t *testing.T, l *Live) {
 	t.Helper()
-	polled := l.Polled.Load()
-	decided := int64(l.DecisionCount())
-	shed := l.Shed.Load()
-	abandoned := l.Abandoned.Load()
-	if polled != decided+shed+abandoned {
-		t.Errorf("accounting leak: polled=%d != decided=%d + shed=%d + abandoned=%d (reasons %v)",
-			polled, decided, shed, abandoned, l.AbandonedByReason())
+	if g := l.Ledger(); !g.Closed() {
+		t.Errorf("accounting leak: %s (reasons %v)", g, l.AbandonedByReason())
 	}
 }
 
@@ -69,24 +64,12 @@ func feedChaos(l *Live, nFlows, updates int) map[string]bool {
 	return truth
 }
 
-// settle waits until the ingest demux has drained, every snapshot has
-// been polled (or dropped) and every polled record resolved, i.e. the
-// accounting invariant holds with nothing in flight.
+// settle waits for the ledger to read Settled: the accounting
+// invariant holds with nothing in flight.
 func settle(t *testing.T, l *Live, d time.Duration) {
 	t.Helper()
-	ok := waitFor(t, d, func() bool {
-		if l.IngestBacklog() != 0 {
-			return false
-		}
-		if l.Polled.Load()+l.StoreDropped.Load() < l.Snapshots.Load() {
-			return false
-		}
-		return l.Polled.Load() == int64(l.DecisionCount())+l.Shed.Load()+l.Abandoned.Load()
-	})
-	if !ok {
-		t.Fatalf("pipeline did not settle: snapshots=%d polled=%d dropped=%d decided=%d shed=%d abandoned=%d",
-			l.Snapshots.Load(), l.Polled.Load(), l.StoreDropped.Load(),
-			l.DecisionCount(), l.Shed.Load(), l.Abandoned.Load())
+	if !l.AwaitSettled(d) {
+		t.Fatalf("pipeline did not settle: %s", l.Ledger())
 	}
 }
 

@@ -193,16 +193,16 @@ var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting f
 // demux queue the crash model discards.
 func (l *Live) settleIngest() error {
 	target := l.ingestAccepted.Load()
-	if !awaitSettled(func() bool { return l.ingestDone.Load() >= target }) {
+	if !awaitSettled(checkpointBarrierTimeout, func() bool { return l.ingestDone.Load() >= target }) {
 		return fmt.Errorf("%w (accepted=%d journaled=%d)",
 			ErrBarrierTimeout, target, l.ingestDone.Load())
 	}
 	return nil
 }
 
-// awaitSettled polls done until it holds or checkpointBarrierTimeout passes.
-func awaitSettled(done func() bool) bool {
-	deadline := time.Now().Add(checkpointBarrierTimeout)
+// awaitSettled polls done until it holds or timeout passes.
+func awaitSettled(timeout time.Duration, done func() bool) bool {
+	deadline := time.Now().Add(timeout)
 	for !done() {
 		if time.Now().After(deadline) {
 			return false
@@ -217,7 +217,7 @@ func awaitSettled(done func() bool) bool {
 // lock, so ingest, its hand-off, and the sweeper are parked and the
 // counts can only converge.
 func (l *Live) settleInflight() error {
-	if !awaitSettled(func() bool {
+	if !awaitSettled(checkpointBarrierTimeout, func() bool {
 		return l.Polled.Load() == l.completed.Load()+l.Shed.Load()+l.Abandoned.Load()
 	}) {
 		return fmt.Errorf("%w (polled=%d completed=%d shed=%d abandoned=%d)",

@@ -134,14 +134,9 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	}
 	c.Start()
 	feedRange(c, nFlows, cut, total)
-	// settle() compares Polled against Snapshots, which does not count
-	// the restored journal backlog — wait for the full prediction log
-	// instead (bit-identity implies the same total as the reference).
-	wantPreds := len(a.DB.Predictions())
-	if !waitFor(t, 5*time.Second, func() bool {
-		return len(c.DB.Predictions()) >= wantPreds &&
-			c.Polled.Load() == int64(c.DecisionCount())+c.Shed.Load()+c.Abandoned.Load()
-	}) {
+	// Bit-identity implies the same prediction total as the reference.
+	settle(t, c, 5*time.Second)
+	if wantPreds := len(a.DB.Predictions()); len(c.DB.Predictions()) < wantPreds {
 		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
 	}
 	c.Stop()
@@ -224,11 +219,8 @@ func TestKillRestoreV1Compat(t *testing.T) {
 	}
 	c.Start()
 	feedRange(c, nFlows, cut, total)
-	wantPreds := len(a.DB.Predictions())
-	if !waitFor(t, 5*time.Second, func() bool {
-		return len(c.DB.Predictions()) >= wantPreds &&
-			c.Polled.Load() == int64(c.DecisionCount())+c.Shed.Load()+c.Abandoned.Load()
-	}) {
+	settle(t, c, 5*time.Second)
+	if wantPreds := len(a.DB.Predictions()); len(c.DB.Predictions()) < wantPreds {
 		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
 	}
 	c.Stop()
@@ -308,16 +300,9 @@ func TestKillRestoreUnderFaults(t *testing.T) {
 	}
 	c.Start()
 	feedRange(c, 20, 3, 6)
-	// Drain the restored journal backlog plus the suffix (settle's
-	// Snapshots bound does not see restored entries), then require the
-	// accounting to close.
-	if !waitFor(t, 10*time.Second, func() bool {
-		return c.DB.JournalLen() == 0 &&
-			c.Polled.Load() == int64(c.DecisionCount())+c.Shed.Load()+c.Abandoned.Load()
-	}) {
-		t.Fatalf("restored pipeline did not drain under faults: journal=%d polled=%d decided=%d shed=%d abandoned=%d",
-			c.DB.JournalLen(), c.Polled.Load(), c.DecisionCount(), c.Shed.Load(), c.Abandoned.Load())
-	}
+	// Drain the restored journal backlog plus the suffix, then require
+	// the accounting to close.
+	settle(t, c, 10*time.Second)
 	c.Stop()
 	assertAccounting(t, c)
 }
@@ -367,10 +352,8 @@ func finishRestored(t *testing.T, c *Live, nFlows, from, total, wantPreds int) {
 	t.Helper()
 	c.Start()
 	feedRange(c, nFlows, from, total)
-	if !waitFor(t, 5*time.Second, func() bool {
-		return len(c.DB.Predictions()) >= wantPreds &&
-			c.Polled.Load() == int64(c.DecisionCount())+c.Shed.Load()+c.Abandoned.Load()
-	}) {
+	settle(t, c, 5*time.Second)
+	if len(c.DB.Predictions()) < wantPreds {
 		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
 	}
 	c.Stop()
@@ -575,7 +558,7 @@ func TestEncodeOutsideBarrier(t *testing.T) {
 	l.ckptPostCapture = func(*checkpoint.Snapshot) {
 		hookRan = true
 		// A read attempt fails only against the capture's write lock;
-		// the running ingesters and pollers hold the barrier for read.
+		// the running ingesters hold the barrier for read.
 		for s := range l.ckptMu {
 			if !l.ckptMu[s].TryRLock() {
 				t.Errorf("shard %d barrier still held when encoding began", s)

@@ -219,12 +219,9 @@ func (l *Live) unhealthyModels() int {
 func (l *Live) healthReport() obs.Health {
 	st := l.Health()
 	detail := []string{
-		fmt.Sprintf("shards=%d workers=%d workers_down=%d worker_restarts=%d",
-			l.nShards, l.cfg.Workers, l.workersDown.Load(), l.WorkerRestarts.Load()),
-		fmt.Sprintf("polled=%d decided=%d shed=%d abandoned=%d store_retries=%d store_dropped=%d",
-			l.Polled.Load(), l.DecisionCount(), l.Shed.Load(), l.Abandoned.Load(),
-			l.StoreRetries.Load(), l.StoreDropped.Load()),
-		fmt.Sprintf("queue_occupancy=%.2f", l.queueOccupancy()),
+		fmt.Sprintf("shards=%d workers=%d workers_down=%d worker_restarts=%d store_retries=%d queue_occupancy=%.2f",
+			l.nShards, l.cfg.Workers, l.workersDown.Load(), l.WorkerRestarts.Load(), l.StoreRetries.Load(), l.queueOccupancy()),
+		l.Ledger().String(),
 	}
 	if l.cfg.CheckpointDir != "" {
 		line := fmt.Sprintf("checkpoints=%d failures=%d last_success_unix=%.0f",

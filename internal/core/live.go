@@ -190,9 +190,8 @@ type Live struct {
 	dedup *telemetry.SeqTracker
 
 	// Stats (atomics: read while running). Mirrored into the obs
-	// registry; kept for compatibility with existing callers. With
-	// dedup on, the report ledger closes as
-	// Reports == Duplicates + StaleReports + fault drops + ingests.
+	// registry; kept for compatibility with existing callers. Ledger
+	// says how they add up.
 	Reports     atomic.Int64
 	Duplicates  atomic.Int64 // reports suppressed as duplicates
 	StaleReps   atomic.Int64 // reports rejected as stale
@@ -500,9 +499,7 @@ func (l *Live) Stop() {
 		}
 		l.workWg.Wait()
 		l.profiler.Stop()
-		l.event("pipeline stopped", "component", "lifecycle",
-			"polled", l.Polled.Load(), "decided", l.DecisionCount(),
-			"shed", l.Shed.Load(), "abandoned", l.Abandoned.Load())
+		l.event("pipeline stopped", "component", "lifecycle", "ledger", l.Ledger().String())
 	})
 }
 

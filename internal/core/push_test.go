@@ -228,10 +228,15 @@ func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 	if l.Health() != HealthDegraded {
 		t.Errorf("health = %v during the outage, want degraded", l.Health())
 	}
+	// Rows the outage keeps journaled are in flight: the ledger is closed
+	// but not settled, and waiting on it times out rather than hangs.
+	if g := l.Ledger(); !g.Closed() || g.Settled() || l.AwaitSettled(20*time.Millisecond) {
+		t.Errorf("during the outage the ledger should read closed, unsettled: %s", g)
+	}
 	out.down.Store(false)
-	if !waitFor(t, 5*time.Second, func() bool { return l.DecisionCount() == n }) {
-		t.Fatalf("after the outage %d of %d decided with no new reports (journal=%d)",
-			l.DecisionCount(), n, l.DB.JournalLen())
+	if !l.AwaitSettled(5*time.Second) || l.DecisionCount() != n {
+		t.Fatalf("after the outage %d of %d decided with no new reports: %s",
+			l.DecisionCount(), n, l.Ledger())
 	}
 	if l.StoreRetries.Load() == 0 {
 		t.Error("no store retries counted across the outage")

@@ -307,9 +307,7 @@ func TestLiveTriageExits(t *testing.T) {
 			}
 		}
 	}
-	if polled, decided, shed, abandoned := l.Polled.Load(), int64(l.DecisionCount()), l.Shed.Load(), l.Abandoned.Load(); polled != decided+shed+abandoned {
-		t.Errorf("accounting leak: polled=%d decided=%d shed=%d abandoned=%d", polled, decided, shed, abandoned)
-	}
+	assertAccounting(t, l)
 }
 
 // TestLiveTriageCheckpoint pins that the cascade coexists with the

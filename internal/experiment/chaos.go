@@ -16,9 +16,7 @@ import (
 	"github.com/amlight/intddos/internal/ml/forest"
 	"github.com/amlight/intddos/internal/ml/knn"
 	"github.com/amlight/intddos/internal/ml/neural"
-	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/telemetry"
-	"github.com/amlight/intddos/internal/testbed"
 	"github.com/amlight/intddos/internal/traffic"
 )
 
@@ -73,11 +71,13 @@ type ChaosConfig struct {
 type ChaosResult struct {
 	Ensemble []string
 
-	Reports, Snapshots, Polled int64
-	Decided, Shed, Abandoned   int64
-	AbandonedByReason          map[string]int64
+	// Ledger is the pipeline's accounting after Stop. Its Closed is the
+	// chaos invariant: every record handed off ended as a decision, a
+	// shed, or a reasoned abandonment.
+	Ledger            core.Ledger
+	AbandonedByReason map[string]int64
 
-	StoreRetries, StoreDropped    int64
+	StoreRetries                  int64
 	WorkerRestarts, ModelFailures int64
 	Health                        string
 	Transitions                   []string
@@ -87,9 +87,6 @@ type ChaosResult struct {
 	// checkpoint the run resumed from (nil on a fresh boot).
 	Checkpoints int64
 	Restored    *core.RestoreSummary
-	// AccountingClosed is the chaos invariant: every polled record
-	// ended as a decision, a shed, or a reasoned abandonment.
-	AccountingClosed bool
 	// DiagBundle is the path of the diagnostic bundle captured when
 	// the invariant failed (empty otherwise).
 	DiagBundle string
@@ -125,22 +122,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// Materialize the sink's INT reports once; the live loop replays
 	// them at wall-clock pace.
 	maxReports := (len(traffic.AttackTypes) + 1) * cfg.PacketsPerType
-	var reports []*telemetry.Report
-	tb := testbed.New(testbed.Config{})
-	tb.Collector.OnReport = func(r *telemetry.Report, _ netsim.Time) {
-		if len(reports) < maxReports {
-			reports = append(reports, r)
-		}
+	reports, _, err := materializeReports(w, maxReports, "", 0)
+	if err != nil {
+		return nil, err
 	}
-	rp := tb.Replayer(w.Records)
-	rp.MaxPackets = maxReports
-	rp.Start()
-	tb.Run()
-	if len(reports) == 0 {
-		return nil, fmt.Errorf("chaos: no INT reports collected")
-	}
-
-	live, err := core.NewLive(core.LiveConfig{
+	live, err := feedLive(core.LiveConfig{
 		Models:               models,
 		Scaler:               scaler,
 		Shards:               cfg.Shards,
@@ -152,29 +138,13 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		CheckpointDir:        cfg.CheckpointDir,
 		CheckpointEvery:      cfg.CheckpointEvery,
 		CheckpointFullEvery:  cfg.CheckpointFullEvery,
+	}, func(emit func(*telemetry.Report)) {
+		for _, r := range reports {
+			emit(r)
+		}
 	})
 	if err != nil {
 		return nil, err
-	}
-	live.Start()
-	for i, r := range reports {
-		live.HandleReport(r)
-		if i%128 == 127 {
-			time.Sleep(time.Millisecond) // pace so pollers keep up
-		}
-	}
-	// Settle: every snapshot polled or dropped, every polled record
-	// resolved — bounded, because chaos runs must not hang. A restored
-	// run additionally drains the pre-crash journal backlog, which the
-	// Snapshots bound does not see.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if live.Polled.Load()+live.StoreDropped.Load() >= live.Snapshots.Load() &&
-			(live.Restore() == nil || live.DB.JournalLen() == 0) &&
-			live.Polled.Load() == int64(live.DecisionCount())+live.Shed.Load()+live.Abandoned.Load() {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	if cfg.CheckpointDir != "" && cfg.CheckpointEvery <= 0 {
 		// No periodic checkpointer: take the final snapshot explicitly
@@ -187,15 +157,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 
 	res := &ChaosResult{
 		Ensemble:          names,
-		Reports:           live.Reports.Load(),
-		Snapshots:         live.Snapshots.Load(),
-		Polled:            live.Polled.Load(),
-		Decided:           int64(live.DecisionCount()),
-		Shed:              live.Shed.Load(),
-		Abandoned:         live.Abandoned.Load(),
+		Ledger:            live.Ledger(),
 		AbandonedByReason: live.AbandonedByReason(),
 		StoreRetries:      live.StoreRetries.Load(),
-		StoreDropped:      live.StoreDropped.Load(),
 		WorkerRestarts:    live.WorkerRestarts.Load(),
 		ModelFailures:     live.ModelFailures.Load(),
 		Health:            live.Health().String(),
@@ -205,8 +169,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Checkpoints:       live.Checkpoints.Load(),
 		Restored:          live.Restore(),
 	}
-	res.AccountingClosed = res.Polled == res.Decided+res.Shed+res.Abandoned
-	if !res.AccountingClosed && cfg.DiagBundleDir != "" {
+	if !res.Ledger.Closed() && cfg.DiagBundleDir != "" {
 		if path, err := writeDiagBundle(cfg.DiagBundleDir, live); err == nil {
 			res.DiagBundle = path
 		}
@@ -242,26 +205,17 @@ var diagBundleSeq atomic.Int64
 func FormatChaos(r *ChaosResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "CHAOS RUN: ensemble %s\n", strings.Join(r.Ensemble, "+"))
-	fmt.Fprintf(&b, "  reports=%d snapshots=%d polled=%d\n", r.Reports, r.Snapshots, r.Polled)
-	fmt.Fprintf(&b, "  decided=%d shed=%d abandoned=%d", r.Decided, r.Shed, r.Abandoned)
+	fmt.Fprintf(&b, "  %s\n", r.Ledger)
 	if len(r.AbandonedByReason) > 0 {
 		reasons := make([]string, 0, len(r.AbandonedByReason))
-		for reason := range r.AbandonedByReason {
-			reasons = append(reasons, reason)
+		for reason, n := range r.AbandonedByReason {
+			reasons = append(reasons, fmt.Sprintf("%s=%d", reason, n))
 		}
 		sort.Strings(reasons)
-		b.WriteString(" (")
-		for i, reason := range reasons {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "%s=%d", reason, r.AbandonedByReason[reason])
-		}
-		b.WriteString(")")
+		fmt.Fprintf(&b, "  abandoned by reason: %s\n", strings.Join(reasons, ", "))
 	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "  store: retries=%d dropped=%d; workers: restarts=%d; models: failures=%d\n",
-		r.StoreRetries, r.StoreDropped, r.WorkerRestarts, r.ModelFailures)
+	fmt.Fprintf(&b, "  store: retries=%d; workers: restarts=%d; models: failures=%d\n",
+		r.StoreRetries, r.WorkerRestarts, r.ModelFailures)
 	fmt.Fprintf(&b, "  faults fired: %s; tainted flows: %d\n", r.FaultSummary, r.TaintedFlows)
 	if rs := r.Restored; rs != nil {
 		fmt.Fprintf(&b, "  restored: seq=%d flows=%d store_flows=%d journal_pending=%d windows=%d predictions=%d\n",
@@ -273,12 +227,6 @@ func FormatChaos(r *ChaosResult) string {
 	fmt.Fprintf(&b, "  final health: %s\n", r.Health)
 	for _, tr := range r.Transitions {
 		fmt.Fprintf(&b, "    transition: %s\n", tr)
-	}
-	if r.AccountingClosed {
-		b.WriteString("  accounting: CLOSED (polled == decided + shed + abandoned)\n")
-	} else {
-		fmt.Fprintf(&b, "  accounting: LEAK (%d polled != %d decided + %d shed + %d abandoned)\n",
-			r.Polled, r.Decided, r.Shed, r.Abandoned)
 	}
 	if r.DiagBundle != "" {
 		fmt.Fprintf(&b, "  diagnostic bundle: %s\n", r.DiagBundle)

@@ -61,16 +61,10 @@ type SoakResult struct {
 	Ensemble []string
 	Passes   int
 
-	// Report ledger (the soak pipeline).
-	Reports, Duplicates, Stale, Reordered, SeqGaps int64
-	FaultDrops                                     int64
-	Snapshots, Polled, Decided, Shed, Abandoned    int64
-
-	// ReportLedgerClosed: every report is a suppression, a fault
-	// drop, or an accepted ingest. PipelineClosed: every polled record
-	// is a decision, a shed, or a reasoned abandonment.
-	ReportLedgerClosed bool
-	PipelineClosed     bool
+	// Ledger is the soak pipeline's accounting after Stop; the run's
+	// two invariants are its ReportsClosed and Closed.
+	Ledger             core.Ledger
+	Reordered, SeqGaps int64
 
 	// LinkStats is the materialization wire's impairment ledger.
 	LinkStats map[string]netsim.ImpairStats
@@ -175,11 +169,11 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 
 	maxReports := (len(traffic.AttackTypes) + 1) * cfg.PacketsPerType
-	cleanReports, _, err := soakMaterialize(w, maxReports, "", 0)
+	cleanReports, _, err := materializeReports(w, maxReports, "", 0)
 	if err != nil {
 		return nil, err
 	}
-	impReports, linkStats, err := soakMaterialize(w, maxReports, cfg.Netem, cfg.NetemSeed)
+	impReports, linkStats, err := materializeReports(w, maxReports, cfg.Netem, cfg.NetemSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -219,29 +213,19 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res.Reports = live.Reports.Load()
-	res.Duplicates = live.Duplicates.Load()
-	res.Stale = live.StaleReps.Load()
+	res.Ledger = live.Ledger()
 	res.Reordered = live.Reordered.Load()
 	res.SeqGaps = live.SeqGaps.Load()
-	res.FaultDrops = injector.SiteCount(fault.SiteDrop)
-	res.Snapshots = live.Snapshots.Load()
-	res.Polled = live.Polled.Load()
-	res.Decided = int64(live.DecisionCount())
-	res.Shed = live.Shed.Load()
-	res.Abandoned = live.Abandoned.Load()
 	res.Health = live.Health().String()
 	res.FaultSummary = injector.Summary()
-	res.ReportLedgerClosed = res.Reports ==
-		res.Duplicates+res.Stale+res.FaultDrops+res.Snapshots
-	res.PipelineClosed = res.Polled == res.Decided+res.Shed+res.Abandoned
 	res.DeltaPP = (res.SoakAccuracy - res.CleanAccuracy) * 100
 	return res, nil
 }
 
-// soakMaterialize replays the workload through the testbed (optionally
-// netem-impaired on the report wire) and returns the sink's reports.
-func soakMaterialize(w *traffic.Workload, maxReports int, netem string, netemSeed int64) ([]*telemetry.Report, map[string]netsim.ImpairStats, error) {
+// materializeReports replays the workload through the testbed
+// (optionally netem-impaired on the report wire) and returns the
+// sink's reports, for a live loop to replay at wall-clock pace.
+func materializeReports(w *traffic.Workload, maxReports int, netem string, netemSeed int64) ([]*telemetry.Report, map[string]netsim.ImpairStats, error) {
 	tcfg := testbed.Config{NetemSeed: netemSeed}
 	if netem != "" {
 		spec, err := fault.ParseNetem(
@@ -263,16 +247,37 @@ func soakMaterialize(w *traffic.Workload, maxReports int, netem string, netemSee
 	rp.Start()
 	tb.Run()
 	if len(reports) == 0 {
-		return nil, nil, fmt.Errorf("soak: no INT reports collected")
+		return nil, nil, fmt.Errorf("experiment: no INT reports collected")
 	}
 	return reports, tb.ImpairedStats(), nil
 }
 
-// soakFeed runs one pipeline configuration over the feed at wall-clock
-// pace, settles it, and returns its decision accuracy against ground
-// truth plus the (stopped) pipeline for ledger inspection.
+// feedLive builds and starts a pipeline, replays the feed through
+// HandleReport at wall-clock pace, and waits — bounded, because a
+// harness must not hang — for its ledger to settle. The caller stops
+// the returned pipeline.
+func feedLive(cfg core.LiveConfig, feed func(emit func(*telemetry.Report))) (*core.Live, error) {
+	live, err := core.NewLive(cfg)
+	if err != nil {
+		return nil, err
+	}
+	live.Start()
+	fed := 0
+	feed(func(r *telemetry.Report) {
+		live.HandleReport(r)
+		if fed++; fed%128 == 127 {
+			time.Sleep(time.Millisecond) // a paced feed, not one burst past the worker queues
+		}
+	})
+	live.AwaitSettled(30 * time.Second)
+	return live, nil
+}
+
+// soakFeed runs one pipeline configuration over the feed and returns
+// its decision accuracy against ground truth plus the (stopped)
+// pipeline for ledger inspection.
 func soakFeed(models []ml.Classifier, scaler *ml.StandardScaler, cfg SoakConfig, injector *fault.Injector, feed func(emit func(*telemetry.Report))) (float64, *core.Live, error) {
-	live, err := core.NewLive(core.LiveConfig{
+	live, err := feedLive(core.LiveConfig{
 		Models:               models,
 		Scaler:               scaler,
 		Shards:               cfg.Shards,
@@ -281,29 +286,9 @@ func soakFeed(models []ml.Classifier, scaler *ml.StandardScaler, cfg SoakConfig,
 		DedupWindow:          cfg.DedupWindow,
 		WorkerRestartBackoff: time.Millisecond,
 		StoreRetryBackoff:    200 * time.Microsecond,
-	})
+	}, feed)
 	if err != nil {
 		return 0, nil, err
-	}
-	live.Start()
-	fed := 0
-	feed(func(r *telemetry.Report) {
-		live.HandleReport(r)
-		if fed++; fed%128 == 127 {
-			time.Sleep(time.Millisecond) // pace so pollers keep up
-		}
-	})
-	// Settle: ingest backlog drained, every snapshot polled or
-	// store-dropped, every polled record resolved — bounded, because a
-	// soak must not hang.
-	deadline := time.Now().Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if live.IngestBacklog() == 0 &&
-			live.Polled.Load()+live.StoreDropped.Load() >= live.Snapshots.Load() &&
-			live.Polled.Load() == int64(live.DecisionCount())+live.Shed.Load()+live.Abandoned.Load() {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 	live.Stop()
 	decs := live.Decisions()
@@ -327,19 +312,8 @@ func FormatSoak(r *SoakResult) string {
 		fmt.Fprintf(&b, "  wire %s: sent=%d delivered=%d lost=%d dup=%d reordered=%d\n",
 			name, ls.Sent, ls.Delivered, ls.Lost, ls.Duplicated, ls.Reordered)
 	}
-	fmt.Fprintf(&b, "  reports=%d dup=%d stale=%d reordered=%d gaps=%d fault_drops=%d snapshots=%d\n",
-		r.Reports, r.Duplicates, r.Stale, r.Reordered, r.SeqGaps, r.FaultDrops, r.Snapshots)
-	fmt.Fprintf(&b, "  polled=%d decided=%d shed=%d abandoned=%d\n", r.Polled, r.Decided, r.Shed, r.Abandoned)
-	closed := func(ok bool) string {
-		if ok {
-			return "CLOSED"
-		}
-		return "LEAK"
-	}
-	fmt.Fprintf(&b, "  report ledger: %s (reports == dup + stale + fault drops + snapshots)\n",
-		closed(r.ReportLedgerClosed))
-	fmt.Fprintf(&b, "  pipeline ledger: %s (polled == decided + shed + abandoned)\n",
-		closed(r.PipelineClosed))
+	fmt.Fprintf(&b, "  %s\n  report side closed: %t; reordered=%d gaps=%d\n",
+		r.Ledger, r.Ledger.ReportsClosed(), r.Reordered, r.SeqGaps)
 	fmt.Fprintf(&b, "  accuracy: clean=%.2f%% soak=%.2f%% (Δ %+.2f pp)\n",
 		r.CleanAccuracy*100, r.SoakAccuracy*100, r.DeltaPP)
 	fmt.Fprintf(&b, "  faults fired: %s; final health: %s\n", r.FaultSummary, r.Health)

@@ -24,23 +24,21 @@ func TestSoakSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + FormatSoak(r))
-	if !r.ReportLedgerClosed {
-		t.Errorf("report ledger open: %d reports != %d dup + %d stale + %d fault drops + %d snapshots",
-			r.Reports, r.Duplicates, r.Stale, r.FaultDrops, r.Snapshots)
+	if !r.Ledger.ReportsClosed() {
+		t.Errorf("report ledger open: %s", r.Ledger)
 	}
-	if !r.PipelineClosed {
-		t.Errorf("pipeline ledger open: %d polled != %d decided + %d shed + %d abandoned",
-			r.Polled, r.Decided, r.Shed, r.Abandoned)
+	if !r.Ledger.Closed() {
+		t.Errorf("pipeline ledger open: %s", r.Ledger)
 	}
 	// The adversity demonstrably fired: the wire lost and duplicated,
 	// the feed scrambles produced suppressions.
 	if ls := r.LinkStats["agent->collector"]; ls.Lost == 0 || !ls.Closed() {
 		t.Errorf("wire impairment did not fire or its ledger is open: %+v", ls)
 	}
-	if r.Duplicates == 0 {
+	if r.Ledger.Duplicates == 0 {
 		t.Error("no duplicate suppressions over a duplicating wire + scrambled feed")
 	}
-	if r.Stale == 0 {
+	if r.Ledger.Stale == 0 {
 		t.Error("no stale rejections despite deep stragglers in the feed")
 	}
 	if r.CleanAccuracy <= 0 || r.CleanAccuracy > 1 || r.SoakAccuracy <= 0 || r.SoakAccuracy > 1 {

@@ -49,9 +49,10 @@ sleep 2
 "$workdir/diagcheck" "http://$addr/debug/bundle" \
     || fail "/debug/bundle did not validate"
 
-# Graceful shutdown writes the exit bundle.
+# Graceful shutdown writes the exit bundle; a non-zero exit is an open
+# ledger.
 kill -INT "$pid"
-wait "$pid" 2>/dev/null || true
+wait "$pid" || fail "pipeline exited non-zero"
 [ -s "$exit_bundle" ] || fail "-diag-bundle wrote nothing on exit"
 "$workdir/diagcheck" "$exit_bundle" || fail "exit bundle did not validate"
 grep -q "diagnostic bundle:" "$log" || fail "run log does not mention the exit bundle"

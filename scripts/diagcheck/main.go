@@ -5,18 +5,8 @@
 // JSON object per line. It exits non-zero naming what is missing, so
 // the smoke script's failure output says which artifact regressed.
 //
-// With -bench-shard it instead validates a BENCH_shard.json sweep
-// (`make bench-shard` / the CI bench-shard smoke): the legacy
-// baseline row plus at least one sharded row, positive throughput in
-// every row, and a populated contention attribution.
-//
-// With -bench-tier it validates a BENCH_tier.json sweep (`make
-// bench-tier` / the CI bench-tier smoke): untiered baseline rows plus
-// triaged rows, positive throughput everywhere, exit rates in [0, 1],
-// and a speedup recorded on every triaged row.
-//
-// With -bench-checkpoint it validates a BENCH_checkpoint.json sweep
-// (`make bench-checkpoint` / the CI bench-checkpoint smoke): every
+// With -bench-checkpoint it instead validates a BENCH_checkpoint.json
+// sweep (`make bench-checkpoint` / `make bench-checkpoint-smoke`): every
 // row must carry a flow count, a positive encoded size, positive
 // write throughput, a recorded barrier hold, and a restore that
 // brought back exactly the flows it checkpointed.
@@ -49,16 +39,6 @@ var required = []string{
 
 func main() {
 	switch {
-	case len(os.Args) == 3 && os.Args[1] == "-bench-shard":
-		if err := checkBenchShard(os.Args[2]); err != nil {
-			fmt.Fprintf(os.Stderr, "diagcheck: %s: %v\n", os.Args[2], err)
-			os.Exit(1)
-		}
-	case len(os.Args) == 3 && os.Args[1] == "-bench-tier":
-		if err := checkBenchTier(os.Args[2]); err != nil {
-			fmt.Fprintf(os.Stderr, "diagcheck: %s: %v\n", os.Args[2], err)
-			os.Exit(1)
-		}
 	case len(os.Args) == 3 && os.Args[1] == "-bench-checkpoint":
 		if err := checkBenchCheckpoint(os.Args[2]); err != nil {
 			fmt.Fprintf(os.Stderr, "diagcheck: %s: %v\n", os.Args[2], err)
@@ -76,118 +56,10 @@ func main() {
 		}
 	default:
 		fmt.Fprintln(os.Stderr, "usage: diagcheck <bundle.tar.gz | http://host/debug/bundle>")
-		fmt.Fprintln(os.Stderr, "       diagcheck -bench-shard <BENCH_shard.json>")
-		fmt.Fprintln(os.Stderr, "       diagcheck -bench-tier <BENCH_tier.json>")
 		fmt.Fprintln(os.Stderr, "       diagcheck -bench-checkpoint <BENCH_checkpoint.json>")
 		fmt.Fprintln(os.Stderr, "       diagcheck -impair <impair.json>")
 		os.Exit(2)
 	}
-}
-
-// checkBenchShard validates a BenchmarkShardScaling sweep file: the
-// sweep must have completed (legacy baseline plus sharded rows, each
-// with positive throughput) and carry the contention attribution the
-// scaling analysis reads.
-func checkBenchShard(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var sweep struct {
-		Bench   string `json:"bench"`
-		Results []struct {
-			Shards       int     `json:"shards"`
-			Workers      int     `json:"workers"`
-			NsPerIngest  float64 `json:"ns_per_ingest"`
-			IngestPerSec float64 `json:"ingest_per_sec"`
-		} `json:"results"`
-		Attribution *struct {
-			Stages []json.RawMessage `json:"stages"`
-		} `json:"contention_attribution"`
-	}
-	if err := json.Unmarshal(data, &sweep); err != nil {
-		return fmt.Errorf("not valid sweep JSON: %w", err)
-	}
-	if sweep.Bench != "BenchmarkShardScaling" {
-		return fmt.Errorf("bench is %q, want BenchmarkShardScaling", sweep.Bench)
-	}
-	legacy, sharded := false, 0
-	for i, r := range sweep.Results {
-		if r.NsPerIngest <= 0 || r.IngestPerSec <= 0 {
-			return fmt.Errorf("result %d (shards=%d): non-positive throughput", i, r.Shards)
-		}
-		if r.Shards == 0 {
-			legacy = true
-		} else {
-			sharded++
-		}
-	}
-	if !legacy {
-		return fmt.Errorf("sweep has no legacy (shards=0) baseline row")
-	}
-	if sharded == 0 {
-		return fmt.Errorf("sweep has no sharded rows")
-	}
-	if sweep.Attribution == nil || len(sweep.Attribution.Stages) == 0 {
-		return fmt.Errorf("sweep has no contention attribution")
-	}
-	fmt.Printf("diagcheck: OK (%d sweep rows, %d attribution stages)\n",
-		len(sweep.Results), len(sweep.Attribution.Stages))
-	return nil
-}
-
-// checkBenchTier validates a BenchmarkTiered* sweep file: the sweep
-// must carry untiered baselines and triaged rows, every row must show
-// positive throughput and a sane exit rate, and every triaged row
-// must record its speedup against the matching baseline.
-func checkBenchTier(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var sweep struct {
-		Bench   string `json:"bench"`
-		Results []struct {
-			Config     string  `json:"config"`
-			Triage     bool    `json:"triage"`
-			NsPerRow   float64 `json:"ns_per_row"`
-			RowsPerSec float64 `json:"rows_per_sec"`
-			ExitRate   float64 `json:"exit_rate"`
-			Speedup    float64 `json:"speedup_vs_baseline"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(data, &sweep); err != nil {
-		return fmt.Errorf("not valid sweep JSON: %w", err)
-	}
-	if sweep.Bench != "BenchmarkTiered" {
-		return fmt.Errorf("bench is %q, want BenchmarkTiered", sweep.Bench)
-	}
-	baselines, triaged := 0, 0
-	for i, r := range sweep.Results {
-		if r.NsPerRow <= 0 || r.RowsPerSec <= 0 {
-			return fmt.Errorf("result %d (%s): non-positive throughput", i, r.Config)
-		}
-		if r.ExitRate < 0 || r.ExitRate > 1 {
-			return fmt.Errorf("result %d (%s): exit rate %v outside [0, 1]", i, r.Config, r.ExitRate)
-		}
-		if !r.Triage {
-			baselines++
-			continue
-		}
-		triaged++
-		if r.Speedup <= 0 {
-			return fmt.Errorf("result %d (%s): triaged row without a speedup", i, r.Config)
-		}
-	}
-	if baselines == 0 {
-		return fmt.Errorf("sweep has no untiered baseline row")
-	}
-	if triaged == 0 {
-		return fmt.Errorf("sweep has no triaged rows")
-	}
-	fmt.Printf("diagcheck: OK (%d sweep rows: %d baseline, %d triaged)\n",
-		len(sweep.Results), baselines, triaged)
-	return nil
 }
 
 // checkBenchCheckpoint validates a BenchmarkCheckpoint sweep file:

@@ -42,15 +42,17 @@ sleep 1
 kill -9 "$pid"
 wait "$pid" 2>/dev/null || true
 
-# Second run: one pass; must restore and close its accounting.
-"$workdir/intddos" -live -scale tiny -packets 300 \
-    -checkpoint-dir "$ckpt" -checkpoint-every 0 >"$log2" 2>&1
-
 fail() {
     echo "recovery-smoke: $1" >&2
     sed 's/^/  run2: /' "$log2" >&2
     exit 1
 }
+
+# Second run: one pass; must restore and close its accounting (the
+# binary exits non-zero when its ledger is open after Stop).
+"$workdir/intddos" -live -scale tiny -packets 300 \
+    -checkpoint-dir "$ckpt" -checkpoint-every 0 >"$log2" 2>&1 \
+    || fail "restored run exited non-zero"
 grep -q "restored from" "$log2" || fail "restart did not restore from the checkpoint"
 grep -q "accounting: CLOSED" "$log2" || fail "restored run did not close its accounting"
 grep -q "final checkpoint:" "$log2" || fail "restored run did not write its final checkpoint"

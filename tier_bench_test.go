@@ -1,168 +1,16 @@
-// BenchmarkTieredLive / BenchmarkTieredScoring: throughput of the
-// tiered-inference cascade on a benign-heavy stream, end-to-end and
-// through the scoring stack in isolation. See `make bench-tier`.
+// BenchmarkTieredScoring: throughput of the tiered-inference cascade
+// on a benign-heavy stream through the scoring stack in isolation. The
+// end-to-end cost of triage is the ledger's `tuned-triage` workload
+// (benchmark/).
 package intddos
 
 import (
-	"encoding/json"
-	"os"
-	"sync"
 	"testing"
-	"time"
 
 	"github.com/amlight/intddos/internal/ml"
 )
 
-// tierBenchResult is one tiered-inference benchmark configuration's
-// outcome — end-to-end (BenchmarkTieredLive) or scoring-stack-only
-// (BenchmarkTieredScoring, "score-" prefix) — accumulated across
-// sub-benchmarks and dumped as BENCH_tier.json.
-type tierBenchResult struct {
-	Config     string  `json:"config"` // "baseline" or "<model>-<threshold>"
-	Triage     bool    `json:"triage"`
-	Model      string  `json:"model,omitempty"`
-	Threshold  float64 `json:"threshold,omitempty"`
-	BenignFrac float64 `json:"benign_frac"`
-	NsPerRow   float64 `json:"ns_per_row"`
-	RowsPerSec float64 `json:"rows_per_sec"`
-	// Decisions/Predictions over the whole sub-benchmark (the poller
-	// coalesces per-flow updates, so these trail ingested rows).
-	Decisions   int64   `json:"decisions"`
-	Predictions int64   `json:"predictions"`
-	ExitRate    float64 `json:"exit_rate"` // fraction of decisions with Stage > 0
-	// SpeedupVsBaseline is rows_per_sec over the baseline sub-bench's
-	// (0 until the baseline has run).
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline,omitempty"`
-}
-
-var (
-	tierBenchMu      sync.Mutex
-	tierBenchResults []tierBenchResult
-)
-
-// tierBenchReports materializes the capture's INT reports once and
-// splits them by ground truth, so the sweep can compose a replayable
-// stream at any benign fraction.
-var tierBenchReports = sync.OnceValues(func() (benign, attack []*Report) {
-	c, err := Collect(DataConfig{Scale: ScaleTiny, Seed: 42})
-	if err != nil {
-		return nil, nil
-	}
-	tb := NewTestbed(TestbedConfig{})
-	tb.Collector.OnReport = func(r *Report, _ Time) {
-		if len(benign)+len(attack) >= 40000 {
-			return
-		}
-		if r.Truth.Label {
-			attack = append(attack, r)
-		} else {
-			benign = append(benign, r)
-		}
-	}
-	rp := tb.Replayer(c.Workload.Records)
-	rp.MaxPackets = 40000
-	rp.Start()
-	tb.Run()
-	return benign, attack
-})
-
-// BenchmarkTieredLive drives a 95%-benign report stream — the shape
-// the cascade exists for: production telemetry is almost entirely
-// benign, and the paper's Table VI prediction times are dominated by
-// it — through the wall-clock runtime with the full MLP+RF+GNB
-// ensemble, comparing the untiered baseline against the cascade at
-// representative stage-0 models and thresholds. The timed region
-// covers ingest through a drained journal, so rows_per_sec is the
-// end-to-end data-path rate. Results accumulate into BENCH_tier.json
-// via the BENCH_TIER_OUT environment variable.
-func BenchmarkTieredLive(b *testing.B) {
-	const benignFrac = 0.95
-	models, byName, scaler := tierBenchModels(b)
-	benign, attack := tierBenchReports()
-	if len(benign) == 0 || len(attack) == 0 {
-		b.Fatalf("report pool: %d benign, %d attack", len(benign), len(attack))
-	}
-
-	var baselineRate float64
-	for _, cfg := range tierBenchConfigs {
-		b.Run(cfg.name, func(b *testing.B) {
-			var stage0 Classifier
-			if cfg.model != "" {
-				stage0 = byName[cfg.model]
-			}
-			live, err := NewLiveRuntime(LiveRuntimeConfig{
-				Models: models, Scaler: scaler, ModelQuorum: 2,
-				PredictBatch: 32,
-				Triage:       cfg.model != "", TriageThreshold: cfg.threshold, TriageModel: stage0,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			live.Start()
-			defer live.Stop()
-
-			b.ReportAllocs()
-			b.ResetTimer()
-			bi, ai := 0, 0
-			for i := 0; i < b.N; i++ {
-				// 19 of 20 rows benign: the 95% mix, flows cycling
-				// through the capture's real feature distributions.
-				if i%20 != 0 {
-					live.HandleReport(benign[bi%len(benign)])
-					bi++
-				} else {
-					live.HandleReport(attack[ai%len(attack)])
-					ai++
-				}
-			}
-			// The scoring stack is the measurand: keep the clock running
-			// until every journaled update has been decided or shed.
-			deadline := time.Now().Add(30 * time.Second)
-			for time.Now().Before(deadline) {
-				if live.IngestBacklog() == 0 && live.DB.JournalLen() == 0 &&
-					int(live.Predictions.Load())+int(live.Shed.Load()) > 0 {
-					break
-				}
-				time.Sleep(200 * time.Microsecond)
-			}
-			b.StopTimer()
-			nsPerRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-
-			decisions := live.Decisions()
-			exited := 0
-			for _, d := range decisions {
-				if d.Stage > 0 {
-					exited++
-				}
-			}
-			res := tierBenchResult{
-				Config: cfg.name, Triage: cfg.model != "",
-				Model: cfg.model, Threshold: cfg.threshold,
-				BenignFrac:  benignFrac,
-				NsPerRow:    nsPerRow,
-				RowsPerSec:  1e9 / nsPerRow,
-				Decisions:   int64(len(decisions)),
-				Predictions: int64(live.Predictions.Load()),
-			}
-			if len(decisions) > 0 {
-				res.ExitRate = float64(exited) / float64(len(decisions))
-			}
-			if cfg.name == "baseline" {
-				baselineRate = res.RowsPerSec
-			} else if baselineRate > 0 {
-				res.SpeedupVsBaseline = res.RowsPerSec / baselineRate
-			}
-			b.ReportMetric(res.RowsPerSec, "rows/sec")
-			b.ReportMetric(100*res.ExitRate, "exit%")
-			if res.SpeedupVsBaseline > 0 {
-				b.ReportMetric(res.SpeedupVsBaseline, "speedup")
-			}
-			recordTierBench(b, res)
-		})
-	}
-}
-
-// tierBenchConfigs is the shared sweep grid: the untiered baseline
+// tierBenchConfigs is the sweep grid: the untiered baseline
 // plus representative stage-0 model × threshold points.
 var tierBenchConfigs = []struct {
 	name      string
@@ -202,13 +50,11 @@ func tierBenchModels(b *testing.B) ([]Classifier, map[string]Classifier, *Standa
 
 // BenchmarkTieredScoring isolates the layer the cascade actually
 // shortens: standardized features of a 95%-benign stream pushed
-// through the voting stack, untiered versus triaged. The end-to-end
-// pipeline (BenchmarkTieredLive) wraps ~20µs of per-row transport
-// around this ~1.4µs ensemble call on a single-core host, so the
-// cascade's speedup is visible here and diluted there; both land in
-// BENCH_tier.json as "score-*" and plain rows.
+// through the voting stack, untiered versus triaged. The live pipeline
+// wraps tens of microseconds of per-row transport around this ~1.4µs
+// ensemble call, so a speedup here says nothing about the end-to-end
+// figure — compare the ledger's `tuned` and `tuned-triage` rows for that.
 func BenchmarkTieredScoring(b *testing.B) {
-	const benignFrac = 0.95
 	c := benchSetup(b)
 	models, byName, scaler := tierBenchModels(b)
 	_, test := c.INT.Split(0.1, 42)
@@ -236,7 +82,7 @@ func BenchmarkTieredScoring(b *testing.B) {
 	}
 	X := scaler.Transform(mix)
 
-	var baselineRate float64
+	var baselineNs float64
 	for _, cfg := range tierBenchConfigs {
 		b.Run(cfg.name, func(b *testing.B) {
 			var cas *ml.Cascade
@@ -273,70 +119,13 @@ func BenchmarkTieredScoring(b *testing.B) {
 			}
 			b.StopTimer()
 			nsPerRow := float64(b.Elapsed().Nanoseconds()) / float64(b.N) / float64(len(X))
-			res := tierBenchResult{
-				Config: "score-" + cfg.name, Triage: cfg.model != "",
-				Model: cfg.model, Threshold: cfg.threshold,
-				BenignFrac: benignFrac,
-				NsPerRow:   nsPerRow,
-				RowsPerSec: 1e9 / nsPerRow,
-				ExitRate:   float64(exited) / float64(len(X)),
-			}
-			if cfg.name == "baseline" {
-				baselineRate = res.RowsPerSec
-			} else if baselineRate > 0 {
-				res.SpeedupVsBaseline = res.RowsPerSec / baselineRate
-			}
 			b.ReportMetric(nsPerRow, "ns/row")
-			b.ReportMetric(100*res.ExitRate, "exit%")
-			if res.SpeedupVsBaseline > 0 {
-				b.ReportMetric(res.SpeedupVsBaseline, "speedup")
+			b.ReportMetric(100*float64(exited)/float64(len(X)), "exit%")
+			if cfg.name == "baseline" {
+				baselineNs = nsPerRow
+			} else if baselineNs > 0 {
+				b.ReportMetric(baselineNs/nsPerRow, "speedup")
 			}
-			recordTierBench(b, res)
 		})
-	}
-}
-
-// recordTierBench keeps the latest result per configuration (the
-// harness runs a sizing pass first) and rewrites the JSON dump.
-func recordTierBench(b *testing.B, res tierBenchResult) {
-	tierBenchMu.Lock()
-	defer tierBenchMu.Unlock()
-	replaced := false
-	for i := range tierBenchResults {
-		if tierBenchResults[i].Config == res.Config {
-			tierBenchResults[i] = res
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
-		tierBenchResults = append(tierBenchResults, res)
-	}
-	writeTierBench(b, tierBenchResults)
-}
-
-// writeTierBench rewrites the accumulated sweep as JSON when the
-// BENCH_TIER_OUT environment variable names a file (caller holds
-// tierBenchMu).
-func writeTierBench(b *testing.B, results []tierBenchResult) {
-	path := os.Getenv("BENCH_TIER_OUT")
-	if path == "" {
-		return
-	}
-	out := struct {
-		Bench   string            `json:"bench"`
-		When    string            `json:"when"`
-		Results []tierBenchResult `json:"results"`
-	}{
-		Bench:   "BenchmarkTiered",
-		When:    time.Now().UTC().Format(time.RFC3339),
-		Results: results,
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
 	}
 }
