@@ -1,25 +1,25 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet, build, the full test suite, the race pass, a short fuzz
-# smoke over every wire-format parser, the chaos smoke (the
-# fault-injection suite under the race detector), the recovery smoke
-# (kill -9 a checkpointing live pipeline, restart, verify restore and
-# closed accounting), the diagnostics smoke (pull and validate
-# diagnostic bundles from a running pipeline), the soak smoke (the
-# live pipeline under an impaired wire plus a scrambled multi-pass
-# feed, with both accounting ledgers required to close), the
-# checkpoint sweep smoke, and the benchmark smoke (the performance
+# pass: vet, build, the full test suite, the allocation pins, the race
+# pass, a short fuzz smoke over every wire-format parser, the chaos
+# smoke (the fault-injection suite under the race detector), the
+# recovery smoke (kill -9 a checkpointing live pipeline, restart,
+# verify restore and closed accounting), the diagnostics smoke (pull
+# and validate diagnostic bundles from a running pipeline), the soak
+# smoke (the live pipeline under an impaired wire plus a scrambled
+# multi-pass feed, with both accounting ledgers required to close),
+# the checkpoint sweep smoke, and the benchmark smoke (the performance
 # ledger's correctness checks on every workload).
 #
 # CI runs each target once: its `check` job runs `make vet build test
-# race fuzz-smoke`, and every smoke (plus impair-smoke, which `make
-# check` leaves out) is a job of its own, so the two together cover
-# exactly what `make check` does locally.
+# allocs race fuzz-smoke`, and every smoke (plus impair-smoke, which
+# `make check` leaves out) is a job of its own, so the two together
+# cover exactly what `make check` does locally.
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-smoke bench-checkpoint bench-checkpoint-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
+.PHONY: check vet build test allocs race bench bench-smoke bench-checkpoint bench-checkpoint-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
 
-check: vet build test race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
+check: vet build test allocs race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -29,6 +29,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# allocs runs the allocation pins alone, uncached: what a row allocates
+# on the ingest → decision path (core), per log append (store), per
+# feature vector (flow), per decoded report (telemetry) and per hop of
+# a record no journey follows (obs). An allocation creeping back fails
+# here in seconds, not in a 20-minute benchmark campaign.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/core/ ./internal/store/ \
+		./internal/flow/ ./internal/telemetry/ ./internal/obs/
 
 # The race detector's ~15x slowdown pushes the heavyweight experiment
 # replays past the package timeout, so the race pass covers the

@@ -971,7 +971,7 @@ func Encode(s *Snapshot) []byte { return encode(s, Version) }
 // rollback tooling and for the cross-version tests that pin "an old
 // snapshot still restores" — new snapshots should use Encode. Callers
 // wanting the version-1 view of a version-2 snapshot must fold the
-// shard logs into s.Predictions themselves (see store.MergePredictions).
+// shard logs into s.Predictions themselves (sort them by Seq).
 // Delta snapshots cannot be represented before version 3; encode only
 // full snapshots here.
 func EncodeV1(s *Snapshot) []byte { return encode(s, 1) }

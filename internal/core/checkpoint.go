@@ -123,7 +123,9 @@ func (l *Live) restoreLatest(dir string) error {
 	if len(base.Predictions) > 0 {
 		// Version-1 snapshot: the prediction log is one global section;
 		// ImportPredictions routes it onto the per-shard logs.
-		l.rawDB.ImportPredictions(base.Predictions)
+		if err := l.rawDB.ImportPredictions(base.Predictions); err != nil {
+			return fmt.Errorf("core: restore %s: %w", basePath, err)
+		}
 	}
 	for i, d := range chain[1:] {
 		path := paths[i+1]
@@ -163,6 +165,7 @@ func (l *Live) restoreLatest(dir string) error {
 	sum.StoreFlows = l.rawDB.FlowCount()
 	sum.JournalPending = l.rawDB.JournalLen()
 	sum.Predictions = l.rawDB.PredictionCount()
+	l.restoreMark = l.rawDB.LastPredictionSeq()
 	sum.Windows = l.windowCount()
 	l.ckptSeq.Store(newest.Seq)
 	l.restored = sum
@@ -257,11 +260,14 @@ type captureScratch struct {
 
 // durableStore is what checkpointing needs of the concrete store: the
 // full and incremental export/import surfaces plus the scratch-reusing
-// export. store.DB and store.ShardedDB both provide all of it.
+// export, and — the log being where decisions live — the cursor
+// Decisions reads. store.DB and store.ShardedDB both provide all of it.
 type durableStore interface {
 	store.Store
 	store.DeltaCheckpointable
 	ExportShardInto(shard int, pre store.ShardExport) store.ShardExport
+	PredictionCursor(after uint64) *store.MergeCursor
+	LastPredictionSeq() uint64
 }
 
 func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapshot, error) {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/store"
 )
 
 // countVoter votes attack while a flow's update count is below
@@ -195,11 +195,10 @@ func TestKillRestoreV1Compat(t *testing.T) {
 		t.Fatalf("capture: %v", err)
 	}
 	b.Stop()
-	logs := make([][]store.PredictionRecord, len(snap.ShardStates))
 	for s := range snap.ShardStates {
-		logs[s] = snap.ShardStates[s].Store.Preds
+		snap.Predictions = append(snap.Predictions, snap.ShardStates[s].Store.Preds...)
 	}
-	snap.Predictions = store.MergePredictions(logs)
+	sort.Slice(snap.Predictions, func(i, j int) bool { return snap.Predictions[i].Seq < snap.Predictions[j].Seq })
 	dir := t.TempDir()
 	data := checkpoint.EncodeV1(snap)
 	if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName(snap.Seq)), data, 0o644); err != nil {

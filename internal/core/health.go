@@ -8,6 +8,7 @@ import (
 
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/obs"
+	"github.com/amlight/intddos/internal/store"
 )
 
 // HealthState is the pipeline's aggregate condition, ordered by
@@ -123,7 +124,7 @@ const healthLogCap = 32
 // VoteAbsent marks a model that produced no vote for a record — it
 // was unhealthy or its scoring call failed — in Decision.Votes. The
 // quorum never counts absent votes.
-const VoteAbsent = -1
+const VoteAbsent = store.VoteAbsent
 
 // setHealthState moves the state machine, logging and counting the
 // transition when the state actually changes.
@@ -278,7 +279,7 @@ func (l *Live) HealthTransitions() []string {
 // ml.EnsembleVotes — the fault-free path changes nothing. The outer
 // votes header and the ones buffer are recycled from the worker's
 // scratch across batches; only the flat per-row vote storage is
-// allocated per call, because the rows are retained in Decisions.
+// allocated per call, because a Decision's holder keeps its row.
 func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int) {
 	models := l.cfg.Models
 	votes, ones = s.vs.Rows(len(X), len(models))

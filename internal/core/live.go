@@ -95,7 +95,8 @@ type Live struct {
 	ckptSeq     atomic.Uint64
 	fingerprint uint64
 	restored    *RestoreSummary
-	completed   atomic.Int64 // records fully finished (decision + prediction logged)
+	restoreMark uint64       // newest restored decision stamp: this process's decisions come after it
+	completed   atomic.Int64 // records fully finished (decision logged, OnDecision returned)
 
 	// Incremental checkpointing. deltaTrack reports that dirty tracking
 	// is live across the table, store, and window layers (set once in
@@ -179,10 +180,9 @@ type Live struct {
 	modelHealth []*modelHealth
 	workersDown atomic.Int32
 
-	decMu     sync.Mutex
-	decisions []Decision
-	// OnDecision observes every final decision (called off the
-	// prediction goroutine; keep it fast).
+	// OnDecision observes every final decision, on the prediction
+	// worker's goroutine: keep it fast. Set it before Start. The
+	// Decision is the callee's to keep, Votes included.
 	OnDecision func(Decision)
 
 	// dedup suppresses duplicate/stale reports per source at
@@ -480,8 +480,9 @@ func (l *Live) Stop() {
 		// A producer racing Stop can land a report in a queue after its
 		// ingester's final drain; fold those in before hand-off stops
 		// so they are journaled, not stranded.
+		var row []float64
 		for _, ch := range l.ingestChs {
-			l.drainIngest(ch)
+			l.drainIngest(ch, &row)
 		}
 		l.everyWg.Wait()
 		// Only hand-offs write to the worker channels. One already under
@@ -536,28 +537,25 @@ func (l *Live) Events() *obs.EventLog { return l.events }
 // disabled).
 func (l *Live) Journeys() *obs.Journeys { return l.journeys }
 
-// Journey helpers: the nil/idle checks keep the unsampled hot path at
-// one atomic load before any key is rendered.
+// Journey helpers: a row no journey follows costs one atomic load; its
+// key is hashed only when its Seq matches one in flight.
 
 func (l *Live) jHop(key flow.Key, seq int, hop string) {
-	if l.journeys.Active() == 0 {
-		return
+	if l.journeys.Following(seq) {
+		l.journeys.Hop(obs.JourneyID{Flow: key.Hash(), Seq: seq}, hop)
 	}
-	l.journeys.Hop(key.String(), seq, hop)
 }
 
 func (l *Live) jComplete(key flow.Key, seq int) {
-	if l.journeys.Active() == 0 {
-		return
+	if l.journeys.Following(seq) {
+		l.journeys.Complete(obs.JourneyID{Flow: key.Hash(), Seq: seq}, "vote")
 	}
-	l.journeys.Complete(key.String(), seq, "vote")
 }
 
 func (l *Live) jAbort(key flow.Key, seq int, reason string) {
-	if l.journeys.Active() == 0 {
-		return
+	if l.journeys.Following(seq) {
+		l.journeys.Abort(obs.JourneyID{Flow: key.Hash(), Seq: seq}, reason)
 	}
-	l.journeys.Abort(key.String(), seq, reason)
 }
 
 // sleepQuit sleeps for d — a retry backoff — or until Stop begins,
@@ -589,21 +587,20 @@ func (l *Live) every(period time.Duration, fn func()) {
 	}
 }
 
-// Decisions returns a copy of the decision log.
+// Decisions materialises this process's decisions (not history restored
+// from a checkpoint), in logged order, from the store's prediction log.
 func (l *Live) Decisions() []Decision {
-	l.decMu.Lock()
-	defer l.decMu.Unlock()
-	out := make([]Decision, len(l.decisions))
-	copy(out, l.decisions)
+	c := l.rawDB.PredictionCursor(l.restoreMark)
+	out := make([]Decision, 0, c.Remaining())
+	for p, ok := c.Next(); ok; p, ok = c.Next() {
+		out = append(out, decisionOf(p))
+	}
 	return out
 }
 
-// DecisionCount returns the decision log's length without copying.
-func (l *Live) DecisionCount() int {
-	l.decMu.Lock()
-	defer l.decMu.Unlock()
-	return len(l.decisions)
-}
+// DecisionCount returns how many decisions this process has made — one
+// atomic read; Decisions holds at least that many.
+func (l *Live) DecisionCount() int { return int(l.completed.Load()) }
 
 // AbandonedByReason returns the per-reason abandonment counts
 // (reasons: stop, panic, worker_down, no_model, malformed).

@@ -5,6 +5,7 @@ import (
 
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/netsim"
+	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
@@ -96,6 +97,7 @@ func (l *Live) IngestBacklog() int64 {
 func (l *Live) ingester(shard int) {
 	defer l.ingestWg.Done()
 	ch := l.ingestChs[shard]
+	var row []float64 // this goroutine's feature row, see journal
 	// A journal tail restored from a checkpoint, or written before
 	// Start, has no report behind it to push it: hand it off once.
 	ok := l.push(shard)
@@ -113,22 +115,22 @@ func (l *Live) ingester(shard int) {
 		}
 		select {
 		case pi := <-ch:
-			ok = l.ingestBurst(pi, ch)
+			ok = l.ingestBurst(pi, ch, &row)
 		case <-retry:
 			ok = l.push(shard)
 		case <-l.quit:
-			l.drainIngest(ch)
+			l.drainIngest(ch, &row)
 			return
 		}
 	}
 }
 
 // drainIngest folds in whatever is queued on ch without blocking.
-func (l *Live) drainIngest(ch chan flow.PacketInfo) {
+func (l *Live) drainIngest(ch chan flow.PacketInfo, row *[]float64) {
 	for {
 		select {
 		case pi := <-ch:
-			l.ingestBurst(pi, ch)
+			l.ingestBurst(pi, ch, row)
 		default:
 			return
 		}
@@ -143,7 +145,8 @@ func (l *Live) drainIngest(ch chan flow.PacketInfo) {
 // observation on the calling goroutine.
 func (l *Live) Ingest(pi flow.PacketInfo) {
 	l.ingestAccepted.Add(1)
-	ok := l.ingestBurst(pi, nil)
+	var row []float64
+	ok := l.ingestBurst(pi, nil, &row)
 	// No ingester stands behind a direct caller to retry a failed
 	// hand-off, so the caller backs off and retries it here.
 	for backoff := l.cfg.StoreRetryBackoff; !ok && l.sleepQuit(backoff); backoff = min(2*backoff, maxRetryBackoff) {
@@ -157,7 +160,7 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 // tail to its worker: one barrier acquisition, one journal drain and
 // at most one worker wake-up per burst, however many reports it holds.
 // It reports whether the hand-off went through.
-func (l *Live) ingestBurst(pi flow.PacketInfo, more chan flow.PacketInfo) bool {
+func (l *Live) ingestBurst(pi flow.PacketInfo, more chan flow.PacketInfo, row *[]float64) bool {
 	// Checkpoint barrier: a capture in progress parks ingest until the
 	// consistent cut is taken. Only this shard's lock is taken, so
 	// shards never serialize here. A miss on the read lock is ingest
@@ -170,10 +173,10 @@ func (l *Live) ingestBurst(pi flow.PacketInfo, more chan flow.PacketInfo) bool {
 		bar.RLock()
 	}
 	defer bar.RUnlock()
-	l.journal(pi)
+	l.journal(pi, row)
 	n := int64(1)
 	for behind := len(more); behind > 0; behind-- {
-		l.journal(<-more)
+		l.journal(<-more, row)
 		n++
 	}
 	l.ingestDone.Add(n)
@@ -191,8 +194,9 @@ func (l *Live) push(shard int) bool {
 
 // journal folds one observation into its flow-table stripe and writes
 // the snapshot to the database shard. Callers hold the shard's
-// checkpoint barrier for read.
-func (l *Live) journal(pi flow.PacketInfo) {
+// checkpoint barrier for read and own row, the scratch the feature
+// vector is built in: it is dead once the store has copied it.
+func (l *Live) journal(pi flow.PacketInfo, row *[]float64) {
 	start := time.Now()
 	if pi.At == 0 {
 		pi.At = now()
@@ -202,20 +206,19 @@ func (l *Live) journal(pi flow.PacketInfo) {
 	// never races an update — the sketch is quiescent at the cut.
 	l.scorer.observe(pi.Key)
 	var (
-		feats   []float64
 		key     flow.Key
 		reg     netsim.Time
 		last    netsim.Time
 		updates int
 	)
 	l.tables.ObserveFunc(pi, func(st *flow.State) {
-		feats = st.Features(nil, l.cfg.Features)
+		*row = st.Features((*row)[:0], l.cfg.Features)
 		key, reg, last, updates = st.Key, st.RegisteredAt, st.LastAt, st.Updates
 	})
 	if l.journeys.ShouldSample() {
-		l.journeys.Begin(key.String(), updates, "ingest")
+		l.journeys.Begin(obs.JourneyID{Flow: key.Hash(), Seq: updates}, key.String(), "ingest")
 	}
-	l.upsertFlow(key, feats, reg, last, updates, pi.Label, pi.AttackType)
+	l.upsertFlow(key, *row, reg, last, updates, pi.Label, pi.AttackType)
 	l.jHop(key, updates, "journal")
 	l.Snapshots.Add(1)
 	l.met.snapshots.Inc()

@@ -234,21 +234,11 @@ func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage
 		delete(sh.removed, rec.Key)
 	}
 	sh.mu.Unlock()
-	d := Decision{
-		Key:        rec.Key,
-		Label:      label,
-		Seq:        rec.Updates - 1,
-		At:         t,
-		Latency:    t - rec.UpdatedAt,
-		Votes:      votes,
-		Stage:      stage,
-		Truth:      rec.Truth,
-		AttackType: rec.AttackType,
+	p := store.PredictionRecord{
+		Key: rec.Key, Label: label, At: t, Latency: t - rec.UpdatedAt, Votes: votes,
+		FlowSeq: rec.Updates - 1, Stage: stage, Truth: rec.Truth, AttackType: rec.AttackType,
 	}
-	l.decMu.Lock()
-	l.decisions = append(l.decisions, d)
-	cb := l.OnDecision
-	l.decMu.Unlock()
+	d := decisionOf(p)
 
 	typ := rec.AttackType
 	if typ == "" {
@@ -264,17 +254,14 @@ func (l *Live) finish(q queued, raw int, votes []int, predicted time.Time, stage
 	q.tr.StageAt("vote", predicted, voted)
 	l.tracer.Finish(q.tr)
 
-	l.DB.AppendPrediction(store.PredictionRecord{
-		Key: rec.Key, Label: label, At: t, Latency: d.Latency,
-		Votes: votes, Truth: rec.Truth, AttackType: rec.AttackType,
-	})
-	if cb != nil {
+	// The one record the decision leaves behind: Decisions and every
+	// checkpoint read it back from the store's log.
+	l.DB.AppendPrediction(p)
+	if cb := l.OnDecision; cb != nil {
 		cb(d)
 	}
-	// Completion mark for the checkpoint barrier: the record's window
-	// vote, decision, and prediction are all durable-state-visible, so
-	// a capture that observes this count sees everything the record
-	// produced.
+	// Completion mark for the checkpoint barrier: a capture that
+	// observes this count sees the record's window vote and its log entry.
 	l.jComplete(rec.Key, rec.Updates)
 	l.completed.Add(1)
 }

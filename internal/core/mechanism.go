@@ -127,6 +127,15 @@ type Decision struct {
 	AttackType string
 }
 
+// decisionOf is the Decision view of a logged prediction: the store's
+// log keeps the one record, Decisions are read from it.
+func decisionOf(p store.PredictionRecord) Decision {
+	return Decision{
+		Key: p.Key, Label: p.Label, Seq: p.FlowSeq, At: p.At, Latency: p.Latency,
+		Votes: p.Votes, Stage: p.Stage, Truth: p.Truth, AttackType: p.AttackType,
+	}
+}
+
 // Correct reports whether the decision matches ground truth.
 func (d Decision) Correct() bool { return (d.Label == 1) == d.Truth }
 
@@ -333,22 +342,13 @@ func (m *Mechanism) completeService() {
 	m.windows[rec.Key], label = slideVote(m.windows[rec.Key], v.raw, m.cfg.VoteWindow)
 
 	now := m.eng.Now()
-	d := Decision{
-		Key:        rec.Key,
-		Label:      label,
-		Seq:        rec.Updates - 1,
-		At:         now,
-		Latency:    now - rec.UpdatedAt,
-		Votes:      v.votes,
-		Stage:      v.stage,
-		Truth:      rec.Truth,
-		AttackType: rec.AttackType,
+	p := store.PredictionRecord{
+		Key: rec.Key, Label: label, At: now, Latency: now - rec.UpdatedAt, Votes: v.votes,
+		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
 	}
+	d := decisionOf(p)
 	m.Decisions = append(m.Decisions, d)
-	m.DB.AppendPrediction(store.PredictionRecord{
-		Key: rec.Key, Label: label, At: now, Latency: d.Latency,
-		Votes: v.votes, Truth: rec.Truth, AttackType: rec.AttackType,
-	})
+	m.DB.AppendPrediction(p)
 	if m.OnDecision != nil {
 		m.OnDecision(d)
 	}

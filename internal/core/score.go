@@ -8,6 +8,7 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/ml/sketch"
+	"github.com/amlight/intddos/internal/store"
 )
 
 // verdict is the Prediction module's answer for one snapshot.
@@ -19,7 +20,7 @@ type verdict struct {
 	// n >= 1 when cascade stage n early-exited the row.
 	stage int
 	// votes are the per-model outputs (one stage vote for an exited
-	// row). Freshly allocated per batch: Decisions retain them.
+	// row). Freshly allocated per batch: a Decision's holder keeps them.
 	votes []int
 	// decided is false when the row needed the ensemble and no member
 	// was available to vote.
@@ -85,6 +86,10 @@ func newScorer(models []ml.Classifier, scaler *ml.StandardScaler, quorum, shards
 	}
 	if scaler == nil {
 		return nil, errors.New("core: scaler required")
+	}
+	if len(models) > store.MaxVotes {
+		return nil, fmt.Errorf("core: %d models configured, a logged decision holds %d votes",
+			len(models), store.MaxVotes)
 	}
 	if quorum <= 0 {
 		quorum = (len(models) + 2) / 2
@@ -267,12 +272,13 @@ func (sc *scorer) score(rows [][]float64, keys []flow.Key, s *batchScratch) (out
 
 // slideVote is the Data Processor's §IV-C4 smoothing: append raw to
 // the flow's vote window, keep the last n, and take a strict majority
-// (ties resolve benign).
+// (ties resolve benign). A full window slides down in place: slicing
+// its head off would walk it off its backing array into a reallocation.
 func slideVote(window []int, raw, n int) ([]int, int) {
-	window = append(window, raw)
-	if len(window) > n {
-		window = window[len(window)-n:]
+	if drop := len(window) + 1 - n; drop > 0 {
+		window = window[:copy(window, window[drop:])]
 	}
+	window = append(window, raw)
 	sum := 0
 	for _, v := range window {
 		sum += v

@@ -151,4 +151,12 @@ func TestSlideVote(t *testing.T) {
 			t.Errorf("step %d: window=%v label=%d, want %v/%d", i, w, label, step.window, step.label)
 		}
 	}
+	// Steady state: a full window slides in place, vote after vote.
+	if got := testing.AllocsPerRun(1000, func() { w, _ = slideVote(w, 1, 3) }); got != 0 {
+		t.Errorf("slideVote on a full window allocates %.0f objects a vote, want 0", got)
+	}
+	// A window restored longer than n (the knob shrank) is cut to the last n.
+	if w, label := slideVote([]int{1, 1, 1, 0, 0}, 0, 3); label != 0 || !reflect.DeepEqual(w, []int{0, 0, 0}) {
+		t.Errorf("over-long window slid to %v/%d, want [0 0 0]/0", w, label)
+	}
 }

@@ -202,7 +202,11 @@ func (st *State) Feature(f FeatureID) float64 {
 }
 
 // Features appends the feature vector for set to dst and returns it.
+// A nil dst is sized for the vector up front: one allocation.
 func (st *State) Features(dst []float64, set FeatureSet) []float64 {
+	if dst == nil {
+		dst = make([]float64, 0, len(set))
+	}
 	for _, f := range set {
 		dst = append(dst, st.Feature(f))
 	}

@@ -190,6 +190,24 @@ func TestFeatureVectorOrder(t *testing.T) {
 	}
 }
 
+// TestFeaturesAllocs: a nil dst costs one allocation sized for the
+// vector, a dst with room costs none.
+func TestFeaturesAllocs(t *testing.T) {
+	tbl := NewTable()
+	st, _ := tbl.Observe(intObs(tcpKey(1007), 0, 0, 333, 7))
+	set := INTFeatures()
+	var vec []float64
+	if got := testing.AllocsPerRun(100, func() { vec = st.Features(nil, set) }); got != 1 {
+		t.Errorf("Features(nil) allocates %.0f objects, want 1", got)
+	}
+	if got := testing.AllocsPerRun(100, func() { vec = st.Features(vec[:0], set) }); got != 0 {
+		t.Errorf("Features into a sized dst allocates %.0f objects, want 0", got)
+	}
+	if len(vec) != len(set) || cap(vec) != len(set) {
+		t.Errorf("vector len %d cap %d, want %d/%d", len(vec), cap(vec), len(set), len(set))
+	}
+}
+
 func TestSFlowFeatureSetExcludesTelemetry(t *testing.T) {
 	set := SFlowFeatures()
 	if len(set) != 12 {

@@ -6,6 +6,7 @@ import (
 	"compress/gzip"
 	"encoding/json"
 	"errors"
+	"hash/fnv"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -90,25 +91,33 @@ func TestEventLogJSONL(t *testing.T) {
 	}
 }
 
+// jid identifies a test record the way core does a real one: a hash of
+// the flow, and the sequence.
+func jid(flow string, seq int) JourneyID {
+	h := fnv.New64a()
+	h.Write([]byte(flow))
+	return JourneyID{Flow: h.Sum64(), Seq: seq}
+}
+
 func TestJourneysLifecycle(t *testing.T) {
 	js := NewJourneys(1, 8)
 	if !js.ShouldSample() {
 		t.Fatal("sampleEvery=1 must sample everything")
 	}
-	js.Begin("flowA", 1, "ingest")
+	js.Begin(jid("flowA", 1), "flowA", "ingest")
 	if js.Active() != 1 {
 		t.Fatalf("active = %d, want 1", js.Active())
 	}
-	js.Hop("flowA", 1, "journal")
-	js.Hop("flowA", 1, "poll")
-	js.Hop("flowB", 9, "poll") // unfollowed: no-op
-	js.Complete("flowA", 1, "vote")
+	js.Hop(jid("flowA", 1), "journal")
+	js.Hop(jid("flowA", 1), "poll")
+	js.Hop(jid("flowB", 9), "poll") // unfollowed: no-op
+	js.Complete(jid("flowA", 1), "vote")
 	if js.Active() != 0 {
 		t.Fatalf("active after complete = %d, want 0", js.Active())
 	}
 
-	js.Begin("flowB", 2, "ingest")
-	js.Abort("flowB", 2, "shed")
+	js.Begin(jid("flowB", 2), "flowB", "ingest")
+	js.Abort(jid("flowB", 2), "shed")
 
 	recent := js.Recent()
 	if len(recent) != 2 {
@@ -141,6 +150,35 @@ func TestJourneysLifecycle(t *testing.T) {
 	}
 }
 
+// TestJourneysUnfollowedAllocs: while a journey is in flight, a record
+// no journey follows costs its call sites one atomic load — Following
+// is false for every Seq but those sharing the followed one's low six
+// bits — and never an allocation, whichever way the mask falls.
+func TestJourneysUnfollowedAllocs(t *testing.T) {
+	js := NewJourneys(1, 8)
+	js.Begin(jid("followed", 70), "followed", "ingest")
+	for seq := 0; seq < 256; seq++ {
+		if got, want := js.Following(seq), seq&63 == 70&63; got != want {
+			t.Fatalf("Following(%d) = %t with Seq 70 in flight", seq, got)
+		}
+	}
+	neighbour := jid("neighbour", 70+64) // passes the mask, misses the map
+	if got := testing.AllocsPerRun(1000, func() {
+		js.Hop(neighbour, "poll")
+		js.Abort(neighbour, "shed")
+		js.Complete(neighbour, "vote")
+	}); got != 0 {
+		t.Errorf("hops of an unfollowed record allocate %.0f objects, want 0", got)
+	}
+	js.Complete(jid("followed", 70), "vote")
+	if js.Following(70) || js.Active() != 0 {
+		t.Error("mask still set after the last journey finished")
+	}
+	if c, a, _ := js.Stats(); c != 1 || a != 0 {
+		t.Errorf("stats = %d completed, %d aborted: the neighbour's calls reached the followed journey", c, a)
+	}
+}
+
 func TestJourneysSamplingRate(t *testing.T) {
 	js := NewJourneys(4, 8)
 	sampled := 0
@@ -157,7 +195,7 @@ func TestJourneysSamplingRate(t *testing.T) {
 func TestJourneysEvictsWhenFull(t *testing.T) {
 	js := NewJourneys(1, 1) // maxActive = 4
 	for i := 0; i < 6; i++ {
-		js.Begin("flow", i, "ingest")
+		js.Begin(jid("flow", i), "flow", "ingest")
 	}
 	if js.Active() != 4 {
 		t.Errorf("active = %d, want capped at 4", js.Active())
@@ -173,10 +211,10 @@ func TestJourneysNilSafe(t *testing.T) {
 	if js.ShouldSample() || js.Active() != 0 || js.SampleEvery() != 0 {
 		t.Error("nil sampler should be inert")
 	}
-	js.Begin("f", 1, "ingest")
-	js.Hop("f", 1, "poll")
-	js.Complete("f", 1, "vote")
-	js.Abort("f", 1, "shed")
+	js.Begin(jid("f", 1), "f", "ingest")
+	js.Hop(jid("f", 1), "poll")
+	js.Complete(jid("f", 1), "vote")
+	js.Abort(jid("f", 1), "shed")
 	js.WriteText(io.Discard)
 	if js.Recent() != nil {
 		t.Error("nil Recent should be nil")
@@ -193,12 +231,12 @@ func TestJourneysConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				seq := g*1000 + i
-				js.Begin("f", seq, "ingest")
-				js.Hop("f", seq, "poll")
+				js.Begin(jid("f", seq), "f", "ingest")
+				js.Hop(jid("f", seq), "poll")
 				if i%2 == 0 {
-					js.Complete("f", seq, "vote")
+					js.Complete(jid("f", seq), "vote")
 				} else {
-					js.Abort("f", seq, "shed")
+					js.Abort(jid("f", seq), "shed")
 				}
 			}
 		}()
@@ -265,8 +303,8 @@ func TestWriteBundleRoundTrip(t *testing.T) {
 	reg.Counter("intddos_reports_total").Add(7)
 	reg.Events().Logger().Info("pipeline started", "shards", 2)
 	js := NewJourneys(1, 4)
-	js.Begin("f", 1, "ingest")
-	js.Complete("f", 1, "vote")
+	js.Begin(jid("f", 1), "f", "ingest")
+	js.Complete(jid("f", 1), "vote")
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "attrib report top=" + string(rune('0'+topN%10)) })
 	reg.AddBundleFile("profiles/mutex.pb.gz", func() ([]byte, error) { return []byte{1, 2, 3}, nil })
@@ -313,8 +351,8 @@ func TestDiagnosticEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Events().Logger().Info("worker restarted", "worker", "1")
 	js := NewJourneys(1, 4)
-	js.Begin("f", 1, "ingest")
-	js.Complete("f", 1, "vote")
+	js.Begin(jid("f", 1), "f", "ingest")
+	js.Complete(jid("f", 1), "vote")
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "== blocked time by pipeline stage ==" })
 

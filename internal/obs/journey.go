@@ -77,11 +77,21 @@ const (
 	DefaultJourneyKeep        = 64
 )
 
+// JourneyID identifies one record to the sampler without rendering
+// anything: Flow is a hash of the flow key (flow.Key.Hash), Seq the
+// record's per-flow sequence.
+type JourneyID struct {
+	Flow uint64
+	Seq  int
+}
+
 // Journeys samples 1-in-N flow updates at ingest and follows each
 // sampled record hop by hop until it is decided or leaves the pipeline.
 // The unsampled hot path pays one atomic increment (ShouldSample) and
-// later call sites one atomic load (Active() == 0 short-circuits the
-// per-hop map lookups when nothing is being followed). All methods are
+// each later call site one atomic load: Following(seq) tests a 64-bit
+// mask of the sequence numbers in flight, so while a journey is being
+// followed only rows sharing its Seq mod 64 — not every row of every
+// flow — go on to hash their key and take the lock. All methods are
 // nil-safe.
 type Journeys struct {
 	every     uint64
@@ -90,9 +100,11 @@ type Journeys struct {
 	n       atomic.Uint64
 	ids     atomic.Uint64
 	activeN atomic.Int64
+	seqMask atomic.Uint64 // bit Seq&63 is set while seqRefs[Seq&63] > 0
 
 	mu        sync.Mutex
-	active    map[string]*Journey
+	active    map[JourneyID]*Journey
+	seqRefs   [64]int
 	ring      []Journey
 	next      int
 	completed uint64
@@ -114,7 +126,7 @@ func NewJourneys(sampleEvery, keep int) *Journeys {
 	return &Journeys{
 		every:     uint64(sampleEvery),
 		maxActive: 4 * keep,
-		active:    make(map[string]*Journey),
+		active:    make(map[JourneyID]*Journey),
 		ring:      make([]Journey, 0, keep),
 	}
 }
@@ -135,8 +147,7 @@ func (js *Journeys) ShouldSample() bool {
 	return js.n.Add(1)%js.every == 1 || js.every == 1
 }
 
-// Active returns the number of journeys currently in flight. Call
-// sites use Active() == 0 to skip building hop keys entirely.
+// Active returns the number of journeys currently in flight.
 func (js *Journeys) Active() int64 {
 	if js == nil {
 		return 0
@@ -144,27 +155,46 @@ func (js *Journeys) Active() int64 {
 	return js.activeN.Load()
 }
 
-func journeyKey(flow string, seq int) string {
-	return flow + "#" + fmt.Sprint(seq)
+// Following reports whether a record with this Seq may be one of the
+// journeys in flight. Call sites test it before they build a JourneyID.
+func (js *Journeys) Following(seq int) bool {
+	return js != nil && js.seqMask.Load()&(1<<(uint(seq)&63)) != 0
 }
 
-// Begin starts following the record identified by (flow, seq) and
-// records its first hop. If the active set is full, the oldest entry
-// is evicted into the finished ring as aborted ("evicted").
-func (js *Journeys) Begin(flow string, seq int, hop string) {
+// refSeqLocked counts one journey in (+1) or out (-1) of the Following
+// mask. Caller holds js.mu.
+func (js *Journeys) refSeqLocked(seq, delta int) {
+	bit := uint(seq) & 63
+	js.seqRefs[bit] += delta
+	if js.seqRefs[bit] > 0 {
+		js.seqMask.Store(js.seqMask.Load() | 1<<bit)
+	} else {
+		js.seqMask.Store(js.seqMask.Load() &^ (1 << bit))
+	}
+}
+
+// Begin starts following the record id, rendered as flow in the
+// output, and records its first hop. If the active set is full, the
+// oldest entry is evicted into the finished ring as aborted
+// ("evicted").
+func (js *Journeys) Begin(id JourneyID, flow string, hop string) {
 	if js == nil {
 		return
 	}
 	now := time.Now()
 	js.mu.Lock()
 	defer js.mu.Unlock()
+	if _, dup := js.active[id]; dup {
+		js.finishLocked(id, "", "evicted")
+		js.evicted++
+	}
 	if len(js.active) >= js.maxActive {
 		// Evict the entry with the lowest ID: the longest-followed
 		// record, which is the most likely to have leaked.
-		var oldest string
+		var oldest JourneyID
 		var oldestID uint64
 		for k, j := range js.active {
-			if oldest == "" || j.ID < oldestID {
+			if oldestID == 0 || j.ID < oldestID {
 				oldest, oldestID = k, j.ID
 			}
 		}
@@ -174,61 +204,63 @@ func (js *Journeys) Begin(flow string, seq int, hop string) {
 	j := &Journey{
 		ID:   js.ids.Add(1),
 		Flow: flow,
-		Seq:  seq,
+		Seq:  id.Seq,
 		Hops: []JourneyHop{{Name: hop, At: now}},
 	}
-	js.active[journeyKey(flow, seq)] = j
+	js.active[id] = j
+	js.refSeqLocked(id.Seq, +1)
 	js.activeN.Store(int64(len(js.active)))
 }
 
 // Hop stamps the named hop on an in-flight journey (a no-op for
 // unfollowed records).
-func (js *Journeys) Hop(flow string, seq int, hop string) {
-	if js == nil || js.activeN.Load() == 0 {
+func (js *Journeys) Hop(id JourneyID, hop string) {
+	if !js.Following(id.Seq) {
 		return
 	}
 	now := time.Now()
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if j, ok := js.active[journeyKey(flow, seq)]; ok {
+	if j, ok := js.active[id]; ok {
 		j.Hops = append(j.Hops, JourneyHop{Name: hop, At: now})
 	}
 }
 
 // Complete stamps the final hop and moves the journey into the
 // finished ring.
-func (js *Journeys) Complete(flow string, seq int, hop string) {
-	if js == nil || js.activeN.Load() == 0 {
+func (js *Journeys) Complete(id JourneyID, hop string) {
+	if !js.Following(id.Seq) {
 		return
 	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if js.finishLocked(journeyKey(flow, seq), hop, "") {
+	if js.finishLocked(id, hop, "") {
 		js.completed++
 	}
 }
 
 // Abort records that the followed record left the pipeline early
 // (shed, panic, worker down, ...) and moves it into the finished ring.
-func (js *Journeys) Abort(flow string, seq int, reason string) {
-	if js == nil || js.activeN.Load() == 0 {
+func (js *Journeys) Abort(id JourneyID, reason string) {
+	if !js.Following(id.Seq) {
 		return
 	}
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	if js.finishLocked(journeyKey(flow, seq), "", reason) {
+	if js.finishLocked(id, "", reason) {
 		js.aborted++
 	}
 }
 
 // finishLocked retires one active journey into the ring. Caller holds
 // js.mu.
-func (js *Journeys) finishLocked(key, hop, aborted string) bool {
-	j, ok := js.active[key]
+func (js *Journeys) finishLocked(id JourneyID, hop, aborted string) bool {
+	j, ok := js.active[id]
 	if !ok {
 		return false
 	}
-	delete(js.active, key)
+	delete(js.active, id)
+	js.refSeqLocked(id.Seq, -1)
 	js.activeN.Store(int64(len(js.active)))
 	if hop != "" {
 		j.Hops = append(j.Hops, JourneyHop{Name: hop, At: time.Now()})

@@ -74,14 +74,14 @@ type StageRule struct {
 
 // PipelineStages are the attribution rules for this repository's
 // pipeline: the known serialization suspects first (the shared
-// prediction log, per-shard store mutexes, the decision log in
-// finish), then coarser package-level buckets.
+// prediction log, per-shard store mutexes), then coarser
+// package-level buckets.
 func PipelineStages() []StageRule {
 	return []StageRule{
 		{"store.(*ShardedDB).AppendPrediction", "store.prediction_log"},
 		{"store.(*DB).AppendPrediction", "store.prediction_log"},
 		{"store.(*ShardedDB).Predictions", "store.prediction_merge"},
-		{"store.MergePredictions", "store.prediction_merge"},
+		{"store.(*MergeCursor)", "store.prediction_merge"},
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},
 		{"store.(*DB).TrimJournal", "store.journal_poll"},

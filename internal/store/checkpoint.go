@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -49,14 +48,17 @@ type Checkpointable interface {
 	// Out-of-range shards yield a zero export.
 	ExportShard(shard int) ShardExport
 	// ImportShard loads an export into one shard, replacing its
-	// state. It fails when the shard index is out of range — the
-	// checkpointed shard count must match the store's.
+	// state. It fails, before anything is replaced, when the shard
+	// index is out of range — the checkpointed shard count must match
+	// the store's — or a prediction does not fit the log.
 	ImportShard(shard int, ex ShardExport) error
 	// ImportPredictions replaces the whole prediction log with a
 	// restored global-order history — the version-1 snapshot layout,
 	// where the log was one shared section. Version-2 snapshots carry
-	// predictions per shard inside ShardExport instead.
-	ImportPredictions(preds []PredictionRecord)
+	// predictions per shard inside ShardExport instead. A record the
+	// log cannot hold exactly (see MaxVotes) fails the import and
+	// leaves the log as it was.
+	ImportPredictions(preds []PredictionRecord) error
 }
 
 // ShardDeltaExport is one shard's state difference against the
@@ -90,7 +92,9 @@ type DeltaCheckpointable interface {
 	ExportShardDelta(shard int) ShardDeltaExport
 	// ApplyShardDelta replays a delta export on top of the shard's
 	// current state: removals first, then upserts; the journal tail
-	// and sequence counter are replaced, predictions appended.
+	// and sequence counter are replaced, predictions appended. A
+	// prediction that does not fit the log fails it with nothing
+	// applied.
 	ApplyShardDelta(shard int, d ShardDeltaExport) error
 }
 
@@ -99,14 +103,6 @@ type DeltaCheckpointable interface {
 func cloneRecord(rec FlowRecord) FlowRecord {
 	snap := rec
 	snap.Features = append([]float64(nil), rec.Features...)
-	return snap
-}
-
-// clonePrediction deep-copies a prediction record (Votes is the only
-// reference field).
-func clonePrediction(p PredictionRecord) PredictionRecord {
-	snap := p
-	snap.Votes = append([]int(nil), p.Votes...)
 	return snap
 }
 
@@ -121,6 +117,37 @@ func raiseCounter(ctr *atomic.Uint64, v uint64) {
 			return
 		}
 	}
+}
+
+// restore appends one restored decision to the log under the stamp it
+// was saved with, raising ctr past it; with stamp set, a record saved
+// without one (version-1 snapshots) takes the next.
+func (l *predLog) restore(p *PredictionRecord, ctr *atomic.Uint64, stamp bool) error {
+	rec, err := packPrediction(p)
+	if err != nil {
+		return err
+	}
+	if stamp && rec.seq == 0 {
+		rec.seq = ctr.Add(1)
+	} else {
+		raiseCounter(ctr, rec.seq)
+	}
+	l.append(rec, p.AttackType)
+	return nil
+}
+
+// restoreAll appends a restored history, all of it or none: on a
+// record that does not fit, the log is cut back to where it stood (no
+// view reaches the slots past that, and later appends rewrite them).
+func (l *predLog) restoreAll(preds []PredictionRecord, ctr *atomic.Uint64, stamp bool) error {
+	held := l.n
+	for i := range preds {
+		if err := l.restore(&preds[i], ctr, stamp); err != nil {
+			l.n = held
+			return err
+		}
+	}
+	return nil
 }
 
 // SetDeltaTracking turns the DB's dirty/removed bookkeeping on or off
@@ -194,17 +221,16 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	ex.Seq = db.seq
 	db.jmu.Unlock()
 	db.pmu.Lock()
-	ex.Preds = pre.Preds[:0]
-	if cap(ex.Preds) < len(db.preds) {
-		ex.Preds = make([]PredictionRecord, 0, len(db.preds))
-	}
-	for _, p := range db.preds {
-		ex.Preds = append(ex.Preds, clonePrediction(p))
-	}
-	if db.track && len(db.preds) > 0 {
-		db.predMark = db.preds[len(db.preds)-1].Seq
+	preds := db.preds.view()
+	if db.track && preds.n > 0 {
+		db.predMark = db.preds.lastSeq()
 	}
 	db.pmu.Unlock()
+	ex.Preds = pre.Preds[:0]
+	if cap(ex.Preds) < preds.n {
+		ex.Preds = make([]PredictionRecord, 0, preds.n)
+	}
+	ex.Preds = newMergeCursor([]predView{preds}, 0).appendTo(ex.Preds)
 	return ex
 }
 
@@ -244,19 +270,16 @@ func (db *DB) ExportShardDelta(shard int) ShardDeltaExport {
 	d.Seq = db.seq
 	db.jmu.Unlock()
 	db.pmu.Lock()
-	// The log is Seq-sorted (stamps are taken under pmu), so the new
-	// tail is the run after the mark.
-	start := sort.Search(len(db.preds), func(i int) bool { return db.preds[i].Seq > db.predMark })
-	if start < len(db.preds) {
-		d.Preds = make([]PredictionRecord, 0, len(db.preds)-start)
-		for _, p := range db.preds[start:] {
-			d.Preds = append(d.Preds, clonePrediction(p))
-		}
-	}
-	if len(db.preds) > 0 {
-		db.predMark = db.preds[len(db.preds)-1].Seq
+	preds, mark := db.preds.view(), db.predMark
+	if preds.n > 0 {
+		db.predMark = db.preds.lastSeq()
 	}
 	db.pmu.Unlock()
+	// The log is Seq-sorted (stamps are taken under pmu), so the new
+	// tail is the run after the mark.
+	if tail := newMergeCursor([]predView{preds}, mark); tail.Remaining() > 0 {
+		d.Preds = tail.All()
+	}
 	return d
 }
 
@@ -267,6 +290,16 @@ func (db *DB) ExportShardDelta(shard int) ShardDeltaExport {
 func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: apply delta shard %d out of range (DB has exactly one)", shard)
+	}
+	// Predictions first: they are the one part that can fail.
+	db.pmu.Lock()
+	err := db.preds.restoreAll(d.Preds, db.predCtr, false)
+	if db.track && db.preds.n > 0 {
+		db.predMark = db.preds.lastSeq()
+	}
+	db.pmu.Unlock()
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
 	for _, k := range d.Removed {
@@ -296,15 +329,6 @@ func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 	}
 	db.seq = d.Seq
 	db.jmu.Unlock()
-	db.pmu.Lock()
-	for _, p := range d.Preds {
-		db.preds = append(db.preds, clonePrediction(p))
-		raiseCounter(db.predCtr, p.Seq)
-	}
-	if n := len(db.preds); db.track && n > 0 {
-		db.predMark = db.preds[n-1].Seq
-	}
-	db.pmu.Unlock()
 	return nil
 }
 
@@ -315,6 +339,10 @@ func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: import shard %d out of range (DB has exactly one)", shard)
+	}
+	var preds predLog
+	if err := preds.restoreAll(ex.Preds, db.predCtr, false); err != nil {
+		return err
 	}
 	db.mu.Lock()
 	db.flows = make(map[flow.Key]*FlowRecord, len(ex.Flows))
@@ -343,13 +371,9 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	db.seq = ex.Seq
 	db.jmu.Unlock()
 	db.pmu.Lock()
-	db.preds = make([]PredictionRecord, 0, len(ex.Preds))
-	for _, p := range ex.Preds {
-		db.preds = append(db.preds, clonePrediction(p))
-		raiseCounter(db.predCtr, p.Seq)
-	}
-	if n := len(db.preds); db.track && n > 0 {
-		db.predMark = db.preds[n-1].Seq
+	db.preds = preds
+	if db.track && preds.n > 0 {
+		db.predMark = preds.lastSeq()
 	}
 	db.pmu.Unlock()
 	return nil
@@ -358,18 +382,15 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 // ImportPredictions replaces the prediction log with a restored
 // global-order history (version-1 snapshot layout). Records without a
 // Seq stamp are stamped in input order.
-func (db *DB) ImportPredictions(preds []PredictionRecord) {
-	db.pmu.Lock()
-	defer db.pmu.Unlock()
-	db.preds = make([]PredictionRecord, 0, len(preds))
-	for _, p := range preds {
-		if p.Seq == 0 {
-			p.Seq = db.predCtr.Add(1)
-		} else {
-			raiseCounter(db.predCtr, p.Seq)
-		}
-		db.preds = append(db.preds, clonePrediction(p))
+func (db *DB) ImportPredictions(preds []PredictionRecord) error {
+	var log predLog
+	if err := log.restoreAll(preds, db.predCtr, true); err != nil {
+		return err
 	}
+	db.pmu.Lock()
+	db.preds = log
+	db.pmu.Unlock()
+	return nil
 }
 
 // ExportShard deep-copies one shard's durable state.
@@ -427,23 +448,20 @@ func (s *ShardedDB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
 // without a Seq stamp are stamped in input order — input order is the
 // global order, so each shard's log comes out Seq-sorted and the
 // merge-on-read reconstructs exactly the restored history.
-func (s *ShardedDB) ImportPredictions(preds []PredictionRecord) {
-	for _, sh := range s.shards {
-		sh.pmu.Lock()
-		sh.preds = nil
-		sh.pmu.Unlock()
-	}
-	for _, p := range preds {
-		sh := s.shardFor(p.Key)
-		sh.pmu.Lock()
-		if p.Seq == 0 {
-			p.Seq = s.predCtr.Add(1)
-		} else {
-			raiseCounter(s.predCtr, p.Seq)
+func (s *ShardedDB) ImportPredictions(preds []PredictionRecord) error {
+	logs := make([]predLog, len(s.shards))
+	for i := range preds {
+		p := &preds[i]
+		if err := logs[p.Key.Shard(len(logs))].restore(p, s.predCtr, true); err != nil {
+			return err
 		}
-		sh.preds = append(sh.preds, clonePrediction(p))
+	}
+	for i, sh := range s.shards {
+		sh.pmu.Lock()
+		sh.preds = logs[i]
 		sh.pmu.Unlock()
 	}
+	return nil
 }
 
 var (

@@ -26,7 +26,9 @@ func TestExportImportRoundTrip(t *testing.T) {
 			t.Fatalf("import shard %d: %v", i, err)
 		}
 	}
-	dst.ImportPredictions(src.Predictions())
+	if err := dst.ImportPredictions(src.Predictions()); err != nil {
+		t.Fatalf("import predictions: %v", err)
+	}
 
 	if dst.FlowCount() != src.FlowCount() {
 		t.Fatalf("flow count %d, want %d", dst.FlowCount(), src.FlowCount())

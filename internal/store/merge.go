@@ -2,42 +2,52 @@ package store
 
 // MergeCursor is the merge-on-read view over per-shard prediction
 // logs: a k-way merge by the global decision sequence stamped at
-// append time. Every input log must be Seq-sorted — AppendPrediction
-// guarantees it by taking the stamp inside the shard's log lock — and
-// the merged stream is then the one total order a single shared log
-// would have recorded: strictly increasing Seq, no duplicates, no
-// losses. The linearization property tests pin exactly this contract.
+// append time. Every log is Seq-sorted — AppendPrediction guarantees
+// it by taking the stamp inside the shard's log lock — and the merged
+// stream is then the one total order a single shared log would have
+// recorded: strictly increasing Seq, no duplicates, no losses. The
+// linearization property tests pin exactly this contract.
 //
-// A cursor reads snapshots, not the live store; take the snapshots
-// under a quiesced store (the checkpoint barrier) or accept that
-// appends racing the snapshot are simply not part of the view.
+// A cursor reads the logs as they stood when it was made (see
+// predLog.view), holding no lock: appends racing it are simply not
+// part of the view. Records are materialised one Next at a time, so a
+// reader that converts or filters them never holds the whole log
+// twice.
 type MergeCursor struct {
-	logs [][]PredictionRecord
-	pos  []int
+	logs  []predView
+	pos   []int
+	votes voteSlab
 }
 
-// NewMergeCursor returns a cursor over the given Seq-sorted logs. The
-// slices are read, never mutated.
-func NewMergeCursor(logs [][]PredictionRecord) *MergeCursor {
-	return &MergeCursor{logs: logs, pos: make([]int, len(logs))}
+// newMergeCursor returns a cursor over the records of logs with
+// Seq > after.
+func newMergeCursor(logs []predView, after uint64) *MergeCursor {
+	c := &MergeCursor{logs: logs, pos: make([]int, len(logs))}
+	if after > 0 {
+		for i, log := range logs {
+			c.pos[i] = log.after(after)
+		}
+	}
+	return c
 }
 
 // Next returns the record with the smallest Seq among the unconsumed
 // heads, or ok=false when every log is exhausted.
 func (c *MergeCursor) Next() (rec PredictionRecord, ok bool) {
 	best := -1
+	var bestSeq uint64
 	for i, log := range c.logs {
-		if c.pos[i] >= len(log) {
+		if c.pos[i] >= log.n {
 			continue
 		}
-		if best < 0 || log[c.pos[i]].Seq < c.logs[best][c.pos[best]].Seq {
-			best = i
+		if seq := log.at(c.pos[i]).seq; best < 0 || seq < bestSeq {
+			best, bestSeq = i, seq
 		}
 	}
 	if best < 0 {
 		return PredictionRecord{}, false
 	}
-	rec = c.logs[best][c.pos[best]]
+	rec = c.logs[best].record(c.pos[best], &c.votes)
 	c.pos[best]++
 	return rec, true
 }
@@ -46,21 +56,20 @@ func (c *MergeCursor) Next() (rec PredictionRecord, ok bool) {
 func (c *MergeCursor) Remaining() int {
 	n := 0
 	for i, log := range c.logs {
-		n += len(log) - c.pos[i]
+		n += log.n - c.pos[i]
 	}
 	return n
 }
 
-// MergePredictions drains a MergeCursor over logs into one slice in
-// global decision order.
-func MergePredictions(logs [][]PredictionRecord) []PredictionRecord {
-	c := NewMergeCursor(logs)
-	out := make([]PredictionRecord, 0, c.Remaining())
-	for {
-		rec, ok := c.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, rec)
+// All drains the cursor into one slice in global decision order.
+func (c *MergeCursor) All() []PredictionRecord {
+	return c.appendTo(make([]PredictionRecord, 0, c.Remaining()))
+}
+
+// appendTo drains the cursor onto dst.
+func (c *MergeCursor) appendTo(dst []PredictionRecord) []PredictionRecord {
+	for rec, ok := c.Next(); ok; rec, ok = c.Next() {
+		dst = append(dst, rec)
 	}
+	return dst
 }

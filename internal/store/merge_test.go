@@ -28,9 +28,9 @@ func TestMergeCursorReconstructsTotalOrder(t *testing.T) {
 		logs := make([][]PredictionRecord, k)
 		for seq := uint64(1); seq <= uint64(n); seq++ {
 			i := rng.Intn(k)
-			logs[i] = append(logs[i], PredictionRecord{Seq: seq, Label: int(seq)})
+			logs[i] = append(logs[i], PredictionRecord{Seq: seq, Label: int(seq % 2)})
 		}
-		c := NewMergeCursor(logs)
+		c := newMergeCursor(packedLogs(t, logs), 0)
 		if got := c.Remaining(); got != n {
 			t.Fatalf("seed %d: Remaining = %d, want %d", seed, got, n)
 		}

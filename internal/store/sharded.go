@@ -182,13 +182,20 @@ func (s *ShardedDB) AppendPrediction(p PredictionRecord) {
 
 // Predictions returns the prediction log in global decision order: a
 // merge-on-read of the Seq-sorted per-shard logs (see MergeCursor).
-func (s *ShardedDB) Predictions() []PredictionRecord {
-	logs := make([][]PredictionRecord, len(s.shards))
+func (s *ShardedDB) Predictions() []PredictionRecord { return s.PredictionCursor(0).All() }
+
+// PredictionCursor reads the decisions logged so far with Seq > after,
+// merged across shards into global decision order.
+func (s *ShardedDB) PredictionCursor(after uint64) *MergeCursor {
+	logs := make([]predView, len(s.shards))
 	for i, sh := range s.shards {
-		logs[i] = sh.Predictions()
+		logs[i] = sh.freezePredictions()
 	}
-	return MergePredictions(logs)
+	return newMergeCursor(logs, after)
 }
+
+// LastPredictionSeq returns the newest decision stamp handed out.
+func (s *ShardedDB) LastPredictionSeq() uint64 { return s.predCtr.Load() }
 
 // ShardPredictions returns one shard's prediction log in Seq order
 // (the unit the checkpoint format persists per shard).

@@ -49,7 +49,9 @@ type PredictionRecord struct {
 	// snapshot's registration time (§III-2's Prediction Latency).
 	At      netsim.Time
 	Latency netsim.Time
-	// Votes are the per-model raw outputs behind the ensemble result.
+	// Votes are the per-model raw outputs behind the ensemble result:
+	// at most MaxVotes of 0, 1 or VoteAbsent. A record read back from
+	// the log carries a fresh slice.
 	Votes []int
 
 	// Seq is the global decision sequence number, stamped under the
@@ -58,6 +60,13 @@ type PredictionRecord struct {
 	// and a k-way merge by Seq reconstructs the one global append order
 	// the legacy shared log recorded directly.
 	Seq uint64
+
+	// FlowSeq is the per-flow decision index and Stage the cascade
+	// stage that decided the record (0 = full ensemble). Both are
+	// in-memory provenance: checkpoints do not persist them, so
+	// restored history reads zero.
+	FlowSeq int
+	Stage   int
 
 	Truth      bool
 	AttackType string
@@ -108,8 +117,10 @@ type Store interface {
 	// JournalLen returns unconsumed journal entries across all shards.
 	JournalLen() int
 
-	// AppendPrediction logs a final decision; Predictions copies the
-	// log in append order; PredictionCount returns its size.
+	// AppendPrediction logs a final decision; Predictions materialises
+	// the log in append order; PredictionCount returns its size. A
+	// record the log cannot hold exactly (see MaxVotes) is a caller bug
+	// and panics.
 	AppendPrediction(p PredictionRecord)
 	Predictions() []PredictionRecord
 	PredictionCount() int
@@ -177,7 +188,7 @@ type DB struct {
 	seq     uint64
 
 	pmu   sync.Mutex
-	preds []PredictionRecord
+	preds predLog
 	// predMark is the Seq of the newest prediction included in the last
 	// export; an incremental export ships only records after it.
 	// Guarded by pmu.
@@ -413,29 +424,42 @@ func (db *DB) TrimGlobal(cursor uint64) {
 // inside the log's lock, so the log is always Seq-sorted — the
 // invariant the merge-on-read cursor depends on.
 func (db *DB) AppendPrediction(p PredictionRecord) {
+	rec, err := packPrediction(&p)
+	if err != nil {
+		panic(err)
+	}
 	if !db.pmu.TryLock() {
 		db.PredContention.Inc() // nil-safe
 		db.pmu.Lock()
 	}
 	defer db.pmu.Unlock()
-	p.Seq = db.predCtr.Add(1)
-	db.preds = append(db.preds, p)
+	rec.seq = db.predCtr.Add(1)
+	db.preds.append(rec, p.AttackType)
 }
 
-// Predictions returns a copy of the prediction log.
-func (db *DB) Predictions() []PredictionRecord {
+// freezePredictions returns the log as it stands (see predLog.view).
+func (db *DB) freezePredictions() predView {
 	db.pmu.Lock()
 	defer db.pmu.Unlock()
-	out := make([]PredictionRecord, len(db.preds))
-	copy(out, db.preds)
-	return out
+	return db.preds.view()
 }
+
+// Predictions materialises the prediction log.
+func (db *DB) Predictions() []PredictionRecord { return db.PredictionCursor(0).All() }
+
+// PredictionCursor reads the decisions logged so far with Seq > after.
+func (db *DB) PredictionCursor(after uint64) *MergeCursor {
+	return newMergeCursor([]predView{db.freezePredictions()}, after)
+}
+
+// LastPredictionSeq returns the newest decision stamp handed out.
+func (db *DB) LastPredictionSeq() uint64 { return db.predCtr.Load() }
 
 // PredictionCount returns the size of the prediction log.
 func (db *DB) PredictionCount() int {
 	db.pmu.Lock()
 	defer db.pmu.Unlock()
-	return len(db.preds)
+	return db.preds.n
 }
 
 // DeleteFlow removes a flow record (eviction passthrough).

@@ -131,6 +131,11 @@ func (r *Report) Encode(inst Instruction) []byte {
 	return buf
 }
 
+// inlineHops is the hop-stack depth DecodeReport makes room for inside
+// the report's own allocation (the testbed's paths are one to three
+// switches).
+const inlineHops = 4
+
 // DecodeReport parses a wire-form report produced by Encode.
 func DecodeReport(buf []byte) (*Report, error) {
 	if len(buf) < 31 {
@@ -139,7 +144,13 @@ func DecodeReport(buf []byte) (*Report, error) {
 	if binary.BigEndian.Uint32(buf[:4]) != reportMagic {
 		return nil, fmt.Errorf("telemetry: bad report magic %#x", binary.BigEndian.Uint32(buf[:4]))
 	}
-	r := &Report{}
+	// The report and room for the usual hop stack are one allocation;
+	// a deeper stack gets its own.
+	alloc := &struct {
+		Report
+		hops [inlineHops]HopMetadata
+	}{}
+	r := &alloc.Report
 	r.Seq = binary.BigEndian.Uint64(buf[4:12])
 	r.Src = netip.AddrFrom4([4]byte(buf[12:16]))
 	r.Dst = netip.AddrFrom4([4]byte(buf[16:20]))
@@ -151,7 +162,10 @@ func DecodeReport(buf []byte) (*Report, error) {
 	hopCount := int(buf[28])
 	inst := Instruction(binary.BigEndian.Uint16(buf[29:31]))
 	rest := buf[31:]
-	r.Hops = make([]HopMetadata, 0, hopCount)
+	r.Hops = alloc.hops[:0]
+	if hopCount > inlineHops {
+		r.Hops = make([]HopMetadata, 0, hopCount)
+	}
 	for i := 0; i < hopCount; i++ {
 		var (
 			h   HopMetadata

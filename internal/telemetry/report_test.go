@@ -111,3 +111,24 @@ func TestReportTruthNotSerialized(t *testing.T) {
 		t.Error("ground-truth labels leaked onto the wire")
 	}
 }
+
+// TestDecodeReportAllocs pins the decode at one allocation for the
+// usual hop stacks — the report carries room for them — and two beyond.
+func TestDecodeReportAllocs(t *testing.T) {
+	r := sampleReport()
+	for hops, want := range map[int]float64{0: 1, 2: 1, inlineHops: 1, inlineHops + 1: 2} {
+		r.Hops = make([]HopMetadata, hops)
+		for i := range r.Hops {
+			r.Hops[i] = HopMetadata{SwitchID: uint32(i + 1), QueueDepth: 7, IngressTS: 10, EgressTS: 30}
+		}
+		buf := r.Encode(InstAll)
+		var got *Report
+		allocs := testing.AllocsPerRun(200, func() { got, _ = DecodeReport(buf) })
+		if allocs != want {
+			t.Errorf("%d hops: DecodeReport allocates %.0f objects, want %.0f", hops, allocs, want)
+		}
+		if len(got.Hops) != hops || (hops > 0 && got.Hops[hops-1] != r.Hops[hops-1]) {
+			t.Errorf("%d hops: decoded stack %+v", hops, got.Hops)
+		}
+	}
+}
