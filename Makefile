@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet, build, the full test suite, the allocation pins, the race
-# pass, a short fuzz smoke over every wire-format parser, the chaos
+# pass: vet, the workers guard, build, the full test suite, the
+# allocation pins, the race pass, a short fuzz smoke over every
+# wire-format parser, the chaos
 # smoke (the fault-injection suite under the race detector), the
 # recovery smoke (kill -9 a checkpointing live pipeline, restart,
 # verify restore and closed accounting), the diagnostics smoke (pull
@@ -10,19 +11,26 @@
 # the checkpoint sweep smoke, and the benchmark smoke (the performance
 # ledger's correctness checks on every workload).
 #
-# CI runs each target once: its `check` job runs `make vet build test
-# allocs race fuzz-smoke`, and every smoke (plus impair-smoke, which
+# CI runs each target once: its `check` job runs `make vet
+# workers-guard build test allocs race fuzz-smoke`, and every smoke (plus impair-smoke, which
 # `make check` leaves out) is a job of its own, so the two together
 # cover exactly what `make check` does locally.
 
 GO ?= go
 
-.PHONY: check vet build test allocs race bench bench-smoke bench-checkpoint bench-checkpoint-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
+.PHONY: check vet workers-guard build test allocs race bench bench-smoke bench-checkpoint bench-checkpoint-smoke fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke impair-smoke clean
 
-check: vet build test allocs race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
+check: vet workers-guard build test allocs race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
+
+# workers-guard fails if anything outside benchmark/ still sets or reads
+# LiveConfig.Workers, which the pipeline ignores (each shard is one
+# goroutine); internal/ml's Workers fields belong to other types.
+workers-guard:
+	@if grep -rnE '\.Workers\b|\bWorkers:' --include='*.go' internal cmd examples | grep -v '^internal/ml/'; then \
+		echo 'workers-guard: LiveConfig.Workers is ignored; delete the use above' >&2; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -63,18 +71,20 @@ fuzz-smoke:
 
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against
-# the live pipeline (supervised workers, store retries, quorum
-# degradation, shed/abandon accounting), the push hand-off's failure
-# modes (lone report, concurrent callers on one shard, restored journal
-# tail, store outage then silence, queue of one), the one ledger
-# definition (table test over Closed/Settled, reports parked at ingest,
-# SkipNewRecords, the /healthz and stop-event rendering), the scorer's
-# own table test, and the Live-vs-Mechanism differential. Fault
-# schedules are seed-driven, so the run is deterministic per seed.
+# the live pipeline (shard panics and restarts, store retries, quorum
+# degradation, shed/abandon accounting), the shard model (one goroutine
+# per shard, a stall shorter than the shed bound, captures under load,
+# per-flow order at 8 shards, the per-row vote span), the push path's
+# failure modes (lone report, concurrent callers on one shard, restored
+# journal tail, store outage then silence, queue of one), the one
+# ledger definition (table test over Closed/Settled, reports parked at
+# ingest, the /healthz and stop-event rendering), the scorer's own
+# table test, and the Live-vs-Mechanism differential. Fault schedules
+# are seed-driven, so the run is deterministic per seed.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \
-		'TestChaos|TestLedger|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShardShed|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
+		'TestChaos|TestLedger|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShard|TestLiveShardAffinityOrdering|TestVoteSpan|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
 		./internal/core/
 
 # recovery-smoke kills a checkpointing live pipeline with SIGKILL and

@@ -623,7 +623,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 			mkCfg := func() LiveRuntimeConfig {
 				return LiveRuntimeConfig{
 					Models: []Classifier{model}, Scaler: scaler,
-					Shards: 4, Workers: 2,
+					Shards:        4,
 					CheckpointDir: dir, CheckpointKeep: 1,
 				}
 			}

@@ -275,7 +275,7 @@ type (
 	ObsServer = obs.Server
 	// PipelineTrace is one sampled record's per-stage timing journey.
 	PipelineTrace = obs.Trace
-	// ObsEvent is one structured pipeline event (worker restart,
+	// ObsEvent is one structured pipeline event (shard restart,
 	// health transition, checkpoint, shed decision).
 	ObsEvent = obs.Event
 	// ObsEventLog is the bounded in-memory event ring behind

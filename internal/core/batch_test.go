@@ -94,7 +94,7 @@ func runLiveBatch(t *testing.T, predictBatch int) map[string][]int {
 	return byFlow
 }
 
-// TestLivePredictBatchEquivalence requires the micro-batched workers
+// TestLivePredictBatchEquivalence requires the micro-batched shards
 // to label every flow update exactly as the record-at-a-time pipeline
 // does, whatever batches the backlog happens to form.
 func TestLivePredictBatchEquivalence(t *testing.T) {

@@ -86,7 +86,7 @@ func flowTrace(l *Live) map[string][]string {
 }
 
 // TestChaosAccountingCloses runs the full fault surface at once —
-// telemetry drop/corrupt/delay, store errors and stalls, worker
+// telemetry drop/corrupt/delay, store errors and stalls, shard
 // panics, per-model failures, scoring latency — and asserts the
 // pipeline neither deadlocks nor loses a single record's accounting.
 func TestChaosAccountingCloses(t *testing.T) {
@@ -99,7 +99,6 @@ func TestChaosAccountingCloses(t *testing.T) {
 	cfg := liveConfig(namedDetector("A"), namedDetector("B"), namedDetector("C"))
 	cfg.Fault = in
 	cfg.Shards = 4
-	cfg.Workers = 2
 	cfg.WorkerRestartBudget = -1 // restarts unbounded: the run must survive
 	cfg.WorkerRestartBackoff = time.Millisecond
 	cfg.StoreRetryBackoff = 100 * time.Microsecond
@@ -196,10 +195,10 @@ func TestChaosFaultFreeFlowsBitIdentical(t *testing.T) {
 	t.Logf("compared %d fault-free flows (tainted: %d; faults: %s)", compared, in.TaintCount(), in.Summary())
 }
 
-// TestWorkerPanicSupervisorRestartsAndAccounts drives a worker into
-// its restart budget: every batch panics, the supervisor restarts it
-// budget-many times, then declares it down and drains the queue into
-// the worker_down accounting bucket.
+// TestWorkerPanicSupervisorRestartsAndAccounts drives a shard into
+// its restart budget: every batch panics, the shard restarts
+// budget-many times, then is declared down and accounts everything it
+// takes after that in the worker_down bucket.
 func TestWorkerPanicSupervisorRestartsAndAccounts(t *testing.T) {
 	in := fault.New(fault.Spec{WorkerPanic: 1}, 7)
 	cfg := liveConfig(attackDetector())
@@ -214,8 +213,8 @@ func TestWorkerPanicSupervisorRestartsAndAccounts(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		l.Ingest(liveObs(uint16(i), 40, true, "synflood"))
 	}
-	if !waitFor(t, 5*time.Second, func() bool { return l.workersDown.Load() == 1 }) {
-		t.Fatalf("worker not declared down; restarts=%d", l.WorkerRestarts.Load())
+	if !waitFor(t, 5*time.Second, func() bool { return l.shardsDown.Load() == 1 }) {
+		t.Fatalf("shard not declared down; restarts=%d", l.WorkerRestarts.Load())
 	}
 	l.Stop()
 	if got := l.WorkerRestarts.Load(); got != 2 {
@@ -233,7 +232,7 @@ func TestWorkerPanicSupervisorRestartsAndAccounts(t *testing.T) {
 		t.Errorf("no worker_down abandonments; reasons %v", reasons)
 	}
 	if l.Health() != HealthShedding {
-		t.Errorf("health = %v, want shedding with a worker down", l.Health())
+		t.Errorf("health = %v, want shedding with a shard down", l.Health())
 	}
 	if len(l.HealthTransitions()) == 0 {
 		t.Error("no health transitions logged")
@@ -377,7 +376,8 @@ func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 
 // TestDrainOnStopPinsBothPolicies pins the two shutdown policies:
 // DrainOnStop scores everything still queued; the default abandons it
-// under reason "stop" — counted, either way.
+// under reason "stop" — counted, either way. Reports go through the
+// shard queue so a backlog can form behind the slow model.
 func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 	for _, drain := range []bool{true, false} {
 		cfg := liveConfig(slowModel{d: 5 * time.Millisecond})
@@ -389,9 +389,9 @@ func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 		l.Start()
 		const n = 40
 		for i := 0; i < n; i++ {
-			l.Ingest(liveObs(uint16(i), 1000, false, "benign"))
+			l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
 		}
-		// Everything polled and queued, worker still grinding.
+		// Everything polled, the shard still grinding.
 		if !waitFor(t, 5*time.Second, func() bool { return l.Polled.Load() == n }) {
 			t.Fatalf("polled = %d, want %d", l.Polled.Load(), n)
 		}
@@ -427,18 +427,19 @@ func (m sizeGateModel) Predict(x []float64) int {
 	return 0
 }
 
-// TestShardShedPathIsolatesOverload floods one shard's worker until
-// it sheds and asserts the other shard keeps deciding — overload on
-// one stripe does not starve the rest of the pipeline.
+// TestShardShedPathIsolatesOverload floods one shard until it sheds
+// and asserts the other shard keeps deciding — overload on one stripe
+// does not starve the rest of the pipeline. The shed bound is lowered
+// below the slow model's cost, so rows queued behind it shed.
 func TestShardShedPathIsolatesOverload(t *testing.T) {
 	cfg := liveConfig(sizeGateModel{d: 10 * time.Millisecond})
 	cfg.Shards = 2
-	cfg.Workers = 2
-	cfg.QueueCap = 4 // 2 per worker: the flooded worker sheds fast
+	cfg.QueueCap = 4 // 2 per shard
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.shedAfter = 5 * time.Millisecond
 	// Pick one flow per shard.
 	var hot, cold uint16
 	for p := uint16(1); p < 200; p++ {
@@ -457,11 +458,11 @@ func TestShardShedPathIsolatesOverload(t *testing.T) {
 	const coldN = 30
 	for i := 0; i < coldN; i++ {
 		for j := 0; j < 8; j++ {
-			l.Ingest(liveObs(hot, 40, true, "synflood")) // slow path: floods its worker
+			l.IngestAsync(liveObs(hot, 40, true, "synflood")) // slow path: floods its shard
 		}
-		l.Ingest(liveObs(cold, 1000, false, "benign")) // fast path on the other shard
-		// Pace the feed so the healthy shard's worker (instant on big
-		// packets) keeps up — only the flooded shard should shed.
+		l.IngestAsync(liveObs(cold, 1000, false, "benign")) // fast path on the other shard
+		// Pace the feed so the healthy shard (instant on big packets)
+		// keeps up — only the flooded shard should shed.
 		time.Sleep(2 * time.Millisecond)
 	}
 	coldKey := liveObs(cold, 0, false, "").Key
@@ -501,6 +502,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.shedAfter = time.Millisecond
 	l.Start()
 	defer l.Stop()
 	srv := httptest.NewServer(reg.Handler())
@@ -523,7 +525,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 		t.Fatalf("initial /healthz = %d %q", code, body)
 	}
 	for i := 0; i < 60; i++ {
-		l.Ingest(liveObs(uint16(i), 1000, false, "benign"))
+		l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return l.Shed.Load() > 0 && l.Health() == HealthShedding }) {
 		t.Fatalf("never reached shedding; shed=%d", l.Shed.Load())
@@ -546,7 +548,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 	}
 }
 
-// TestMalformedSnapshotsAbandonedNotFatal feeds the workers a record
+// TestMalformedSnapshotsAbandonedNotFatal feeds a shard a record
 // whose feature vector disagrees with the scaler; it must be
 // abandoned under reason "malformed", not panic a kernel.
 func TestMalformedSnapshotsAbandonedNotFatal(t *testing.T) {

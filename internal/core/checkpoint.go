@@ -23,9 +23,9 @@ type RestoreSummary struct {
 
 	// Flows counts flow-table records restored; StoreFlows database
 	// records; JournalPending journal entries written before the crash
-	// but not yet handed off — each shard pushes its tail once at Start,
-	// so every pre-crash record ends decided, shed, abandoned, or
-	// restored-pending, never silently gone.
+	// but not yet decided — each shard decides its tail in its first
+	// pass at Start, so every pre-crash record ends decided, shed,
+	// abandoned, or restored-pending, never silently gone.
 	Flows          int
 	StoreFlows     int
 	JournalPending int
@@ -182,18 +182,18 @@ func (l *Live) restoreLatest(dir string) error {
 }
 
 // ErrBarrierTimeout reports that the checkpoint barrier could not
-// quiesce the pipeline: records handed to the workers did not finish
-// within checkpointBarrierTimeout (a stalled or permanently down
-// worker). The checkpoint is skipped — a snapshot with in-flight
-// records would restore them nowhere.
-var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting for in-flight records")
+// quiesce the pipeline: reports accepted onto the shard queues were
+// not journaled within checkpointBarrierTimeout (a stalled shard). The
+// checkpoint is skipped — a snapshot missing accepted reports would
+// lose them on restore.
+var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting for queued reports")
 
-// settleIngest waits until every observation accepted by the ingest
-// demux before this call is journaled. Runs before the capture takes
-// the shard barriers (the ingesters must be free to drain); reports
+// settleIngest waits until every observation accepted onto the shard
+// queues before this call is journaled. Runs before the capture takes
+// the shard barriers (the shards must be free to drain); reports
 // accepted while it waits ride the snapshot or the journal tail, both
 // fine — what must not happen is an accepted report vanishing into a
-// demux queue the crash model discards.
+// queue the crash model discards.
 func (l *Live) settleIngest() error {
 	target := l.ingestAccepted.Load()
 	if !awaitSettled(checkpointBarrierTimeout, func() bool { return l.ingestDone.Load() >= target }) {
@@ -215,29 +215,15 @@ func awaitSettled(timeout time.Duration, done func() bool) bool {
 	return true
 }
 
-// settleInflight waits until every record handed off is accounted —
-// decided, shed, or abandoned. Callers hold every shard's ckptMu write
-// lock, so ingest, its hand-off, and the sweeper are parked and the
-// counts can only converge.
-func (l *Live) settleInflight() error {
-	if !awaitSettled(checkpointBarrierTimeout, func() bool {
-		return l.Polled.Load() == l.completed.Load()+l.Shed.Load()+l.Abandoned.Load()
-	}) {
-		return fmt.Errorf("%w (polled=%d completed=%d shed=%d abandoned=%d)",
-			ErrBarrierTimeout, l.Polled.Load(), l.completed.Load(), l.Shed.Load(), l.Abandoned.Load())
-	}
-	return nil
-}
-
 // CaptureCheckpoint quiesces the pipeline and captures a consistent
-// full snapshot of its durable state: it first drains the ingest
-// demux of everything accepted so far, then blocks new ingest,
-// hand-off, and sweeps (per-shard write locks the hot paths hold for
-// reads per operation), waits for in-flight records to finish, and
-// exports every shard's flow table and store state (per-shard
-// prediction logs included) and the vote windows. The freeze lasts
-// for the export only; sorting, encoding, and disk IO happen after
-// the locks are released.
+// full snapshot of its durable state: it first waits for the shards to
+// journal everything accepted so far, then takes every shard's barrier
+// for write — which waits out the one pass each shard may be in, so no
+// row is between its journal entry and its decision — and exports
+// every shard's flow table and store state (per-shard prediction logs
+// included) and the vote windows. The freeze lasts for the export
+// only; sorting, encoding, and disk IO happen after the locks are
+// released.
 func (l *Live) CaptureCheckpoint() (*checkpoint.Snapshot, error) {
 	return l.capture(false, nil)
 }
@@ -278,21 +264,18 @@ func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapsho
 	// — waiting writers already block new readers, so acquisition time
 	// is pause the pipeline feels too.
 	barrier := time.Now()
-	// Take every shard's barrier in ascending order — the fixed order
-	// the sweeper also uses, so the acquisition set is acyclic.
+	// Take every shard's barrier in ascending order; nothing else holds
+	// more than one, so the acquisition set is acyclic.
 	for s := range l.ckptMu {
 		l.ckptMu[s].Lock()
 	}
-	snap, err := l.captureLocked(delta, scratch)
+	snap := l.captureLocked(delta, scratch)
 	for s := range l.ckptMu {
 		l.ckptMu[s].Unlock()
 	}
 	hold := time.Since(barrier)
 	l.lastBarrierNs.Store(int64(hold))
 	l.met.ckptBarrier.Observe(hold.Seconds())
-	if err != nil {
-		return nil, err
-	}
 	// Canonical order is produced outside the barrier: the encoder
 	// sorts everything it writes, and sorting here besides makes two
 	// captures of identical state equal as values (map iteration order
@@ -306,13 +289,10 @@ func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapsho
 }
 
 // captureLocked exports the consistent cut. Callers hold every
-// shard's ckptMu write lock; everything here must stay proportional
-// to what is exported — this is the region the barrier histogram
-// times.
-func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.Snapshot, error) {
-	if err := l.settleInflight(); err != nil {
-		return nil, err
-	}
+// shard's ckptMu write lock, which parks every writer of the vote
+// windows; everything here must stay proportional to what is exported
+// — this is the region the barrier histogram times.
+func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Snapshot {
 	snap := &checkpoint.Snapshot{
 		Shards:          l.nShards,
 		Fingerprint:     l.fingerprint,
@@ -358,7 +338,6 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 		wins, votes = scratch.windows[:0], scratch.votes[:0]
 	}
 	for _, sh := range l.shards {
-		sh.mu.Lock()
 		if delta {
 			for k := range sh.dirty {
 				if w, ok := sh.windows[k]; ok {
@@ -381,7 +360,6 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 			sh.dirty = make(map[flow.Key]struct{})
 			sh.removed = make(map[flow.Key]struct{})
 		}
-		sh.mu.Unlock()
 	}
 	snap.Windows = wins
 	if scratch != nil {
@@ -392,7 +370,7 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) (*checkpoint.S
 	}
 	// Predictions travel inside each ShardExport since format version
 	// 2; the snapshot-level log exists only for version-1 files.
-	return snap, nil
+	return snap
 }
 
 // unionKeys merges two removal lists, deduplicating keys present in

@@ -37,7 +37,6 @@ func countVoter(thresh float64) stubModel {
 func ckptConfig(dir string) LiveConfig {
 	cfg := liveConfig(attackDetector(), countVoter(4))
 	cfg.Shards = 4
-	cfg.Workers = 2
 	cfg.CheckpointDir = dir
 	return cfg
 }

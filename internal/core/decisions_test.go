@@ -44,7 +44,7 @@ func TestDecisionsAreTheLog(t *testing.T) {
 	for name, triage := range map[string]bool{"ensemble": false, "cascade-exit": true} {
 		t.Run(name, func(t *testing.T) {
 			cfg := liveConfig(namedDetector("a"), countVoter(4), namedDetector("c"))
-			cfg.Shards, cfg.Workers, cfg.PredictBatch = 4, 2, 32
+			cfg.Shards, cfg.PredictBatch = 4, 32
 			if triage { // saturated stage 0: every row exits with its one vote
 				cfg.Triage, cfg.TriageThreshold = true, 0.9
 				cfg.TriageModel = probaModel{stubModel: attackDetector(), conf: 1}
@@ -145,7 +145,7 @@ func TestDecisionsStartAtTheRestoreMark(t *testing.T) {
 	}
 }
 
-// TestDecisionsReadWhileAppending: producers on every shard, workers
+// TestDecisionsReadWhileAppending: producers on every shard, shards
 // appending to the per-shard logs, and a reader materialising
 // Decisions and writing checkpoints all the while. Every reading is a
 // consistent cut — gapless per flow, never behind DecisionCount — and

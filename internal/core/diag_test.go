@@ -18,10 +18,7 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 	}
 	l.Start()
 
-	// Through the shard's ingester, the one goroutine that journals and
-	// hands off on this path: a direct Ingest races the ingester's
-	// start-up push, which can stamp "poll" ahead of the caller's
-	// "journal" (1 run in 100).
+	// Through the shard's queue, the path reports take.
 	const n = 40
 	for i := 0; i < n; i++ {
 		l.IngestAsync(liveObs(uint16(2000+i), 40, true, "synflood"))
@@ -111,7 +108,7 @@ func TestLiveEventLog(t *testing.T) {
 		switch e.Msg {
 		case "pipeline started":
 			started = true
-			if e.Attrs["shards"] == "" || e.Attrs["workers"] == "" {
+			if e.Attrs["shards"] == "" {
 				t.Errorf("pipeline started event missing sizing attrs: %v", e.Attrs)
 			}
 		case "pipeline stopped":
@@ -131,12 +128,12 @@ func TestLiveEventLog(t *testing.T) {
 			t.Errorf("gauge %q missing from registry snapshot", want)
 		}
 	}
-	// Per-worker vectors render into the Prometheus exposition.
+	// Per-shard vectors render into the Prometheus exposition.
 	var sb strings.Builder
 	l.Obs().WritePrometheus(&sb)
 	for _, want := range []string{
-		"intddos_worker_queue_depth{worker=\"0\"}",
-		"intddos_worker_utilization{worker=\"0\"}",
+		"intddos_shard_queue_depth{shard=\"0\"}",
+		"intddos_shard_utilization{shard=\"0\"}",
 		"intddos_shard_polled_total",
 	} {
 		if !strings.Contains(sb.String(), want) {

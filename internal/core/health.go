@@ -23,12 +23,13 @@ const (
 	HealthHealthy HealthState = iota
 	// HealthDegraded: best-effort answers under partial failure — an
 	// ensemble member marked unhealthy (quorum degraded to
-	// majority-of-available), workers restarted after panics, or
+	// majority-of-available), shards restarted after panics, or
 	// store operations retried. No records are being lost.
 	HealthDegraded
-	// HealthShedding: records are being lost — worker queues full
-	// (shed), a worker permanently down (restart budget exhausted),
-	// or store writes dropped after exhausting retries.
+	// HealthShedding: records are being lost or about to be — queues
+	// nearly full, rows shed past the bound, a shard permanently down
+	// (restart budget exhausted), or store writes dropped after
+	// exhausting retries.
 	HealthShedding
 )
 
@@ -47,7 +48,7 @@ func (s HealthState) String() string {
 // modelHealth is one ensemble member's failure-tracking state
 // machine: healthy until ModelFailThreshold consecutive scoring
 // failures, then unhealthy (no votes, quorum degrades) until a probe
-// after ModelProbeAfter succeeds. Shared by all prediction workers.
+// after ModelProbeAfter succeeds. Shared by every shard.
 type modelHealth struct {
 	name string
 
@@ -139,7 +140,7 @@ func (l *Live) setHealthState(s HealthState, why string) {
 }
 
 // noteDegraded records a degraded-class fault event (model failure,
-// worker restart, store retry) and raises the state if it is below
+// shard restart, store retry) and raises the state if it is below
 // degraded.
 func (l *Live) noteDegraded(why string) {
 	l.health.lastDegraded.Store(time.Now().UnixNano())
@@ -149,9 +150,9 @@ func (l *Live) noteDegraded(why string) {
 }
 
 // noteShedding records a shedding-class fault event (shed record,
-// dead worker, dropped store write) and raises the state to shedding.
+// dead shard, dropped store write) and raises the state to shedding.
 // Shed events hit the event log at most once per second — under
-// saturation every hand-off sheds, and a flood of identical events
+// saturation every pass sheds, and a flood of identical events
 // would wash the operational tail out of the ring.
 func (l *Live) noteShedding(why string) {
 	l.health.lastShed.Store(time.Now().UnixNano())
@@ -173,7 +174,7 @@ func (l *Live) Health() HealthState {
 	recency := l.cfg.HealthRecency.Nanoseconds()
 	target := HealthHealthy
 	switch {
-	case l.workersDown.Load() > 0,
+	case l.shardsDown.Load() > 0,
 		now-l.health.lastShed.Load() < recency,
 		l.queueOccupancy() >= 0.9:
 		target = HealthShedding
@@ -185,17 +186,16 @@ func (l *Live) Health() HealthState {
 	return HealthState(l.health.state.Load())
 }
 
-// queueLoad sums the worker queues' occupancy and capacity.
+// queueLoad sums the shard queues' occupancy and capacity.
 func (l *Live) queueLoad() (used, capacity int) {
-	for _, ch := range l.workerChs {
-		used += len(ch)
-		capacity += cap(ch)
+	for _, sh := range l.shards {
+		used += len(sh.queue)
+		capacity += cap(sh.queue)
 	}
 	return used, capacity
 }
 
-// queueOccupancy returns the fraction of total worker-queue capacity
-// in use.
+// queueOccupancy returns the fraction of total queue capacity in use.
 func (l *Live) queueOccupancy() float64 {
 	used, capacity := l.queueLoad()
 	if capacity == 0 {
@@ -220,8 +220,8 @@ func (l *Live) unhealthyModels() int {
 func (l *Live) healthReport() obs.Health {
 	st := l.Health()
 	detail := []string{
-		fmt.Sprintf("shards=%d workers=%d workers_down=%d worker_restarts=%d store_retries=%d queue_occupancy=%.2f",
-			l.nShards, l.cfg.Workers, l.workersDown.Load(), l.WorkerRestarts.Load(), l.StoreRetries.Load(), l.queueOccupancy()),
+		fmt.Sprintf("shards=%d shards_down=%d worker_restarts=%d store_retries=%d queue_occupancy=%.2f",
+			l.nShards, l.shardsDown.Load(), l.WorkerRestarts.Load(), l.StoreRetries.Load(), l.queueOccupancy()),
 		l.Ledger().String(),
 	}
 	if l.cfg.CheckpointDir != "" {
@@ -277,7 +277,7 @@ func (l *Live) HealthTransitions() []string {
 // navail is how many members actually voted. With every member
 // healthy the result is element-for-element identical to
 // ml.EnsembleVotes — the fault-free path changes nothing. The outer
-// votes header and the ones buffer are recycled from the worker's
+// votes header and the ones buffer are recycled from the shard's
 // scratch across batches; only the flat per-row vote storage is
 // allocated per call, because a Decision's holder keeps its row.
 func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int) {

@@ -17,7 +17,7 @@ import (
 // term, and the cases each former hand-rolled predicate got wrong.
 func TestLedgerClosedSettled(t *testing.T) {
 	// 12 reports: 1 duplicate, 1 stale, 1 fault drop, 1 dropped after
-	// Stop, 8 accepted; 1 write store-dropped, 7 handed off; 5 decided,
+	// Stop, 8 accepted; 1 write store-dropped, 7 drained; 5 decided,
 	// 1 shed, 1 abandoned.
 	base := Ledger{
 		Reports: 12, Duplicates: 1, Stale: 1, FaultDrops: 1, IngestDropped: 1,
@@ -39,28 +39,21 @@ func TestLedgerClosedSettled(t *testing.T) {
 		{"stale too many", with(func(g *Ledger) { g.Stale++ }), false, true, true},
 		{"fault drop too many", with(func(g *Ledger) { g.FaultDrops++ }), false, true, true},
 		{"ingest drop too many", with(func(g *Ledger) { g.IngestDropped++ }), false, true, true},
-		{"one queued at an ingester", with(func(g *Ledger) { g.Reports++; g.Accepted++ }), true, true, false},
-		{"one mid-hand-off", with(func(g *Ledger) { g.Reports++; g.Accepted++; g.Journaled++; g.Snapshots++ }), true, true, false},
+		{"one queued at a shard", with(func(g *Ledger) { g.Reports++; g.Accepted++ }), true, true, false},
 		{"one still journaled", with(func(g *Ledger) { g.Reports++; g.Accepted++; g.Journaled++; g.Snapshots++; g.JournalLen++ }), true, true, false},
-		{"one queued at a worker", with(func(g *Ledger) { g.Decided-- }), true, false, false},
+		{"one decision missing", with(func(g *Ledger) { g.Decided-- }), true, false, false},
 		{"one shed uncounted", with(func(g *Ledger) { g.Shed-- }), true, false, false},
 		{"one abandoned uncounted", with(func(g *Ledger) { g.Abandoned-- }), true, false, false},
 		{"one decided twice", with(func(g *Ledger) { g.Decided++ }), true, false, false},
-		{"store drop uncounted", with(func(g *Ledger) { g.StoreDropped-- }), true, true, false},
 
 		{"restored tail pending", Ledger{Restored: 5, JournalLen: 5}, true, true, false},
 		{"restored tail decided", Ledger{Restored: 5, Polled: 5, Decided: 5}, true, true, true},
 		// Polled >= Snapshots holds here, which is all the pre-ledger
 		// settle loops asked of a restored run.
-		{"restored tail decided, 3 new rows mid-hand-off", Ledger{Reports: 3, Accepted: 3, Journaled: 3,
-			Snapshots: 3, Restored: 5, Polled: 5, Decided: 5}, true, true, false},
+		{"restored tail decided, 3 new rows queued at a shard", Ledger{Reports: 3, Accepted: 3,
+			Restored: 5, Polled: 5, Decided: 5}, true, true, false},
 
-		{"SkipNewRecords, only new flows", Ledger{Reports: 7, Accepted: 7, Journaled: 7,
-			Snapshots: 7, Unjournaled: 7}, true, true, true},
-		{"same reading without the unjournaled term", Ledger{Reports: 7, Accepted: 7, Journaled: 7,
-			Snapshots: 7}, true, true, false},
-
-		{"shed at a worker queue of one", Ledger{Reports: 10, Accepted: 10, Journaled: 10,
+		{"shed past the bound", Ledger{Reports: 10, Accepted: 10, Journaled: 10,
 			Snapshots: 10, Polled: 10, Decided: 1, Shed: 9}, true, true, true},
 	}
 	for _, c := range cases {
@@ -94,7 +87,7 @@ func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Park the ingesters behind the capture barrier.
+	// Park the shards behind the capture barrier.
 	for s := range l.ckptMu {
 		l.ckptMu[s].Lock()
 	}
@@ -105,14 +98,14 @@ func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 	})
 	l.Start()
 	defer l.Stop()
-	defer lift() // Stop waits for the ingesters
+	defer lift() // Stop waits for the shards
 	const n = 20
 	for i := 0; i < n; i++ {
 		l.HandleReport(chaosReport(uint16(400+i), 40, true, "synflood"))
 	}
 	g := l.Ledger()
 	if g.Accepted != n || g.Journaled != 0 {
-		t.Fatalf("accepted=%d journaled=%d, want %d/0 with the ingesters parked", g.Accepted, g.Journaled, n)
+		t.Fatalf("accepted=%d journaled=%d, want %d/0 with the shards parked", g.Accepted, g.Journaled, n)
 	}
 	// The pre-ledger RunChaos predicate: every snapshot polled or
 	// dropped, pipeline closed.
@@ -120,10 +113,10 @@ func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 		t.Fatalf("the old predicate should read settled here: %s", g)
 	}
 	if g.Settled() {
-		t.Errorf("Settled with %d reports queued at the ingesters: %s", n, g)
+		t.Errorf("Settled with %d reports queued at the shards: %s", n, g)
 	}
 	if l.AwaitSettled(20 * time.Millisecond) {
-		t.Error("AwaitSettled returned true with the ingesters parked")
+		t.Error("AwaitSettled returned true with the shards parked")
 	}
 	lift()
 	if !l.AwaitSettled(5 * time.Second) {
@@ -131,40 +124,6 @@ func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 	}
 	if g := l.Ledger(); g.Decided != n || !g.ReportsClosed() {
 		t.Errorf("after settling: %s, want %d decided and the report side closed", g, n)
-	}
-}
-
-// TestLedgerSkipNewRecordsSettles feeds a SkipNewRecords pipeline only
-// brand-new flows: nothing is ever journaled, and the ledger must say
-// so instead of waiting for hand-offs that will not come.
-func TestLedgerSkipNewRecordsSettles(t *testing.T) {
-	cfg := liveConfig(attackDetector())
-	cfg.SkipNewRecords = true
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
-	defer l.Stop()
-	const n = 15
-	for i := 0; i < n; i++ {
-		l.HandleReport(chaosReport(uint16(500+i), 40, true, "synflood"))
-	}
-	if !l.AwaitSettled(5 * time.Second) {
-		t.Fatalf("did not settle: %s", l.Ledger())
-	}
-	if g := l.Ledger(); g.Snapshots != n || g.Unjournaled != n || g.Polled != 0 {
-		t.Errorf("ledger = %s, want %d snapshots, all unjournaled, none polled", g, n)
-	}
-	// A second report per flow is an update: journaled and decided.
-	for i := 0; i < n; i++ {
-		l.HandleReport(chaosReport(uint16(500+i), 40, true, "synflood"))
-	}
-	if !l.AwaitSettled(5 * time.Second) {
-		t.Fatalf("did not settle after the updates: %s", l.Ledger())
-	}
-	if g := l.Ledger(); g.Unjournaled != n || g.Decided != n {
-		t.Errorf("ledger = %s, want %d unjournaled and %d decided", g, n, n)
 	}
 }
 

@@ -18,51 +18,70 @@ import (
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
-// liveShard is the per-shard mutable state of the runtime: the vote
-// windows of the flows hashed onto the shard. The flow-table stripe
-// lives in the ShardedTable and the journal stripe in the Store, both
-// indexed by the same Key.Shard value.
+// liveShard is one shard of the runtime: the queue reports wait in,
+// the goroutine that drains it (runShard), and the vote windows of the
+// flows hashed onto it. The flow-table stripe lives in the
+// ShardedTable and the journal stripe in the Store, both indexed by
+// the same Key.Shard value.
 //
+// run serializes the shard's passes — its goroutine's bursts, direct
+// Ingest calls, the sweeper's visit — and guards everything below it.
+// Every holder also holds the shard's ckptMu for read, so a capture
+// (ckptMu for write) reads windows, dirty and removed without it.
 // dirty and removed are the windows' delta-checkpoint marks,
 // maintained only while the runtime tracks deltas (CheckpointDir
 // set): windows voted into since the last capture, and windows
 // deleted since it. A key lives in at most one set — the last action
-// wins. Guarded by mu, like the windows they describe.
+// wins.
 type liveShard struct {
-	mu      sync.Mutex
+	queue chan flow.PacketInfo // IngestAsync → runShard; QueueCap ÷ shards
+
+	run     sync.Mutex
 	windows map[flow.Key][]int
 	dirty   map[flow.Key]struct{}
 	removed map[flow.Key]struct{}
 
-	hand   sync.Mutex         // serializes the shard's hand-offs (Live.handoff)
-	recs   []store.FlowRecord // journal-drain buffer, reused; guarded by hand
-	polled *obs.Counter       // intddos_shard_polled_total{shard}
+	row     []float64          // feature-row scratch (journal)
+	recs    []store.FlowRecord // journal-drain buffer (decide)
+	scratch batchScratch       // scoring buffers (predictBatch)
+	// todo[:done] of the pass in progress are finished; a panic
+	// abandons the rest.
+	todo []store.FlowRecord
+	done int
+
+	// Supervision: restarts survived, the next restart's backoff, and
+	// whether the restart budget is spent.
+	restarts int
+	backoff  time.Duration
+	down     bool
+
+	busy   atomic.Int64 // nanoseconds spent in passes, for the utilization gauge
+	polled *obs.Counter // intddos_shard_polled_total{shard}
 }
 
-// Live runs the four Figure 2 modules as concurrent goroutines over
-// the wall clock — the deployment mode of the paper's production
-// implementation — sharing the same flow table, database, and voting
-// logic as the simulated Mechanism. Timestamps are wall-clock
-// nanoseconds widened into the same Time domain the rest of the
-// repository uses.
+// Live runs the four Figure 2 modules over the wall clock — the
+// deployment mode of the paper's production implementation — sharing
+// the same flow table, database, and voting logic as the simulated
+// Mechanism. Timestamps are wall-clock nanoseconds widened into the
+// same Time domain the rest of the repository uses.
 //
-// The hot path is sharded end to end by flow.Key hash: each shard has
-// its own flow-table stripe, database journal, and ingester goroutine,
-// and shards map to prediction workers round-robin, so every update of
-// one flow flows through one lock stripe, one journal, one serialized
-// hand-off, and one worker — per-flow prediction order is preserved at
-// any worker count. With Shards=0 (the default) the layout degenerates
-// to the legacy single-lock pipeline.
-// Whoever journals a snapshot hands it to the shard's worker on the
-// spot, and micro-batches form from the backlog a worker finds when it
-// wakes: no timer sits between a report and its decision (the
-// simulated Mechanism keeps the paper's poll-tick clock).
+// The shard is the unit of execution. Each shard has its own
+// flow-table stripe, database journal, report queue, and one
+// goroutine that runs each burst it takes from the queue to
+// completion: journal every row (Data Processor), drain the journal
+// (CentralServer), score, vote and log (Prediction). Every update of a
+// flow goes through one queue, one journal and one goroutine, so
+// per-flow decision order holds at any shard count; with Shards=0 (the
+// default) the layout degenerates to the legacy single-lock pipeline.
+// Batches form from the backlog a shard finds when it wakes: no timer
+// sits between a report and its decision (the simulated Mechanism
+// keeps the paper's poll-tick clock).
 //
-// The runtime is supervised: prediction workers recover from panics
-// and are restarted with exponential backoff under a restart budget,
-// transient store errors are retried with backoff, unhealthy ensemble
-// members are voted around (quorum degrades to majority-of-available),
-// and every record handed off is accounted for — decided,
+// The runtime is supervised: a shard recovers from a panic and
+// restarts with exponential backoff under a restart budget, transient
+// store errors are retried with backoff, unhealthy ensemble members
+// are voted around (quorum degrades to majority-of-available), and
+// every record drained from the journal is accounted for — decided,
 // shed, or abandoned with a reason — even across panics and shutdown.
 // The aggregate condition (healthy/degraded/shedding) is reported on
 // /healthz.
@@ -74,22 +93,25 @@ type Live struct {
 	shards []*liveShard
 
 	// scorer is the Prediction module, shared read-only by every
-	// prediction worker; its per-shard triage sketches are fed by the
-	// shard's ingester under the checkpoint-barrier read lock.
+	// shard; its per-shard triage sketches are fed by journal under
+	// the checkpoint-barrier read lock.
 	scorer *scorer
 
 	DB  store.Store
 	fdb store.Fallible // non-nil when DB surfaces transient errors
 
+	// shedAfter is the overload bound (the shedAfter constant; tests
+	// lower it before Start).
+	shedAfter time.Duration
+
 	// Checkpointing. ckptMu is the capture barrier, one lock per
-	// shard: ingest and the hand-off it ends in hold only their own
-	// shard's lock for read per burst, so shards never contend with each
-	// other on the barrier; the sweeper and a checkpoint capture take
-	// every lock in ascending shard order (all-read and all-write
-	// respectively — the fixed order keeps the set acyclic), wait for
-	// in-flight records to settle, and export a consistent cut.
-	// rawDB is the concrete store beneath any fault wrapper — a
-	// checkpoint must read real state, not a fault-shaped view of it.
+	// shard: a shard's pass holds only its own lock for read, so
+	// shards never contend with each other on the barrier; a capture
+	// takes every lock for write in ascending shard order, so it waits
+	// out at most one pass per shard and sees no row between its
+	// journal entry and its decision. rawDB is the concrete store
+	// beneath any fault wrapper — a checkpoint must read real state,
+	// not a fault-shaped view of it.
 	ckptMu      []sync.RWMutex
 	rawDB       durableStore
 	ckptSeq     atomic.Uint64
@@ -140,49 +162,45 @@ type Live struct {
 	// has released and before the snapshot is encoded or written.
 	ckptPostCapture func(*checkpoint.Snapshot)
 
-	// Multi-producer ingest: HandleReport demuxes reports onto
-	// per-shard queues; one ingester goroutine per shard owns the
-	// journal appends for its stripe. quit (not a channel close —
-	// producers are external and uncounted) is Stop's one signal: the
-	// ingesters drain their queues and exit, the periodic goroutines
-	// return, backoffs are cut short. ingestAccepted counts
-	// observations enqueued, ingestDone observations journaled; the
-	// difference is the demux backlog, which a checkpoint capture
-	// settles before its cut (an accepted report must not vanish into
-	// a queue the simulated crash discards).
-	ingestChs      []chan flow.PacketInfo
+	// Multi-producer ingest: HandleReport demuxes reports onto the
+	// shard queues. quit (not a channel close — producers are external
+	// and uncounted) is Stop's one signal: the shards take what is
+	// queued and exit, the periodic goroutines return, backoffs are cut
+	// short. running gates deciding: outside Start..Stop a pass only
+	// journals. ingestAccepted counts observations enqueued (or handed
+	// to Ingest), ingestDone observations journaled; the difference is
+	// the queued backlog, which a checkpoint capture settles before its
+	// cut (an accepted report must not vanish into a queue the
+	// simulated crash discards).
 	quit           chan struct{}
-	ingestWg       sync.WaitGroup
+	running        atomic.Bool
+	shardWg        sync.WaitGroup // runShard goroutines
+	everyWg        sync.WaitGroup // sweeper + periodic checkpointer
+	stop           sync.Once
 	ingestAccepted atomic.Int64
 	ingestDone     atomic.Int64
-
-	workerChs []chan queued
-	handing   atomic.Bool    // hand-off is live: set by Start, cleared by Stop
-	everyWg   sync.WaitGroup // sweeper + periodic checkpointer
-	workWg    sync.WaitGroup // worker supervisors (stop after channels close)
-	stop      sync.Once
 
 	reg    *obs.Registry
 	met    liveMetrics
 	tracer *obs.Tracer
 
 	// Diagnostics: the structured event log (every noteworthy state
-	// change), the flow-journey sampler, the contention profiler, and
-	// per-worker busy-time accumulators (nanoseconds spent scoring).
+	// change), the flow-journey sampler and the contention profiler.
 	events        *obs.EventLog
 	elog          *slog.Logger
 	journeys      *obs.Journeys
 	profiler      *prof.Profiler
-	workerBusy    []atomic.Int64
 	lastShedEvent atomic.Int64 // unix second of the last shed event (throttle)
 
 	health      healthTracker
 	modelHealth []*modelHealth
-	workersDown atomic.Int32
+	shardsDown  atomic.Int32
 
-	// OnDecision observes every final decision, on the prediction
-	// worker's goroutine: keep it fast. Set it before Start. The
-	// Decision is the callee's to keep, Votes included.
+	// OnDecision observes every final decision, on the deciding
+	// shard's goroutine under its run lock: keep it fast, and call
+	// nothing that takes shard locks (Ledger, AwaitSettled, Stop). Set
+	// it before Start. The Decision is the callee's to keep, Votes
+	// included.
 	OnDecision func(Decision)
 
 	// dedup suppresses duplicate/stale reports per source at
@@ -203,11 +221,11 @@ type Live struct {
 	Evictions   atomic.Int64
 
 	// Robustness accounting (atomics: read while running).
-	Polled         atomic.Int64 // records handed off to the workers
+	Polled         atomic.Int64 // records drained from the journal
 	Abandoned      atomic.Int64 // records abandoned, any reason
 	StoreRetries   atomic.Int64 // transient store errors retried
 	StoreDropped   atomic.Int64 // store writes dropped after retries
-	WorkerRestarts atomic.Int64 // supervisor restarts after panics
+	WorkerRestarts atomic.Int64 // shard restarts after panics
 	ModelFailures  atomic.Int64 // failed ensemble scoring calls
 	Checkpoints    atomic.Int64 // checkpoints successfully written
 }
@@ -263,6 +281,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		rawDB:       rawDB,
 		fingerprint: fingerprint,
 		scorer:      sc,
+		shedAfter:   shedAfter,
 		ckptMu:      make([]sync.RWMutex, nShards),
 		quit:        make(chan struct{}),
 		reg:         cfg.Registry,
@@ -275,23 +294,13 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	for i := range l.shards {
 		l.shards[i] = &liveShard{
+			queue:   make(chan flow.PacketInfo, max(cfg.QueueCap/nShards, 1)),
 			windows: make(map[flow.Key][]int),
 			dirty:   make(map[flow.Key]struct{}),
 			removed: make(map[flow.Key]struct{}),
+			backoff: cfg.WorkerRestartBackoff,
 			polled:  l.met.shardPolled.With(strconv.Itoa(i)),
 		}
-	}
-	l.ingestChs = make([]chan flow.PacketInfo, nShards)
-	for i := range l.ingestChs {
-		l.ingestChs[i] = make(chan flow.PacketInfo, ingestQueueCap)
-	}
-	perWorkerCap := cfg.QueueCap / cfg.Workers
-	if perWorkerCap < 1 {
-		perWorkerCap = 1
-	}
-	l.workerChs = make([]chan queued, cfg.Workers)
-	for i := range l.workerChs {
-		l.workerChs[i] = make(chan queued, perWorkerCap)
 	}
 	l.tables.SetIdleTimeout(netsim.Time(cfg.FlowIdleTimeout))
 	// Downstream state keyed by flow dies with the table entry: the
@@ -299,7 +308,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	// moment Sweep removes a flow, so idle eviction bounds memory in
 	// every layer (previously swept flows leaked store records).
 	l.tables.SetOnEvict(l.onEvict)
-	l.DB.SetJournalNew(!cfg.SkipNewRecords)
 	// Diagnostics: the event log must exist before anything below can
 	// log (restore does), and the registry carries the journey sampler
 	// and runtime telemetry for /traces/flow and /metrics.
@@ -311,7 +319,6 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	obs.RegisterRuntimeMetrics(l.reg)
 	l.tables.SetContentionHook(l.reg.Counter("intddos_flow_table_contention_total").Inc)
-	l.workerBusy = make([]atomic.Int64, cfg.Workers)
 	l.modelHealth = make([]*modelHealth, len(cfg.Models))
 	for i, m := range cfg.Models {
 		name := m.Name()
@@ -337,35 +344,26 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		_, capacity := l.queueLoad()
 		return float64(capacity)
 	})
-	l.reg.GaugeFunc("intddos_ingest_queue_depth", func() float64 {
-		n := 0
-		for _, ch := range l.ingestChs {
-			n += len(ch)
-		}
-		return float64(n)
-	})
-	// Per-worker queue depth and utilization: which worker saturates
-	// first is the difference between "add workers" and "fix the lock".
-	depthVec := l.reg.GaugeVec("intddos_worker_queue_depth", "worker")
-	busyVec := l.reg.GaugeVec("intddos_worker_busy_seconds", "worker")
-	utilVec := l.reg.GaugeVec("intddos_worker_utilization", "worker")
-	for w := range l.workerChs {
-		w := w
-		ws := strconv.Itoa(w)
-		ch := l.workerChs[w]
-		depthVec.WithFunc(ws, func() float64 { return float64(len(ch)) })
-		busyVec.WithFunc(ws, func() float64 {
-			return time.Duration(l.workerBusy[w].Load()).Seconds()
+	// Per-shard queue depth and utilization: which shard saturates
+	// first is the difference between "add shards" and "fix the hash".
+	depthVec := l.reg.GaugeVec("intddos_shard_queue_depth", "shard")
+	busyVec := l.reg.GaugeVec("intddos_shard_busy_seconds", "shard")
+	utilVec := l.reg.GaugeVec("intddos_shard_utilization", "shard")
+	for s, sh := range l.shards {
+		ss := strconv.Itoa(s)
+		depthVec.WithFunc(ss, func() float64 { return float64(len(sh.queue)) })
+		busyVec.WithFunc(ss, func() float64 {
+			return time.Duration(sh.busy.Load()).Seconds()
 		})
 		// Utilization is the busy fraction since the previous scrape;
 		// the closure owns its window state (scrapes may be concurrent).
 		var utilMu sync.Mutex
 		lastAt := time.Now()
 		var lastBusy int64
-		utilVec.WithFunc(ws, func() float64 {
+		utilVec.WithFunc(ss, func() float64 {
 			utilMu.Lock()
 			defer utilMu.Unlock()
-			busy := l.workerBusy[w].Load()
+			busy := sh.busy.Load()
 			nowT := time.Now()
 			dt := nowT.Sub(lastAt)
 			if dt <= 0 {
@@ -392,7 +390,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	l.reg.GaugeFunc("intddos_vote_windows", func() float64 { return float64(l.windowCount()) })
 	l.reg.GaugeFunc("intddos_pipeline_shards", func() float64 { return float64(l.nShards) })
 	l.reg.GaugeFunc("intddos_health_state", func() float64 { return float64(l.Health()) })
-	l.reg.GaugeFunc("intddos_workers_down", func() float64 { return float64(l.workersDown.Load()) })
+	l.reg.GaugeFunc("intddos_shards_down", func() float64 { return float64(l.shardsDown.Load()) })
 	if cfg.Fault != nil {
 		sites := l.reg.GaugeVec("intddos_faults_injected", "site")
 		for _, name := range fault.Sites() {
@@ -435,21 +433,15 @@ func (l *Live) Shards() int { return l.nShards }
 // now returns the wall clock in the repository's Time domain.
 func now() netsim.Time { return netsim.Time(time.Now().UnixNano()) }
 
-// Start launches the per-shard ingesters, the supervised Prediction
-// workers, and (when configured) the eviction sweeper and the periodic
-// checkpointer.
+// Start launches one goroutine per shard and (when configured) the
+// eviction sweeper and the periodic checkpointer.
 func (l *Live) Start() {
 	l.startProfiler()
-	l.event("pipeline started", "component", "lifecycle",
-		"shards", l.nShards, "workers", l.cfg.Workers)
-	l.handing.Store(true)
+	l.event("pipeline started", "component", "lifecycle", "shards", l.nShards)
+	l.running.Store(true)
 	for s := 0; s < l.nShards; s++ {
-		l.ingestWg.Add(1)
-		go l.ingester(s)
-	}
-	for w := 0; w < l.cfg.Workers; w++ {
-		l.workWg.Add(1)
-		go l.superviseWorker(w)
+		l.shardWg.Add(1)
+		go l.runShard(s)
 	}
 	if l.cfg.FlowIdleTimeout > 0 {
 		l.everyWg.Add(1)
@@ -463,12 +455,11 @@ func (l *Live) Start() {
 	}
 }
 
-// Stop terminates the pipeline in three phases — the ingesters drain
-// their queues and exit, then hand-off stops, then the worker
-// channels are closed and the workers drain them — and waits for
-// every goroutine. What happens to records still queued is policy:
-// with DrainOnStop they are scored and logged like any other record;
-// without it they are counted in
+// Stop terminates the pipeline — each shard takes what is queued,
+// journals it and exits — and waits for every goroutine. What happens
+// to records still queued, or still undecided in a pass when Stop
+// begins, is policy: with DrainOnStop they are scored and logged like
+// any other record; without it they are counted in
 // intddos_records_abandoned{reason="stop"}. Either way nothing is
 // dropped silently (reports handed to HandleReport after Stop begins
 // are counted in intddos_ingest_dropped_total). Stop is idempotent —
@@ -476,29 +467,15 @@ func (l *Live) Start() {
 func (l *Live) Stop() {
 	l.stop.Do(func() {
 		close(l.quit)
-		l.ingestWg.Wait()
-		// A producer racing Stop can land a report in a queue after its
-		// ingester's final drain; fold those in before hand-off stops
-		// so they are journaled, not stranded.
-		var row []float64
-		for _, ch := range l.ingestChs {
-			l.drainIngest(ch, &row)
-		}
+		l.shardWg.Wait()
 		l.everyWg.Wait()
-		// Only hand-offs write to the worker channels. One already under
-		// its shard's hand lock finishes its sends; a later one sees
-		// handing cleared and leaves its rows journaled. Then the
-		// channels can close; the workers run out their queues (scoring
-		// or accounting per DrainOnStop) and return.
-		l.handing.Store(false)
-		for _, sh := range l.shards {
-			sh.hand.Lock()
-			sh.hand.Unlock()
+		// A producer racing Stop can land a report in a queue after its
+		// shard's final pass; fold those in before deciding stops so
+		// they are journaled and accounted, not stranded.
+		for s := range l.shards {
+			l.takeQueued(s)
 		}
-		for _, ch := range l.workerChs {
-			close(ch)
-		}
-		l.workWg.Wait()
+		l.running.Store(false)
 		l.profiler.Stop()
 		l.event("pipeline stopped", "component", "lifecycle", "ledger", l.Ledger().String())
 	})
@@ -603,7 +580,8 @@ func (l *Live) Decisions() []Decision {
 func (l *Live) DecisionCount() int { return int(l.completed.Load()) }
 
 // AbandonedByReason returns the per-reason abandonment counts
-// (reasons: stop, panic, worker_down, no_model, malformed).
+// (reasons: stop, panic, worker_down — a shard past its restart
+// budget —, no_model, malformed).
 func (l *Live) AbandonedByReason() map[string]int64 {
 	return l.met.abandoned.Values()
 }
@@ -616,7 +594,7 @@ func (l *Live) abandon(reason string) {
 
 // abandonRecord accounts one record lost to a fault: counted, its flow
 // tainted, its sampled journey aborted.
-func (l *Live) abandonRecord(rec store.FlowRecord, reason string) {
+func (l *Live) abandonRecord(rec *store.FlowRecord, reason string) {
 	l.abandon(reason)
 	l.taintKey(rec.Key)
 	l.jAbort(rec.Key, rec.Updates, reason)
@@ -633,9 +611,9 @@ func (l *Live) taintKey(key flow.Key) {
 func (l *Live) windowCount() int {
 	n := 0
 	for _, sh := range l.shards {
-		sh.mu.Lock()
+		sh.run.Lock()
 		n += len(sh.windows)
-		sh.mu.Unlock()
+		sh.run.Unlock()
 	}
 	return n
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/obs"
 )
 
@@ -23,7 +24,7 @@ import (
 // (+10 objects a row).
 func TestLiveSteadyStateAllocs(t *testing.T) {
 	cfg := liveConfig(namedDetector("a"), countVoter(4), namedDetector("c"))
-	cfg.Shards, cfg.Workers, cfg.PredictBatch, cfg.QueueCap = 4, 2, 32, 1<<15
+	cfg.Shards, cfg.PredictBatch, cfg.QueueCap = 4, 32, 1<<15
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +38,8 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 		}
 		settle(t, l, 10*time.Second)
 	}
-	feed(rows) // every flow exists, every burst-sized buffer is grown
+	feed(rows) // every flow exists
+	growBursts(t, l, func(i int) flow.PacketInfo { return liveObs(uint16(3000+i%flows), 700, false, "benign") })
 	// A neighbour's journey, in flight for the whole measurement.
 	l.Journeys().Begin(obs.JourneyID{Flow: 1, Seq: 1}, "neighbour", "ingest")
 
@@ -60,4 +62,37 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / rows; bytes > 360 {
 		t.Errorf("a row allocated %d bytes, budget 360 (128 journal clone + 80 log record + ~50 of its batch's slabs + sampling)", bytes)
 	}
+}
+
+// growBursts runs every shard of a started pipeline through the largest
+// pass its queue allows — the row it holds plus a full queue — so the
+// burst-sized buffers (the journal, the drain buffer) reach their bound
+// before a measurement. row(i) yields observations of existing flows.
+func growBursts(t *testing.T, l *Live, row func(i int) flow.PacketInfo) {
+	t.Helper()
+	for s := range l.ckptMu {
+		l.ckptMu[s].Lock()
+	}
+	// Each shard takes its first row and parks behind the barrier; then
+	// its queue fills without blocking the feed.
+	for s, sh := range l.shards {
+		held := false
+		for i := 0; len(sh.queue) < cap(sh.queue); i++ {
+			pi := row(i)
+			if pi.Key.Shard(l.nShards) != s {
+				continue
+			}
+			l.IngestAsync(pi)
+			if !held {
+				if !waitFor(t, 5*time.Second, func() bool { return len(sh.queue) == 0 }) {
+					t.Fatalf("shard %d never took its first row", s)
+				}
+				held = true
+			}
+		}
+	}
+	for s := range l.ckptMu {
+		l.ckptMu[s].Unlock()
+	}
+	settle(t, l, 10*time.Second)
 }

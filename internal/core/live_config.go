@@ -22,31 +22,32 @@ type LiveConfig struct {
 	// Scaler standardizes snapshots; required.
 	Scaler *ml.StandardScaler
 
-	// QueueCap bounds the prediction input channels (default 4096,
-	// divided across workers); beyond it updates are shed and counted.
+	// QueueCap bounds the reports queued ahead of the pipeline (default
+	// 4096, divided across shards). A full shard queue blocks its
+	// producer; a report that waited longer than a fixed bound (1 s)
+	// before its shard took it is journaled, then shed and counted.
 	QueueCap int
-	// Workers is the number of prediction goroutines (default 1,
-	// like the paper's single Python predictor). Each worker owns its
-	// own input channel; shards are assigned to workers round-robin,
-	// so all updates of one flow are predicted by one worker in
-	// hand-off order — the invariant the vote window needs.
+	// Deprecated: ignored — each shard runs on one goroutine. Kept
+	// until benchmark/workloads.go stops setting it.
 	Workers int
 
-	// Shards stripes the flow table, the database journal, and the
-	// dispatch to prediction workers by flow.Key hash. Zero selects
-	// the legacy single-lock store.DB (the paper's one-database
-	// layout); n >= 1 selects a store.ShardedDB with n shards, which
-	// at n=1 is observably identical to the legacy layout.
+	// Shards stripes the flow table, the database journal, the report
+	// queue and the goroutine that drains it by flow.Key hash, so all
+	// updates of one flow are journaled and decided by one goroutine in
+	// order — the invariant the vote window needs. Zero selects the
+	// legacy single-lock store.DB (the paper's one-database layout);
+	// n >= 1 selects a store.ShardedDB with n shards, which at n=1 is
+	// observably identical to the legacy layout.
 	Shards int
 
-	// PredictBatch caps the micro-batch a prediction worker drains
-	// from its shard queue per wakeup: queued records already waiting
-	// are scored through the scaler and ensemble batch paths in one
-	// amortized call instead of one record per wakeup. Batches form
-	// only from backlog — a worker never waits for one to fill — so
-	// their size follows load. The batch contract makes results
-	// row-for-row identical to per-record scoring, so this only trades
-	// per-record overhead for batching. Zero or one keeps the paper's
+	// PredictBatch caps the micro-batch a shard scores in one call:
+	// the rows a shard takes from its queue in one pass are scored
+	// through the scaler and ensemble batch paths PredictBatch at a
+	// time instead of one record per call. Batches form only from
+	// backlog — a shard never waits for one to fill — so their size
+	// follows load. The batch contract makes results row-for-row
+	// identical to per-record scoring, so this only trades per-record
+	// overhead for batching. Zero or one keeps the paper's
 	// record-at-a-time behavior.
 	PredictBatch int
 
@@ -75,9 +76,6 @@ type LiveConfig struct {
 	// see scorer.quorumFor.
 	ModelQuorum int
 	VoteWindow  int
-	// SkipNewRecords restricts prediction to record updates (§III-3
-	// strict reading).
-	SkipNewRecords bool
 
 	// FlowIdleTimeout evicts flows idle past this TTL — their vote
 	// windows, flow-table state, and database records — so long runs
@@ -122,9 +120,9 @@ type LiveConfig struct {
 	TraceSampleEvery int
 
 	// JourneySampleEvery follows 1-in-N flow updates end to end —
-	// ingest → journal → poll (the hand-off) → batch → predict → vote, one wall-clock
-	// stamp per hop, across every goroutine handoff — queryable on
-	// /traces/flow (default 256; negative disables journey tracing).
+	// ingest → journal → poll (the journal drain) → batch → predict →
+	// vote, one wall-clock stamp per hop — queryable on /traces/flow
+	// (default 256; negative disables journey tracing).
 	JourneySampleEvery int
 
 	// ProfileDir, when set, enables periodic on-disk profile captures
@@ -149,33 +147,34 @@ type LiveConfig struct {
 
 	// Fault injects a deterministic fault schedule into the pipeline:
 	// telemetry drop/corrupt/delay at ingestion, store stalls and
-	// transient errors (the store is wrapped automatically), worker
+	// transient errors (the store is wrapped automatically), shard
 	// panics, and per-model scoring failures. Nil injects nothing and
 	// costs one branch per event.
 	Fault *fault.Injector
 
-	// DrainOnStop makes Stop score every record still queued to the
-	// prediction workers instead of abandoning them. Off (the
-	// default, matching the paper's shutdown) queued records are
-	// counted in intddos_records_abandoned{reason="stop"} — observable
-	// either way, lost silently never.
+	// DrainOnStop makes Stop score every record still queued instead
+	// of abandoning it. Off (the default, matching the paper's
+	// shutdown) queued records are journaled and counted in
+	// intddos_records_abandoned{reason="stop"} — observable either
+	// way, lost silently never.
 	DrainOnStop bool
 
-	// WorkerRestartBudget bounds how many times the supervisor
-	// restarts a panicking prediction worker before declaring it down
-	// (default 8; negative: unlimited). A down worker's queue is
-	// drained into intddos_records_abandoned{reason="worker_down"}
+	// WorkerRestartBudget bounds how many panics a shard survives —
+	// each abandons the rest of its pass and restarts the shard after
+	// a backoff — before it is declared down (default 8; negative:
+	// unlimited). A down shard still journals what it takes and
+	// abandons it as intddos_records_abandoned{reason="worker_down"},
 	// and the pipeline reports shedding.
 	WorkerRestartBudget int
-	// WorkerRestartBackoff is the supervisor's initial restart delay,
-	// doubling per consecutive restart up to one second (default 10ms).
+	// WorkerRestartBackoff is the initial restart delay, doubling per
+	// restart of the shard up to one second (default 10ms).
 	WorkerRestartBackoff time.Duration
 
 	// StoreRetries bounds retry attempts after a transient store
 	// error (default 3). Writes still failing after the budget are
 	// dropped and counted in intddos_store_dropped_total. A failed
-	// journal drain has no budget: it consumed nothing, so the
-	// hand-off retries it on the same backoff until it succeeds.
+	// journal drain has no budget: it consumed nothing, so the shard
+	// retries it on the same backoff until it succeeds.
 	StoreRetries int
 	// StoreRetryBackoff is the initial delay between store retries,
 	// doubling per attempt (default 2ms; journal drains cap at 1s).
@@ -196,19 +195,20 @@ type LiveConfig struct {
 
 // Fixed sizings no caller has needed to vary.
 const (
-	// ingestQueueCap bounds each shard's ingest queue. HandleReport
-	// demuxes reports onto per-shard queues by flow-key hash; a full
-	// queue applies backpressure to the producer (like the paper's
-	// collector socket) rather than dropping.
-	ingestQueueCap = 1024
+	// shedAfter is the overload bound: a report its shard takes more
+	// than this long after IngestAsync accepted it is journaled, then
+	// shed. It exceeds the QueueCap ÷ rate of every configured workload
+	// (0.4 s on the default), so only a backlog no queue bound explains
+	// sheds. Live.shedAfter is the test seam.
+	shedAfter = time.Second
 	// checkpointBarrierTimeout bounds how long a checkpoint waits for
-	// accepted and in-flight records to settle before giving up.
+	// accepted reports to be journaled before giving up.
 	checkpointBarrierTimeout = 5 * time.Second
 	// dedupMaxSources bounds the dedup tracker's per-source state
 	// (least-recently-active eviction).
 	dedupMaxSources = 1024
 	// maxRetryBackoff caps the doubling backoffs that have no attempt
-	// budget: worker restarts and journal-drain retries.
+	// budget: shard restarts and journal-drain retries.
 	maxRetryBackoff = time.Second
 )
 
@@ -220,9 +220,6 @@ func (cfg *LiveConfig) defaults() {
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 4096
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.Shards < 0 {
 		cfg.Shards = 0
@@ -278,16 +275,17 @@ func (l *Live) describeConfig() string {
 		models[i] = m.Name()
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "shards=%d\nworkers=%d\n", l.nShards, cfg.Workers)
+	fmt.Fprintf(&b, "shards=%d\n", l.nShards)
 	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), cfg.ModelQuorum, cfg.VoteWindow)
 	fmt.Fprintf(&b, "features=%d\n", len(cfg.Scaler.Mean))
-	fmt.Fprintf(&b, "queue_cap=%d\ningest_queue_cap=%d\npredict_batch=%d\n", cfg.QueueCap, ingestQueueCap, cfg.PredictBatch)
+	fmt.Fprintf(&b, "queue_cap=%d\nshard_queue_cap=%d\nshed_after=%s\npredict_batch=%d\n",
+		cfg.QueueCap, cap(l.shards[0].queue), l.shedAfter, cfg.PredictBatch)
 	triageModel := ""
 	if c := l.scorer.cascade; c != nil {
 		triageModel = c.Stages[0].Name
 	}
 	fmt.Fprintf(&b, "triage=%t\ntriage_threshold=%g\ntriage_model=%s\n", cfg.Triage, cfg.TriageThreshold, triageModel)
-	fmt.Fprintf(&b, "skip_new_records=%t\ndrain_on_stop=%t\n", cfg.SkipNewRecords, cfg.DrainOnStop)
+	fmt.Fprintf(&b, "drain_on_stop=%t\n", cfg.DrainOnStop)
 	fmt.Fprintf(&b, "flow_idle_timeout=%s\nsweep_interval=%s\n", cfg.FlowIdleTimeout, cfg.SweepInterval)
 	fmt.Fprintf(&b, "checkpoint_dir=%s\ncheckpoint_every=%s\ncheckpoint_keep=%d\n", cfg.CheckpointDir, cfg.CheckpointEvery, cfg.CheckpointKeep)
 	fmt.Fprintf(&b, "checkpoint_full_every=%d\ncheckpoint_compress=%t\n", cfg.CheckpointFullEvery, cfg.CheckpointCompress)

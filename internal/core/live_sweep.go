@@ -7,18 +7,17 @@ import "github.com/amlight/intddos/internal/flow"
 // single-pass eviction instead of the old two-pass scan, which left
 // store rows behind for flows created between the scan and the sweep
 // and let the store grow without bound under spoofed-source floods.
-// Runs under the evicting table shard's lock; it takes only the store
-// and window locks (table → store, table → window — no path takes
-// those locks and then the table's, so the order is acyclic).
+// Runs under the evicting table shard's lock, within the sweeper's
+// hold of the shard's run lock (run → table → store, the order every
+// pass takes them).
 func (l *Live) onEvict(key flow.Key) {
 	l.DB.DeleteFlow(key)
 	l.dropWindow(l.shards[key.Shard(l.nShards)], key)
 }
 
 // dropWindow deletes a flow's vote window, marking the removal for the
-// next delta checkpoint.
+// next delta checkpoint. Callers hold the shard's run lock.
 func (l *Live) dropWindow(sh *liveShard, key flow.Key) {
-	sh.mu.Lock()
 	if _, ok := sh.windows[key]; ok {
 		delete(sh.windows, key)
 		if l.deltaTrack {
@@ -26,42 +25,28 @@ func (l *Live) dropWindow(sh *liveShard, key flow.Key) {
 			delete(sh.dirty, key)
 		}
 	}
-	sh.mu.Unlock()
 }
 
-// sweep evicts flows idle past FlowIdleTimeout. The table sweep fires
-// onEvict per eviction, which removes the database record and vote
-// window in the same pass; a safety pass then clears orphaned windows
-// (a late decision can re-create a window after its flow was swept).
+// sweep evicts flows idle past FlowIdleTimeout, one shard at a time,
+// each under its barrier's read side (sweeps mutate all three stores at
+// once and must not interleave with a capture) and its run lock. The
+// table sweep fires onEvict per eviction, which removes the database
+// record and vote window in the same pass; an orphan pass then clears
+// windows whose flow is gone (a journal tail decided after its flow
+// was swept re-creates one).
 func (l *Live) sweep() {
-	// Checkpoint barrier: sweeps mutate all three stores at once and
-	// must not interleave with a capture, so every shard's barrier is
-	// held for read — in ascending order, the same order a capture
-	// takes the write side.
-	for s := range l.ckptMu {
+	evicted := 0
+	for s, sh := range l.shards {
 		l.ckptMu[s].RLock()
-	}
-	defer func() {
-		for s := range l.ckptMu {
-			l.ckptMu[s].RUnlock()
-		}
-	}()
-	evicted := l.tables.Sweep(now())
-	// Orphan pass: collect keys under the window lock, probe the table
-	// without holding it (the eviction hook locks window under table;
-	// nesting the other way here would deadlock).
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		keys := make([]flow.Key, 0, len(sh.windows))
+		sh.run.Lock()
+		evicted += l.tables.SweepShard(s, now())
 		for key := range sh.windows {
-			keys = append(keys, key)
-		}
-		sh.mu.Unlock()
-		for _, key := range keys {
 			if !l.tables.Get(key, nil) {
 				l.dropWindow(sh, key)
 			}
 		}
+		sh.run.Unlock()
+		l.ckptMu[s].RUnlock()
 	}
 	l.Evictions.Add(int64(evicted))
 	l.met.evictions.Add(int64(evicted))

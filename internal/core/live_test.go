@@ -217,10 +217,11 @@ func TestLiveShedsUnderOverload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.shedAfter = time.Millisecond // below the model's cost: a backlog sheds
 	l.Start()
 	defer l.Stop()
 	for i := 0; i < 100; i++ {
-		l.Ingest(liveObs(uint16(i), 500, false, "benign"))
+		l.IngestAsync(liveObs(uint16(i), 500, false, "benign"))
 	}
 	if !waitFor(t, 3*time.Second, func() bool {
 		return int(l.Shed.Load())+len(l.Decisions()) >= 20

@@ -10,14 +10,13 @@ import (
 	"github.com/amlight/intddos/internal/netsim"
 )
 
-// TestLiveShardAffinityOrdering is the tentpole's correctness
-// contract: with many workers AND many shards, every flow's decisions
-// must still arrive in per-flow journal order, because a flow maps to
-// one shard, one serialized hand-off, and one worker. Cross-flow order is
+// TestLiveShardAffinityOrdering is the sharding correctness contract:
+// with many shards and concurrent callers, every flow's decisions must
+// still arrive in per-flow journal order, because a flow maps to one
+// shard and one shard's passes are serialized. Cross-flow order is
 // unspecified; per-flow order is what the 2-of-3 vote window needs.
 func TestLiveShardAffinityOrdering(t *testing.T) {
 	cfg := liveConfig(attackDetector())
-	cfg.Workers = 8
 	cfg.Shards = 8
 	l, err := NewLive(cfg)
 	if err != nil {
@@ -93,7 +92,6 @@ func TestLiveShardAffinityOrdering(t *testing.T) {
 func TestLiveShardedEndToEnd(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 4
-	cfg.Workers = 2
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,8 +14,8 @@ import (
 
 // The tests in this file pin the failure modes a push design adds over
 // a polled one: with no tick behind it, a record that is journaled and
-// not handed off stays where it is forever. Each test ends in silence —
-// no later report arrives to cover for a missed hand-off.
+// not decided stays where it is forever. Each test ends in silence —
+// no later report arrives to cover for a missed pass.
 
 // TestPushLoneReportDecided sends one report into an idle, started
 // pipeline down each ingest path and expects its decision with nothing
@@ -55,15 +55,15 @@ func oneShardKeys(n, nShards int) []flow.Key {
 }
 
 // TestPushBurstIdleBurstOneShard drives one shard from concurrent
-// direct Ingest callers and the shard's ingester at once — burst, idle
+// direct Ingest callers and the shard's goroutine at once — burst, idle
 // until settled, burst again — and requires every row decided exactly
 // once, in per-flow Seq order. Concurrent callers share the shard's
-// journal and hand-off, so a caller may find its row already handed off
-// by another, or hand off rows it did not write; neither may duplicate,
-// drop or reorder anything.
+// journal and its run lock, so a caller may find its row already
+// decided by another, or decide rows it did not write; neither may
+// duplicate, drop or reorder anything.
 func TestPushBurstIdleBurstOneShard(t *testing.T) {
 	cfg := liveConfig(attackDetector())
-	cfg.Shards, cfg.Workers, cfg.PredictBatch = 4, 2, 8
+	cfg.Shards, cfg.PredictBatch = 4, 8
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestPushBurstIdleBurstOneShard(t *testing.T) {
 
 // TestPushRestoredJournalTailScored boots from a checkpoint whose
 // journal tail is not empty — the state a crash between a journal write
-// and its hand-off leaves — and expects that tail scored after Start
+// and its decision leaves — and expects that tail scored after Start
 // with zero new reports.
 func TestPushRestoredJournalTailScored(t *testing.T) {
 	dir := t.TempDir()
@@ -140,7 +140,7 @@ func TestPushRestoredJournalTailScored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not started: nothing is handed off, so every snapshot stays in
+	// Not started: nothing is decided, so every snapshot stays in
 	// the journal and rides the checkpoint as restored-pending work.
 	const n = 12
 	for i := 0; i < n; i++ {
@@ -196,7 +196,7 @@ func (s *outageStore) TryDrainShard(shard int, buf []store.FlowRecord) ([]store.
 
 // TestPushStoreOutageThenSilenceDrains journals reports while journal
 // drains fail, ends the outage, and sends nothing more: the rows must
-// still be decided, by the hand-off's own timed retry.
+// still be decided, by the shard's own timed retry.
 func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 2
@@ -215,7 +215,7 @@ func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.HandleReport(chaosReport(uint16(300+i), 40, true, "synflood"))
 	}
-	// Every shard with rows has tried its hand-off and failed.
+	// Every shard with rows has tried its journal drain and failed.
 	if !waitFor(t, 5*time.Second, func() bool {
 		return l.IngestBacklog() == 0 && out.failed.Load() >= 2
 	}) {
@@ -245,9 +245,10 @@ func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 }
 
 // TestPushQueueOfOneShedsAndLedgerCloses pins the overload policy at
-// its smallest bound: a worker queue of one row behind a slow model
-// sheds — counted, pipeline shedding — and every row handed off is
-// still a decision, a shed or an abandonment.
+// its smallest bounds: a shard queue of one row behind a slow model,
+// with the shed bound below the model's cost, sheds — counted,
+// pipeline shedding — and every row drained is still a decision, a
+// shed or an abandonment.
 func TestPushQueueOfOneShedsAndLedgerCloses(t *testing.T) {
 	cfg := liveConfig(slowModel{d: 2 * time.Millisecond})
 	cfg.QueueCap = 1
@@ -255,14 +256,15 @@ func TestPushQueueOfOneShedsAndLedgerCloses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l.shedAfter = time.Millisecond
 	l.Start()
 	const n = 60
 	for i := 0; i < n; i++ {
-		l.Ingest(liveObs(uint16(i%6), 1000, false, "benign"))
+		l.IngestAsync(liveObs(uint16(i%6), 1000, false, "benign"))
 	}
 	settle(t, l, 10*time.Second)
 	if l.Polled.Load() != n {
-		t.Errorf("polled = %d, want every one of %d snapshots handed off", l.Polled.Load(), n)
+		t.Errorf("polled = %d, want every one of %d snapshots drained", l.Polled.Load(), n)
 	}
 	if l.Shed.Load() == 0 {
 		t.Error("no shedding with a one-row queue and a slow model")

@@ -22,7 +22,7 @@ import (
 
 // Every ensemble member reports its trained input width, so the live
 // runtime can reject a model/scaler bundle whose shapes disagree at
-// construction instead of panicking a worker at the first batch.
+// construction instead of panicking a shard at the first batch.
 var (
 	_ ml.FeatureCounter = (*forest.Forest)(nil)
 	_ ml.FeatureCounter = (*bayes.GaussianNB)(nil)
@@ -44,9 +44,8 @@ type ChaosConfig struct {
 	FaultSpec string
 	// FaultSeed seeds the schedule for deterministic replay.
 	FaultSeed int64
-	// Shards/Workers size the pipeline (defaults 4 and 2).
-	Shards  int
-	Workers int
+	// Shards sizes the pipeline (default 4).
+	Shards int
 	// DrainOnStop selects the shutdown policy under test.
 	DrainOnStop bool
 	// CheckpointDir, when set, makes the run crash-recoverable: the
@@ -103,9 +102,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 4
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
-	}
 	injector, err := fault.Parse(cfg.FaultSpec, cfg.FaultSeed)
 	if err != nil {
 		return nil, err
@@ -130,7 +126,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		Models:               models,
 		Scaler:               scaler,
 		Shards:               cfg.Shards,
-		Workers:              cfg.Workers,
 		Fault:                injector,
 		DrainOnStop:          cfg.DrainOnStop,
 		WorkerRestartBackoff: time.Millisecond,
@@ -214,7 +209,7 @@ func FormatChaos(r *ChaosResult) string {
 		sort.Strings(reasons)
 		fmt.Fprintf(&b, "  abandoned by reason: %s\n", strings.Join(reasons, ", "))
 	}
-	fmt.Fprintf(&b, "  store: retries=%d; workers: restarts=%d; models: failures=%d\n",
+	fmt.Fprintf(&b, "  store: retries=%d; shards: restarts=%d; models: failures=%d\n",
 		r.StoreRetries, r.WorkerRestarts, r.ModelFailures)
 	fmt.Fprintf(&b, "  faults fired: %s; tainted flows: %d\n", r.FaultSummary, r.TaintedFlows)
 	if rs := r.Restored; rs != nil {

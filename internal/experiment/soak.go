@@ -46,9 +46,8 @@ type SoakConfig struct {
 
 	// DedupWindow is the pipeline's per-source window (default 16).
 	DedupWindow int
-	// Shards/Workers size the pipeline (defaults 4 and 2).
-	Shards  int
-	Workers int
+	// Shards sizes the pipeline (default 4).
+	Shards int
 
 	// MaxAccuracyLossPP is the soak invariant: the scrambled run's
 	// decision accuracy may trail the clean run's by at most this many
@@ -152,9 +151,6 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = 4
-	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 2
 	}
 	if cfg.MaxAccuracyLossPP <= 0 {
 		cfg.MaxAccuracyLossPP = 10
@@ -266,7 +262,7 @@ func feedLive(cfg core.LiveConfig, feed func(emit func(*telemetry.Report))) (*co
 	feed(func(r *telemetry.Report) {
 		live.HandleReport(r)
 		if fed++; fed%128 == 127 {
-			time.Sleep(time.Millisecond) // a paced feed, not one burst past the worker queues
+			time.Sleep(time.Millisecond) // a paced feed, not one burst past the shard queues
 		}
 	})
 	live.AwaitSettled(30 * time.Second)
@@ -281,7 +277,6 @@ func soakFeed(models []ml.Classifier, scaler *ml.StandardScaler, cfg SoakConfig,
 		Models:               models,
 		Scaler:               scaler,
 		Shards:               cfg.Shards,
-		Workers:              cfg.Workers,
 		Fault:                injector,
 		DedupWindow:          cfg.DedupWindow,
 		WorkerRestartBackoff: time.Millisecond,

@@ -4,7 +4,7 @@
 // into the store (transient errors, shard stalls), the models
 // (per-model scoring failures, injected latency), and the telemetry
 // feed (report drop, corruption, delay). The live pipeline (core.Live)
-// consumes the injector directly for worker panics and telemetry
+// consumes the injector directly for shard panics and telemetry
 // faults and through the wrappers for everything else.
 //
 // Determinism: every fault site owns its own RNG seeded from the
@@ -41,7 +41,7 @@ import (
 // transient failure: retry, back off, or degrade.
 var ErrInjected = errors.New("fault: injected transient error")
 
-// InjectedPanic is the value injected worker panics carry, so panic
+// InjectedPanic is the value injected shard panics carry, so panic
 // recovery can tell a scheduled fault from a genuine bug in logs.
 type InjectedPanic struct{ Site string }
 
@@ -217,8 +217,8 @@ func (in *Injector) StoreStall() time.Duration {
 	return time.Duration(float64(in.spec.StoreStall) * in.sites[SiteStoreStall].fraction())
 }
 
-// WorkerPanicNow reports whether a prediction worker should panic at
-// the start of its next micro-batch.
+// WorkerPanicNow reports whether a shard should panic at the start of
+// its next scoring micro-batch.
 func (in *Injector) WorkerPanicNow() bool {
 	return in.hit(SiteWorkerPanic, in.Spec().WorkerPanic)
 }

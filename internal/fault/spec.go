@@ -32,8 +32,8 @@ type Spec struct {
 	StoreStall  time.Duration
 	StoreStallP float64
 
-	// WorkerPanic is the probability a prediction worker panics at the
-	// start of a scoring micro-batch.
+	// WorkerPanic is the probability a shard panics at the start of a
+	// scoring micro-batch, abandoning the rest of its pass.
 	WorkerPanic float64
 
 	// ModelFail maps a model name (or "*" for every model) to the

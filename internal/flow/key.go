@@ -26,8 +26,8 @@ func (k Key) String() string {
 }
 
 // Hash returns a stable FNV-1a hash of the five-tuple. Every sharded
-// structure in the pipeline (flow tables, the database, the dispatch
-// to prediction workers) derives its shard from this one value, so a
+// structure in the pipeline (flow tables, the database, the report
+// queues) derives its shard from this one value, so a
 // flow lands on the same shard at every layer.
 func (k Key) Hash() uint64 {
 	const (

@@ -313,11 +313,18 @@ func (t *ShardedTable) Created() int {
 func (t *ShardedTable) Sweep(now netsim.Time) int {
 	n := 0
 	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += t.shards[i].table.Sweep(now)
-		t.shards[i].mu.Unlock()
+		n += t.SweepShard(i, now)
 	}
 	return n
+}
+
+// SweepShard evicts idle records on one shard and returns how many it
+// removed.
+func (t *ShardedTable) SweepShard(shard int, now netsim.Time) int {
+	s := &t.shards[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.table.Sweep(now)
 }
 
 // Range calls fn for every live record under its shard's lock;

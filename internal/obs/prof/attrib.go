@@ -65,12 +65,16 @@ type Report struct {
 // outward); the first rule with a matching frame wins. Rule order is
 // therefore priority: named pipeline functions come before the
 // generic runtime channel buckets, so "blocked in select inside the
-// ingester" attributes to the ingest stage, not to the catch-all
-// queue bucket.
+// shard loop" attributes to idle, not to the catch-all channel bucket.
 type StageRule struct {
 	Match string
 	Stage string
 }
+
+// StageIdle is the stage of a goroutine parked waiting for work — a
+// shard on its empty queue — which is not contention: StageTotals and
+// Format leave it out of the blocked-time ranking and report it apart.
+const StageIdle = "idle"
 
 // PipelineStages are the attribution rules for this repository's
 // pipeline: the known serialization suspects first (the shared
@@ -93,14 +97,7 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).FlowCount", "store.journal_scan"},
 		{"flow.(*ShardedTable)", "flow.table"},
 		{"core.(*Live).finish", "core.finish"},
-		// The hand-off runs on the goroutine that journaled, under the
-		// ingester's or a direct Ingest's frames, so its rule precedes
-		// theirs: time blocked handing rows to a worker is not ingest.
-		{"core.(*Live).handoff", "core.handoff"},
-		{"core.(*Live).IngestAsync", "core.ingest_demux"},
-		{"core.(*Live).ingester", "core.ingest"},
-		{"core.(*Live).Ingest", "core.ingest"},
-		{"core.(*Live).upsertFlow", "core.ingest"},
+		{"core.(*Live).journal", "core.ingest"},
 		// Triage rules precede core.predict: the scorer's triage pass
 		// runs under predictBatch, so a stack blocked under the sketch
 		// veto or the cascade attributes to the triage stage, not the
@@ -109,16 +106,25 @@ func PipelineStages() []StageRule {
 		{"ml.(*Cascade)", "core.triage"},
 		{"sketch.(*Sketch)", "core.triage"},
 		{"core.(*Live).predictBatch", "core.predict"},
-		{"core.(*Live).runWorker", "worker.queue_recv"},
+		// A shard's pass, outside the named steps above: waiting for its
+		// barrier (a capture) or its run lock (a direct Ingest, the
+		// sweeper, a Ledger reading). It runs under the shard loop's or
+		// a direct Ingest's frames, so its rule precedes theirs.
+		{"core.(*Live).burst", "core.shard"},
+		// A producer blocked on a full shard queue: backpressure.
+		{"core.(*Live).IngestAsync", "core.ingest_demux"},
+		// The shard loop outside a pass is parked on its queue, its
+		// retry timer or its restart backoff: waiting for work.
+		{"core.(*Live).runShard", StageIdle},
 		{"telemetry.", "telemetry.ingest"},
 		// Harness and runtime background stacks block on channels too;
-		// keep them out of the worker-starvation buckets.
+		// keep them out of the channel buckets.
 		{"testing.", "other"},
 		{"runtime.unique_runtime_registerUniqueMapCleanup", "other"},
 		{"runtime.gcBgMarkWorker", "other"},
-		{"runtime.chanrecv", "worker.queue_recv"},
-		{"runtime.chansend", "worker.queue_send"},
-		{"runtime.selectgo", "worker.queue_select"},
+		{"runtime.chanrecv", "chan.recv"},
+		{"runtime.chansend", "chan.send"},
+		{"runtime.selectgo", "chan.select"},
 		{"obs.(*Journeys)", "obs.journeys"},
 		{"obs.(*EventLog)", "obs.events"},
 		{"obs.", "obs.scrape"},
@@ -326,11 +332,14 @@ func (r *Report) Top(n int) []Row {
 }
 
 // StageTotals aggregates rows by (kind, stage), sorted by blocked
-// seconds descending.
+// seconds descending. Idle rows are not blocked time and are left out.
 func (r *Report) StageTotals() []Row {
 	idx := make(map[string]int)
 	var out []Row
 	for _, row := range r.Rows {
+		if row.Stage == StageIdle {
+			continue
+		}
 		k := row.Kind + "|" + row.Stage
 		if i, ok := idx[k]; ok {
 			out[i].Count += row.Count
@@ -345,7 +354,7 @@ func (r *Report) StageTotals() []Row {
 }
 
 // Format renders the report as the /debug/attrib text: stage totals
-// first, then the top stacks.
+// first, then the top stacks, then the idle total kept out of both.
 func (r *Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# contention attribution (mutex fraction 1/%d, block rate %dns)\n",
@@ -360,9 +369,15 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&b, "%-6s %-24s %12.6f %10d\n", row.Kind, row.Stage, row.Seconds, row.Count)
 	}
 	b.WriteString("\n== top stacks by blocked time ==\n")
+	idle := 0.0
 	for _, row := range r.Rows {
+		if row.Stage == StageIdle {
+			idle += row.Seconds
+			continue
+		}
 		fmt.Fprintf(&b, "%-6s %-24s %12.6f %10d  %s\n",
 			row.Kind, row.Stage, row.Seconds, row.Count, strings.Join(row.Frames, " < "))
 	}
+	fmt.Fprintf(&b, "\n# %s (parked waiting for work, not ranked): %.6f seconds\n", StageIdle, idle)
 	return b.String()
 }

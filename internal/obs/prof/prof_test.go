@@ -74,32 +74,69 @@ func TestAttributionSeesInducedContention(t *testing.T) {
 	}
 }
 
-// TestPipelineStagesScoringBuckets pins the rules to the scoring
-// core's frame names: a stack under the scorer's triage pass is
-// core.triage, the rest of a scoring call is core.predict; a stack
-// under the hand-off is core.handoff whichever goroutine journaled,
-// and the rest of that goroutine's work is core.ingest.
+// TestPipelineStagesScoringBuckets pins the rules to the pipeline's
+// frame names, for a pass run by the shard loop or by a direct Ingest
+// alike: under the scorer's triage pass is core.triage, the rest of a
+// scoring call core.predict, journaling core.ingest, and the rest of
+// the pass — its barrier and run lock — core.shard. The shard loop
+// outside a pass is idle; a producer blocked on a full queue is
+// core.ingest_demux.
 func TestPipelineStagesScoringBuckets(t *testing.T) {
 	const core = "github.com/amlight/intddos/internal/core."
-	worker := []string{core + "(*scorer).score", core + "(*Live).predictBatch", core + "(*Live).runWorker"}
-	if got := attribute(append([]string{core + "(*scorer).triage"}, worker...), PipelineStages()); got != "core.triage" {
-		t.Errorf("triage stack attributed to %q, want core.triage", got)
-	}
-	if got := attribute(worker, PipelineStages()); got != "core.predict" {
-		t.Errorf("scoring stack attributed to %q, want core.predict", got)
-	}
-	for _, journaler := range [][]string{
-		{core + "(*Live).ingestBurst", core + "(*Live).ingester"},
-		{core + "(*Live).ingestBurst", core + "(*Live).Ingest"},
-		{core + "(*Live).push", core + "(*Live).ingester"},
+	for _, caller := range [][]string{
+		{core + "(*Live).runShard", core + "(*Live).Start.gowrap1"},
+		{core + "(*Live).Ingest", "main.feed"},
 	} {
-		stack := append([]string{"sync.(*Mutex).Lock", core + "(*Live).handoff"}, journaler...)
-		if got := attribute(stack, PipelineStages()); got != "core.handoff" {
-			t.Errorf("hand-off stack %v attributed to %q, want core.handoff", journaler, got)
+		pass := append([]string{core + "(*Live).decide", core + "(*Live).burst"}, caller...)
+		scoring := append([]string{core + "(*scorer).score", core + "(*Live).predictBatch"}, pass...)
+		for _, c := range []struct {
+			stack []string
+			want  string
+		}{
+			{append([]string{core + "(*scorer).triage"}, scoring...), "core.triage"},
+			{scoring, "core.predict"},
+			{append([]string{"sync.(*Mutex).Lock", core + "(*Live).journal"}, pass[1:]...), "core.ingest"},
+			{append([]string{"sync.(*RWMutex).RLock"}, pass[1:]...), "core.shard"},
+			{append([]string{"sync.(*Mutex).Lock"}, pass...), "core.shard"},
+		} {
+			if got := attribute(c.stack, PipelineStages()); got != c.want {
+				t.Errorf("stack %v attributed to %q, want %q", c.stack, got, c.want)
+			}
 		}
-		if got := attribute(journaler, PipelineStages()); got != "core.ingest" {
-			t.Errorf("ingest stack %v attributed to %q, want core.ingest", journaler, got)
+	}
+	for _, c := range []struct {
+		stack []string
+		want  string
+	}{
+		{[]string{"runtime.selectgo", core + "(*Live).runShard", core + "(*Live).Start.gowrap1"}, StageIdle},
+		{[]string{"runtime.selectgo", core + "(*Live).sleepQuit", core + "(*Live).runShard"}, StageIdle},
+		{[]string{"runtime.selectgo", core + "(*Live).IngestAsync", core + "(*Live).HandleReport"}, "core.ingest_demux"},
+		{[]string{"runtime.chanrecv1", "main.consume"}, "chan.recv"},
+	} {
+		if got := attribute(c.stack, PipelineStages()); got != c.want {
+			t.Errorf("stack %v attributed to %q, want %q", c.stack, got, c.want)
 		}
+	}
+}
+
+// TestIdleKeptOutOfTheRanking: a parked shard loop is waiting for work,
+// not blocked, so it is neither a stage total nor a top stack — only
+// the one idle line reports it, whatever its seconds.
+func TestIdleKeptOutOfTheRanking(t *testing.T) {
+	rep := &Report{Rows: []Row{
+		{Kind: "block", Stage: StageIdle, Count: 9, Seconds: 5.5, Frames: []string{"core.(*Live).runShard"}},
+		{Kind: "mutex", Stage: "core.shard", Count: 3, Seconds: 0.25, Frames: []string{"core.(*Live).burst"}},
+	}}
+	totals := rep.StageTotals()
+	if len(totals) != 1 || totals[0].Stage != "core.shard" {
+		t.Errorf("stage totals %+v, want core.shard alone", totals)
+	}
+	text := rep.Format()
+	if strings.Contains(text, "runShard") {
+		t.Errorf("idle stack ranked among the blocked ones:\n%s", text)
+	}
+	if !strings.Contains(text, "# idle (parked waiting for work, not ranked): 5.500000 seconds") {
+		t.Errorf("Format() missing the idle line:\n%s", text)
 	}
 }
 

@@ -172,7 +172,7 @@ func (s *ShardedDB) ShardJournalLen(shard int) int { return s.shards[shard].Jour
 
 // AppendPrediction logs a final decision into the key's shard.
 // PR 2 kept one global log behind one mutex — the store's top
-// serialization point once workers scaled; decisions of flows on
+// serialization point once prediction scaled out; decisions of flows on
 // different shards now never contend. The shared decision-sequence
 // stamp (taken under the shard's log lock) is what lets Predictions
 // reconstruct the global append order.

@@ -160,7 +160,7 @@ type journalEntry struct {
 // locks so the hot paths never serialize on each other: mu guards the
 // flow map (ingest's record work), jmu the journal and sequence
 // counters (ingest's append vs. its consumer), and pmu the prediction
-// log (the workers). UpsertFlow nests jmu inside mu — the map update
+// log (the deciding side). UpsertFlow nests jmu inside mu — the map update
 // and journal append of one flow stay atomic, preserving per-flow
 // journal order — and no path takes jmu or pmu and then mu, so the
 // order is acyclic.
@@ -222,7 +222,7 @@ type DB struct {
 	// PredContention, when set, counts AppendPrediction calls that
 	// found the prediction-log mutex already held (nil-safe; set by
 	// Instrument and by ShardedDB.Instrument). With per-shard logs
-	// only workers finishing flows of the same shard can collide here.
+	// only decisions of flows on the same shard can collide here.
 	PredContention *obs.Counter
 }
 

@@ -22,7 +22,7 @@ exit_bundle="$workdir/exit-bundle.tar.gz"
 # Loop until killed so the live /debug/bundle fetch races nothing;
 # journey sampling on every record so the bundle has traces in it.
 "$workdir/intddos" -live -scale tiny -packets 300 -live-for -1s \
-    -shards 2 -workers 2 \
+    -shards 2 \
     -obs-addr 127.0.0.1:0 -diag-bundle "$exit_bundle" >"$log" 2>&1 &
 pid=$!
 
