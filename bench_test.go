@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -624,7 +625,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 				return LiveRuntimeConfig{
 					Models: []Classifier{model}, Scaler: scaler,
 					Shards:        4,
-					CheckpointDir: dir, CheckpointKeep: 1,
+					CheckpointDir: dir,
 				}
 			}
 			live, err := NewLiveRuntime(mkCfg())
@@ -658,19 +659,24 @@ func BenchmarkCheckpoint(b *testing.B) {
 			// the encoder reuses its section buffers. Steady state —
 			// not the first-ever checkpoint — is what the pause and
 			// throughput targets are about.
-			if _, _, err := live.WriteCheckpoint(); err != nil {
+			path, _, err := live.WriteCheckpoint()
+			if err != nil {
 				b.Fatal(err)
 			}
+			keepOnly(b, dir, path)
 
 			var size int
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, n, err := live.WriteCheckpoint()
+				path, n, err := live.WriteCheckpoint()
 				if err != nil {
 					b.Fatal(err)
 				}
 				size = n
+				b.StopTimer()
+				keepOnly(b, dir, path)
+				b.StartTimer()
 			}
 			b.StopTimer()
 			writeNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
@@ -724,6 +730,24 @@ func BenchmarkCheckpoint(b *testing.B) {
 			writeCkptBench(b, ckptBenchResults)
 			ckptBenchMu.Unlock()
 		})
+	}
+}
+
+// keepOnly deletes every checkpoint in dir but the one at path. Every
+// write here is a full snapshot, so nothing chains to the older files,
+// and the pipeline's own retention would keep three fulls — gigabytes
+// at a million flows.
+func keepOnly(b *testing.B, dir, path string) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, e := range ents {
+		if p := filepath.Join(dir, e.Name()); p != path {
+			if err := os.Remove(p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

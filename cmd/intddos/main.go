@@ -13,7 +13,7 @@
 // datagen instead of a generated workload. With -live the pipeline
 // runs as concurrent goroutines on the wall clock (the deployment
 // mode) and -obs-addr serves /metrics (Prometheus text), /healthz,
-// /traces, and /debug/pprof while it does.
+// /traces/flow, and /debug/pprof while it does.
 package main
 
 import (
@@ -35,7 +35,7 @@ func main() {
 	tracePath := flag.String("trace", "", "optional .amtr trace to replay instead of the built-in workload")
 	saveBundle := flag.String("save-bundle", "", "train the ensemble and write it to this bundle file, then exit")
 	bundlePath := flag.String("bundle", "", "detect over -trace using a pre-trained bundle instead of training")
-	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /traces and pprof on this address (e.g. :9090)")
+	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /traces/flow and pprof on this address (e.g. :9090)")
 	liveMode := flag.Bool("live", false, "run the wall-clock concurrent pipeline instead of the simulated replay")
 	liveFor := flag.Duration("live-for", 0, "keep the -live replay looping for this long (0: one pass; implies looping until SIGINT when negative)")
 	shards := flag.Int("shards", 0, "stripe the flow table, database, and dispatch over N shards (0: the paper's single-lock layout)")
@@ -68,7 +68,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("observability endpoints on http://%s (/metrics /healthz /traces /debug/pprof)\n", srv.Addr())
+		fmt.Printf("observability endpoints on http://%s (/metrics /healthz /traces/flow /debug/pprof)\n", srv.Addr())
 	}
 
 	if *saveBundle != "" {

@@ -260,8 +260,8 @@ type (
 
 // Observability layer: a dependency-free metrics registry with
 // counters, gauges, and lock-free latency histograms, a sampled
-// per-stage span tracer, and an HTTP surface exposing /metrics
-// (Prometheus text), /healthz, /traces, and pprof. Wire a registry
+// flow-journey tracer, and an HTTP surface exposing /metrics
+// (Prometheus text), /healthz, /traces/flow, and pprof. Wire a registry
 // into LiveRuntimeConfig.Registry (or read Live.Obs()) and mount
 // Registry.Handler() to watch the pipeline run.
 type (
@@ -273,8 +273,6 @@ type (
 	ObsHistogramSnapshot = obs.HistogramSnapshot
 	// ObsServer is a running observability HTTP listener.
 	ObsServer = obs.Server
-	// PipelineTrace is one sampled record's per-stage timing journey.
-	PipelineTrace = obs.Trace
 	// ObsEvent is one structured pipeline event (shard restart,
 	// health transition, checkpoint, shed decision).
 	ObsEvent = obs.Event

@@ -3,19 +3,31 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"github.com/amlight/intddos/internal/obs"
 )
+
+// sampleJourneys replaces the pipeline's journey sampler, between
+// NewLive and Start: one following 1-in-every records, or none at all
+// when every is negative.
+func sampleJourneys(l *Live, every int) {
+	l.journeys = nil
+	if every >= 0 {
+		l.journeys = obs.NewJourneys(every, 0)
+	}
+	l.reg.SetFlowJourneys(l.journeys)
+}
 
 // TestFlowJourneyCompleteness samples every record (1-in-1) and checks
 // that each finished journey carries the full hop sequence — ingest,
 // journal, poll, batch, predict, and the completing vote — with no
 // journey left in flight after the pipeline drains.
 func TestFlowJourneyCompleteness(t *testing.T) {
-	cfg := liveConfig(attackDetector())
-	cfg.JourneySampleEvery = 1
-	l, err := NewLive(cfg)
+	l, err := NewLive(liveConfig(attackDetector()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sampleJourneys(l, 1)
 	l.Start()
 
 	// Through the shard's queue, the path reports take.
@@ -24,10 +36,10 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 		l.IngestAsync(liveObs(uint16(2000+i), 40, true, "synflood"))
 	}
 	if !waitFor(t, 5e9, func() bool {
-		return l.completed.Load() >= n && l.Journeys().Active() == 0
+		return l.Predictions.Load() >= n && l.Journeys().Active() == 0
 	}) {
 		t.Fatalf("pipeline did not drain: completed=%d active=%d",
-			l.completed.Load(), l.Journeys().Active())
+			l.Predictions.Load(), l.Journeys().Active())
 	}
 	l.Stop()
 
@@ -65,21 +77,20 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 	}
 }
 
-// TestJourneySamplingDisabled pins the opt-out: a negative sample rate
-// leaves the pipeline journey-free — no sampler hops, no finished
-// journeys, and the nil accessor stays safe.
+// TestJourneySamplingDisabled pins nil-safety: a pipeline with no
+// sampler runs journey-free — no sampler hops, no finished journeys,
+// and the nil accessor stays safe.
 func TestJourneySamplingDisabled(t *testing.T) {
-	cfg := liveConfig(attackDetector())
-	cfg.JourneySampleEvery = -1
-	l, err := NewLive(cfg)
+	l, err := NewLive(liveConfig(attackDetector()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	sampleJourneys(l, -1)
 	l.Start()
 	for i := 0; i < 10; i++ {
 		l.Ingest(liveObs(uint16(3000+i), 40, false, ""))
 	}
-	waitFor(t, 5e9, func() bool { return l.completed.Load() >= 10 })
+	waitFor(t, 5e9, func() bool { return l.Predictions.Load() >= 10 })
 	l.Stop()
 
 	if got := len(l.Journeys().Recent()); got != 0 {

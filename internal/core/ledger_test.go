@@ -174,3 +174,27 @@ func TestLedgerStringIsTheOneRendering(t *testing.T) {
 		t.Error("no pipeline stopped event")
 	}
 }
+
+// TestIngestAfterStopIsDropped pins Stop's contract for a late
+// producer: a report handed to IngestAsync after Stop is counted as
+// dropped, never parked in a queue no shard drains again.
+func TestIngestAfterStopIsDropped(t *testing.T) {
+	l, err := NewLive(liveConfig(attackDetector()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Start()
+	l.Stop()
+	for i := 0; i < 100; i++ {
+		l.IngestAsync(liveObs(uint16(i), 40, true, "synflood"))
+	}
+	if got := l.MetricsSnapshot().Counters["intddos_ingest_dropped_total"]; got != 100 {
+		t.Errorf("intddos_ingest_dropped_total = %d, want 100", got)
+	}
+	if got := l.IngestBacklog(); got != 0 {
+		t.Errorf("IngestBacklog = %d after Stop, want 0", got)
+	}
+	if g := l.Ledger(); !g.Settled() {
+		t.Errorf("ledger not settled: %s", g)
+	}
+}

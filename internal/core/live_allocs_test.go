@@ -41,7 +41,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	feed(rows) // every flow exists
 	growBursts(t, l, func(i int) flow.PacketInfo { return liveObs(uint16(3000+i%flows), 700, false, "benign") })
 	// A neighbour's journey, in flight for the whole measurement.
-	l.Journeys().Begin(obs.JourneyID{Flow: 1, Seq: 1}, "neighbour", "ingest")
+	l.Journeys().Begin(obs.JourneyID{Flow: 1, Seq: 1}, "neighbour", "ingest", time.Now())
 
 	var before, after runtime.MemStats
 	batches := l.met.batchSize.Count()
@@ -56,7 +56,7 @@ func TestLiveSteadyStateAllocs(t *testing.T) {
 	t.Logf("%d rows, %d batches: %.2f objects, %d bytes a row", rows, batches,
 		float64(objects)/rows, (after.TotalAlloc-before.TotalAlloc)/rows)
 	if budget := rows + batches*perBatch + rows/4; objects > budget {
-		t.Errorf("%d rows in %d batches allocated %d objects (%.2f a row), budget %d: one a row, %d a batch, a quarter of a row for the 1-in-64 traces and 1-in-256 journeys",
+		t.Errorf("%d rows in %d batches allocated %d objects (%.2f a row), budget %d: one a row, %d a batch, a quarter of a row for the 1-in-256 journeys",
 			rows, batches, objects, float64(objects)/rows, budget, perBatch)
 	}
 	if bytes := (after.TotalAlloc - before.TotalAlloc) / rows; bytes > 360 {

@@ -16,7 +16,6 @@ import (
 // shard's goroutine, so producers only hash the key and enqueue.
 func (l *Live) HandleReport(r *telemetry.Report) {
 	l.Reports.Add(1)
-	l.met.reports.Inc()
 	// Duplicate suppression runs before the fault schedule and the
 	// demux: over a duplicating or reordering wire, one exported report
 	// must never become two flow observations (and so two decisions),
@@ -27,20 +26,16 @@ func (l *Live) HandleReport(r *telemetry.Report) {
 		res := l.dedup.Observe(r.SourceKey(), r.Seq)
 		if res.Gaps > 0 {
 			l.SeqGaps.Add(int64(res.Gaps))
-			l.met.seqGaps.Add(int64(res.Gaps))
 		}
 		switch res.Verdict {
 		case telemetry.SeqDuplicate:
 			l.Duplicates.Add(1)
-			l.met.dupReports.Inc()
 			return
 		case telemetry.SeqStale:
 			l.StaleReps.Add(1)
-			l.met.staleReps.Inc()
 			return
 		case telemetry.SeqReordered:
 			l.Reordered.Add(1)
-			l.met.reordered.Inc()
 		}
 	}
 	in := l.cfg.Fault
@@ -69,8 +64,14 @@ func (l *Live) HandleReport(r *telemetry.Report) {
 // not queue-drain order, defines the flow's clock, and the shed bound
 // runs from it. A full shard queue blocks the producer (backpressure,
 // like the paper's collector socket); after Stop begins the report is
-// dropped and counted instead, because the shards are gone.
+// dropped and counted instead, because the shards are gone. Stop is
+// checked before the send: with quit closed, a select would pick at
+// random between it and a queue with room that no shard drains again.
 func (l *Live) IngestAsync(pi flow.PacketInfo) {
+	if l.quitting() {
+		l.met.ingestDropped.Inc()
+		return
+	}
 	if pi.At == 0 {
 		pi.At = now()
 	}
@@ -125,16 +126,18 @@ func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 		updates int
 	)
 	l.tables.ObserveFunc(pi, func(st *flow.State) {
-		sh.row = st.Features(sh.row[:0], l.cfg.Features)
+		sh.row = st.Features(sh.row[:0], intFeatures)
 		key, reg, last, updates = st.Key, st.RegisteredAt, st.LastAt, st.Updates
 	})
 	if l.journeys.ShouldSample() {
-		l.journeys.Begin(obs.JourneyID{Flow: key.Hash(), Seq: updates}, key.String(), "ingest")
+		// The ingest hop is the report's accept stamp, so the poll − ingest
+		// gap is the journal_wait stage the histogram times.
+		l.journeys.Begin(obs.JourneyID{Flow: key.Hash(), Seq: updates}, key.String(), "ingest",
+			time.Unix(0, int64(pi.At)))
 	}
 	written := l.upsertFlow(key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
 	l.jHop(key, updates, "journal")
 	l.Snapshots.Add(1)
-	l.met.snapshots.Inc()
 	l.met.stageIngest.Since(start)
 	return written
 }
@@ -156,11 +159,9 @@ func (l *Live) upsertFlow(key flow.Key, feats []float64, reg, last netsim.Time, 
 			return true
 		}
 		l.StoreRetries.Add(1)
-		l.met.storeRetries.Inc()
 		l.noteDegraded("store upsert retry")
-		if attempt >= l.cfg.StoreRetries {
+		if attempt >= storeRetries {
 			l.StoreDropped.Add(1)
-			l.met.storeDropped.Inc()
 			l.taintKey(key)
 			l.jAbort(key, updates, "store_dropped")
 			l.event("store write dropped", "component", "store",

@@ -1,21 +1,16 @@
 package core
 
-import "github.com/amlight/intddos/internal/obs"
+import (
+	"sync/atomic"
 
-// liveMetrics bundles the runtime's obs instruments. All fields are
+	"github.com/amlight/intddos/internal/obs"
+)
+
+// liveMetrics bundles the runtime's obs instruments for facts no public
+// atomic already counts (registerAtomics exposes those). All fields are
 // nil-safe, so a zero value disables instrumentation.
 type liveMetrics struct {
-	reports     *obs.Counter
-	dupReports  *obs.Counter
-	staleReps   *obs.Counter
-	reordered   *obs.Counter
-	seqGaps     *obs.Counter
-	snapshots   *obs.Counter
-	predictions *obs.Counter
-	shed        *obs.Counter
-	polls       *obs.Counter
-	polledRecs  *obs.Counter
-	evictions   *obs.Counter
+	polls *obs.Counter
 
 	decisions *obs.CounterVec // by attack_type
 	misclass  *obs.CounterVec // by attack_type
@@ -31,10 +26,7 @@ type liveMetrics struct {
 	// eventually a decision, a shed, or an abandonment with a reason —
 	// nothing vanishes silently.
 	abandoned         *obs.CounterVec // by reason: stop/panic/worker_down/no_model/malformed
-	workerRestarts    *obs.Counter
 	workerPanics      *obs.Counter
-	storeRetries      *obs.Counter
-	storeDropped      *obs.Counter
 	degradedBatches   *obs.Counter
 	modelFailures     *obs.CounterVec // by model
 	modelHealthy      *obs.GaugeVec   // by model, 1 healthy / 0 unhealthy
@@ -59,7 +51,6 @@ type liveMetrics struct {
 	// barrier locks are held. Prune failures are counted apart from
 	// write failures: a failed write lost a snapshot, a failed prune
 	// only leaked disk.
-	ckpts             *obs.Counter
 	ckptFailures      *obs.Counter
 	ckptPruneFailures *obs.Counter
 	ckptBytes         *obs.Counter
@@ -87,27 +78,14 @@ func newLiveMetrics(reg *obs.Registry) liveMetrics {
 		triageExitStage1:  triageExits.With("1"),
 		triageFallthrough: triageExits.With("fallthrough"),
 		triageLatency:     reg.Histogram("intddos_triage_seconds", nil),
-		reports:           reg.Counter("intddos_reports_total"),
-		dupReports:        reg.Counter("intddos_reports_duplicate_total"),
-		staleReps:         reg.Counter("intddos_reports_stale_total"),
-		reordered:         reg.Counter("intddos_reports_reordered_total"),
-		seqGaps:           reg.Counter("intddos_reports_seq_gaps_total"),
-		snapshots:         reg.Counter("intddos_snapshots_total"),
-		predictions:       reg.Counter("intddos_predictions_total"),
-		shed:              reg.Counter("intddos_shed_total"),
 		polls:             reg.Counter("intddos_polls_total"),
-		polledRecs:        reg.Counter("intddos_records_polled_total"),
-		evictions:         reg.Counter("intddos_evictions_total"),
 		decisions:         reg.CounterVec("intddos_decisions_total", "attack_type"),
 		misclass:          reg.CounterVec("intddos_misclassified_total", "attack_type"),
 		ingestStalls:      reg.Counter("intddos_ingest_barrier_stalls_total"),
 		ingestDropped:     reg.Counter("intddos_ingest_dropped_total"),
 		shardPolled:       reg.CounterVec("intddos_shard_polled_total", "shard"),
 		abandoned:         reg.CounterVec("intddos_records_abandoned", "reason"),
-		workerRestarts:    reg.Counter("intddos_worker_restarts_total"),
 		workerPanics:      reg.Counter("intddos_worker_panics_total"),
-		storeRetries:      reg.Counter("intddos_store_retries_total"),
-		storeDropped:      reg.Counter("intddos_store_dropped_total"),
 		degradedBatches:   reg.Counter("intddos_degraded_batches_total"),
 		modelFailures:     reg.CounterVec("intddos_model_failures_total", "model"),
 		modelHealthy:      reg.GaugeVec("intddos_model_healthy", "model"),
@@ -115,7 +93,6 @@ func newLiveMetrics(reg *obs.Registry) liveMetrics {
 		predictLatency:    reg.Histogram("intddos_predict_latency_seconds", nil),
 		batchSize:         reg.Histogram("intddos_predict_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
 		sampleLatency:     reg.Histogram("intddos_predict_sample_seconds", nil),
-		ckpts:             reg.Counter("intddos_checkpoints_total"),
 		ckptFailures:      reg.Counter("intddos_checkpoint_failures_total"),
 		ckptPruneFailures: reg.Counter("intddos_checkpoint_prune_failures_total"),
 		ckptBytes:         reg.Counter("intddos_checkpoint_bytes_total"),
@@ -129,5 +106,29 @@ func newLiveMetrics(reg *obs.Registry) liveMetrics {
 		stageQueue:        stages.With("queue_wait"),
 		stagePredict:      stages.With("scale_predict"),
 		stageVote:         stages.With("vote"),
+	}
+}
+
+// registerAtomics exposes the runtime's public atomics under their
+// series names. The atomic is the one count of its fact: the registry
+// reads it on scrape, so the two can never disagree.
+func (l *Live) registerAtomics() {
+	for name, v := range map[string]*atomic.Int64{
+		"intddos_reports_total":           &l.Reports,
+		"intddos_reports_duplicate_total": &l.Duplicates,
+		"intddos_reports_stale_total":     &l.StaleReps,
+		"intddos_reports_reordered_total": &l.Reordered,
+		"intddos_reports_seq_gaps_total":  &l.SeqGaps,
+		"intddos_snapshots_total":         &l.Snapshots,
+		"intddos_predictions_total":       &l.Predictions,
+		"intddos_shed_total":              &l.Shed,
+		"intddos_evictions_total":         &l.Evictions,
+		"intddos_records_polled_total":    &l.Polled,
+		"intddos_store_retries_total":     &l.StoreRetries,
+		"intddos_store_dropped_total":     &l.StoreDropped,
+		"intddos_worker_restarts_total":   &l.WorkerRestarts,
+		"intddos_checkpoints_total":       &l.Checkpoints,
+	} {
+		l.reg.CounterOf(name, v)
 	}
 }

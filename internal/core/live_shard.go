@@ -141,14 +141,12 @@ func (l *Live) decide(sh *liveShard, shard, written, late int) bool {
 	l.met.polls.Inc()
 	if err != nil {
 		l.StoreRetries.Add(1)
-		l.met.storeRetries.Inc()
 		l.noteDegraded("store poll retry")
 		return false
 	}
 	polled := time.Now()
 	n := len(sh.recs)
 	l.Polled.Add(int64(n))
-	l.met.polledRecs.Add(int64(n))
 	sh.polled.Add(int64(n))
 	lateFrom, want := n-written, len(l.cfg.Scaler.Mean)
 	todo := sh.recs[:0]
@@ -205,7 +203,6 @@ func (l *Live) quitting() bool {
 // counted, its flow tainted, its sampled journey aborted.
 func (l *Live) shed(rec *store.FlowRecord) {
 	l.Shed.Add(1)
-	l.met.shed.Inc()
 	l.taintKey(rec.Key)
 	l.jAbort(rec.Key, rec.Updates, "shed")
 	l.noteShedding("queue wait past the shed bound")
@@ -219,7 +216,7 @@ func (l *Live) shed(rec *store.FlowRecord) {
 // and the pipeline reports shedding.
 func (l *Live) restart(sh *liveShard, shard int) time.Duration {
 	l.met.workerPanics.Inc()
-	if budget := l.cfg.WorkerRestartBudget; budget >= 0 && sh.restarts >= budget {
+	if budget := l.workerRestartBudget; budget >= 0 && sh.restarts >= budget {
 		sh.down = true
 		l.shardsDown.Add(1)
 		l.event("shard down", "component", "shard", "shard", shard, "restarts", sh.restarts)
@@ -228,17 +225,12 @@ func (l *Live) restart(sh *liveShard, shard int) time.Duration {
 	}
 	sh.restarts++
 	l.WorkerRestarts.Add(1)
-	l.met.workerRestarts.Inc()
 	l.event("shard restarted", "component", "shard", "shard", shard, "restarts", sh.restarts)
 	l.noteDegraded(fmt.Sprintf("shard %d restarted", shard))
 	pause := sh.backoff
 	sh.backoff = min(2*pause, maxRetryBackoff)
 	return pause
 }
-
-// batchStamps are the instants a scoring batch's rows share: drained
-// from the journal, taken into the batch, scored.
-type batchStamps struct{ polled, dequeued, predicted time.Time }
 
 // predictBatch scores one micro-batch through the shared scorer and
 // finishes every record in journal order, whichever tier decided it,
@@ -247,11 +239,11 @@ type batchStamps struct{ polled, dequeued, predicted time.Time }
 // with reason no_model, never lost silently.
 func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time.Time) {
 	s := &sh.scratch
-	ts := batchStamps{polled: polled, dequeued: time.Now()}
+	dequeued := time.Now()
 	s.rows, s.keys = s.rows[:0], s.keys[:0]
 	for i := range batch {
 		rec := &batch[i]
-		l.met.stageQueue.ObserveDuration(ts.dequeued.Sub(polled))
+		l.met.stageQueue.ObserveDuration(dequeued.Sub(polled))
 		l.jHop(rec.Key, rec.Updates, "batch")
 		s.rows = append(s.rows, rec.Features)
 		s.keys = append(s.keys, rec.Key)
@@ -266,13 +258,11 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 	if degraded {
 		l.met.degradedBatches.Inc()
 	}
-	ts.predicted = time.Now()
 	// The batch call's cost is attributed evenly to its samples: at
 	// batch size one this is the same duration the per-record path
 	// observed.
-	perSample := ts.predicted.Sub(ts.dequeued) / time.Duration(len(batch))
+	perSample := time.Since(dequeued) / time.Duration(len(batch))
 	l.met.batchSize.Observe(float64(len(batch)))
-	decided := 0
 	for i, v := range verdicts {
 		rec := &batch[i]
 		l.met.stagePredict.Observe(perSample.Seconds())
@@ -290,8 +280,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 			if degraded && v.stage == 0 {
 				l.taintKey(rec.Key)
 			}
-			l.finish(sh, rec, v, &ts)
-			decided++
+			l.finish(sh, rec, v)
 		} else {
 			// Every ensemble member is out: no best-effort answer exists
 			// for a row the cascade did not exit.
@@ -299,17 +288,16 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 		}
 		sh.done++
 	}
-	l.Predictions.Add(int64(decided))
-	l.met.predictions.Add(int64(decided))
 }
 
 // finish applies window voting on the flow's shard and logs the
 // decision. The vote span starts at this row's own clock read, so row
-// i's vote never includes finishing rows 0…i−1 of its batch.
-func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict, ts *batchStamps) {
+// i's vote never includes finishing rows 0…i−1 of its batch. The
+// decision counts once it is logged and OnDecision has returned.
+func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
 	t := now()
 	var label int
-	sh.windows[rec.Key], label = slideVote(sh.windows[rec.Key], v.raw, l.cfg.VoteWindow)
+	sh.windows[rec.Key], label = slideVote(sh.windows[rec.Key], v.raw, voteWindow)
 	if l.deltaTrack {
 		sh.dirty[rec.Key] = struct{}{}
 		delete(sh.removed, rec.Key)
@@ -329,18 +317,7 @@ func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict, ts *batch
 		l.met.misclass.With(typ).Inc()
 	}
 	l.met.predictLatency.Observe(d.Latency.Seconds())
-	voteFrom, voted := time.Unix(0, int64(t)), time.Now()
-	l.met.stageVote.ObserveDuration(voted.Sub(voteFrom))
-	// Decide first, format only when sampled: rendering the key costs
-	// two address formats and an allocation.
-	if tr := l.tracer.Sample(""); tr != nil {
-		tr.Flow = rec.Key.String()
-		tr.StageAt("journal_wait", time.Unix(0, int64(rec.UpdatedAt)), ts.polled)
-		tr.StageAt("queue_wait", ts.polled, ts.dequeued)
-		tr.StageAt("scale_predict", ts.dequeued, ts.predicted)
-		tr.StageAt("vote", voteFrom, voted)
-		l.tracer.Finish(tr)
-	}
+	l.met.stageVote.ObserveDuration(time.Since(time.Unix(0, int64(t))))
 
 	// The one record the decision leaves behind: Decisions and every
 	// checkpoint read it back from the store's log.
@@ -349,5 +326,5 @@ func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict, ts *batch
 		cb(d)
 	}
 	l.jComplete(rec.Key, rec.Updates)
-	l.completed.Add(1)
+	l.Predictions.Add(1)
 }

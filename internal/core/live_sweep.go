@@ -49,7 +49,6 @@ func (l *Live) sweep() {
 		l.ckptMu[s].RUnlock()
 	}
 	l.Evictions.Add(int64(evicted))
-	l.met.evictions.Add(int64(evicted))
 	if evicted > 0 {
 		l.event("flows evicted", "component", "sweep", "evicted", evicted)
 	}

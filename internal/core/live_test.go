@@ -13,11 +13,9 @@ import (
 )
 
 func liveConfig(models ...ml.Classifier) LiveConfig {
-	feats := flow.INTFeatures()
 	return LiveConfig{
-		Features: feats,
-		Models:   models,
-		Scaler:   identityScaler(len(feats)),
+		Models: models,
+		Scaler: identityScaler(len(flow.INTFeatures())),
 	}
 }
 

@@ -204,7 +204,7 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		cfg.ServiceTime = netsim.Millisecond
 	}
 	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = 3
+		cfg.VoteWindow = voteWindow
 	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.FlowIdleTimeout

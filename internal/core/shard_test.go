@@ -167,7 +167,7 @@ func TestShardCaptureUnderLoadNeedsNoSettling(t *testing.T) {
 			for s := range b.ckptMu {
 				b.ckptMu[s].Lock()
 			}
-			polled, decided := b.Polled.Load(), b.completed.Load()
+			polled, decided := b.Polled.Load(), b.Predictions.Load()
 			shed, abandoned := b.Shed.Load(), b.Abandoned.Load()
 			for s := range b.ckptMu {
 				b.ckptMu[s].Unlock()

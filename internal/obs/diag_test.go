@@ -104,7 +104,7 @@ func TestJourneysLifecycle(t *testing.T) {
 	if !js.ShouldSample() {
 		t.Fatal("sampleEvery=1 must sample everything")
 	}
-	js.Begin(jid("flowA", 1), "flowA", "ingest")
+	js.Begin(jid("flowA", 1), "flowA", "ingest", time.Now())
 	if js.Active() != 1 {
 		t.Fatalf("active = %d, want 1", js.Active())
 	}
@@ -116,7 +116,7 @@ func TestJourneysLifecycle(t *testing.T) {
 		t.Fatalf("active after complete = %d, want 0", js.Active())
 	}
 
-	js.Begin(jid("flowB", 2), "flowB", "ingest")
+	js.Begin(jid("flowB", 2), "flowB", "ingest", time.Now())
 	js.Abort(jid("flowB", 2), "shed")
 
 	recent := js.Recent()
@@ -156,7 +156,7 @@ func TestJourneysLifecycle(t *testing.T) {
 // bits — and never an allocation, whichever way the mask falls.
 func TestJourneysUnfollowedAllocs(t *testing.T) {
 	js := NewJourneys(1, 8)
-	js.Begin(jid("followed", 70), "followed", "ingest")
+	js.Begin(jid("followed", 70), "followed", "ingest", time.Now())
 	for seq := 0; seq < 256; seq++ {
 		if got, want := js.Following(seq), seq&63 == 70&63; got != want {
 			t.Fatalf("Following(%d) = %t with Seq 70 in flight", seq, got)
@@ -195,7 +195,7 @@ func TestJourneysSamplingRate(t *testing.T) {
 func TestJourneysEvictsWhenFull(t *testing.T) {
 	js := NewJourneys(1, 1) // maxActive = 4
 	for i := 0; i < 6; i++ {
-		js.Begin(jid("flow", i), "flow", "ingest")
+		js.Begin(jid("flow", i), "flow", "ingest", time.Now())
 	}
 	if js.Active() != 4 {
 		t.Errorf("active = %d, want capped at 4", js.Active())
@@ -211,7 +211,7 @@ func TestJourneysNilSafe(t *testing.T) {
 	if js.ShouldSample() || js.Active() != 0 || js.SampleEvery() != 0 {
 		t.Error("nil sampler should be inert")
 	}
-	js.Begin(jid("f", 1), "f", "ingest")
+	js.Begin(jid("f", 1), "f", "ingest", time.Now())
 	js.Hop(jid("f", 1), "poll")
 	js.Complete(jid("f", 1), "vote")
 	js.Abort(jid("f", 1), "shed")
@@ -231,7 +231,7 @@ func TestJourneysConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				seq := g*1000 + i
-				js.Begin(jid("f", seq), "f", "ingest")
+				js.Begin(jid("f", seq), "f", "ingest", time.Now())
 				js.Hop(jid("f", seq), "poll")
 				if i%2 == 0 {
 					js.Complete(jid("f", seq), "vote")
@@ -303,7 +303,7 @@ func TestWriteBundleRoundTrip(t *testing.T) {
 	reg.Counter("intddos_reports_total").Add(7)
 	reg.Events().Logger().Info("pipeline started", "shards", 2)
 	js := NewJourneys(1, 4)
-	js.Begin(jid("f", 1), "f", "ingest")
+	js.Begin(jid("f", 1), "f", "ingest", time.Now())
 	js.Complete(jid("f", 1), "vote")
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "attrib report top=" + string(rune('0'+topN%10)) })
@@ -351,7 +351,7 @@ func TestDiagnosticEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Events().Logger().Info("worker restarted", "worker", "1")
 	js := NewJourneys(1, 4)
-	js.Begin(jid("f", 1), "f", "ingest")
+	js.Begin(jid("f", 1), "f", "ingest", time.Now())
 	js.Complete(jid("f", 1), "vote")
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "== blocked time by pipeline stage ==" })

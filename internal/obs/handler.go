@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"time"
 )
@@ -16,7 +15,6 @@ import (
 //	/healthz       pipeline health: healthy/degraded + detail (200),
 //	               shedding + detail (503), or "ok" when no health
 //	               callback is wired (SetHealth)
-//	/traces        recent sampled pipeline traces, one per line
 //	/traces/flow   recent sampled flow journeys (per-hop timestamps)
 //	/debug/attrib  contention attribution report (?top=N)
 //	/debug/events  structured event tail (?format=json for JSONL)
@@ -47,31 +45,11 @@ func (r *Registry) Handler() http.Handler {
 			fmt.Fprintln(w, d)
 		}
 	})
-	mux.HandleFunc("/traces", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		r.mu.Lock()
-		names := make([]string, 0, len(r.tracers))
-		tracers := make([]*Tracer, 0, len(r.tracers))
-		for name := range r.tracers {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			tracers = append(tracers, r.tracers[name])
-		}
-		r.mu.Unlock()
-		for i, t := range tracers {
-			fmt.Fprintf(w, "# tracer %s (1 in %d, %d sampled)\n", names[i], t.every, t.SampledCount())
-			for _, tr := range t.Recent() {
-				fmt.Fprintln(w, tr.String())
-			}
-		}
-	})
 	mux.HandleFunc("/traces/flow", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		js := r.FlowJourneys()
 		if js == nil {
-			fmt.Fprintln(w, "# no flow-journey sampler wired (core.LiveConfig.JourneySampleEvery)")
+			fmt.Fprintln(w, "# no flow-journey sampler wired (Registry.SetFlowJourneys)")
 			return
 		}
 		js.WriteText(w)
@@ -126,7 +104,7 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "intddos observability endpoints:")
 		for _, p := range []string{
-			"/metrics", "/healthz", "/traces", "/traces/flow",
+			"/metrics", "/healthz", "/traces/flow",
 			"/debug/attrib", "/debug/events", "/debug/bundle", "/debug/pprof/",
 		} {
 			fmt.Fprintln(w, "  "+p)

@@ -6,7 +6,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
@@ -28,10 +27,6 @@ func TestHandlerEndpoints(t *testing.T) {
 	reg.Counter("requests_total").Add(5)
 	reg.Gauge("queue_depth").Set(2)
 	reg.Histogram("lat_seconds", nil).Observe(0.01)
-	tr := reg.Tracer("pipeline", 1, 4)
-	sp := tr.Sample("10.0.0.1:1>10.0.0.2:80/tcp")
-	sp.Stage("predict", time.Now().Add(-time.Millisecond))
-	tr.Finish(sp)
 
 	srv := httptest.NewServer(reg.Handler())
 	defer srv.Close()
@@ -51,9 +46,9 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("/healthz = %d %q", code, body)
 	}
 
-	code, body = get(t, srv, "/traces")
-	if code != 200 || !strings.Contains(body, "predict=") {
-		t.Errorf("/traces = %d %q", code, body)
+	// Per-record traces are flow journeys, on /traces/flow only.
+	if code, _ := get(t, srv, "/traces"); code != 404 {
+		t.Errorf("/traces = %d, want 404", code)
 	}
 
 	code, body = get(t, srv, "/debug/pprof/")

@@ -18,10 +18,9 @@ type JourneyHop struct {
 
 // Journey is the recorded end-to-end path of one sampled flow update:
 // ingest → journal → poll → batch → predict → vote, with a wall-clock
-// stamp at every hop. Unlike Trace (per-stage durations measured by
-// whoever holds the record), a Journey follows one identified record
-// across goroutine handoffs, so queueing between stages is visible as
-// inter-hop gaps.
+// stamp at every hop. A Journey follows one identified record across
+// goroutine handoffs, so each stage — queueing included — is the gap
+// between two hops.
 type Journey struct {
 	ID   uint64 `json:"id"`
 	Flow string `json:"flow"`
@@ -174,14 +173,14 @@ func (js *Journeys) refSeqLocked(seq, delta int) {
 }
 
 // Begin starts following the record id, rendered as flow in the
-// output, and records its first hop. If the active set is full, the
+// output, and records its first hop at at — the record's own arrival
+// stamp, which may predate the call. If the active set is full, the
 // oldest entry is evicted into the finished ring as aborted
 // ("evicted").
-func (js *Journeys) Begin(id JourneyID, flow string, hop string) {
+func (js *Journeys) Begin(id JourneyID, flow string, hop string, at time.Time) {
 	if js == nil {
 		return
 	}
-	now := time.Now()
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	if _, dup := js.active[id]; dup {
@@ -205,7 +204,7 @@ func (js *Journeys) Begin(id JourneyID, flow string, hop string) {
 		ID:   js.ids.Add(1),
 		Flow: flow,
 		Seq:  id.Seq,
-		Hops: []JourneyHop{{Name: hop, At: now}},
+		Hops: []JourneyHop{{Name: hop, At: at}},
 	}
 	js.active[id] = j
 	js.refSeqLocked(id.Seq, +1)

@@ -1,8 +1,8 @@
 // Package obs is the repository's dependency-free observability
 // layer: a metrics registry (counters, gauges, fixed-bucket latency
-// histograms, one-label vectors), a sampled span tracer for per-stage
-// pipeline timings, a Prometheus-text/pprof HTTP handler, and a
-// Snapshot API for end-of-run summaries.
+// histograms, one-label vectors), a flow-journey sampler that follows
+// one record hop by hop through the pipeline, a Prometheus-text/pprof
+// HTTP handler, and a Snapshot API for end-of-run summaries.
 //
 // The paper reports its real-time behaviour post hoc (Table VI:
 // average/max prediction time, per-attack misclassification counts);
@@ -219,10 +219,12 @@ func (v *CounterVec) labelValues() []string {
 // idempotent: asking for an existing name returns the existing
 // instrument (kind mismatches panic — they are programming errors).
 // A registry is scoped to one pipeline instance; sharing one between
-// two pipelines merges their counts.
+// two pipelines merges their Counter counts and shows only the first
+// pipeline's CounterOf series.
 type Registry struct {
 	mu          sync.Mutex
 	counters    map[string]*Counter
+	counterOfs  map[string]*atomic.Int64
 	counterFns  map[string]func() float64
 	gauges      map[string]*Gauge
 	gaugeFns    map[string]func() float64
@@ -230,7 +232,6 @@ type Registry struct {
 	counterVecs map[string]*CounterVec
 	hists       map[string]*Histogram
 	histVecs    map[string]*HistogramVec
-	tracers     map[string]*Tracer
 	kinds       map[string]string
 	healthFn    func() Health
 
@@ -246,6 +247,7 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters:    make(map[string]*Counter),
+		counterOfs:  make(map[string]*atomic.Int64),
 		counterFns:  make(map[string]func() float64),
 		gauges:      make(map[string]*Gauge),
 		gaugeFns:    make(map[string]func() float64),
@@ -253,7 +255,6 @@ func NewRegistry() *Registry {
 		counterVecs: make(map[string]*CounterVec),
 		hists:       make(map[string]*Histogram),
 		histVecs:    make(map[string]*HistogramVec),
-		tracers:     make(map[string]*Tracer),
 		kinds:       make(map[string]string),
 	}
 }
@@ -280,9 +281,22 @@ func (r *Registry) Counter(name string) *Counter {
 	return r.counters[name]
 }
 
-// CounterFunc exposes an externally maintained monotone value (for
-// example an existing atomic counter) under name. The first
-// registration wins; later ones are ignored.
+// CounterOf exposes an atomic its owner already increments as the
+// counter name, read on scrape and rendered as an integer — one source
+// per fact, no mirror to keep in step. The first registration wins;
+// later ones are ignored.
+func (r *Registry) CounterOf(name string, v *atomic.Int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.claim(name, "counterof") {
+		r.counterOfs[name] = v
+	}
+}
+
+// CounterFunc exposes an externally maintained monotone value that is
+// not an atomic of the caller's own (a runtime/metrics reading, a
+// collector's count) under name. The first registration wins; later
+// ones are ignored.
 func (r *Registry) CounterFunc(name string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -362,16 +376,6 @@ func (r *Registry) HistogramVec(name, label string, bounds []float64) *Histogram
 		r.histVecs[name] = newHistogramVec(name, label, bounds)
 	}
 	return r.histVecs[name]
-}
-
-// Tracer registers (or fetches) a sampled span tracer.
-func (r *Registry) Tracer(name string, sampleEvery, keep int) *Tracer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.claim(name, "tracer") {
-		r.tracers[name] = newTracer(name, sampleEvery, keep)
-	}
-	return r.tracers[name]
 }
 
 func floatBits(v float64) uint64 { return math.Float64bits(v) }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -34,8 +35,6 @@ func TestNilSafety(t *testing.T) {
 	var h *Histogram
 	var cv *CounterVec
 	var hv *HistogramVec
-	var tr *Tracer
-	var sp *Trace
 	c.Inc()
 	c.Add(3)
 	g.Set(1)
@@ -43,9 +42,6 @@ func TestNilSafety(t *testing.T) {
 	h.Since(time.Now())
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
-	sp = tr.Sample("flow")
-	sp.Stage("s", time.Now())
-	tr.Finish(sp)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
 		t.Error("nil instruments produced values")
 	}
@@ -202,43 +198,6 @@ func TestHistogramVec(t *testing.T) {
 	}
 }
 
-func TestTracerSampling(t *testing.T) {
-	tr := newTracer("t", 4, 8)
-	sampled := 0
-	for i := 0; i < 100; i++ {
-		sp := tr.Sample("flow")
-		if sp == nil {
-			continue
-		}
-		sampled++
-		start := time.Now()
-		sp.StageAt("a", start, start.Add(time.Millisecond))
-		sp.StageAt("b", start.Add(time.Millisecond), start.Add(3*time.Millisecond))
-		tr.Finish(sp)
-	}
-	if sampled != 25 {
-		t.Errorf("sampled %d of 100 at 1-in-4", sampled)
-	}
-	recent := tr.Recent()
-	if len(recent) != 8 {
-		t.Errorf("ring holds %d, want 8", len(recent))
-	}
-	// Ring keeps the newest: IDs must be the last 8 issued.
-	if recent[0].ID >= recent[len(recent)-1].ID {
-		t.Errorf("ring order wrong: first=%d last=%d", recent[0].ID, recent[len(recent)-1].ID)
-	}
-	got := recent[0]
-	if len(got.Stages) != 2 || got.Stages[0].Stage != "a" {
-		t.Errorf("stages = %+v", got.Stages)
-	}
-	if got.Total() < 3*time.Millisecond {
-		t.Errorf("total = %v, want >= 3ms", got.Total())
-	}
-	if !strings.Contains(got.String(), "a=1ms") {
-		t.Errorf("render = %q", got.String())
-	}
-}
-
 func TestSnapshotIncludesVecChildren(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("plain_total").Add(2)
@@ -246,6 +205,9 @@ func TestSnapshotIncludesVecChildren(t *testing.T) {
 	reg.Gauge("depth").Set(3)
 	reg.GaugeFunc("computed", func() float64 { return 9 })
 	reg.CounterFunc("mirrored_total", func() float64 { return 11 })
+	var owned atomic.Int64
+	owned.Store(13)
+	reg.CounterOf("owned_total", &owned)
 	reg.Histogram("lat_seconds", nil).Observe(0.5)
 	reg.HistogramVec("stage_seconds", "stage", nil).With("vote").Observe(0.25)
 
@@ -262,6 +224,9 @@ func TestSnapshotIncludesVecChildren(t *testing.T) {
 	if s.Counters["mirrored_total"] != 11 {
 		t.Error("counter func missing")
 	}
+	if s.Counters["owned_total"] != 13 {
+		t.Error("counter-of missing")
+	}
 	if h, ok := s.Histogram("lat_seconds"); !ok || h.Count != 1 {
 		t.Error("histogram missing")
 	}
@@ -275,6 +240,9 @@ func TestWritePrometheusFormat(t *testing.T) {
 	reg.Counter("b_total").Add(3)
 	reg.CounterVec("a_total", "kind").With("x").Inc()
 	reg.Gauge("depth").Set(4)
+	var owned atomic.Int64
+	owned.Store(1_000_000) // a float rendering would print 1e+06
+	reg.CounterOf("c_total", &owned)
 	h := reg.Histogram("lat_seconds", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -287,6 +255,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE a_total counter\na_total{kind=\"x\"} 1\n",
 		"# TYPE b_total counter\nb_total 3\n",
+		"# TYPE c_total counter\nc_total 1000000\n",
 		"# TYPE depth gauge\ndepth 4\n",
 		"lat_seconds_bucket{le=\"0.1\"} 1\n",
 		"lat_seconds_bucket{le=\"1\"} 2\n",

@@ -31,6 +31,9 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, c := range r.counters {
 		s.Counters[name] = c.Value()
 	}
+	for name, v := range r.counterOfs {
+		s.Counters[name] = v.Load()
+	}
 	for name, fn := range r.counterFns {
 		s.Counters[name] = int64(fn())
 	}
@@ -85,6 +88,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		c := c
 		fams = append(fams, family{name, func(w io.Writer) {
 			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", c.name, c.name, c.Value())
+		}})
+	}
+	for name, v := range r.counterOfs {
+		name, v := name, v
+		fams = append(fams, family{name, func(w io.Writer) {
+			fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, v.Load())
 		}})
 	}
 	for name, fn := range r.counterFns {

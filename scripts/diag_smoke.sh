@@ -19,8 +19,8 @@ go build -o "$workdir/diagcheck" ./scripts/diagcheck
 log="$workdir/run.log"
 exit_bundle="$workdir/exit-bundle.tar.gz"
 
-# Loop until killed so the live /debug/bundle fetch races nothing;
-# journey sampling on every record so the bundle has traces in it.
+# Loop until killed so the live /debug/bundle fetch races nothing; the
+# bundle's journeys.txt holds what the 1-in-256 journey sampler followed.
 "$workdir/intddos" -live -scale tiny -packets 300 -live-for -1s \
     -shards 2 \
     -obs-addr 127.0.0.1:0 -diag-bundle "$exit_bundle" >"$log" 2>&1 &
