@@ -79,8 +79,12 @@ fuzz-smoke:
 # journal tail, store outage then silence, queue of one), the one
 # ledger definition (table test over Closed/Settled, reports parked at
 # ingest, the /healthz and stop-event rendering), the scorer's own
-# table test, and the Live-vs-Mechanism differential. Fault schedules
-# are seed-driven, so the run is deterministic per seed.
+# table test, the Live-vs-Mechanism differential, the kill-restore
+# suite, and the one-record-per-flow contract (a decision that outlived
+# its flow leaves no window — TestSweepBoundsLateDecision…; a
+# window-only delta, a v3 file with store records and an orphan window,
+# a swept-and-re-created flow's window — TestKillRestore…). Fault
+# schedules are seed-driven, so the run is deterministic per seed.
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \

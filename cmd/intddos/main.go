@@ -202,8 +202,8 @@ func runLive(scale string, seed int64, packets int, liveFor time.Duration, shard
 		os.Exit(1)
 	}
 	if r := live.Restore(); r != nil {
-		fmt.Printf("restored from %s: seq=%d flows=%d store_flows=%d journal_pending=%d windows=%d predictions=%d\n",
-			r.Path, r.Seq, r.Flows, r.StoreFlows, r.JournalPending, r.Windows, r.Predictions)
+		fmt.Printf("restored from %s: seq=%d flows=%d journal_pending=%d windows=%d predictions=%d\n",
+			r.Path, r.Seq, r.Flows, r.JournalPending, r.Windows, r.Predictions)
 	}
 	if verbose {
 		live.OnDecision = func(d intddos.Decision) {

@@ -1,7 +1,7 @@
 // Package checkpoint persists the live pipeline's durable state —
-// per-shard flow tables and store shards (records, journal tails,
-// sequence counters), per-flow vote windows, and the global
-// prediction log — as crash-consistent snapshot files.
+// per-shard flow tables and store shards (journal tails, sequence
+// counters, prediction logs) and per-flow vote windows — as
+// crash-consistent snapshot files.
 //
 // A snapshot is written atomically: encoded into a temp file in the
 // destination directory, fsync'd, renamed into place, and the
@@ -104,16 +104,22 @@ type Snapshot struct {
 // ShardState is one shard's durable state: the flow table's full
 // records (including the unexported Welford and wrap-tracking terms —
 // without them restored flows would diverge from their pre-crash
-// feature streams) and the store shard's records, journal tail, and
-// sequence counter. On a delta snapshot Table and Store.Flows hold
-// only records dirtied since the parent, Store.Journal is the shard's
+// feature streams) and the store shard's journal tail, sequence
+// counter and prediction log. On a delta snapshot Table holds only
+// records dirtied since the parent, Store.Journal is the shard's
 // complete current tail (it replaces the restored tail — entries
 // polled since the parent must not reappear), and Removed names the
 // flows evicted since the parent.
+//
+// StoreFlows is the format's store-record list. The live pipeline
+// writes it empty — the flow table is its one record per flow — and
+// ignores it on restore: files from writers that kept a store copy of
+// each flow carry one here, duplicating Table.
 type ShardState struct {
-	Table   []flow.StateSnapshot
-	Store   store.ShardExport
-	Removed []flow.Key
+	Table      []flow.StateSnapshot
+	StoreFlows []store.FlowRecord
+	Store      store.ShardExport
+	Removed    []flow.Key
 }
 
 // Window is one flow's ensemble vote window.

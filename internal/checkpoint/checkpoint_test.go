@@ -81,7 +81,7 @@ func randSnapshot(seed int64) *Snapshot {
 			})
 		}
 		for n := rng.Intn(20); n > 0; n-- {
-			sh.Store.Flows = append(sh.Store.Flows, randRec())
+			sh.StoreFlows = append(sh.StoreFlows, randRec())
 		}
 		for n := rng.Intn(10); n > 0; n-- {
 			sh.Store.Journal = append(sh.Store.Journal, store.JournalEntry{Seq: rng.Uint64(), Rec: randRec()})

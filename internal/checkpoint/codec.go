@@ -738,7 +738,7 @@ func buildMeta(s *Snapshot, ver uint16, compress bool) []byte {
 
 func buildShard(s *Snapshot, i int, ver uint16, es *EncodeScratch) []byte {
 	sh := &s.ShardStates[i]
-	est := 64 + len(sh.Table)*288 + len(sh.Store.Flows)*224 +
+	est := 64 + len(sh.Table)*288 + len(sh.StoreFlows)*224 +
 		len(sh.Store.Journal)*240 + len(sh.Store.Preds)*144 +
 		len(sh.Removed)*keyWireLen
 	w := &writer{buf: getSectionBuf(es, est)}
@@ -751,10 +751,10 @@ func buildShard(s *Snapshot, i int, ver uint16, es *EncodeScratch) []byte {
 	}
 	releaseSortIndex(es, tix)
 
-	w.u32(uint32(len(sh.Store.Flows)))
-	fix := sortedIndex(es, sh.Store.Flows, func(rec *store.FlowRecord) flow.Key { return rec.Key })
+	w.u32(uint32(len(sh.StoreFlows)))
+	fix := sortedIndex(es, sh.StoreFlows, func(rec *store.FlowRecord) flow.Key { return rec.Key })
 	for _, ix := range fix {
-		putFlowRecord(w, &sh.Store.Flows[ix])
+		putFlowRecord(w, &sh.StoreFlows[ix])
 	}
 	releaseSortIndex(es, fix)
 
@@ -1092,7 +1092,7 @@ func Decode(data []byte) (*Snapshot, error) {
 			}
 			n = r.count(keyWireLen)
 			for i := 0; i < n && r.err == nil; i++ {
-				sh.Store.Flows = append(sh.Store.Flows, getFlowRecord(r))
+				sh.StoreFlows = append(sh.StoreFlows, getFlowRecord(r))
 			}
 			entrySize := keyWireLen + 8
 			if ver >= 2 {

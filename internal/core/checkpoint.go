@@ -21,17 +21,17 @@ type RestoreSummary struct {
 	// TakenAtUnixNano is when the crashed process wrote it.
 	TakenAtUnixNano int64
 
-	// Flows counts flow-table records restored; StoreFlows database
-	// records; JournalPending journal entries written before the crash
-	// but not yet decided — each shard decides its tail in its first
-	// pass at Start, so every pre-crash record ends decided, shed,
-	// abandoned, or restored-pending, never silently gone.
+	// Flows counts flow-table records restored; JournalPending journal
+	// entries written before the crash but not yet decided — each shard
+	// decides its tail in its first pass at Start, so every pre-crash
+	// record ends decided, shed, abandoned, or restored-pending, never
+	// silently gone.
 	Flows          int
-	StoreFlows     int
 	JournalPending int
-	// Windows counts restored vote windows: flows already voted keep
-	// their history, so the first post-restore decision continues the
-	// window instead of re-starting it (no double-predictions).
+	// Windows counts restored records holding a vote window: flows
+	// already voted keep their history, so the first post-restore
+	// decision continues the window instead of re-starting it (no
+	// double-predictions).
 	Windows int
 	// Predictions is the restored prediction-log length.
 	Predictions int
@@ -105,55 +105,45 @@ func (l *Live) restoreLatest(dir string) error {
 				path, snap.FeatureWidth, want)
 		}
 	}
-	base := chain[0]
-	basePath := paths[0]
-	for s := range base.ShardStates {
-		sh := &base.ShardStates[s]
-		if err := l.tables.RestoreShard(s, sh.Table); err != nil {
-			return fmt.Errorf("core: restore %s: %w", basePath, err)
-		}
-		if err := l.rawDB.ImportShard(s, sh.Store); err != nil {
-			return fmt.Errorf("core: restore %s: %w", basePath, err)
-		}
-	}
-	for _, w := range base.Windows {
-		shard := w.Key.Shard(l.nShards)
-		l.shards[shard].windows[w.Key] = append([]int(nil), w.Votes...)
-	}
-	if len(base.Predictions) > 0 {
-		// Version-1 snapshot: the prediction log is one global section;
-		// ImportPredictions routes it onto the per-shard logs.
-		if err := l.rawDB.ImportPredictions(base.Predictions); err != nil {
-			return fmt.Errorf("core: restore %s: %w", basePath, err)
-		}
-	}
-	for i, d := range chain[1:] {
-		path := paths[i+1]
-		for s := range d.ShardStates {
-			sh := &d.ShardStates[s]
-			if err := l.tables.RestoreShardDelta(s, sh.Table, sh.Removed); err != nil {
-				return fmt.Errorf("core: restore %s: %w", path, err)
+	// Replay base-first. The flow table is the one record per flow:
+	// store records an older writer saved beside it (ShardState.
+	// StoreFlows) duplicate it and are ignored, and a window lands on
+	// its flow's record — one whose flow is absent is dropped. A delta's
+	// table record keeps the window the chain gave it unless the delta
+	// removes it (RemovedWindows) or replaces it (Windows), in that
+	// order, so a window removed and re-voted within one interval
+	// survives.
+	for i, snap := range chain {
+		for s := range snap.ShardStates {
+			sh := &snap.ShardStates[s]
+			var err error
+			if i == 0 {
+				err = l.tables.RestoreShard(s, sh.Table)
+				if err == nil {
+					err = l.rawDB.ImportShard(s, sh.Store)
+				}
+			} else {
+				err = l.tables.RestoreShardDelta(s, sh.Table, sh.Removed)
+				if err == nil {
+					err = l.rawDB.ApplyShardDelta(s, sh.Store)
+				}
 			}
-			err := l.rawDB.ApplyShardDelta(s, store.ShardDeltaExport{
-				Flows:   sh.Store.Flows,
-				Removed: sh.Removed,
-				Journal: sh.Store.Journal,
-				Seq:     sh.Store.Seq,
-				Preds:   sh.Store.Preds,
-			})
 			if err != nil {
-				return fmt.Errorf("core: restore %s: %w", path, err)
+				return fmt.Errorf("core: restore %s: %w", paths[i], err)
 			}
 		}
-		// Removals first, then upserts — the same order the shard apply
-		// uses, so a window deleted and re-voted within one delta
-		// interval survives.
-		for _, k := range d.RemovedWindows {
-			delete(l.shards[k.Shard(l.nShards)].windows, k)
+		if len(snap.Predictions) > 0 {
+			// Version-1 snapshot: the prediction log is one global section;
+			// ImportPredictions routes it onto the per-shard logs.
+			if err := l.rawDB.ImportPredictions(snap.Predictions); err != nil {
+				return fmt.Errorf("core: restore %s: %w", paths[i], err)
+			}
 		}
-		for _, w := range d.Windows {
-			shard := w.Key.Shard(l.nShards)
-			l.shards[shard].windows[w.Key] = append([]int(nil), w.Votes...)
+		for _, k := range snap.RemovedWindows {
+			l.tables.RestoreWindow(k, nil)
+		}
+		for _, w := range snap.Windows {
+			l.tables.RestoreWindow(w.Key, w.Votes)
 		}
 	}
 	newest := chain[len(chain)-1]
@@ -162,16 +152,14 @@ func (l *Live) restoreLatest(dir string) error {
 	// Counts come from the replayed state, not the files — with a delta
 	// chain the same record may appear in several links.
 	sum.Flows = l.tables.Len()
-	sum.StoreFlows = l.rawDB.FlowCount()
 	sum.JournalPending = l.rawDB.JournalLen()
 	sum.Predictions = l.rawDB.PredictionCount()
 	l.restoreMark = l.rawDB.LastPredictionSeq()
-	sum.Windows = l.windowCount()
+	sum.Windows = l.windowedFlows()
 	l.ckptSeq.Store(newest.Seq)
 	l.restored = sum
 	l.met.restores.Inc()
 	l.met.restoredRecs.With("flows").Add(int64(sum.Flows))
-	l.met.restoredRecs.With("store_flows").Add(int64(sum.StoreFlows))
 	l.met.restoredRecs.With("journal_pending").Add(int64(sum.JournalPending))
 	l.met.restoredRecs.With("windows").Add(int64(sum.Windows))
 	l.met.restoredRecs.With("predictions").Add(int64(sum.Predictions))
@@ -302,18 +290,38 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Sn
 		Delta:           delta,
 		ShardStates:     make([]checkpoint.ShardState, l.nShards),
 	}
+	// Windows are read off the exported table records. Vote copies land
+	// in one flat slab with each Window holding a capped sub-slice — one
+	// allocation (amortized) instead of one per window, and both arrays
+	// recycle through the scratch. A mid-loop slab growth strands
+	// earlier windows on the previous backing array; that is still
+	// correct (the slices are never written again), and in steady state
+	// the recycled slab is already sized. On a delta, a dirty record
+	// without a window says so in RemovedWindows: it was evicted and
+	// re-created since the parent, whose window for it is stale.
+	wins, votes := snap.Windows, []int(nil)
+	if !delta && scratch != nil {
+		wins, votes = scratch.windows[:0], scratch.votes[:0]
+	}
+	window := func(k flow.Key, w []int) {
+		if len(w) == 0 {
+			if delta {
+				snap.RemovedWindows = append(snap.RemovedWindows, k)
+			}
+			return
+		}
+		off := len(votes)
+		votes = append(votes, w...)
+		wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
+	}
 	for s := 0; s < l.nShards; s++ {
 		if delta {
-			states, tableRemoved := l.tables.ExportShardDelta(s)
-			d := l.rawDB.ExportShardDelta(s)
+			states, removed := l.tables.ExportShardDelta(s, window)
 			snap.ShardStates[s] = checkpoint.ShardState{
-				Table: states,
-				Store: store.ShardExport{Flows: d.Flows, Journal: d.Journal, Seq: d.Seq, Preds: d.Preds},
-				// Table and store evict together (onEvict), but a
-				// record can exist in only one layer at the cut's edge;
-				// the union removes it from both on replay.
-				Removed: unionKeys(tableRemoved, d.Removed),
+				Table: states, Store: l.rawDB.ExportShardDelta(s), Removed: removed,
 			}
+			// An evicted flow's window went with it.
+			snap.RemovedWindows = append(snap.RemovedWindows, removed...)
 		} else {
 			var preTable []flow.StateSnapshot
 			var preStore store.ShardExport
@@ -322,43 +330,9 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Sn
 				preStore = scratch.stores[s]
 			}
 			snap.ShardStates[s] = checkpoint.ShardState{
-				Table: l.tables.ExportShardInto(s, preTable),
+				Table: l.tables.ExportShardInto(s, preTable, window),
 				Store: l.rawDB.ExportShardInto(s, preStore),
 			}
-		}
-	}
-	// Vote copies land in one flat slab with each Window holding a
-	// capped sub-slice — one allocation (amortized) instead of one per
-	// window, and both arrays recycle through the scratch. A mid-loop
-	// slab growth strands earlier windows on the previous backing
-	// array; that is still correct (the slices are never written
-	// again), and in steady state the recycled slab is already sized.
-	wins, votes := snap.Windows, []int(nil)
-	if !delta && scratch != nil {
-		wins, votes = scratch.windows[:0], scratch.votes[:0]
-	}
-	for _, sh := range l.shards {
-		if delta {
-			for k := range sh.dirty {
-				if w, ok := sh.windows[k]; ok {
-					off := len(votes)
-					votes = append(votes, w...)
-					wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
-				}
-			}
-			for k := range sh.removed {
-				snap.RemovedWindows = append(snap.RemovedWindows, k)
-			}
-		} else {
-			for k, w := range sh.windows {
-				off := len(votes)
-				votes = append(votes, w...)
-				wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
-			}
-		}
-		if l.deltaTrack {
-			sh.dirty = make(map[flow.Key]struct{})
-			sh.removed = make(map[flow.Key]struct{})
 		}
 	}
 	snap.Windows = wins
@@ -371,29 +345,6 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Sn
 	// Predictions travel inside each ShardExport since format version
 	// 2; the snapshot-level log exists only for version-1 files.
 	return snap
-}
-
-// unionKeys merges two removal lists, deduplicating keys present in
-// both.
-func unionKeys(a, b []flow.Key) []flow.Key {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	seen := make(map[flow.Key]struct{}, len(a)+len(b))
-	out := make([]flow.Key, 0, len(a)+len(b))
-	for _, ks := range [2][]flow.Key{a, b} {
-		for _, k := range ks {
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // WriteCheckpoint captures a snapshot and writes it atomically into
@@ -413,7 +364,7 @@ func (l *Live) WriteCheckpoint() (string, int, error) {
 	l.ckptWriteMu.Lock()
 	defer l.ckptWriteMu.Unlock()
 	start := time.Now()
-	delta := l.deltaTrack && l.haveBase &&
+	delta := l.haveBase &&
 		l.cfg.CheckpointFullEvery > 1 && l.sinceFull+1 < l.cfg.CheckpointFullEvery
 	// A full capture may reuse the previous full capture's arrays —
 	// that snapshot was encoded to disk and dropped, so the memory is

@@ -16,6 +16,7 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
+	"github.com/amlight/intddos/internal/store"
 )
 
 // countVoter votes attack while a flow's update count is below
@@ -128,7 +129,7 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	if r == nil {
 		t.Fatal("no restore summary after booting from a checkpoint dir")
 	}
-	if r.Flows == 0 || r.StoreFlows == 0 {
+	if r.Flows == 0 || r.Windows == 0 {
 		t.Errorf("restore summary empty: %+v", r)
 	}
 	c.Start()
@@ -653,10 +654,11 @@ func TestPeriodicCheckpointer(t *testing.T) {
 	}
 }
 
-// TestSweepBoundsStoreFlowCount pins the swept-flow leak fix: idle
-// eviction must delete the store's flow records and the vote windows,
-// not just the flow-table entries, so waves of short-lived flows
-// (spoofed-source floods) cannot grow the store without bound.
+// TestSweepBoundsStoreFlowCount pins the swept-flow leak fix: waves of
+// short-lived flows (spoofed-source floods) cannot grow the pipeline
+// without bound. A flow is one flow-table record — vote window
+// included — and the store keeps no record of its own, so idle
+// eviction empties every layer at once.
 func TestSweepBoundsStoreFlowCount(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.FlowIdleTimeout = 10 * time.Millisecond
@@ -671,19 +673,16 @@ func TestSweepBoundsStoreFlowCount(t *testing.T) {
 		for f := 0; f < wave; f++ {
 			l.Ingest(liveObs(uint16(1000+w*wave+f), 40, true, "synflood"))
 		}
-		if got := l.DB.FlowCount(); got != wave {
-			t.Fatalf("wave %d: store holds %d flows, want %d", w, got, wave)
+		if got := l.tables.Len(); got != wave {
+			t.Fatalf("wave %d: table holds %d flows, want %d", w, got, wave)
 		}
 		time.Sleep(15 * time.Millisecond) // everything idles past the TTL
 		l.sweep()
-		if got := l.DB.FlowCount(); got != 0 {
-			t.Fatalf("wave %d: store leaked %d flow records after sweep", w, got)
-		}
 		if got := l.tables.Len(); got != 0 {
 			t.Fatalf("wave %d: table kept %d records", w, got)
 		}
-		if got := l.windowCount(); got != 0 {
-			t.Fatalf("wave %d: %d vote windows leaked", w, got)
+		if got := l.DB.FlowCount(); got != 0 {
+			t.Fatalf("wave %d: store holds %d flow records", w, got)
 		}
 	}
 	if l.Evictions.Load() != 5*wave {
@@ -693,7 +692,7 @@ func TestSweepBoundsStoreFlowCount(t *testing.T) {
 
 // TestMechanismSweepDeletesStoreRecords is the simulated mechanism's
 // side of the leak fix: Table.Sweep's eviction hook removes database
-// rows and vote windows.
+// rows, and a flow's vote window goes with its table record.
 func TestMechanismSweepDeletesStoreRecords(t *testing.T) {
 	eng := netsim.NewEngine()
 	cfg := testConfig(attackDetector())
@@ -708,14 +707,265 @@ func TestMechanismSweepDeletesStoreRecords(t *testing.T) {
 	if m.DB.FlowCount() != 50 {
 		t.Fatalf("store holds %d flows", m.DB.FlowCount())
 	}
-	m.windows[simObs(3000, 10, 40, true, "synflood").Key] = []int{1, 1}
+	voted := simObs(3000, 10, 40, true, "synflood").Key
+	m.Table.Vote(voted, func([]int) []int { return []int{1, 1} })
 	if n := m.Table.Sweep(500); n != 50 {
 		t.Fatalf("swept %d, want 50", n)
 	}
 	if m.DB.FlowCount() != 0 {
 		t.Errorf("store leaked %d records after sweep", m.DB.FlowCount())
 	}
-	if len(m.windows) != 0 {
-		t.Errorf("%d vote windows leaked", len(m.windows))
+	if m.Table.Len() != 0 || m.Table.Get(voted) != nil {
+		t.Errorf("table kept %d records after sweep", m.Table.Len())
+	}
+}
+
+// TestSweepBoundsLateDecisionLeavesNoWindow: a decision for a flow no
+// longer in the table — its row journaled, then the flow swept before
+// the row was decided — is voted over a fresh window and leaves nothing
+// behind, in Live and in the simulated Mechanism: the table is where a
+// window lives, and it stays empty.
+func TestSweepBoundsLateDecisionLeavesNoWindow(t *testing.T) {
+	t.Run("live", func(t *testing.T) {
+		cfg := liveConfig(attackDetector())
+		cfg.FlowIdleTimeout = 10 * time.Millisecond
+		l, err := NewLive(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Not started: the rows stay journaled, undecided, while the sweep
+		// evicts their flows.
+		const n = 20
+		for f := 0; f < n; f++ {
+			l.Ingest(liveObs(uint16(4000+f), 40, true, "synflood"))
+		}
+		time.Sleep(15 * time.Millisecond)
+		l.sweep()
+		if got := l.tables.Len(); got != 0 {
+			t.Fatalf("sweep left %d flows", got)
+		}
+		l.Start()
+		if !waitFor(t, 5*time.Second, func() bool { return l.DecisionCount() == n }) {
+			t.Fatalf("%d of %d journaled rows decided after their flows were swept", l.DecisionCount(), n)
+		}
+		l.Stop()
+		assertAccounting(t, l)
+		if got := l.tables.Len(); got != 0 {
+			t.Errorf("late decisions re-created %d flow records", got)
+		}
+		for _, d := range l.Decisions() {
+			if d.Label != 1 {
+				t.Errorf("late decision %+v: want the fresh window's one attack vote", d)
+			}
+		}
+	})
+	t.Run("mechanism", func(t *testing.T) {
+		eng := netsim.NewEngine()
+		cfg := testConfig(attackDetector())
+		// Every record waits in the prediction queue longer than its
+		// flow's idle timeout, so each is decided after its flow is gone.
+		cfg.FlowIdleTimeout = netsim.Millisecond
+		cfg.SweepInterval = netsim.Millisecond
+		cfg.ServiceTime = 20 * netsim.Millisecond
+		m, err := New(eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start()
+		const n = 5
+		for f := 0; f < n; f++ {
+			sport := uint16(4000 + f)
+			eng.Schedule(0, func() { m.Observe(simObs(sport, 0, 40, true, "synflood")) })
+		}
+		eng.RunUntil(netsim.Second)
+		if len(m.Decisions) != n {
+			t.Fatalf("decisions = %d, want %d", len(m.Decisions), n)
+		}
+		if m.Table.Len() != 0 {
+			t.Errorf("late decisions re-created %d flow records", m.Table.Len())
+		}
+		for _, d := range m.Decisions {
+			if d.Label != 1 {
+				t.Errorf("late decision %+v: want the fresh window's one attack vote", d)
+			}
+		}
+	})
+}
+
+// flowWindows copies every flow-table record's vote window, by flow.
+func flowWindows(l *Live) map[string][]int {
+	out := make(map[string][]int)
+	l.tables.Range(func(st *flow.State) bool {
+		if len(st.Window) > 0 {
+			out[st.Key.String()] = append([]int(nil), st.Window...)
+		}
+		return true
+	})
+	return out
+}
+
+// TestKillRestoreWindowOnlyDelta: rows journaled before Start ride a
+// full checkpoint undecided; Start decides them, which changes only
+// their flows' vote windows. The next checkpoint — a delta — must carry
+// those windows, so a restore from the chain gives the writer's
+// windows.
+func TestKillRestoreWindowOnlyDelta(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptConfig(dir)
+	cfg.CheckpointFullEvery = 4
+	a, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 12
+	for i := 0; i < n; i++ {
+		a.Ingest(liveObs(uint16(50+i%4), 40, true, "synflood"))
+	}
+	if _, _, err := a.WriteCheckpoint(); err != nil {
+		t.Fatalf("full checkpoint: %v", err)
+	}
+	a.Start()
+	if !waitFor(t, 5*time.Second, func() bool { return a.DecisionCount() == n }) {
+		t.Fatalf("%d of %d journaled rows decided", a.DecisionCount(), n)
+	}
+	path, _, err := a.WriteCheckpoint()
+	if err != nil {
+		t.Fatalf("delta checkpoint: %v", err)
+	}
+	a.Stop()
+	if m, err := checkpoint.ReadMeta(path); err != nil || !m.Delta {
+		t.Fatalf("second checkpoint is not a delta: %+v, %v", m, err)
+	}
+	want := flowWindows(a)
+	if len(want) != 4 {
+		t.Fatalf("writer holds %d windows, want 4", len(want))
+	}
+
+	b, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := b.Restore(); r == nil || r.Seq != 2 || r.Windows != len(want) {
+		t.Fatalf("restore summary %+v, want the delta (seq 2) with %d windows", r, len(want))
+	}
+	if got := flowWindows(b); !reflect.DeepEqual(got, want) {
+		t.Errorf("restored windows %v, writer's %v", got, want)
+	}
+}
+
+// TestKillRestoreIgnoresStoreRecordsAndOrphanWindows: a v3 snapshot
+// holding a store record per flow (as writers that kept one did) and a
+// window for a flow it has no record of restores to the same decisions
+// as the identical snapshot without them. The orphan window belongs to
+// a flow that arrives after the restore: kept, it would turn that
+// flow's first decision to attack.
+func TestKillRestoreIgnoresStoreRecordsAndOrphanWindows(t *testing.T) {
+	const nFlows, cut, total, late = 12, 3, 6, 9000
+	b, err := NewLive(ckptConfig(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Start()
+	feedRange(b, nFlows, 0, cut)
+	snap, err := b.CaptureCheckpoint()
+	if err != nil {
+		t.Fatalf("capture: %v", err)
+	}
+	b.Stop()
+	plain := checkpoint.Encode(snap)
+	for s := range snap.ShardStates {
+		sh := &snap.ShardStates[s]
+		for _, st := range sh.Table {
+			sh.StoreFlows = append(sh.StoreFlows, store.FlowRecord{
+				Key: st.Key, Features: []float64{-1}, Updates: 1 << 20, Version: 7, AttackType: "bogus",
+			})
+		}
+	}
+	lateKey := liveObs(late, 1000, false, "benign").Key
+	snap.Windows = append(snap.Windows, checkpoint.Window{Key: lateKey, Votes: []int{1, 1}})
+	extra := checkpoint.Encode(snap)
+
+	run := func(data []byte) map[string][]string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName(snap.Seq)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		c, err := NewLive(ckptConfig(dir))
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		if r := c.Restore(); r == nil || r.Flows != nFlows || r.Windows != nFlows {
+			t.Fatalf("restore summary %+v, want %d flows, each with a window", r, nFlows)
+		}
+		c.Start()
+		feedRange(c, nFlows, cut, total)
+		for i := 0; i < 3; i++ {
+			c.HandleReport(chaosReport(late, 1000, false, "benign"))
+		}
+		settle(t, c, 5*time.Second)
+		c.Stop()
+		assertAccounting(t, c)
+		return predTrace(c)
+	}
+	want := run(plain)
+	got := run(extra)
+	compareTraces(t, got, want, "store records and an orphan window")
+	if seq := want[lateKey.String()]; len(seq) != 3 || !strings.HasPrefix(seq[0], "label=0") {
+		t.Errorf("late flow decided %v, want three decisions starting benign", seq)
+	}
+}
+
+// TestKillRestoreDeltaDropsSweptFlowsWindow: a flow with a window in
+// the base, swept and re-created (journaled, not yet decided) before
+// the next delta, restores without the stale window — the re-created
+// record has none, and the delta must say so.
+func TestKillRestoreDeltaDropsSweptFlowsWindow(t *testing.T) {
+	dir := t.TempDir()
+	cfg := ckptConfig(dir)
+	cfg.CheckpointFullEvery = 4
+	obs := liveObs(60, 40, true, "synflood")
+	a, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Start()
+	a.Ingest(obs)
+	settle(t, a, 5*time.Second)
+	if _, _, err := a.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	a.Stop()
+
+	// Restored and not started: the flow keeps its window through a
+	// full checkpoint, is swept, and comes back undecided.
+	cfg.FlowIdleTimeout = 10 * time.Millisecond
+	b, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(flowWindows(b)); got != 1 {
+		t.Fatalf("restored %d windows, want 1", got)
+	}
+	if _, _, err := b.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(15 * time.Millisecond)
+	b.sweep()
+	b.Ingest(obs)
+	path, _, err := b.WriteCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := checkpoint.ReadMeta(path); err != nil || !m.Delta {
+		t.Fatalf("checkpoint after the sweep is not a delta: %+v, %v", m, err)
+	}
+
+	c, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.tables.Len() != 1 || len(flowWindows(c)) != 0 {
+		t.Errorf("restored %d flows with windows %v, want the re-created flow without one",
+			c.tables.Len(), flowWindows(c))
 	}
 }

@@ -18,29 +18,20 @@ import (
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
-// liveShard is one shard of the runtime: the queue reports wait in,
-// the goroutine that drains it (runShard), and the vote windows of the
-// flows hashed onto it. The flow-table stripe lives in the
-// ShardedTable and the journal stripe in the Store, both indexed by
-// the same Key.Shard value.
+// liveShard is one shard of the runtime: the queue reports wait in and
+// the goroutine that drains it (runShard). The flow-table stripe — one
+// record per flow, vote window included — lives in the ShardedTable
+// and the journal stripe in the Store, both indexed by the same
+// Key.Shard value.
 //
 // run serializes the shard's passes — its goroutine's bursts, direct
-// Ingest calls, the sweeper's visit — and guards everything below it.
-// Every holder also holds the shard's ckptMu for read, so a capture
-// (ckptMu for write) reads windows, dirty and removed without it.
-// dirty and removed are the windows' delta-checkpoint marks,
-// maintained only while the runtime tracks deltas (CheckpointDir
-// set): windows voted into since the last capture, and windows
-// deleted since it. A key lives in at most one set — the last action
-// wins.
+// Ingest calls, the sweeper's visit, so no sweep lands between a row's
+// journal entry and its vote — and guards everything below it. Every
+// holder also holds the shard's ckptMu for read.
 type liveShard struct {
 	queue chan flow.PacketInfo // IngestAsync → runShard; QueueCap ÷ shards
 
 	run     sync.Mutex
-	windows map[flow.Key][]int
-	dirty   map[flow.Key]struct{}
-	removed map[flow.Key]struct{}
-
 	row     []float64          // feature-row scratch (journal)
 	recs    []store.FlowRecord // journal-drain buffer (decide)
 	scratch batchScratch       // scoring buffers (predictBatch)
@@ -122,12 +113,8 @@ type Live struct {
 	restored    *RestoreSummary
 	restoreMark uint64 // newest restored decision stamp: this process's decisions come after it
 
-	// Incremental checkpointing. deltaTrack reports that dirty tracking
-	// is live across the table, store, and window layers (set once in
-	// NewLive when CheckpointDir is configured, before any concurrent
-	// use). lastBarrierNs is the most recent capture's barrier hold, for
-	// the bench and /metrics.
-	deltaTrack    bool
+	// lastBarrierNs is the most recent capture's barrier hold, for the
+	// bench and /metrics.
 	lastBarrierNs atomic.Int64
 
 	// ckptWriteMu serializes WriteCheckpoint callers (the periodic
@@ -301,19 +288,11 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	for i := range l.shards {
 		l.shards[i] = &liveShard{
 			queue:   make(chan flow.PacketInfo, max(cfg.QueueCap/nShards, 1)),
-			windows: make(map[flow.Key][]int),
-			dirty:   make(map[flow.Key]struct{}),
-			removed: make(map[flow.Key]struct{}),
 			backoff: cfg.WorkerRestartBackoff,
 			polled:  l.met.shardPolled.With(strconv.Itoa(i)),
 		}
 	}
 	l.tables.SetIdleTimeout(netsim.Time(cfg.FlowIdleTimeout))
-	// Downstream state keyed by flow dies with the table entry: the
-	// eviction hook deletes the database record and the vote window the
-	// moment Sweep removes a flow, so idle eviction bounds memory in
-	// every layer (previously swept flows leaked store records).
-	l.tables.SetOnEvict(l.onEvict)
 	// Diagnostics: the event log must exist before anything below can
 	// log (restore does), and the registry carries the journey sampler
 	// and runtime telemetry for /traces/flow and /metrics.
@@ -387,7 +366,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 			entVec.WithFunc(ss, sk.Entropy)
 		}
 	}
-	l.reg.GaugeFunc("intddos_vote_windows", func() float64 { return float64(l.windowCount()) })
+	l.reg.GaugeFunc("intddos_flows", func() float64 { return float64(l.tables.Len()) })
 	l.reg.GaugeFunc("intddos_pipeline_shards", func() float64 { return float64(l.nShards) })
 	l.reg.GaugeFunc("intddos_health_state", func() float64 { return float64(l.Health()) })
 	l.reg.GaugeFunc("intddos_shards_down", func() float64 { return float64(l.shardsDown.Load()) })
@@ -405,10 +384,8 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	l.DB.Instrument(l.reg)
 	if cfg.CheckpointDir != "" {
 		// Dirty tracking goes live before the restore and before any
-		// concurrent use: restore resets the marks it touches, and every
-		// layer's hot path reads its track flag without synchronization.
-		l.deltaTrack = true
-		rawDB.SetDeltaTracking(true)
+		// concurrent use: the table's hot path reads its track flag
+		// without synchronization.
 		l.tables.SetDeltaTracking(true)
 		if err := l.restoreLatest(cfg.CheckpointDir); err != nil {
 			return nil, err
@@ -606,13 +583,33 @@ func (l *Live) taintKey(key flow.Key) {
 	}
 }
 
-// windowCount sums live vote windows across shards.
-func (l *Live) windowCount() int {
+// windowedFlows counts flow-table records holding a vote window.
+func (l *Live) windowedFlows() int {
 	n := 0
-	for _, sh := range l.shards {
-		sh.run.Lock()
-		n += len(sh.windows)
-		sh.run.Unlock()
-	}
+	l.tables.Range(func(st *flow.State) bool {
+		if len(st.Window) > 0 {
+			n++
+		}
+		return true
+	})
 	return n
+}
+
+// sweep evicts flows idle past FlowIdleTimeout, one shard at a time,
+// each under its barrier's read side (a sweep must not interleave with
+// a capture) and its run lock. A flow's vote window goes with its
+// record.
+func (l *Live) sweep() {
+	evicted := 0
+	for s, sh := range l.shards {
+		l.ckptMu[s].RLock()
+		sh.run.Lock()
+		evicted += l.tables.SweepShard(s, now())
+		sh.run.Unlock()
+		l.ckptMu[s].RUnlock()
+	}
+	l.Evictions.Add(int64(evicted))
+	if evicted > 0 {
+		l.event("flows evicted", "component", "sweep", "evicted", evicted)
+	}
 }

@@ -70,9 +70,9 @@ type LiveConfig struct {
 	TriageThreshold float64
 	TriageModel     ml.Classifier
 
-	// FlowIdleTimeout evicts flows idle past this TTL — their vote
-	// windows, flow-table state, and database records — so long runs
-	// don't accumulate per-flow memory without bound. Zero disables
+	// FlowIdleTimeout evicts flows idle past this TTL — their
+	// flow-table records, vote windows included — so long runs don't
+	// accumulate per-flow memory without bound. Zero disables
 	// eviction. Evictions are counted in intddos_evictions_total.
 	FlowIdleTimeout time.Duration
 	// SweepInterval is how often the eviction pass runs (default:

@@ -105,11 +105,12 @@ func (l *Live) Ingest(pi flow.PacketInfo) {
 	}
 }
 
-// journal folds one observation into its flow-table stripe and writes
-// the snapshot to the database shard, reporting whether the write
-// landed. Callers hold the shard's barrier for read and its run lock,
-// which makes sh.row, the scratch the feature vector is built in,
-// theirs: it is dead once the store has copied it.
+// journal folds one observation into its flow-table stripe — the
+// flow's one record — and appends the snapshot to the database shard's
+// journal, reporting whether the write landed. Callers hold the
+// shard's barrier for read and its run lock, which makes sh.row, the
+// scratch the feature vector is built in, theirs: it is dead once the
+// store has copied it.
 func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 	start := time.Now()
 	if pi.At == 0 {
@@ -135,26 +136,26 @@ func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 		l.journeys.Begin(obs.JourneyID{Flow: key.Hash(), Seq: updates}, key.String(), "ingest",
 			time.Unix(0, int64(pi.At)))
 	}
-	written := l.upsertFlow(key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
+	written := l.appendJournal(key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
 	l.jHop(key, updates, "journal")
 	l.Snapshots.Add(1)
 	l.met.stageIngest.Since(start)
 	return written
 }
 
-// upsertFlow writes one snapshot, retrying transient failures with
+// appendJournal writes one snapshot, retrying transient failures with
 // exponential backoff when the store surfaces them. A write still
 // failing after the retry budget is dropped — counted, tainted, and
 // raised to shedding, because a lost snapshot is a lost record — and
-// upsertFlow reports false.
-func (l *Live) upsertFlow(key flow.Key, feats []float64, reg, last netsim.Time, updates int, truth bool, attackType string) bool {
+// appendJournal reports false.
+func (l *Live) appendJournal(key flow.Key, feats []float64, reg, last netsim.Time, updates int, truth bool, attackType string) bool {
 	if l.fdb == nil {
-		l.DB.UpsertFlow(key, feats, reg, last, updates, truth, attackType)
+		l.DB.AppendJournal(key, feats, reg, last, updates, truth, attackType)
 		return true
 	}
 	backoff := l.cfg.StoreRetryBackoff
 	for attempt := 0; ; attempt++ {
-		_, err := l.fdb.TryUpsertFlow(key, feats, reg, last, updates, truth, attackType)
+		err := l.fdb.TryAppendJournal(key, feats, reg, last, updates, truth, attackType)
 		if err == nil {
 			return true
 		}

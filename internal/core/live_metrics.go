@@ -58,7 +58,7 @@ type liveMetrics struct {
 	ckptBarrier       *obs.Histogram
 	ckptLastSuccess   *obs.Gauge
 	restores          *obs.Counter
-	restoredRecs      *obs.CounterVec // by kind: flows/store_flows/journal_pending/windows/predictions
+	restoredRecs      *obs.CounterVec // by kind: flows/journal_pending/windows/predictions
 
 	// Per-stage latency histograms (children of intddos_stage_seconds
 	// cached so the hot path skips the vec lookup).

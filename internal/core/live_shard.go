@@ -280,7 +280,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 			if degraded && v.stage == 0 {
 				l.taintKey(rec.Key)
 			}
-			l.finish(sh, rec, v)
+			l.finish(rec, v)
 		} else {
 			// Every ensemble member is out: no best-effort answer exists
 			// for a row the cascade did not exit.
@@ -290,18 +290,18 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 	}
 }
 
-// finish applies window voting on the flow's shard and logs the
-// decision. The vote span starts at this row's own clock read, so row
-// i's vote never includes finishing rows 0…i−1 of its batch. The
-// decision counts once it is logged and OnDecision has returned.
-func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
+// finish slides the flow's vote window on its flow-table record and
+// logs the decision. The vote span starts at this row's own clock
+// read, so row i's vote never includes finishing rows 0…i−1 of its
+// batch. The decision counts once it is logged and OnDecision has
+// returned.
+func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 	t := now()
 	var label int
-	sh.windows[rec.Key], label = slideVote(sh.windows[rec.Key], v.raw, voteWindow)
-	if l.deltaTrack {
-		sh.dirty[rec.Key] = struct{}{}
-		delete(sh.removed, rec.Key)
-	}
+	l.tables.Vote(rec.Key, func(w []int) []int {
+		w, label = slideVote(w, v.raw, voteWindow)
+		return w
+	})
 	p := store.PredictionRecord{
 		Key: rec.Key, Label: label, At: t, Latency: t - rec.UpdatedAt, Votes: v.votes,
 		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,

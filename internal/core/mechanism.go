@@ -155,7 +155,6 @@ type Mechanism struct {
 	gcursor uint64
 	queue   []store.FlowRecord
 	busy    bool
-	windows map[flow.Key][]int
 
 	// scorer is the Prediction module; scored caches its verdicts for
 	// the queue head block: index 0 always corresponds to queue[0].
@@ -220,12 +219,11 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		db = store.NewSharded(cfg.Shards)
 	}
 	m := &Mechanism{
-		eng:     eng,
-		cfg:     cfg,
-		Table:   flow.NewTable(),
-		DB:      db,
-		windows: make(map[flow.Key][]int),
-		scorer:  sc,
+		eng:    eng,
+		cfg:    cfg,
+		Table:  flow.NewTable(),
+		DB:     db,
+		scorer: sc,
 	}
 	// The simulation's ensemble call is the plain batch path: every
 	// member always votes.
@@ -235,13 +233,9 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	}
 	m.Table.IdleTimeout = cfg.FlowIdleTimeout
 	// Eviction is single-pass: when Sweep removes a flow, its database
-	// record and vote window go with it (the old two-pass scan left
-	// store rows behind for flows observed between the scan and the
-	// sweep). The simulation is single-threaded, so no locking.
-	m.Table.OnEvict = func(k flow.Key) {
-		m.DB.DeleteFlow(k)
-		delete(m.windows, k)
-	}
+	// record goes with it, as its vote window does with the table
+	// record. The simulation is single-threaded, so no locking.
+	m.Table.OnEvict = m.DB.DeleteFlow
 	m.DB.SetJournalNew(!cfg.SkipNewRecords)
 	return m, nil
 }
@@ -339,7 +333,10 @@ func (m *Mechanism) completeService() {
 	}
 
 	var label int
-	m.windows[rec.Key], label = slideVote(m.windows[rec.Key], v.raw, m.cfg.VoteWindow)
+	m.Table.Vote(rec.Key, func(w []int) []int {
+		w, label = slideVote(w, v.raw, m.cfg.VoteWindow)
+		return w
+	})
 
 	now := m.eng.Now()
 	p := store.PredictionRecord{
@@ -361,15 +358,8 @@ func (m *Mechanism) completeService() {
 }
 
 // sweepTick evicts idle flows from the table; the eviction hook
-// removes their vote windows and database records in the same pass. A
-// safety pass clears windows whose flow is gone entirely (a late
-// decision can re-create one after its flow was swept).
+// removes their database records in the same pass.
 func (m *Mechanism) sweepTick() {
 	m.Table.Sweep(m.eng.Now())
-	for key := range m.windows {
-		if m.Table.Get(key) == nil {
-			delete(m.windows, key)
-		}
-	}
 	m.eng.After(m.cfg.SweepInterval, m.sweepTick)
 }

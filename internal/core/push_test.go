@@ -182,8 +182,9 @@ type outageStore struct {
 	failed atomic.Int64
 }
 
-func (s *outageStore) TryUpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (bool, error) {
-	return s.UpsertFlow(key, features, registeredAt, updatedAt, updates, truth, attackType), nil
+func (s *outageStore) TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error {
+	s.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+	return nil
 }
 
 func (s *outageStore) TryDrainShard(shard int, buf []store.FlowRecord) ([]store.FlowRecord, error) {

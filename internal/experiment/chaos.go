@@ -213,8 +213,8 @@ func FormatChaos(r *ChaosResult) string {
 		r.StoreRetries, r.WorkerRestarts, r.ModelFailures)
 	fmt.Fprintf(&b, "  faults fired: %s; tainted flows: %d\n", r.FaultSummary, r.TaintedFlows)
 	if rs := r.Restored; rs != nil {
-		fmt.Fprintf(&b, "  restored: seq=%d flows=%d store_flows=%d journal_pending=%d windows=%d predictions=%d\n",
-			rs.Seq, rs.Flows, rs.StoreFlows, rs.JournalPending, rs.Windows, rs.Predictions)
+		fmt.Fprintf(&b, "  restored: seq=%d flows=%d journal_pending=%d windows=%d predictions=%d\n",
+			rs.Seq, rs.Flows, rs.JournalPending, rs.Windows, rs.Predictions)
 	}
 	if r.Checkpoints > 0 {
 		fmt.Fprintf(&b, "  checkpoints written: %d\n", r.Checkpoints)

@@ -159,8 +159,8 @@ func faultKey(p uint16) flow.Key {
 func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	in := New(Spec{StoreErr: 1}, 1)
 	db := WrapStore(store.New(), in)
-	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); !errors.Is(err, ErrInjected) {
-		t.Fatalf("TryUpsertFlow error = %v, want ErrInjected", err)
+	if err := db.TryAppendJournal(faultKey(1), []float64{1}, 0, 0, 1, false, ""); !errors.Is(err, ErrInjected) {
+		t.Fatalf("TryAppendJournal error = %v, want ErrInjected", err)
 	}
 	if recs, err := db.TryDrainShard(0, nil); !errors.Is(err, ErrInjected) || len(recs) != 0 {
 		t.Fatalf("TryDrainShard = %d recs, error %v, want none and ErrInjected", len(recs), err)
@@ -170,9 +170,10 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	if !db.UpsertFlow(faultKey(2), []float64{1}, 0, 0, 1, false, "") {
 		t.Fatal("plain UpsertFlow failed")
 	}
+	db.AppendJournal(faultKey(3), []float64{1}, 0, 0, 1, false, "")
 	recs, _ := db.PollShard(0, 0, 10)
-	if len(recs) != 1 {
-		t.Fatalf("plain PollShard = %d records, want 1", len(recs))
+	if len(recs) != 2 {
+		t.Fatalf("plain PollShard = %d records, want 2", len(recs))
 	}
 	if db.FlowCount() != 1 {
 		t.Errorf("flow count = %d", db.FlowCount())
@@ -185,8 +186,8 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 func TestStoreWrapperCleanWhenNoStoreFaults(t *testing.T) {
 	in := New(Spec{Drop: 1}, 1) // faults elsewhere only
 	db := WrapStore(store.New(), in)
-	if _, err := db.TryUpsertFlow(faultKey(1), []float64{1}, 0, 0, 1, false, ""); err != nil {
-		t.Fatalf("TryUpsertFlow = %v", err)
+	if err := db.TryAppendJournal(faultKey(1), []float64{1}, 0, 0, 1, false, ""); err != nil {
+		t.Fatalf("TryAppendJournal = %v", err)
 	}
 	recs, err := db.TryDrainShard(0, nil)
 	if err != nil || len(recs) != 1 {

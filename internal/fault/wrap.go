@@ -14,7 +14,7 @@ import (
 // Store wraps a store.Store with injected shard stalls and — on the
 // store.Fallible paths — transient errors. The plain Store methods
 // stall but cannot fail (the interface has no error returns), so
-// consumers that want the full fault surface must use TryUpsertFlow
+// consumers that want the full fault surface must use TryAppendJournal
 // and TryDrainShard; core.Live does.
 type Store struct {
 	inner store.Store
@@ -43,13 +43,20 @@ func (s *Store) UpsertFlow(key flow.Key, features []float64, registeredAt, updat
 	return s.inner.UpsertFlow(key, features, registeredAt, updatedAt, updates, truth, attackType)
 }
 
-// TryUpsertFlow stalls, then fails transiently or writes through.
-func (s *Store) TryUpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (bool, error) {
+// AppendJournal stalls, then writes through.
+func (s *Store) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
+	s.stall()
+	s.inner.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+}
+
+// TryAppendJournal stalls, then fails transiently or writes through.
+func (s *Store) TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error {
 	s.stall()
 	if err := s.in.StoreErr(); err != nil {
-		return false, err
+		return err
 	}
-	return s.inner.UpsertFlow(key, features, registeredAt, updatedAt, updates, truth, attackType), nil
+	s.inner.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+	return nil
 }
 
 // Flow reads through.

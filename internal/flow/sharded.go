@@ -24,9 +24,11 @@ type ShardedTable struct {
 	track bool
 
 	// onContention, when set, runs every time an observation finds its
-	// shard's mutex already held. Set it before concurrent use begins
-	// (SetContentionHook); core.Live points it at an obs counter.
+	// shard's mutex already held; onEvict, when set, runs for every
+	// record a sweep removes, under the evicting shard's lock. Set both
+	// before concurrent use begins (SetContentionHook, SetOnEvict).
 	onContention func()
+	onEvict      func(Key)
 }
 
 // SetContentionHook installs fn as the table's contention callback.
@@ -38,10 +40,11 @@ type tableShard struct {
 	table *Table
 
 	// Delta-checkpoint bookkeeping, maintained only while tracking is
-	// on (SetDeltaTracking): keys written since the last export, and
-	// keys evicted since the last export. A key lives in at most one
-	// set — the last action wins — so an incremental capture exports
-	// exactly the difference against its parent snapshot.
+	// on (SetDeltaTracking): keys written — observed or voted — since
+	// the last export, and keys evicted since the last export. A key
+	// lives in at most one set — the last action wins — so an
+	// incremental capture exports exactly the difference against its
+	// parent snapshot.
 	dirty   map[Key]struct{}
 	removed map[Key]struct{}
 }
@@ -88,34 +91,17 @@ func (t *ShardedTable) SetIdleTimeout(d netsim.Time) {
 	}
 }
 
-// SetOnEvict installs fn as every shard's eviction hook. fn runs
-// under the evicting shard's lock and must not call back into the
-// table. The installed hook also feeds the delta-checkpoint removal
-// set: a sweep eviction must reach the next incremental snapshot as a
-// removal, or a restored chain would resurrect the flow.
-func (t *ShardedTable) SetOnEvict(fn func(Key)) {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.table.OnEvict = func(k Key) {
-			if t.track {
-				s.removed[k] = struct{}{}
-				delete(s.dirty, k)
-			}
-			if fn != nil {
-				fn(k)
-			}
-		}
-		s.mu.Unlock()
-	}
-}
+// SetOnEvict installs fn as the table's eviction hook. fn runs under
+// the evicting shard's lock and must not call back into the table.
+// Not safe to call concurrently with a sweep.
+func (t *ShardedTable) SetOnEvict(fn func(Key)) { t.onEvict = fn }
 
 // ExportShard snapshots every record on one shard for checkpointing.
 // Out-of-range shards yield nil. With delta tracking on, a full
 // export resets the shard's dirty/removed marks — it is the new base
 // an incremental export diffs against.
 func (t *ShardedTable) ExportShard(shard int) []StateSnapshot {
-	return t.ExportShardInto(shard, nil)
+	return t.ExportShardInto(shard, nil, nil)
 }
 
 // ExportShardInto is ExportShard reusing dst's backing array when its
@@ -123,8 +109,10 @@ func (t *ShardedTable) ExportShard(shard int) []StateSnapshot {
 // capture's (already encoded, now dead) export back in, so a
 // steady-state capture appends into warm memory instead of allocating
 // — and zeroing — hundreds of megabytes inside the barrier. Callers
-// must ensure nothing else still reads dst.
-func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot) []StateSnapshot {
+// must ensure nothing else still reads dst. window, when set, is
+// called with every exported record's key and vote window (empty when
+// it has none) under the shard lock; it must copy what it keeps.
+func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot, window func(Key, []int)) []StateSnapshot {
 	if shard < 0 || shard >= len(t.shards) {
 		return nil
 	}
@@ -137,6 +125,9 @@ func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot) []StateSn
 	}
 	s.table.Range(func(st *State) bool {
 		out = append(out, st.Snapshot())
+		if window != nil {
+			window(st.Key, st.Window)
+		}
 		return true
 	})
 	if t.track {
@@ -149,8 +140,10 @@ func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot) []StateSn
 // ExportShardDelta snapshots only the records written since the
 // previous export on one shard, plus the keys evicted since then, and
 // resets the marks — the capture side of an incremental checkpoint.
-// Requires SetDeltaTracking(true); out-of-range shards yield nil.
-func (t *ShardedTable) ExportShardDelta(shard int) (states []StateSnapshot, removed []Key) {
+// window, when set, sees each exported record's vote window as in
+// ExportShardInto. Requires SetDeltaTracking(true); out-of-range shards
+// yield nil.
+func (t *ShardedTable) ExportShardDelta(shard int, window func(Key, []int)) (states []StateSnapshot, removed []Key) {
 	if shard < 0 || shard >= len(t.shards) {
 		return nil, nil
 	}
@@ -162,6 +155,9 @@ func (t *ShardedTable) ExportShardDelta(shard int) (states []StateSnapshot, remo
 		for k := range s.dirty {
 			if st := s.table.Get(k); st != nil {
 				states = append(states, st.Snapshot())
+				if window != nil {
+					window(k, st.Window)
+				}
 			}
 		}
 	}
@@ -176,35 +172,10 @@ func (t *ShardedTable) ExportShardDelta(shard int) (states []StateSnapshot, remo
 	return states, removed
 }
 
-// RestoreShard inserts restored records into one shard. Records whose
-// key does not hash onto the shard are rejected — a snapshot taken at
-// a different shard count must fail loud, not scatter flows onto the
-// wrong stripes.
-func (t *ShardedTable) RestoreShard(shard int, states []StateSnapshot) error {
-	if shard < 0 || shard >= len(t.shards) {
-		return fmt.Errorf("flow: restore shard %d out of range (have %d)", shard, len(t.shards))
-	}
-	for _, sn := range states {
-		if got := sn.Key.Shard(len(t.shards)); got != shard {
-			return fmt.Errorf("flow: restored record %s hashes to shard %d, not %d (snapshot from a different shard count?)",
-				sn.Key, got, shard)
-		}
-	}
-	s := &t.shards[shard]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sn := range states {
-		s.table.Insert(RestoreState(sn))
-	}
-	return nil
-}
-
-// RestoreShardDelta replays one incremental snapshot's changes on top
-// of the shard's current state: removals first, then upserts — the
-// order that lets a flow evicted and re-created within one delta
-// interval survive the replay. Keys are validated against the shard
-// hash exactly like RestoreShard.
-func (t *ShardedTable) RestoreShardDelta(shard int, states []StateSnapshot, removed []Key) error {
+// checkShard validates a restore against the shard hash: a snapshot
+// taken at a different shard count must fail loud, not scatter flows
+// onto the wrong stripes.
+func (t *ShardedTable) checkShard(shard int, states []StateSnapshot, removed []Key) error {
 	if shard < 0 || shard >= len(t.shards) {
 		return fmt.Errorf("flow: restore shard %d out of range (have %d)", shard, len(t.shards))
 	}
@@ -220,6 +191,36 @@ func (t *ShardedTable) RestoreShardDelta(shard int, states []StateSnapshot, remo
 				k, got, shard)
 		}
 	}
+	return nil
+}
+
+// RestoreShard inserts restored records, without vote windows, into
+// one shard. Records whose key does not hash onto the shard are
+// rejected.
+func (t *ShardedTable) RestoreShard(shard int, states []StateSnapshot) error {
+	if err := t.checkShard(shard, states, nil); err != nil {
+		return err
+	}
+	s := &t.shards[shard]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sn := range states {
+		s.table.Insert(RestoreState(sn))
+	}
+	return nil
+}
+
+// RestoreShardDelta replays one incremental snapshot's changes on top
+// of the shard's current state: removals first, then upserts — the
+// order that lets a flow evicted and re-created within one delta
+// interval survive the replay. An upsert replaces a record's counters
+// and keeps its vote window: a delta names window changes apart
+// (RestoreWindow). Keys are validated against the shard hash exactly
+// like RestoreShard.
+func (t *ShardedTable) RestoreShardDelta(shard int, states []StateSnapshot, removed []Key) error {
+	if err := t.checkShard(shard, states, removed); err != nil {
+		return err
+	}
 	s := &t.shards[shard]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -227,9 +228,29 @@ func (t *ShardedTable) RestoreShardDelta(shard int, states []StateSnapshot, remo
 		s.table.Delete(k)
 	}
 	for _, sn := range states {
-		s.table.Insert(RestoreState(sn))
+		st := RestoreState(sn)
+		if old := s.table.Get(sn.Key); old != nil {
+			st.Window = old.Window
+		}
+		s.table.Insert(st)
 	}
 	return nil
+}
+
+// RestoreWindow sets k's vote window to a copy of votes — nil clears
+// it — and reports whether k has a record: a window whose flow is
+// absent is dropped. It is the restore path's counterpart to Vote and
+// marks nothing dirty.
+func (t *ShardedTable) RestoreWindow(k Key, votes []int) bool {
+	s := &t.shards[k.Shard(len(t.shards))]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.table.Get(k)
+	if st == nil {
+		return false
+	}
+	st.Window = append([]int(nil), votes...)
+	return true
 }
 
 // Observe folds one observation into its flow's shard and reports
@@ -267,6 +288,19 @@ func (t *ShardedTable) observe(pi PacketInfo, fn func(*State)) (*State, bool) {
 		fn(st)
 	}
 	return st, created
+}
+
+// Vote slides k's vote window through slide under the shard lock (see
+// Table.Vote) and, when the record exists, marks it dirty: a window
+// voted after a capture — a journal tail decided late — must reach the
+// next delta export. slide must not call back into the table.
+func (t *ShardedTable) Vote(k Key, slide func(window []int) []int) {
+	s := &t.shards[k.Shard(len(t.shards))]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.table.Vote(k, slide) && t.track {
+		s.dirty[k] = struct{}{}
+	}
 }
 
 // Get invokes fn on the record for k under the shard lock and reports
@@ -319,12 +353,22 @@ func (t *ShardedTable) Sweep(now netsim.Time) int {
 }
 
 // SweepShard evicts idle records on one shard and returns how many it
-// removed.
+// removed. With delta tracking on, each eviction is marked for the
+// next delta export — a removal the export missed would let a restored
+// chain resurrect the flow — and then reported to the eviction hook.
 func (t *ShardedTable) SweepShard(shard int, now netsim.Time) int {
 	s := &t.shards[shard]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.table.Sweep(now)
+	return s.table.sweep(now, func(k Key) {
+		if t.track {
+			s.removed[k] = struct{}{}
+			delete(s.dirty, k)
+		}
+		if t.onEvict != nil {
+			t.onEvict(k)
+		}
+	})
 }
 
 // Range calls fn for every live record under its shard's lock;

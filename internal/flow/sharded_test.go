@@ -2,6 +2,7 @@ package flow
 
 import (
 	"net/netip"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -91,6 +92,71 @@ func TestShardedTableSweep(t *testing.T) {
 	}
 	if st.Len() != 0 {
 		t.Fatalf("len after sweep = %d", st.Len())
+	}
+}
+
+// TestShardedTableDeltaRecordsSweepWithoutHook: with delta tracking on
+// and no eviction hook installed, a sweep's evictions still reach the
+// next delta export as removals — otherwise a restored chain would
+// bring the swept flows back.
+func TestShardedTableDeltaRecordsSweepWithoutHook(t *testing.T) {
+	st := NewShardedTable(1)
+	st.SetDeltaTracking(true)
+	st.SetIdleTimeout(10 * netsim.Millisecond)
+	k := shardKey(1)
+	st.Observe(PacketInfo{Key: k, Length: 64, At: 0})
+	st.ExportShard(0) // the base the delta diffs against
+	if got := st.Sweep(netsim.Second); got != 1 {
+		t.Fatalf("swept %d, want 1", got)
+	}
+	states, removed := st.ExportShardDelta(0, nil)
+	if len(states) != 0 || len(removed) != 1 || removed[0] != k {
+		t.Fatalf("delta after sweep: states=%d removed=%v, want the swept key", len(states), removed)
+	}
+}
+
+// TestShardedTableVoteWindow pins the vote window's life on the entry:
+// Vote keeps the slid window and marks the entry for the next delta; a
+// vote for a flow with no entry is voted over a fresh window and keeps
+// nothing; a delta's table record keeps the restored window, and
+// RestoreWindow drops a window whose flow is absent.
+func TestShardedTableVoteWindow(t *testing.T) {
+	push := func(raw int) func([]int) []int {
+		return func(w []int) []int { return append(w, raw) }
+	}
+	st := NewShardedTable(2)
+	st.SetDeltaTracking(true)
+	k, gone := shardKey(1), shardKey(2)
+	st.Observe(PacketInfo{Key: k, Length: 64, At: 1})
+	st.ExportShardInto(k.Shard(2), nil, nil)
+	st.Vote(k, push(1))
+	st.Vote(k, push(0))
+	var fresh []int
+	st.Vote(gone, func(w []int) []int { fresh = append(w, 1); return fresh })
+	if len(fresh) != 1 || st.Len() != 1 || st.Get(gone, nil) {
+		t.Fatalf("vote for an absent flow: window %v, table len %d", fresh, st.Len())
+	}
+	wins := map[Key][]int{}
+	keep := func(key Key, w []int) { wins[key] = append([]int(nil), w...) }
+	states, _ := st.ExportShardDelta(k.Shard(2), keep)
+	if len(states) != 1 || !reflect.DeepEqual(wins[k], []int{1, 0}) {
+		t.Fatalf("voted-only delta: %d states, windows %v", len(states), wins)
+	}
+
+	dst := NewShardedTable(2)
+	if err := dst.RestoreShard(k.Shard(2), states); err != nil {
+		t.Fatal(err)
+	}
+	if !dst.RestoreWindow(k, wins[k]) || dst.RestoreWindow(gone, []int{1}) {
+		t.Fatal("RestoreWindow: want the present flow kept, the absent one dropped")
+	}
+	if err := dst.RestoreShardDelta(k.Shard(2), states, nil); err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	dst.Get(k, func(s *State) { got = s.Window })
+	if !reflect.DeepEqual(got, []int{1, 0}) {
+		t.Fatalf("window after a delta's table record = %v, want it kept", got)
 	}
 }
 

@@ -38,12 +38,19 @@ type State struct {
 	LastTruth bool
 	// AttackType is the most recent non-benign workload name seen.
 	AttackType string
+
+	// Window is the flow's vote window: its most recent raw predictions,
+	// oldest first, which the decision path smooths (§IV-C4) and slides
+	// through Vote. It lives and dies with the record.
+	Window []int
 }
 
 // StateSnapshot is the exported, serializable view of a flow record:
 // every field — including the unexported wrap-tracking state — so a
 // restored record produces bit-identical features for all subsequent
-// observations. It is the unit the checkpoint subsystem persists.
+// observations. It is the unit the checkpoint subsystem persists. The
+// vote window is the one field left out: checkpoints carry windows in
+// a section of their own.
 type StateSnapshot struct {
 	Key          Key
 	RegisteredAt netsim.Time
@@ -231,9 +238,9 @@ type Table struct {
 	OnUpdate func(*State)
 	// OnEvict fires for every record Sweep removes, after the record
 	// has left the table. It is the hook downstream state keyed by the
-	// same flow — database rows, vote windows — uses to die with the
-	// table entry, so idle eviction bounds memory everywhere at once
-	// instead of only here.
+	// same flow — the simulated mechanism's database rows — uses to die
+	// with the table entry, so idle eviction bounds memory everywhere at
+	// once instead of only here.
 	OnEvict func(Key)
 
 	// Stats
@@ -273,10 +280,27 @@ func (t *Table) Observe(pi PacketInfo) (*State, bool) {
 	return st, false
 }
 
+// Vote slides k's vote window through slide and keeps the result on
+// the record, reporting whether one exists. A key with no record — a
+// decision that outlived its flow — is voted over a fresh window that
+// is not kept.
+func (t *Table) Vote(k Key, slide func(window []int) []int) bool {
+	st := t.flows[k]
+	if st == nil {
+		slide(nil)
+		return false
+	}
+	st.Window = slide(st.Window)
+	return true
+}
+
 // Sweep evicts records idle at now for longer than IdleTimeout and
 // returns how many were removed. OnEvict, when set, fires once per
 // removed record.
-func (t *Table) Sweep(now netsim.Time) int {
+func (t *Table) Sweep(now netsim.Time) int { return t.sweep(now, t.OnEvict) }
+
+// sweep is Sweep reporting each removal to evicted (nil-safe).
+func (t *Table) sweep(now netsim.Time, evicted func(Key)) int {
 	if t.IdleTimeout <= 0 {
 		return 0
 	}
@@ -285,8 +309,8 @@ func (t *Table) Sweep(now netsim.Time) int {
 		if now-st.LastAt > t.IdleTimeout {
 			delete(t.flows, k)
 			n++
-			if t.OnEvict != nil {
-				t.OnEvict(k)
+			if evicted != nil {
+				evicted(k)
 			}
 		}
 	}

@@ -86,6 +86,7 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).AppendPrediction", "store.prediction_log"},
 		{"store.(*ShardedDB).Predictions", "store.prediction_merge"},
 		{"store.(*MergeCursor)", "store.prediction_merge"},
+		{"store.(*DB).AppendJournal", "store.shard_upsert"},
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},
 		{"store.(*DB).TrimJournal", "store.journal_poll"},

@@ -3,8 +3,6 @@ package store
 import (
 	"fmt"
 	"sync/atomic"
-
-	"github.com/amlight/intddos/internal/flow"
 )
 
 // JournalEntry is one exported journal row: the dense per-shard
@@ -21,21 +19,17 @@ type JournalEntry struct {
 	Rec  FlowRecord
 }
 
-// ShardExport is one shard's complete durable state: live flow
-// records, the unconsumed journal tail, the shard's sequence counter,
-// and — since snapshot version 2 — the shard's prediction log in Seq
-// order. Everything is deep-copied — mutating an export never touches
-// the store.
+// ShardExport is one shard's durable state: the unconsumed journal
+// tail, the shard's sequence counter, and — since snapshot version 2 —
+// the shard's prediction log in Seq order (on a delta export, only the
+// records logged since the previous export). Flow records are not part
+// of it: the one writer that checkpoints, the live pipeline, keeps its
+// flows in its flow table and journals without a record. Everything is
+// deep-copied — mutating an export never touches the store.
 type ShardExport struct {
-	Flows   []FlowRecord
 	Journal []JournalEntry
 	Seq     uint64
 	Preds   []PredictionRecord
-
-	// slab is the shared backing array behind Flows' Features slices.
-	// It is retained only so ExportShardInto can recycle it when the
-	// export it came from is dead; nothing reads it.
-	slab []float64
 }
 
 // Checkpointable is the optional export/import surface of a store.
@@ -61,41 +55,23 @@ type Checkpointable interface {
 	ImportPredictions(preds []PredictionRecord) error
 }
 
-// ShardDeltaExport is one shard's state difference against the
-// previous export: records upserted since then, keys deleted since
-// then, the complete current journal tail (the tail replaces the
-// restored one — entries polled and trimmed since the parent must not
-// reappear), the shard's sequence counter, and the predictions logged
-// since then. Like ShardExport, everything is deep-copied.
-type ShardDeltaExport struct {
-	Flows   []FlowRecord
-	Removed []flow.Key
-	Journal []JournalEntry
-	Seq     uint64
-	Preds   []PredictionRecord
-}
-
 // DeltaCheckpointable is the incremental-checkpoint surface of a
-// store: per-shard dirty tracking so an export under the capture
-// barrier copies only what changed. Every export — full or delta —
-// resets the marks, so consecutive delta exports chain: each one is
-// the difference against whichever export came before it.
+// store. Every export — full or delta — moves the shard's prediction
+// mark, so consecutive delta exports chain: each one carries the
+// predictions logged since whichever export came before it.
 type DeltaCheckpointable interface {
 	Checkpointable
-	// SetDeltaTracking turns dirty/removed tracking on or off and
-	// clears any stale marks. Enable it before the state an
-	// incremental export diffs against is captured.
-	SetDeltaTracking(on bool)
-	// ExportShardDelta deep-copies one shard's changes since the
-	// previous export and resets the shard's marks. Out-of-range
-	// shards yield a zero export.
-	ExportShardDelta(shard int) ShardDeltaExport
+	// ExportShardDelta deep-copies one shard's journal tail and counter
+	// — always whole: the tail replaces the restored one, so entries
+	// polled since the parent never reappear — and the predictions
+	// logged since the previous export. Out-of-range shards yield a
+	// zero export.
+	ExportShardDelta(shard int) ShardExport
 	// ApplyShardDelta replays a delta export on top of the shard's
-	// current state: removals first, then upserts; the journal tail
-	// and sequence counter are replaced, predictions appended. A
-	// prediction that does not fit the log fails it with nothing
-	// applied.
-	ApplyShardDelta(shard int, d ShardDeltaExport) error
+	// current state: the journal tail and sequence counter are
+	// replaced, predictions appended. A prediction that does not fit
+	// the log fails it with nothing applied.
+	ApplyShardDelta(shard int, d ShardExport) error
 }
 
 // cloneRecord deep-copies a flow record (Features is the only
@@ -150,23 +126,9 @@ func (l *predLog) restoreAll(preds []PredictionRecord, ctr *atomic.Uint64, stamp
 	return nil
 }
 
-// SetDeltaTracking turns the DB's dirty/removed bookkeeping on or off
-// and clears any stale marks (see DeltaCheckpointable).
-func (db *DB) SetDeltaTracking(on bool) {
-	db.mu.Lock()
-	db.track = on
-	db.dirty = make(map[flow.Key]struct{})
-	db.removed = make(map[flow.Key]struct{})
-	db.mu.Unlock()
-	db.pmu.Lock()
-	db.predMark = 0
-	db.pmu.Unlock()
-}
-
 // ExportShard deep-copies the DB's durable state (the legacy DB is
-// its own single shard). With delta tracking on, a full export resets
-// the dirty/removed marks and the prediction mark — it is the new
-// base an incremental export diffs against.
+// its own single shard). A full export moves the prediction mark — it
+// is the new base an incremental export diffs against.
 func (db *DB) ExportShard(shard int) ShardExport {
 	return db.ExportShardInto(shard, ShardExport{})
 }
@@ -181,35 +143,24 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	if shard != 0 {
 		return ShardExport{}
 	}
+	return db.export(pre, false)
+}
+
+// ExportShardDelta deep-copies the DB's journal tail and the
+// predictions logged since the previous export (see
+// DeltaCheckpointable).
+func (db *DB) ExportShardDelta(shard int) ShardExport {
+	if shard != 0 {
+		return ShardExport{}
+	}
+	return db.export(ShardExport{}, true)
+}
+
+// export copies the journal tail and the prediction log — all of it,
+// or with delta only the records after the mark — into pre's arrays,
+// and moves the mark to the newest record.
+func (db *DB) export(pre ShardExport, delta bool) ShardExport {
 	var ex ShardExport
-	db.mu.Lock()
-	ex.Flows = pre.Flows[:0]
-	if cap(ex.Flows) < len(db.flows) {
-		ex.Flows = make([]FlowRecord, 0, len(db.flows))
-	}
-	// One slab for every record's features instead of a per-record
-	// allocation — at a million flows the difference is the capture
-	// barrier's hold time. featWidth is maintained on every mutation,
-	// so sizing the slab costs no pre-pass over the map (that pass
-	// also ran inside the barrier). Each record's slice is capped, so
-	// records stay independent even if the slab ever regrew.
-	slab := pre.slab[:0]
-	if cap(slab) < db.featWidth {
-		slab = make([]float64, 0, db.featWidth)
-	}
-	for _, rec := range db.flows {
-		snap := *rec
-		start := len(slab)
-		slab = append(slab, rec.Features...)
-		snap.Features = slab[start:len(slab):len(slab)]
-		ex.Flows = append(ex.Flows, snap)
-	}
-	ex.slab = slab
-	if db.track {
-		db.dirty = make(map[flow.Key]struct{})
-		db.removed = make(map[flow.Key]struct{})
-	}
-	db.mu.Unlock()
 	db.jmu.Lock()
 	ex.Journal = pre.Journal[:0]
 	if cap(ex.Journal) < len(db.journal) {
@@ -221,121 +172,44 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	ex.Seq = db.seq
 	db.jmu.Unlock()
 	db.pmu.Lock()
-	preds := db.preds.view()
-	if db.track && preds.n > 0 {
-		db.predMark = db.preds.lastSeq()
+	preds, after := db.preds.view(), uint64(0)
+	if delta {
+		after = db.predMark
 	}
+	db.predMark = db.preds.lastSeq()
 	db.pmu.Unlock()
-	ex.Preds = pre.Preds[:0]
-	if cap(ex.Preds) < preds.n {
-		ex.Preds = make([]PredictionRecord, 0, preds.n)
-	}
-	ex.Preds = newMergeCursor([]predView{preds}, 0).appendTo(ex.Preds)
-	return ex
-}
-
-// ExportShardDelta deep-copies the DB's changes since the previous
-// export and resets the marks (see DeltaCheckpointable). The journal
-// tail is always exported whole: it is already the sliding window the
-// pollers haven't consumed, and replacing it on apply is what keeps
-// trimmed entries from reappearing.
-func (db *DB) ExportShardDelta(shard int) ShardDeltaExport {
-	if shard != 0 {
-		return ShardDeltaExport{}
-	}
-	var d ShardDeltaExport
-	db.mu.Lock()
-	if len(db.dirty) > 0 {
-		d.Flows = make([]FlowRecord, 0, len(db.dirty))
-		for k := range db.dirty {
-			if rec, ok := db.flows[k]; ok {
-				d.Flows = append(d.Flows, cloneRecord(*rec))
-			}
-		}
-	}
-	if len(db.removed) > 0 {
-		d.Removed = make([]flow.Key, 0, len(db.removed))
-		for k := range db.removed {
-			d.Removed = append(d.Removed, k)
-		}
-	}
-	db.dirty = make(map[flow.Key]struct{})
-	db.removed = make(map[flow.Key]struct{})
-	db.mu.Unlock()
-	db.jmu.Lock()
-	d.Journal = make([]JournalEntry, 0, len(db.journal))
-	for _, e := range db.journal {
-		d.Journal = append(d.Journal, JournalEntry{Seq: e.seq, GSeq: e.gseq, Rec: cloneRecord(e.rec)})
-	}
-	d.Seq = db.seq
-	db.jmu.Unlock()
-	db.pmu.Lock()
-	preds, mark := db.preds.view(), db.predMark
-	if preds.n > 0 {
-		db.predMark = db.preds.lastSeq()
-	}
-	db.pmu.Unlock()
-	// The log is Seq-sorted (stamps are taken under pmu), so the new
+	// The log is Seq-sorted (stamps are taken under pmu), so a delta's
 	// tail is the run after the mark.
-	if tail := newMergeCursor([]predView{preds}, mark); tail.Remaining() > 0 {
-		d.Preds = tail.All()
+	tail := newMergeCursor([]predView{preds}, after)
+	ex.Preds = pre.Preds[:0]
+	if n := tail.Remaining(); cap(ex.Preds) < n {
+		ex.Preds = make([]PredictionRecord, 0, n)
 	}
-	return d
+	ex.Preds = tail.appendTo(ex.Preds)
+	return ex
 }
 
 // ApplyShardDelta replays a delta export on top of the DB's current
 // state (see DeltaCheckpointable). The restore path applies deltas
 // base-first, so after the last one the DB matches the crashed
 // process's state at its final capture.
-func (db *DB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
+func (db *DB) ApplyShardDelta(shard int, d ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: apply delta shard %d out of range (DB has exactly one)", shard)
 	}
 	// Predictions first: they are the one part that can fail.
 	db.pmu.Lock()
 	err := db.preds.restoreAll(d.Preds, db.predCtr, false)
-	if db.track && db.preds.n > 0 {
-		db.predMark = db.preds.lastSeq()
-	}
+	db.predMark = db.preds.lastSeq()
 	db.pmu.Unlock()
 	if err != nil {
 		return err
 	}
-	db.mu.Lock()
-	for _, k := range d.Removed {
-		if old, ok := db.flows[k]; ok {
-			db.featWidth -= len(old.Features)
-		}
-		delete(db.flows, k)
-	}
-	for _, rec := range d.Flows {
-		snap := cloneRecord(rec)
-		if old, ok := db.flows[rec.Key]; ok {
-			db.featWidth -= len(old.Features)
-		}
-		db.featWidth += len(snap.Features)
-		db.flows[rec.Key] = &snap
-	}
-	if db.track {
-		db.dirty = make(map[flow.Key]struct{})
-		db.removed = make(map[flow.Key]struct{})
-	}
-	db.mu.Unlock()
-	db.jmu.Lock()
-	db.journal = make([]journalEntry, 0, len(d.Journal))
-	for _, e := range d.Journal {
-		raiseCounter(db.gseqCtr, e.GSeq)
-		db.journal = append(db.journal, journalEntry{seq: e.Seq, gseq: e.GSeq, rec: cloneRecord(e.Rec)})
-	}
-	db.seq = d.Seq
-	db.jmu.Unlock()
+	db.restoreJournal(d.Journal, d.Seq)
 	return nil
 }
 
-// ImportShard replaces the DB's durable state with an export. Journal
-// entries without a global stamp (version-1 snapshots) get fresh ones
-// in journal order; the shared counters are raised past every
-// restored stamp so post-restore writes continue the sequences.
+// ImportShard replaces the DB's durable state with an export.
 func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: import shard %d out of range (DB has exactly one)", shard)
@@ -344,22 +218,23 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	if err := preds.restoreAll(ex.Preds, db.predCtr, false); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	db.flows = make(map[flow.Key]*FlowRecord, len(ex.Flows))
-	db.featWidth = 0
-	for _, rec := range ex.Flows {
-		snap := cloneRecord(rec)
-		db.featWidth += len(snap.Features)
-		db.flows[rec.Key] = &snap
-	}
-	if db.track {
-		db.dirty = make(map[flow.Key]struct{})
-		db.removed = make(map[flow.Key]struct{})
-	}
-	db.mu.Unlock()
+	db.pmu.Lock()
+	db.preds = preds
+	db.predMark = preds.lastSeq()
+	db.pmu.Unlock()
+	db.restoreJournal(ex.Journal, ex.Seq)
+	return nil
+}
+
+// restoreJournal replaces the journal tail and sequence counter with
+// restored ones. Entries without a global stamp (version-1 snapshots)
+// get fresh ones in journal order; the shared counter is raised past
+// every restored stamp so post-restore writes continue the sequence.
+func (db *DB) restoreJournal(entries []JournalEntry, seq uint64) {
 	db.jmu.Lock()
-	db.journal = make([]journalEntry, 0, len(ex.Journal))
-	for _, e := range ex.Journal {
+	defer db.jmu.Unlock()
+	db.journal = make([]journalEntry, 0, len(entries))
+	for _, e := range entries {
 		g := e.GSeq
 		if g == 0 {
 			g = db.gseqCtr.Add(1)
@@ -368,15 +243,7 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 		}
 		db.journal = append(db.journal, journalEntry{seq: e.Seq, gseq: g, rec: cloneRecord(e.Rec)})
 	}
-	db.seq = ex.Seq
-	db.jmu.Unlock()
-	db.pmu.Lock()
-	db.preds = preds
-	if db.track && preds.n > 0 {
-		db.predMark = preds.lastSeq()
-	}
-	db.pmu.Unlock()
-	return nil
+	db.seq = seq
 }
 
 // ImportPredictions replaces the prediction log with a restored
@@ -395,10 +262,7 @@ func (db *DB) ImportPredictions(preds []PredictionRecord) error {
 
 // ExportShard deep-copies one shard's durable state.
 func (s *ShardedDB) ExportShard(shard int) ShardExport {
-	if shard < 0 || shard >= len(s.shards) {
-		return ShardExport{}
-	}
-	return s.shards[shard].ExportShard(0)
+	return s.ExportShardInto(shard, ShardExport{})
 }
 
 // ExportShardInto deep-copies one shard's durable state, reusing a
@@ -418,24 +282,17 @@ func (s *ShardedDB) ImportShard(shard int, ex ShardExport) error {
 	return s.shards[shard].ImportShard(0, ex)
 }
 
-// SetDeltaTracking toggles dirty/removed tracking on every shard.
-func (s *ShardedDB) SetDeltaTracking(on bool) {
-	for _, sh := range s.shards {
-		sh.SetDeltaTracking(on)
-	}
-}
-
 // ExportShardDelta deep-copies one shard's changes since the previous
-// export and resets its marks.
-func (s *ShardedDB) ExportShardDelta(shard int) ShardDeltaExport {
+// export.
+func (s *ShardedDB) ExportShardDelta(shard int) ShardExport {
 	if shard < 0 || shard >= len(s.shards) {
-		return ShardDeltaExport{}
+		return ShardExport{}
 	}
 	return s.shards[shard].ExportShardDelta(0)
 }
 
 // ApplyShardDelta replays a delta export on top of one shard.
-func (s *ShardedDB) ApplyShardDelta(shard int, d ShardDeltaExport) error {
+func (s *ShardedDB) ApplyShardDelta(shard int, d ShardExport) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("store: apply delta shard %d out of range (have %d)", shard, len(s.shards))
 	}
@@ -465,8 +322,6 @@ func (s *ShardedDB) ImportPredictions(preds []PredictionRecord) error {
 }
 
 var (
-	_ Checkpointable      = (*DB)(nil)
-	_ Checkpointable      = (*ShardedDB)(nil)
 	_ DeltaCheckpointable = (*DB)(nil)
 	_ DeltaCheckpointable = (*ShardedDB)(nil)
 )

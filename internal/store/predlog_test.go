@@ -171,12 +171,12 @@ func TestPredictionRejected(t *testing.T) {
 			if err := db.ImportShard(0, ShardExport{Preds: []PredictionRecord{good, bad}}); err == nil {
 				t.Error("ImportShard accepted the record")
 			}
-			if err := db.ApplyShardDelta(0, ShardDeltaExport{Preds: []PredictionRecord{bad}}); err == nil {
+			if err := db.ApplyShardDelta(0, ShardExport{Preds: []PredictionRecord{bad}}); err == nil {
 				t.Error("ApplyShardDelta accepted the record")
 			}
 			three := good
 			three.Seq = 3
-			if err := db.ApplyShardDelta(0, ShardDeltaExport{Preds: []PredictionRecord{three, bad}}); err == nil {
+			if err := db.ApplyShardDelta(0, ShardExport{Preds: []PredictionRecord{three, bad}}); err == nil {
 				t.Error("ApplyShardDelta accepted the record behind a good one")
 			}
 			if err := db.ImportPredictions([]PredictionRecord{good, bad}); err == nil {
@@ -235,7 +235,6 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 				t.Run(fmt.Sprintf("%s/base=%d/more=%d", lay.name, base, more), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(base*7 + more)))
 					db := lay.mk()
-					db.SetDeltaTracking(true)
 					var want []PredictionRecord
 					add := func(n int) {
 						for i := 0; i < n; i++ {
@@ -295,7 +294,7 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 						}
 						equal(fmt.Sprintf("cursor after %d", after), cur.All(), want[after:])
 					}
-					deltas := make([]ShardDeltaExport, lay.shards)
+					deltas := make([]ShardExport, lay.shards)
 					for s := range deltas {
 						deltas[s] = db.ExportShardDelta(s)
 						equal(fmt.Sprintf("delta export of shard %d", s), deltas[s].Preds, ofShard(want[base:], s))

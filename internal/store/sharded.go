@@ -82,6 +82,11 @@ func (s *ShardedDB) FlowCount() int {
 	return n
 }
 
+// AppendJournal writes a journal-only snapshot into the key's shard.
+func (s *ShardedDB) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
+	s.shardFor(key).AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+}
+
 // DeleteFlow removes a flow record from its shard.
 func (s *ShardedDB) DeleteFlow(key flow.Key) { s.shardFor(key).DeleteFlow(key) }
 
@@ -225,16 +230,12 @@ func (s *ShardedDB) SetJournalNew(on bool) {
 
 // Instrument registers the striped database's metrics on reg: the
 // aggregate gauges the legacy DB exposes, a per-shard journal-length
-// gauge family, a shard-imbalance gauge (max/mean flow count across
-// shards; 1.0 is a perfect spread), and a lock-contention counter
-// shared by all shards. The shared upsert-latency histogram is wired
-// into every shard.
+// gauge family, and lock-contention counters shared by all shards. The
+// shared journal-append latency histogram is wired into every shard.
 func (s *ShardedDB) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("intddos_store_journal_length", func() float64 { return float64(s.JournalLen()) })
-	reg.GaugeFunc("intddos_store_flows", func() float64 { return float64(s.FlowCount()) })
 	reg.GaugeFunc("intddos_store_predictions_logged", func() float64 { return float64(s.PredictionCount()) })
 	reg.GaugeFunc("intddos_store_shards", func() float64 { return float64(len(s.shards)) })
-	reg.GaugeFunc("intddos_store_shard_imbalance", s.Imbalance)
 	perShard := reg.GaugeVec("intddos_store_shard_journal_length", "shard")
 	hist := reg.Histogram("intddos_store_upsert_seconds", nil)
 	contention := reg.Counter("intddos_store_lock_contention_total")
@@ -246,25 +247,6 @@ func (s *ShardedDB) Instrument(reg *obs.Registry) {
 		sh.Contention = contention
 		sh.PredContention = predContention
 	}
-}
-
-// Imbalance returns max/mean of per-shard flow counts: 1.0 means
-// flows are spread evenly, len(shards) means one shard holds
-// everything. Zero when the store is empty.
-func (s *ShardedDB) Imbalance() float64 {
-	max, total := 0, 0
-	for _, sh := range s.shards {
-		n := sh.FlowCount()
-		total += n
-		if n > max {
-			max = n
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	mean := float64(total) / float64(len(s.shards))
-	return float64(max) / mean
 }
 
 var _ Store = (*ShardedDB)(nil)

@@ -101,15 +101,8 @@ func TestShardedInstrument(t *testing.T) {
 		s.UpsertFlow(testKey(i), []float64{1}, 1, 2, 1, false, "")
 	}
 	snap := reg.Snapshot()
-	if got := snap.Gauges["intddos_store_flows"]; got != 32 {
-		t.Errorf("flows gauge = %v", got)
-	}
 	if got := snap.Gauges["intddos_store_shards"]; got != 2 {
 		t.Errorf("shards gauge = %v", got)
-	}
-	imb := snap.Gauges["intddos_store_shard_imbalance"]
-	if imb < 1 || imb > 2 {
-		t.Errorf("imbalance = %v, want within [1,2]", imb)
 	}
 	// Per-shard journal gauges must sum to the aggregate.
 	perShard := 0.0
@@ -124,12 +117,6 @@ func TestShardedInstrument(t *testing.T) {
 	}
 	if h, ok := snap.Histogram("intddos_store_upsert_seconds"); !ok || h.Count != 32 {
 		t.Errorf("upsert histogram count = %+v", h)
-	}
-}
-
-func TestShardedImbalanceEmpty(t *testing.T) {
-	if got := NewSharded(4).Imbalance(); got != 0 {
-		t.Fatalf("empty imbalance = %v", got)
 	}
 }
 

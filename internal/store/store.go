@@ -81,9 +81,14 @@ type PredictionRecord struct {
 // touches a global lock; a single-shard store is polled exactly like
 // the legacy PollUpdates/TrimJournal pair.
 type Store interface {
-	// UpsertFlow writes a feature snapshot for key, returning whether
-	// the record was created. The features slice is copied.
+	// UpsertFlow writes a feature snapshot for key into its flow record
+	// and the journal, returning whether the record was created. The
+	// features slice is copied.
 	UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool)
+	// AppendJournal writes a feature snapshot for key to the journal
+	// alone, keeping no flow record — for a writer whose own flow table
+	// is the record. The features slice is copied.
+	AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string)
 	// Flow returns a copy of the record for key and whether it exists.
 	Flow(key flow.Key) (FlowRecord, bool)
 	// FlowCount returns the number of live flow records.
@@ -140,9 +145,9 @@ type Store interface {
 // are expected to retry with backoff and to account for writes they
 // ultimately drop.
 type Fallible interface {
-	// TryUpsertFlow is UpsertFlow with a transient-failure path. On
-	// error the write did not happen and may be retried.
-	TryUpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool, err error)
+	// TryAppendJournal is AppendJournal with a transient-failure path.
+	// On error the write did not happen and may be retried.
+	TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error
 	// TryDrainShard is DrainShard with a transient-failure path. On
 	// error no journal entries were consumed and the drain may be
 	// retried.
@@ -158,30 +163,15 @@ type journalEntry struct {
 
 // DB is the in-memory database. Its state is split across three
 // locks so the hot paths never serialize on each other: mu guards the
-// flow map (ingest's record work), jmu the journal and sequence
-// counters (ingest's append vs. its consumer), and pmu the prediction
-// log (the deciding side). UpsertFlow nests jmu inside mu — the map update
+// flow map (UpsertFlow's record work), jmu the journal and sequence
+// counters (the append vs. its consumer), and pmu the prediction log
+// (the deciding side). UpsertFlow nests jmu inside mu — the map update
 // and journal append of one flow stay atomic, preserving per-flow
 // journal order — and no path takes jmu or pmu and then mu, so the
 // order is acyclic.
 type DB struct {
 	mu    sync.Mutex
 	flows map[flow.Key]*FlowRecord
-
-	// featWidth is the running sum of len(Features) across flows,
-	// maintained on every insert/update/delete so a full export can
-	// size its feature slab without a pre-pass over the whole map —
-	// that pre-pass ran inside the checkpoint barrier. Guarded by mu.
-	featWidth int
-
-	// Delta-checkpoint bookkeeping, maintained only while track is on
-	// (SetDeltaTracking): keys upserted since the last export, and keys
-	// deleted since the last export. A key lives in at most one set —
-	// the last action wins. Guarded by mu, like the flow map the marks
-	// describe.
-	track   bool
-	dirty   map[flow.Key]struct{}
-	removed map[flow.Key]struct{}
 
 	jmu     sync.Mutex
 	journal []journalEntry
@@ -210,11 +200,12 @@ type DB struct {
 	JournalNew bool
 
 	// UpsertLatency, when set, observes the wall-clock duration of
-	// every UpsertFlow call in seconds (nil-safe; set by Instrument).
+	// every journal append — AppendJournal, or UpsertFlow's — in
+	// seconds (nil-safe; set by Instrument).
 	UpsertLatency *obs.Histogram
 
-	// Contention, when set, counts UpsertFlow calls that found the
-	// mutex already held (nil-safe; set by Instrument and by
+	// Contention, when set, counts journal appends that found the
+	// journal mutex already held (nil-safe; set by Instrument and by
 	// ShardedDB.Instrument to quantify residual intra-shard
 	// contention).
 	Contention *obs.Counter
@@ -227,12 +218,11 @@ type DB struct {
 }
 
 // Instrument registers the database's metrics on reg: the journal
-// backlog and live-record gauges, the upsert latency histogram, and
-// the lock-contention counters. Call once per database;
+// backlog and prediction-log gauges, the journal-append latency
+// histogram, and the lock-contention counters. Call once per database;
 // re-registration on the same registry is a no-op for the gauges.
 func (db *DB) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("intddos_store_journal_length", func() float64 { return float64(db.JournalLen()) })
-	reg.GaugeFunc("intddos_store_flows", func() float64 { return float64(db.FlowCount()) })
 	reg.GaugeFunc("intddos_store_predictions_logged", func() float64 { return float64(db.PredictionCount()) })
 	db.UpsertLatency = reg.Histogram("intddos_store_upsert_seconds", nil)
 	db.Contention = reg.Counter("intddos_store_lock_contention_total")
@@ -249,16 +239,12 @@ func New() *DB {
 	}
 }
 
-// UpsertFlow writes a feature snapshot for key, returning whether the
-// record was created. The features slice is copied.
+// UpsertFlow writes a feature snapshot for key into its flow record
+// and — unless the record is new and JournalNew is off — the journal,
+// returning whether the record was created. The features slice is
+// copied.
 func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool) {
-	if db.UpsertLatency != nil {
-		defer db.UpsertLatency.Since(time.Now())
-	}
-	if !db.mu.TryLock() {
-		db.Contention.Inc() // nil-safe
-		db.mu.Lock()
-	}
+	db.mu.Lock()
 	defer db.mu.Unlock()
 	rec, ok := db.flows[key]
 	if !ok {
@@ -266,30 +252,46 @@ func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updated
 		db.flows[key] = rec
 		created = true
 	}
-	db.featWidth += len(features) - len(rec.Features)
 	rec.Features = append(rec.Features[:0], features...)
 	rec.UpdatedAt = updatedAt
 	rec.Updates = updates
 	rec.Version++
 	rec.Truth = truth
 	rec.AttackType = attackType
-	if db.track {
-		db.dirty[key] = struct{}{}
-		delete(db.removed, key)
-	}
 	if !created || db.JournalNew {
-		snap := *rec
-		snap.Features = append([]float64(nil), rec.Features...)
-		// The journal has its own lock so pollers reading the feed never
-		// block the map work above; nesting jmu here (still under mu)
-		// keeps one flow's appends in its upsert order. The global
-		// stamp is taken inside jmu, so this journal stays gseq-sorted.
-		db.jmu.Lock()
-		db.seq++
-		db.journal = append(db.journal, journalEntry{seq: db.seq, gseq: db.gseqCtr.Add(1), rec: snap})
-		db.jmu.Unlock()
+		// Appending under mu keeps one flow's journal entries in its
+		// upsert order.
+		db.appendJournal(cloneRecord(*rec))
 	}
 	return created
+}
+
+// AppendJournal writes a feature snapshot for key to the journal
+// alone; the entry's Version is zero, there being no record to count
+// writes of. The features slice is copied.
+func (db *DB) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
+	db.appendJournal(FlowRecord{
+		Key: key, Features: append([]float64(nil), features...),
+		RegisteredAt: registeredAt, UpdatedAt: updatedAt, Updates: updates,
+		Truth: truth, AttackType: attackType,
+	})
+}
+
+// appendJournal appends rec, which the journal now owns. The journal
+// has its own lock so pollers reading the feed never block record work;
+// the global stamp is taken inside it, so the journal stays
+// gseq-sorted.
+func (db *DB) appendJournal(rec FlowRecord) {
+	if db.UpsertLatency != nil {
+		defer db.UpsertLatency.Since(time.Now())
+	}
+	if !db.jmu.TryLock() {
+		db.Contention.Inc() // nil-safe
+		db.jmu.Lock()
+	}
+	db.seq++
+	db.journal = append(db.journal, journalEntry{seq: db.seq, gseq: db.gseqCtr.Add(1), rec: rec})
+	db.jmu.Unlock()
 }
 
 // Flow returns a copy of the record for key and whether it exists.
@@ -466,16 +468,7 @@ func (db *DB) PredictionCount() int {
 func (db *DB) DeleteFlow(key flow.Key) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	rec, ok := db.flows[key]
-	if !ok {
-		return
-	}
-	db.featWidth -= len(rec.Features)
 	delete(db.flows, key)
-	if db.track {
-		db.removed[key] = struct{}{}
-		delete(db.dirty, key)
-	}
 }
 
 // Shards returns 1: the legacy database is a single journal stripe.
