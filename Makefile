@@ -40,11 +40,13 @@ test:
 
 # allocs runs the allocation pins alone, uncached: what a row allocates
 # on the ingest → decision path (core), per log append (store), per
-# feature vector (flow), per decoded report (telemetry) and per hop of
-# a record no journey follows (obs). An allocation creeping back fails
-# here in seconds, not in a 20-minute benchmark campaign.
+# feature vector and per flow created and evicted (flow), per decoded
+# report (telemetry) and per hop of a record no journey follows (obs),
+# plus the walks that keep the flow slot and the log record
+# pointer-free. An allocation creeping back fails here in seconds, not
+# in a 20-minute benchmark campaign.
 allocs:
-	$(GO) test -count=1 -run 'Allocs' ./internal/core/ ./internal/store/ \
+	$(GO) test -count=1 -run 'Allocs|PointerFree' ./internal/core/ ./internal/store/ \
 		./internal/flow/ ./internal/telemetry/ ./internal/obs/
 
 # The race detector's ~15x slowdown pushes the heavyweight experiment
@@ -57,8 +59,9 @@ race:
 		./internal/checkpoint/... ./internal/ml/sketch/...
 
 # fuzz-smoke runs each fuzz target for 10s from its committed seed
-# corpus (testdata/fuzz/) — enough to catch format-level regressions
-# without turning `make check` into a fuzzing campaign.
+# corpus (testdata/fuzz/) — enough to catch format-level regressions,
+# and the flow table drifting from its map-based reference, without
+# turning `make check` into a fuzzing campaign.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
@@ -68,6 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/trace/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzSketch$$' -fuzztime $(FUZZTIME) ./internal/ml/sketch/
+	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime $(FUZZTIME) ./internal/flow/
 
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against
@@ -88,7 +92,7 @@ fuzz-smoke:
 chaos-smoke:
 	$(GO) test -race -count=1 ./internal/fault/
 	$(GO) test -race -count=1 -run \
-		'TestChaos|TestLedger|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShard|TestLiveShardAffinityOrdering|TestVoteSpan|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestSlideVote|TestLiveMatchesMechanism' \
+		'TestChaos|TestLedger|TestPush|TestWorkerPanic|TestQuorum|TestModelRecovers|TestStoreRetries|TestDrainOnStop|TestShard|TestLiveShardAffinityOrdering|TestVoteSpan|TestHealthz|TestMalformed|TestKillRestore|TestRestoreRejects|TestPeriodicCheckpointer|TestSweepBounds|TestScore|TestLiveMatchesMechanism' \
 		./internal/core/
 
 # recovery-smoke kills a checkpointing live pipeline with SIGKILL and

@@ -143,7 +143,9 @@ func (l *Live) restoreLatest(dir string) error {
 			l.tables.RestoreWindow(k, nil)
 		}
 		for _, w := range snap.Windows {
-			l.tables.RestoreWindow(w.Key, w.Votes)
+			if _, err := l.tables.RestoreWindow(w.Key, w.Votes); err != nil {
+				return fmt.Errorf("core: restore %s: %w", paths[i], err)
+			}
 		}
 	}
 	newest := chain[len(chain)-1]

@@ -708,7 +708,8 @@ func TestMechanismSweepDeletesStoreRecords(t *testing.T) {
 		t.Fatalf("store holds %d flows", m.DB.FlowCount())
 	}
 	voted := simObs(3000, 10, 40, true, "synflood").Key
-	m.Table.Vote(voted, func([]int) []int { return []int{1, 1} })
+	m.Table.Vote(voted, 1, 3)
+	m.Table.Vote(voted, 1, 3)
 	if n := m.Table.Sweep(500); n != 50 {
 		t.Fatalf("swept %d, want 50", n)
 	}
@@ -796,8 +797,8 @@ func TestSweepBoundsLateDecisionLeavesNoWindow(t *testing.T) {
 func flowWindows(l *Live) map[string][]int {
 	out := make(map[string][]int)
 	l.tables.Range(func(st *flow.State) bool {
-		if len(st.Window) > 0 {
-			out[st.Key.String()] = append([]int(nil), st.Window...)
+		if st.Window.Len() > 0 {
+			out[st.Key().String()] = st.Window.AppendTo(nil)
 		}
 		return true
 	})
@@ -967,5 +968,45 @@ func TestKillRestoreDeltaDropsSweptFlowsWindow(t *testing.T) {
 	if c.tables.Len() != 1 || len(flowWindows(c)) != 0 {
 		t.Errorf("restored %d flows with windows %v, want the re-created flow without one",
 			c.tables.Len(), flowWindows(c))
+	}
+}
+
+// TestRestoreRejectsInvalidWindow: a vote window holds only 0/1 votes,
+// at most flow.MaxVoteWindow of them. A hand-built v3 snapshot whose
+// window holds a 7 — which would skew every majority its flow takes —
+// or one vote too many fails the restore, naming the flow; the same
+// file with a valid window restores it.
+func TestRestoreRejectsInvalidWindow(t *testing.T) {
+	cfg := ckptConfig("")
+	k := liveObs(70, 40, true, "synflood").Key
+	file := func(votes []int) string {
+		snap := &checkpoint.Snapshot{
+			Shards:       cfg.Shards,
+			Fingerprint:  bundleFingerprint(cfg.Models, cfg.Scaler, intFeatures),
+			FeatureWidth: len(cfg.Scaler.Mean),
+			Seq:          1,
+			ShardStates:  make([]checkpoint.ShardState, cfg.Shards),
+			Windows:      []checkpoint.Window{{Key: k, Votes: votes}},
+		}
+		snap.ShardStates[k.Shard(cfg.Shards)].Table = []flow.StateSnapshot{{Key: k, RegisteredAt: 1, LastAt: 1, Updates: 1}}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName(1)), checkpoint.Encode(snap), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, votes := range [][]int{{1, 7}, make([]int, flow.MaxVoteWindow+1)} {
+		cfg.CheckpointDir = file(votes)
+		if _, err := NewLive(cfg); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("window of %d votes %v: restore error %v, want one naming %s", len(votes), votes[:2], err, k)
+		}
+	}
+	cfg.CheckpointDir = file([]int{1, 0})
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatalf("valid window: %v", err)
+	}
+	if r := l.Restore(); r == nil || r.Flows != 1 || r.Windows != 1 {
+		t.Errorf("valid window: restore summary %+v, want one flow with its window", r)
 	}
 }

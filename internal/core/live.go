@@ -587,7 +587,7 @@ func (l *Live) taintKey(key flow.Key) {
 func (l *Live) windowedFlows() int {
 	n := 0
 	l.tables.Range(func(st *flow.State) bool {
-		if len(st.Window) > 0 {
+		if st.Window.Len() > 0 {
 			n++
 		}
 		return true

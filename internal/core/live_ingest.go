@@ -121,23 +121,22 @@ func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 	// update — the sketch is quiescent at the cut.
 	l.scorer.observe(pi.Key)
 	var (
-		key     flow.Key
 		reg     netsim.Time
 		last    netsim.Time
 		updates int
 	)
 	l.tables.ObserveFunc(pi, func(st *flow.State) {
 		sh.row = st.Features(sh.row[:0], intFeatures)
-		key, reg, last, updates = st.Key, st.RegisteredAt, st.LastAt, st.Updates
+		reg, last, updates = st.RegisteredAt, st.LastAt, st.Updates
 	})
 	if l.journeys.ShouldSample() {
 		// The ingest hop is the report's accept stamp, so the poll − ingest
 		// gap is the journal_wait stage the histogram times.
-		l.journeys.Begin(obs.JourneyID{Flow: key.Hash(), Seq: updates}, key.String(), "ingest",
+		l.journeys.Begin(obs.JourneyID{Flow: pi.Key.Hash(), Seq: updates}, pi.Key.String(), "ingest",
 			time.Unix(0, int64(pi.At)))
 	}
-	written := l.appendJournal(key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
-	l.jHop(key, updates, "journal")
+	written := l.appendJournal(pi.Key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
+	l.jHop(pi.Key, updates, "journal")
 	l.Snapshots.Add(1)
 	l.met.stageIngest.Since(start)
 	return written

@@ -297,11 +297,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 // returned.
 func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 	t := now()
-	var label int
-	l.tables.Vote(rec.Key, func(w []int) []int {
-		w, label = slideVote(w, v.raw, voteWindow)
-		return w
-	})
+	label := l.tables.Vote(rec.Key, v.raw, voteWindow)
 	p := store.PredictionRecord{
 		Key: rec.Key, Label: label, At: t, Latency: t - rec.UpdatedAt, Votes: v.votes,
 		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,

@@ -20,6 +20,8 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
@@ -54,7 +56,7 @@ type Config struct {
 	// prediction (default 2 of 3, §IV-C4).
 	ModelQuorum int
 	// VoteWindow smooths per-flow decisions over the last N raw
-	// predictions (default 3, §IV-C4).
+	// predictions (default 3, §IV-C4); at most flow.MaxVoteWindow.
 	VoteWindow int
 
 	// SkipNewRecords restricts prediction to record *updates*, the
@@ -163,6 +165,9 @@ type Mechanism struct {
 	scorer  *scorer
 	scratch batchScratch
 	scored  []verdict
+	// row is the Data Processor's feature-row scratch: dead once
+	// UpsertFlow has copied it.
+	row []float64
 
 	// OnDecision observes every final decision as it is made.
 	OnDecision func(Decision)
@@ -204,6 +209,10 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	}
 	if cfg.VoteWindow <= 0 {
 		cfg.VoteWindow = voteWindow
+	}
+	if cfg.VoteWindow > flow.MaxVoteWindow {
+		return nil, fmt.Errorf("core: vote window %d is longer than a flow record holds (%d)",
+			cfg.VoteWindow, flow.MaxVoteWindow)
 	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.FlowIdleTimeout
@@ -265,8 +274,8 @@ func (m *Mechanism) HandleReport(r *telemetry.Report, at netsim.Time) {
 func (m *Mechanism) Observe(pi flow.PacketInfo) {
 	m.scorer.observe(pi.Key)
 	st, _ := m.Table.Observe(pi)
-	feats := st.Features(nil, m.cfg.Features)
-	m.DB.UpsertFlow(st.Key, feats, st.RegisteredAt, st.LastAt, st.Updates, pi.Label, pi.AttackType)
+	m.row = st.Features(m.row[:0], m.cfg.Features)
+	m.DB.UpsertFlow(pi.Key, m.row, st.RegisteredAt, st.LastAt, st.Updates, pi.Label, pi.AttackType)
 	m.Snapshots++
 }
 
@@ -332,11 +341,7 @@ func (m *Mechanism) completeService() {
 		m.TriageFallthrough++
 	}
 
-	var label int
-	m.Table.Vote(rec.Key, func(w []int) []int {
-		w, label = slideVote(w, v.raw, m.cfg.VoteWindow)
-		return w
-	})
+	label, _ := m.Table.Vote(rec.Key, v.raw, m.cfg.VoteWindow)
 
 	now := m.eng.Now()
 	p := store.PredictionRecord{

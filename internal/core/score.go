@@ -269,22 +269,3 @@ func (sc *scorer) score(rows [][]float64, keys []flow.Key, s *batchScratch) (out
 	}
 	return out, navail
 }
-
-// slideVote is the Data Processor's §IV-C4 smoothing: append raw to
-// the flow's vote window, keep the last n, and take a strict majority
-// (ties resolve benign). A full window slides down in place: slicing
-// its head off would walk it off its backing array into a reallocation.
-func slideVote(window []int, raw, n int) ([]int, int) {
-	if drop := len(window) + 1 - n; drop > 0 {
-		window = window[:copy(window, window[drop:])]
-	}
-	window = append(window, raw)
-	sum := 0
-	for _, v := range window {
-		sum += v
-	}
-	if 2*sum > len(window) {
-		return window, 1
-	}
-	return window, 0
-}

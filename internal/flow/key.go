@@ -28,25 +28,31 @@ func (k Key) String() string {
 // Hash returns a stable FNV-1a hash of the five-tuple. Every sharded
 // structure in the pipeline (flow tables, the database, the report
 // queues) derives its shard from this one value, so a
-// flow lands on the same shard at every layer.
+// flow lands on the same shard at every layer; the flow table's index
+// probes with it too.
 func (k Key) Hash() uint64 {
+	return hashTuple(k.Src.As16(), k.Dst.As16(), k.SrcPort, k.DstPort, k.Proto)
+}
+
+// hashTuple is Hash over the five-tuple's bytes, so a packed key
+// (slotKey) hashes to the same value as the Key it was packed from.
+func hashTuple(src, dst [16]byte, srcPort, dstPort uint16, proto netsim.Proto) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	src, dst := k.Src.As16(), k.Dst.As16()
 	for _, b := range src {
 		h = (h ^ uint64(b)) * prime64
 	}
 	for _, b := range dst {
 		h = (h ^ uint64(b)) * prime64
 	}
-	h = (h ^ uint64(k.SrcPort>>8)) * prime64
-	h = (h ^ uint64(k.SrcPort&0xFF)) * prime64
-	h = (h ^ uint64(k.DstPort>>8)) * prime64
-	h = (h ^ uint64(k.DstPort&0xFF)) * prime64
-	h = (h ^ uint64(k.Proto)) * prime64
+	h = (h ^ uint64(srcPort>>8)) * prime64
+	h = (h ^ uint64(srcPort&0xFF)) * prime64
+	h = (h ^ uint64(dstPort>>8)) * prime64
+	h = (h ^ uint64(dstPort&0xFF)) * prime64
+	h = (h ^ uint64(proto)) * prime64
 	// FNV-1a's low bits disperse poorly under modulo sharding; run a
 	// 64-bit avalanche finalizer so every output bit depends on every
 	// input byte.
@@ -60,6 +66,79 @@ func (k Key) Hash() uint64 {
 
 // Shard maps the key onto one of n shards (n must be positive).
 func (k Key) Shard(n int) int { return int(k.Hash() % uint64(n)) }
+
+// Address forms of a packed address, so an unpacked address is the
+// exact netip.Addr that was packed (an IPv4 address and its IPv4-mapped
+// IPv6 form are different keys). A form fits in two bits.
+const (
+	FormInvalid = 0
+	Form4       = 1
+	Form6       = 2
+)
+
+// PackAddr packs a into 16 bytes plus its form, the pointer-free layout
+// the flow table's slots and the store's prediction log share. A zoned
+// address has no packed form.
+func PackAddr(a netip.Addr) (b [16]byte, form uint8, err error) {
+	switch {
+	case !a.IsValid():
+		return b, FormInvalid, nil
+	case a.Zone() != "":
+		return b, 0, fmt.Errorf("address %s carries a zone", a)
+	case a.Is4():
+		return a.As16(), Form4, nil
+	default:
+		return a.As16(), Form6, nil
+	}
+}
+
+// UnpackAddr is PackAddr's inverse.
+func UnpackAddr(b [16]byte, form uint8) netip.Addr {
+	switch form {
+	case Form4:
+		return netip.AddrFrom4([4]byte(b[12:16]))
+	case Form6:
+		return netip.AddrFrom16(b)
+	default:
+		return netip.Addr{}
+	}
+}
+
+// slotKey is a Key packed pointer-free (a netip.Addr holds a zone
+// pointer): what a flow-table slot stores and compares on probe.
+type slotKey struct {
+	src, dst         [16]byte
+	srcPort, dstPort uint16
+	proto            netsim.Proto
+	forms            uint8 // src form | dst form<<2
+}
+
+// packKey packs k. A zoned address panics: no monitored flow carries
+// one, and the prediction log refuses them too.
+func packKey(k Key) slotKey {
+	src, srcForm, err := PackAddr(k.Src)
+	var dst [16]byte
+	var dstForm uint8
+	if err == nil {
+		dst, dstForm, err = PackAddr(k.Dst)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("flow: key %s: %v", k, err))
+	}
+	return slotKey{src: src, dst: dst, srcPort: k.SrcPort, dstPort: k.DstPort, proto: k.Proto,
+		forms: srcForm | dstForm<<2}
+}
+
+func (p *slotKey) key() Key {
+	return Key{
+		Src: UnpackAddr(p.src, p.forms&3), Dst: UnpackAddr(p.dst, p.forms>>2&3),
+		SrcPort: p.srcPort, DstPort: p.dstPort, Proto: p.proto,
+	}
+}
+
+func (p *slotKey) hash() uint64 {
+	return hashTuple(p.src, p.dst, p.srcPort, p.dstPort, p.proto)
+}
 
 // PacketInfo is one monitored packet observation, normalized from
 // either monitoring source. Telemetry fields are valid only when

@@ -11,7 +11,8 @@ import (
 // each behind its own mutex, with flows routed by Key.Hash. Unlike
 // the plain Table — which relies on its caller for synchronization —
 // a ShardedTable is safe for concurrent use, and two observations of
-// flows on different shards never contend.
+// flows on different shards never contend. A key is hashed once per
+// call: the one value picks the stripe and probes its index.
 //
 // With one shard it degenerates to a mutex around a single Table,
 // i.e. exactly the legacy concurrency shape of core.Live.
@@ -32,7 +33,7 @@ type ShardedTable struct {
 }
 
 // SetContentionHook installs fn as the table's contention callback.
-// Not safe to call concurrently with Observe.
+// Not safe to call concurrently with ObserveFunc.
 func (t *ShardedTable) SetContentionHook(fn func()) { t.onContention = fn }
 
 type tableShard struct {
@@ -96,22 +97,24 @@ func (t *ShardedTable) SetIdleTimeout(d netsim.Time) {
 // Not safe to call concurrently with a sweep.
 func (t *ShardedTable) SetOnEvict(fn func(Key)) { t.onEvict = fn }
 
-// ExportShard snapshots every record on one shard for checkpointing.
-// Out-of-range shards yield nil. With delta tracking on, a full
-// export resets the shard's dirty/removed marks — it is the new base
-// an incremental export diffs against.
-func (t *ShardedTable) ExportShard(shard int) []StateSnapshot {
-	return t.ExportShardInto(shard, nil, nil)
+// shardOf packs k and returns it, its hash and its stripe.
+func (t *ShardedTable) shardOf(k Key) (slotKey, uint64, *tableShard) {
+	pk := packKey(k)
+	h := pk.hash()
+	return pk, h, &t.shards[h%uint64(len(t.shards))]
 }
 
-// ExportShardInto is ExportShard reusing dst's backing array when its
-// capacity suffices. The checkpoint writer passes the previous
-// capture's (already encoded, now dead) export back in, so a
-// steady-state capture appends into warm memory instead of allocating
-// — and zeroing — hundreds of megabytes inside the barrier. Callers
-// must ensure nothing else still reads dst. window, when set, is
-// called with every exported record's key and vote window (empty when
-// it has none) under the shard lock; it must copy what it keeps.
+// ExportShardInto snapshots every record on one shard for
+// checkpointing, reusing dst's backing array when its capacity
+// suffices. The checkpoint writer passes the previous capture's
+// (already encoded, now dead) export back in, so a steady-state capture
+// appends into warm memory instead of allocating — and zeroing —
+// hundreds of megabytes inside the barrier. Callers must ensure nothing
+// else still reads dst. window, when set, is called with every exported
+// record's key and vote window (empty when it has none) under the shard
+// lock; it must copy what it keeps. Out-of-range shards yield nil. With
+// delta tracking on, a full export resets the shard's dirty/removed
+// marks — it is the new base an incremental export diffs against.
 func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot, window func(Key, []int)) []StateSnapshot {
 	if shard < 0 || shard >= len(t.shards) {
 		return nil
@@ -123,10 +126,11 @@ func (t *ShardedTable) ExportShardInto(shard int, dst []StateSnapshot, window fu
 	if cap(out) < s.table.Len() {
 		out = make([]StateSnapshot, 0, s.table.Len())
 	}
+	votes := make([]int, 0, MaxVoteWindow)
 	s.table.Range(func(st *State) bool {
 		out = append(out, st.Snapshot())
 		if window != nil {
-			window(st.Key, st.Window)
+			window(out[len(out)-1].Key, st.Window.AppendTo(votes[:0]))
 		}
 		return true
 	})
@@ -152,11 +156,12 @@ func (t *ShardedTable) ExportShardDelta(shard int, window func(Key, []int)) (sta
 	defer s.mu.Unlock()
 	if len(s.dirty) > 0 {
 		states = make([]StateSnapshot, 0, len(s.dirty))
+		votes := make([]int, 0, MaxVoteWindow)
 		for k := range s.dirty {
 			if st := s.table.Get(k); st != nil {
 				states = append(states, st.Snapshot())
 				if window != nil {
-					window(k, st.Window)
+					window(k, st.Window.AppendTo(votes[:0]))
 				}
 			}
 		}
@@ -228,50 +233,39 @@ func (t *ShardedTable) RestoreShardDelta(shard int, states []StateSnapshot, remo
 		s.table.Delete(k)
 	}
 	for _, sn := range states {
-		st := RestoreState(sn)
-		if old := s.table.Get(sn.Key); old != nil {
-			st.Window = old.Window
-		}
-		s.table.Insert(st)
+		s.table.insert(RestoreState(sn), true)
 	}
 	return nil
 }
 
-// RestoreWindow sets k's vote window to a copy of votes — nil clears
-// it — and reports whether k has a record: a window whose flow is
-// absent is dropped. It is the restore path's counterpart to Vote and
-// marks nothing dirty.
-func (t *ShardedTable) RestoreWindow(k Key, votes []int) bool {
-	s := &t.shards[k.Shard(len(t.shards))]
+// RestoreWindow sets k's vote window to votes — nil clears it — and
+// reports whether k has a record: a window whose flow is absent is
+// dropped. A vote other than 0 or 1, or more than MaxVoteWindow of
+// them, fails it, naming the flow. It is the restore path's
+// counterpart to Vote and marks nothing dirty.
+func (t *ShardedTable) RestoreWindow(k Key, votes []int) (bool, error) {
+	w, err := WindowOf(votes)
+	if err != nil {
+		return false, fmt.Errorf("flow: vote window of %s: %w", k, err)
+	}
+	pk, h, s := t.shardOf(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.table.Get(k)
+	st := s.table.lookup(&pk, h)
 	if st == nil {
-		return false
+		return false, nil
 	}
-	st.Window = append([]int(nil), votes...)
-	return true
-}
-
-// Observe folds one observation into its flow's shard and reports
-// whether the record was created. The *State must not be retained —
-// use ObserveFunc to read it safely.
-func (t *ShardedTable) Observe(pi PacketInfo) (created bool) {
-	_, created = t.observe(pi, nil)
-	return created
+	st.Window = w
+	return true, nil
 }
 
 // ObserveFunc folds one observation into its flow's shard and invokes
-// fn on the updated record while the shard lock is held, so fn can
-// extract features without racing other writers. fn must not block or
-// call back into the table.
+// fn, when set, on the updated record while the shard lock is held, so
+// fn can extract features without racing other writers. fn must not
+// block, call back into the table or keep the *State. It reports
+// whether the record was created.
 func (t *ShardedTable) ObserveFunc(pi PacketInfo, fn func(*State)) (created bool) {
-	_, created = t.observe(pi, fn)
-	return created
-}
-
-func (t *ShardedTable) observe(pi PacketInfo, fn func(*State)) (*State, bool) {
-	s := &t.shards[pi.Key.Shard(len(t.shards))]
+	pk, h, s := t.shardOf(pi.Key)
 	if !s.mu.TryLock() {
 		if t.onContention != nil {
 			t.onContention()
@@ -279,7 +273,7 @@ func (t *ShardedTable) observe(pi PacketInfo, fn func(*State)) (*State, bool) {
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
-	st, created := s.table.Observe(pi)
+	st, created := s.table.observe(pi, &pk, h)
 	if t.track {
 		s.dirty[pi.Key] = struct{}{}
 		delete(s.removed, pi.Key)
@@ -287,36 +281,22 @@ func (t *ShardedTable) observe(pi PacketInfo, fn func(*State)) (*State, bool) {
 	if fn != nil {
 		fn(st)
 	}
-	return st, created
+	return created
 }
 
-// Vote slides k's vote window through slide under the shard lock (see
-// Table.Vote) and, when the record exists, marks it dirty: a window
-// voted after a capture — a journal tail decided late — must reach the
-// next delta export. slide must not call back into the table.
-func (t *ShardedTable) Vote(k Key, slide func(window []int) []int) {
-	s := &t.shards[k.Shard(len(t.shards))]
+// Vote slides k's vote window over raw under the shard lock (see
+// Table.Vote) and returns the smoothed label. When the record exists
+// it is marked dirty: a window voted after a capture — a journal tail
+// decided late — must reach the next delta export.
+func (t *ShardedTable) Vote(k Key, raw, n int) int {
+	pk, h, s := t.shardOf(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.table.Vote(k, slide) && t.track {
+	label, kept := s.table.vote(&pk, h, raw, n)
+	if kept && t.track {
 		s.dirty[k] = struct{}{}
 	}
-}
-
-// Get invokes fn on the record for k under the shard lock and reports
-// whether the record exists. fn may be nil for a bare existence check.
-func (t *ShardedTable) Get(k Key, fn func(*State)) bool {
-	s := &t.shards[k.Shard(len(t.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.table.Get(k)
-	if st == nil {
-		return false
-	}
-	if fn != nil {
-		fn(st)
-	}
-	return true
+	return label
 }
 
 // Len returns the number of live flow records across all shards.
@@ -325,17 +305,6 @@ func (t *ShardedTable) Len() int {
 	for i := range t.shards {
 		t.shards[i].mu.Lock()
 		n += t.shards[i].table.Len()
-		t.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// Created sums per-shard creation counts.
-func (t *ShardedTable) Created() int {
-	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += t.shards[i].table.Created
 		t.shards[i].mu.Unlock()
 	}
 	return n

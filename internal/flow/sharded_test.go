@@ -3,6 +3,7 @@ package flow
 import (
 	"net/netip"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -58,23 +59,17 @@ func TestShardedTableMatchesTable(t *testing.T) {
 				At:     netsim.Time(i) * netsim.Millisecond,
 			}
 			plain.Observe(pi)
-			sharded.Observe(pi)
+			sharded.ObserveFunc(pi, nil)
 		}
 		if plain.Len() != sharded.Len() {
 			t.Fatalf("shards=%d: len %d != %d", shards, sharded.Len(), plain.Len())
 		}
-		if plain.Created != sharded.Created() {
-			t.Fatalf("shards=%d: created %d != %d", shards, sharded.Created(), plain.Created)
-		}
 		plain.Range(func(want *State) bool {
-			found := sharded.Get(want.Key, func(got *State) {
-				if got.Updates != want.Updates || got.Size.Sum() != want.Size.Sum() ||
-					got.LastAt != want.LastAt || got.IAT.Sum() != want.IAT.Sum() {
-					t.Errorf("shards=%d: state mismatch for %s", shards, want.Key)
-				}
-			})
+			got, found := stateOf(sharded, want.Key())
 			if !found {
-				t.Errorf("shards=%d: flow %s missing", shards, want.Key)
+				t.Errorf("shards=%d: flow %s missing", shards, want.Key())
+			} else if got != *want {
+				t.Errorf("shards=%d: state mismatch for %s", shards, want.Key())
 			}
 			return true
 		})
@@ -85,7 +80,7 @@ func TestShardedTableSweep(t *testing.T) {
 	st := NewShardedTable(4)
 	st.SetIdleTimeout(10 * netsim.Millisecond)
 	for i := 0; i < 32; i++ {
-		st.Observe(PacketInfo{Key: shardKey(i), Length: 64, At: netsim.Time(i % 2)})
+		st.ObserveFunc(PacketInfo{Key: shardKey(i), Length: 64, At: netsim.Time(i % 2)}, nil)
 	}
 	if got := st.Sweep(netsim.Second); got != 32 {
 		t.Fatalf("swept %d, want 32", got)
@@ -104,8 +99,8 @@ func TestShardedTableDeltaRecordsSweepWithoutHook(t *testing.T) {
 	st.SetDeltaTracking(true)
 	st.SetIdleTimeout(10 * netsim.Millisecond)
 	k := shardKey(1)
-	st.Observe(PacketInfo{Key: k, Length: 64, At: 0})
-	st.ExportShard(0) // the base the delta diffs against
+	st.ObserveFunc(PacketInfo{Key: k, Length: 64, At: 0}, nil)
+	st.ExportShardInto(0, nil, nil) // the base the delta diffs against
 	if got := st.Sweep(netsim.Second); got != 1 {
 		t.Fatalf("swept %d, want 1", got)
 	}
@@ -121,20 +116,20 @@ func TestShardedTableDeltaRecordsSweepWithoutHook(t *testing.T) {
 // nothing; a delta's table record keeps the restored window, and
 // RestoreWindow drops a window whose flow is absent.
 func TestShardedTableVoteWindow(t *testing.T) {
-	push := func(raw int) func([]int) []int {
-		return func(w []int) []int { return append(w, raw) }
-	}
 	st := NewShardedTable(2)
 	st.SetDeltaTracking(true)
 	k, gone := shardKey(1), shardKey(2)
-	st.Observe(PacketInfo{Key: k, Length: 64, At: 1})
+	st.ObserveFunc(PacketInfo{Key: k, Length: 64, At: 1}, nil)
 	st.ExportShardInto(k.Shard(2), nil, nil)
-	st.Vote(k, push(1))
-	st.Vote(k, push(0))
-	var fresh []int
-	st.Vote(gone, func(w []int) []int { fresh = append(w, 1); return fresh })
-	if len(fresh) != 1 || st.Len() != 1 || st.Get(gone, nil) {
-		t.Fatalf("vote for an absent flow: window %v, table len %d", fresh, st.Len())
+	if st.Vote(k, 1, 3) != 1 || st.Vote(k, 0, 3) != 0 {
+		t.Fatal("votes 1, 0 over a kept window: want labels 1, 0")
+	}
+	// A fresh window for each vote: two attack votes never add up.
+	if st.Vote(gone, 1, 3) != 1 || st.Vote(gone, 0, 3) != 0 {
+		t.Fatal("votes for an absent flow: want each over a fresh window")
+	}
+	if _, ok := stateOf(st, gone); ok || st.Len() != 1 {
+		t.Fatalf("vote for an absent flow created a record: table len %d", st.Len())
 	}
 	wins := map[Key][]int{}
 	keep := func(key Key, w []int) { wins[key] = append([]int(nil), w...) }
@@ -147,17 +142,40 @@ func TestShardedTableVoteWindow(t *testing.T) {
 	if err := dst.RestoreShard(k.Shard(2), states); err != nil {
 		t.Fatal(err)
 	}
-	if !dst.RestoreWindow(k, wins[k]) || dst.RestoreWindow(gone, []int{1}) {
+	kept, err := dst.RestoreWindow(k, wins[k])
+	dropped, err2 := dst.RestoreWindow(gone, []int{1})
+	if !kept || dropped || err != nil || err2 != nil {
 		t.Fatal("RestoreWindow: want the present flow kept, the absent one dropped")
 	}
 	if err := dst.RestoreShardDelta(k.Shard(2), states, nil); err != nil {
 		t.Fatal(err)
 	}
-	var got []int
-	dst.Get(k, func(s *State) { got = s.Window })
-	if !reflect.DeepEqual(got, []int{1, 0}) {
-		t.Fatalf("window after a delta's table record = %v, want it kept", got)
+	got, _ := stateOf(dst, k)
+	if w := got.Window.AppendTo(nil); !reflect.DeepEqual(w, []int{1, 0}) {
+		t.Fatalf("window after a delta's table record = %v, want it kept", w)
 	}
+	for _, bad := range [][]int{{1, 7}, make([]int, MaxVoteWindow+1)} {
+		if _, err := dst.RestoreWindow(k, bad); err == nil || !strings.Contains(err.Error(), k.String()) {
+			t.Errorf("RestoreWindow(%d votes) = %v, want an error naming %s", len(bad), err, k)
+		}
+	}
+	if got, _ := stateOf(dst, k); got.Window.Len() != 2 {
+		t.Errorf("a refused window replaced the record's: %v", got.Window.AppendTo(nil))
+	}
+}
+
+// stateOf copies k's record out of the table, reporting whether it has
+// one.
+func stateOf(t *ShardedTable, k Key) (State, bool) {
+	var out State
+	found := false
+	t.Range(func(st *State) bool {
+		if st.Key() == k {
+			out, found = *st, true
+		}
+		return !found
+	})
+	return out, found
 }
 
 // TestShardedTableConcurrent exercises cross-shard writers under the

@@ -31,10 +31,6 @@ func intObs(k Key, at netsim.Time, ingress netsim.Time, length int, depth uint32
 
 func TestTableCreatesAndUpdates(t *testing.T) {
 	tbl := NewTable()
-	var newCount, updCount int
-	tbl.OnNew = func(*State) { newCount++ }
-	tbl.OnUpdate = func(*State) { updCount++ }
-
 	k := tcpKey(1000)
 	st, isNew := tbl.Observe(intObs(k, 100, 100, 500, 2))
 	if !isNew || st == nil {
@@ -47,11 +43,8 @@ func TestTableCreatesAndUpdates(t *testing.T) {
 	if st2 != st {
 		t.Fatal("records differ for same key")
 	}
-	if newCount != 1 || updCount != 1 {
-		t.Errorf("callbacks new=%d upd=%d, want 1/1", newCount, updCount)
-	}
-	if tbl.Len() != 1 || tbl.Created != 1 {
-		t.Errorf("len=%d created=%d", tbl.Len(), tbl.Created)
+	if tbl.Len() != 1 || st.Updates != 2 || st.Key() != k || st.RegisteredAt != 100 {
+		t.Errorf("len=%d updates=%d key=%s registered=%d", tbl.Len(), st.Updates, st.Key(), st.RegisteredAt)
 	}
 }
 
@@ -254,8 +247,8 @@ func TestTableSweepEvictsIdleFlows(t *testing.T) {
 	if tbl.Get(tcpKey(2)) == nil {
 		t.Error("active flow evicted")
 	}
-	if tbl.Evicted != 1 {
-		t.Errorf("Evicted stat = %d", tbl.Evicted)
+	if tbl.Len() != 1 {
+		t.Errorf("Len after sweep = %d", tbl.Len())
 	}
 }
 
@@ -284,20 +277,24 @@ func TestTableRange(t *testing.T) {
 	}
 }
 
+// TestTruthAccounting: ground truth is each row's, not the record's —
+// a labelled flow's record is the unlabelled one's, bit for bit, so no
+// label can leak into the features the models see, and a snapshot
+// carries no truth.
 func TestTruthAccounting(t *testing.T) {
-	tbl := NewTable()
 	k := tcpKey(9)
-	pi := intObs(k, 0, 0, 100, 0)
-	pi.Label = true
-	pi.AttackType = "synflood"
-	st, _ := tbl.Observe(pi)
-	if st.AttackObs != 1 || !st.LastTruth || st.AttackType != "synflood" {
-		t.Errorf("truth = %+v", st)
+	labelled, plain := NewTable(), NewTable()
+	for i, at := range []netsim.Time{0, 1000} {
+		pi := intObs(k, at, at, 100, 0)
+		plain.Observe(pi)
+		pi.Label, pi.AttackType = i == 0, "synflood"
+		labelled.Observe(pi)
 	}
-	pi2 := intObs(k, 1, 1000, 100, 0)
-	tbl.Observe(pi2)
-	if st.AttackObs != 1 || st.LastTruth {
-		t.Error("benign follow-up mis-accounted")
+	if *labelled.Get(k) != *plain.Get(k) {
+		t.Errorf("labels changed the record: %+v vs %+v", *labelled.Get(k), *plain.Get(k))
+	}
+	if sn := labelled.Get(k).Snapshot(); sn.AttackObs != 0 || sn.LastTruth || sn.AttackType != "" {
+		t.Errorf("snapshot carries truth: %+v", sn)
 	}
 }
 
@@ -400,8 +397,8 @@ func TestStateSnapshotRoundTrip(t *testing.T) {
 	sn := orig.Get(k).Snapshot()
 	rest := NewTable()
 	rest.Insert(RestoreState(sn))
-	if rest.Created != 1 || rest.Len() != 1 {
-		t.Fatalf("insert accounting: created=%d len=%d", rest.Created, rest.Len())
+	if rest.Len() != 1 {
+		t.Fatalf("insert accounting: len=%d", rest.Len())
 	}
 
 	// Continue both copies with identical observations — including one
@@ -434,13 +431,13 @@ func TestShardedTableExportRestore(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		k := tcpKey(uint16(4000 + i))
 		keys = append(keys, k)
-		src.Observe(intObs(k, 100, 1000, 500, 2))
-		src.Observe(intObs(k, 200, 2500, 700, 4))
+		src.ObserveFunc(intObs(k, 100, 1000, 500, 2), nil)
+		src.ObserveFunc(intObs(k, 200, 2500, 700, 4), nil)
 	}
 
 	dst := NewShardedTable(shards)
 	for i := 0; i < shards; i++ {
-		if err := dst.RestoreShard(i, src.ExportShard(i)); err != nil {
+		if err := dst.RestoreShard(i, src.ExportShardInto(i, nil, nil)); err != nil {
 			t.Fatalf("restore shard %d: %v", i, err)
 		}
 	}
@@ -449,11 +446,12 @@ func TestShardedTableExportRestore(t *testing.T) {
 	}
 	set := INTFeatures()
 	for _, k := range keys {
-		var a, b []float64
-		src.Get(k, func(st *State) { a = st.Features(nil, set) })
-		if !dst.Get(k, func(st *State) { b = st.Features(nil, set) }) {
+		want, _ := stateOf(src, k)
+		got, ok := stateOf(dst, k)
+		if !ok {
 			t.Fatalf("flow %s missing after restore", k)
 		}
+		a, b := want.Features(nil, set), got.Features(nil, set)
 		for i := range a {
 			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
 				t.Errorf("%s feature %s diverged: %v vs %v", k, set[i], a[i], b[i])
@@ -462,13 +460,13 @@ func TestShardedTableExportRestore(t *testing.T) {
 	}
 
 	// Wrong-shard and out-of-range restores fail loud.
-	if err := dst.RestoreShard(0, src.ExportShard(1)); err == nil && src.ExportShard(1) != nil && len(src.ExportShard(1)) > 0 {
+	if one := src.ExportShardInto(1, nil, nil); len(one) > 0 && dst.RestoreShard(0, one) == nil {
 		t.Error("cross-shard restore accepted")
 	}
 	if err := dst.RestoreShard(shards, nil); err == nil {
 		t.Error("out-of-range restore accepted")
 	}
-	if src.ExportShard(-1) != nil || src.ExportShard(shards) != nil {
+	if src.ExportShardInto(-1, nil, nil) != nil || src.ExportShardInto(shards, nil, nil) != nil {
 		t.Error("out-of-range export returned data")
 	}
 }
@@ -484,7 +482,7 @@ func TestShardedTableSetOnEvict(t *testing.T) {
 		mu.Unlock()
 	})
 	for i := 0; i < 16; i++ {
-		tbl.Observe(intObs(tcpKey(uint16(5000+i)), 100, 1000, 500, 2))
+		tbl.ObserveFunc(intObs(tcpKey(uint16(5000+i)), 100, 1000, 500, 2), nil)
 	}
 	if n := tbl.Sweep(1000); n != 16 {
 		t.Fatalf("swept %d, want 16", n)

@@ -234,6 +234,7 @@ func (db *DB) restoreJournal(entries []JournalEntry, seq uint64) {
 	db.jmu.Lock()
 	defer db.jmu.Unlock()
 	db.journal = make([]journalEntry, 0, len(entries))
+	db.arena.trimmed(nil)
 	for _, e := range entries {
 		g := e.GSeq
 		if g == 0 {
@@ -241,7 +242,10 @@ func (db *DB) restoreJournal(entries []JournalEntry, seq uint64) {
 		} else {
 			raiseCounter(db.gseqCtr, g)
 		}
-		db.journal = append(db.journal, journalEntry{seq: e.Seq, gseq: g, rec: cloneRecord(e.Rec)})
+		rec := e.Rec
+		var chunk uint64
+		rec.Features, chunk = db.arena.put(e.Rec.Features)
+		db.journal = append(db.journal, journalEntry{seq: e.Seq, gseq: g, chunk: chunk, rec: rec})
 	}
 	db.seq = seq
 }

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"net/netip"
 	"sort"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -28,15 +27,9 @@ const (
 	noVotes    = ^uint32(0) // every slot empty
 )
 
-// Address forms of predRec.flags, so a decoded key is the exact
-// netip.Addr the record was logged with (an IPv4 address and its
-// IPv4-mapped IPv6 form are different keys).
-const (
-	formInvalid = 0
-	form4       = 1
-	form6       = 2
-	flagTruth   = 1 << 4 // flags: src form | dst form<<2 | flagTruth
-)
+// flagTruth marks ground truth in predRec.flags, above the two
+// addresses' forms (flow.PackAddr): src form | dst form<<2 | flagTruth.
+const flagTruth = 1 << 4
 
 // predRec is one logged decision, packed: fixed size (80 bytes) and
 // pointer-free, so a chunk of them is one allocation the collector
@@ -57,30 +50,6 @@ type predRec struct {
 	flags    uint8
 	label    uint8
 	stage    uint8
-}
-
-func packAddr(a netip.Addr) (b [16]byte, form uint8, err error) {
-	switch {
-	case !a.IsValid():
-		return b, formInvalid, nil
-	case a.Zone() != "":
-		return b, 0, fmt.Errorf("address %s carries a zone", a)
-	case a.Is4():
-		return a.As16(), form4, nil
-	default:
-		return a.As16(), form6, nil
-	}
-}
-
-func unpackAddr(b [16]byte, form uint8) netip.Addr {
-	switch form {
-	case form4:
-		return netip.AddrFrom4([4]byte(b[12:16]))
-	case form6:
-		return netip.AddrFrom16(b)
-	default:
-		return netip.Addr{}
-	}
 }
 
 // packPrediction packs everything of p but its Seq stamp and attack
@@ -121,8 +90,8 @@ func packPrediction(p *PredictionRecord) (predRec, error) {
 	}
 	var srcForm, dstForm uint8
 	var err error
-	if r.src, srcForm, err = packAddr(p.Key.Src); err == nil {
-		r.dst, dstForm, err = packAddr(p.Key.Dst)
+	if r.src, srcForm, err = flow.PackAddr(p.Key.Src); err == nil {
+		r.dst, dstForm, err = flow.PackAddr(p.Key.Dst)
 	}
 	if err != nil {
 		return r, fmt.Errorf("store: prediction key: %w", err)
@@ -205,8 +174,8 @@ func (v predView) record(i int, slab *voteSlab) PredictionRecord {
 	r := v.at(i)
 	p := PredictionRecord{
 		Key: flow.Key{
-			Src:     unpackAddr(r.src, r.flags&3),
-			Dst:     unpackAddr(r.dst, r.flags>>2&3),
+			Src:     flow.UnpackAddr(r.src, r.flags&3),
+			Dst:     flow.UnpackAddr(r.dst, r.flags>>2&3),
 			SrcPort: r.srcPort,
 			DstPort: r.dstPort,
 			Proto:   netsim.Proto(r.proto),

@@ -87,7 +87,8 @@ type Store interface {
 	UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool)
 	// AppendJournal writes a feature snapshot for key to the journal
 	// alone, keeping no flow record — for a writer whose own flow table
-	// is the record. The features slice is copied.
+	// is the record. The features slice is copied, into the journal's
+	// arena.
 	AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string)
 	// Flow returns a copy of the record for key and whether it exists.
 	Flow(key flow.Key) (FlowRecord, bool)
@@ -99,7 +100,8 @@ type Store interface {
 	// Shards returns the journal stripe count (1 for the legacy DB).
 	Shards() int
 	// PollShard returns up to max journal entries after cursor on one
-	// shard and the new cursor — the CentralServer's change feed.
+	// shard and the new cursor — the CentralServer's change feed. The
+	// records' Features are the caller's to keep.
 	PollShard(shard int, cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimShard drops one shard's journal entries at or before cursor.
 	TrimShard(shard int, cursor uint64)
@@ -107,6 +109,9 @@ type Store interface {
 	// and drops them from the journal — PollShard and TrimShard in one
 	// lock hold, into the caller's buffer: the live pipeline's hand-off
 	// feed, which consumes everything it reads and keeps no cursor.
+	// The drained Features are lent from the journal's arena: they stay
+	// valid until the caller drains the same shard again, which takes
+	// them back. One caller drains a shard.
 	DrainShard(shard int, buf []FlowRecord) []FlowRecord
 	// PollGlobal returns up to max journal entries after cursor in
 	// global ingest order — entries are stamped with a global sequence
@@ -114,7 +119,7 @@ type Store interface {
 	// its per-shard journals by that stamp. The single-threaded
 	// simulated mechanism polls this feed so its queue order is
 	// independent of the shard count; the live pipeline polls per
-	// shard.
+	// shard. The records' Features are the caller's to keep.
 	PollGlobal(cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimGlobal drops journal entries at or before cursor in the
 	// global order, across all shards.
@@ -156,9 +161,10 @@ type Fallible interface {
 
 // journalEntry marks one update available to pollers.
 type journalEntry struct {
-	seq  uint64     // dense per-shard sequence (PollShard indexes by it)
-	gseq uint64     // global ingest sequence, shared across shards
-	rec  FlowRecord // snapshot by value at write time
+	seq   uint64     // dense per-shard sequence (PollShard indexes by it)
+	gseq  uint64     // global ingest sequence, shared across shards
+	chunk uint64     // the arena chunk holding rec.Features
+	rec   FlowRecord // snapshot by value at write time; Features in the arena
 }
 
 // DB is the in-memory database. Its state is split across three
@@ -175,6 +181,7 @@ type DB struct {
 
 	jmu     sync.Mutex
 	journal []journalEntry
+	arena   rowArena
 	seq     uint64
 
 	pmu   sync.Mutex
@@ -261,7 +268,7 @@ func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updated
 	if !created || db.JournalNew {
 		// Appending under mu keeps one flow's journal entries in its
 		// upsert order.
-		db.appendJournal(cloneRecord(*rec))
+		db.appendJournal(*rec)
 	}
 	return created
 }
@@ -271,16 +278,16 @@ func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updated
 // writes of. The features slice is copied.
 func (db *DB) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
 	db.appendJournal(FlowRecord{
-		Key: key, Features: append([]float64(nil), features...),
+		Key: key, Features: features,
 		RegisteredAt: registeredAt, UpdatedAt: updatedAt, Updates: updates,
 		Truth: truth, AttackType: attackType,
 	})
 }
 
-// appendJournal appends rec, which the journal now owns. The journal
-// has its own lock so pollers reading the feed never block record work;
-// the global stamp is taken inside it, so the journal stays
-// gseq-sorted.
+// appendJournal appends rec, its Features copied into the arena. The
+// journal has its own lock so pollers reading the feed never block
+// record work; the global stamp is taken inside it, so the journal
+// stays gseq-sorted.
 func (db *DB) appendJournal(rec FlowRecord) {
 	if db.UpsertLatency != nil {
 		defer db.UpsertLatency.Since(time.Now())
@@ -290,7 +297,9 @@ func (db *DB) appendJournal(rec FlowRecord) {
 		db.jmu.Lock()
 	}
 	db.seq++
-	db.journal = append(db.journal, journalEntry{seq: db.seq, gseq: db.gseqCtr.Add(1), rec: rec})
+	var chunk uint64
+	rec.Features, chunk = db.arena.put(rec.Features)
+	db.journal = append(db.journal, journalEntry{seq: db.seq, gseq: db.gseqCtr.Add(1), chunk: chunk, rec: rec})
 	db.jmu.Unlock()
 }
 
@@ -315,7 +324,8 @@ func (db *DB) FlowCount() int {
 }
 
 // PollUpdates returns up to max journal entries after cursor and the
-// new cursor — the CentralServer's change feed (§III-3 step 4).
+// new cursor — the CentralServer's change feed (§III-3 step 4). The
+// records' Features are copied out of the arena, into one slab.
 func (db *DB) PollUpdates(cursor uint64, max int) ([]FlowRecord, uint64) {
 	db.jmu.Lock()
 	defer db.jmu.Unlock()
@@ -336,9 +346,11 @@ func (db *DB) PollUpdates(cursor uint64, max int) ([]FlowRecord, uint64) {
 	if max <= 0 || end > len(db.journal) {
 		end = len(db.journal)
 	}
-	out := make([]FlowRecord, 0, end-start)
-	for _, e := range db.journal[start:end] {
-		out = append(out, e.rec)
+	polled := db.journal[start:end]
+	out := make([]FlowRecord, len(polled))
+	slab := make([]float64, rowsLen(polled))
+	for i := range polled {
+		out[i] = detached(&polled[i], &slab)
 	}
 	return out, db.journal[end-1].seq
 }
@@ -352,12 +364,23 @@ func (db *DB) TrimJournal(cursor uint64) {
 	for i < len(db.journal) && db.journal[i].seq <= cursor {
 		i++
 	}
-	db.journal = append(db.journal[:0], db.journal[i:]...)
+	db.dropJournalHead(i)
+}
+
+// dropJournalHead drops the journal's first n entries and recycles the
+// arena chunks no remaining entry reads. Callers hold jmu.
+func (db *DB) dropJournalHead(n int) {
+	rest := copy(db.journal, db.journal[n:])
+	clear(db.journal[rest:])
+	db.journal = db.journal[:rest]
+	db.arena.trimmed(db.journal)
 }
 
 // DrainJournal appends every unconsumed journal entry to buf and
-// empties the journal. The emptied slots are cleared so the journal's
-// backing array does not keep consumed snapshots alive.
+// empties the journal, lending the entries' arena chunks to the caller
+// until its next drain (see Store.DrainShard). The emptied slots are
+// cleared so the journal's backing array does not keep consumed
+// snapshots alive.
 func (db *DB) DrainJournal(buf []FlowRecord) []FlowRecord {
 	db.jmu.Lock()
 	defer db.jmu.Unlock()
@@ -366,6 +389,7 @@ func (db *DB) DrainJournal(buf []FlowRecord) []FlowRecord {
 	}
 	clear(db.journal)
 	db.journal = db.journal[:0]
+	db.arena.lend()
 	return buf
 }
 
@@ -377,9 +401,9 @@ func (db *DB) JournalLen() int {
 }
 
 // pollGlobalEntries returns up to max journal entries whose global
-// stamp is after cursor. The journal is gseq-sorted (the stamp is
-// taken under jmu at append), so the start is a binary search and the
-// result a contiguous run.
+// stamp is after cursor, their rows copied out of the arena. The
+// journal is gseq-sorted (the stamp is taken under jmu at append), so
+// the start is a binary search and the result a contiguous run.
 func (db *DB) pollGlobalEntries(cursor uint64, max int) []journalEntry {
 	db.jmu.Lock()
 	defer db.jmu.Unlock()
@@ -391,7 +415,14 @@ func (db *DB) pollGlobalEntries(cursor uint64, max int) []journalEntry {
 	if max > 0 && start+max < end {
 		end = start + max
 	}
-	return append([]journalEntry(nil), db.journal[start:end]...)
+	polled := db.journal[start:end]
+	out := make([]journalEntry, len(polled))
+	slab := make([]float64, rowsLen(polled))
+	for i := range polled {
+		out[i] = polled[i]
+		out[i].rec = detached(&polled[i], &slab)
+	}
+	return out
 }
 
 // PollGlobal returns up to max journal entries after cursor in global
@@ -418,7 +449,7 @@ func (db *DB) TrimGlobal(cursor uint64) {
 	for i < len(db.journal) && db.journal[i].gseq <= cursor {
 		i++
 	}
-	db.journal = append(db.journal[:0], db.journal[i:]...)
+	db.dropJournalHead(i)
 }
 
 // AppendPrediction logs a final decision (§III-2 step 8), stamping it
