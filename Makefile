@@ -39,15 +39,17 @@ test:
 	$(GO) test ./...
 
 # allocs runs the allocation pins alone, uncached: what a row allocates
-# on the ingest → decision path (core), per log append (store), per
-# feature vector and per flow created and evicted (flow), per decoded
-# report (telemetry) and per hop of a record no journey follows (obs),
-# plus the walks that keep the flow slot and the log record
-# pointer-free. An allocation creeping back fails here in seconds, not
-# in a 20-minute benchmark campaign.
+# on the ingest → decision path (core, at the tuned layout and at zero
+# config), per scoring call with a warm label buffer (ml: every model
+# family's PredictBatchInto and the ensemble vote), per log append
+# (store), per feature vector and per flow created and evicted (flow),
+# per decoded report (telemetry) and per hop of a record no journey
+# follows (obs), plus the walks that keep the flow slot and the log
+# record pointer-free. An allocation creeping back fails here in
+# seconds, not in a 20-minute benchmark campaign.
 allocs:
 	$(GO) test -count=1 -run 'Allocs|PointerFree' ./internal/core/ ./internal/store/ \
-		./internal/flow/ ./internal/telemetry/ ./internal/obs/
+		./internal/flow/ ./internal/telemetry/ ./internal/obs/ ./internal/ml/...
 
 # The race detector's ~15x slowdown pushes the heavyweight experiment
 # replays past the package timeout, so the race pass covers the

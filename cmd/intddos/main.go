@@ -39,7 +39,7 @@ func main() {
 	liveMode := flag.Bool("live", false, "run the wall-clock concurrent pipeline instead of the simulated replay")
 	liveFor := flag.Duration("live-for", 0, "keep the -live replay looping for this long (0: one pass; implies looping until SIGINT when negative)")
 	shards := flag.Int("shards", 0, "stripe the flow table, database, and dispatch over N shards (0: the paper's single-lock layout)")
-	predictBatch := flag.Int("predict-batch", 0, "scoring micro-batch size (0/1: the paper's record-at-a-time prediction; results are identical at any size)")
+	predictBatch := flag.Int("predict-batch", 0, "scoring micro-batch cap (0: whole bursts, up to 32 rows a call, with -live, and the paper's record-at-a-time prediction for the Table VI replay; 1: record-at-a-time in both; results are identical at any size)")
 	faultSpec := flag.String("fault-spec", "", "inject faults into the -live pipeline, e.g. \"drop=0.01,store.err=0.1,panic=0.02\" (see README: fault tolerance)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
 	netemSpec := flag.String("netem", "", "impair the -live replay's report wire, e.g. \"netem[link=agent->collector]:loss=1%,dup=0.1%\" (see README: adverse networks)")

@@ -61,13 +61,16 @@ func TestMechanismPredictBatchInvariant(t *testing.T) {
 }
 
 // runLiveBatch replays the same deterministic workload through the
-// wall-clock runtime and returns each flow's decision labels indexed
-// by sequence number. Wall-clock timestamps differ run to run, so the
-// invariant under batching is the per-flow label/vote sequence, which
-// shard affinity plus in-order batch finishing must preserve.
-func runLiveBatch(t *testing.T, predictBatch int) map[string][]int {
+// wall-clock runtime as one burst — the shard is parked behind its
+// barrier while the whole feed queues — and returns each flow's
+// decisions (label and votes) indexed by sequence number, plus how many
+// scoring calls the burst took. Wall-clock timestamps differ run to
+// run, so the invariant under batching is the per-flow label/vote
+// sequence, which shard affinity plus in-order batch finishing must
+// preserve.
+func runLiveBatch(t *testing.T, predictBatch int) (byFlow map[string][]string, calls uint64) {
 	t.Helper()
-	cfg := liveConfig(attackDetector())
+	cfg := liveConfig(attackDetector(), countVoter(20), namedDetector("c"))
 	cfg.PredictBatch = predictBatch
 	l, err := NewLive(cfg)
 	if err != nil {
@@ -76,38 +79,56 @@ func runLiveBatch(t *testing.T, predictBatch int) map[string][]int {
 	l.Start()
 	defer l.Stop()
 	const per = 40
+	for s := range l.ckptMu {
+		l.ckptMu[s].Lock()
+	}
 	for i := 0; i < per; i++ {
-		l.Ingest(liveObs(7, 40, true, "synflood"))
-		l.Ingest(liveObs(8, 1000, false, "benign"))
+		l.IngestAsync(liveObs(7, 40, true, "synflood"))
+		l.IngestAsync(liveObs(8, 1000, false, "benign"))
+	}
+	for s := range l.ckptMu {
+		l.ckptMu[s].Unlock()
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return len(l.Decisions()) == 2*per }) {
 		t.Fatalf("decisions = %d, want %d", len(l.Decisions()), 2*per)
 	}
-	byFlow := make(map[string][]int)
+	byFlow = make(map[string][]string)
 	for _, d := range l.Decisions() {
 		k := d.Key.String()
 		for len(byFlow[k]) <= d.Seq {
-			byFlow[k] = append(byFlow[k], -1)
+			byFlow[k] = append(byFlow[k], "missing")
 		}
-		byFlow[k][d.Seq] = d.Label
+		byFlow[k][d.Seq] = fmt.Sprint(d.Label, d.Votes)
 	}
-	return byFlow
+	return byFlow, l.met.batchSize.Count()
 }
 
 // TestLivePredictBatchEquivalence requires the micro-batched shards
-// to label every flow update exactly as the record-at-a-time pipeline
-// does, whatever batches the backlog happens to form.
+// to decide every flow update exactly as the record-at-a-time pipeline
+// does — same label, same votes, same Seq — whatever batches the burst
+// is cut into, including the zero-config default that scores a burst
+// maxScoreBatch rows a call.
 func TestLivePredictBatchEquivalence(t *testing.T) {
-	base := runLiveBatch(t, 1)
-	for _, batch := range []int{8, 32} {
-		got := runLiveBatch(t, batch)
+	base, calls := runLiveBatch(t, 1)
+	if calls != 80 {
+		t.Fatalf("batch=1: %d scoring calls for 80 rows", calls)
+	}
+	for _, batch := range []int{0, 8, 32} {
+		got, calls := runLiveBatch(t, batch)
+		size := batch
+		if size == 0 {
+			size = maxScoreBatch
+		}
+		if want := uint64((80 + size - 1) / size); calls != want {
+			t.Errorf("batch=%d: one 80-row burst took %d scoring calls, want %d", batch, calls, want)
+		}
 		if len(got) != len(base) {
 			t.Fatalf("batch=%d: %d flows, want %d", batch, len(got), len(base))
 		}
-		for k, labels := range base {
-			if fmt.Sprint(got[k]) != fmt.Sprint(labels) {
-				t.Errorf("batch=%d flow %s labels diverged:\nbatch=1: %v\nbatched: %v",
-					batch, k, labels, got[k])
+		for k, decided := range base {
+			if fmt.Sprint(got[k]) != fmt.Sprint(decided) {
+				t.Errorf("batch=%d flow %s decisions diverged:\nbatch=1: %v\nbatched: %v",
+					batch, k, decided, got[k])
 			}
 		}
 	}

@@ -294,11 +294,11 @@ type flakyModel struct {
 	remaining atomic.Int32
 }
 
-func (f *flakyModel) TryPredictBatch(X [][]float64) ([]int, error) {
+func (f *flakyModel) TryPredictBatchInto(dst []int, X [][]float64) ([]int, error) {
 	if f.remaining.Add(-1) >= 0 {
 		return nil, fmt.Errorf("model %s: transient failure", f.name)
 	}
-	return ml.PredictBatch(f.stubModel, X), nil
+	return ml.PredictBatchInto(f.stubModel, dst, X), nil
 }
 
 // TestModelRecoversViaProbe marks a flaky member unhealthy, then
@@ -376,11 +376,13 @@ func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 // TestDrainOnStopPinsBothPolicies pins the two shutdown policies:
 // DrainOnStop scores everything still queued; the default abandons it
 // under reason "stop" — counted, either way. Reports go through the
-// shard queue so a backlog can form behind the slow model.
+// shard queue so a backlog can form behind the slow model. A shard
+// checks for Stop between scoring calls, so the rows are scored one a
+// call: a whole-burst call would carry a backlog past the Stop.
 func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 	for _, drain := range []bool{true, false} {
 		cfg := liveConfig(slowModel{d: 5 * time.Millisecond})
-		cfg.DrainOnStop = drain
+		cfg.DrainOnStop, cfg.PredictBatch = drain, 1
 		l, err := NewLive(cfg)
 		if err != nil {
 			t.Fatal(err)

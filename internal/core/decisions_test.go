@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -39,7 +40,8 @@ func gaplessPerFlow(ds []Decision, from int) error {
 // TestDecisionsAreTheLog: Live keeps one record per decision, in the
 // store's packed log, and Decisions reads it back. What comes back must
 // be what OnDecision was handed — every field, votes and cascade stage
-// included — in an order that keeps each flow's.
+// included — in an order that keeps each flow's. OnDecision lends Votes
+// for the call only, so the callback clones them to keep them.
 func TestDecisionsAreTheLog(t *testing.T) {
 	for name, triage := range map[string]bool{"ensemble": false, "cascade-exit": true} {
 		t.Run(name, func(t *testing.T) {
@@ -56,6 +58,7 @@ func TestDecisionsAreTheLog(t *testing.T) {
 			var mu sync.Mutex
 			handed := make(map[flowSeq]Decision)
 			l.OnDecision = func(d Decision) {
+				d.Votes = slices.Clone(d.Votes)
 				mu.Lock()
 				handed[flowSeq{d.Key, d.Seq}] = d
 				mu.Unlock()

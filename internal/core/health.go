@@ -270,16 +270,15 @@ func (l *Live) HealthTransitions() []string {
 }
 
 // scoreBatch runs the ensemble over the standardized batch with
-// per-model fault isolation: each member scores through
-// ml.TryPredictBatch (panic-contained, fallible path when wrapped);
-// a member that fails or is marked unhealthy contributes VoteAbsent
-// for every row and the member's health state machine advances.
-// navail is how many members actually voted. With every member
-// healthy the result is element-for-element identical to
-// ml.EnsembleVotes — the fault-free path changes nothing. The outer
-// votes header and the ones buffer are recycled from the shard's
-// scratch across batches; only the flat per-row vote storage is
-// allocated per call, because a Decision's holder keeps its row.
+// per-model fault isolation: each member scores into the scratch's
+// label buffer through ml.TryPredictBatchInto (panic-contained,
+// fallible path when wrapped); a member that fails or is marked
+// unhealthy contributes VoteAbsent for every row and the member's
+// health state machine advances. navail is how many members actually
+// voted. With every member healthy the result is element-for-element
+// identical to ml.EnsembleVotesInto — the fault-free path changes
+// nothing. Every buffer is the shard's scratch, valid until its next
+// batch, so a warm shard allocates nothing here.
 func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int) {
 	models := l.cfg.Models
 	votes, ones = s.vs.Rows(len(X), len(models))
@@ -290,7 +289,7 @@ func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones [
 			markAbsent(votes, mi)
 			continue
 		}
-		labels, err := ml.TryPredictBatch(m, X)
+		labels, err := ml.TryPredictBatchInto(m, s.vs.Labels, X)
 		if err == nil && len(labels) != len(X) {
 			err = fmt.Errorf("core: model %s returned %d labels for %d rows", mh.name, len(labels), len(X))
 		}
@@ -309,6 +308,7 @@ func (l *Live) scoreBatch(s *batchScratch, X [][]float64) (votes [][]int, ones [
 			l.event("model recovered", "component", "health", "model", mh.name)
 		}
 		navail++
+		s.vs.Labels = labels
 		for i, lab := range labels {
 			votes[i][mi] = lab
 			ones[i] += lab

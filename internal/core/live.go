@@ -187,8 +187,9 @@ type Live struct {
 	// OnDecision observes every final decision, on the deciding
 	// shard's goroutine under its run lock: keep it fast, and call
 	// nothing that takes shard locks (Ledger, AwaitSettled, Stop). Set
-	// it before Start. The Decision is the callee's to keep, Votes
-	// included.
+	// it before Start. The Decision is the callee's to keep except
+	// Votes, which are valid only during the call (they live in the
+	// shard's scoring scratch): clone them to keep them.
 	OnDecision func(Decision)
 
 	// dedup suppresses duplicate/stale reports per source at

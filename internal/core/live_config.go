@@ -41,14 +41,13 @@ type LiveConfig struct {
 	Shards int
 
 	// PredictBatch caps the micro-batch a shard scores in one call:
-	// the rows a shard takes from its queue in one pass are scored
-	// through the scaler and ensemble batch paths PredictBatch at a
-	// time instead of one record per call. Batches form only from
-	// backlog — a shard never waits for one to fill — so their size
-	// follows load. The batch contract makes results row-for-row
-	// identical to per-record scoring, so this only trades per-record
-	// overhead for batching. Zero or one keeps the paper's
-	// record-at-a-time behavior.
+	// the rows a shard takes in one pass are scored through the scaler
+	// and ensemble batch paths up to PredictBatch at a time. Batches
+	// form only from the burst a pass already holds — a shard never
+	// waits for one to fill — so their size follows load. The batch
+	// contract makes results row-for-row identical to per-record
+	// scoring. Zero scores whole bursts (up to maxScoreBatch rows a
+	// call); one is record-at-a-time.
 	PredictBatch int
 
 	// Triage enables tiered inference: per-shard streaming sketches
@@ -199,6 +198,10 @@ const (
 	// dedupMaxSources bounds the dedup tracker's per-source state
 	// (least-recently-active eviction).
 	dedupMaxSources = 1024
+	// maxScoreBatch caps a scoring call when PredictBatch is zero: a
+	// burst is scored whole, a longer one 32 rows a call — enough for
+	// the ensemble's four-row kernels and per-call costs to amortize.
+	maxScoreBatch = 32
 	// maxRetryBackoff caps the doubling backoffs that have no attempt
 	// budget: shard restarts and journal-drain retries.
 	maxRetryBackoff = time.Second
@@ -214,7 +217,7 @@ func (cfg *LiveConfig) defaults() {
 		cfg.Shards = 0
 	}
 	if cfg.PredictBatch < 1 {
-		cfg.PredictBatch = 1
+		cfg.PredictBatch = maxScoreBatch
 	}
 	if cfg.SweepInterval <= 0 {
 		cfg.SweepInterval = cfg.FlowIdleTimeout

@@ -34,7 +34,6 @@ type liveMetrics struct {
 
 	predictLatency *obs.Histogram // end-to-end §III-2 prediction latency
 	batchSize      *obs.Histogram // records per micro-batch scoring call
-	sampleLatency  *obs.Histogram // per-sample share of the batch scoring call
 
 	// Tiered-inference instruments: per-stage exit counters (label
 	// "fallthrough" counts rows that paid for the full ensemble; the
@@ -92,7 +91,6 @@ func newLiveMetrics(reg *obs.Registry) liveMetrics {
 		healthTransitions: reg.CounterVec("intddos_health_transitions_total", "state"),
 		predictLatency:    reg.Histogram("intddos_predict_latency_seconds", nil),
 		batchSize:         reg.Histogram("intddos_predict_batch_size", []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		sampleLatency:     reg.Histogram("intddos_predict_sample_seconds", nil),
 		ckptFailures:      reg.Counter("intddos_checkpoint_failures_total"),
 		ckptPruneFailures: reg.Counter("intddos_checkpoint_prune_failures_total"),
 		ckptBytes:         reg.Counter("intddos_checkpoint_bytes_total"),

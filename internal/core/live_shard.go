@@ -258,15 +258,14 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 	if degraded {
 		l.met.degradedBatches.Inc()
 	}
-	// The batch call's cost is attributed evenly to its samples: at
-	// batch size one this is the same duration the per-record path
-	// observed.
+	// The batch call's cost is attributed evenly to its samples, one
+	// scale_predict observation a row: at batch size one this is the
+	// same duration the per-record path observed.
 	perSample := time.Since(dequeued) / time.Duration(len(batch))
 	l.met.batchSize.Observe(float64(len(batch)))
 	for i, v := range verdicts {
 		rec := &batch[i]
 		l.met.stagePredict.Observe(perSample.Seconds())
-		l.met.sampleLatency.Observe(perSample.Seconds())
 		l.jHop(rec.Key, rec.Updates, "predict")
 		switch {
 		case v.stage == 1:

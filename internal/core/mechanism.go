@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
@@ -117,7 +118,8 @@ type Decision struct {
 	Latency netsim.Time
 	// Votes are the raw per-model outputs for this snapshot. For a
 	// triage-exited record (Stage > 0) the slice holds the single
-	// stage-0 vote instead of the full ensemble's.
+	// stage-0 vote instead of the full ensemble's. Live's OnDecision
+	// lends them for the call only (see Live.OnDecision).
 	Votes []int
 	// Stage is the decision's provenance in the tiered cascade: 0 for
 	// the full-ensemble path (every decision when triage is off, so
@@ -343,9 +345,11 @@ func (m *Mechanism) completeService() {
 
 	label, _ := m.Table.Vote(rec.Key, v.raw, m.cfg.VoteWindow)
 
+	// The verdict's votes live in the scoring scratch, reused by the
+	// next scoreHead; the public Decisions keep theirs.
 	now := m.eng.Now()
 	p := store.PredictionRecord{
-		Key: rec.Key, Label: label, At: now, Latency: now - rec.UpdatedAt, Votes: v.votes,
+		Key: rec.Key, Label: label, At: now, Latency: now - rec.UpdatedAt, Votes: slices.Clone(v.votes),
 		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
 	}
 	d := decisionOf(p)

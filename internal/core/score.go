@@ -20,7 +20,8 @@ type verdict struct {
 	// n >= 1 when cascade stage n early-exited the row.
 	stage int
 	// votes are the per-model outputs (one stage vote for an exited
-	// row). Freshly allocated per batch: a Decision's holder keeps them.
+	// row), in the scratch's vote or exit slab: valid until the next
+	// score call with the same scratch.
 	votes []int
 	// decided is false when the row needed the ensemble and no member
 	// was available to vote.
@@ -28,23 +29,24 @@ type verdict struct {
 }
 
 // ensembleFunc scores standardized rows with the full ensemble:
-// votes[i] is row i's per-model vote vector in fresh storage, ones[i]
-// how many members voted attack, navail how many members voted at all.
+// votes[i] is row i's per-model vote vector in s.vs, ones[i] how many
+// members voted attack, navail how many members voted at all.
 type ensembleFunc func(s *batchScratch, X [][]float64) (votes [][]int, ones []int, navail int)
 
-// batchScratch is one clock driver's reusable scoring buffers. Only
-// the vote storage a verdict carries is allocated per batch; one
-// goroutine owns one scratch, so nothing else allocates after warm-up.
+// batchScratch is one clock driver's reusable scoring buffers, the
+// vote storage the verdicts point into included. One goroutine owns
+// one scratch, so nothing allocates after warm-up.
 type batchScratch struct {
 	// rows and keys are the driver's views of the current batch, the
-	// inputs to score; scaled and out are score's own.
+	// inputs to score; scaled, out and exits are score's own — exits
+	// holds each early-exited row's single stage vote.
 	rows   [][]float64
 	keys   []flow.Key
 	scaled [][]float64
 	out    []verdict
+	exits  []int
 
-	// The ensembleFunc's vote buffers (see ml.EnsembleVotesInto for
-	// what is reused and what the verdicts retain).
+	// The ensembleFunc's vote buffers (see ml.VoteScratch).
 	vs ml.VoteScratch
 
 	// Tiered-inference buffers, and how long the last triage pass took.
@@ -245,9 +247,12 @@ func (sc *scorer) score(rows [][]float64, keys []flow.Key, s *batchScratch) (out
 		votes, ones, navail = sc.ensemble(s, fall)
 		quorum = sc.quorumFor(navail)
 	}
-	// An exited row carries its single stage vote as provenance: one
-	// flat allocation for the batch's exits.
-	exits := make([]int, len(rows)-len(fall))
+	// An exited row carries its single stage vote as provenance, cut
+	// from the scratch's exit slab.
+	if cap(s.exits) < len(rows)-len(fall) {
+		s.exits = make([]int, len(rows)-len(fall))
+	}
+	exits := s.exits[:len(rows)-len(fall)]
 	if cap(s.out) < len(rows) {
 		s.out = make([]verdict, len(rows))
 	}

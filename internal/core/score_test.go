@@ -128,6 +128,15 @@ func TestScore(t *testing.T) {
 					t.Errorf("pass %d: navail=%d calls=%d, want %d/%d", pass, navail, calls, tc.navail, tc.calls)
 				}
 			}
+			// A warm scratch holds every buffer a verdict points into: the
+			// only allocation left is the stage-0 stub's probability slice.
+			stage0 := 0
+			if tc.triage {
+				stage0 = 1
+			}
+			if n := testing.AllocsPerRun(20, func() { sc.score(tc.rows, keys, &s) }); n > float64(stage0) {
+				t.Errorf("warm score allocated %v objects a call, want at most %d", n, stage0)
+			}
 		})
 	}
 }

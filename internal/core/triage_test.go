@@ -33,12 +33,12 @@ func (p probaModel) PredictProbaBatch(X [][]float64) []float64 {
 	return out
 }
 
-func (p probaModel) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
+func (p probaModel) PredictBatchInto(dst []int, X [][]float64) []int {
+	dst = append(dst[:0], make([]int, len(X))...)
 	for i, x := range X {
-		out[i] = p.Predict(x)
+		dst[i] = p.Predict(x)
 	}
-	return out
+	return dst
 }
 
 var _ ml.BatchProbaClassifier = probaModel{}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/amlight/intddos/internal/ml"
+	"github.com/amlight/intddos/internal/ml/neural"
 	"github.com/amlight/intddos/internal/traffic"
 )
 
@@ -376,5 +377,37 @@ func TestFormatTableVMatrix(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "Y") {
 		t.Errorf("no checkmarks:\n%s", out)
+	}
+}
+
+// TestAdaptiveNNPredictBatchIntoMatchesPredict holds the wrapper to the
+// batch contract, untrained (everything benign) and trained, with a
+// label buffer full of garbage.
+func TestAdaptiveNNPredictBatchIntoMatchesPredict(t *testing.T) {
+	X := make([][]float64, 64)
+	y := make([]int, len(X))
+	for i := range X {
+		y[i] = i % 2
+		X[i] = []float64{float64(y[i]) + 0.1*float64(i%7), float64(i%5) - 2}
+	}
+	a := newAdaptiveNN(neural.Config{Hidden: []int{4}, Seed: 1, DisplayName: "NN"})
+	for _, trained := range []bool{false, true} {
+		if trained {
+			if err := a.Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, n := range []int{1, 3, 4, 5, 32, 33} {
+			dst := make([]int, n+3)
+			for i := range dst {
+				dst[i] = 5
+			}
+			got := a.PredictBatchInto(dst, X[:n])
+			for i, x := range X[:n] {
+				if got[i] != a.Predict(x) {
+					t.Fatalf("trained=%t batch %d row %d: PredictBatchInto %d, Predict %d", trained, n, i, got[i], a.Predict(x))
+				}
+			}
+		}
 	}
 }

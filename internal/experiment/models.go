@@ -60,14 +60,20 @@ func (a *adaptiveNN) Predict(x []float64) int {
 	return a.net.Predict(x)
 }
 
-// PredictBatch implements ml.BatchClassifier directly on the wrapped
-// network's batched forward pass instead of falling through a sample
-// loop; an untrained wrapper labels everything benign, like Predict.
-func (a *adaptiveNN) PredictBatch(X [][]float64) []int {
+// PredictBatchInto implements ml.BatchClassifier directly on the
+// wrapped network's batched forward pass instead of falling through a
+// sample loop; an untrained wrapper labels everything benign, like
+// Predict.
+func (a *adaptiveNN) PredictBatchInto(dst []int, X [][]float64) []int {
 	if a.net == nil {
-		return make([]int, len(X))
+		if cap(dst) < len(X) {
+			dst = make([]int, len(X))
+		}
+		dst = dst[:len(X)]
+		clear(dst)
+		return dst
 	}
-	return a.net.PredictBatch(X)
+	return a.net.PredictBatchInto(dst, X)
 }
 
 // PredictProbaBatch delegates to the wrapped network's batch path.

@@ -37,7 +37,7 @@ func TestCascadeTableIIIDelta(t *testing.T) {
 	X := scaler.Transform(test.X)
 
 	// Full ensemble: 2-of-3 majority vote, the Table VI quorum.
-	_, ones := ml.EnsembleVotes(models, X)
+	_, ones := ml.EnsembleVotesInto(nil, models, X)
 	full := make([]int, len(X))
 	for i, n := range ones {
 		if n >= 2 {

@@ -223,10 +223,10 @@ func TestModelWrapperInjectsScoringFailures(t *testing.T) {
 	a := WrapModel(&stubModel{name: "A"}, in)
 	b := WrapModel(&stubModel{name: "B"}, in)
 	X := [][]float64{{1}, {-1}}
-	if _, err := a.TryPredictBatch(X); !errors.Is(err, ErrInjected) {
+	if _, err := a.TryPredictBatchInto(nil, X); !errors.Is(err, ErrInjected) {
 		t.Fatalf("model A error = %v, want ErrInjected", err)
 	}
-	labels, err := b.TryPredictBatch(X)
+	labels, err := b.TryPredictBatchInto([]int{9, 9, 9}, X)
 	if err != nil {
 		t.Fatalf("model B (untargeted) error = %v", err)
 	}
@@ -235,8 +235,8 @@ func TestModelWrapperInjectsScoringFailures(t *testing.T) {
 	}
 	// The plain batch path stays fault-free: experiments and training
 	// see the original model.
-	if got := a.PredictBatch(X); got[0] != 1 || got[1] != 0 {
-		t.Errorf("plain PredictBatch = %v", got)
+	if got := a.PredictBatchInto(nil, X); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Errorf("plain PredictBatchInto = %v", got)
 	}
 	if a.Name() != "A" || a.Features() != 0 {
 		t.Errorf("delegation: name=%s features=%d", a.Name(), a.Features())
@@ -247,10 +247,10 @@ func TestModelWrapperWildcardAndOverride(t *testing.T) {
 	in := New(Spec{ModelFail: map[string]float64{"*": 1, "B": 0}}, 1)
 	a := WrapModel(&stubModel{name: "A"}, in)
 	b := WrapModel(&stubModel{name: "B"}, in)
-	if _, err := a.TryPredictBatch([][]float64{{1}}); err == nil {
+	if _, err := a.TryPredictBatchInto(nil, [][]float64{{1}}); err == nil {
 		t.Error("wildcard did not hit model A")
 	}
-	if _, err := b.TryPredictBatch([][]float64{{1}}); err != nil {
+	if _, err := b.TryPredictBatchInto(nil, [][]float64{{1}}); err != nil {
 		t.Errorf("named override did not exempt model B: %v", err)
 	}
 }
@@ -258,7 +258,7 @@ func TestModelWrapperWildcardAndOverride(t *testing.T) {
 func TestModelWrapperContainsPanics(t *testing.T) {
 	in := New(Spec{}, 1)
 	m := WrapModel(&stubModel{name: "boom", panicky: true}, in)
-	labels, err := m.TryPredictBatch([][]float64{{1}})
+	labels, err := m.TryPredictBatchInto(nil, [][]float64{{1}})
 	if err == nil || labels != nil {
 		t.Fatalf("panicking model: labels=%v err=%v, want contained error", labels, err)
 	}

@@ -157,22 +157,25 @@ func (m *Model) Fit(X [][]float64, y []int) error { return m.inner.Fit(X, y) }
 // path, where the caller can observe and handle them).
 func (m *Model) Predict(x []float64) int { return m.inner.Predict(x) }
 
-// PredictBatch delegates through the model's amortized path.
-func (m *Model) PredictBatch(X [][]float64) []int { return ml.PredictBatch(m.inner, X) }
+// PredictBatchInto delegates through the model's amortized path.
+func (m *Model) PredictBatchInto(dst []int, X [][]float64) []int {
+	return ml.PredictBatchInto(m.inner, dst, X)
+}
 
 // Features delegates shape reporting when the model supports it.
 func (m *Model) Features() int { return ml.ExpectedFeatures(m.inner) }
 
-// TryPredictBatch injects scoring latency and failures, then scores
-// through the model's fallible path (with panic containment).
-func (m *Model) TryPredictBatch(X [][]float64) ([]int, error) {
+// TryPredictBatchInto injects scoring latency and failures, then
+// scores into dst through the model's fallible path (with panic
+// containment).
+func (m *Model) TryPredictBatchInto(dst []int, X [][]float64) ([]int, error) {
 	if d := m.in.PredictDelay(); d > 0 {
 		time.Sleep(d)
 	}
 	if m.in.ModelFail(m.inner.Name()) {
 		return nil, fmt.Errorf("model %s: %w", m.inner.Name(), ErrInjected)
 	}
-	return ml.TryPredictBatch(m.inner, X)
+	return ml.TryPredictBatchInto(m.inner, dst, X)
 }
 
 var (

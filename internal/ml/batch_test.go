@@ -1,8 +1,9 @@
 // Property tests for the batched-inference contract: for every model
-// family, PredictBatch(X) must equal [Predict(x) for x in X] exactly —
-// same labels, and for probabilistic models the same float64 bits —
-// across random seeds, batch sizes that exercise the blocked kernels'
-// remainders, and the degenerate zero-variance-feature scaler case.
+// family, PredictBatchInto(dst, X) must equal [Predict(x) for x in X]
+// exactly — same labels, and for probabilistic models the same float64
+// bits — across random seeds, batch sizes that exercise the blocked
+// kernels' remainders, reused and garbage-filled label buffers, and the
+// degenerate zero-variance-feature scaler case.
 package ml_test
 
 import (
@@ -56,27 +57,65 @@ func batchModels(t *testing.T, seed int64, X [][]float64, y []int) []ml.BatchCla
 	return models
 }
 
+// treeOuterMinNodes mirrors the forest's arena size past which its
+// batch paths vote tree-outer.
+const treeOuterMinNodes = 8 << 10
+
+// treeOuterForest fits a forest large enough to take the tree-outer
+// batch path: fully grown trees over label noise split down to
+// near-singleton leaves.
+func treeOuterForest(t *testing.T, seed int64) *forest.Forest {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	X, _ := synth(seed, 2000, 9)
+	y := make([]int, len(X))
+	for i := range y {
+		y[i] = rng.Intn(2)
+	}
+	f := forest.New(forest.Config{Trees: 12, MaxDepth: 40, MinSamplesSplit: 2, MinSamplesLeaf: 1, Seed: seed})
+	if err := f.Fit(X, y); err != nil {
+		t.Fatal(err)
+	}
+	if n := f.Summary().Nodes; n < treeOuterMinNodes {
+		t.Fatalf("tree-outer fixture has %d nodes, want at least %d", n, treeOuterMinNodes)
+	}
+	return f
+}
+
 // TestPredictBatchMatchesSequential is the core batch contract: for
-// every model family, every seed, and batch sizes straddling the
-// four-row block boundary, the batch path must agree label-for-label
-// with the sample loop.
+// every model family (the forest on both of its paths), every seed,
+// batch sizes straddling the four-row block boundary and the live
+// runtime's 32-row scoring call, and a dst that is nil, too short, or
+// longer and full of garbage, PredictBatchInto must agree
+// label-for-label with the sample loop. The garbage case catches a
+// kernel that accumulates into dst without zeroing it first.
 func TestPredictBatchMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		X, y := synth(seed, 400, 9)
 		train, test := X[:300], X[300:]
-		for _, m := range batchModels(t, seed, train, y[:300]) {
+		models := append(batchModels(t, seed, train, y[:300]), treeOuterForest(t, seed))
+		for _, m := range models {
 			// Sizes 0..5 cover the empty batch, the scalar remainder
-			// alone, and a partial block; the full test set covers
-			// many blocks plus remainder.
-			for _, n := range []int{0, 1, 2, 3, 4, 5, len(test)} {
-				got := m.PredictBatch(test[:n])
+			// alone, and a partial block; 32 and 33 the scoring call and
+			// one past it; the full test set many blocks plus remainder.
+			for _, n := range []int{0, 1, 2, 3, 4, 5, 32, 33, len(test)} {
 				want := ml.SequentialPredict(m, test[:n])
-				if len(got) != n {
-					t.Fatalf("seed %d %s: PredictBatch(%d rows) returned %d labels", seed, m.Name(), n, len(got))
+				garbage := make([]int, n+7)
+				for i := range garbage {
+					garbage[i] = 7 - i%3
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("seed %d %s row %d/%d: PredictBatch=%d Predict=%d", seed, m.Name(), i, n, got[i], want[i])
+				for dname, dst := range map[string][]int{"nil": nil, "short": make([]int, n/2), "garbage": garbage} {
+					got := m.PredictBatchInto(dst, test[:n])
+					if len(got) != n {
+						t.Fatalf("seed %d %s %s dst: PredictBatchInto(%d rows) returned %d labels", seed, m.Name(), dname, n, len(got))
+					}
+					if dname == "garbage" && n > 0 && &got[0] != &garbage[0] {
+						t.Errorf("seed %d %s: PredictBatchInto reallocated a dst long enough for %d rows", seed, m.Name(), n)
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Errorf("seed %d %s %s dst row %d/%d: PredictBatchInto=%d Predict=%d", seed, m.Name(), dname, i, n, got[i], want[i])
+						}
 					}
 				}
 			}
@@ -107,20 +146,30 @@ func TestPredictProbaBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPredictBatchDispatch checks the free helper's two paths: a
+// TestPredictBatchDispatch checks the free helpers' two paths: a
 // BatchClassifier goes through its amortized implementation, anything
-// else through the reference loop, and both agree.
+// else through the reference loop, and both agree — PredictBatch and
+// PredictBatchInto alike.
 func TestPredictBatchDispatch(t *testing.T) {
 	X, y := synth(11, 200, 6)
 	g := bayes.New()
 	if err := g.Fit(X[:150], y[:150]); err != nil {
 		t.Fatal(err)
 	}
-	got := ml.PredictBatch(g, X[150:])
 	want := ml.SequentialPredict(g, X[150:])
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: dispatch=%d sequential=%d", i, got[i], want[i])
+	for name, c := range map[string]ml.Classifier{
+		"batch": g,
+		"plain": struct{ ml.Classifier }{g},
+	} {
+		for _, got := range [][]int{ml.PredictBatch(c, X[150:]), ml.PredictBatchInto(c, make([]int, 3, 64), X[150:])} {
+			if len(got) != len(want) {
+				t.Fatalf("%s: %d labels, want %d", name, len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s row %d: dispatch=%d sequential=%d", name, i, got[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -170,7 +219,7 @@ func TestEnsembleVotesMatchesPerModelPredict(t *testing.T) {
 	for i, m := range batch {
 		models[i] = m
 	}
-	votes, ones := ml.EnsembleVotes(models, test)
+	votes, ones := ml.EnsembleVotesInto(nil, models, test)
 	for i, x := range test {
 		sum := 0
 		for mi, m := range models {

@@ -168,34 +168,38 @@ func (g *GaussianNB) logLikelihoodBlock4(x0, x1, x2, x3 []float64, c int) (l0, l
 	return l0, l1, l2, l3
 }
 
-// PredictBatch implements ml.BatchClassifier: blocked class-posterior
-// comparison, row-for-row identical to Predict.
-func (g *GaussianNB) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
+// PredictBatchInto implements ml.BatchClassifier: blocked
+// class-posterior comparison into dst, row-for-row identical to
+// Predict.
+func (g *GaussianNB) PredictBatchInto(dst []int, X [][]float64) []int {
+	if cap(dst) < len(X) {
+		dst = make([]int, len(X))
+	}
+	dst = dst[:len(X)]
 	if !g.ready {
-		return out
+		clear(dst)
+		return dst
 	}
 	i := 0
 	for ; i+4 <= len(X); i += 4 {
 		a0, a1, a2, a3 := g.logLikelihoodBlock4(X[i], X[i+1], X[i+2], X[i+3], 0)
 		b0, b1, b2, b3 := g.logLikelihoodBlock4(X[i], X[i+1], X[i+2], X[i+3], 1)
-		if b0 > a0 {
-			out[i] = 1
-		}
-		if b1 > a1 {
-			out[i+1] = 1
-		}
-		if b2 > a2 {
-			out[i+2] = 1
-		}
-		if b3 > a3 {
-			out[i+3] = 1
-		}
+		dst[i] = b2i(b0 > a0)
+		dst[i+1] = b2i(b1 > a1)
+		dst[i+2] = b2i(b2 > a2)
+		dst[i+3] = b2i(b3 > a3)
 	}
 	for ; i < len(X); i++ {
-		out[i] = g.Predict(X[i])
+		dst[i] = g.Predict(X[i])
 	}
-	return out
+	return dst
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // PredictProbaBatch returns P(attack|x) per row, row-for-row

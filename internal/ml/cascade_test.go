@@ -37,12 +37,12 @@ func (p *probaStub) PredictProbaBatch(X [][]float64) []float64 {
 	}
 	return out
 }
-func (p *probaStub) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
+func (p *probaStub) PredictBatchInto(dst []int, X [][]float64) []int {
+	dst = labelBuf(dst, len(X))
 	for i, x := range X {
-		out[i] = p.Predict(x)
+		dst[i] = p.Predict(x)
 	}
-	return out
+	return dst
 }
 
 func rowsWithProbs(ps ...float64) [][]float64 {
@@ -154,32 +154,26 @@ func TestCascadeScratchReuse(t *testing.T) {
 }
 
 // TestEnsembleVotesIntoMatchesEnsembleVotes pins the buffer-reuse
-// variant to the allocating one, including that retained vote rows
-// are not clobbered by later batches.
+// path to a fresh scratch's: one scratch reused across batches that
+// grow and shrink must return, every call, what a nil scratch returns
+// for the same batch — no vote or count left over from the batch
+// before.
 func TestEnsembleVotesIntoMatchesEnsembleVotes(t *testing.T) {
 	models := []Classifier{&probaStub{}, &probaStub{}}
 	s := &VoteScratch{}
 	rng := rand.New(rand.NewSource(11))
-	var retained [][]int
-	var retainedWant []string
 	for iter := 0; iter < 30; iter++ {
 		n := 1 + rng.Intn(16)
 		X := make([][]float64, n)
 		for i := range X {
 			X[i] = []float64{rng.Float64(), 0}
 		}
-		votes, ones := EnsembleVotesInto(s, models, X)
-		wantVotes, wantOnes := EnsembleVotes(models, X)
-		if fmt.Sprint(votes) != fmt.Sprint(wantVotes) || fmt.Sprint(ones) != fmt.Sprint(wantOnes) {
-			t.Fatalf("iter %d: EnsembleVotesInto diverged from EnsembleVotes", iter)
-		}
-		// Retain the first row of each batch, as Decisions do.
-		retained = append(retained, votes[0])
-		retainedWant = append(retainedWant, fmt.Sprint(wantVotes[0]))
-	}
-	for i, row := range retained {
-		if fmt.Sprint(row) != retainedWant[i] {
-			t.Fatalf("retained vote row %d clobbered by a later batch: %v != %s", i, row, retainedWant[i])
+		wantVotes, wantOnes := EnsembleVotesInto(nil, models, X)
+		for call := 0; call < 2; call++ {
+			votes, ones := EnsembleVotesInto(s, models, X)
+			if fmt.Sprint(votes) != fmt.Sprint(wantVotes) || fmt.Sprint(ones) != fmt.Sprint(wantOnes) {
+				t.Fatalf("iter %d call %d: reused scratch %v %v, fresh %v %v", iter, call, votes, ones, wantVotes, wantOnes)
+			}
 		}
 	}
 }

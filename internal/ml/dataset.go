@@ -130,28 +130,61 @@ type Classifier interface {
 }
 
 // BatchClassifier is the primary scoring contract: a Classifier whose
-// PredictBatch amortizes per-sample overhead (buffer allocation,
-// model-state traversal, cache misses) across a block of rows. Every
-// model family in this repository implements it, and implementations
-// are required to be row-for-row identical to calling Predict in a
-// loop — batch scoring is a throughput optimization, never a semantic
-// change.
+// PredictBatchInto amortizes per-sample overhead (model-state
+// traversal, cache misses) across a block of rows and writes the
+// labels into a buffer the caller owns, so a steady scoring loop
+// allocates nothing. Every model family in this repository implements
+// it, and implementations are required to be row-for-row identical to
+// calling Predict in a loop — batch scoring is a throughput
+// optimization, never a semantic change.
 type BatchClassifier interface {
 	Classifier
-	// PredictBatch labels every row of X, equal element-wise to
-	// [Predict(x) for x in X].
+	// PredictBatchInto labels every row of X into dst[:len(X)], growing
+	// dst only when it is too short, and returns that slice: equal
+	// element-wise to [Predict(x) for x in X], whatever dst held.
+	PredictBatchInto(dst []int, X [][]float64) []int
+}
+
+// legacyBatchClassifier is the batch shape PredictBatchInto replaced:
+// a fresh label slice a call. No type under internal/, cmd/ or
+// examples/ implements it; the benchmark's timedModel wrapper still
+// does, and this arm keeps its per-model spans firing until ROADMAP
+// item 1(c) deletes it.
+type legacyBatchClassifier interface {
 	PredictBatch(X [][]float64) []int
 }
 
-// PredictBatch labels every row of X, using the model's amortized
-// batch path when it implements BatchClassifier and a sequential
-// Predict loop otherwise. The two paths are interchangeable by the
-// BatchClassifier contract.
-func PredictBatch(c Classifier, X [][]float64) []int {
-	if bc, ok := c.(BatchClassifier); ok {
-		return bc.PredictBatch(X)
+// PredictBatch labels every row of X into a fresh slice, for callers
+// that keep the labels: PredictBatchInto(c, nil, X).
+func PredictBatch(c Classifier, X [][]float64) []int { return PredictBatchInto(c, nil, X) }
+
+// PredictBatchInto labels every row of X into dst (see
+// BatchClassifier), using the model's amortized batch path when it
+// implements BatchClassifier and a sequential Predict loop otherwise.
+// The two paths are interchangeable by the BatchClassifier contract.
+func PredictBatchInto(c Classifier, dst []int, X [][]float64) []int {
+	switch bc := c.(type) {
+	case BatchClassifier:
+		return bc.PredictBatchInto(dst, X)
+	case legacyBatchClassifier:
+		dst = labelBuf(dst, len(X))
+		copy(dst, bc.PredictBatch(X))
+		return dst
 	}
-	return SequentialPredict(c, X)
+	dst = labelBuf(dst, len(X))
+	for i, x := range X {
+		dst[i] = c.Predict(x)
+	}
+	return dst
+}
+
+// labelBuf returns dst resliced to n labels, reallocated only when its
+// capacity is short.
+func labelBuf(dst []int, n int) []int {
+	if cap(dst) < n {
+		return make([]int, n)
+	}
+	return dst[:n]
 }
 
 // SequentialPredict labels every row of X one Predict call at a time
@@ -172,26 +205,28 @@ func SequentialPredict(c Classifier, X [][]float64) []int {
 // model's health, and degrade the quorum rather than the pipeline.
 type FallibleBatchClassifier interface {
 	Classifier
-	// TryPredictBatch labels every row of X or fails the whole batch.
-	// On success the labels are row-for-row identical to PredictBatch.
-	TryPredictBatch(X [][]float64) ([]int, error)
+	// TryPredictBatchInto labels every row of X into dst as
+	// PredictBatchInto does, or fails the whole batch. On success the
+	// labels are row-for-row identical to PredictBatchInto's.
+	TryPredictBatchInto(dst []int, X [][]float64) ([]int, error)
 }
 
-// TryPredictBatch scores X through the model's fallible path when it
-// has one, and otherwise through PredictBatch with panic containment:
-// a panicking model surfaces as an error instead of killing the
-// calling goroutine. This is the scoring entry point for callers that
-// must survive a misbehaving ensemble member.
-func TryPredictBatch(c Classifier, X [][]float64) (labels []int, err error) {
+// TryPredictBatchInto scores X into dst through the model's fallible
+// path when it has one, and otherwise through PredictBatchInto with
+// panic containment: a panicking model surfaces as an error instead of
+// killing the calling goroutine. This is the scoring entry point for
+// callers that must survive a misbehaving ensemble member; it
+// allocates nothing unless the model fails.
+func TryPredictBatchInto(c Classifier, dst []int, X [][]float64) (labels []int, err error) {
 	if fc, ok := c.(FallibleBatchClassifier); ok {
-		return fc.TryPredictBatch(X)
+		return fc.TryPredictBatchInto(dst, X)
 	}
 	defer func() {
 		if r := recover(); r != nil {
 			labels, err = nil, fmt.Errorf("ml: model %s panicked: %v", c.Name(), r)
 		}
 	}()
-	return PredictBatch(c, X), nil
+	return PredictBatchInto(c, dst, X), nil
 }
 
 // FeatureCounter is implemented by trained models that know their

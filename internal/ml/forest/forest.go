@@ -143,7 +143,7 @@ func (f *Forest) Proba(x []float64) float64 {
 	return float64(votes) / float64(len(f.trees))
 }
 
-// treeOuterMinNodes switches voteBatch to tree-outer iteration once
+// treeOuterMinNodes switches the batch paths to tree-outer iteration once
 // the forest's node arenas total roughly an L2 cache: past that point
 // per-row iteration misses on every deep node, while walking one tree
 // across the whole batch keeps its arena resident (measured ~1.7x on
@@ -160,44 +160,52 @@ func (f *Forest) arenaNodes() int {
 	return total
 }
 
-// treeOuterVotes accumulates per-row attack votes with tree-outer
-// iteration: each tree's arena is walked across the whole batch while
-// it is cache-resident. Vote totals are integer sums and therefore
-// identical to per-sample traversal in either order.
-func (f *Forest) treeOuterVotes(X [][]float64) []int {
-	votes := make([]int, len(X))
+// treeOuterVotes accumulates per-row attack votes into votes
+// (len(X) long, zeroed here) with tree-outer iteration: each tree's
+// arena is walked across the whole batch while it is cache-resident.
+// Vote totals are integer sums and therefore identical to per-sample
+// traversal in either order.
+func (f *Forest) treeOuterVotes(votes []int, X [][]float64) {
+	clear(votes)
 	for _, t := range f.trees {
 		for i, x := range X {
 			votes[i] += t.predict(x)
 		}
 	}
-	return votes
 }
 
-// PredictBatch implements ml.BatchClassifier: the majority vote per
-// row, row-for-row identical to Predict. Large forests (see
-// treeOuterMinNodes) vote tree-outer; small cache-resident forests
-// keep the per-row loop, which needs no vote buffer or second pass.
-func (f *Forest) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
+// PredictBatchInto implements ml.BatchClassifier: the majority vote
+// per row, row-for-row identical to Predict. Large forests (see
+// treeOuterMinNodes) vote tree-outer, accumulating in dst itself;
+// small cache-resident forests keep the per-row loop, which needs no
+// second pass.
+func (f *Forest) PredictBatchInto(dst []int, X [][]float64) []int {
+	if cap(dst) < len(X) {
+		dst = make([]int, len(X))
+	}
+	dst = dst[:len(X)]
 	if f.arenaNodes() >= treeOuterMinNodes {
-		for i, v := range f.treeOuterVotes(X) {
-			if 2*v > len(f.trees) {
-				out[i] = 1
-			}
+		f.treeOuterVotes(dst, X)
+		for i, v := range dst {
+			dst[i] = b2i(2*v > len(f.trees))
 		}
-		return out
+		return dst
 	}
 	for i, x := range X {
 		v := 0
 		for _, t := range f.trees {
 			v += t.predict(x)
 		}
-		if 2*v > len(f.trees) {
-			out[i] = 1
-		}
+		dst[i] = b2i(2*v > len(f.trees))
 	}
-	return out
+	return dst
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // PredictProbaBatch returns the attack-vote fraction per row,
@@ -206,7 +214,9 @@ func (f *Forest) PredictProbaBatch(X [][]float64) []float64 {
 	out := make([]float64, len(X))
 	n := float64(len(f.trees))
 	if f.arenaNodes() >= treeOuterMinNodes {
-		for i, v := range f.treeOuterVotes(X) {
+		votes := make([]int, len(X))
+		f.treeOuterVotes(votes, X)
+		for i, v := range votes {
 			out[i] = float64(v) / n
 		}
 		return out

@@ -17,7 +17,7 @@ import (
 type KNN struct {
 	// K is the neighborhood size (default 5).
 	K int
-	// Workers bounds PredictBatch parallelism; 0 selects GOMAXPROCS.
+	// Workers bounds PredictBatchInto parallelism; 0 selects GOMAXPROCS.
 	Workers int
 
 	X [][]float64
@@ -164,11 +164,15 @@ func (k *KNN) predictBlock4(x0, x1, x2, x3 []float64, b0, b1, b2, b3 []cand, out
 	out[3] = vote(b3)
 }
 
-// PredictBatch implements ml.BatchClassifier: queries are spread over
-// a bounded worker pool, and each worker walks the training set in
-// four-query blocks with reused candidate buffers.
-func (k *KNN) PredictBatch(X [][]float64) []int {
-	out := make([]int, len(X))
+// PredictBatchInto implements ml.BatchClassifier: queries are spread
+// over a bounded worker pool, and each worker walks the training set in
+// four-query blocks with reused candidate buffers, writing every row's
+// label into dst.
+func (k *KNN) PredictBatchInto(dst []int, X [][]float64) []int {
+	if cap(dst) < len(X) {
+		dst = make([]int, len(X))
+	}
+	out := dst[:len(X)]
 	workers := k.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

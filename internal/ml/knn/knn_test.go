@@ -53,7 +53,7 @@ func TestKNNSeparatesBlobs(t *testing.T) {
 	k := New(5)
 	k.Fit(X, y)
 	Xt, yt := blobs(200, 3)
-	m := ml.Confusion(yt, k.PredictBatch(Xt))
+	m := ml.Confusion(yt, ml.PredictBatch(k, Xt))
 	if m.Accuracy() < 0.98 {
 		t.Errorf("accuracy = %v", m.Accuracy())
 	}
@@ -64,7 +64,7 @@ func TestKNNBatchMatchesSingle(t *testing.T) {
 	k := New(7)
 	k.Fit(X, y)
 	Xt, _ := blobs(100, 5)
-	batch := k.PredictBatch(Xt)
+	batch := k.PredictBatchInto(make([]int, 3), Xt)
 	for i, x := range Xt {
 		if batch[i] != k.Predict(x) {
 			t.Fatalf("batch and single disagree at %d", i)

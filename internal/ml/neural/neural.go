@@ -354,37 +354,54 @@ func (n *Network) makePlanes() [][]float64 {
 	return planes
 }
 
-// PredictProbaBatch returns P(attack|x) for every row of X. The batch
-// runs through one pooled set of activation buffers in four-row
-// blocks; scores are bit-identical to per-row Proba calls.
-func (n *Network) PredictProbaBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
-	if !n.ready || len(X) == 0 {
-		return out
-	}
+// forEachProba runs X through one pooled set of activation buffers in
+// four-row blocks and hands emit each row's P(attack|x) in row order;
+// the scores are bit-identical to per-row Proba calls. The network
+// must be trained.
+func (n *Network) forEachProba(X [][]float64, emit func(i int, p float64)) {
 	sc := n.scratch.Get().(*inferScratch)
 	defer n.scratch.Put(sc)
 	i := 0
 	for ; i+blockRows <= len(X); i += blockRows {
-		out[i], out[i+1], out[i+2], out[i+3] =
-			n.forwardBlock4(X[i], X[i+1], X[i+2], X[i+3], sc.planes)
+		p0, p1, p2, p3 := n.forwardBlock4(X[i], X[i+1], X[i+2], X[i+3], sc.planes)
+		emit(i, p0)
+		emit(i+1, p1)
+		emit(i+2, p2)
+		emit(i+3, p3)
 	}
 	for ; i < len(X); i++ {
 		n.forward(X[i], sc.acts)
-		out[i] = sc.acts[len(sc.acts)-1][0]
+		emit(i, sc.acts[len(sc.acts)-1][0])
+	}
+}
+
+// PredictProbaBatch returns P(attack|x) for every row of X, through
+// the batched forward pass.
+func (n *Network) PredictProbaBatch(X [][]float64) []float64 {
+	out := make([]float64, len(X))
+	if n.ready {
+		n.forEachProba(X, func(i int, p float64) { out[i] = p })
 	}
 	return out
 }
 
-// PredictBatch implements ml.BatchClassifier: the batched forward
-// pass thresholded at 0.5, row-for-row identical to Predict.
-func (n *Network) PredictBatch(X [][]float64) []int {
-	probas := n.PredictProbaBatch(X)
-	out := make([]int, len(X))
-	for i, p := range probas {
-		if p > 0.5 {
-			out[i] = 1
-		}
+// PredictBatchInto implements ml.BatchClassifier: the batched forward
+// pass thresholded at 0.5 straight into dst, row-for-row identical to
+// Predict.
+func (n *Network) PredictBatchInto(dst []int, X [][]float64) []int {
+	if cap(dst) < len(X) {
+		dst = make([]int, len(X))
 	}
-	return out
+	dst = dst[:len(X)]
+	if !n.ready {
+		clear(dst)
+		return dst
+	}
+	n.forEachProba(X, func(i int, p float64) {
+		dst[i] = 0
+		if p > 0.5 {
+			dst[i] = 1
+		}
+	})
+	return dst
 }

@@ -212,11 +212,13 @@ func TestPredictBatchConcurrentMatchesPredict(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			size := []int{1, 3, 4, 7, 32}[g%5]
+			var dst []int
 			for round := 0; round < 20; round++ {
 				for lo := 0; lo+size <= len(Z); lo += size {
-					for i, got := range n.PredictBatch(Z[lo : lo+size]) {
+					dst = n.PredictBatchInto(dst, Z[lo:lo+size])
+					for i, got := range dst {
 						if got != want[lo+i] {
-							t.Errorf("goroutine %d batch %d row %d: PredictBatch %d, Predict %d",
+							t.Errorf("goroutine %d batch %d row %d: PredictBatchInto %d, Predict %d",
 								g, size, lo+i, got, want[lo+i])
 							return
 						}
