@@ -77,12 +77,15 @@ fuzz-smoke:
 
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against
-# the live pipeline (shard panics and restarts, store retries, quorum
-# degradation, shed/abandon accounting), the shard model (one goroutine
-# per shard, a stall shorter than the shed bound, captures under load,
-# per-flow order at 8 shards, the per-row vote span), the push path's
-# failure modes (lone report, concurrent callers on one shard, restored
-# journal tail, store outage then silence, queue of one), the one
+# the live pipeline (shard panics and restarts, prediction-log write
+# retries and store_dropped rows, quorum degradation, shed/abandon
+# accounting), the shard model (one goroutine per shard, a stall
+# shorter than the shed bound, captures under load, per-flow order at
+# 8 shards, the per-row vote span), the push path's failure modes (lone
+# report, concurrent callers on one shard, a restored journal tail —
+# also one written by the store-journal layout —, a prediction-log
+# outage shorter and longer than the retry budget then silence, queue
+# of one), the one
 # ledger definition (table test over Closed/Settled, reports parked at
 # ingest, the /healthz and stop-event rendering), the scorer's own
 # table test, the Live-vs-Mechanism differential, the kill-restore

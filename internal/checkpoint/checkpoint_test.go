@@ -642,3 +642,36 @@ func TestDecodeRejectsHostileShardCount(t *testing.T) {
 		t.Fatalf("round-tripping the true shard count broke decode: %v", err)
 	}
 }
+
+// TestPruneRemovesOrphanedTemps: a process killed between creating a
+// write's temp file and renaming it into place leaves the temp file
+// behind. Prune removes it with the old checkpoints, and keeps every
+// checkpoint it would have kept anyway.
+func TestPruneRemovesOrphanedTemps(t *testing.T) {
+	dir := t.TempDir()
+	for seq := uint64(1); seq <= 2; seq++ {
+		snap := randSnapshot(int64(seq))
+		snap.Seq = seq
+		if _, _, _, err := WriteDirOpts(dir, snap, EncodeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stray := filepath.Join(dir, ".ckpt-4242.tmp")
+	if err := os.WriteFile(stray, []byte("half a checkpoint"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := Prune(dir, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived Prune (stat err %v)", err)
+	}
+	for seq := uint64(1); seq <= 2; seq++ {
+		if _, err := os.Stat(filepath.Join(dir, FileName(seq))); err != nil {
+			t.Errorf("Prune removed a kept checkpoint: %v", err)
+		}
+	}
+	if err := RemoveTemps(filepath.Join(dir, "missing")); err != nil {
+		t.Errorf("RemoveTemps on a missing dir: %v", err)
+	}
+}

@@ -38,7 +38,7 @@ func FileName(seq uint64) string {
 // whole-file CRC, which a subsequent delta records as its BaseCRC.
 func WriteOpts(path string, snap *Snapshot, opt EncodeOptions) (int, uint32, error) {
 	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*.tmp")
+	tmp, err := os.CreateTemp(dir, tempPattern)
 	if err != nil {
 		return 0, 0, fmt.Errorf("checkpoint: create temp: %w", err)
 	}
@@ -240,16 +240,41 @@ func ReadMeta(path string) (Meta, error) {
 	return m, nil
 }
 
+// tempPattern names WriteOpts's temp files; a process killed between
+// creating one and renaming it into place leaves it behind.
+const tempPattern = ".ckpt-*.tmp"
+
+// RemoveTemps removes the temp files of writes that never reached
+// their rename. Call it only when no write into dir is in progress: a
+// live one's temp file matches too. A missing dir holds none.
+func RemoveTemps(dir string) error {
+	temps, err := filepath.Glob(filepath.Join(dir, tempPattern))
+	if err != nil {
+		return err
+	}
+	for _, p := range temps {
+		if err := os.Remove(p); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("checkpoint: remove temp: %w", err)
+		}
+	}
+	return nil
+}
+
 // Prune removes old checkpoint files from dir, keeping the newest
 // keep files plus every chain ancestor a kept delta still needs —
 // deleting a delta's base would orphan the delta, so retention
 // follows parent links (meta-section reads only) before deleting
 // anything. Files whose meta cannot be read are treated as
 // chain-less: they are kept or removed purely by age, exactly like a
-// torn file restore would skip.
+// torn file restore would skip. Temp files of writes that never
+// completed go too (RemoveTemps), so Prune, like RemoveTemps, must not
+// run beside a write into dir.
 func Prune(dir string, keep int) error {
 	if keep < 1 {
 		keep = 1
+	}
+	if err := RemoveTemps(dir); err != nil {
+		return err
 	}
 	names, err := candidates(dir)
 	if err != nil {

@@ -13,6 +13,7 @@ import (
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
+	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
@@ -343,8 +344,9 @@ func TestModelRecoversViaProbe(t *testing.T) {
 }
 
 // TestStoreRetriesSurviveTransientErrors runs a seeded transient-
-// error schedule against the store and asserts retries (not losses)
-// absorb it: every surviving snapshot still becomes a decision.
+// error schedule against the prediction log and asserts retries (not
+// losses) absorb it: every row is decided unless its log write
+// outlasted the retry budget.
 func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 	in := fault.New(fault.Spec{StoreErr: 0.3}, 7)
 	cfg := liveConfig(attackDetector())
@@ -363,11 +365,11 @@ func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 	if l.StoreRetries.Load() == 0 {
 		t.Error("no store retries at store.err=0.3")
 	}
-	if got := l.Polled.Load() + l.StoreDropped.Load(); got != 60 {
-		t.Errorf("polled+dropped = %d, want every one of 60 snapshots accounted", got)
+	if got := int64(l.DecisionCount()) + l.StoreDropped.Load(); got != 60 {
+		t.Errorf("decisions+dropped = %d, want every one of 60 snapshots accounted", got)
 	}
-	if int64(l.DecisionCount()) != l.Polled.Load() {
-		t.Errorf("decisions = %d, polled = %d", l.DecisionCount(), l.Polled.Load())
+	if l.Polled.Load() != 60 {
+		t.Errorf("polled = %d, want 60", l.Polled.Load())
 	}
 	assertAccounting(t, l)
 	t.Logf("retries=%d dropped=%d", l.StoreRetries.Load(), l.StoreDropped.Load())
@@ -560,8 +562,15 @@ func TestMalformedSnapshotsAbandonedNotFatal(t *testing.T) {
 	}
 	l.Start()
 	// Bypass Ingest (which always builds well-formed vectors) and
-	// plant a malformed record straight in the journal.
-	l.DB.UpsertFlow(liveObs(1, 0, false, "").Key, []float64{1, 2, 3}, 1, 1, 1, false, "benign")
+	// plant a malformed row straight in the shard's pending rows, as a
+	// restored journal tail would carry it, under the locks a pass holds.
+	l.ckptMu[0].RLock()
+	sh := l.shards[0]
+	sh.run.Lock()
+	sh.pending = append(sh.pending, store.FlowRecord{Key: liveObs(1, 0, false, "").Key,
+		Features: []float64{1, 2, 3}, RegisteredAt: 1, UpdatedAt: 1, Updates: 1, AttackType: "benign"})
+	sh.run.Unlock()
+	l.ckptMu[0].RUnlock()
 	l.Ingest(liveObs(2, 40, true, "synflood"))
 	if !waitFor(t, 5*time.Second, func() bool {
 		return l.AbandonedByReason()["malformed"] == 1 && l.DecisionCount() == 1

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"time"
 
 	"github.com/amlight/intddos/internal/checkpoint"
@@ -21,11 +22,11 @@ type RestoreSummary struct {
 	// TakenAtUnixNano is when the crashed process wrote it.
 	TakenAtUnixNano int64
 
-	// Flows counts flow-table records restored; JournalPending journal
-	// entries written before the crash but not yet decided — each shard
-	// decides its tail in its first pass at Start, so every pre-crash
-	// record ends decided, shed, abandoned, or restored-pending, never
-	// silently gone.
+	// Flows counts flow-table records restored; JournalPending rows
+	// taken before the crash but not yet decided (the file's journal
+	// tail) — each shard decides its own in its first pass at Start, so
+	// every pre-crash row ends decided, shed, abandoned, or
+	// restored-pending, never silently gone.
 	Flows          int
 	JournalPending int
 	// Windows counts restored records holding a vote window: flows
@@ -112,7 +113,8 @@ func (l *Live) restoreLatest(dir string) error {
 	// table record keeps the window the chain gave it unless the delta
 	// removes it (RemovedWindows) or replaces it (Windows), in that
 	// order, so a window removed and re-voted within one interval
-	// survives.
+	// survives. Every link's journal tail, full or delta, replaces the
+	// shard's pending rows: it was the whole of them at its capture.
 	for i, snap := range chain {
 		for s := range snap.ShardStates {
 			sh := &snap.ShardStates[s]
@@ -131,6 +133,11 @@ func (l *Live) restoreLatest(dir string) error {
 			if err != nil {
 				return fmt.Errorf("core: restore %s: %w", paths[i], err)
 			}
+			pend := l.shards[s].pending[:0]
+			for _, e := range sh.Store.Journal {
+				pend = append(pend, e.Rec)
+			}
+			l.shards[s].pending = pend
 		}
 		if len(snap.Predictions) > 0 {
 			// Version-1 snapshot: the prediction log is one global section;
@@ -154,7 +161,9 @@ func (l *Live) restoreLatest(dir string) error {
 	// Counts come from the replayed state, not the files — with a delta
 	// chain the same record may appear in several links.
 	sum.Flows = l.tables.Len()
-	sum.JournalPending = l.rawDB.JournalLen()
+	for _, sh := range l.shards {
+		sum.JournalPending += len(sh.pending)
+	}
 	sum.Predictions = l.rawDB.PredictionCount()
 	l.restoreMark = l.rawDB.LastPredictionSeq()
 	sum.Windows = l.windowedFlows()
@@ -173,21 +182,21 @@ func (l *Live) restoreLatest(dir string) error {
 
 // ErrBarrierTimeout reports that the checkpoint barrier could not
 // quiesce the pipeline: reports accepted onto the shard queues were
-// not journaled within checkpointBarrierTimeout (a stalled shard). The
+// not taken within checkpointBarrierTimeout (a stalled shard). The
 // checkpoint is skipped — a snapshot missing accepted reports would
 // lose them on restore.
 var ErrBarrierTimeout = errors.New("core: checkpoint barrier timed out waiting for queued reports")
 
 // settleIngest waits until every observation accepted onto the shard
-// queues before this call is journaled. Runs before the capture takes
-// the shard barriers (the shards must be free to drain); reports
-// accepted while it waits ride the snapshot or the journal tail, both
-// fine — what must not happen is an accepted report vanishing into a
-// queue the crash model discards.
+// queues before this call is taken. Runs before the capture takes the
+// shard barriers (the shards must be free to drain); reports accepted
+// while it waits ride the snapshot or the journal tail, both fine —
+// what must not happen is an accepted report vanishing into a queue
+// the crash model discards.
 func (l *Live) settleIngest() error {
 	target := l.ingestAccepted.Load()
 	if !awaitSettled(checkpointBarrierTimeout, func() bool { return l.ingestDone.Load() >= target }) {
-		return fmt.Errorf("%w (accepted=%d journaled=%d)",
+		return fmt.Errorf("%w (accepted=%d taken=%d)",
 			ErrBarrierTimeout, target, l.ingestDone.Load())
 	}
 	return nil
@@ -207,13 +216,12 @@ func awaitSettled(timeout time.Duration, done func() bool) bool {
 
 // CaptureCheckpoint quiesces the pipeline and captures a consistent
 // full snapshot of its durable state: it first waits for the shards to
-// journal everything accepted so far, then takes every shard's barrier
+// take everything accepted so far, then takes every shard's barrier
 // for write — which waits out the one pass each shard may be in, so no
-// row is between its journal entry and its decision — and exports
-// every shard's flow table and store state (per-shard prediction logs
-// included) and the vote windows. The freeze lasts for the export
-// only; sorting, encoding, and disk IO happen after the locks are
-// released.
+// row is between its take and its decision — and exports every shard's
+// flow table, pending rows and prediction log, and the vote windows.
+// The freeze lasts for the export only; sorting, encoding, and disk IO
+// happen after the locks are released.
 func (l *Live) CaptureCheckpoint() (*checkpoint.Snapshot, error) {
 	return l.capture(false, nil)
 }
@@ -235,9 +243,10 @@ type captureScratch struct {
 }
 
 // durableStore is what checkpointing needs of the concrete store: the
-// full and incremental export/import surfaces plus the scratch-reusing
-// export, and — the log being where decisions live — the cursor
-// Decisions reads. store.DB and store.ShardedDB both provide all of it.
+// prediction log's full and incremental export/import surfaces plus
+// the scratch-reusing export, and — the log being where decisions live
+// — the cursor Decisions reads. store.DB and store.ShardedDB both
+// provide all of it.
 type durableStore interface {
 	store.Store
 	store.DeltaCheckpointable
@@ -317,13 +326,13 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Sn
 		wins = append(wins, checkpoint.Window{Key: k, Votes: votes[off:len(votes):len(votes)]})
 	}
 	for s := 0; s < l.nShards; s++ {
+		st := &snap.ShardStates[s]
+		var preJournal []store.JournalEntry
 		if delta {
-			states, removed := l.tables.ExportShardDelta(s, window)
-			snap.ShardStates[s] = checkpoint.ShardState{
-				Table: states, Store: l.rawDB.ExportShardDelta(s), Removed: removed,
-			}
+			st.Table, st.Removed = l.tables.ExportShardDelta(s, window)
+			st.Store = l.rawDB.ExportShardDelta(s)
 			// An evicted flow's window went with it.
-			snap.RemovedWindows = append(snap.RemovedWindows, removed...)
+			snap.RemovedWindows = append(snap.RemovedWindows, st.Removed...)
 		} else {
 			var preTable []flow.StateSnapshot
 			var preStore store.ShardExport
@@ -331,11 +340,22 @@ func (l *Live) captureLocked(delta bool, scratch *captureScratch) *checkpoint.Sn
 				preTable = scratch.tables[s]
 				preStore = scratch.stores[s]
 			}
-			snap.ShardStates[s] = checkpoint.ShardState{
-				Table: l.tables.ExportShardInto(s, preTable, window),
-				Store: l.rawDB.ExportShardInto(s, preStore),
-			}
+			st.Table = l.tables.ExportShardInto(s, preTable, window)
+			st.Store = l.rawDB.ExportShardInto(s, preStore)
+			preJournal = preStore.Journal
 		}
+		// The shard's pending rows are the journal tail, deep-copied:
+		// the shard reuses its slab once the barrier lifts. Full and
+		// delta alike carry the whole tail, which replaces the one
+		// restored before it.
+		pend := l.shards[s].pending
+		st.Store.Journal = preJournal[:0]
+		for i := range pend {
+			rec := pend[i]
+			rec.Features = slices.Clone(rec.Features)
+			st.Store.Journal = append(st.Store.Journal, store.JournalEntry{Seq: uint64(i + 1), Rec: rec})
+		}
+		st.Store.Seq = uint64(len(pend))
 	}
 	snap.Windows = wins
 	if scratch != nil {

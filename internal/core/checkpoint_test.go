@@ -625,6 +625,36 @@ func TestRestoreRejectsMismatchedPipeline(t *testing.T) {
 	}
 }
 
+// TestBootSweepsOrphanedCheckpointTemps: a checkpointing pipeline
+// killed mid-write leaves its temp file in CheckpointDir, and nothing
+// would ever remove it — each one is the size of a full checkpoint.
+// The next boot removes it before restoring.
+func TestBootSweepsOrphanedCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewLive(ckptConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.Ingest(liveObs(7, 40, true, "synflood"))
+	if _, _, err := a.WriteCheckpoint(); err != nil {
+		t.Fatal(err)
+	}
+	stray := filepath.Join(dir, ".ckpt-4242.tmp")
+	if err := os.WriteFile(stray, []byte("half a checkpoint"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewLive(ckptConfig(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(stray); !os.IsNotExist(err) {
+		t.Errorf("orphaned temp file survived boot (stat err %v)", err)
+	}
+	if r := b.Restore(); r == nil || r.Seq != 1 {
+		t.Errorf("restore after the sweep = %+v, want the checkpoint written", r)
+	}
+}
+
 // TestPeriodicCheckpointer proves CheckpointEvery writes checkpoints
 // on its own and retention prunes old files.
 func TestPeriodicCheckpointer(t *testing.T) {

@@ -13,21 +13,24 @@ import (
 //
 //	Reports              = Duplicates + Stale + FaultDrops + IngestDropped + Accepted
 //	Accepted             = Journaled + [queued at a shard]
-//	Snapshots + Restored = StoreDropped + JournalLen + Polled
+//	Snapshots + Restored = Pending + Polled
 //	Polled               = Decided + Shed + Abandoned
 //
-// so none is ever counted nowhere. A shard journals and decides a row
-// in one pass under its run lock, and Live.Ledger reads under every
-// shard's: no row is between its journal entry and its decision, and
-// the bracketed queue is the one term in flight. Settled says it is
-// empty and the journal with it. Restored is the one source that feeds
-// the journal without a snapshot (a checkpoint's journal tail, which
-// each shard's first pass decides). Direct Ingest and IngestAsync
-// callers add to Accepted only: ReportsClosed is for pipelines fed by
-// HandleReport.
+// so none is ever counted nowhere. Journaled counts observations a
+// shard took off its queue, Snapshots the rows those made, and Pending
+// the rows waiting in the shards for a decision. A shard takes and
+// decides a row in one pass under its run lock, and Live.Ledger reads
+// under every shard's: while the pipeline runs, no row is between its
+// take and its decision, and the bracketed queue is the one term in
+// flight. Settled says it is empty and nothing is pending. Restored is
+// the one source of pending rows without a snapshot (a checkpoint's
+// journal tail, which each shard's first pass decides). A row whose
+// decision could not be logged is abandoned (store_dropped). Direct
+// Ingest and IngestAsync callers add to Accepted only: ReportsClosed
+// is for pipelines fed by HandleReport.
 type Ledger struct {
 	Reports, Duplicates, Stale, FaultDrops, IngestDropped, Accepted, Journaled int64 // report side
-	Snapshots, Restored, StoreDropped, JournalLen                              int64
+	Snapshots, Restored, Pending                                               int64
 	Polled, Decided, Shed, Abandoned                                           int64
 }
 
@@ -36,14 +39,14 @@ func (g Ledger) ReportsClosed() bool {
 	return g.Reports == g.Duplicates+g.Stale+g.FaultDrops+g.IngestDropped+g.Accepted
 }
 
-// Closed: every record drained from the journal was decided, shed or
+// Closed: every row taken for a decision was decided, shed or
 // abandoned.
 func (g Ledger) Closed() bool { return g.Polled == g.Decided+g.Shed+g.Abandoned }
 
 // Settled: Closed with nothing in flight — every accepted observation
-// journaled and the journal empty.
+// taken and nothing pending.
 func (g Ledger) Settled() bool {
-	return g.Accepted == g.Journaled && g.JournalLen == 0 && g.Closed()
+	return g.Accepted == g.Journaled && g.Pending == 0 && g.Closed()
 }
 
 // String is the one rendering of the ledger: the CLI's summary line,
@@ -62,12 +65,14 @@ func (g Ledger) String() string {
 // counters only grow and rows only move downstream, so with no producer
 // inside HandleReport a reading that says Settled was settled.
 func (l *Live) Ledger() Ledger {
+	var g Ledger
 	for _, sh := range l.shards {
 		sh.run.Lock()
 		defer sh.run.Unlock()
+		g.Pending += int64(len(sh.pending))
 	}
-	g := Ledger{Decided: int64(l.DecisionCount()), Shed: l.Shed.Load(), Abandoned: l.Abandoned.Load()}
-	g.Polled, g.StoreDropped, g.JournalLen = l.Polled.Load(), l.StoreDropped.Load(), int64(l.rawDB.JournalLen())
+	g.Decided, g.Shed, g.Abandoned = int64(l.DecisionCount()), l.Shed.Load(), l.Abandoned.Load()
+	g.Polled = l.Polled.Load()
 	g.Journaled, g.Snapshots, g.Accepted = l.ingestDone.Load(), l.Snapshots.Load(), l.ingestAccepted.Load()
 	g.IngestDropped, g.FaultDrops = l.met.ingestDropped.Value(), l.cfg.Fault.SiteCount(fault.SiteDrop)
 	g.Stale, g.Duplicates, g.Reports = l.StaleReps.Load(), l.Duplicates.Load(), l.Reports.Load()

@@ -17,13 +17,12 @@ import (
 // term, and the cases each former hand-rolled predicate got wrong.
 func TestLedgerClosedSettled(t *testing.T) {
 	// 12 reports: 1 duplicate, 1 stale, 1 fault drop, 1 dropped after
-	// Stop, 8 accepted; 1 write store-dropped, 7 drained; 5 decided,
-	// 1 shed, 1 abandoned.
+	// Stop, 8 accepted and taken; 5 decided, 1 shed, 2 abandoned (one
+	// of them a log write store-dropped).
 	base := Ledger{
 		Reports: 12, Duplicates: 1, Stale: 1, FaultDrops: 1, IngestDropped: 1,
 		Accepted: 8, Journaled: 8,
-		Snapshots: 8, StoreDropped: 1,
-		Polled: 7, Decided: 5, Shed: 1, Abandoned: 1,
+		Snapshots: 8, Polled: 8, Decided: 5, Shed: 1, Abandoned: 2,
 	}
 	with := func(edit func(*Ledger)) Ledger { g := base; edit(&g); return g }
 	cases := []struct {
@@ -40,13 +39,13 @@ func TestLedgerClosedSettled(t *testing.T) {
 		{"fault drop too many", with(func(g *Ledger) { g.FaultDrops++ }), false, true, true},
 		{"ingest drop too many", with(func(g *Ledger) { g.IngestDropped++ }), false, true, true},
 		{"one queued at a shard", with(func(g *Ledger) { g.Reports++; g.Accepted++ }), true, true, false},
-		{"one still journaled", with(func(g *Ledger) { g.Reports++; g.Accepted++; g.Journaled++; g.Snapshots++; g.JournalLen++ }), true, true, false},
+		{"one still pending", with(func(g *Ledger) { g.Reports++; g.Accepted++; g.Journaled++; g.Snapshots++; g.Pending++ }), true, true, false},
 		{"one decision missing", with(func(g *Ledger) { g.Decided-- }), true, false, false},
 		{"one shed uncounted", with(func(g *Ledger) { g.Shed-- }), true, false, false},
 		{"one abandoned uncounted", with(func(g *Ledger) { g.Abandoned-- }), true, false, false},
 		{"one decided twice", with(func(g *Ledger) { g.Decided++ }), true, false, false},
 
-		{"restored tail pending", Ledger{Restored: 5, JournalLen: 5}, true, true, false},
+		{"restored tail pending", Ledger{Restored: 5, Pending: 5}, true, true, false},
 		{"restored tail decided", Ledger{Restored: 5, Polled: 5, Decided: 5}, true, true, true},
 		// Polled >= Snapshots holds here, which is all the pre-ledger
 		// settle loops asked of a restored run.
@@ -107,9 +106,9 @@ func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 	if g.Accepted != n || g.Journaled != 0 {
 		t.Fatalf("accepted=%d journaled=%d, want %d/0 with the shards parked", g.Accepted, g.Journaled, n)
 	}
-	// The pre-ledger RunChaos predicate: every snapshot polled or
-	// dropped, pipeline closed.
-	if !(g.Polled+g.StoreDropped >= g.Snapshots && g.Closed()) {
+	// The pre-ledger RunChaos predicate: every snapshot polled,
+	// pipeline closed.
+	if !(g.Polled >= g.Snapshots && g.Closed()) {
 		t.Fatalf("the old predicate should read settled here: %s", g)
 	}
 	if g.Settled() {

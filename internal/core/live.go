@@ -18,23 +18,30 @@ import (
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
-// liveShard is one shard of the runtime: the queue reports wait in and
-// the goroutine that drains it (runShard). The flow-table stripe — one
-// record per flow, vote window included — lives in the ShardedTable
-// and the journal stripe in the Store, both indexed by the same
-// Key.Shard value.
+// liveShard is one shard of the runtime: the queue reports wait in,
+// the goroutine that drains it (runShard), and the rows it has taken
+// and not yet decided. The flow-table stripe — one record per flow,
+// vote window included — lives in the ShardedTable and the prediction
+// log stripe in the Store, both indexed by the same Key.Shard value.
 //
 // run serializes the shard's passes — its goroutine's bursts, direct
 // Ingest calls, the sweeper's visit, so no sweep lands between a row's
-// journal entry and its vote — and guards everything below it. Every
-// holder also holds the shard's ckptMu for read.
+// take and its vote — and guards everything below it. Every writer
+// also holds the shard's ckptMu for read, so a capture, which holds it
+// for write, reads pending without run.
 type liveShard struct {
 	queue chan flow.PacketInfo // IngestAsync → runShard; QueueCap ÷ shards
 
-	run     sync.Mutex
-	row     []float64          // feature-row scratch (journal)
-	recs    []store.FlowRecord // journal-drain buffer (decide)
-	scratch batchScratch       // scoring buffers (predictBatch)
+	run sync.Mutex
+	// pending is the shard's rows taken and not yet decided, in take
+	// order: within a pass, the pass's own; outside Start..Stop, what
+	// direct Ingest calls took; after a restore, the checkpoint's tail.
+	// It is what a checkpoint writes as the shard's journal tail. slab
+	// holds the feature rows fold cuts for them, reset by the first
+	// pass that finds pending empty.
+	pending []store.FlowRecord
+	slab    []float64
+	scratch batchScratch // scoring buffers (predictBatch)
 	// todo[:done] of the pass in progress are finished; a panic
 	// abandons the rest.
 	todo []store.FlowRecord
@@ -57,24 +64,26 @@ type liveShard struct {
 // same Time domain the rest of the repository uses.
 //
 // The shard is the unit of execution. Each shard has its own
-// flow-table stripe, database journal, report queue, and one
+// flow-table stripe, prediction-log stripe, report queue, and one
 // goroutine that runs each burst it takes from the queue to
-// completion: journal every row (Data Processor), drain the journal
-// (CentralServer), score, vote and log (Prediction). Every update of a
-// flow goes through one queue, one journal and one goroutine, so
-// per-flow decision order holds at any shard count; with Shards=0 (the
-// default) the layout degenerates to the legacy single-lock pipeline.
-// Batches form from the backlog a shard finds when it wakes: no timer
-// sits between a report and its decision (the simulated Mechanism
-// keeps the paper's poll-tick clock).
+// completion: fold every row into its flow's record and the shard's
+// pending rows (Data Processor), take the pending rows (CentralServer),
+// score, vote and log (Prediction). The store is the decision log: a
+// row waits in its shard, not in a database journal. Every update of a
+// flow goes through one queue and one goroutine, so per-flow decision
+// order holds at any shard count; with Shards=0 (the default) the
+// layout degenerates to the legacy single-lock pipeline. Batches form
+// from the backlog a shard finds when it wakes: no timer sits between
+// a report and its decision (the simulated Mechanism keeps the paper's
+// poll-tick clock).
 //
 // The runtime is supervised: a shard recovers from a panic and
 // restarts with exponential backoff under a restart budget, transient
-// store errors are retried with backoff, unhealthy ensemble members
+// log-write errors are retried with backoff, unhealthy ensemble members
 // are voted around (quorum degrades to majority-of-available), and
-// every record drained from the journal is accounted for — decided,
-// shed, or abandoned with a reason — even across panics and shutdown.
-// The aggregate condition (healthy/degraded/shedding) is reported on
+// every row taken for a decision is accounted for — decided, shed, or
+// abandoned with a reason — even across panics and shutdown. The
+// aggregate condition (healthy/degraded/shedding) is reported on
 // /healthz.
 type Live struct {
 	cfg     LiveConfig
@@ -84,8 +93,8 @@ type Live struct {
 	shards []*liveShard
 
 	// scorer is the Prediction module, shared read-only by every
-	// shard; its per-shard triage sketches are fed by journal under
-	// the checkpoint-barrier read lock.
+	// shard; its per-shard triage sketches are fed by fold under the
+	// checkpoint-barrier read lock.
 	scorer *scorer
 
 	DB  store.Store
@@ -102,10 +111,10 @@ type Live struct {
 	// shard: a shard's pass holds only its own lock for read, so
 	// shards never contend with each other on the barrier; a capture
 	// takes every lock for write in ascending shard order, so it waits
-	// out at most one pass per shard and sees no row between its
-	// journal entry and its decision. rawDB is the concrete store
-	// beneath any fault wrapper — a checkpoint must read real state,
-	// not a fault-shaped view of it.
+	// out at most one pass per shard and sees no row between its take
+	// and its decision. rawDB is the concrete store beneath any fault
+	// wrapper — a checkpoint must read real state, not a fault-shaped
+	// view of it.
 	ckptMu      []sync.RWMutex
 	rawDB       durableStore
 	ckptSeq     atomic.Uint64
@@ -156,11 +165,11 @@ type Live struct {
 	// and uncounted) is Stop's one signal: the shards take what is
 	// queued and exit, the periodic goroutines return, backoffs are cut
 	// short. running gates deciding: outside Start..Stop a pass only
-	// journals. ingestAccepted counts observations enqueued (or handed
-	// to Ingest), ingestDone observations journaled; the difference is
-	// the queued backlog, which a checkpoint capture settles before its
-	// cut (an accepted report must not vanish into a queue the
-	// simulated crash discards).
+	// takes. ingestAccepted counts observations enqueued (or handed to
+	// Ingest), ingestDone observations taken; the difference is the
+	// queued backlog, which a checkpoint capture settles before its cut
+	// (an accepted report must not vanish into a queue the simulated
+	// crash discards).
 	quit           chan struct{}
 	running        atomic.Bool
 	shardWg        sync.WaitGroup // runShard goroutines
@@ -210,10 +219,10 @@ type Live struct {
 	Evictions   atomic.Int64
 
 	// Robustness accounting (atomics: read while running).
-	Polled         atomic.Int64 // records drained from the journal
-	Abandoned      atomic.Int64 // records abandoned, any reason
-	StoreRetries   atomic.Int64 // transient store errors retried
-	StoreDropped   atomic.Int64 // store writes dropped after retries
+	Polled         atomic.Int64 // rows taken for a decision
+	Abandoned      atomic.Int64 // rows abandoned, any reason
+	StoreRetries   atomic.Int64 // transient log-write errors retried
+	StoreDropped   atomic.Int64 // log writes dropped after retries (abandoned, store_dropped)
 	WorkerRestarts atomic.Int64 // shard restarts after panics
 	ModelFailures  atomic.Int64 // failed ensemble scoring calls
 	Checkpoints    atomic.Int64 // checkpoints successfully written
@@ -251,7 +260,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	cfg.Models = models
 
 	// The concrete store is kept apart from any fault wrapping: the
-	// checkpoint path exports and imports the real state directly.
+	// checkpoint path exports and imports the real log directly.
 	var rawDB durableStore = store.New() // the paper's exact single-lock layout
 	if cfg.Shards > 0 {
 		rawDB = store.NewSharded(cfg.Shards)
@@ -384,6 +393,11 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	})
 	l.DB.Instrument(l.reg)
 	if cfg.CheckpointDir != "" {
+		// A process killed mid-write leaves its temp file behind, and
+		// nothing else ever removes it.
+		if err := checkpoint.RemoveTemps(cfg.CheckpointDir); err != nil {
+			l.elog.Warn("checkpoint temp sweep failed", "component", "checkpoint", "err", err.Error())
+		}
 		// Dirty tracking goes live before the restore and before any
 		// concurrent use: the table's hot path reads its track flag
 		// without synchronization.
@@ -433,8 +447,8 @@ func (l *Live) Start() {
 	}
 }
 
-// Stop terminates the pipeline — each shard takes what is queued,
-// journals it and exits — and waits for every goroutine. What happens
+// Stop terminates the pipeline — each shard takes what is queued and
+// exits — and waits for every goroutine. What happens
 // to records still queued, or still undecided in a pass when Stop
 // begins, is policy: with DrainOnStop they are scored and logged like
 // any other record; without it they are counted in
@@ -449,7 +463,7 @@ func (l *Live) Stop() {
 		l.everyWg.Wait()
 		// A producer racing Stop can land a report in a queue after its
 		// shard's final pass; fold those in before deciding stops so
-		// they are journaled and accounted, not stranded.
+		// they are taken and accounted, not stranded.
 		for s := range l.shards {
 			l.takeQueued(s)
 		}
@@ -512,16 +526,14 @@ func (l *Live) jAbort(key flow.Key, seq int, reason string) {
 	}
 }
 
-// sleepQuit sleeps for d — a retry backoff — or until Stop begins,
-// reporting whether the full duration elapsed.
-func (l *Live) sleepQuit(d time.Duration) bool {
+// sleepQuit sleeps for d — a shard's restart backoff — or until Stop
+// begins.
+func (l *Live) sleepQuit(d time.Duration) {
 	timer := time.NewTimer(d)
 	defer timer.Stop()
 	select {
 	case <-l.quit:
-		return false
 	case <-timer.C:
-		return true
 	}
 }
 
@@ -558,7 +570,7 @@ func (l *Live) DecisionCount() int { return int(l.Predictions.Load()) }
 
 // AbandonedByReason returns the per-reason abandonment counts
 // (reasons: stop, panic, worker_down — a shard past its restart
-// budget —, no_model, malformed).
+// budget —, no_model, malformed, store_dropped).
 func (l *Live) AbandonedByReason() map[string]int64 {
 	return l.met.abandoned.Values()
 }

@@ -25,15 +25,16 @@ type LiveConfig struct {
 	// QueueCap bounds the reports queued ahead of the pipeline (default
 	// 4096, divided across shards). A full shard queue blocks its
 	// producer; a report that waited longer than a fixed bound (1 s)
-	// before its shard took it is journaled, then shed and counted.
+	// before its shard took it is folded into its flow, then shed and
+	// counted.
 	QueueCap int
 	// Deprecated: ignored — each shard runs on one goroutine. Kept
 	// until benchmark/workloads.go stops setting it.
 	Workers int
 
-	// Shards stripes the flow table, the database journal, the report
+	// Shards stripes the flow table, the prediction log, the report
 	// queue and the goroutine that drains it by flow.Key hash, so all
-	// updates of one flow are journaled and decided by one goroutine in
+	// updates of one flow are taken and decided by one goroutine in
 	// order — the invariant the vote window needs. Zero selects the
 	// legacy single-lock store.DB (the paper's one-database layout);
 	// n >= 1 selects a store.ShardedDB with n shards, which at n=1 is
@@ -79,10 +80,11 @@ type LiveConfig struct {
 	SweepInterval time.Duration
 
 	// CheckpointDir enables crash-consistent checkpointing: snapshots
-	// of the pipeline's durable state (flow tables, store shards with
+	// of the pipeline's durable state (flow tables, undecided rows as
 	// journal tails, vote windows, prediction log) are written
 	// atomically into this directory, and NewLive restores from the
-	// newest valid one at boot. Empty disables checkpointing.
+	// newest valid one at boot, after removing the temp files of
+	// writes a crash cut short. Empty disables checkpointing.
 	CheckpointDir string
 	// CheckpointEvery is the periodic checkpoint interval. Zero writes
 	// no periodic checkpoints — WriteCheckpoint can still be called
@@ -127,15 +129,15 @@ type LiveConfig struct {
 	DedupWindow int
 
 	// Fault injects a deterministic fault schedule into the pipeline:
-	// telemetry drop/corrupt/delay at ingestion, store stalls and
-	// transient errors (the store is wrapped automatically), shard
-	// panics, and per-model scoring failures. Nil injects nothing and
-	// costs one branch per event.
+	// telemetry drop/corrupt/delay at ingestion, stalls and transient
+	// errors on the prediction-log write (the store is wrapped
+	// automatically), shard panics, and per-model scoring failures.
+	// Nil injects nothing and costs one branch per event.
 	Fault *fault.Injector
 
 	// DrainOnStop makes Stop score every record still queued instead
 	// of abandoning it. Off (the default, matching the paper's
-	// shutdown) queued records are journaled and counted in
+	// shutdown) queued records are taken and counted in
 	// intddos_records_abandoned{reason="stop"} — observable either
 	// way, lost silently never.
 	DrainOnStop bool
@@ -145,8 +147,9 @@ type LiveConfig struct {
 	// (default 10ms).
 	WorkerRestartBackoff time.Duration
 
-	// StoreRetryBackoff is the initial delay between store retries,
-	// doubling per attempt (default 2ms; journal drains cap at 1s).
+	// StoreRetryBackoff is the initial delay between retries of a
+	// prediction-log write that failed transiently, doubling per
+	// attempt (default 2ms), storeRetries attempts at most.
 	StoreRetryBackoff time.Duration
 }
 
@@ -158,8 +161,8 @@ var intFeatures = flow.INTFeatures()
 // between NewLive and Start.
 const (
 	// shedAfter is the overload bound: a report its shard takes more
-	// than this long after IngestAsync accepted it is journaled, then
-	// shed. It exceeds the QueueCap ÷ rate of every configured workload
+	// than this long after IngestAsync accepted it is folded into its
+	// flow, then shed. It exceeds the QueueCap ÷ rate of every configured workload
 	// (0.4 s on the default), so only a backlog no queue bound explains
 	// sheds.
 	shedAfter = time.Second
@@ -170,15 +173,15 @@ const (
 	// workerRestartBudget bounds how many panics a shard survives —
 	// each abandons the rest of its pass and restarts the shard after a
 	// backoff — before it is declared down; negative is unlimited. A
-	// down shard still journals what it takes and abandons it as
+	// down shard still folds in what it takes and abandons it as
 	// intddos_records_abandoned{reason="worker_down"}, and the pipeline
 	// reports shedding.
 	workerRestartBudget = 8
-	// storeRetries bounds retry attempts after a transient store error.
-	// Writes still failing after the budget are dropped and counted in
-	// intddos_store_dropped_total. A failed journal drain has no budget:
-	// it consumed nothing, so the shard retries it on the same backoff
-	// until it succeeds.
+	// storeRetries bounds retry attempts after a transient error on a
+	// decision's prediction-log write, the one store write the pipeline
+	// makes. A write still failing after the budget is dropped: counted
+	// in intddos_store_dropped_total, its row abandoned as
+	// store_dropped, its flow tainted, OnDecision not called.
 	storeRetries = 3
 	// modelFailThreshold consecutive scoring failures mark an ensemble
 	// member unhealthy; it sits out modelProbeAfter before a recovery
@@ -193,7 +196,7 @@ const (
 	// retains; a delta's chain ancestors are always retained with it.
 	checkpointKeep = 3
 	// checkpointBarrierTimeout bounds how long a checkpoint waits for
-	// accepted reports to be journaled before giving up.
+	// accepted reports to be taken before giving up.
 	checkpointBarrierTimeout = 5 * time.Second
 	// dedupMaxSources bounds the dedup tracker's per-source state
 	// (least-recently-active eviction).
@@ -202,8 +205,7 @@ const (
 	// burst is scored whole, a longer one 32 rows a call — enough for
 	// the ensemble's four-row kernels and per-call costs to amortize.
 	maxScoreBatch = 32
-	// maxRetryBackoff caps the doubling backoffs that have no attempt
-	// budget: shard restarts and journal-drain retries.
+	// maxRetryBackoff caps the doubling backoff of shard restarts.
 	maxRetryBackoff = time.Second
 )
 

@@ -6,14 +6,15 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
+	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
 // HandleReport ingests one decoded INT report (INT Data Collection →
 // Data Processor), applying the telemetry fault schedule when one is
 // configured. Safe for concurrent use from any number of producers:
-// reports are demuxed onto the shard queues and journaled by the
-// shard's goroutine, so producers only hash the key and enqueue.
+// reports are demuxed onto the shard queues and taken by the shard's
+// goroutine, so producers only hash the key and enqueue.
 func (l *Live) HandleReport(r *telemetry.Report) {
 	l.Reports.Add(1)
 	// Duplicate suppression runs before the fault schedule and the
@@ -84,34 +85,26 @@ func (l *Live) IngestAsync(pi flow.PacketInfo) {
 }
 
 // IngestBacklog is how many accepted observations are not yet folded
-// into the flow table and journal.
+// into the flow table.
 func (l *Live) IngestBacklog() int64 {
 	return l.ingestAccepted.Load() - l.ingestDone.Load()
 }
 
 // Ingest runs one observation through its shard on the calling
 // goroutine — the same pass the shard's goroutine runs, under the same
-// locks: journal it and, while the pipeline runs, decide the shard's
-// journal. Safe for concurrent use; observations of flows on different
-// shards never contend. Most callers want IngestAsync.
+// locks: fold it in and, while the pipeline runs, decide the shard's
+// pending rows. Safe for concurrent use; observations of flows on
+// different shards never contend. Most callers want IngestAsync.
 func (l *Live) Ingest(pi flow.PacketInfo) {
 	l.ingestAccepted.Add(1)
-	shard := pi.Key.Shard(l.nShards)
-	ok, _ := l.burst(shard, &pi, false)
-	// No shard goroutine stands behind a direct caller to retry a
-	// failed journal drain, so the caller backs off and retries it here.
-	for backoff := l.cfg.StoreRetryBackoff; !ok && l.sleepQuit(backoff); backoff = min(2*backoff, maxRetryBackoff) {
-		ok, _ = l.burst(shard, nil, false)
-	}
+	l.burst(pi.Key.Shard(l.nShards), &pi, false)
 }
 
-// journal folds one observation into its flow-table stripe — the
-// flow's one record — and appends the snapshot to the database shard's
-// journal, reporting whether the write landed. Callers hold the
-// shard's barrier for read and its run lock, which makes sh.row, the
-// scratch the feature vector is built in, theirs: it is dead once the
-// store has copied it.
-func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
+// fold folds one observation into its flow-table stripe — the flow's
+// one record — and appends the snapshot to the shard's pending rows,
+// its feature row cut from the shard's slab. Callers hold the shard's
+// barrier for read and its run lock, which make both the shard's.
+func (l *Live) fold(sh *liveShard, pi flow.PacketInfo) {
 	start := time.Now()
 	if pi.At == 0 {
 		pi.At = now()
@@ -125,8 +118,9 @@ func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 		last    netsim.Time
 		updates int
 	)
+	off := len(sh.slab)
 	l.tables.ObserveFunc(pi, func(st *flow.State) {
-		sh.row = st.Features(sh.row[:0], intFeatures)
+		sh.slab = st.Features(sh.slab, intFeatures)
 		reg, last, updates = st.RegisteredAt, st.LastAt, st.Updates
 	})
 	if l.journeys.ShouldSample() {
@@ -135,41 +129,12 @@ func (l *Live) journal(sh *liveShard, pi flow.PacketInfo) bool {
 		l.journeys.Begin(obs.JourneyID{Flow: pi.Key.Hash(), Seq: updates}, pi.Key.String(), "ingest",
 			time.Unix(0, int64(pi.At)))
 	}
-	written := l.appendJournal(pi.Key, sh.row, reg, last, updates, pi.Label, pi.AttackType)
+	sh.pending = append(sh.pending, store.FlowRecord{
+		Key: pi.Key, Features: sh.slab[off:len(sh.slab):len(sh.slab)],
+		RegisteredAt: reg, UpdatedAt: last, Updates: updates,
+		Truth: pi.Label, AttackType: pi.AttackType,
+	})
 	l.jHop(pi.Key, updates, "journal")
 	l.Snapshots.Add(1)
 	l.met.stageIngest.Since(start)
-	return written
-}
-
-// appendJournal writes one snapshot, retrying transient failures with
-// exponential backoff when the store surfaces them. A write still
-// failing after the retry budget is dropped — counted, tainted, and
-// raised to shedding, because a lost snapshot is a lost record — and
-// appendJournal reports false.
-func (l *Live) appendJournal(key flow.Key, feats []float64, reg, last netsim.Time, updates int, truth bool, attackType string) bool {
-	if l.fdb == nil {
-		l.DB.AppendJournal(key, feats, reg, last, updates, truth, attackType)
-		return true
-	}
-	backoff := l.cfg.StoreRetryBackoff
-	for attempt := 0; ; attempt++ {
-		err := l.fdb.TryAppendJournal(key, feats, reg, last, updates, truth, attackType)
-		if err == nil {
-			return true
-		}
-		l.StoreRetries.Add(1)
-		l.noteDegraded("store upsert retry")
-		if attempt >= storeRetries {
-			l.StoreDropped.Add(1)
-			l.taintKey(key)
-			l.jAbort(key, updates, "store_dropped")
-			l.event("store write dropped", "component", "store",
-				"flow", key.String(), "attempts", attempt+1)
-			l.noteShedding("store write dropped")
-			return false
-		}
-		time.Sleep(backoff)
-		backoff *= 2
-	}
 }

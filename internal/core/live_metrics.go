@@ -17,15 +17,15 @@ type liveMetrics struct {
 
 	// Bottleneck-attribution instruments: ingest calls that found the
 	// checkpoint barrier held, reports dropped at the ingest demux
-	// after Stop, and per-shard journal-drain throughput.
+	// after Stop, and per-shard rows taken for a decision.
 	ingestStalls  *obs.Counter
 	ingestDropped *obs.Counter
 	shardPolled   *obs.CounterVec // by shard
 
-	// Robustness accounting: every record drained from the journal is
+	// Robustness accounting: every row taken for a decision is
 	// eventually a decision, a shed, or an abandonment with a reason —
 	// nothing vanishes silently.
-	abandoned         *obs.CounterVec // by reason: stop/panic/worker_down/no_model/malformed
+	abandoned         *obs.CounterVec // by reason: stop/panic/worker_down/no_model/malformed/store_dropped
 	workerPanics      *obs.Counter
 	degradedBatches   *obs.Counter
 	modelFailures     *obs.CounterVec // by model

@@ -14,32 +14,22 @@ import (
 // runShard is one shard's goroutine. Each loop takes the shard's whole
 // backlog — the report it woke for and everything queued behind it —
 // and runs it to completion (burst), so a producer blocked on a full
-// queue waits at most one pass. Nothing ticks: the only timer is the
-// retry of a failed journal drain, armed only while such rows wait. On
-// Stop the shard takes what is queued, then exits.
+// queue waits at most one pass. Nothing ticks: the only wait besides
+// the queue is the restart backoff after a panic. On Stop the shard
+// takes what is queued, then exits.
 func (l *Live) runShard(shard int) {
 	defer l.shardWg.Done()
 	queue := l.shards[shard].queue
-	// A journal tail restored from a checkpoint, or written before
-	// Start, has no report behind it: decide it once.
-	ok, pause := l.burst(shard, nil, false)
-	backoff := l.cfg.StoreRetryBackoff
+	// Rows restored from a checkpoint, or taken before Start, have no
+	// report behind them: decide them once.
+	pause := l.burst(shard, nil, false)
 	for {
 		if pause > 0 {
 			l.sleepQuit(pause)
 		}
-		var retry <-chan time.Time
-		if ok {
-			backoff = l.cfg.StoreRetryBackoff
-		} else {
-			retry = time.After(backoff)
-			backoff = min(2*backoff, maxRetryBackoff)
-		}
 		select {
 		case pi := <-queue:
-			ok, pause = l.burst(shard, &pi, true)
-		case <-retry:
-			ok, pause = l.burst(shard, nil, false)
+			pause = l.burst(shard, &pi, true)
 		case <-l.quit:
 			l.takeQueued(shard)
 			return
@@ -59,18 +49,18 @@ func (l *Live) takeQueued(shard int) {
 
 // burst is one run-to-completion pass over a shard — the paper's Data
 // Processor, CentralServer and Prediction modules back to back on one
-// goroutine. It journals first (if any) and, when queued, every report
-// already waiting behind it on the shard's queue; then, while the
-// pipeline runs, decides the shard's journal. The shard's barrier is
-// held for read and its run lock throughout, so a capture or a Ledger
-// reading never sees a row between its journal entry and its decision.
+// goroutine. It takes first (if any) and, when queued, every report
+// already waiting behind it on the shard's queue, folding each into
+// its flow's record and its snapshot into the shard's pending rows;
+// then, while the pipeline runs, it decides every pending row. The
+// shard's barrier is held for read and its run lock throughout, so a
+// capture or a Ledger reading never sees a row between its take and
+// its decision.
 //
 // A queued report the shard takes more than shedAfter after it was
-// accepted is journaled — its flow's Seq advances, as a shed row's
-// must — and then shed. ok reports whether the journal drain went
-// through (a failed one consumed nothing; the caller retries it);
-// pause is the restart backoff after a panic.
-func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (ok bool, pause time.Duration) {
+// accepted is folded in — its flow's Seq advances, as a shed row's
+// must — and then shed. pause is the restart backoff after a panic.
+func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (pause time.Duration) {
 	bar := &l.ckptMu[shard]
 	if !bar.TryRLock() {
 		// Ingest stalled behind a capture: counted, because from the
@@ -92,11 +82,14 @@ func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (ok bool, p
 			for i := sh.done; i < len(sh.todo); i++ {
 				l.abandonRecord(&sh.todo[i], "panic")
 			}
-			ok, pause = true, l.restart(sh, shard)
+			pause = l.restart(sh, shard)
 		}
 		sh.busy.Add(int64(time.Since(start)))
 	}()
-	written, late := 0, 0
+	carried, late := len(sh.pending), 0
+	if carried == 0 {
+		sh.slab = sh.slab[:0] // no pending row reads it any more
+	}
 	if first != nil {
 		oldest := netsim.Time(start.UnixNano()) - netsim.Time(l.shedAfter)
 		behind := 0
@@ -104,11 +97,9 @@ func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (ok bool, p
 			behind = len(sh.queue)
 		}
 		for i, pi := 0, *first; ; i, pi = i+1, <-sh.queue {
-			if l.journal(sh, pi) {
-				written++
-				if queued && pi.At < oldest {
-					late++
-				}
+			l.fold(sh, pi)
+			if queued && pi.At < oldest {
+				late++
 			}
 			if i == behind {
 				break
@@ -116,47 +107,36 @@ func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (ok bool, p
 		}
 		l.ingestDone.Add(int64(behind + 1))
 	}
-	// Outside Start..Stop nothing decides: what is journaled stays
-	// journaled, for Start's first pass or a checkpoint.
-	if !l.running.Load() {
-		return true, 0
+	// Outside Start..Stop nothing decides: what is taken stays
+	// pending, for Start's first pass or a checkpoint.
+	if l.running.Load() {
+		l.decide(sh, carried, late)
 	}
-	return l.decide(sh, shard, written, late), 0
+	return 0
 }
 
-// decide is the shard's CentralServer and Prediction step: it drains
-// the shard's journal and finishes every row in it in journal order,
-// PredictBatch rows a scoring call. The pass's own rows are the
-// journal's tail in queue order, so its late ones are the first late
-// of its written ones — shed oldest first. A row whose width disagrees
-// with the scaler is abandoned rather than panicking a kernel. A failed
-// drain consumed nothing: decide reports false.
-func (l *Live) decide(sh *liveShard, shard, written, late int) bool {
-	var err error
-	if l.fdb == nil {
-		sh.recs = l.DB.DrainShard(shard, sh.recs[:0])
-	} else {
-		sh.recs, err = l.fdb.TryDrainShard(shard, sh.recs[:0])
-	}
+// decide is the shard's CentralServer and Prediction step: it takes
+// every pending row and finishes it in take order, PredictBatch rows a
+// scoring call. The rows after the carried ones are the pass's own, in
+// queue order, so its late ones are the first late of them — shed
+// oldest first. A row whose width disagrees with the scaler is
+// abandoned rather than panicking a kernel.
+func (l *Live) decide(sh *liveShard, carried, late int) {
+	rows := sh.pending
+	sh.pending = sh.pending[:0]
 	l.met.polls.Inc()
-	if err != nil {
-		l.StoreRetries.Add(1)
-		l.noteDegraded("store poll retry")
-		return false
-	}
-	polled := time.Now()
-	n := len(sh.recs)
-	l.Polled.Add(int64(n))
-	sh.polled.Add(int64(n))
-	lateFrom, want := n-written, len(l.cfg.Scaler.Mean)
-	todo := sh.recs[:0]
-	for i := range sh.recs {
-		rec := &sh.recs[i]
-		// Journal wait: accepted → drained.
-		l.met.stageJournal.ObserveDuration(polled.Sub(time.Unix(0, int64(rec.UpdatedAt))))
+	taken := time.Now()
+	l.Polled.Add(int64(len(rows)))
+	sh.polled.Add(int64(len(rows)))
+	want := len(l.cfg.Scaler.Mean)
+	todo := rows[:0]
+	for i := range rows {
+		rec := &rows[i]
+		// Journal wait: accepted → taken.
+		l.met.stageJournal.ObserveDuration(taken.Sub(time.Unix(0, int64(rec.UpdatedAt))))
 		l.jHop(rec.Key, rec.Updates, "poll")
 		switch {
-		case i >= lateFrom && i < lateFrom+late:
+		case i >= carried && i < carried+late:
 			l.shed(rec)
 		case len(rec.Features) != want:
 			l.abandonRecord(rec, "malformed")
@@ -181,12 +161,11 @@ func (l *Live) decide(sh *liveShard, shard, written, late int) bool {
 			if l.cfg.Fault.WorkerPanicNow() {
 				panic(fault.InjectedPanic{Site: fault.SiteWorkerPanic})
 			}
-			l.predictBatch(sh, rest[:min(len(rest), l.cfg.PredictBatch)], polled)
+			l.predictBatch(sh, rest[:min(len(rest), l.cfg.PredictBatch)], taken)
 			continue
 		}
 		sh.done = len(todo)
 	}
-	return true
 }
 
 // quitting reports whether Stop has begun.
@@ -199,7 +178,7 @@ func (l *Live) quitting() bool {
 	}
 }
 
-// shed drops one journaled row its shard took past the shed bound:
+// shed drops one row its shard took past the shed bound:
 // counted, its flow tainted, its sampled journey aborted.
 func (l *Live) shed(rec *store.FlowRecord) {
 	l.Shed.Add(1)
@@ -211,7 +190,7 @@ func (l *Live) shed(rec *store.FlowRecord) {
 // restart is the shard's supervisor, run after a panic escaped a pass
 // whose unfinished rows are already abandoned. Within the restart
 // budget it returns the backoff to sit out before the next pass,
-// doubling per restart; past it the shard is down — it still journals
+// doubling per restart; past it the shard is down — it still folds in
 // what it takes and abandons it as worker_down, so the ledger closes —
 // and the pipeline reports shedding.
 func (l *Live) restart(sh *liveShard, shard int) time.Duration {
@@ -233,17 +212,17 @@ func (l *Live) restart(sh *liveShard, shard int) time.Duration {
 }
 
 // predictBatch scores one micro-batch through the shared scorer and
-// finishes every record in journal order, whichever tier decided it,
+// finishes every record in take order, whichever tier decided it,
 // so the per-flow decision sequence is independent of how records were
 // grouped into batches. A record no model could score is abandoned
 // with reason no_model, never lost silently.
-func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time.Time) {
+func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.Time) {
 	s := &sh.scratch
 	dequeued := time.Now()
 	s.rows, s.keys = s.rows[:0], s.keys[:0]
 	for i := range batch {
 		rec := &batch[i]
-		l.met.stageQueue.ObserveDuration(dequeued.Sub(polled))
+		l.met.stageQueue.ObserveDuration(dequeued.Sub(taken))
 		l.jHop(rec.Key, rec.Updates, "batch")
 		s.rows = append(s.rows, rec.Features)
 		s.keys = append(s.keys, rec.Key)
@@ -293,7 +272,8 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, polled time
 // logs the decision. The vote span starts at this row's own clock
 // read, so row i's vote never includes finishing rows 0…i−1 of its
 // batch. The decision counts once it is logged and OnDecision has
-// returned.
+// returned; one whose log write is dropped is abandoned instead, as
+// store_dropped.
 func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 	t := now()
 	label := l.tables.Vote(rec.Key, v.raw, voteWindow)
@@ -301,8 +281,15 @@ func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 		Key: rec.Key, Label: label, At: t, Latency: t - rec.UpdatedAt, Votes: v.votes,
 		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
 	}
-	d := decisionOf(p)
+	l.met.stageVote.ObserveDuration(time.Since(time.Unix(0, int64(t))))
 
+	// The one record the decision leaves behind: Decisions and every
+	// checkpoint read it back from the store's log.
+	if !l.logPrediction(&p) {
+		l.abandonRecord(rec, "store_dropped")
+		return
+	}
+	d := decisionOf(p)
 	typ := rec.AttackType
 	if typ == "" {
 		typ = "unknown"
@@ -312,14 +299,38 @@ func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 		l.met.misclass.With(typ).Inc()
 	}
 	l.met.predictLatency.Observe(d.Latency.Seconds())
-	l.met.stageVote.ObserveDuration(time.Since(time.Unix(0, int64(t))))
-
-	// The one record the decision leaves behind: Decisions and every
-	// checkpoint read it back from the store's log.
-	l.DB.AppendPrediction(p)
 	if cb := l.OnDecision; cb != nil {
 		cb(d)
 	}
 	l.jComplete(rec.Key, rec.Updates)
 	l.Predictions.Add(1)
+}
+
+// logPrediction appends p to the store's log, retrying transient
+// failures with exponential backoff when the store surfaces them. A
+// write still failing after the retry budget is dropped — counted,
+// and raised to shedding, because a lost log write is a lost decision
+// — and logPrediction reports false.
+func (l *Live) logPrediction(p *store.PredictionRecord) bool {
+	if l.fdb == nil {
+		l.DB.AppendPrediction(*p)
+		return true
+	}
+	backoff := l.cfg.StoreRetryBackoff
+	for attempt := 0; ; attempt++ {
+		if l.fdb.TryAppendPrediction(*p) == nil {
+			return true
+		}
+		l.StoreRetries.Add(1)
+		l.noteDegraded("store write retry")
+		if attempt >= storeRetries {
+			l.StoreDropped.Add(1)
+			l.event("store write dropped", "component", "store",
+				"flow", p.Key.String(), "attempts", attempt+1)
+			l.noteShedding("store write dropped")
+			return false
+		}
+		time.Sleep(backoff)
+		backoff *= 2
+	}
 }

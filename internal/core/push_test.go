@@ -2,19 +2,21 @@ package core
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/amlight/intddos/internal/checkpoint"
 	"github.com/amlight/intddos/internal/flow"
-	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/store"
 )
 
 // The tests in this file pin the failure modes a push design adds over
-// a polled one: with no tick behind it, a record that is journaled and
-// not decided stays where it is forever. Each test ends in silence —
+// a polled one: with no tick behind it, a record that is taken and not
+// decided stays where it is forever. Each test ends in silence —
 // no later report arrives to cover for a missed pass.
 
 // TestPushLoneReportDecided sends one report into an idle, started
@@ -59,7 +61,7 @@ func oneShardKeys(n, nShards int) []flow.Key {
 // until settled, burst again — and requires every row decided exactly
 // once, in per-flow Seq order. Concurrent callers share the shard's
 // journal and its run lock, so a caller may find its row already
-// decided by another, or decide rows it did not write; neither may
+// decided by another, or decide rows it did not take; neither may
 // duplicate, drop or reorder anything.
 func TestPushBurstIdleBurstOneShard(t *testing.T) {
 	cfg := liveConfig(attackDetector())
@@ -131,17 +133,25 @@ func TestPushBurstIdleBurstOneShard(t *testing.T) {
 }
 
 // TestPushRestoredJournalTailScored boots from a checkpoint whose
-// journal tail is not empty — the state a crash between a journal write
+// journal tail is not empty — the state a crash between a row's take
 // and its decision leaves — and expects that tail scored after Start
-// with zero new reports.
+// with zero new reports. It does so twice: from a file this code
+// writes, and from testdata/parent-tail-12.amck, the same 12 rows as
+// written by commit d60008a, whose Live kept undecided rows in the
+// store's journal (stamped with a global sequence) rather than in its
+// shards. To regenerate that file, check out d60008a in a separate
+// tree (git worktree add <path> d60008a, or a clone), run the first
+// half of this test there — NewLive(ckptConfig(dir)), the same 12
+// Ingest calls, WriteCheckpoint — and copy dir's
+// ckpt-0000000000000001.amck here.
 func TestPushRestoredJournalTailScored(t *testing.T) {
 	dir := t.TempDir()
 	a, err := NewLive(ckptConfig(dir))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Not started: nothing is decided, so every snapshot stays in
-	// the journal and rides the checkpoint as restored-pending work.
+	// Not started: nothing is decided, so every snapshot stays pending
+	// and rides the checkpoint as restored-pending work.
 	const n = 12
 	for i := 0; i < n; i++ {
 		a.Ingest(liveObs(uint16(50+i%4), 40, true, "synflood"))
@@ -149,7 +159,24 @@ func TestPushRestoredJournalTailScored(t *testing.T) {
 	if _, _, err := a.WriteCheckpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}
+	decideRestoredTail(t, dir, n)
 
+	parent, err := os.ReadFile(filepath.Join("testdata", "parent-tail-12.amck"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir = t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, checkpoint.FileName(1)), parent, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	decideRestoredTail(t, dir, n)
+}
+
+// decideRestoredTail boots from dir, expects n rows pending, and
+// requires every one decided — as an attack — after Start with no new
+// reports, and nothing left pending.
+func decideRestoredTail(t *testing.T, dir string, n int) {
+	t.Helper()
 	b, err := NewLive(ckptConfig(dir))
 	if err != nil {
 		t.Fatal(err)
@@ -163,8 +190,8 @@ func TestPushRestoredJournalTailScored(t *testing.T) {
 	}
 	b.Stop()
 	assertAccounting(t, b)
-	if got := b.DB.JournalLen(); got != 0 {
-		t.Errorf("journal still holds %d entries", got)
+	if g := b.Ledger(); !g.Settled() || g.Restored != int64(n) || g.Polled != int64(n) {
+		t.Errorf("after deciding the tail: %s, want %d restored, %d polled, settled", g, n, n)
 	}
 	for _, d := range b.Decisions() {
 		if d.Label != 1 {
@@ -173,74 +200,92 @@ func TestPushRestoredJournalTailScored(t *testing.T) {
 	}
 }
 
-// outageStore fails every journal drain while down is set — a store
-// outage with a beginning and an end, which the fault grammar's
-// per-call probabilities cannot express. Writes pass through.
+// outageStore fails every prediction-log write while down is set — a
+// store outage with a beginning and an end, which the fault grammar's
+// per-call probabilities cannot express.
 type outageStore struct {
 	store.Store
 	down   atomic.Bool
 	failed atomic.Int64
 }
 
-func (s *outageStore) TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error {
-	s.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+func (s *outageStore) TryAppendPrediction(p store.PredictionRecord) error {
+	if s.down.Load() {
+		s.failed.Add(1)
+		return errors.New("store outage")
+	}
+	s.AppendPrediction(p)
 	return nil
 }
 
-func (s *outageStore) TryDrainShard(shard int, buf []store.FlowRecord) ([]store.FlowRecord, error) {
-	if s.down.Load() {
-		s.failed.Add(1)
-		return buf, errors.New("store outage")
-	}
-	return s.DrainShard(shard, buf), nil
-}
-
-// TestPushStoreOutageThenSilenceDrains journals reports while journal
-// drains fail, ends the outage, and sends nothing more: the rows must
-// still be decided, by the shard's own timed retry.
+// TestPushStoreOutageThenSilenceDrains takes the prediction log down
+// under traffic, ends the outage, and sends nothing more. An outage
+// shorter than the retry budget loses nothing: the write retried
+// through it. One longer than the budget drops the rows it outlasts —
+// abandoned as store_dropped, OnDecision never called for them — and
+// the ledger ends closed and settled either way.
 func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 2
-	cfg.StoreRetryBackoff = 200 * time.Microsecond
+	// The budget: retries after 30, 60 and 120 ms, then the drop.
+	cfg.StoreRetryBackoff = 30 * time.Millisecond
 	l, err := NewLive(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := &outageStore{Store: l.DB}
-	out.down.Store(true)
 	l.fdb = out
+	var called atomic.Int64
+	l.OnDecision = func(Decision) { called.Add(1) }
 	l.Start()
 	defer l.Stop()
 
-	const n = 20
+	// A short outage: it ends at the first failed write, well inside
+	// the budget.
+	out.down.Store(true)
+	const n = 10
 	for i := 0; i < n; i++ {
 		l.HandleReport(chaosReport(uint16(300+i), 40, true, "synflood"))
 	}
-	// Every shard with rows has tried its journal drain and failed.
-	if !waitFor(t, 5*time.Second, func() bool {
-		return l.IngestBacklog() == 0 && out.failed.Load() >= 2
-	}) {
-		t.Fatalf("backlog=%d failed drains=%d during the outage", l.IngestBacklog(), out.failed.Load())
-	}
-	if l.Polled.Load() != 0 || l.DB.JournalLen() != n {
-		t.Fatalf("during the outage polled=%d journal=%d, want 0/%d: a failed drain must consume nothing",
-			l.Polled.Load(), l.DB.JournalLen(), n)
-	}
-	if l.Health() != HealthDegraded {
-		t.Errorf("health = %v during the outage, want degraded", l.Health())
-	}
-	// Rows the outage keeps journaled are in flight: the ledger is closed
-	// but not settled, and waiting on it times out rather than hangs.
-	if g := l.Ledger(); !g.Closed() || g.Settled() || l.AwaitSettled(20*time.Millisecond) {
-		t.Errorf("during the outage the ledger should read closed, unsettled: %s", g)
+	if !waitFor(t, 5*time.Second, func() bool { return out.failed.Load() > 0 }) {
+		t.Fatal("no log write failed during the outage")
 	}
 	out.down.Store(false)
-	if !l.AwaitSettled(5*time.Second) || l.DecisionCount() != n {
-		t.Fatalf("after the outage %d of %d decided with no new reports: %s",
-			l.DecisionCount(), n, l.Ledger())
+	if !l.AwaitSettled(5*time.Second) || l.DecisionCount() != n || l.StoreDropped.Load() != 0 {
+		t.Fatalf("after a short outage %d of %d decided, %d dropped: %s",
+			l.DecisionCount(), n, l.StoreDropped.Load(), l.Ledger())
 	}
 	if l.StoreRetries.Load() == 0 {
 		t.Error("no store retries counted across the outage")
+	}
+	if l.Health() != HealthDegraded {
+		t.Errorf("health = %v after a retried outage, want degraded", l.Health())
+	}
+
+	// A long outage: every write of m rows outlasts the budget.
+	out.down.Store(true)
+	const m = 4
+	for i := 0; i < m; i++ {
+		l.HandleReport(chaosReport(uint16(400+i), 40, true, "synflood"))
+	}
+	if !waitFor(t, 10*time.Second, func() bool { return l.StoreDropped.Load() == m }) {
+		t.Fatalf("%d of %d writes dropped during a long outage", l.StoreDropped.Load(), m)
+	}
+	out.down.Store(false)
+	if !l.AwaitSettled(5 * time.Second) {
+		t.Fatalf("did not settle after the outage: %s", l.Ledger())
+	}
+	g := l.Ledger()
+	if g.Decided != n || g.Abandoned != m || l.AbandonedByReason()["store_dropped"] != m {
+		t.Errorf("after a long outage: %s (reasons %v), want %d decided and %d abandoned store_dropped",
+			g, l.AbandonedByReason(), n, m)
+	}
+	if called.Load() != n || l.DB.PredictionCount() != n {
+		t.Errorf("OnDecision called %d times, log holds %d, want %d: a dropped write is no decision",
+			called.Load(), l.DB.PredictionCount(), n)
+	}
+	if l.Health() != HealthShedding {
+		t.Errorf("health = %v after dropped writes, want shedding", l.Health())
 	}
 	assertAccounting(t, l)
 }

@@ -159,42 +159,37 @@ func faultKey(p uint16) flow.Key {
 func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	in := New(Spec{StoreErr: 1}, 1)
 	db := WrapStore(store.New(), in)
-	if err := db.TryAppendJournal(faultKey(1), []float64{1}, 0, 0, 1, false, ""); !errors.Is(err, ErrInjected) {
-		t.Fatalf("TryAppendJournal error = %v, want ErrInjected", err)
+	if err := db.TryAppendPrediction(store.PredictionRecord{Key: faultKey(1)}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("TryAppendPrediction error = %v, want ErrInjected", err)
 	}
-	if recs, err := db.TryDrainShard(0, nil); !errors.Is(err, ErrInjected) || len(recs) != 0 {
-		t.Fatalf("TryDrainShard = %d recs, error %v, want none and ErrInjected", len(recs), err)
+	if n := db.PredictionCount(); n != 0 {
+		t.Fatalf("a failed TryAppendPrediction logged %d records", n)
 	}
 	// The plain Store interface has no error returns, so those paths
 	// must keep working even at store.err=1.
 	if !db.UpsertFlow(faultKey(2), []float64{1}, 0, 0, 1, false, "") {
 		t.Fatal("plain UpsertFlow failed")
 	}
-	db.AppendJournal(faultKey(3), []float64{1}, 0, 0, 1, false, "")
-	recs, _ := db.PollShard(0, 0, 10)
-	if len(recs) != 2 {
-		t.Fatalf("plain PollShard = %d records, want 2", len(recs))
+	db.AppendPrediction(store.PredictionRecord{Key: faultKey(3)})
+	if recs, _ := db.PollShard(0, 0, 10); len(recs) != 1 {
+		t.Fatalf("plain PollShard = %d records, want 1", len(recs))
 	}
-	if db.FlowCount() != 1 {
-		t.Errorf("flow count = %d", db.FlowCount())
+	if db.FlowCount() != 1 || db.PredictionCount() != 1 {
+		t.Errorf("flow count = %d, predictions = %d, want 1/1", db.FlowCount(), db.PredictionCount())
 	}
-	if got := in.SiteCount(SiteStoreErr); got != 2 {
-		t.Errorf("store_err fired %d times, want 2", got)
+	if got := in.SiteCount(SiteStoreErr); got != 1 {
+		t.Errorf("store_err fired %d times, want 1", got)
 	}
 }
 
 func TestStoreWrapperCleanWhenNoStoreFaults(t *testing.T) {
 	in := New(Spec{Drop: 1}, 1) // faults elsewhere only
 	db := WrapStore(store.New(), in)
-	if err := db.TryAppendJournal(faultKey(1), []float64{1}, 0, 0, 1, false, ""); err != nil {
-		t.Fatalf("TryAppendJournal = %v", err)
+	if err := db.TryAppendPrediction(store.PredictionRecord{Key: faultKey(1), Label: 1}); err != nil {
+		t.Fatalf("TryAppendPrediction = %v", err)
 	}
-	recs, err := db.TryDrainShard(0, nil)
-	if err != nil || len(recs) != 1 {
-		t.Fatalf("TryDrainShard = %d recs, %v", len(recs), err)
-	}
-	if db.JournalLen() != 0 {
-		t.Errorf("journal holds %d entries after a drain", db.JournalLen())
+	if preds := db.Predictions(); len(preds) != 1 || preds[0].Label != 1 {
+		t.Errorf("prediction log = %+v, want the one record", preds)
 	}
 }
 

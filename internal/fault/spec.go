@@ -24,11 +24,11 @@ type Spec struct {
 	Delay  time.Duration
 	DelayP float64
 
-	// StoreErr is the probability a store write or poll fails with a
-	// transient error (surfaced only on the store.Fallible paths).
+	// StoreErr is the probability a prediction-log write fails with a
+	// transient error (surfaced only on the store.Fallible path).
 	StoreErr float64
-	// StoreStall/StoreStallP: with probability StoreStallP, a store
-	// operation stalls for StoreStall before proceeding.
+	// StoreStall/StoreStallP: with probability StoreStallP, a
+	// prediction-log write stalls for StoreStall before proceeding.
 	StoreStall  time.Duration
 	StoreStallP float64
 

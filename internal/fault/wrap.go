@@ -4,125 +4,49 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/store"
 )
 
-// Store wraps a store.Store with injected shard stalls and — on the
-// store.Fallible paths — transient errors. The plain Store methods
-// stall but cannot fail (the interface has no error returns), so
-// consumers that want the full fault surface must use TryAppendJournal
-// and TryDrainShard; core.Live does.
+// Store wraps a store.Store with injected stalls and transient
+// errors on the one write the live pipeline makes, the prediction
+// log's. AppendPrediction stalls but cannot fail (the interface has no
+// error return); TryAppendPrediction, the store.Fallible path core.Live
+// takes, can. Everything else is the inner store's.
 type Store struct {
-	inner store.Store
-	in    *Injector
+	store.Store
+	in *Injector
 }
 
 // WrapStore wraps s with the injector's store faults. A nil injector
 // returns a wrapper that behaves exactly like s.
 func WrapStore(s store.Store, in *Injector) *Store {
-	return &Store{inner: s, in: in}
+	return &Store{Store: s, in: in}
 }
 
-// Unwrap returns the wrapped store.
-func (s *Store) Unwrap() store.Store { return s.inner }
-
-// stall sleeps through an injected shard stall, if one fires.
+// stall sleeps through an injected stall, if one fires.
 func (s *Store) stall() {
 	if d := s.in.StoreStall(); d > 0 {
 		time.Sleep(d)
 	}
 }
 
-// UpsertFlow stalls, then writes through.
-func (s *Store) UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) bool {
+// AppendPrediction stalls, then writes through.
+func (s *Store) AppendPrediction(p store.PredictionRecord) {
 	s.stall()
-	return s.inner.UpsertFlow(key, features, registeredAt, updatedAt, updates, truth, attackType)
+	s.Store.AppendPrediction(p)
 }
 
-// AppendJournal stalls, then writes through.
-func (s *Store) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
-	s.stall()
-	s.inner.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
-}
-
-// TryAppendJournal stalls, then fails transiently or writes through.
-func (s *Store) TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error {
+// TryAppendPrediction stalls, then fails transiently — logging
+// nothing — or writes through.
+func (s *Store) TryAppendPrediction(p store.PredictionRecord) error {
 	s.stall()
 	if err := s.in.StoreErr(); err != nil {
 		return err
 	}
-	s.inner.AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
+	s.Store.AppendPrediction(p)
 	return nil
 }
-
-// Flow reads through.
-func (s *Store) Flow(key flow.Key) (store.FlowRecord, bool) { return s.inner.Flow(key) }
-
-// FlowCount reads through.
-func (s *Store) FlowCount() int { return s.inner.FlowCount() }
-
-// DeleteFlow writes through.
-func (s *Store) DeleteFlow(key flow.Key) { s.inner.DeleteFlow(key) }
-
-// Shards reads through.
-func (s *Store) Shards() int { return s.inner.Shards() }
-
-// PollShard stalls, then polls through.
-func (s *Store) PollShard(shard int, cursor uint64, max int) ([]store.FlowRecord, uint64) {
-	s.stall()
-	return s.inner.PollShard(shard, cursor, max)
-}
-
-// DrainShard stalls, then drains through.
-func (s *Store) DrainShard(shard int, buf []store.FlowRecord) []store.FlowRecord {
-	s.stall()
-	return s.inner.DrainShard(shard, buf)
-}
-
-// TryDrainShard stalls, then fails transiently — consuming nothing —
-// or drains through.
-func (s *Store) TryDrainShard(shard int, buf []store.FlowRecord) ([]store.FlowRecord, error) {
-	s.stall()
-	if err := s.in.StoreErr(); err != nil {
-		return buf, err
-	}
-	return s.inner.DrainShard(shard, buf), nil
-}
-
-// TrimShard writes through (trim is bookkeeping; failing it would
-// only delay memory reclamation, not detection).
-func (s *Store) TrimShard(shard int, cursor uint64) { s.inner.TrimShard(shard, cursor) }
-
-// PollGlobal stalls, then polls through.
-func (s *Store) PollGlobal(cursor uint64, max int) ([]store.FlowRecord, uint64) {
-	s.stall()
-	return s.inner.PollGlobal(cursor, max)
-}
-
-// TrimGlobal writes through, like TrimShard.
-func (s *Store) TrimGlobal(cursor uint64) { s.inner.TrimGlobal(cursor) }
-
-// JournalLen reads through.
-func (s *Store) JournalLen() int { return s.inner.JournalLen() }
-
-// AppendPrediction writes through.
-func (s *Store) AppendPrediction(p store.PredictionRecord) { s.inner.AppendPrediction(p) }
-
-// Predictions reads through.
-func (s *Store) Predictions() []store.PredictionRecord { return s.inner.Predictions() }
-
-// PredictionCount reads through.
-func (s *Store) PredictionCount() int { return s.inner.PredictionCount() }
-
-// SetJournalNew writes through.
-func (s *Store) SetJournalNew(on bool) { s.inner.SetJournalNew(on) }
-
-// Instrument registers the wrapped store's metrics.
-func (s *Store) Instrument(reg *obs.Registry) { s.inner.Instrument(reg) }
 
 var (
 	_ store.Store    = (*Store)(nil)

@@ -86,11 +86,9 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).AppendPrediction", "store.prediction_log"},
 		{"store.(*ShardedDB).Predictions", "store.prediction_merge"},
 		{"store.(*MergeCursor)", "store.prediction_merge"},
-		{"store.(*DB).AppendJournal", "store.shard_upsert"},
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},
 		{"store.(*DB).TrimJournal", "store.journal_poll"},
-		{"store.(*DB).DrainJournal", "store.journal_poll"},
 		{"store.(*DB).PollGlobal", "store.journal_poll"},
 		{"store.(*DB).TrimGlobal", "store.journal_poll"},
 		{"store.(*ShardedDB).PollGlobal", "store.journal_poll"},
@@ -98,7 +96,7 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).FlowCount", "store.journal_scan"},
 		{"flow.(*ShardedTable)", "flow.table"},
 		{"core.(*Live).finish", "core.finish"},
-		{"core.(*Live).journal", "core.ingest"},
+		{"core.(*Live).fold", "core.ingest"},
 		// Triage rules precede core.predict: the scorer's triage pass
 		// runs under predictBatch, so a stack blocked under the sketch
 		// veto or the cascade attributes to the triage stage, not the
@@ -114,8 +112,8 @@ func PipelineStages() []StageRule {
 		{"core.(*Live).burst", "core.shard"},
 		// A producer blocked on a full shard queue: backpressure.
 		{"core.(*Live).IngestAsync", "core.ingest_demux"},
-		// The shard loop outside a pass is parked on its queue, its
-		// retry timer or its restart backoff: waiting for work.
+		// The shard loop outside a pass is parked on its queue or its
+		// restart backoff: waiting for work.
 		{"core.(*Live).runShard", StageIdle},
 		{"telemetry.", "telemetry.ingest"},
 		// Harness and runtime background stacks block on channels too;

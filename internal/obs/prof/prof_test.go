@@ -77,7 +77,7 @@ func TestAttributionSeesInducedContention(t *testing.T) {
 // TestPipelineStagesScoringBuckets pins the rules to the pipeline's
 // frame names, for a pass run by the shard loop or by a direct Ingest
 // alike: under the scorer's triage pass is core.triage, the rest of a
-// scoring call core.predict, journaling core.ingest, and the rest of
+// scoring call core.predict, folding a row in core.ingest, and the rest of
 // the pass — its barrier and run lock — core.shard. The shard loop
 // outside a pass is idle; a producer blocked on a full queue is
 // core.ingest_demux.
@@ -95,7 +95,7 @@ func TestPipelineStagesScoringBuckets(t *testing.T) {
 		}{
 			{append([]string{core + "(*scorer).triage"}, scoring...), "core.triage"},
 			{scoring, "core.predict"},
-			{append([]string{"sync.(*Mutex).Lock", core + "(*Live).journal"}, pass[1:]...), "core.ingest"},
+			{append([]string{"sync.(*Mutex).Lock", core + "(*Live).fold"}, pass[1:]...), "core.ingest"},
 			{append([]string{"sync.(*RWMutex).RLock"}, pass[1:]...), "core.shard"},
 			{append([]string{"sync.(*Mutex).Lock"}, pass...), "core.shard"},
 		} {

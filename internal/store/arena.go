@@ -4,25 +4,18 @@ package store
 // (32 KiB, about 270 rows of the 15-feature vector).
 const arenaChunkLen = 4096
 
-// rowArena holds one journal stripe's feature rows. AppendJournal and
-// UpsertFlow copy each row into the newest chunk, in journal order, so
-// once the chunks are warm a row allocates nothing. Chunks are
-// recycled, never freed:
+// rowArena holds one journal stripe's feature rows. UpsertFlow copies
+// each row into the newest chunk, in journal order, so once the chunks
+// are warm a row allocates nothing. A poll copies its records' rows
+// out, since its caller keeps them; the trim after it recycles every
+// chunk before the one holding the oldest entry left (all of them when
+// none is left). Chunks are recycled, never freed.
 //
-//   - a poll copies its records' rows out, since its caller keeps them;
-//     the trim after it recycles every chunk before the one holding the
-//     oldest entry left (all of them when none is left);
-//   - a drain lends every chunk to its caller, whose records read them
-//     until the caller's next drain, which takes them back (the
-//     caller's spent arena becomes the journal's spare).
-//
-// Guarded by the owning DB's jmu. Bounded by twice the largest backlog
-// between two drains, or by the backlog a trim leaves.
+// Guarded by the owning DB's jmu. Bounded by the backlog a trim leaves.
 type rowArena struct {
 	chunks [][]float64 // rows live here, oldest first; the last fills at off
 	base   uint64      // absolute number of chunks[0]
 	off    int
-	lent   [][]float64 // the chunks the last drain handed its caller
 	spare  [][]float64
 }
 
@@ -74,17 +67,6 @@ func (a *rowArena) trimmed(journal []journalEntry) {
 	} else {
 		a.release(journal[0].chunk)
 	}
-}
-
-// lend hands every chunk to a drain's caller and takes back the chunks
-// the previous drain lent, which that caller has now finished with.
-func (a *rowArena) lend() {
-	a.spare = append(a.spare, a.lent...)
-	clear(a.lent)
-	a.lent = append(a.lent[:0], a.chunks...)
-	clear(a.chunks)
-	a.base += uint64(len(a.chunks))
-	a.chunks, a.off = a.chunks[:0], 0
 }
 
 // rowsLen sums the entries' row lengths: the slab detached cuts from.

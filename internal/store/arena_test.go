@@ -22,45 +22,6 @@ func arenaRow(i int) []float64 {
 	return row
 }
 
-// TestJournalArenaLendsUntilNextDrain: drained rows stay intact while
-// the journal takes new rows, until the caller drains again; a drain
-// cycle then runs on recycled chunks alone.
-func TestJournalArenaLendsUntilNextDrain(t *testing.T) {
-	db := New()
-	const burst = 600 // rows a drain: more than two chunks
-	var buf []FlowRecord
-	for cycle := 0; cycle < 6; cycle++ {
-		for i := 0; i < burst; i++ {
-			db.AppendJournal(arenaKey(i), arenaRow(cycle*burst+i), 0, 0, 1, false, "")
-		}
-		buf = db.DrainShard(0, buf[:0])
-		// New rows land while the drained batch is still being read.
-		for i := 0; i < burst; i++ {
-			db.AppendJournal(arenaKey(i), arenaRow(-1), 0, 0, 1, false, "")
-		}
-		for i := range buf {
-			if want := arenaRow(cycle*burst + i); !reflect.DeepEqual(buf[i].Features, want) {
-				t.Fatalf("cycle %d row %d: drained features %v, want %v", cycle, i, buf[i].Features, want)
-			}
-		}
-		db.DrainShard(0, nil)
-	}
-	a := &db.arena
-	chunks := len(a.chunks) + len(a.lent) + len(a.spare)
-	buf = db.DrainShard(0, buf[:0])
-	if got := testing.AllocsPerRun(10, func() {
-		for i := 0; i < burst; i++ {
-			db.AppendJournal(arenaKey(i), arenaRow(0), 0, 0, 1, false, "")
-		}
-		buf = db.DrainShard(0, buf[:0])
-	}); got > 2*burst { // the test's own rows; none of the journal's
-		t.Errorf("a warm drain cycle allocates %.0f objects, want only the test's %d rows", got, burst)
-	}
-	if after := len(a.chunks) + len(a.lent) + len(a.spare); after != chunks {
-		t.Errorf("arena grew from %d to %d chunks on warm cycles", chunks, after)
-	}
-}
-
 // TestJournalArenaBoundedUnderPollTrim: the Mechanism's cycle — upsert,
 // poll in global order, trim — keeps the arena at its backlog's size,
 // and polled records keep their rows after the chunks are reused.

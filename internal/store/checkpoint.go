@@ -5,27 +5,27 @@ import (
 	"sync/atomic"
 )
 
-// JournalEntry is one exported journal row: the dense per-shard
-// sequence number, the global ingest stamp shared across shards, and
-// the record snapshot taken at write time. It is the unit the
-// checkpoint subsystem persists so a restored store resumes polling
-// exactly where the crashed process left off. GSeq is zero in exports
-// decoded from version-1 snapshots (the format predates the stamp);
-// ImportShard synthesizes fresh stamps for those, preserving
-// per-shard order.
+// JournalEntry is one row of a checkpoint's journal tail: a sequence
+// number, a global ingest stamp, and the record snapshot taken at
+// write time. The live pipeline, the one checkpointer, writes its
+// undecided rows here (GSeq zero) and reads them back; the stamps are
+// the format's, kept so files cross versions — a reader that
+// journals restored rows gives a zero stamp a fresh one.
 type JournalEntry struct {
 	Seq  uint64
 	GSeq uint64
 	Rec  FlowRecord
 }
 
-// ShardExport is one shard's durable state: the unconsumed journal
-// tail, the shard's sequence counter, and — since snapshot version 2 —
-// the shard's prediction log in Seq order (on a delta export, only the
-// records logged since the previous export). Flow records are not part
-// of it: the one writer that checkpoints, the live pipeline, keeps its
-// flows in its flow table and journals without a record. Everything is
-// deep-copied — mutating an export never touches the store.
+// ShardExport is one shard's durable state in the checkpoint format:
+// the undecided journal tail, a sequence counter, and — since snapshot
+// version 2 — the shard's prediction log in Seq order (on a delta
+// export, only the records logged since the previous export). The
+// store exports and imports the prediction log alone: the one writer
+// that checkpoints, the live pipeline, keeps its flows in its flow
+// table and its undecided rows in its shards, and fills in Journal
+// and Seq itself. Everything is deep-copied — mutating an export never
+// touches the store.
 type ShardExport struct {
 	Journal []JournalEntry
 	Seq     uint64
@@ -38,13 +38,13 @@ type ShardExport struct {
 // state, not a fault-shaped view), so consumers capture the concrete
 // store before wrapping.
 type Checkpointable interface {
-	// ExportShard deep-copies one shard's durable state.
+	// ExportShard deep-copies one shard's prediction log.
 	// Out-of-range shards yield a zero export.
 	ExportShard(shard int) ShardExport
-	// ImportShard loads an export into one shard, replacing its
-	// state. It fails, before anything is replaced, when the shard
-	// index is out of range — the checkpointed shard count must match
-	// the store's — or a prediction does not fit the log.
+	// ImportShard loads an export's predictions into one shard,
+	// replacing its log. It fails, before anything is replaced, when
+	// the shard index is out of range — the checkpointed shard count
+	// must match the store's — or a prediction does not fit the log.
 	ImportShard(shard int, ex ShardExport) error
 	// ImportPredictions replaces the whole prediction log with a
 	// restored global-order history — the version-1 snapshot layout,
@@ -61,25 +61,14 @@ type Checkpointable interface {
 // predictions logged since whichever export came before it.
 type DeltaCheckpointable interface {
 	Checkpointable
-	// ExportShardDelta deep-copies one shard's journal tail and counter
-	// — always whole: the tail replaces the restored one, so entries
-	// polled since the parent never reappear — and the predictions
-	// logged since the previous export. Out-of-range shards yield a
-	// zero export.
+	// ExportShardDelta deep-copies the predictions one shard logged
+	// since the previous export. Out-of-range shards yield a zero
+	// export.
 	ExportShardDelta(shard int) ShardExport
-	// ApplyShardDelta replays a delta export on top of the shard's
-	// current state: the journal tail and sequence counter are
-	// replaced, predictions appended. A prediction that does not fit
-	// the log fails it with nothing applied.
+	// ApplyShardDelta appends a delta export's predictions to the
+	// shard's log. A prediction that does not fit the log fails it
+	// with nothing applied.
 	ApplyShardDelta(shard int, d ShardExport) error
-}
-
-// cloneRecord deep-copies a flow record (Features is the only
-// reference field).
-func cloneRecord(rec FlowRecord) FlowRecord {
-	snap := rec
-	snap.Features = append([]float64(nil), rec.Features...)
-	return snap
 }
 
 // raiseCounter lifts an atomic sequence counter to at least v, so
@@ -126,7 +115,7 @@ func (l *predLog) restoreAll(preds []PredictionRecord, ctr *atomic.Uint64, stamp
 	return nil
 }
 
-// ExportShard deep-copies the DB's durable state (the legacy DB is
+// ExportShard deep-copies the DB's prediction log (the legacy DB is
 // its own single shard). A full export moves the prediction mark — it
 // is the new base an incremental export diffs against.
 func (db *DB) ExportShard(shard int) ShardExport {
@@ -146,9 +135,8 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	return db.export(pre, false)
 }
 
-// ExportShardDelta deep-copies the DB's journal tail and the
-// predictions logged since the previous export (see
-// DeltaCheckpointable).
+// ExportShardDelta deep-copies the predictions the DB logged since the
+// previous export (see DeltaCheckpointable).
 func (db *DB) ExportShardDelta(shard int) ShardExport {
 	if shard != 0 {
 		return ShardExport{}
@@ -156,21 +144,11 @@ func (db *DB) ExportShardDelta(shard int) ShardExport {
 	return db.export(ShardExport{}, true)
 }
 
-// export copies the journal tail and the prediction log — all of it,
-// or with delta only the records after the mark — into pre's arrays,
-// and moves the mark to the newest record.
+// export copies the prediction log — all of it, or with delta only
+// the records after the mark — into pre's array, and moves the mark to
+// the newest record.
 func (db *DB) export(pre ShardExport, delta bool) ShardExport {
 	var ex ShardExport
-	db.jmu.Lock()
-	ex.Journal = pre.Journal[:0]
-	if cap(ex.Journal) < len(db.journal) {
-		ex.Journal = make([]JournalEntry, 0, len(db.journal))
-	}
-	for _, e := range db.journal {
-		ex.Journal = append(ex.Journal, JournalEntry{Seq: e.seq, GSeq: e.gseq, Rec: cloneRecord(e.rec)})
-	}
-	ex.Seq = db.seq
-	db.jmu.Unlock()
 	db.pmu.Lock()
 	preds, after := db.preds.view(), uint64(0)
 	if delta {
@@ -190,26 +168,21 @@ func (db *DB) export(pre ShardExport, delta bool) ShardExport {
 }
 
 // ApplyShardDelta replays a delta export on top of the DB's current
-// state (see DeltaCheckpointable). The restore path applies deltas
-// base-first, so after the last one the DB matches the crashed
-// process's state at its final capture.
+// log (see DeltaCheckpointable). The restore path applies deltas
+// base-first, so after the last one the log matches the crashed
+// process's at its final capture.
 func (db *DB) ApplyShardDelta(shard int, d ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: apply delta shard %d out of range (DB has exactly one)", shard)
 	}
-	// Predictions first: they are the one part that can fail.
 	db.pmu.Lock()
+	defer db.pmu.Unlock()
 	err := db.preds.restoreAll(d.Preds, db.predCtr, false)
 	db.predMark = db.preds.lastSeq()
-	db.pmu.Unlock()
-	if err != nil {
-		return err
-	}
-	db.restoreJournal(d.Journal, d.Seq)
-	return nil
+	return err
 }
 
-// ImportShard replaces the DB's durable state with an export.
+// ImportShard replaces the DB's prediction log with an export's.
 func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: import shard %d out of range (DB has exactly one)", shard)
@@ -222,32 +195,7 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	db.preds = preds
 	db.predMark = preds.lastSeq()
 	db.pmu.Unlock()
-	db.restoreJournal(ex.Journal, ex.Seq)
 	return nil
-}
-
-// restoreJournal replaces the journal tail and sequence counter with
-// restored ones. Entries without a global stamp (version-1 snapshots)
-// get fresh ones in journal order; the shared counter is raised past
-// every restored stamp so post-restore writes continue the sequence.
-func (db *DB) restoreJournal(entries []JournalEntry, seq uint64) {
-	db.jmu.Lock()
-	defer db.jmu.Unlock()
-	db.journal = make([]journalEntry, 0, len(entries))
-	db.arena.trimmed(nil)
-	for _, e := range entries {
-		g := e.GSeq
-		if g == 0 {
-			g = db.gseqCtr.Add(1)
-		} else {
-			raiseCounter(db.gseqCtr, g)
-		}
-		rec := e.Rec
-		var chunk uint64
-		rec.Features, chunk = db.arena.put(e.Rec.Features)
-		db.journal = append(db.journal, journalEntry{seq: e.Seq, gseq: g, chunk: chunk, rec: rec})
-	}
-	db.seq = seq
 }
 
 // ImportPredictions replaces the prediction log with a restored
@@ -264,12 +212,12 @@ func (db *DB) ImportPredictions(preds []PredictionRecord) error {
 	return nil
 }
 
-// ExportShard deep-copies one shard's durable state.
+// ExportShard deep-copies one shard's prediction log.
 func (s *ShardedDB) ExportShard(shard int) ShardExport {
 	return s.ExportShardInto(shard, ShardExport{})
 }
 
-// ExportShardInto deep-copies one shard's durable state, reusing a
+// ExportShardInto deep-copies one shard's prediction log, reusing a
 // dead prior export's backing arrays (see DB.ExportShardInto).
 func (s *ShardedDB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	if shard < 0 || shard >= len(s.shards) {
@@ -278,7 +226,7 @@ func (s *ShardedDB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	return s.shards[shard].ExportShardInto(0, pre)
 }
 
-// ImportShard loads an export into one shard.
+// ImportShard loads an export's predictions into one shard.
 func (s *ShardedDB) ImportShard(shard int, ex ShardExport) error {
 	if shard < 0 || shard >= len(s.shards) {
 		return fmt.Errorf("store: import shard %d out of range (have %d)", shard, len(s.shards))
@@ -286,8 +234,8 @@ func (s *ShardedDB) ImportShard(shard int, ex ShardExport) error {
 	return s.shards[shard].ImportShard(0, ex)
 }
 
-// ExportShardDelta deep-copies one shard's changes since the previous
-// export.
+// ExportShardDelta deep-copies the predictions one shard logged since
+// the previous export.
 func (s *ShardedDB) ExportShardDelta(shard int) ShardExport {
 	if shard < 0 || shard >= len(s.shards) {
 		return ShardExport{}

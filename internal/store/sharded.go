@@ -1,7 +1,6 @@
 package store
 
 import (
-	"strconv"
 	"sync/atomic"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -82,11 +81,6 @@ func (s *ShardedDB) FlowCount() int {
 	return n
 }
 
-// AppendJournal writes a journal-only snapshot into the key's shard.
-func (s *ShardedDB) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
-	s.shardFor(key).AppendJournal(key, features, registeredAt, updatedAt, updates, truth, attackType)
-}
-
 // DeleteFlow removes a flow record from its shard.
 func (s *ShardedDB) DeleteFlow(key flow.Key) { s.shardFor(key).DeleteFlow(key) }
 
@@ -110,15 +104,6 @@ func (s *ShardedDB) TrimShard(shard int, cursor uint64) {
 		return
 	}
 	s.shards[shard].TrimJournal(cursor)
-}
-
-// DrainShard appends one shard's unconsumed journal entries to buf and
-// empties that journal; out-of-range shards yield nothing.
-func (s *ShardedDB) DrainShard(shard int, buf []FlowRecord) []FlowRecord {
-	if shard < 0 || shard >= len(s.shards) {
-		return buf
-	}
-	return s.shards[shard].DrainJournal(buf)
 }
 
 // PollGlobal returns up to max journal entries after cursor in global
@@ -229,22 +214,13 @@ func (s *ShardedDB) SetJournalNew(on bool) {
 }
 
 // Instrument registers the striped database's metrics on reg: the
-// aggregate gauges the legacy DB exposes, a per-shard journal-length
-// gauge family, and lock-contention counters shared by all shards. The
-// shared journal-append latency histogram is wired into every shard.
+// prediction-log gauge the legacy DB exposes, the stripe count, and a
+// prediction-log contention counter shared by all shards.
 func (s *ShardedDB) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("intddos_store_journal_length", func() float64 { return float64(s.JournalLen()) })
 	reg.GaugeFunc("intddos_store_predictions_logged", func() float64 { return float64(s.PredictionCount()) })
 	reg.GaugeFunc("intddos_store_shards", func() float64 { return float64(len(s.shards)) })
-	perShard := reg.GaugeVec("intddos_store_shard_journal_length", "shard")
-	hist := reg.Histogram("intddos_store_upsert_seconds", nil)
-	contention := reg.Counter("intddos_store_lock_contention_total")
 	predContention := reg.Counter("intddos_store_predlog_contention_total")
-	for i, sh := range s.shards {
-		sh := sh
-		perShard.WithFunc(strconv.Itoa(i), func() float64 { return float64(sh.JournalLen()) })
-		sh.UpsertLatency = hist
-		sh.Contention = contention
+	for _, sh := range s.shards {
 		sh.PredContention = predContention
 	}
 }

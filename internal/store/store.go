@@ -12,7 +12,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/netsim"
@@ -76,20 +75,15 @@ type PredictionRecord struct {
 // against. Two implementations exist: DB, the paper-faithful single
 // mutex around one flow map (the shape of the original Python
 // deployment's one database), and ShardedDB, N lock-striped DB shards
-// for multi-core ingest. The journal is exposed per shard — Shards,
-// DrainShard, PollShard, TrimShard — so a shard's consumer never
-// touches a global lock; a single-shard store is polled exactly like
-// the legacy PollUpdates/TrimJournal pair.
+// for multi-core ingest. The simulated Mechanism writes flow records
+// and polls the journal, per shard or in global order; the live
+// pipeline keeps its flows and in-flight rows itself and writes only
+// the prediction log.
 type Store interface {
 	// UpsertFlow writes a feature snapshot for key into its flow record
 	// and the journal, returning whether the record was created. The
 	// features slice is copied.
 	UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool)
-	// AppendJournal writes a feature snapshot for key to the journal
-	// alone, keeping no flow record — for a writer whose own flow table
-	// is the record. The features slice is copied, into the journal's
-	// arena.
-	AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string)
 	// Flow returns a copy of the record for key and whether it exists.
 	Flow(key flow.Key) (FlowRecord, bool)
 	// FlowCount returns the number of live flow records.
@@ -105,21 +99,13 @@ type Store interface {
 	PollShard(shard int, cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimShard drops one shard's journal entries at or before cursor.
 	TrimShard(shard int, cursor uint64)
-	// DrainShard appends one shard's unconsumed journal entries to buf
-	// and drops them from the journal — PollShard and TrimShard in one
-	// lock hold, into the caller's buffer: the live pipeline's hand-off
-	// feed, which consumes everything it reads and keeps no cursor.
-	// The drained Features are lent from the journal's arena: they stay
-	// valid until the caller drains the same shard again, which takes
-	// them back. One caller drains a shard.
-	DrainShard(shard int, buf []FlowRecord) []FlowRecord
 	// PollGlobal returns up to max journal entries after cursor in
 	// global ingest order — entries are stamped with a global sequence
 	// shared across shards at write time, and the sharded store merges
 	// its per-shard journals by that stamp. The single-threaded
 	// simulated mechanism polls this feed so its queue order is
-	// independent of the shard count; the live pipeline polls per
-	// shard. The records' Features are the caller's to keep.
+	// independent of the shard count. The records' Features are the
+	// caller's to keep.
 	PollGlobal(cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimGlobal drops journal entries at or before cursor in the
 	// global order, across all shards.
@@ -142,21 +128,17 @@ type Store interface {
 	Instrument(reg *obs.Registry)
 }
 
-// Fallible is the optional error-surfacing side of a Store: writes
-// and polls that can fail transiently — fault-injected stores today,
-// network- or disk-backed stores tomorrow. The in-memory DB and
-// ShardedDB never fail and do not implement it; consumers type-assert
-// and fall back to the infallible methods. Callers of the Try paths
-// are expected to retry with backoff and to account for writes they
-// ultimately drop.
+// Fallible is the optional error-surfacing side of a Store: the one
+// write the live pipeline makes, which can fail transiently —
+// fault-injected stores today, network- or disk-backed stores
+// tomorrow. The in-memory DB and ShardedDB never fail and do not
+// implement it; consumers type-assert and fall back to
+// AppendPrediction. Callers are expected to retry with backoff and to
+// account for writes they ultimately drop.
 type Fallible interface {
-	// TryAppendJournal is AppendJournal with a transient-failure path.
-	// On error the write did not happen and may be retried.
-	TryAppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) error
-	// TryDrainShard is DrainShard with a transient-failure path. On
-	// error no journal entries were consumed and the drain may be
-	// retried.
-	TryDrainShard(shard int, buf []FlowRecord) ([]FlowRecord, error)
+	// TryAppendPrediction is AppendPrediction with a transient-failure
+	// path. On error the record was not logged and may be retried.
+	TryAppendPrediction(p PredictionRecord) error
 }
 
 // journalEntry marks one update available to pollers.
@@ -206,17 +188,6 @@ type DB struct {
 	// require true, the default used by the mechanism.
 	JournalNew bool
 
-	// UpsertLatency, when set, observes the wall-clock duration of
-	// every journal append — AppendJournal, or UpsertFlow's — in
-	// seconds (nil-safe; set by Instrument).
-	UpsertLatency *obs.Histogram
-
-	// Contention, when set, counts journal appends that found the
-	// journal mutex already held (nil-safe; set by Instrument and by
-	// ShardedDB.Instrument to quantify residual intra-shard
-	// contention).
-	Contention *obs.Counter
-
 	// PredContention, when set, counts AppendPrediction calls that
 	// found the prediction-log mutex already held (nil-safe; set by
 	// Instrument and by ShardedDB.Instrument). With per-shard logs
@@ -224,15 +195,13 @@ type DB struct {
 	PredContention *obs.Counter
 }
 
-// Instrument registers the database's metrics on reg: the journal
-// backlog and prediction-log gauges, the journal-append latency
-// histogram, and the lock-contention counters. Call once per database;
-// re-registration on the same registry is a no-op for the gauges.
+// Instrument registers the database's metrics on reg: the
+// prediction-log gauge and its lock-contention counter — the log is
+// the one part of the store the live pipeline writes. Call once per
+// database; re-registration on the same registry is a no-op for the
+// gauge.
 func (db *DB) Instrument(reg *obs.Registry) {
-	reg.GaugeFunc("intddos_store_journal_length", func() float64 { return float64(db.JournalLen()) })
 	reg.GaugeFunc("intddos_store_predictions_logged", func() float64 { return float64(db.PredictionCount()) })
-	db.UpsertLatency = reg.Histogram("intddos_store_upsert_seconds", nil)
-	db.Contention = reg.Counter("intddos_store_lock_contention_total")
 	db.PredContention = reg.Counter("intddos_store_predlog_contention_total")
 }
 
@@ -273,29 +242,12 @@ func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updated
 	return created
 }
 
-// AppendJournal writes a feature snapshot for key to the journal
-// alone; the entry's Version is zero, there being no record to count
-// writes of. The features slice is copied.
-func (db *DB) AppendJournal(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) {
-	db.appendJournal(FlowRecord{
-		Key: key, Features: features,
-		RegisteredAt: registeredAt, UpdatedAt: updatedAt, Updates: updates,
-		Truth: truth, AttackType: attackType,
-	})
-}
-
 // appendJournal appends rec, its Features copied into the arena. The
 // journal has its own lock so pollers reading the feed never block
 // record work; the global stamp is taken inside it, so the journal
 // stays gseq-sorted.
 func (db *DB) appendJournal(rec FlowRecord) {
-	if db.UpsertLatency != nil {
-		defer db.UpsertLatency.Since(time.Now())
-	}
-	if !db.jmu.TryLock() {
-		db.Contention.Inc() // nil-safe
-		db.jmu.Lock()
-	}
+	db.jmu.Lock()
 	db.seq++
 	var chunk uint64
 	rec.Features, chunk = db.arena.put(rec.Features)
@@ -374,23 +326,6 @@ func (db *DB) dropJournalHead(n int) {
 	clear(db.journal[rest:])
 	db.journal = db.journal[:rest]
 	db.arena.trimmed(db.journal)
-}
-
-// DrainJournal appends every unconsumed journal entry to buf and
-// empties the journal, lending the entries' arena chunks to the caller
-// until its next drain (see Store.DrainShard). The emptied slots are
-// cleared so the journal's backing array does not keep consumed
-// snapshots alive.
-func (db *DB) DrainJournal(buf []FlowRecord) []FlowRecord {
-	db.jmu.Lock()
-	defer db.jmu.Unlock()
-	for i := range db.journal {
-		buf = append(buf, db.journal[i].rec)
-	}
-	clear(db.journal)
-	db.journal = db.journal[:0]
-	db.arena.lend()
-	return buf
 }
 
 // JournalLen returns the number of unconsumed journal entries.
@@ -525,15 +460,6 @@ func (db *DB) TrimShard(shard int, cursor uint64) {
 		return
 	}
 	db.TrimJournal(cursor)
-}
-
-// DrainShard is DrainJournal on the store's only stripe; out-of-range
-// shards yield nothing for the same reason PollShard returns empty.
-func (db *DB) DrainShard(shard int, buf []FlowRecord) []FlowRecord {
-	if shard != 0 {
-		return buf
-	}
-	return db.DrainJournal(buf)
 }
 
 // SetJournalNew toggles journaling of brand-new records.

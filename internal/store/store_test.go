@@ -2,7 +2,6 @@ package store
 
 import (
 	"net/netip"
-	"reflect"
 	"testing"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -144,25 +143,6 @@ func TestPredictionLog(t *testing.T) {
 	}
 }
 
-// TestAppendJournalKeepsNoRecord: a journal-only write reaches the feed
-// exactly as UpsertFlow's would — minus the record's Version — and
-// leaves no flow record behind. The features are copied.
-func TestAppendJournalKeepsNoRecord(t *testing.T) {
-	db := New()
-	feats := []float64{1, 2}
-	db.AppendJournal(key(1), feats, 10, 20, 3, true, "synflood")
-	feats[0] = 99
-	if db.FlowCount() != 0 {
-		t.Fatalf("AppendJournal kept %d flow records", db.FlowCount())
-	}
-	recs, _ := db.PollUpdates(0, 0)
-	want := FlowRecord{Key: key(1), Features: []float64{1, 2}, RegisteredAt: 10, UpdatedAt: 20,
-		Updates: 3, Truth: true, AttackType: "synflood"}
-	if len(recs) != 1 || !reflect.DeepEqual(recs[0], want) {
-		t.Fatalf("journal = %+v, want [%+v]", recs, want)
-	}
-}
-
 func TestDeleteFlow(t *testing.T) {
 	db := New()
 	db.UpsertFlow(key(1), []float64{1}, 0, 0, 1, false, "")
@@ -176,22 +156,26 @@ func TestDeleteFlow(t *testing.T) {
 	}
 }
 
+// TestInstrument: the store registers what the live pipeline still
+// feeds — the prediction log — and no journal series: the live
+// pipeline keeps its rows in its shards, so a journal gauge would read
+// zero forever.
 func TestInstrument(t *testing.T) {
 	db := New()
 	reg := obs.NewRegistry()
 	db.Instrument(reg)
 	db.UpsertFlow(key(1), []float64{1}, 0, 0, 1, false, "")
-	db.UpsertFlow(key(1), []float64{2}, 0, 1, 2, false, "")
+	db.AppendPrediction(PredictionRecord{Key: key(1), Label: 1})
+	db.AppendPrediction(PredictionRecord{Key: key(1)})
 
 	s := reg.Snapshot()
-	if got := s.Gauges["intddos_store_journal_length"]; got != 2 {
-		t.Errorf("journal gauge = %v, want 2", got)
+	if got := s.Gauges["intddos_store_predictions_logged"]; got != 2 {
+		t.Errorf("predictions gauge = %v, want 2", got)
 	}
-	if h, ok := s.Histogram("intddos_store_upsert_seconds"); !ok || h.Count != 2 {
-		t.Errorf("upsert histogram count = %d, want 2", h.Count)
+	if _, ok := s.Gauges["intddos_store_journal_length"]; ok {
+		t.Error("journal gauge registered")
 	}
-	db.TrimJournal(2)
-	if got := reg.Snapshot().Gauges["intddos_store_journal_length"]; got != 0 {
-		t.Errorf("journal gauge after trim = %v, want 0", got)
+	if _, ok := s.Histogram("intddos_store_upsert_seconds"); ok {
+		t.Error("upsert histogram registered")
 	}
 }
