@@ -38,7 +38,7 @@ func main() {
 	obsAddr := flag.String("obs-addr", "", "serve /metrics, /healthz, /traces/flow and pprof on this address (e.g. :9090)")
 	liveMode := flag.Bool("live", false, "run the wall-clock concurrent pipeline instead of the simulated replay")
 	liveFor := flag.Duration("live-for", 0, "keep the -live replay looping for this long (0: one pass; implies looping until SIGINT when negative)")
-	shards := flag.Int("shards", 0, "stripe the flow table, database, and dispatch over N shards (0: the paper's single-lock layout)")
+	shards := flag.Int("shards", 0, "stripe the -live pipeline's flow table, prediction log, and dispatch over N shards (0: the paper's single-lock layout)")
 	predictBatch := flag.Int("predict-batch", 0, "scoring micro-batch cap (0: whole bursts, up to 32 rows a call, with -live, and the paper's record-at-a-time prediction for the Table VI replay; 1: record-at-a-time in both; results are identical at any size)")
 	faultSpec := flag.String("fault-spec", "", "inject faults into the -live pipeline, e.g. \"drop=0.01,store.err=0.1,panic=0.02\" (see README: fault tolerance)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the deterministic fault schedule")
@@ -97,8 +97,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "intddos: -fault-spec only applies to the -live pipeline")
 		os.Exit(1)
 	}
-	if *netemSpec != "" || *dedupWindow != 0 {
-		fmt.Fprintln(os.Stderr, "intddos: -netem and -dedup-window only apply to the -live pipeline")
+	if *netemSpec != "" || *dedupWindow != 0 || *shards != 0 {
+		fmt.Fprintln(os.Stderr, "intddos: -netem, -dedup-window and -shards only apply to the -live pipeline")
 		os.Exit(1)
 	}
 	if *checkpointDir != "" {
@@ -115,7 +115,7 @@ func main() {
 	}
 
 	live, err := intddos.RunTableVI(intddos.LiveConfig{
-		Scale: *scale, Seed: *seed, PacketsPerType: *packets, Shards: *shards,
+		Scale: *scale, Seed: *seed, PacketsPerType: *packets,
 		PredictBatch: *predictBatch,
 		Triage:       *triage, TriageThreshold: *triageThreshold, TriageModel: strings.ToUpper(*triageModel),
 	})

@@ -27,7 +27,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "experiment seed")
 	only := flag.String("only", "", "comma-separated subset: table1..table6, figure3, figure4, figure5, figure7, coverage, ablation (on request: roc, mitigation, scaling, chaos, triage, impair, soak)")
 	packets := flag.Int("packets", 2500, "packets per flow type in the live (Table VI) replays")
-	shards := flag.Int("shards", 0, "database shards for the live (Table VI) replays (0: the paper's single-lock store; 1 is observably identical to 0)")
 	predictBatch := flag.Int("predict-batch", 0, "scoring micro-batch size for the live (Table VI) replays (0/1: the paper's record-at-a-time prediction; results are identical at any size)")
 	triage := flag.Bool("triage", false, "enable tiered inference in the live (Table VI) replays: sketch triage + stage-0 early exit (off: the paper's exact pipeline)")
 	triageThreshold := flag.Float64("triage-threshold", intddos.DefaultTriageThreshold, "stage-0 confidence |2p-1| required to early-exit a record")
@@ -209,14 +208,14 @@ func main() {
 		// accuracy delta against triage-off baselines.
 		sweep, err := intddos.RunTriageSweep(intddos.TriageSweepConfig{
 			Live: intddos.LiveConfig{Scale: *scale, Seed: *seed, PacketsPerType: *packets,
-				Shards: *shards, PredictBatch: *predictBatch, TriageModel: strings.ToUpper(*triageModel)},
+				PredictBatch: *predictBatch, TriageModel: strings.ToUpper(*triageModel)},
 		})
 		fail(err)
 		fmt.Println(intddos.FormatTriageSweep(sweep))
 	}
 	if sel("table6") || sel("figure7") {
 		live, err := intddos.RunTableVI(intddos.LiveConfig{
-			Scale: *scale, Seed: *seed, PacketsPerType: *packets, Shards: *shards,
+			Scale: *scale, Seed: *seed, PacketsPerType: *packets,
 			PredictBatch: *predictBatch,
 			Triage:       *triage, TriageThreshold: *triageThreshold, TriageModel: strings.ToUpper(*triageModel),
 		})

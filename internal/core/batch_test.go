@@ -72,11 +72,7 @@ func runLiveBatch(t *testing.T, predictBatch int) (byFlow map[string][]string, c
 	t.Helper()
 	cfg := liveConfig(attackDetector(), countVoter(20), namedDetector("c"))
 	cfg.PredictBatch = predictBatch
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 	const per = 40
 	for s := range l.ckptMu {

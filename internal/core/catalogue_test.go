@@ -24,11 +24,7 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 	cfg.Triage, cfg.TriageThreshold = true, DefaultTriageThreshold
 	cfg.CheckpointDir = t.TempDir()
 	cfg.Fault = fault.New(fault.Spec{StoreErr: 0.01}, 1)
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 
 	var b strings.Builder

@@ -102,10 +102,7 @@ func TestChaosAccountingCloses(t *testing.T) {
 	cfg.Shards = 4
 	cfg.WorkerRestartBackoff = time.Millisecond
 	cfg.StoreRetryBackoff = 100 * time.Microsecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.workerRestartBudget = -1 // restarts unbounded: the run must survive
 	l.Start()
 	feedChaos(l, 40, 10)
@@ -136,11 +133,7 @@ func TestChaosStopMidStream(t *testing.T) {
 		cfg.DrainOnStop = drain
 		cfg.WorkerRestartBackoff = time.Millisecond
 		cfg.StoreRetryBackoff = 100 * time.Microsecond
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Start()
+		l := startLive(t, cfg)
 		feedChaos(l, 20, 5)
 		l.Stop() // no settling: records are mid-pipeline
 		assertAccounting(t, l)
@@ -155,11 +148,7 @@ func TestChaosFaultFreeFlowsBitIdentical(t *testing.T) {
 	run := func(in *fault.Injector) *Live {
 		cfg := liveConfig(namedDetector("A"), namedDetector("B"), namedDetector("C"))
 		cfg.Fault = in
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Start()
+		l := startLive(t, cfg)
 		feedChaos(l, 30, 6)
 		settle(t, l, 20*time.Second)
 		l.Stop()
@@ -205,10 +194,7 @@ func TestWorkerPanicSupervisorRestartsAndAccounts(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Fault = in
 	cfg.WorkerRestartBackoff = time.Millisecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.workerRestartBudget = 2
 	l.Start()
 	for i := 0; i < 10; i++ {
@@ -247,10 +233,7 @@ func TestQuorumDegradesToAvailableMajority(t *testing.T) {
 	in := fault.New(fault.Spec{ModelFail: map[string]float64{"B": 1}}, 7)
 	cfg := liveConfig(namedDetector("A"), namedDetector("B"), namedDetector("C"))
 	cfg.Fault = in
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.modelProbeAfter = time.Hour // no probes mid-test
 	l.Start()
 	for i := 0; i < 20; i++ {
@@ -309,10 +292,7 @@ func TestModelRecoversViaProbe(t *testing.T) {
 	flaky := &flakyModel{stubModel: namedDetector("B")}
 	flaky.remaining.Store(3)
 	cfg := liveConfig(namedDetector("A"), flaky, namedDetector("C"))
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.modelProbeAfter = 20 * time.Millisecond
 	l.Start()
 	defer l.Stop()
@@ -352,11 +332,7 @@ func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Fault = in
 	cfg.StoreRetryBackoff = 100 * time.Microsecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	for i := 0; i < 60; i++ {
 		l.Ingest(liveObs(uint16(3000+i), 1000, false, "benign"))
 	}
@@ -375,6 +351,42 @@ func TestStoreRetriesSurviveTransientErrors(t *testing.T) {
 	t.Logf("retries=%d dropped=%d", l.StoreRetries.Load(), l.StoreDropped.Load())
 }
 
+// TestStoreRetriesSpendOneSequenceAPass: a pass holds its shard's
+// run lock and barrier while it sleeps a log-write backoff, so during
+// a log outage the retries are the pass's, not each row's: a pass of n
+// rows sleeps one retry sequence in all, every row is abandoned as
+// store_dropped, and the ledger closes.
+func TestStoreRetriesSpendOneSequenceAPass(t *testing.T) {
+	const n, backoff = 16, 20 * time.Millisecond
+	cfg := liveConfig(attackDetector())
+	cfg.Fault = fault.New(fault.Spec{StoreErr: 1}, 1)
+	cfg.StoreRetryBackoff = backoff
+	l := newLive(t, cfg)
+	// Not started: the rows wait in the shard, and Start's first pass
+	// decides all n of them.
+	for i := 0; i < n; i++ {
+		l.Ingest(liveObs(uint16(5000+i), 1000, false, "benign"))
+	}
+	var sequence time.Duration
+	for i := 0; i < storeRetries; i++ {
+		sequence += backoff << i
+	}
+	start := time.Now()
+	l.Start()
+	settle(t, l, 20*time.Second)
+	// One sequence and change; a sequence a row would be n of them.
+	if took := time.Since(start); took > 2*sequence {
+		t.Errorf("the pass took %v: more than one retry sequence (%v) of sleep", took, sequence)
+	}
+	if got := l.AbandonedByReason()["store_dropped"]; got != n || l.DecisionCount() != 0 {
+		t.Errorf("store_dropped = %d, decided = %d: want all %d rows dropped", got, l.DecisionCount(), n)
+	}
+	if got := l.StoreRetries.Load(); got != storeRetries+n {
+		t.Errorf("failed writes = %d, want %d: the first row's %d retries, then one try a row", got, storeRetries+n, storeRetries)
+	}
+	assertAccounting(t, l)
+}
+
 // TestDrainOnStopPinsBothPolicies pins the two shutdown policies:
 // DrainOnStop scores everything still queued; the default abandons it
 // under reason "stop" — counted, either way. Reports go through the
@@ -385,11 +397,7 @@ func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 	for _, drain := range []bool{true, false} {
 		cfg := liveConfig(slowModel{d: 5 * time.Millisecond})
 		cfg.DrainOnStop, cfg.PredictBatch = drain, 1
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Start()
+		l := startLive(t, cfg)
 		const n = 40
 		for i := 0; i < n; i++ {
 			l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
@@ -438,10 +446,7 @@ func TestShardShedPathIsolatesOverload(t *testing.T) {
 	cfg := liveConfig(sizeGateModel{d: 10 * time.Millisecond})
 	cfg.Shards = 2
 	cfg.QueueCap = 4 // 2 per shard
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.shedAfter = 5 * time.Millisecond
 	// Pick one flow per shard.
 	var hot, cold uint16
@@ -500,10 +505,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 	cfg := liveConfig(slowModel{d: 5 * time.Millisecond})
 	cfg.Registry = reg
 	cfg.QueueCap = 2
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.healthRecency = 50 * time.Millisecond
 	l.shedAfter = time.Millisecond
 	l.Start()
@@ -556,11 +558,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 // abandoned under reason "malformed", not panic a kernel.
 func TestMalformedSnapshotsAbandonedNotFatal(t *testing.T) {
 	cfg := liveConfig(attackDetector())
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	// Bypass Ingest (which always builds well-formed vectors) and
 	// plant a malformed row straight in the shard's pending rows, as a
 	// restored journal tail would carry it, under the locks a pass holds.

@@ -87,11 +87,7 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	const nFlows, cut, total = 30, 3, 6
 
 	// Reference run: the full stream, uninterrupted.
-	a, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
+	a := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(a, nFlows, 0, total)
 	settle(t, a, 5*time.Second)
 	a.Stop()
@@ -101,11 +97,7 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	// unpolled (the barrier quiesces in-flight records; the journal
 	// tail rides the checkpoint as restored-pending work).
 	dir := t.TempDir()
-	b, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(dir))
 	feedRange(b, nFlows, 0, cut)
 	path, n, err := b.WriteCheckpoint()
 	if err != nil {
@@ -121,10 +113,7 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	b.Stop() // the simulated kill: B's post-checkpoint state is discarded
 
 	// Restored run: boots from the checkpoint, finishes the stream.
-	c, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newLive(t, ckptConfig(dir))
 	r := c.Restore()
 	if r == nil {
 		t.Fatal("no restore summary after booting from a checkpoint dir")
@@ -172,11 +161,7 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 func TestKillRestoreV1Compat(t *testing.T) {
 	const nFlows, cut, total = 30, 3, 6
 
-	a, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
+	a := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(a, nFlows, 0, total)
 	settle(t, a, 5*time.Second)
 	a.Stop()
@@ -184,11 +169,7 @@ func TestKillRestoreV1Compat(t *testing.T) {
 
 	// Crash run: capture the prefix, then write it in the version-1
 	// layout — the snapshot an old binary would have left on disk.
-	b, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
 	snap, err := b.CaptureCheckpoint()
 	if err != nil {
@@ -333,11 +314,7 @@ func compareTraces(t *testing.T, got, want map[string][]string, label string) {
 // its per-flow decision trace and prediction count.
 func referenceRun(t *testing.T, nFlows, total int) (map[string][]string, int) {
 	t.Helper()
-	a, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
+	a := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(a, nFlows, 0, total)
 	settle(t, a, 5*time.Second)
 	a.Stop()
@@ -371,11 +348,7 @@ func TestKillRestoreDeltaChain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptConfig(dir)
 	cfg.CheckpointFullEvery = 8 // first write full, the rest deltas
-	b, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, cfg)
 	prev := 0
 	for _, cut := range cuts {
 		feedRange(b, nFlows, prev, cut)
@@ -428,11 +401,7 @@ func TestKillRestoreMidDeltaChain(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptConfig(dir)
 	cfg.CheckpointFullEvery = 8
-	b, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, cfg)
 	prev := 0
 	for _, cut := range cuts {
 		feedRange(b, nFlows, prev, cut)
@@ -477,11 +446,7 @@ func TestKillRestoreV2Compat(t *testing.T) {
 	const nFlows, cut, total = 30, 3, 6
 	want, wantPreds := referenceRun(t, nFlows, total)
 
-	b, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
 	snap, err := b.CaptureCheckpoint()
 	if err != nil {
@@ -511,11 +476,7 @@ func TestKillRestoreV2Compat(t *testing.T) {
 // leaked into Snapshot.Windows, so double-capture equality failed
 // even though the encoder sorted the wire form.
 func TestCaptureDeterministic(t *testing.T) {
-	l, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(l, 20, 0, 4)
 	settle(t, l, 5*time.Second)
 	s1, err := l.CaptureCheckpoint()
@@ -547,11 +508,7 @@ func TestCaptureDeterministic(t *testing.T) {
 // every shard's checkpoint barrier must already be released — encode
 // and IO are not allowed back inside the frozen region.
 func TestEncodeOutsideBarrier(t *testing.T) {
-	l, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(l, 10, 0, 2)
 	hookRan := false
 	l.ckptPostCapture = func(*checkpoint.Snapshot) {
@@ -583,11 +540,7 @@ func TestEncodeOutsideBarrier(t *testing.T) {
 // must not load into a pipeline with another.
 func TestRestoreRejectsMismatchedPipeline(t *testing.T) {
 	dir := t.TempDir()
-	b, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(dir))
 	feedRange(b, 10, 0, 2)
 	if _, _, err := b.WriteCheckpoint(); err != nil {
 		t.Fatal(err)
@@ -661,11 +614,7 @@ func TestPeriodicCheckpointer(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptConfig(dir)
 	cfg.CheckpointEvery = 20 * time.Millisecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	feedRange(l, 10, 0, 3)
 	if !waitFor(t, 5*time.Second, func() bool { return l.Checkpoints.Load() >= checkpointKeep+1 }) {
 		t.Fatalf("periodic checkpointer wrote %d checkpoints", l.Checkpoints.Load())
@@ -711,43 +660,9 @@ func TestSweepBoundsStoreFlowCount(t *testing.T) {
 		if got := l.tables.Len(); got != 0 {
 			t.Fatalf("wave %d: table kept %d records", w, got)
 		}
-		if got := l.DB.FlowCount(); got != 0 {
-			t.Fatalf("wave %d: store holds %d flow records", w, got)
-		}
 	}
 	if l.Evictions.Load() != 5*wave {
 		t.Errorf("evictions = %d, want %d", l.Evictions.Load(), 5*wave)
-	}
-}
-
-// TestMechanismSweepDeletesStoreRecords is the simulated mechanism's
-// side of the leak fix: Table.Sweep's eviction hook removes database
-// rows, and a flow's vote window goes with its table record.
-func TestMechanismSweepDeletesStoreRecords(t *testing.T) {
-	eng := netsim.NewEngine()
-	cfg := testConfig(attackDetector())
-	cfg.FlowIdleTimeout = 100
-	m, err := New(eng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f := 0; f < 50; f++ {
-		m.Observe(simObs(uint16(3000+f), 10, 40, true, "synflood"))
-	}
-	if m.DB.FlowCount() != 50 {
-		t.Fatalf("store holds %d flows", m.DB.FlowCount())
-	}
-	voted := simObs(3000, 10, 40, true, "synflood").Key
-	m.Table.Vote(voted, 1, 3)
-	m.Table.Vote(voted, 1, 3)
-	if n := m.Table.Sweep(500); n != 50 {
-		t.Fatalf("swept %d, want 50", n)
-	}
-	if m.DB.FlowCount() != 0 {
-		t.Errorf("store leaked %d records after sweep", m.DB.FlowCount())
-	}
-	if m.Table.Len() != 0 || m.Table.Get(voted) != nil {
-		t.Errorf("table kept %d records after sweep", m.Table.Len())
 	}
 }
 
@@ -760,10 +675,7 @@ func TestSweepBoundsLateDecisionLeavesNoWindow(t *testing.T) {
 	t.Run("live", func(t *testing.T) {
 		cfg := liveConfig(attackDetector())
 		cfg.FlowIdleTimeout = 10 * time.Millisecond
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		l := newLive(t, cfg)
 		// Not started: the rows stay journaled, undecided, while the sweep
 		// evicts their flows.
 		const n = 20
@@ -794,14 +706,20 @@ func TestSweepBoundsLateDecisionLeavesNoWindow(t *testing.T) {
 		eng := netsim.NewEngine()
 		cfg := testConfig(attackDetector())
 		// Every record waits in the prediction queue longer than its
-		// flow's idle timeout, so each is decided after its flow is gone.
-		cfg.FlowIdleTimeout = netsim.Millisecond
-		cfg.SweepInterval = netsim.Millisecond
+		// flow's idle timeout, so each is decided after its flow is gone:
+		// the test sweeps the table every millisecond.
 		cfg.ServiceTime = 20 * netsim.Millisecond
 		m, err := New(eng, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		m.Table.IdleTimeout = netsim.Millisecond
+		var sweep func()
+		sweep = func() {
+			m.Table.Sweep(eng.Now())
+			eng.After(netsim.Millisecond, sweep)
+		}
+		eng.After(netsim.Millisecond, sweep)
 		m.Start()
 		const n = 5
 		for f := 0; f < n; f++ {
@@ -844,10 +762,7 @@ func TestKillRestoreWindowOnlyDelta(t *testing.T) {
 	dir := t.TempDir()
 	cfg := ckptConfig(dir)
 	cfg.CheckpointFullEvery = 4
-	a, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := newLive(t, cfg)
 	const n = 12
 	for i := 0; i < n; i++ {
 		a.Ingest(liveObs(uint16(50+i%4), 40, true, "synflood"))
@@ -892,11 +807,7 @@ func TestKillRestoreWindowOnlyDelta(t *testing.T) {
 // flow's first decision to attack.
 func TestKillRestoreIgnoresStoreRecordsAndOrphanWindows(t *testing.T) {
 	const nFlows, cut, total, late = 12, 3, 6, 9000
-	b, err := NewLive(ckptConfig(t.TempDir()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
 	snap, err := b.CaptureCheckpoint()
 	if err != nil {
@@ -955,11 +866,7 @@ func TestKillRestoreDeltaDropsSweptFlowsWindow(t *testing.T) {
 	cfg := ckptConfig(dir)
 	cfg.CheckpointFullEvery = 4
 	obs := liveObs(60, 40, true, "synflood")
-	a, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.Start()
+	a := startLive(t, cfg)
 	a.Ingest(obs)
 	settle(t, a, 5*time.Second)
 	if _, _, err := a.WriteCheckpoint(); err != nil {

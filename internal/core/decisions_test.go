@@ -51,10 +51,7 @@ func TestDecisionsAreTheLog(t *testing.T) {
 				cfg.Triage, cfg.TriageThreshold = true, 0.9
 				cfg.TriageModel = probaModel{stubModel: attackDetector(), conf: 1}
 			}
-			l, err := NewLive(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			l := newLive(t, cfg)
 			var mu sync.Mutex
 			handed := make(map[flowSeq]Decision)
 			l.OnDecision = func(d Decision) {
@@ -100,11 +97,7 @@ func TestDecisionsAreTheLog(t *testing.T) {
 func TestDecisionsStartAtTheRestoreMark(t *testing.T) {
 	const nFlows, cut, total = 30, 3, 7
 	dir := t.TempDir()
-	b, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Start()
+	b := startLive(t, ckptConfig(dir))
 	feedRange(b, nFlows, 0, cut)
 	settle(t, b, 5*time.Second)
 	if _, _, err := b.WriteCheckpoint(); err != nil {
@@ -112,10 +105,7 @@ func TestDecisionsStartAtTheRestoreMark(t *testing.T) {
 	}
 	b.Stop()
 
-	c, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newLive(t, ckptConfig(dir))
 	restored := c.Restore().Predictions
 	if restored != nFlows*cut {
 		t.Fatalf("restored %d predictions, want %d", restored, nFlows*cut)
@@ -156,11 +146,7 @@ func TestDecisionsStartAtTheRestoreMark(t *testing.T) {
 func TestDecisionsReadWhileAppending(t *testing.T) {
 	cfg := ckptConfig(t.TempDir())
 	cfg.QueueCap = 1 << 15 // nothing sheds: a gap would be a torn read
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	const producers, flowsEach, updates = 4, 16, 60
 	var feeding sync.WaitGroup
 	for p := 0; p < producers; p++ {

@@ -23,10 +23,7 @@ func sampleJourneys(l *Live, every int) {
 // journal, poll, batch, predict, and the completing vote — with no
 // journey left in flight after the pipeline drains.
 func TestFlowJourneyCompleteness(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, liveConfig(attackDetector()))
 	sampleJourneys(l, 1)
 	l.Start()
 
@@ -81,10 +78,7 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 // sampler runs journey-free — no sampler hops, no finished journeys,
 // and the nil accessor stays safe.
 func TestJourneySamplingDisabled(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, liveConfig(attackDetector()))
 	sampleJourneys(l, -1)
 	l.Start()
 	for i := 0; i < 10; i++ {
@@ -103,11 +97,7 @@ func TestJourneySamplingDisabled(t *testing.T) {
 // are live in the registry.
 func TestLiveEventLog(t *testing.T) {
 	cfg := liveConfig(attackDetector())
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	for i := 0; i < 5; i++ {
 		l.Ingest(liveObs(7, 40, true, "synflood"))
 	}

@@ -66,7 +66,7 @@ func TestLiveMatchesMechanism(t *testing.T) {
 
 					eng := netsim.NewEngine()
 					mcfg := testConfig(models...)
-					mcfg.PredictBatch, mcfg.Shards = batch, shards
+					mcfg.PredictBatch = batch
 					mcfg.Triage, mcfg.TriageModel = triage, stage0
 					m, err := New(eng, mcfg)
 					if err != nil {
@@ -87,11 +87,7 @@ func TestLiveMatchesMechanism(t *testing.T) {
 					lcfg.Triage, lcfg.TriageModel = triage, stage0
 					lcfg.DrainOnStop = true
 					lcfg.QueueCap = 4 * n // nothing sheds
-					l, err := NewLive(lcfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					l.Start()
+					l := startLive(t, lcfg)
 					for _, pi := range obs {
 						l.Ingest(pi)
 					}

@@ -16,13 +16,28 @@ import (
 
 // TestLiveConfigKnobsHaveCallers enforces the surface rule for
 // LiveConfig: an exported field is a knob some program sets, or it is
-// a constant, with a seam on Live only if a test varies it. It parses the non-test Go files
-// under cmd/, examples/, internal/ (core aside) and benchmark/ and
-// fails on any field never set there — neither a key of a
-// core.LiveConfig / intddos.LiveRuntimeConfig composite literal nor the
-// target of an assignment through a variable or parameter declared
-// with that type.
+// a constant, with a seam on Live only if a test varies it. It parses
+// the non-test Go files under cmd/, examples/, internal/ (core aside)
+// and benchmark/ and fails on any field never set there — neither a
+// key of a core.LiveConfig / intddos.LiveRuntimeConfig composite
+// literal nor the target of an assignment through a variable or
+// parameter declared with that type.
 func TestLiveConfigKnobsHaveCallers(t *testing.T) {
+	checkKnobs(t, reflect.TypeOf(LiveConfig{}), "LiveRuntimeConfig",
+		"make it a constant (with a Live field if a test varies it) or delete it")
+}
+
+// TestMechanismConfigKnobsHaveCallers holds Config — the simulated
+// mechanism's, intddos.MechanismConfig in the facade — to the same
+// rule: a field only tests set is a knob no program turns.
+func TestMechanismConfigKnobsHaveCallers(t *testing.T) {
+	checkKnobs(t, reflect.TypeOf(Config{}), "MechanismConfig", "make it a constant or delete it")
+}
+
+// checkKnobs fails on every exported field of typ — a core type, named
+// facade in the intddos package — that no program sets.
+func checkKnobs(t *testing.T, typ reflect.Type, facade, fix string) {
+	t.Helper()
 	root := filepath.Join("..", "..")
 	skip := filepath.Join(root, "internal", "core")
 	set := make(map[string]bool)
@@ -41,23 +56,23 @@ func TestLiveConfigKnobsHaveCallers(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			liveConfigSets(f, set)
+			configSets(f, typ.Name(), facade, set)
 			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	typ := reflect.TypeOf(LiveConfig{})
 	for i := 0; i < typ.NumField(); i++ {
 		if f := typ.Field(i); f.IsExported() && !set[f.Name] {
-			t.Errorf("LiveConfig.%s is set by no program: make it a constant (with a Live field if a test varies it) or delete it", f.Name)
+			t.Errorf("%s.%s is set by no program: %s", typ.Name(), f.Name, fix)
 		}
 	}
 }
 
-// liveConfigSets adds to set every LiveConfig field f sets.
-func liveConfigSets(f *ast.File, set map[string]bool) {
+// configSets adds to set every field f sets of the config type named
+// name in core and facade in the intddos package.
+func configSets(f *ast.File, name, facade string, set map[string]bool) {
 	const module = "github.com/amlight/intddos"
 	imports := make(map[string]string) // local name → import path
 	for _, is := range f.Imports {
@@ -82,9 +97,9 @@ func liveConfigSets(f *ast.File, set map[string]bool) {
 		}
 		switch imports[pkg.Name] {
 		case module + "/internal/core":
-			return sel.Sel.Name == "LiveConfig"
+			return sel.Sel.Name == name
 		case module:
-			return sel.Sel.Name == "LiveRuntimeConfig"
+			return sel.Sel.Name == facade
 		}
 		return false
 	}

@@ -82,10 +82,7 @@ func TestLedgerClosedSettled(t *testing.T) {
 func TestLedgerSeesReportsParkedAtIngest(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 2
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	// Park the shards behind the capture barrier.
 	for s := range l.ckptMu {
 		l.ckptMu[s].Lock()
@@ -132,11 +129,7 @@ func TestLedgerStringIsTheOneRendering(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := liveConfig(attackDetector())
 	cfg.Registry = reg
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	feedChaos(l, 10, 3)
 	settle(t, l, 5*time.Second)
 	l.Stop()
@@ -178,11 +171,7 @@ func TestLedgerStringIsTheOneRendering(t *testing.T) {
 // producer: a report handed to IngestAsync after Stop is counted as
 // dropped, never parked in a queue no shard drains again.
 func TestIngestAfterStopIsDropped(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	l.Stop()
 	for i := 0; i < 100; i++ {
 		l.IngestAsync(liveObs(uint16(i), 40, true, "synflood"))

@@ -46,6 +46,9 @@ type liveShard struct {
 	// abandons the rest.
 	todo []store.FlowRecord
 	done int
+	// retried counts the log-write backoffs the pass in progress has
+	// slept: one retry sequence a pass (see logPrediction).
+	retried int
 
 	// Supervision: restarts survived, the next restart's backoff, and
 	// whether the restart budget is spent.

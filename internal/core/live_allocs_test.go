@@ -43,11 +43,7 @@ func TestLiveSteadyStateAllocsZeroConfig(t *testing.T) {
 // bursts, then counts what 20 000 rows of existing flows allocate.
 func steadyStateAllocs(t *testing.T, cfg LiveConfig) {
 	t.Helper()
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 	const flows, rows = 64, 20000
 	feed := func(n int) {

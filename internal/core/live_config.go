@@ -148,8 +148,8 @@ type LiveConfig struct {
 	WorkerRestartBackoff time.Duration
 
 	// StoreRetryBackoff is the initial delay between retries of a
-	// prediction-log write that failed transiently, doubling per
-	// attempt (default 2ms), storeRetries attempts at most.
+	// prediction-log write that failed transiently, doubling per retry
+	// (default 2ms), storeRetries retries a shard pass at most.
 	StoreRetryBackoff time.Duration
 }
 
@@ -177,11 +177,13 @@ const (
 	// intddos_records_abandoned{reason="worker_down"}, and the pipeline
 	// reports shedding.
 	workerRestartBudget = 8
-	// storeRetries bounds retry attempts after a transient error on a
-	// decision's prediction-log write, the one store write the pipeline
-	// makes. A write still failing after the budget is dropped: counted
-	// in intddos_store_dropped_total, its row abandoned as
-	// store_dropped, its flow tainted, OnDecision not called.
+	// storeRetries bounds the retries after transient errors on the
+	// prediction-log writes of one shard pass — the one store write the
+	// pipeline makes. The budget is the pass's, because the pass holds
+	// its shard while it sleeps: a write still failing once the pass has
+	// spent it is dropped: counted in intddos_store_dropped_total, its
+	// row abandoned as store_dropped, its flow tainted, OnDecision not
+	// called.
 	storeRetries = 3
 	// modelFailThreshold consecutive scoring failures mark an ensemble
 	// member unhealthy; it sits out modelProbeAfter before a recovery

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"github.com/amlight/intddos/internal/flow"
-	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
@@ -113,28 +112,18 @@ func (l *Live) fold(sh *liveShard, pi flow.PacketInfo) {
 	// capture (which holds every barrier for write) never races an
 	// update — the sketch is quiescent at the cut.
 	l.scorer.observe(pi.Key)
-	var (
-		reg     netsim.Time
-		last    netsim.Time
-		updates int
-	)
-	off := len(sh.slab)
+	var rec store.FlowRecord
 	l.tables.ObserveFunc(pi, func(st *flow.State) {
-		sh.slab = st.Features(sh.slab, intFeatures)
-		reg, last, updates = st.RegisteredAt, st.LastAt, st.Updates
+		rec, sh.slab = snapshot(pi, st, sh.slab)
 	})
 	if l.journeys.ShouldSample() {
 		// The ingest hop is the report's accept stamp, so the poll − ingest
 		// gap is the journal_wait stage the histogram times.
-		l.journeys.Begin(obs.JourneyID{Flow: pi.Key.Hash(), Seq: updates}, pi.Key.String(), "ingest",
+		l.journeys.Begin(obs.JourneyID{Flow: pi.Key.Hash(), Seq: rec.Updates}, pi.Key.String(), "ingest",
 			time.Unix(0, int64(pi.At)))
 	}
-	sh.pending = append(sh.pending, store.FlowRecord{
-		Key: pi.Key, Features: sh.slab[off:len(sh.slab):len(sh.slab)],
-		RegisteredAt: reg, UpdatedAt: last, Updates: updates,
-		Truth: pi.Label, AttackType: pi.AttackType,
-	})
-	l.jHop(pi.Key, updates, "journal")
+	sh.pending = append(sh.pending, rec)
+	l.jHop(pi.Key, rec.Updates, "journal")
 	l.Snapshots.Add(1)
 	l.met.stageIngest.Since(start)
 }

@@ -16,22 +16,14 @@ import (
 )
 
 func TestLiveStopTwice(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	l.Ingest(liveObs(1, 40, true, "synscan"))
 	l.Stop()
 	l.Stop() // second call must not panic on a closed quit channel
 }
 
 func TestLiveConcurrentStop(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
@@ -44,11 +36,7 @@ func TestLiveConcurrentStop(t *testing.T) {
 // and Decisions from many goroutines at once; run under -race this is
 // the pipeline's concurrency contract test.
 func TestLiveConcurrentReportsAndDecisions(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	defer l.Stop()
 
 	const writers, readers, per = 4, 2, 100
@@ -108,11 +96,7 @@ func TestLiveWindowEviction(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.FlowIdleTimeout = 50 * time.Millisecond
 	cfg.SweepInterval = 10 * time.Millisecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 
 	for i := 0; i < 8; i++ {
@@ -152,10 +136,7 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 	cfg.FlowIdleTimeout, cfg.SweepInterval = 50*time.Millisecond, 10*time.Millisecond
 	cfg.Fault = fault.New(fault.Spec{StoreErr: 0.5, WorkerPanic: 0.2}, 7)
 	cfg.WorkerRestartBackoff, cfg.StoreRetryBackoff = time.Millisecond, 50*time.Microsecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	if l.Obs() != reg {
 		t.Fatal("Obs() does not return the provided registry")
 	}
@@ -307,11 +288,7 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 func TestLiveMisclassCounter(t *testing.T) {
 	// attackDetector flags small packets; a large benign packet labeled
 	// as attack ground truth will be misclassified.
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	defer l.Stop()
 	l.Ingest(liveObs(5, 1500, true, "slowloris")) // big packet → predicted benign, truth attack
 	if !waitFor(t, 2*time.Second, func() bool { return len(l.Decisions()) == 1 }) {

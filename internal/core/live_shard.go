@@ -73,7 +73,7 @@ func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (pause time
 	sh.run.Lock()
 	defer sh.run.Unlock()
 	start := time.Now()
-	sh.todo, sh.done = nil, 0
+	sh.todo, sh.done, sh.retried = nil, 0, 0
 	defer func() {
 		// Panics inside a model are contained by the scoring path; what
 		// reaches here is an injected shard fault or a bug in the
@@ -258,7 +258,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.
 			if degraded && v.stage == 0 {
 				l.taintKey(rec.Key)
 			}
-			l.finish(rec, v)
+			l.finish(sh, rec, v)
 		} else {
 			// Every ensemble member is out: no best-effort answer exists
 			// for a row the cascade did not exit.
@@ -274,18 +274,14 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.
 // batch. The decision counts once it is logged and OnDecision has
 // returned; one whose log write is dropped is abandoned instead, as
 // store_dropped.
-func (l *Live) finish(rec *store.FlowRecord, v verdict) {
+func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
 	t := now()
-	label := l.tables.Vote(rec.Key, v.raw, voteWindow)
-	p := store.PredictionRecord{
-		Key: rec.Key, Label: label, At: t, Latency: t - rec.UpdatedAt, Votes: v.votes,
-		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
-	}
+	p := decisionRecord(rec, v, l.tables.Vote(rec.Key, v.raw, voteWindow), t)
 	l.met.stageVote.ObserveDuration(time.Since(time.Unix(0, int64(t))))
 
 	// The one record the decision leaves behind: Decisions and every
 	// checkpoint read it back from the store's log.
-	if !l.logPrediction(&p) {
+	if !l.logPrediction(sh, &p) {
 		l.abandonRecord(rec, "store_dropped")
 		return
 	}
@@ -307,30 +303,33 @@ func (l *Live) finish(rec *store.FlowRecord, v verdict) {
 }
 
 // logPrediction appends p to the store's log, retrying transient
-// failures with exponential backoff when the store surfaces them. A
-// write still failing after the retry budget is dropped — counted,
-// and raised to shedding, because a lost log write is a lost decision
-// — and logPrediction reports false.
-func (l *Live) logPrediction(p *store.PredictionRecord) bool {
+// failures with exponential backoff when the store surfaces them. The
+// backoffs are the pass's, not the write's: a pass sleeps one retry
+// sequence — storeRetries backoffs, doubling — at most, since it holds
+// its shard throughout, and once it has, a write failing in the rest
+// of the pass is not retried. A write still failing when the pass has
+// no backoff left is dropped — counted, and raised to shedding,
+// because a lost log write is a lost decision — and logPrediction
+// reports false.
+func (l *Live) logPrediction(sh *liveShard, p *store.PredictionRecord) bool {
 	if l.fdb == nil {
 		l.DB.AppendPrediction(*p)
 		return true
 	}
-	backoff := l.cfg.StoreRetryBackoff
-	for attempt := 0; ; attempt++ {
+	for attempt := 1; ; attempt++ {
 		if l.fdb.TryAppendPrediction(*p) == nil {
 			return true
 		}
 		l.StoreRetries.Add(1)
 		l.noteDegraded("store write retry")
-		if attempt >= storeRetries {
+		if sh.retried >= storeRetries {
 			l.StoreDropped.Add(1)
 			l.event("store write dropped", "component", "store",
-				"flow", p.Key.String(), "attempts", attempt+1)
+				"flow", p.Key.String(), "attempts", attempt)
 			l.noteShedding("store write dropped")
 			return false
 		}
-		time.Sleep(backoff)
-		backoff *= 2
+		time.Sleep(l.cfg.StoreRetryBackoff << sh.retried)
+		sh.retried++
 	}
 }

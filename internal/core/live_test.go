@@ -19,6 +19,28 @@ func liveConfig(models ...ml.Classifier) LiveConfig {
 	}
 }
 
+// newLive builds a pipeline that stops when the test ends, however it
+// ends: a test that fails with its pipeline started must not leave the
+// pipeline's goroutines behind for the next test to count. Stop is
+// idempotent, so a test may still stop it itself.
+func newLive(t *testing.T, cfg LiveConfig) *Live {
+	t.Helper()
+	l, err := NewLive(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(l.Stop)
+	return l
+}
+
+// startLive is newLive, started.
+func startLive(t *testing.T, cfg LiveConfig) *Live {
+	t.Helper()
+	l := newLive(t, cfg)
+	l.Start()
+	return l
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	t.Helper()
@@ -53,11 +75,7 @@ func TestLiveValidatesConfig(t *testing.T) {
 }
 
 func TestLiveEndToEnd(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	defer l.Stop()
 
 	for i := 0; i < 5; i++ {
@@ -83,11 +101,7 @@ func TestLiveEndToEnd(t *testing.T) {
 }
 
 func TestLiveConcurrentIngest(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	defer l.Stop()
 
 	const goroutines, per = 8, 50
@@ -115,10 +129,7 @@ func TestLiveConcurrentIngest(t *testing.T) {
 }
 
 func TestLiveHandleReport(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, liveConfig(attackDetector()))
 	var got []Decision
 	var mu sync.Mutex
 	l.OnDecision = func(d Decision) { mu.Lock(); got = append(got, d); mu.Unlock() }
@@ -155,11 +166,7 @@ func dedupReport(seq uint64) *telemetry.Report {
 func TestLiveDedupSuppressesDuplicateAndStaleReports(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.DedupWindow = 4
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 
 	l.HandleReport(dedupReport(1))
@@ -185,11 +192,7 @@ func TestLiveDedupSuppressesDuplicateAndStaleReports(t *testing.T) {
 }
 
 func TestLiveDedupOffAdmitsDuplicates(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	defer l.Stop()
 	l.HandleReport(dedupReport(1))
 	l.HandleReport(dedupReport(1))
@@ -211,10 +214,7 @@ func (s slowModel) Predict([]float64) int        { time.Sleep(s.d); return 0 }
 func TestLiveShedsUnderOverload(t *testing.T) {
 	cfg := liveConfig(slowModel{d: 20 * time.Millisecond})
 	cfg.QueueCap = 4
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.shedAfter = time.Millisecond // below the model's cost: a backlog sheds
 	l.Start()
 	defer l.Stop()
@@ -232,11 +232,7 @@ func TestLiveShedsUnderOverload(t *testing.T) {
 }
 
 func TestLiveStopIsIdempotentlySafe(t *testing.T) {
-	l, err := NewLive(liveConfig(attackDetector()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, liveConfig(attackDetector()))
 	l.Ingest(liveObs(1, 40, true, "synscan"))
 	l.Stop()
 	// Ingest after stop must not panic (goroutines gone, DB still ok).

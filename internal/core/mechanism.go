@@ -5,10 +5,10 @@
 //	INT Data Collection — terminates collector reports and extracts
 //	packet-level fields (steps 1–2);
 //	Data Processor — maintains the flow table, derives flow-level
-//	features, writes snapshots to the database, and aggregates final
-//	decisions (steps 3, 7–8);
-//	CentralServer — polls the database for record updates and feeds
-//	them to prediction, then routes predictions back (steps 4–7);
+//	features, writes snapshots for the CentralServer, and aggregates
+//	final decisions into the decision log (steps 3, 7–8);
+//	CentralServer — picks up the snapshot updates and feeds them to
+//	prediction, then routes predictions back (steps 4–7);
 //	Prediction — standardizes snapshots and runs the pre-trained
 //	model ensemble (steps 5–6).
 //
@@ -30,21 +30,17 @@ import (
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
-// Config parameterizes the mechanism.
+// Config parameterizes the mechanism. The model input is the paper's
+// 15 INT features, as in LiveConfig.
 type Config struct {
-	// Features selects the model input vector (default: the paper's
-	// 15 INT features).
-	Features flow.FeatureSet
 	// Models is the pre-trained ensemble (the paper uses MLP+RF+GNB).
 	Models []ml.Classifier
 	// Scaler standardizes snapshots before prediction; required.
 	Scaler *ml.StandardScaler
 
 	// PollInterval is the CentralServer's database polling period
-	// (default 2 ms).
+	// (default 2 ms); each poll fetches up to pollBatch records.
 	PollInterval netsim.Time
-	// PollBatch bounds records fetched per poll (default 64).
-	PollBatch int
 	// ServiceTime is the Prediction module's per-item cost on the
 	// virtual clock (default 1 ms), standing in for the Python
 	// inference + IPC cost of the paper's implementation.
@@ -60,13 +56,6 @@ type Config struct {
 	// predictions (default 3, §IV-C4); at most flow.MaxVoteWindow.
 	VoteWindow int
 
-	// SkipNewRecords restricts prediction to record *updates*, the
-	// strict reading of §III-3 (the CentralServer "does not consider
-	// new entries"). The default (false) also predicts on brand-new
-	// records, which the testbed behaviour — per-packet decisions
-	// from the first packet on, Figure 7 — requires.
-	SkipNewRecords bool
-
 	// PredictBatch is the Prediction module's scoring batch: when the
 	// service queue holds several records, the ensemble scores up to
 	// this many of them in one amortized batch call, and completions
@@ -76,20 +65,6 @@ type Config struct {
 	// VI is byte-identical at any batch size. Zero or one keeps
 	// per-sample scoring, the paper-faithful default.
 	PredictBatch int
-
-	// FlowIdleTimeout evicts idle flows (with their vote windows and
-	// database records); zero disables. SweepInterval defaults to the
-	// timeout.
-	FlowIdleTimeout netsim.Time
-	SweepInterval   netsim.Time
-
-	// Shards selects the database layout: zero keeps the paper's
-	// single-lock store.DB, n >= 1 stripes the journal over a
-	// store.ShardedDB with n shards. The simulated mechanism is
-	// single-threaded either way, and the CentralServer polls the
-	// merged global journal order, so the decision stream — and Table
-	// VI — is bit-exact at every shard count.
-	Shards int
 
 	// Triage enables tiered inference: a streaming sketch over the
 	// ingest stream plus a confidence-thresholded stage-0 model
@@ -140,8 +115,40 @@ func decisionOf(p store.PredictionRecord) Decision {
 	}
 }
 
+// snapshot is the Data Processor's database row for observation pi,
+// just folded into its flow's record st: the flow's feature row, cut
+// from the end of slab (returned extended), and its bookkeeping. Both
+// drivers build their rows here.
+func snapshot(pi flow.PacketInfo, st *flow.State, slab []float64) (store.FlowRecord, []float64) {
+	off := len(slab)
+	slab = st.Features(slab, intFeatures)
+	return store.FlowRecord{
+		Key: pi.Key, Features: slab[off:len(slab):len(slab)],
+		RegisteredAt: st.RegisteredAt, UpdatedAt: st.LastAt, Updates: st.Updates,
+		Truth: pi.Label, AttackType: pi.AttackType,
+	}, slab
+}
+
+// decisionRecord is the log record of rec's decision: label, smoothed
+// from verdict v, made at at. The decision is the flow's
+// (Updates−1)th, and its latency runs from the snapshot's
+// registration (§III-2). Both drivers log theirs through it.
+func decisionRecord(rec *store.FlowRecord, v verdict, label int, at netsim.Time) store.PredictionRecord {
+	return store.PredictionRecord{
+		Key: rec.Key, Label: label, At: at, Latency: at - rec.UpdatedAt, Votes: v.votes,
+		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
+	}
+}
+
 // Correct reports whether the decision matches ground truth.
 func (d Decision) Correct() bool { return (d.Label == 1) == d.Truth }
+
+// pollBatch bounds the records the CentralServer fetches per poll.
+const pollBatch = 64
+
+// rowChunkLen is how many feature values one of Mechanism's row chunks
+// holds (32 KiB, about 270 rows of the 15-feature vector).
+const rowChunkLen = 4096
 
 // Mechanism wires the four modules together on a netsim engine.
 type Mechanism struct {
@@ -149,27 +156,27 @@ type Mechanism struct {
 	cfg Config
 
 	Table *flow.Table
-	DB    store.Store
+	// DB is the prediction log: every decision is appended to it.
+	DB *store.DB
 
-	// gcursor is the CentralServer's position in the global journal
-	// order: PollGlobal merges the per-shard journals by their global
-	// ingest stamps, so the poll stream is the exact sequence of
-	// UpsertFlow calls regardless of shard count — the invariant the
-	// Table VI golden tests pin across layouts.
-	gcursor uint64
-	queue   []store.FlowRecord
+	// pending holds the snapshots the Data Processor has written and the
+	// CentralServer has not yet polled, in Observe order; queue holds
+	// the polled ones awaiting the Prediction module. chunk is the row
+	// chunk Observe cuts feature rows from: a full one is replaced, not
+	// grown, so a queued row's chunk is freed once no queued row reads
+	// it.
+	pending rowQueue
+	queue   rowQueue
+	chunk   []float64
 	busy    bool
 
 	// scorer is the Prediction module; scored caches its verdicts for
-	// the queue head block: index 0 always corresponds to queue[0].
-	// Scoring is pure, so scoring records at batch time instead of
-	// service time changes nothing observable.
+	// the queue head block: index 0 always corresponds to the queue's
+	// head. Scoring is pure, so scoring records at batch time instead
+	// of service time changes nothing observable.
 	scorer  *scorer
 	scratch batchScratch
 	scored  []verdict
-	// row is the Data Processor's feature-row scratch: dead once
-	// UpsertFlow has copied it.
-	row []float64
 
 	// OnDecision observes every final decision as it is made.
 	OnDecision func(Decision)
@@ -178,7 +185,7 @@ type Mechanism struct {
 
 	// Stats
 	Reports      int // reports ingested by INT Data Collection
-	Snapshots    int // feature snapshots written to the database
+	Snapshots    int // feature snapshots taken by the Data Processor
 	Predictions  int // ensemble runs completed
 	DroppedPolls int // updates dropped at a full prediction queue
 	MaxQueue     int
@@ -189,6 +196,33 @@ type Mechanism struct {
 	TriageFallthrough int
 }
 
+// rowQueue is a first-in, first-out run of feature snapshots. take
+// removes rows from the head in O(1): a taken slot is cleared, so the
+// GC can free a row chunk no queued row points into, and the live rows
+// move to the front only once the dead head outgrows them.
+type rowQueue struct {
+	rows []store.FlowRecord
+	head int
+}
+
+// live returns the queued rows, oldest first.
+func (q *rowQueue) live() []store.FlowRecord { return q.rows[q.head:] }
+
+func (q *rowQueue) len() int { return len(q.rows) - q.head }
+
+func (q *rowQueue) push(rec store.FlowRecord) { q.rows = append(q.rows, rec) }
+
+// take drops the n oldest rows.
+func (q *rowQueue) take(n int) {
+	clear(q.rows[q.head : q.head+n])
+	q.head += n
+	if q.head >= q.len() {
+		k := copy(q.rows, q.rows[q.head:])
+		clear(q.rows[k:])
+		q.rows, q.head = q.rows[:k], 0
+	}
+}
+
 // New validates cfg and builds a mechanism.
 func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	sc, err := newScorer(cfg.Models, cfg.Scaler, cfg.ModelQuorum, 1,
@@ -197,14 +231,8 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		return nil, err
 	}
 	cfg.ModelQuorum = sc.quorum
-	if cfg.Features == nil {
-		cfg.Features = flow.INTFeatures()
-	}
 	if cfg.PollInterval <= 0 {
 		cfg.PollInterval = 2 * netsim.Millisecond
-	}
-	if cfg.PollBatch <= 0 {
-		cfg.PollBatch = 64
 	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = netsim.Millisecond
@@ -216,24 +244,14 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		return nil, fmt.Errorf("core: vote window %d is longer than a flow record holds (%d)",
 			cfg.VoteWindow, flow.MaxVoteWindow)
 	}
-	if cfg.SweepInterval <= 0 {
-		cfg.SweepInterval = cfg.FlowIdleTimeout
-	}
-	if cfg.Shards < 0 {
-		cfg.Shards = 0
-	}
 	if cfg.PredictBatch < 1 {
 		cfg.PredictBatch = 1
-	}
-	var db store.Store = store.New()
-	if cfg.Shards > 0 {
-		db = store.NewSharded(cfg.Shards)
 	}
 	m := &Mechanism{
 		eng:    eng,
 		cfg:    cfg,
 		Table:  flow.NewTable(),
-		DB:     db,
+		DB:     store.New(),
 		scorer: sc,
 	}
 	// The simulation's ensemble call is the plain batch path: every
@@ -242,24 +260,15 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		votes, ones := ml.EnsembleVotesInto(&s.vs, m.cfg.Models, X)
 		return votes, ones, len(m.cfg.Models)
 	}
-	m.Table.IdleTimeout = cfg.FlowIdleTimeout
-	// Eviction is single-pass: when Sweep removes a flow, its database
-	// record goes with it, as its vote window does with the table
-	// record. The simulation is single-threaded, so no locking.
-	m.Table.OnEvict = m.DB.DeleteFlow
-	m.DB.SetJournalNew(!cfg.SkipNewRecords)
 	return m, nil
 }
 
 // Config returns the effective configuration after defaulting.
 func (m *Mechanism) Config() Config { return m.cfg }
 
-// Start arms the CentralServer polling loop and the eviction sweeps.
+// Start arms the CentralServer polling loop.
 func (m *Mechanism) Start() {
 	m.eng.After(m.cfg.PollInterval, m.pollTick)
-	if m.cfg.FlowIdleTimeout > 0 {
-		m.eng.After(m.cfg.SweepInterval, m.sweepTick)
-	}
 }
 
 // HandleReport is the INT Data Collection entry point: hook it to a
@@ -270,36 +279,37 @@ func (m *Mechanism) HandleReport(r *telemetry.Report, at netsim.Time) {
 }
 
 // Observe is the Data Processor ingest path: update the flow table
-// and write the feature snapshot to the database. Tests and the
-// sFlow-driven variant of the mechanism feed it normalized
-// observations directly.
+// and write the feature snapshot for the CentralServer's next poll —
+// every observation's, a flow's first included, as the testbed's
+// per-packet decisions from the first packet on (Figure 7) require.
+// Tests and the sFlow-driven variant of the mechanism feed it
+// normalized observations directly.
 func (m *Mechanism) Observe(pi flow.PacketInfo) {
 	m.scorer.observe(pi.Key)
 	st, _ := m.Table.Observe(pi)
-	m.row = st.Features(m.row[:0], m.cfg.Features)
-	m.DB.UpsertFlow(pi.Key, m.row, st.RegisteredAt, st.LastAt, st.Updates, pi.Label, pi.AttackType)
+	if cap(m.chunk)-len(m.chunk) < len(intFeatures) {
+		m.chunk = make([]float64, 0, rowChunkLen)
+	}
+	var rec store.FlowRecord
+	rec, m.chunk = snapshot(pi, st, m.chunk)
+	m.pending.push(rec)
 	m.Snapshots++
 }
 
-// pollTick is the CentralServer: fetch journal updates in global
-// ingest order — one merged stream across every shard, which for the
-// legacy single-shard DB is exactly the old single-journal poll —
-// enqueue them for prediction, re-arm.
+// pollTick is the CentralServer: fetch up to pollBatch snapshots in
+// the order they were written, enqueue them for prediction, re-arm.
 func (m *Mechanism) pollTick() {
-	recs, cur := m.DB.PollGlobal(m.gcursor, m.cfg.PollBatch)
-	m.gcursor = cur
-	for _, rec := range recs {
-		if m.cfg.QueueCap > 0 && len(m.queue) >= m.cfg.QueueCap {
+	polled := m.pending.live()[:min(pollBatch, m.pending.len())]
+	for _, rec := range polled {
+		if m.cfg.QueueCap > 0 && m.queue.len() >= m.cfg.QueueCap {
 			m.DroppedPolls++
 			continue
 		}
-		m.queue = append(m.queue, rec)
+		m.queue.push(rec)
 	}
-	m.DB.TrimGlobal(cur)
-	if len(m.queue) > m.MaxQueue {
-		m.MaxQueue = len(m.queue)
-	}
-	if !m.busy && len(m.queue) > 0 {
+	m.pending.take(len(polled))
+	m.MaxQueue = max(m.MaxQueue, m.queue.len())
+	if !m.busy && m.queue.len() > 0 {
 		m.startService()
 	}
 	m.eng.After(m.cfg.PollInterval, m.pollTick)
@@ -317,7 +327,8 @@ func (m *Mechanism) startService() {
 func (m *Mechanism) scoreHead() {
 	s := &m.scratch
 	s.rows, s.keys = s.rows[:0], s.keys[:0]
-	for _, rec := range m.queue[:min(m.cfg.PredictBatch, len(m.queue))] {
+	queued := m.queue.live()
+	for _, rec := range queued[:min(m.cfg.PredictBatch, len(queued))] {
 		s.rows = append(s.rows, rec.Features)
 		s.keys = append(s.keys, rec.Key)
 	}
@@ -331,9 +342,8 @@ func (m *Mechanism) completeService() {
 	if len(m.scored) == 0 {
 		m.scoreHead()
 	}
-	rec, v := m.queue[0], m.scored[0]
-	copy(m.queue, m.queue[1:])
-	m.queue = m.queue[:len(m.queue)-1]
+	rec, v := m.queue.live()[0], m.scored[0]
+	m.queue.take(1)
 	m.scored = m.scored[1:]
 
 	m.Predictions++
@@ -345,13 +355,10 @@ func (m *Mechanism) completeService() {
 
 	label, _ := m.Table.Vote(rec.Key, v.raw, m.cfg.VoteWindow)
 
+	p := decisionRecord(&rec, v, label, m.eng.Now())
 	// The verdict's votes live in the scoring scratch, reused by the
 	// next scoreHead; the public Decisions keep theirs.
-	now := m.eng.Now()
-	p := store.PredictionRecord{
-		Key: rec.Key, Label: label, At: now, Latency: now - rec.UpdatedAt, Votes: slices.Clone(v.votes),
-		FlowSeq: rec.Updates - 1, Stage: v.stage, Truth: rec.Truth, AttackType: rec.AttackType,
-	}
+	p.Votes = slices.Clone(p.Votes)
 	d := decisionOf(p)
 	m.Decisions = append(m.Decisions, d)
 	m.DB.AppendPrediction(p)
@@ -359,16 +366,9 @@ func (m *Mechanism) completeService() {
 		m.OnDecision(d)
 	}
 
-	if len(m.queue) > 0 {
+	if m.queue.len() > 0 {
 		m.startService()
 	} else {
 		m.busy = false
 	}
-}
-
-// sweepTick evicts idle flows from the table; the eviction hook
-// removes their database records in the same pass.
-func (m *Mechanism) sweepTick() {
-	m.Table.Sweep(m.eng.Now())
-	m.eng.After(m.cfg.SweepInterval, m.sweepTick)
 }

@@ -47,11 +47,9 @@ func identityScaler(n int) *ml.StandardScaler {
 }
 
 func testConfig(models ...ml.Classifier) Config {
-	feats := flow.INTFeatures()
 	return Config{
-		Features:     feats,
 		Models:       models,
-		Scaler:       identityScaler(len(feats)),
+		Scaler:       identityScaler(len(intFeatures)),
 		PollInterval: netsim.Millisecond,
 		ServiceTime:  500 * netsim.Microsecond,
 	}
@@ -88,7 +86,7 @@ func TestMechanismValidatesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := m.Config()
-	if cfg.VoteWindow != 3 || cfg.ModelQuorum != 1 || cfg.PollBatch != 64 {
+	if cfg.VoteWindow != 3 || cfg.ModelQuorum != 1 || cfg.PollInterval != netsim.Millisecond || cfg.PredictBatch != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
@@ -222,24 +220,6 @@ func TestMechanismWindowTieResolvesBenign(t *testing.T) {
 	}
 }
 
-func TestMechanismSkipNewRecordsSkipsFirstPacket(t *testing.T) {
-	eng := netsim.NewEngine()
-	cfg := testConfig(attackDetector())
-	cfg.SkipNewRecords = true
-	m, _ := New(eng, cfg)
-	m.Start()
-	eng.Schedule(0, func() { m.Observe(simObs(4, 0, 40, true, "synscan")) })
-	eng.RunUntil(100 * netsim.Millisecond)
-	if len(m.Decisions) != 0 {
-		t.Fatalf("single-packet flow produced %d decisions with SkipNewRecords", len(m.Decisions))
-	}
-	eng.Schedule(eng.Now(), func() { m.Observe(simObs(4, eng.Now(), 40, true, "synscan")) })
-	eng.RunUntil(200 * netsim.Millisecond)
-	if len(m.Decisions) != 1 {
-		t.Fatalf("update produced %d decisions", len(m.Decisions))
-	}
-}
-
 func TestMechanismBacklogLatencyGrows(t *testing.T) {
 	// Arrivals far faster than the service rate: later decisions must
 	// show queueing delay, the Table VI benign-latency effect.
@@ -286,23 +266,6 @@ func TestMechanismQueueCapDrops(t *testing.T) {
 	}
 	if len(m.Decisions)+m.DroppedPolls != 50 {
 		t.Errorf("decisions %d + drops %d != 50", len(m.Decisions), m.DroppedPolls)
-	}
-}
-
-func TestMechanismSweepEvictsState(t *testing.T) {
-	eng := netsim.NewEngine()
-	cfg := testConfig(attackDetector())
-	cfg.FlowIdleTimeout = 50 * netsim.Millisecond
-	cfg.SweepInterval = 20 * netsim.Millisecond
-	m, _ := New(eng, cfg)
-	m.Start()
-	eng.Schedule(0, func() { m.Observe(simObs(9, 0, 40, true, "synscan")) })
-	eng.RunUntil(netsim.Second)
-	if m.Table.Len() != 0 {
-		t.Errorf("flow table len = %d after idle timeout", m.Table.Len())
-	}
-	if m.DB.FlowCount() != 0 {
-		t.Errorf("db flows = %d after idle timeout", m.DB.FlowCount())
 	}
 }
 

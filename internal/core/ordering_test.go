@@ -18,10 +18,7 @@ import (
 func TestLiveShardAffinityOrdering(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 8
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	if l.Shards() != 8 {
 		t.Fatalf("Shards() = %d", l.Shards())
 	}
@@ -92,11 +89,7 @@ func TestLiveShardAffinityOrdering(t *testing.T) {
 func TestLiveShardedEndToEnd(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 4
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 	for i := 0; i < 5; i++ {
 		l.Ingest(liveObs(7, 40, true, "synflood"))

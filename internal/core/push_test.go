@@ -27,11 +27,7 @@ func TestPushLoneReportDecided(t *testing.T) {
 		cfg := liveConfig(attackDetector())
 		cfg.Shards = shards
 		cfg.PredictBatch = 32 // a batch that will never fill must not wait to
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Start()
+		l := startLive(t, cfg)
 		l.HandleReport(chaosReport(7, 40, true, "synflood"))
 		if !waitFor(t, 5*time.Second, func() bool { return l.DecisionCount() == 1 }) {
 			t.Fatalf("shards=%d: a lone report through the ingest queue was never decided", shards)
@@ -66,10 +62,7 @@ func oneShardKeys(n, nShards int) []flow.Key {
 func TestPushBurstIdleBurstOneShard(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards, cfg.PredictBatch = 4, 8
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	var mu sync.Mutex
 	seqs := make(map[flow.Key][]int)
 	l.OnDecision = func(d Decision) {
@@ -177,10 +170,7 @@ func TestPushRestoredJournalTailScored(t *testing.T) {
 // reports, and nothing left pending.
 func decideRestoredTail(t *testing.T, dir string, n int) {
 	t.Helper()
-	b, err := NewLive(ckptConfig(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
+	b := newLive(t, ckptConfig(dir))
 	if r := b.Restore(); r == nil || r.JournalPending != n {
 		t.Fatalf("restore summary %+v, want %d journal entries pending", r, n)
 	}
@@ -229,10 +219,7 @@ func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 	cfg.Shards = 2
 	// The budget: retries after 30, 60 and 120 ms, then the drop.
 	cfg.StoreRetryBackoff = 30 * time.Millisecond
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	out := &outageStore{Store: l.DB}
 	l.fdb = out
 	var called atomic.Int64
@@ -298,10 +285,7 @@ func TestPushStoreOutageThenSilenceDrains(t *testing.T) {
 func TestPushQueueOfOneShedsAndLedgerCloses(t *testing.T) {
 	cfg := liveConfig(slowModel{d: 2 * time.Millisecond})
 	cfg.QueueCap = 1
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.shedAfter = time.Millisecond
 	l.Start()
 	const n = 60

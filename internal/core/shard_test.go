@@ -36,10 +36,7 @@ func TestShardStallShorterThanBoundShedsNothing(t *testing.T) {
 	open := make(chan struct{})
 	cfg := liveConfig(stallModel{open: open})
 	cfg.Shards = 2
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	var mu sync.Mutex
 	seqs := make(map[flow.Key][]int)
 	l.OnDecision = func(d Decision) {
@@ -243,11 +240,7 @@ func TestShardGoroutinesOnePerShard(t *testing.T) {
 			cfg.CheckpointDir, cfg.CheckpointEvery = t.TempDir(), time.Hour
 			want += 2
 		}
-		l, err := NewLive(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l.Start()
+		l := startLive(t, cfg)
 		feedChaos(l, 40, 2)
 		settle(t, l, 5*time.Second)
 		if !waitFor(t, 5*time.Second, func() bool { s, a := pipelineGoroutines(); return s == cfg.Shards && a == want }) {
@@ -269,10 +262,7 @@ func TestShardGoroutinesOnePerShard(t *testing.T) {
 func TestVoteSpanIsPerRow(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.PredictBatch = 32
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := newLive(t, cfg)
 	l.OnDecision = func(Decision) { time.Sleep(time.Millisecond) }
 	// Queued before Start, the rows reach the shard as one pass and so
 	// one batch.

@@ -46,12 +46,11 @@ var _ ml.BatchProbaClassifier = probaModel{}
 // runMechanismTriage replays the batch_test workload through a
 // simulated mechanism with the given triage settings and returns the
 // full decision log.
-func runMechanismTriage(t *testing.T, predictBatch, shards int, triage bool, threshold, conf float64) (*Mechanism, []Decision) {
+func runMechanismTriage(t *testing.T, predictBatch int, triage bool, threshold, conf float64) (*Mechanism, []Decision) {
 	t.Helper()
 	eng := netsim.NewEngine()
 	cfg := testConfig(attackDetector())
 	cfg.PredictBatch = predictBatch
-	cfg.Shards = shards
 	cfg.Triage = triage
 	cfg.TriageThreshold = threshold
 	if triage {
@@ -95,7 +94,7 @@ func sameDecisions(t *testing.T, label string, base, got []Decision) {
 // same keys, labels, votes, timestamps, and Stage 0 provenance — at
 // every batch size and shard layout.
 func TestMechanismTriageInertBitIdentical(t *testing.T) {
-	_, base := runMechanismTriage(t, 1, 0, false, 0, 0)
+	_, base := runMechanismTriage(t, 1, false, 0, 0)
 	if len(base) != 30 {
 		t.Fatalf("baseline decisions = %d, want 30", len(base))
 	}
@@ -105,15 +104,13 @@ func TestMechanismTriageInertBitIdentical(t *testing.T) {
 		}
 	}
 	for _, batch := range []int{1, 8, 32} {
-		for _, shards := range []int{0, 4} {
-			m, got := runMechanismTriage(t, batch, shards, true, -1, 1)
-			sameDecisions(t, fmt.Sprintf("inert batch=%d shards=%d", batch, shards), base, got)
-			if m.TriageExited != 0 {
-				t.Errorf("batch=%d shards=%d: inert cascade exited %d rows", batch, shards, m.TriageExited)
-			}
-			_, off := runMechanismTriage(t, batch, shards, false, 0, 0)
-			sameDecisions(t, fmt.Sprintf("off batch=%d shards=%d", batch, shards), base, off)
+		m, got := runMechanismTriage(t, batch, true, -1, 1)
+		sameDecisions(t, fmt.Sprintf("inert batch=%d", batch), base, got)
+		if m.TriageExited != 0 {
+			t.Errorf("batch=%d: inert cascade exited %d rows", batch, m.TriageExited)
 		}
+		_, off := runMechanismTriage(t, batch, false, 0, 0)
+		sameDecisions(t, fmt.Sprintf("off batch=%d", batch), base, off)
 	}
 }
 
@@ -121,8 +118,8 @@ func TestMechanismTriageInertBitIdentical(t *testing.T) {
 // every row exits at stage 1 with a single-vote slice, and the labels
 // match the full-ensemble baseline (the stub agrees with itself).
 func TestMechanismTriageStageProvenance(t *testing.T) {
-	_, base := runMechanismTriage(t, 8, 0, false, 0, 0)
-	m, got := runMechanismTriage(t, 8, 0, true, 0.9, 1)
+	_, base := runMechanismTriage(t, 8, false, 0, 0)
+	m, got := runMechanismTriage(t, 8, true, 0.9, 1)
 	if len(got) != len(base) {
 		t.Fatalf("decisions = %d, want %d", len(got), len(base))
 	}
@@ -146,8 +143,8 @@ func TestMechanismTriageStageProvenance(t *testing.T) {
 // threshold: everything falls through to the full ensemble and the
 // decision log matches the triage-off baseline exactly.
 func TestMechanismTriageLowConfidenceFallsThrough(t *testing.T) {
-	_, base := runMechanismTriage(t, 8, 0, false, 0, 0)
-	m, got := runMechanismTriage(t, 8, 0, true, 0.9, 0.5)
+	_, base := runMechanismTriage(t, 8, false, 0, 0)
+	m, got := runMechanismTriage(t, 8, true, 0.9, 0.5)
 	sameDecisions(t, "low confidence", base, got)
 	if m.TriageExited != 0 || m.TriageFallthrough != len(got) {
 		t.Fatalf("exited=%d fallthrough=%d, want 0/%d", m.TriageExited, m.TriageFallthrough, len(got))
@@ -225,11 +222,7 @@ func runLiveTriage(t *testing.T, predictBatch, shards int, triage bool, threshol
 	if triage {
 		cfg.TriageModel = probaModel{stubModel: attackDetector(), conf: conf}
 	}
-	l, err := NewLive(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Start()
+	l := startLive(t, cfg)
 	defer l.Stop()
 	const flows, per = 6, 20
 	for u := 0; u < per; u++ {

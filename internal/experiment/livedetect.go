@@ -46,11 +46,6 @@ type LiveConfig struct {
 	// the paper pre-trains on data replayed through the testbed
 	// (§IV-C2).
 	AttackUtilization float64
-	// Shards selects the mechanism's database layout: zero is the
-	// paper's single-lock store, n >= 1 a ShardedDB with n shards.
-	// Table VI is bit-identical between the two at n=1 — the golden
-	// tests pin that.
-	Shards int
 	// PredictBatch sizes the Prediction module's scoring micro-batch:
 	// up to this many queued records are standardized and voted in one
 	// amortized ensemble call, while service completions still consume
@@ -299,7 +294,6 @@ func replayLive(recs []trace.Record, speed float64, models []ml.Classifier, scal
 		ServiceTime:     cfg.ServiceTime,
 		ModelQuorum:     cfg.ModelQuorum,
 		VoteWindow:      cfg.VoteWindow,
-		Shards:          cfg.Shards,
 		PredictBatch:    cfg.PredictBatch,
 		Triage:          cfg.Triage,
 		TriageThreshold: cfg.TriageThreshold,

@@ -174,8 +174,8 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 	if recs, _ := db.PollShard(0, 0, 10); len(recs) != 1 {
 		t.Fatalf("plain PollShard = %d records, want 1", len(recs))
 	}
-	if db.FlowCount() != 1 || db.PredictionCount() != 1 {
-		t.Errorf("flow count = %d, predictions = %d, want 1/1", db.FlowCount(), db.PredictionCount())
+	if db.PredictionCount() != 1 {
+		t.Errorf("predictions = %d, want 1", db.PredictionCount())
 	}
 	if got := in.SiteCount(SiteStoreErr); got != 1 {
 		t.Errorf("store_err fired %d times, want 1", got)

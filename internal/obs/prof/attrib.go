@@ -89,11 +89,7 @@ func PipelineStages() []StageRule {
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},
 		{"store.(*DB).TrimJournal", "store.journal_poll"},
-		{"store.(*DB).PollGlobal", "store.journal_poll"},
-		{"store.(*DB).TrimGlobal", "store.journal_poll"},
-		{"store.(*ShardedDB).PollGlobal", "store.journal_poll"},
 		{"store.(*DB).JournalLen", "store.journal_scan"},
-		{"store.(*DB).FlowCount", "store.journal_scan"},
 		{"flow.(*ShardedTable)", "flow.table"},
 		{"core.(*Live).finish", "core.finish"},
 		{"core.(*Live).fold", "core.ingest"},

@@ -22,12 +22,12 @@ func arenaRow(i int) []float64 {
 	return row
 }
 
-// TestJournalArenaBoundedUnderPollTrim: the Mechanism's cycle — upsert,
-// poll in global order, trim — keeps the arena at its backlog's size,
-// and polled records keep their rows after the chunks are reused.
+// TestJournalArenaBoundedUnderPollTrim: the poll cycle — upsert, poll
+// each shard, trim — keeps the arena at its backlog's size, and polled
+// records keep their rows after the chunks are reused.
 func TestJournalArenaBoundedUnderPollTrim(t *testing.T) {
 	for _, db := range []Store{New(), NewSharded(4)} {
-		var cursor uint64
+		cursors := make([]uint64, db.Shards())
 		var kept []FlowRecord
 		n := 0
 		for cycle := 0; cycle < 200; cycle++ {
@@ -35,11 +35,14 @@ func TestJournalArenaBoundedUnderPollTrim(t *testing.T) {
 				db.UpsertFlow(arenaKey(i), arenaRow(n), 0, 0, n, false, "")
 				n++
 			}
-			recs, cur := db.PollGlobal(cursor, 64) // leaves a backlog behind
-			db.TrimGlobal(cur)
-			cursor = cur
-			if cycle%50 == 0 {
-				kept = append(kept, recs...)
+			for s := range cursors {
+				// 64 rows a cycle in all: the poll leaves a backlog behind.
+				recs, cur := db.PollShard(s, cursors[s], 64/len(cursors))
+				db.TrimShard(s, cur)
+				cursors[s] = cur
+				if cycle%50 == 0 {
+					kept = append(kept, recs...)
+				}
 			}
 		}
 		total := 0

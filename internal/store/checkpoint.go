@@ -8,9 +8,9 @@ import (
 // JournalEntry is one row of a checkpoint's journal tail: a sequence
 // number, a global ingest stamp, and the record snapshot taken at
 // write time. The live pipeline, the one checkpointer, writes its
-// undecided rows here (GSeq zero) and reads them back; the stamps are
-// the format's, kept so files cross versions — a reader that
-// journals restored rows gives a zero stamp a fresh one.
+// undecided rows here and reads them back. GSeq is a field of the
+// format alone, kept so files cross versions: it is written as zero
+// and ignored on read.
 type JournalEntry struct {
 	Seq  uint64
 	GSeq uint64

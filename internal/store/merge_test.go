@@ -109,7 +109,7 @@ func TestMergedPredictionsLinearize(t *testing.T) {
 			}
 			// Every per-shard log the merge read is itself Seq-sorted.
 			for s := 0; s < nShards; s++ {
-				log := db.ShardPredictions(s)
+				log := db.shards[s].Predictions()
 				for i := 1; i < len(log); i++ {
 					if log[i].Seq <= log[i-1].Seq {
 						t.Fatalf("shard %d log not Seq-sorted at %d", s, i)

@@ -281,7 +281,7 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 					equal("Predictions", db.Predictions(), want)
 					if sh, ok := db.(*ShardedDB); ok {
 						for s := 0; s < lay.shards; s++ {
-							equal(fmt.Sprintf("ShardPredictions(%d)", s), sh.ShardPredictions(s), ofShard(want, s))
+							equal(fmt.Sprintf("shard %d Predictions", s), sh.shards[s].Predictions(), ofShard(want, s))
 						}
 					}
 					for _, after := range []int{0, 1, base, len(want)} {

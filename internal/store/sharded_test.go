@@ -31,31 +31,27 @@ func TestShardedBasics(t *testing.T) {
 			t.Fatalf("flow %d not created", i)
 		}
 	}
-	if s.FlowCount() != 64 {
-		t.Fatalf("FlowCount = %d", s.FlowCount())
-	}
 	if s.JournalLen() != 64 {
 		t.Fatalf("JournalLen = %d", s.JournalLen())
 	}
-	// Per-shard journal lengths must sum to the total and agree with
-	// key placement.
-	sum := 0
-	for i := 0; i < s.Shards(); i++ {
-		sum += s.ShardJournalLen(i)
-	}
-	if sum != 64 {
-		t.Fatalf("per-shard sum = %d", sum)
-	}
-	rec, ok := s.Flow(testKey(3))
-	if !ok || rec.Features[0] != 3 {
-		t.Fatalf("Flow(3) = %+v ok=%v", rec, ok)
+	// Each shard journals exactly the upserts of the keys routed to it.
+	for i, sh := range s.shards {
+		want := 0
+		for j := 0; j < 64; j++ {
+			if testKey(j).Shard(s.Shards()) == i {
+				want++
+			}
+		}
+		if got := sh.JournalLen(); got != want {
+			t.Fatalf("shard %d journals %d rows, want %d", i, got, want)
+		}
 	}
 	s.DeleteFlow(testKey(3))
-	if _, ok := s.Flow(testKey(3)); ok {
+	if !s.UpsertFlow(testKey(3), []float64{3}, 1, 2, 1, false, "") {
 		t.Fatal("flow 3 survived delete")
 	}
 
-	// Poll each shard to exhaustion; union must be all 64 upserts.
+	// Poll each shard to exhaustion; union must be every upsert.
 	seen := 0
 	for sh := 0; sh < s.Shards(); sh++ {
 		cursor := uint64(0)
@@ -69,8 +65,8 @@ func TestShardedBasics(t *testing.T) {
 			s.TrimShard(sh, cur)
 		}
 	}
-	if seen != 64 {
-		t.Fatalf("polled %d records, want 64", seen)
+	if seen != 65 {
+		t.Fatalf("polled %d records, want all 65 upserts", seen)
 	}
 	if s.JournalLen() != 0 {
 		t.Fatalf("journal not drained: %d", s.JournalLen())

@@ -1,15 +1,16 @@
-// Package store implements the database of the paper's Figure 2: a
-// keyed flow-record table the Data Processor writes feature snapshots
-// into, an update journal the CentralServer polls, and a prediction
-// log holding final labels with their prediction latencies.
+// Package store implements the database of the paper's Figure 2. Both
+// pipelines use it as the decision log: a prediction log holding final
+// labels with their prediction latencies. The keyed flow-record table
+// and the update journal beside it (UpsertFlow, PollShard, TrimShard)
+// are the round trip the paper's CentralServer polls; no pipeline in
+// this repository takes it any more, and the benchmark's replay alone
+// still times it.
 //
-// The store is safe for concurrent use; in simulation it is driven
-// from the single-threaded event loop, but the live mode drives it
-// from multiple goroutines.
+// The store is safe for concurrent use: the live mode drives it from
+// multiple goroutines.
 package store
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -75,19 +76,13 @@ type PredictionRecord struct {
 // against. Two implementations exist: DB, the paper-faithful single
 // mutex around one flow map (the shape of the original Python
 // deployment's one database), and ShardedDB, N lock-striped DB shards
-// for multi-core ingest. The simulated Mechanism writes flow records
-// and polls the journal, per shard or in global order; the live
-// pipeline keeps its flows and in-flight rows itself and writes only
-// the prediction log.
+// for multi-core logging. Both pipelines keep their flows and their
+// undecided rows themselves and write only the prediction log.
 type Store interface {
 	// UpsertFlow writes a feature snapshot for key into its flow record
 	// and the journal, returning whether the record was created. The
 	// features slice is copied.
 	UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool)
-	// Flow returns a copy of the record for key and whether it exists.
-	Flow(key flow.Key) (FlowRecord, bool)
-	// FlowCount returns the number of live flow records.
-	FlowCount() int
 	// DeleteFlow removes a flow record (eviction passthrough).
 	DeleteFlow(key flow.Key)
 
@@ -99,17 +94,6 @@ type Store interface {
 	PollShard(shard int, cursor uint64, max int) ([]FlowRecord, uint64)
 	// TrimShard drops one shard's journal entries at or before cursor.
 	TrimShard(shard int, cursor uint64)
-	// PollGlobal returns up to max journal entries after cursor in
-	// global ingest order — entries are stamped with a global sequence
-	// shared across shards at write time, and the sharded store merges
-	// its per-shard journals by that stamp. The single-threaded
-	// simulated mechanism polls this feed so its queue order is
-	// independent of the shard count. The records' Features are the
-	// caller's to keep.
-	PollGlobal(cursor uint64, max int) ([]FlowRecord, uint64)
-	// TrimGlobal drops journal entries at or before cursor in the
-	// global order, across all shards.
-	TrimGlobal(cursor uint64)
 	// JournalLen returns unconsumed journal entries across all shards.
 	JournalLen() int
 
@@ -121,9 +105,6 @@ type Store interface {
 	Predictions() []PredictionRecord
 	PredictionCount() int
 
-	// SetJournalNew controls whether brand-new records enter the
-	// journal (see DB.JournalNew).
-	SetJournalNew(on bool)
 	// Instrument registers the store's metrics on reg.
 	Instrument(reg *obs.Registry)
 }
@@ -144,7 +125,6 @@ type Fallible interface {
 // journalEntry marks one update available to pollers.
 type journalEntry struct {
 	seq   uint64     // dense per-shard sequence (PollShard indexes by it)
-	gseq  uint64     // global ingest sequence, shared across shards
 	chunk uint64     // the arena chunk holding rec.Features
 	rec   FlowRecord // snapshot by value at write time; Features in the arena
 }
@@ -173,20 +153,11 @@ type DB struct {
 	// Guarded by pmu.
 	predMark uint64
 
-	// gseqCtr stamps journal entries with the global ingest sequence
-	// and predCtr stamps prediction records with the global decision
-	// sequence. A standalone DB owns both; the shards of a ShardedDB
-	// share one of each, which is what makes the per-shard journals
-	// and prediction logs mergeable into one total order.
-	gseqCtr *atomic.Uint64
+	// predCtr stamps prediction records with the global decision
+	// sequence. A standalone DB owns it; the shards of a ShardedDB
+	// share one, which is what makes the per-shard prediction logs
+	// mergeable into one total order.
 	predCtr *atomic.Uint64
-
-	// JournalNew controls whether brand-new records enter the
-	// journal. The strict reading of §III-3 has the CentralServer
-	// skip new entries and react only to updates; the testbed results
-	// (per-packet predictions from the first packet on, Figure 7)
-	// require true, the default used by the mechanism.
-	JournalNew bool
 
 	// PredContention, when set, counts AppendPrediction calls that
 	// found the prediction-log mutex already held (nil-safe; set by
@@ -205,20 +176,17 @@ func (db *DB) Instrument(reg *obs.Registry) {
 	db.PredContention = reg.Counter("intddos_store_predlog_contention_total")
 }
 
-// New returns an empty database that journals new records.
+// New returns an empty database.
 func New() *DB {
 	return &DB{
-		flows:      make(map[flow.Key]*FlowRecord),
-		JournalNew: true,
-		gseqCtr:    new(atomic.Uint64),
-		predCtr:    new(atomic.Uint64),
+		flows:   make(map[flow.Key]*FlowRecord),
+		predCtr: new(atomic.Uint64),
 	}
 }
 
 // UpsertFlow writes a feature snapshot for key into its flow record
-// and — unless the record is new and JournalNew is off — the journal,
-// returning whether the record was created. The features slice is
-// copied.
+// and the journal, returning whether the record was created. The
+// features slice is copied.
 func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) (created bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -234,45 +202,22 @@ func (db *DB) UpsertFlow(key flow.Key, features []float64, registeredAt, updated
 	rec.Version++
 	rec.Truth = truth
 	rec.AttackType = attackType
-	if !created || db.JournalNew {
-		// Appending under mu keeps one flow's journal entries in its
-		// upsert order.
-		db.appendJournal(*rec)
-	}
+	// Appending under mu keeps one flow's journal entries in its upsert
+	// order.
+	db.appendJournal(*rec)
 	return created
 }
 
 // appendJournal appends rec, its Features copied into the arena. The
 // journal has its own lock so pollers reading the feed never block
-// record work; the global stamp is taken inside it, so the journal
-// stays gseq-sorted.
+// record work.
 func (db *DB) appendJournal(rec FlowRecord) {
 	db.jmu.Lock()
 	db.seq++
 	var chunk uint64
 	rec.Features, chunk = db.arena.put(rec.Features)
-	db.journal = append(db.journal, journalEntry{seq: db.seq, gseq: db.gseqCtr.Add(1), chunk: chunk, rec: rec})
+	db.journal = append(db.journal, journalEntry{seq: db.seq, chunk: chunk, rec: rec})
 	db.jmu.Unlock()
-}
-
-// Flow returns a copy of the record for key and whether it exists.
-func (db *DB) Flow(key flow.Key) (FlowRecord, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	rec, ok := db.flows[key]
-	if !ok {
-		return FlowRecord{}, false
-	}
-	snap := *rec
-	snap.Features = append([]float64(nil), rec.Features...)
-	return snap, true
-}
-
-// FlowCount returns the number of live flow records.
-func (db *DB) FlowCount() int {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return len(db.flows)
 }
 
 // PollUpdates returns up to max journal entries after cursor and the
@@ -333,58 +278,6 @@ func (db *DB) JournalLen() int {
 	db.jmu.Lock()
 	defer db.jmu.Unlock()
 	return len(db.journal)
-}
-
-// pollGlobalEntries returns up to max journal entries whose global
-// stamp is after cursor, their rows copied out of the arena. The
-// journal is gseq-sorted (the stamp is taken under jmu at append), so
-// the start is a binary search and the result a contiguous run.
-func (db *DB) pollGlobalEntries(cursor uint64, max int) []journalEntry {
-	db.jmu.Lock()
-	defer db.jmu.Unlock()
-	start := sort.Search(len(db.journal), func(i int) bool { return db.journal[i].gseq > cursor })
-	if start >= len(db.journal) {
-		return nil
-	}
-	end := len(db.journal)
-	if max > 0 && start+max < end {
-		end = start + max
-	}
-	polled := db.journal[start:end]
-	out := make([]journalEntry, len(polled))
-	slab := make([]float64, rowsLen(polled))
-	for i := range polled {
-		out[i] = polled[i]
-		out[i].rec = detached(&polled[i], &slab)
-	}
-	return out
-}
-
-// PollGlobal returns up to max journal entries after cursor in global
-// ingest order and the new cursor. For the single-journal DB the
-// global order is the journal order.
-func (db *DB) PollGlobal(cursor uint64, max int) ([]FlowRecord, uint64) {
-	entries := db.pollGlobalEntries(cursor, max)
-	if len(entries) == 0 {
-		return nil, cursor
-	}
-	out := make([]FlowRecord, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.rec)
-	}
-	return out, entries[len(entries)-1].gseq
-}
-
-// TrimGlobal drops journal entries whose global stamp is at or before
-// cursor.
-func (db *DB) TrimGlobal(cursor uint64) {
-	db.jmu.Lock()
-	defer db.jmu.Unlock()
-	i := 0
-	for i < len(db.journal) && db.journal[i].gseq <= cursor {
-		i++
-	}
-	db.dropJournalHead(i)
 }
 
 // AppendPrediction logs a final decision (§III-2 step 8), stamping it
@@ -460,13 +353,6 @@ func (db *DB) TrimShard(shard int, cursor uint64) {
 		return
 	}
 	db.TrimJournal(cursor)
-}
-
-// SetJournalNew toggles journaling of brand-new records.
-func (db *DB) SetJournalNew(on bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.JournalNew = on
 }
 
 var _ Store = (*DB)(nil)
