@@ -155,10 +155,9 @@ func main() {
 	}
 	if sel("scaling") && len(want) > 0 {
 		// Not part of the default artifact set; produced on request.
-		scfg := intddos.ScalingConfig{Scale: *scale, Seed: *seed}
-		points, err := intddos.RunScalingStudy(scfg)
+		points, err := intddos.RunScalingStudy(intddos.ScalingConfig{Scale: *scale, Seed: *seed})
 		fail(err)
-		fmt.Println(intddos.FormatScaling(points, scfg))
+		fmt.Println(intddos.FormatScaling(points))
 		writeCSV(*csvDir, "scaling.csv", func(w io.Writer) error { return intddos.WriteScalingCSV(w, points) })
 	}
 	if sel("chaos") && len(want) > 0 {

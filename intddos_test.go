@@ -126,7 +126,7 @@ func TestFacadeMechanism(t *testing.T) {
 }
 
 func TestFacadeMitigationFlow(t *testing.T) {
-	gen := NewRuleGenerator(MitigateConfig{SourceThreshold: 2})
+	gen := NewRuleGenerator(MitigateConfig{})
 	w := BuildWorkload(ScaleTiny, 42)
 	// Flag the first ten synscan packets as attacks.
 	n := 0

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/amlight/intddos/internal/fault"
+	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
@@ -130,10 +131,11 @@ func TestChaosStopMidStream(t *testing.T) {
 		cfg := liveConfig(namedDetector("A"), namedDetector("B"), namedDetector("C"))
 		cfg.Fault = in
 		cfg.Shards = 2
-		cfg.DrainOnStop = drain
 		cfg.WorkerRestartBackoff = time.Millisecond
 		cfg.StoreRetryBackoff = 100 * time.Microsecond
-		l := startLive(t, cfg)
+		l := newLive(t, cfg)
+		l.drainOnStop = drain
+		l.Start()
 		feedChaos(l, 20, 5)
 		l.Stop() // no settling: records are mid-pipeline
 		assertAccounting(t, l)
@@ -381,28 +383,114 @@ func TestStoreRetriesSpendOneSequenceAPass(t *testing.T) {
 	if got := l.AbandonedByReason()["store_dropped"]; got != n || l.DecisionCount() != 0 {
 		t.Errorf("store_dropped = %d, decided = %d: want all %d rows dropped", got, l.DecisionCount(), n)
 	}
-	if got := l.StoreRetries.Load(); got != storeRetries+n {
-		t.Errorf("failed writes = %d, want %d: the first row's %d retries, then one try a row", got, storeRetries+n, storeRetries)
+	if got := l.StoreRetries.Load(); got != storeRetries+2*n {
+		t.Errorf("failed writes = %d, want %d: the first row's %d backoff retries, then two tries a row",
+			got, storeRetries+2*n, storeRetries)
 	}
 	assertAccounting(t, l)
 }
 
+// attemptCounter counts each flow's prediction-log write attempts on
+// the way to the fallible store it wraps.
+type attemptCounter struct {
+	store.Fallible
+	attempts map[flow.Key]int
+}
+
+func (c *attemptCounter) TryAppendPrediction(p store.PredictionRecord) error {
+	c.attempts[p.Key]++
+	return c.Fallible.TryAppendPrediction(p)
+}
+
+// passDrops replays a seeded store.err schedule through one pass of n
+// log writes, the pass holding storeRetries backoffs and each write
+// immediate retries of its own once they are spent, and returns how
+// many writes are dropped. The injector draws each site's faults from
+// its own seeded stream, one draw a write attempt, so the count is the
+// pipeline's.
+func passDrops(p float64, seed int64, n, immediate int) int {
+	in := fault.New(fault.Spec{StoreErr: p}, seed)
+	backoffs, dropped := 0, 0
+	for w := 0; w < n; w++ {
+		for again := immediate; in.StoreErr() != nil; {
+			if backoffs < storeRetries {
+				backoffs++
+			} else if again > 0 {
+				again--
+			} else {
+				dropped++
+				break
+			}
+		}
+	}
+	return dropped
+}
+
+// TestStoreRetriesGiveEachLateWriteASecondAttempt: once a pass has
+// spent its backoffs, a failing log write is retried once at once
+// instead of dropped on its first failure. During an outage every
+// write after the budget makes exactly two attempts; under a seeded
+// 0.5 schedule the pass drops fewer rows than dropping at the first
+// failure would.
+func TestStoreRetriesGiveEachLateWriteASecondAttempt(t *testing.T) {
+	const n, seed = 64, 11
+	for _, p := range []float64{1, 0.5} {
+		cfg := liveConfig(attackDetector())
+		cfg.Fault = fault.New(fault.Spec{StoreErr: p}, seed)
+		cfg.StoreRetryBackoff = 100 * time.Microsecond
+		l := newLive(t, cfg)
+		counter := &attemptCounter{Fallible: l.fdb, attempts: make(map[flow.Key]int)}
+		l.fdb = counter
+		// Not started: Start's first pass takes all n rows.
+		for i := 0; i < n; i++ {
+			l.Ingest(liveObs(uint16(6000+i), 1000, false, "benign"))
+		}
+		l.Start()
+		settle(t, l, 20*time.Second)
+		assertAccounting(t, l)
+		dropped := int(l.StoreDropped.Load())
+		if want := passDrops(p, seed, n, 1); dropped != want {
+			t.Errorf("store.err=%g: dropped %d rows, the seeded schedule drops %d", p, dropped, want)
+		}
+		if p == 1 {
+			for i := 0; i < n; i++ {
+				key := liveObs(uint16(6000+i), 1000, false, "benign").Key
+				want := 2
+				if i == 0 {
+					want = storeRetries + 2 // the write that spent the backoffs
+				}
+				if got := counter.attempts[key]; got != want {
+					t.Errorf("write %d made %d attempts, want %d", i, got, want)
+				}
+			}
+			continue
+		}
+		if first := passDrops(p, seed, n, 0); dropped >= first {
+			t.Errorf("store.err=%g: dropped %d rows, no fewer than the %d dropping at the first failure would", p, dropped, first)
+		}
+		t.Logf("store.err=%g: dropped %d of %d (%d dropping at the first failure)", p, dropped, n, passDrops(p, seed, n, 0))
+	}
+}
+
 // TestDrainOnStopPinsBothPolicies pins the two shutdown policies:
-// DrainOnStop scores everything still queued; the default abandons it
-// under reason "stop" — counted, either way. Reports go through the
-// shard queue so a backlog can form behind the slow model. A shard
-// checks for Stop between scoring calls, so the rows are scored one a
-// call: a whole-burst call would carry a backlog past the Stop.
+// drainOnStop scores everything still queued; the default abandons it
+// under reason "stop" — counted, either way. A shard checks for Stop
+// between scoring calls, so the pass is several maxScoreBatch calls
+// long behind a per-row slow model: Stop lands during the first call
+// at any batch cap, and the later calls are the policy's to run or
+// abandon.
 func TestDrainOnStopPinsBothPolicies(t *testing.T) {
+	const n = 4 * maxScoreBatch
 	for _, drain := range []bool{true, false} {
-		cfg := liveConfig(slowModel{d: 5 * time.Millisecond})
-		cfg.DrainOnStop, cfg.PredictBatch = drain, 1
-		l := startLive(t, cfg)
-		const n = 40
+		l := newLive(t, liveConfig(slowModel{d: 2 * time.Millisecond}))
+		l.drainOnStop = drain
+		// Not started: the reports wait in the shard queue, and Start's
+		// first pass takes all n of them.
 		for i := 0; i < n; i++ {
 			l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
 		}
-		// Everything polled, the shard still grinding.
+		l.Start()
+		// Everything taken, the shard still grinding its first call.
 		if !waitFor(t, 5*time.Second, func() bool { return l.Polled.Load() == n }) {
 			t.Fatalf("polled = %d, want %d", l.Polled.Load(), n)
 		}
@@ -415,7 +503,7 @@ func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 			}
 		} else {
 			if stops == 0 {
-				t.Error("no-drain: nothing abandoned under reason stop despite a full queue")
+				t.Error("no-drain: nothing abandoned under reason stop despite a full pass")
 			}
 			if l.DecisionCount()+int(stops) != n {
 				t.Errorf("no-drain: decisions=%d + stops=%d != %d", l.DecisionCount(), stops, n)

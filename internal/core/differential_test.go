@@ -85,7 +85,6 @@ func TestLiveMatchesMechanism(t *testing.T) {
 					lcfg := liveConfig(models...)
 					lcfg.PredictBatch, lcfg.Shards = batch, shards
 					lcfg.Triage, lcfg.TriageModel = triage, stage0
-					lcfg.DrainOnStop = true
 					lcfg.QueueCap = 4 * n // nothing sheds
 					l := startLive(t, lcfg)
 					for _, pi := range obs {

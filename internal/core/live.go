@@ -89,8 +89,12 @@ type liveShard struct {
 // aggregate condition (healthy/degraded/shedding) is reported on
 // /healthz.
 type Live struct {
-	cfg     LiveConfig
-	nShards int
+	cfg LiveConfig
+	// drainOnStop makes Stop score every record still queued instead
+	// of abandoning it. Off, as in the paper's shutdown; tests set it
+	// between NewLive and Start to pin the other policy.
+	drainOnStop bool
+	nShards     int
 
 	tables *flow.ShardedTable
 	shards []*liveShard
@@ -240,7 +244,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	// which fault wrappers do not expose. Triage is a performance tier,
 	// not a fault surface — fall-through rows still score through the
 	// wrapped ensemble.
-	sc, err := newScorer(cfg.Models, cfg.Scaler, 0, nShards,
+	sc, err := newScorer(cfg.Models, cfg.Scaler, nShards,
 		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
 	if err != nil {
 		return nil, err
@@ -451,14 +455,13 @@ func (l *Live) Start() {
 }
 
 // Stop terminates the pipeline — each shard takes what is queued and
-// exits — and waits for every goroutine. What happens
-// to records still queued, or still undecided in a pass when Stop
-// begins, is policy: with DrainOnStop they are scored and logged like
-// any other record; without it they are counted in
-// intddos_records_abandoned{reason="stop"}. Either way nothing is
-// dropped silently (reports handed to HandleReport after Stop begins
-// are counted in intddos_ingest_dropped_total). Stop is idempotent —
-// extra and concurrent calls wait for the same shutdown and return.
+// exits — and waits for every goroutine. Records still queued, or
+// still undecided in a pass when Stop begins, are abandoned and
+// counted in intddos_records_abandoned{reason="stop"}, as the paper's
+// shutdown drops its in-flight work; nothing is dropped silently
+// (reports handed to HandleReport after Stop begins are counted in
+// intddos_ingest_dropped_total). Stop is idempotent — extra and
+// concurrent calls wait for the same shutdown and return.
 func (l *Live) Stop() {
 	l.stop.Do(func() {
 		close(l.quit)
@@ -482,11 +485,9 @@ func (l *Live) Stop() {
 // profiling without on-disk snapshots.
 func (l *Live) startProfiler() {
 	cfg := prof.Config{
-		MutexFraction: prof.DefaultMutexFraction,
-		BlockRateNs:   prof.DefaultBlockRateNs,
-		Dir:           l.cfg.ProfileDir,
-		Interval:      l.cfg.ProfileInterval,
-		Registry:      l.reg,
+		Dir:      l.cfg.ProfileDir,
+		Interval: l.cfg.ProfileInterval,
+		Registry: l.reg,
 	}
 	p, err := prof.Start(cfg)
 	if err != nil {

@@ -135,13 +135,6 @@ type LiveConfig struct {
 	// Nil injects nothing and costs one branch per event.
 	Fault *fault.Injector
 
-	// DrainOnStop makes Stop score every record still queued instead
-	// of abandoning it. Off (the default, matching the paper's
-	// shutdown) queued records are taken and counted in
-	// intddos_records_abandoned{reason="stop"} — observable either
-	// way, lost silently never.
-	DrainOnStop bool
-
 	// WorkerRestartBackoff is the initial delay before a shard restarts
 	// after a panic, doubling per restart of the shard up to one second
 	// (default 10ms).
@@ -167,8 +160,8 @@ const (
 	// sheds.
 	shedAfter = time.Second
 	// voteWindow is the §IV-C4 smoothing window: each flow's decision
-	// is the majority of its last three raw predictions (also
-	// Mechanism's default).
+	// is the majority of its last three raw predictions, in Live and
+	// Mechanism alike.
 	voteWindow = 3
 	// workerRestartBudget bounds how many panics a shard survives —
 	// each abandons the rest of its pass and restarts the shard after a
@@ -177,13 +170,13 @@ const (
 	// intddos_records_abandoned{reason="worker_down"}, and the pipeline
 	// reports shedding.
 	workerRestartBudget = 8
-	// storeRetries bounds the retries after transient errors on the
-	// prediction-log writes of one shard pass — the one store write the
-	// pipeline makes. The budget is the pass's, because the pass holds
-	// its shard while it sleeps: a write still failing once the pass has
-	// spent it is dropped: counted in intddos_store_dropped_total, its
-	// row abandoned as store_dropped, its flow tainted, OnDecision not
-	// called.
+	// storeRetries bounds the backoff retries after transient errors on
+	// the prediction-log writes of one shard pass — the one store write
+	// the pipeline makes. The budget is the pass's, because the pass
+	// holds its shard while it sleeps. Once the pass has spent it, a
+	// failing write is retried once at once; still failing, it is
+	// dropped: counted in intddos_store_dropped_total, its row abandoned
+	// as store_dropped, its flow tainted, OnDecision not called.
 	storeRetries = 3
 	// modelFailThreshold consecutive scoring failures mark an ensemble
 	// member unhealthy; it sits out modelProbeAfter before a recovery
@@ -251,7 +244,7 @@ func (l *Live) describeConfig() string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "shards=%d\n", l.nShards)
-	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), l.scorer.quorum, voteWindow)
+	fmt.Fprintf(&b, "models=%s\nquorum=%d\nvote_window=%d\n", strings.Join(models, ","), quorumFor(len(models)), voteWindow)
 	fmt.Fprintf(&b, "features=%d\n", len(cfg.Scaler.Mean))
 	fmt.Fprintf(&b, "queue_cap=%d\nshard_queue_cap=%d\nshed_after=%s\npredict_batch=%d\n",
 		cfg.QueueCap, cap(l.shards[0].queue), l.shedAfter, cfg.PredictBatch)
@@ -260,7 +253,7 @@ func (l *Live) describeConfig() string {
 		triageModel = c.Stages[0].Name
 	}
 	fmt.Fprintf(&b, "triage=%t\ntriage_threshold=%g\ntriage_model=%s\n", cfg.Triage, cfg.TriageThreshold, triageModel)
-	fmt.Fprintf(&b, "drain_on_stop=%t\n", cfg.DrainOnStop)
+	fmt.Fprintf(&b, "drain_on_stop=%t\n", l.drainOnStop)
 	fmt.Fprintf(&b, "flow_idle_timeout=%s\nsweep_interval=%s\n", cfg.FlowIdleTimeout, cfg.SweepInterval)
 	fmt.Fprintf(&b, "checkpoint_dir=%s\ncheckpoint_every=%s\ncheckpoint_keep=%d\n", cfg.CheckpointDir, cfg.CheckpointEvery, checkpointKeep)
 	fmt.Fprintf(&b, "checkpoint_full_every=%d\ncheckpoint_compress=%t\n", cfg.CheckpointFullEvery, cfg.CheckpointCompress)

@@ -152,7 +152,7 @@ func (l *Live) decide(sh *liveShard, carried, late int) {
 			for i := range rest {
 				l.abandonRecord(&rest[i], "worker_down")
 			}
-		case !l.cfg.DrainOnStop && l.quitting():
+		case !l.drainOnStop && l.quitting():
 			for i := range rest {
 				l.abandon("stop")
 				l.jAbort(rest[i].Key, rest[i].Updates, "stop")
@@ -306,30 +306,35 @@ func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
 // failures with exponential backoff when the store surfaces them. The
 // backoffs are the pass's, not the write's: a pass sleeps one retry
 // sequence — storeRetries backoffs, doubling — at most, since it holds
-// its shard throughout, and once it has, a write failing in the rest
-// of the pass is not retried. A write still failing when the pass has
-// no backoff left is dropped — counted, and raised to shedding,
-// because a lost log write is a lost decision — and logPrediction
-// reports false.
+// its shard throughout. Once the pass has spent them, a failing write
+// is retried once at once, without sleeping under the shard's locks. A
+// write still failing then is dropped — counted, and raised to
+// shedding, because a lost log write is a lost decision — and
+// logPrediction reports false.
 func (l *Live) logPrediction(sh *liveShard, p *store.PredictionRecord) bool {
 	if l.fdb == nil {
 		l.DB.AppendPrediction(*p)
 		return true
 	}
+	immediate := false
 	for attempt := 1; ; attempt++ {
 		if l.fdb.TryAppendPrediction(*p) == nil {
 			return true
 		}
 		l.StoreRetries.Add(1)
 		l.noteDegraded("store write retry")
-		if sh.retried >= storeRetries {
+		switch {
+		case sh.retried < storeRetries:
+			time.Sleep(l.cfg.StoreRetryBackoff << sh.retried)
+			sh.retried++
+		case !immediate:
+			immediate = true
+		default:
 			l.StoreDropped.Add(1)
 			l.event("store write dropped", "component", "store",
 				"flow", p.Key.String(), "attempts", attempt)
 			l.noteShedding("store write dropped")
 			return false
 		}
-		time.Sleep(l.cfg.StoreRetryBackoff << sh.retried)
-		sh.retried++
 	}
 }

@@ -20,7 +20,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -30,17 +29,18 @@ import (
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
-// Config parameterizes the mechanism. The model input is the paper's
-// 15 INT features, as in LiveConfig.
+// Config parameterizes the mechanism. What the paper fixes — the 15
+// INT features, the majority vote over the ensemble, the
+// three-prediction vote window — and the CentralServer's 2 ms polling
+// period are constants, as in LiveConfig.
 type Config struct {
-	// Models is the pre-trained ensemble (the paper uses MLP+RF+GNB).
+	// Models is the pre-trained ensemble (the paper uses MLP+RF+GNB);
+	// a raw attack prediction takes a majority of its votes (2 of 3,
+	// §IV-C4).
 	Models []ml.Classifier
 	// Scaler standardizes snapshots before prediction; required.
 	Scaler *ml.StandardScaler
 
-	// PollInterval is the CentralServer's database polling period
-	// (default 2 ms); each poll fetches up to pollBatch records.
-	PollInterval netsim.Time
 	// ServiceTime is the Prediction module's per-item cost on the
 	// virtual clock (default 1 ms), standing in for the Python
 	// inference + IPC cost of the paper's implementation.
@@ -48,13 +48,6 @@ type Config struct {
 	// QueueCap bounds the prediction input queue; beyond it updates
 	// are dropped and counted (default unbounded).
 	QueueCap int
-
-	// ModelQuorum is how many ensemble votes make a raw attack
-	// prediction (default 2 of 3, §IV-C4).
-	ModelQuorum int
-	// VoteWindow smooths per-flow decisions over the last N raw
-	// predictions (default 3, §IV-C4); at most flow.MaxVoteWindow.
-	VoteWindow int
 
 	// PredictBatch is the Prediction module's scoring batch: when the
 	// service queue holds several records, the ensemble scores up to
@@ -143,8 +136,12 @@ func decisionRecord(rec *store.FlowRecord, v verdict, label int, at netsim.Time)
 // Correct reports whether the decision matches ground truth.
 func (d Decision) Correct() bool { return (d.Label == 1) == d.Truth }
 
-// pollBatch bounds the records the CentralServer fetches per poll.
-const pollBatch = 64
+// The CentralServer polls the database every pollInterval and fetches
+// up to pollBatch records per poll.
+const (
+	pollInterval = 2 * netsim.Millisecond
+	pollBatch    = 64
+)
 
 // rowChunkLen is how many feature values one of Mechanism's row chunks
 // holds (32 KiB, about 270 rows of the 15-feature vector).
@@ -225,24 +222,13 @@ func (q *rowQueue) take(n int) {
 
 // New validates cfg and builds a mechanism.
 func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
-	sc, err := newScorer(cfg.Models, cfg.Scaler, cfg.ModelQuorum, 1,
+	sc, err := newScorer(cfg.Models, cfg.Scaler, 1,
 		cfg.Triage, cfg.TriageThreshold, cfg.TriageModel)
 	if err != nil {
 		return nil, err
 	}
-	cfg.ModelQuorum = sc.quorum
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * netsim.Millisecond
-	}
 	if cfg.ServiceTime <= 0 {
 		cfg.ServiceTime = netsim.Millisecond
-	}
-	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = voteWindow
-	}
-	if cfg.VoteWindow > flow.MaxVoteWindow {
-		return nil, fmt.Errorf("core: vote window %d is longer than a flow record holds (%d)",
-			cfg.VoteWindow, flow.MaxVoteWindow)
 	}
 	if cfg.PredictBatch < 1 {
 		cfg.PredictBatch = 1
@@ -268,7 +254,7 @@ func (m *Mechanism) Config() Config { return m.cfg }
 
 // Start arms the CentralServer polling loop.
 func (m *Mechanism) Start() {
-	m.eng.After(m.cfg.PollInterval, m.pollTick)
+	m.eng.After(pollInterval, m.pollTick)
 }
 
 // HandleReport is the INT Data Collection entry point: hook it to a
@@ -312,7 +298,7 @@ func (m *Mechanism) pollTick() {
 	if !m.busy && m.queue.len() > 0 {
 		m.startService()
 	}
-	m.eng.After(m.cfg.PollInterval, m.pollTick)
+	m.eng.After(pollInterval, m.pollTick)
 }
 
 // startService begins predicting the head of the queue.
@@ -353,7 +339,7 @@ func (m *Mechanism) completeService() {
 		m.TriageFallthrough++
 	}
 
-	label, _ := m.Table.Vote(rec.Key, v.raw, m.cfg.VoteWindow)
+	label, _ := m.Table.Vote(rec.Key, v.raw, voteWindow)
 
 	p := decisionRecord(&rec, v, label, m.eng.Now())
 	// The verdict's votes live in the scoring scratch, reused by the

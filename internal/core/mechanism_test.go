@@ -48,10 +48,9 @@ func identityScaler(n int) *ml.StandardScaler {
 
 func testConfig(models ...ml.Classifier) Config {
 	return Config{
-		Models:       models,
-		Scaler:       identityScaler(len(intFeatures)),
-		PollInterval: netsim.Millisecond,
-		ServiceTime:  500 * netsim.Microsecond,
+		Models:      models,
+		Scaler:      identityScaler(len(intFeatures)),
+		ServiceTime: 500 * netsim.Microsecond,
 	}
 }
 
@@ -86,25 +85,21 @@ func TestMechanismValidatesConfig(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := m.Config()
-	if cfg.VoteWindow != 3 || cfg.ModelQuorum != 1 || cfg.PollInterval != netsim.Millisecond || cfg.PredictBatch != 1 {
+	if cfg.PredictBatch != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 }
 
-// TestMechanismQuorumClamped pins the clamp the simulated mechanism
-// shares with NewLive: a quorum the ensemble can never reach degrades
-// to a majority of its members instead of silently never flagging.
+// TestMechanismQuorumClamped pins the quorum the simulated mechanism
+// shares with NewLive: a majority of the ensemble's members, so a
+// one-model ensemble decides on its one vote instead of waiting for
+// the paper's second vote that can never arrive.
 func TestMechanismQuorumClamped(t *testing.T) {
 	eng := netsim.NewEngine()
 	one := 1
-	cfg := testConfig(stubModel{name: "always", always: &one})
-	cfg.ModelQuorum = 3
-	m, err := New(eng, cfg)
+	m, err := New(eng, testConfig(stubModel{name: "always", always: &one}))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := m.Config().ModelQuorum; got != 1 {
-		t.Errorf("effective quorum = %d over a 1-model ensemble, want 1", got)
 	}
 	m.Start()
 	eng.Schedule(0, func() { m.Observe(simObs(7, eng.Now(), 40, true, "synflood")) })
@@ -156,9 +151,7 @@ func TestMechanismEnsembleQuorum(t *testing.T) {
 
 	// 1 of 3 votes attack, quorum 2 → benign.
 	eng := netsim.NewEngine()
-	cfg := testConfig(attack, benign, benign)
-	cfg.ModelQuorum = 2
-	m, _ := New(eng, cfg)
+	m, _ := New(eng, testConfig(attack, benign, benign))
 	m.Start()
 	eng.Schedule(0, func() { m.Observe(simObs(1, 0, 40, true, "synflood")) })
 	eng.RunUntil(20 * netsim.Millisecond)
@@ -168,9 +161,7 @@ func TestMechanismEnsembleQuorum(t *testing.T) {
 
 	// 2 of 3 vote attack → attack.
 	eng2 := netsim.NewEngine()
-	cfg2 := testConfig(attack, attack, benign)
-	cfg2.ModelQuorum = 2
-	m2, _ := New(eng2, cfg2)
+	m2, _ := New(eng2, testConfig(attack, attack, benign))
 	m2.Start()
 	eng2.Schedule(0, func() { m2.Observe(simObs(1, 0, 40, true, "synflood")) })
 	eng2.RunUntil(20 * netsim.Millisecond)
@@ -226,7 +217,6 @@ func TestMechanismBacklogLatencyGrows(t *testing.T) {
 	eng := netsim.NewEngine()
 	cfg := testConfig(attackDetector())
 	cfg.ServiceTime = 5 * netsim.Millisecond
-	cfg.PollInterval = netsim.Millisecond
 	m, _ := New(eng, cfg)
 	m.Start()
 	for i := 0; i < 100; i++ {

@@ -63,9 +63,7 @@ type batchScratch struct {
 // (plain batch scoring in the simulation, fault-isolated and
 // health-tracked in the live runtime).
 type scorer struct {
-	scaler  *ml.StandardScaler
-	nModels int
-	quorum  int
+	scaler *ml.StandardScaler
 
 	// Tiered inference, nil with triage off: the cascade, and one
 	// streaming sketch per ingest shard — single writer (observe),
@@ -77,11 +75,9 @@ type scorer struct {
 	ensemble ensembleFunc
 }
 
-// newScorer validates a model bundle and resolves its voting policy.
-// quorum <= 0 selects the paper's 2-of-3 majority; a quorum the
-// ensemble can never reach is clamped to a majority of its members.
-// triageModel nil lets resolveTriageModel pick the stage-0 model.
-func newScorer(models []ml.Classifier, scaler *ml.StandardScaler, quorum, shards int,
+// newScorer validates a model bundle. triageModel nil lets
+// resolveTriageModel pick the stage-0 model.
+func newScorer(models []ml.Classifier, scaler *ml.StandardScaler, shards int,
 	triage bool, threshold float64, triageModel ml.Classifier) (*scorer, error) {
 	if len(models) == 0 {
 		return nil, errors.New("core: no models configured")
@@ -93,13 +89,7 @@ func newScorer(models []ml.Classifier, scaler *ml.StandardScaler, quorum, shards
 		return nil, fmt.Errorf("core: %d models configured, a logged decision holds %d votes",
 			len(models), store.MaxVotes)
 	}
-	if quorum <= 0 {
-		quorum = (len(models) + 2) / 2
-	}
-	if quorum > len(models) {
-		quorum = (len(models) + 1) / 2
-	}
-	sc := &scorer{scaler: scaler, nModels: len(models), quorum: quorum}
+	sc := &scorer{scaler: scaler}
 	scored := models[:len(models):len(models)]
 	if triage {
 		pm, ok := resolveTriageModel(triageModel, models)
@@ -188,17 +178,11 @@ func (sc *scorer) observe(key flow.Key) {
 }
 
 // quorumFor returns the attack-vote threshold for a batch scored by
-// navail members. At full strength it is the configured quorum (the
-// paper's 2-of-3); with members out it degrades to
-// majority-of-available — 2-of-2, 1-of-1 — so detection keeps
-// producing best-effort answers instead of silently requiring votes
-// that can no longer arrive.
-func (sc *scorer) quorumFor(navail int) int {
-	if navail >= sc.nModels {
-		return sc.quorum
-	}
-	return navail/2 + 1
-}
+// navail members: a majority of them. At full strength that is the
+// paper's 2-of-3; with members out it degrades to 2-of-2, 1-of-1, so
+// detection keeps producing best-effort answers instead of silently
+// requiring votes that can no longer arrive.
+func quorumFor(navail int) int { return navail/2 + 1 }
 
 // triage runs the cascade over the standardized batch. A flow its
 // sketch finds suspicious (a heavy hitter, or any flow while key
@@ -245,7 +229,7 @@ func (sc *scorer) score(rows [][]float64, keys []flow.Key, s *batchScratch) (out
 	quorum := 0
 	if len(fall) > 0 {
 		votes, ones, navail = sc.ensemble(s, fall)
-		quorum = sc.quorumFor(navail)
+		quorum = quorumFor(navail)
 	}
 	// An exited row carries its single stage vote as provenance, cut
 	// from the scratch's exit slab.

@@ -84,7 +84,7 @@ func TestScore(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			sc, err := newScorer(models, identityScaler(2), 0, 2, tc.triage, tc.threshold, gateModel{})
+			sc, err := newScorer(models, identityScaler(2), 2, tc.triage, tc.threshold, gateModel{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,11 +2,8 @@ package experiment
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"github.com/amlight/intddos/internal/core"
@@ -31,8 +28,8 @@ var (
 )
 
 // ChaosConfig parameterizes a chaos replay: the Table VI training
-// setup, driven through the wall-clock runtime under a deterministic
-// fault schedule.
+// setup, driven through the wall-clock runtime — chaosShards shards,
+// the default shutdown policy — under a deterministic fault schedule.
 type ChaosConfig struct {
 	Scale string
 	Seed  int64
@@ -44,10 +41,6 @@ type ChaosConfig struct {
 	FaultSpec string
 	// FaultSeed seeds the schedule for deterministic replay.
 	FaultSeed int64
-	// Shards sizes the pipeline (default 4).
-	Shards int
-	// DrainOnStop selects the shutdown policy under test.
-	DrainOnStop bool
 	// CheckpointDir, when set, makes the run crash-recoverable: the
 	// pipeline resumes from the newest checkpoint in the directory and
 	// snapshots into it every CheckpointEvery (plus once on Stop when
@@ -57,13 +50,10 @@ type ChaosConfig struct {
 	CheckpointDir       string
 	CheckpointEvery     time.Duration
 	CheckpointFullEvery int
-
-	// DiagBundleDir, when set, captures a diagnostic bundle (profiles,
-	// metrics, health, events — see obs.Registry.WriteBundle) into the
-	// directory when the run fails its accounting invariant, so a
-	// flaky chaos failure leaves its evidence behind.
-	DiagBundleDir string
 }
+
+// chaosShards sizes the chaos replay's pipeline.
+const chaosShards = 4
 
 // ChaosResult summarizes how the live pipeline degraded — and what it
 // still delivered — under an injected fault schedule.
@@ -86,9 +76,6 @@ type ChaosResult struct {
 	// checkpoint the run resumed from (nil on a fresh boot).
 	Checkpoints int64
 	Restored    *core.RestoreSummary
-	// DiagBundle is the path of the diagnostic bundle captured when
-	// the invariant failed (empty otherwise).
-	DiagBundle string
 }
 
 // RunChaos trains the stage-2 ensemble, replays the mixed workload's
@@ -98,9 +85,6 @@ type ChaosResult struct {
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	if cfg.PacketsPerType <= 0 {
 		cfg.PacketsPerType = 1000
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 4
 	}
 	injector, err := fault.Parse(cfg.FaultSpec, cfg.FaultSeed)
 	if err != nil {
@@ -125,9 +109,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	live, err := feedLive(core.LiveConfig{
 		Models:               models,
 		Scaler:               scaler,
-		Shards:               cfg.Shards,
+		Shards:               chaosShards,
 		Fault:                injector,
-		DrainOnStop:          cfg.DrainOnStop,
 		WorkerRestartBackoff: time.Millisecond,
 		StoreRetryBackoff:    200 * time.Microsecond,
 		CheckpointDir:        cfg.CheckpointDir,
@@ -150,7 +133,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	}
 	live.Stop()
 
-	res := &ChaosResult{
+	return &ChaosResult{
 		Ensemble:          names,
 		Ledger:            live.Ledger(),
 		AbandonedByReason: live.AbandonedByReason(),
@@ -163,38 +146,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		TaintedFlows:      injector.TaintCount(),
 		Checkpoints:       live.Checkpoints.Load(),
 		Restored:          live.Restore(),
-	}
-	if !res.Ledger.Closed() && cfg.DiagBundleDir != "" {
-		if path, err := writeDiagBundle(cfg.DiagBundleDir, live); err == nil {
-			res.DiagBundle = path
-		}
-	}
-	return res, nil
+	}, nil
 }
-
-// writeDiagBundle captures the pipeline's diagnostic bundle into dir,
-// returning the file written. Filenames carry the pid and a sequence
-// suffix instead of a timestamp so repeated failures in one process
-// never overwrite each other.
-func writeDiagBundle(dir string, live *core.Live) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	seq := diagBundleSeq.Add(1)
-	path := filepath.Join(dir, fmt.Sprintf("chaos-%d-%03d.tar.gz", os.Getpid(), seq))
-	f, err := os.Create(path)
-	if err != nil {
-		return "", err
-	}
-	if err := live.Obs().WriteBundle(f); err != nil {
-		f.Close()
-		os.Remove(path)
-		return "", err
-	}
-	return path, f.Close()
-}
-
-var diagBundleSeq atomic.Int64
 
 // FormatChaos renders a chaos run's degradation summary.
 func FormatChaos(r *ChaosResult) string {
@@ -222,9 +175,6 @@ func FormatChaos(r *ChaosResult) string {
 	fmt.Fprintf(&b, "  final health: %s\n", r.Health)
 	for _, tr := range r.Transitions {
 		fmt.Fprintf(&b, "    transition: %s\n", tr)
-	}
-	if r.DiagBundle != "" {
-		fmt.Fprintf(&b, "  diagnostic bundle: %s\n", r.DiagBundle)
 	}
 	return b.String()
 }

@@ -13,27 +13,24 @@ import (
 // ImpairConfig parameterizes the adverse-network sweep: the Table
 // III/IV experiments re-run over a grid of link impairments on the
 // report wire, quantifying how much accuracy the detection pipeline
-// loses when the telemetry path drops, duplicates, and reorders.
+// loses when the telemetry path drops, duplicates, and reorders. The
+// grid (defaultImpairPoints), the collector's acceptance window
+// (impairReorderWindow) and the models evaluated (RF and GNB) are
+// fixed.
 type ImpairConfig struct {
 	Scale string
 	Seed  int64
 	// NetemSeed drives the impairment RNGs (default: Seed).
 	NetemSeed int64
-	// ReorderWindow is the collector's per-source acceptance window
-	// for every row, baseline included (default 8 — deliberately
-	// tight, so the sweep also exercises stale rejection).
-	ReorderWindow int
-	// Models names the stage-1 models to evaluate (default RF and
-	// GNB: one strong and one cheap learner bracket the ensemble).
-	Models []string
-	// Points overrides the impairment grid; nil selects the default.
-	// An empty Spec is the clean baseline and is always prepended when
-	// absent.
-	Points []ImpairPoint
 	// Quick trims the grid to baseline + the acceptance point (CI
 	// smoke).
 	Quick bool
 }
+
+// impairReorderWindow is the collector's per-source acceptance window
+// for every row, baseline included — deliberately tight, so the sweep
+// also exercises stale rejection.
+const impairReorderWindow = 8
 
 // ImpairPoint is one grid point: a name and the netem sub-clauses
 // applied to the agent→collector report wire.
@@ -42,8 +39,8 @@ type ImpairPoint struct {
 	Spec string `json:"spec"`
 }
 
-// defaultImpairPoints is the sweep grid. The "loss1-dup0.1" point is
-// the acceptance criterion: Table III macro accuracy must stay within
+// defaultImpairPoints is the sweep grid, the clean baseline first. The
+// "loss1-dup0.1" point is the acceptance criterion: Table III macro accuracy must stay within
 // 5 pp of baseline at 1% loss + 0.1% dup with reorder window 8.
 func defaultImpairPoints() []ImpairPoint {
 	return []ImpairPoint{
@@ -104,31 +101,17 @@ func RunImpairmentSweep(cfg ImpairConfig) (*ImpairResult, error) {
 	if cfg.NetemSeed == 0 {
 		cfg.NetemSeed = cfg.Seed
 	}
-	if cfg.ReorderWindow <= 0 {
-		cfg.ReorderWindow = 8
-	}
-	if len(cfg.Models) == 0 {
-		cfg.Models = []string{"RF", "GNB"}
-	}
-	points := cfg.Points
-	if points == nil {
-		points = defaultImpairPoints()
-	}
-	if len(points) == 0 || points[0].Spec != "" {
-		points = append([]ImpairPoint{{Name: "baseline"}}, points...)
-	}
+	points := defaultImpairPoints()
 	if cfg.Quick {
-		points = []ImpairPoint{{Name: "baseline"}, {Name: "loss1-dup0.1", Spec: "loss=1%,dup=0.1%"}}
+		points = []ImpairPoint{points[0], points[2]} // baseline + the acceptance point
 	}
-
-	specs, err := selectModels(cfg.Models)
-	if err != nil {
-		return nil, err
-	}
+	// One strong and one cheap learner bracket the ensemble.
+	roster := StageOneModels()
+	specs := []ModelSpec{roster[0], roster[1]}
 
 	out := &ImpairResult{
 		Scale: cfg.Scale, Seed: cfg.Seed,
-		ReorderWindow: cfg.ReorderWindow, Models: cfg.Models,
+		ReorderWindow: impairReorderWindow, Models: []string{specs[0].Name, specs[1].Name},
 	}
 	for _, pt := range points {
 		row, err := runImpairPoint(cfg, specs, pt)
@@ -145,33 +128,13 @@ func RunImpairmentSweep(cfg ImpairConfig) (*ImpairResult, error) {
 	return out, nil
 }
 
-// selectModels resolves model names against the stage-1 roster.
-func selectModels(names []string) ([]ModelSpec, error) {
-	roster := StageOneModels()
-	var specs []ModelSpec
-	for _, name := range names {
-		found := false
-		for _, spec := range roster {
-			if spec.Name == name {
-				specs = append(specs, spec)
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiment: unknown model %q", name)
-		}
-	}
-	return specs, nil
-}
-
 // runImpairPoint captures the workload once under the point's
 // impairment and evaluates the configured models on it.
 func runImpairPoint(cfg ImpairConfig, specs []ModelSpec, pt ImpairPoint) (*ImpairRow, error) {
 	dc := DataConfig{
 		Scale: cfg.Scale, Seed: cfg.Seed,
 		NetemSeed:     cfg.NetemSeed,
-		ReorderWindow: cfg.ReorderWindow,
+		ReorderWindow: impairReorderWindow,
 	}
 	if pt.Spec != "" {
 		spec, err := fault.ParseNetem(

@@ -61,10 +61,3 @@ func TestImpairmentSweepQuick(t *testing.T) {
 		t.Error("empty formatted sweep")
 	}
 }
-
-func TestImpairmentSweepRejectsUnknownModel(t *testing.T) {
-	_, err := RunImpairmentSweep(ImpairConfig{Scale: traffic.ScaleTiny, Seed: 1, Models: []string{"nope"}})
-	if err == nil {
-		t.Fatal("unknown model accepted")
-	}
-}

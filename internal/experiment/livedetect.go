@@ -14,43 +14,23 @@ import (
 )
 
 // LiveConfig parameterizes the stage-2 automated-detection experiment
-// (§IV-C → Table VI and Figure 7).
+// (§IV-C → Table VI and Figure 7). The paper fixes the rest: the
+// MLP+RF+GNB ensemble (StageTwoModels), its 2-of-3 vote and
+// three-prediction window, the CentralServer's 2 ms poll, a 10 ms
+// prediction cost (liveServiceTime), the attack replays' pacing
+// (attackUtilization), and training replays of four times
+// PacketsPerType per flow type.
 type LiveConfig struct {
 	Scale string
 	Seed  int64
 	// PacketsPerType bounds each live replay, the paper's ≈2500
 	// packets per flow type (default 2500).
 	PacketsPerType int
-	// TrainPacketsPerType bounds each type's training replay
-	// (default 4×PacketsPerType).
-	TrainPacketsPerType int
-	// ServiceTime is the Prediction module's per-item cost (default
-	// 10 ms, standing in for the paper's Python inference + IPC).
-	ServiceTime netsim.Time
-	// PollInterval is the CentralServer polling period (default 2 ms).
-	PollInterval netsim.Time
-	// VoteWindow overrides the last-N smoothing window (default 3,
-	// §IV-C4); 1 disables smoothing for the ablation.
-	VoteWindow int
-	// ModelQuorum overrides the ensemble vote threshold (default 2).
-	ModelQuorum int
-	// Ensemble overrides the member set; nil selects StageTwoModels.
-	Ensemble []ModelSpec
-	// AttackUtilization paces scan/flood/SlowLoris replays so the
-	// prediction queue runs at roughly this utilization (default 0.4),
-	// mirroring the paper's intentionally lowered attack replay rates
-	// (§V: "much lower packet rate levels ... to run experiments
-	// smoothly"). Benign replays keep their captured density, which is
-	// what drives the paper's large benign prediction times. The same
-	// pacing is applied when building the training capture, exactly as
-	// the paper pre-trains on data replayed through the testbed
-	// (§IV-C2).
-	AttackUtilization float64
 	// PredictBatch sizes the Prediction module's scoring micro-batch:
 	// up to this many queued records are standardized and voted in one
 	// amortized ensemble call, while service completions still consume
-	// one result per ServiceTime. Decisions, votes, and latencies are
-	// identical at every batch size — the golden tests pin Table VI
+	// one result per liveServiceTime. Decisions, votes, and latencies
+	// are identical at every batch size — the golden tests pin Table VI
 	// byte-for-byte at 1 and 32. Zero or one is the paper-faithful
 	// record-at-a-time default.
 	PredictBatch int
@@ -73,34 +53,26 @@ type LiveConfig struct {
 	TriageModel string
 }
 
+const (
+	// liveServiceTime is the Prediction module's per-item cost on the
+	// virtual clock, standing in for the paper's Python inference +
+	// IPC.
+	liveServiceTime = 10 * netsim.Millisecond
+	// attackUtilization paces scan/flood/SlowLoris replays so the
+	// prediction queue runs at roughly this utilization, mirroring the
+	// paper's intentionally lowered attack replay rates (§V: "much
+	// lower packet rate levels ... to run experiments smoothly").
+	// Benign replays keep their captured density, which is what drives
+	// the paper's large benign prediction times. The same pacing is
+	// applied when building the training capture, exactly as the paper
+	// pre-trains on data replayed through the testbed (§IV-C2).
+	attackUtilization = 0.4
+)
+
 // fillDefaults resolves zero-valued fields.
 func (cfg *LiveConfig) fillDefaults() {
 	if cfg.PacketsPerType <= 0 {
 		cfg.PacketsPerType = 2500
-	}
-	if cfg.TrainPacketsPerType <= 0 {
-		cfg.TrainPacketsPerType = 4 * cfg.PacketsPerType
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 10 * netsim.Millisecond
-	}
-	if cfg.PollInterval <= 0 {
-		cfg.PollInterval = 2 * netsim.Millisecond
-	}
-	if cfg.AttackUtilization <= 0 {
-		cfg.AttackUtilization = 0.4
-	}
-	if cfg.VoteWindow <= 0 {
-		cfg.VoteWindow = 3
-	}
-	if cfg.ModelQuorum <= 0 {
-		cfg.ModelQuorum = 2
-	}
-	if cfg.Ensemble == nil {
-		cfg.Ensemble = StageTwoModels()
-	}
-	if cfg.ModelQuorum > len(cfg.Ensemble) {
-		cfg.ModelQuorum = (len(cfg.Ensemble) + 1) / 2
 	}
 	if cfg.Triage {
 		if cfg.TriageThreshold == 0 {
@@ -153,7 +125,7 @@ func RunTableVI(cfg LiveConfig) (*LiveResult, error) {
 		if len(recs) == 0 {
 			return nil, fmt.Errorf("table VI: no %s records in workload", typ)
 		}
-		decisions, err := replayLive(recs, replaySpeed(typ, recs, cfg), models, scaler, cfg)
+		decisions, err := replayLive(recs, replaySpeed(typ, recs), models, scaler, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("table VI replay %s: %w", typ, err)
 		}
@@ -165,18 +137,19 @@ func RunTableVI(cfg LiveConfig) (*LiveResult, error) {
 }
 
 // trainStageTwo pre-trains the ensemble offline on testbed replays of
-// each flow type except the zero-day SlowLoris, using the same
-// per-type pacing the live runs will see (§IV-C2: the training set is
-// itself produced by replaying captured data through the rig).
+// each flow type except the zero-day SlowLoris — four times the live
+// replay's packets per type — using the same per-type pacing the live
+// runs will see (§IV-C2: the training set is itself produced by
+// replaying captured data through the rig).
 func trainStageTwo(cfg LiveConfig, w *traffic.Workload) (models []ml.Classifier, scaler *ml.StandardScaler, names []string, trainRows int, err error) {
 	train := &ml.Dataset{Names: flow.INTFeatures().Names()}
 	trainTypes := []string{traffic.Benign, traffic.SYNScan, traffic.UDPScan, traffic.SYNFlood}
 	for _, typ := range trainTypes {
-		recs := recordsOfType(w, typ, cfg.TrainPacketsPerType, false)
+		recs := recordsOfType(w, typ, 4*cfg.PacketsPerType, false)
 		if len(recs) == 0 {
 			return nil, nil, nil, 0, fmt.Errorf("stage 2: no %s records to train on", typ)
 		}
-		collectPaced(recs, replaySpeed(typ, recs, cfg), train)
+		collectPaced(recs, replaySpeed(typ, recs), train)
 	}
 	base := train.Subsample(40000, cfg.Seed)
 	scaler = &ml.StandardScaler{}
@@ -186,7 +159,7 @@ func trainStageTwo(cfg LiveConfig, w *traffic.Workload) (models []ml.Classifier,
 	if err != nil {
 		return nil, nil, nil, 0, err
 	}
-	for _, spec := range cfg.Ensemble {
+	for _, spec := range StageTwoModels() {
 		model := spec.New(cfg.Seed)
 		if err := model.Fit(Z, base.Y); err != nil {
 			return nil, nil, nil, 0, fmt.Errorf("stage 2 fit %s: %w", spec.Name, err)
@@ -227,9 +200,9 @@ func recordsOfType(w *traffic.Workload, typ string, n int, fromEnd bool) []trace
 }
 
 // replaySpeed picks the tcpreplay pacing per flow type: benign keeps
-// its captured density; attack replays are slowed to the configured
-// prediction-queue utilization, as the paper did (§V).
-func replaySpeed(typ string, recs []trace.Record, cfg LiveConfig) float64 {
+// its captured density; attack replays are slowed to attackUtilization
+// of the prediction queue, as the paper did (§V).
+func replaySpeed(typ string, recs []trace.Record) float64 {
 	if typ == traffic.Benign {
 		return 1.0
 	}
@@ -237,7 +210,7 @@ func replaySpeed(typ string, recs []trace.Record, cfg LiveConfig) float64 {
 	if natural <= 0 {
 		natural = netsim.Millisecond
 	}
-	desired := netsim.Time(float64(len(recs)) * float64(cfg.ServiceTime) / cfg.AttackUtilization)
+	desired := netsim.Time(float64(len(recs)) * float64(liveServiceTime) / attackUtilization)
 	speed := float64(natural) / float64(desired)
 	if speed > 1 {
 		speed = 1 // never accelerate beyond the captured timing
@@ -290,10 +263,7 @@ func replayLive(recs []trace.Record, speed float64, models []ml.Classifier, scal
 	mech, err := core.New(tb.Eng, core.Config{
 		Models:          models,
 		Scaler:          scaler,
-		PollInterval:    cfg.PollInterval,
-		ServiceTime:     cfg.ServiceTime,
-		ModelQuorum:     cfg.ModelQuorum,
-		VoteWindow:      cfg.VoteWindow,
+		ServiceTime:     liveServiceTime,
 		PredictBatch:    cfg.PredictBatch,
 		Triage:          cfg.Triage,
 		TriageThreshold: cfg.TriageThreshold,
@@ -312,7 +282,7 @@ func replayLive(recs []trace.Record, speed float64, models []ml.Classifier, scal
 
 	// Run until every replayed packet has been decided (drain the
 	// backlog), with a generous deadline guard.
-	deadline := netsim.Time(float64(len(recs))*float64(cfg.ServiceTime)*4) + 2*netsim.Second
+	deadline := netsim.Time(float64(len(recs))*float64(liveServiceTime)*4) + 2*netsim.Second
 	horizon := netsim.Time(float64(recs[len(recs)-1].At)/speed) + deadline
 	for tb.Eng.Now() < horizon && len(mech.Decisions) < len(recs) {
 		step := tb.Eng.Now() + 100*netsim.Millisecond

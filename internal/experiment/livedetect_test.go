@@ -7,71 +7,6 @@ import (
 	"github.com/amlight/intddos/internal/traffic"
 )
 
-// liveAcc extracts per-type accuracy from a result.
-func liveAcc(res *LiveResult) map[string]float64 {
-	out := map[string]float64{}
-	for _, r := range res.Rows {
-		out[r.Type] = r.Accuracy
-	}
-	return out
-}
-
-func TestLiveVoteWindowAblation(t *testing.T) {
-	base := LiveConfig{Scale: traffic.ScaleTiny, Seed: 42, PacketsPerType: 250}
-
-	smoothed, err := RunTableVI(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := base
-	raw.VoteWindow = 1
-	unsmoothed, err := RunTableVI(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sAcc, uAcc := liveAcc(smoothed), liveAcc(unsmoothed)
-	// Both configurations must work; smoothing must not make any
-	// attack type materially worse, and it exists to suppress
-	// isolated flips (§IV-C4).
-	for _, typ := range traffic.AttackTypes {
-		if sAcc[typ]+0.05 < uAcc[typ] {
-			t.Errorf("%s: smoothing hurt accuracy %v → %v", typ, uAcc[typ], sAcc[typ])
-		}
-		if uAcc[typ] < 0.5 {
-			t.Errorf("%s unsmoothed accuracy = %v", typ, uAcc[typ])
-		}
-	}
-}
-
-func TestLiveSingleModelEnsemble(t *testing.T) {
-	cfg := LiveConfig{
-		Scale: traffic.ScaleTiny, Seed: 42, PacketsPerType: 200,
-		Ensemble:    StageTwoModels()[1:2], // RF alone
-		ModelQuorum: 1,
-	}
-	res, err := RunTableVI(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Ensemble) != 1 || res.Ensemble[0] != "RF" {
-		t.Fatalf("ensemble = %v", res.Ensemble)
-	}
-	acc := liveAcc(res)
-	for _, typ := range []string{traffic.SYNScan, traffic.SYNFlood} {
-		if acc[typ] < 0.9 {
-			t.Errorf("single-RF %s accuracy = %v", typ, acc[typ])
-		}
-	}
-}
-
-func TestLiveQuorumClamped(t *testing.T) {
-	cfg := LiveConfig{Ensemble: StageTwoModels()[:1], ModelQuorum: 3}
-	cfg.fillDefaults()
-	if cfg.ModelQuorum != 1 {
-		t.Errorf("quorum = %d for 1-model ensemble, want clamp to 1", cfg.ModelQuorum)
-	}
-}
-
 func TestRunMitigation(t *testing.T) {
 	rows, err := RunMitigation(LiveConfig{
 		Scale: traffic.ScaleTiny, Seed: 42, PacketsPerType: 400,

@@ -48,7 +48,7 @@ func RunMitigation(cfg LiveConfig) ([]MitigationResult, error) {
 		if len(recs) == 0 {
 			return nil, fmt.Errorf("mitigation: no %s records", typ)
 		}
-		res, err := runMitigationType(typ, recs, replaySpeed(typ, recs, cfg), models, scaler, cfg)
+		res, err := runMitigationType(typ, recs, replaySpeed(typ, recs), models, scaler, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -65,12 +65,9 @@ func runMitigationType(typ string, recs []trace.Record, speed float64, models []
 	tb.Switch.Forwarder = aclFwd
 
 	mech, err := core.New(tb.Eng, core.Config{
-		Models:       models,
-		Scaler:       scaler,
-		PollInterval: cfg.PollInterval,
-		ServiceTime:  cfg.ServiceTime,
-		ModelQuorum:  cfg.ModelQuorum,
-		VoteWindow:   cfg.VoteWindow,
+		Models:      models,
+		Scaler:      scaler,
+		ServiceTime: liveServiceTime,
 	})
 	if err != nil {
 		return MitigationResult{}, err
@@ -101,7 +98,7 @@ func runMitigationType(typ string, recs []trace.Record, speed float64, models []
 	rp.MaxPackets = cfg.PacketsPerType
 	rp.Start()
 	deadline := netsim.Time(float64(recs[len(recs)-1].At)/speed) +
-		netsim.Time(len(recs))*cfg.ServiceTime*4 + 2*netsim.Second
+		netsim.Time(len(recs))*liveServiceTime*4 + 2*netsim.Second
 	for tb.Eng.Now() < deadline && rp.Sent() < len(recs) {
 		tb.RunUntil(tb.Eng.Now() + 100*netsim.Millisecond)
 	}

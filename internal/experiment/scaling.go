@@ -15,22 +15,25 @@ import (
 
 // ScalingConfig parameterizes the processing-capability study the
 // paper's §V motivates: how the single-server prediction pipeline
-// behaves as offered load approaches and passes its service rate.
+// behaves as offered load approaches and passes its service rate. The
+// study is fixed: scalingPackets packets a point, a scalingServiceTime
+// pipeline (100 predictions/s, Python-like) whose queue holds
+// scalingQueueCap records so overload sheds load instead of queueing
+// without bound, swept over offered loads bracketing its service rate.
 type ScalingConfig struct {
 	Scale string
 	Seed  int64
-	// Packets per sweep point (default 2000).
-	Packets int
-	// ServiceTime is the per-prediction cost (default 10 ms → a
-	// 100 predictions/s pipeline, Python-like).
-	ServiceTime netsim.Time
-	// QueueCap bounds the prediction queue so overload sheds load
-	// instead of queueing without bound (default 1000).
-	QueueCap int
-	// OfferedPPS lists the sweep points; empty selects a default
-	// sweep bracketing the service rate.
-	OfferedPPS []float64
 }
+
+const (
+	scalingPackets     = 2000
+	scalingServiceTime = 10 * netsim.Millisecond
+	scalingQueueCap    = 1000
+)
+
+// scalingSweep is the offered load of each sweep point, in multiples of
+// the pipeline's service rate.
+var scalingSweep = []float64{0.25, 0.5, 0.8, 1, 2, 5, 20}
 
 // ScalingPoint is one sweep measurement.
 type ScalingPoint struct {
@@ -45,32 +48,9 @@ type ScalingPoint struct {
 	ThroughputPPS float64 // decisions per virtual second of the run
 }
 
-// effective resolves zero-valued fields to their defaults.
-func (cfg ScalingConfig) effective() ScalingConfig {
-	if cfg.Packets <= 0 {
-		cfg.Packets = 2000
-	}
-	if cfg.ServiceTime <= 0 {
-		cfg.ServiceTime = 10 * netsim.Millisecond
-	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = 1000
-	}
-	if len(cfg.OfferedPPS) == 0 {
-		service := 1.0 / cfg.ServiceTime.Seconds()
-		cfg.OfferedPPS = []float64{
-			0.25 * service, 0.5 * service, 0.8 * service,
-			service, 2 * service, 5 * service, 20 * service,
-		}
-	}
-	return cfg
-}
-
 // RunScalingStudy sweeps offered load through the live mechanism and
 // reports latency, backlog, and shed load per point.
 func RunScalingStudy(cfg ScalingConfig) ([]ScalingPoint, error) {
-	cfg = cfg.effective()
-
 	// One trained model suffices: the study measures the pipeline,
 	// not the classifier.
 	capture, err := Collect(DataConfig{Scale: cfg.Scale, Seed: cfg.Seed})
@@ -85,15 +65,17 @@ func RunScalingStudy(cfg ScalingConfig) ([]ScalingPoint, error) {
 
 	// The replayed segment: a benign slice re-paced uniformly to the
 	// target rate so every sweep point sees identical packet content.
-	src := recordsOfType(capture.Workload, traffic.Benign, cfg.Packets, false)
+	src := recordsOfType(capture.Workload, traffic.Benign, scalingPackets, false)
 	if len(src) == 0 {
 		return nil, fmt.Errorf("experiment: no benign records for scaling study")
 	}
 
+	service := 1.0 / scalingServiceTime.Seconds()
 	var out []ScalingPoint
-	for _, pps := range cfg.OfferedPPS {
+	for _, load := range scalingSweep {
+		pps := load * service
 		recs := repace(src, pps)
-		pt, err := runScalingPoint(recs, pps, model, scaler, cfg)
+		pt, err := runScalingPoint(recs, pps, model, scaler)
 		if err != nil {
 			return nil, err
 		}
@@ -115,13 +97,13 @@ func repace(recs []trace.Record, pps float64) []trace.Record {
 }
 
 // runScalingPoint replays one paced stream through a fresh mechanism.
-func runScalingPoint(recs []trace.Record, pps float64, model ml.Classifier, scaler *ml.StandardScaler, cfg ScalingConfig) (ScalingPoint, error) {
+func runScalingPoint(recs []trace.Record, pps float64, model ml.Classifier, scaler *ml.StandardScaler) (ScalingPoint, error) {
 	tb := testbed.New(testbed.Config{})
 	mech, err := core.New(tb.Eng, core.Config{
 		Models:      []ml.Classifier{model},
 		Scaler:      scaler,
-		ServiceTime: cfg.ServiceTime,
-		QueueCap:    cfg.QueueCap,
+		ServiceTime: scalingServiceTime,
+		QueueCap:    scalingQueueCap,
 	})
 	if err != nil {
 		return ScalingPoint{}, err
@@ -133,7 +115,7 @@ func runScalingPoint(recs []trace.Record, pps float64, model ml.Classifier, scal
 
 	// Run until the queue drains or a generous deadline passes.
 	replayDur := netsim.Time(float64(len(recs)) * float64(netsim.Second) / pps)
-	deadline := replayDur + netsim.Time(len(recs))*cfg.ServiceTime + 5*netsim.Second
+	deadline := replayDur + netsim.Time(len(recs))*scalingServiceTime + 5*netsim.Second
 	start := tb.Eng.Now()
 	for tb.Eng.Now() < deadline && len(mech.Decisions)+mech.DroppedPolls < len(recs) {
 		tb.RunUntil(tb.Eng.Now() + 250*netsim.Millisecond)
@@ -168,11 +150,10 @@ func runScalingPoint(recs []trace.Record, pps float64, model ml.Classifier, scal
 }
 
 // FormatScaling renders the sweep like a scalability table.
-func FormatScaling(points []ScalingPoint, cfg ScalingConfig) string {
-	cfg = cfg.effective()
+func FormatScaling(points []ScalingPoint) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "SCALING STUDY: prediction pipeline under offered load (service %v/prediction, queue cap %d)\n",
-		cfg.ServiceTime, cfg.QueueCap)
+		scalingServiceTime, scalingQueueCap)
 	fmt.Fprintf(&b, "%12s %10s %10s %9s %12s %12s %12s %14s\n",
 		"Offered pps", "Decided", "Shed", "Backlog", "AvgPred", "P99Pred", "MaxPred", "Throughput/s")
 	for _, p := range points {

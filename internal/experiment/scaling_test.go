@@ -1,43 +1,37 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
-	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/traffic"
 )
 
 func TestScalingStudyShapes(t *testing.T) {
-	cfg := ScalingConfig{
-		Scale:       traffic.ScaleTiny,
-		Seed:        42,
-		Packets:     400,
-		ServiceTime: 5 * netsim.Millisecond, // 200 predictions/s
-		QueueCap:    200,
-		OfferedPPS:  []float64{50, 400, 4000},
-	}
-	points, err := RunScalingStudy(cfg)
+	points, err := RunScalingStudy(ScalingConfig{Scale: traffic.ScaleTiny, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(points) != 3 {
-		t.Fatalf("points = %d", len(points))
+	if len(points) != len(scalingSweep) {
+		t.Fatalf("points = %d, want %d", len(points), len(scalingSweep))
 	}
-	under, at, over := points[0], points[1], points[2]
+	under, over := points[0], points[len(points)-1]
 
 	// Under capacity: everything decided, no shedding, low latency.
-	if under.Decisions != 400 || under.Dropped != 0 {
+	if under.Decisions != scalingPackets || under.Dropped != 0 {
 		t.Errorf("underload: decided=%d dropped=%d", under.Decisions, under.Dropped)
 	}
-	if under.AvgLatency > 50*netsim.Millisecond {
+	if under.AvgLatency > 5*scalingServiceTime {
 		t.Errorf("underload avg latency = %v", under.AvgLatency)
 	}
 
-	// Latency must grow monotonically with offered load.
-	if !(under.AvgLatency < at.AvgLatency && at.AvgLatency < over.AvgLatency) {
-		t.Errorf("latency not increasing: %v, %v, %v",
-			under.AvgLatency, at.AvgLatency, over.AvgLatency)
+	// Past the service rate, latency grows with offered load.
+	for i := 1; i < len(points); i++ {
+		if scalingSweep[i] > 1 && points[i].AvgLatency <= points[0].AvgLatency {
+			t.Errorf("latency at %.0f pps = %v, no more than underload's %v",
+				points[i].OfferedPPS, points[i].AvgLatency, under.AvgLatency)
+		}
 	}
 
 	// Far over capacity: the bounded queue must shed load and the
@@ -45,26 +39,27 @@ func TestScalingStudyShapes(t *testing.T) {
 	if over.Dropped == 0 {
 		t.Error("overload shed nothing despite queue cap")
 	}
-	if over.MaxBacklog < cfg.QueueCap {
-		t.Errorf("overload backlog = %d, want ≥ cap %d", over.MaxBacklog, cfg.QueueCap)
+	if over.MaxBacklog < scalingQueueCap {
+		t.Errorf("overload backlog = %d, want ≥ cap %d", over.MaxBacklog, scalingQueueCap)
 	}
-	if over.Decisions+over.Dropped != 400 {
-		t.Errorf("overload decided %d + dropped %d != 400", over.Decisions, over.Dropped)
+	if over.Decisions+over.Dropped != scalingPackets {
+		t.Errorf("overload decided %d + dropped %d != %d", over.Decisions, over.Dropped, scalingPackets)
 	}
 
-	out := FormatScaling(points, cfg)
+	out := FormatScaling(points)
 	if !strings.Contains(out, "SCALING STUDY") || !strings.Contains(out, "Offered") {
 		t.Error("rendering incomplete")
 	}
 }
 
+// TestScalingDefaultSweep pins the sweep's shape: ascending offered
+// loads that bracket the pipeline's service rate, from well under it
+// to far past it.
 func TestScalingDefaultSweep(t *testing.T) {
-	cfg := ScalingConfig{Scale: traffic.ScaleTiny, Seed: 1, Packets: 120, ServiceTime: 2 * netsim.Millisecond}
-	points, err := RunScalingStudy(cfg)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.IsSorted(scalingSweep) || !slices.Contains(scalingSweep, 1) {
+		t.Errorf("sweep %v is not ascending through the service rate", scalingSweep)
 	}
-	if len(points) != 7 {
-		t.Errorf("default sweep = %d points, want 7", len(points))
+	if scalingSweep[0] >= 0.5 || scalingSweep[len(scalingSweep)-1] < 10 {
+		t.Errorf("sweep %v does not bracket the service rate", scalingSweep)
 	}
 }

@@ -20,40 +20,36 @@ import (
 // reports, with the report wire impaired (netem), the feed scrambled
 // (duplicates, bounded reordering, stale stragglers), and a fault
 // schedule firing inside the pipeline — all deterministic under the
-// seeds.
+// seeds. The run's shape — passes, reports per pass, wire impairment,
+// dedup window, shards — is fixed by the soak constants below.
 type SoakConfig struct {
 	Scale string
 	Seed  int64
-	// Passes is how many times the workload's reports replay through
-	// the pipeline (default 3). Each pass offsets the sequence space
-	// far enough that the dedup tracker re-seeds cleanly, as a
-	// restarted exporter would.
-	Passes int
-	// PacketsPerType bounds each pass (default 500 reports per flow
-	// type).
-	PacketsPerType int
-
-	// Netem is the sub-clause impairment for the agent→collector
-	// report wire during materialization (default
-	// "loss=1%,dup=0.1%,delay=20us,jitter=40us"; "-" disables).
-	Netem     string
+	// NetemSeed drives the wire impairment's RNGs.
 	NetemSeed int64
 
 	// FaultSpec fires inside the pipeline (default
 	// "drop=0.005,store.err=0.02"; "-" disables). FaultSeed seeds it.
 	FaultSpec string
 	FaultSeed int64
-
-	// DedupWindow is the pipeline's per-source window (default 16).
-	DedupWindow int
-	// Shards sizes the pipeline (default 4).
-	Shards int
-
-	// MaxAccuracyLossPP is the soak invariant: the scrambled run's
-	// decision accuracy may trail the clean run's by at most this many
-	// percentage points (default 10).
-	MaxAccuracyLossPP float64
 }
+
+const (
+	// soakPasses is how many times the workload's reports replay
+	// through the pipeline. Each pass offsets the sequence space far
+	// enough that the dedup tracker re-seeds cleanly, as a restarted
+	// exporter would.
+	soakPasses = 3
+	// soakPacketsPerType bounds each pass, in reports per flow type.
+	soakPacketsPerType = 500
+	// soakNetem is the sub-clause impairment of the agent→collector
+	// report wire during materialization.
+	soakNetem = "loss=1%,dup=0.1%,delay=20us,jitter=40us"
+	// soakDedupWindow is the pipeline's per-source dedup window.
+	soakDedupWindow = 16
+	// soakShards sizes the pipeline.
+	soakShards = 4
+)
 
 // SoakResult summarizes the run and its two closure invariants.
 type SoakResult struct {
@@ -128,35 +124,14 @@ func (s *soakScrambler) flush() {
 // fault schedule — asserting that accounting still closes and
 // accuracy degrades gracefully.
 func RunSoak(cfg SoakConfig) (*SoakResult, error) {
-	if cfg.Passes <= 0 {
-		cfg.Passes = 3
-	}
-	if cfg.PacketsPerType <= 0 {
-		cfg.PacketsPerType = 500
-	}
-	switch cfg.Netem {
-	case "":
-		cfg.Netem = "loss=1%,dup=0.1%,delay=20us,jitter=40us"
-	case "-":
-		cfg.Netem = ""
-	}
 	switch cfg.FaultSpec {
 	case "":
 		cfg.FaultSpec = "drop=0.005,store.err=0.02"
 	case "-":
 		cfg.FaultSpec = ""
 	}
-	if cfg.DedupWindow <= 0 {
-		cfg.DedupWindow = 16
-	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 4
-	}
-	if cfg.MaxAccuracyLossPP <= 0 {
-		cfg.MaxAccuracyLossPP = 10
-	}
 
-	lcfg := LiveConfig{Scale: cfg.Scale, Seed: cfg.Seed, PacketsPerType: cfg.PacketsPerType}
+	lcfg := LiveConfig{Scale: cfg.Scale, Seed: cfg.Seed, PacketsPerType: soakPacketsPerType}
 	lcfg.fillDefaults()
 	w := traffic.Build(traffic.ConfigForScale(cfg.Scale, cfg.Seed))
 	models, scaler, names, _, err := trainStageTwo(lcfg, w)
@@ -164,20 +139,20 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, err
 	}
 
-	maxReports := (len(traffic.AttackTypes) + 1) * cfg.PacketsPerType
+	maxReports := (len(traffic.AttackTypes) + 1) * soakPacketsPerType
 	cleanReports, _, err := materializeReports(w, maxReports, "", 0)
 	if err != nil {
 		return nil, err
 	}
-	impReports, linkStats, err := materializeReports(w, maxReports, cfg.Netem, cfg.NetemSeed)
+	impReports, linkStats, err := materializeReports(w, maxReports, soakNetem, cfg.NetemSeed)
 	if err != nil {
 		return nil, err
 	}
 
-	res := &SoakResult{Ensemble: names, Passes: cfg.Passes, LinkStats: linkStats}
+	res := &SoakResult{Ensemble: names, Passes: soakPasses, LinkStats: linkStats}
 
 	// Clean baseline: one unimpaired pass, no scrambling, no faults.
-	res.CleanAccuracy, _, err = soakFeed(models, scaler, cfg, nil, func(emit func(*telemetry.Report)) {
+	res.CleanAccuracy, _, err = soakFeed(models, scaler, nil, func(emit func(*telemetry.Report)) {
 		for _, r := range cleanReports {
 			emit(r)
 		}
@@ -186,15 +161,15 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 		return nil, err
 	}
 
-	// The soak: Passes × impaired reports, scrambled, under faults.
+	// The soak: soakPasses × impaired reports, scrambled, under faults.
 	injector, err := fault.Parse(cfg.FaultSpec, cfg.FaultSeed)
 	if err != nil {
 		return nil, err
 	}
 	var live *core.Live
-	res.SoakAccuracy, live, err = soakFeed(models, scaler, cfg, injector, func(emit func(*telemetry.Report)) {
+	res.SoakAccuracy, live, err = soakFeed(models, scaler, injector, func(emit func(*telemetry.Report)) {
 		sc := &soakScrambler{rng: rand.New(rand.NewSource(cfg.Seed + 7)), emit: emit}
-		for pass := 0; pass < cfg.Passes; pass++ {
+		for pass := 0; pass < soakPasses; pass++ {
 			// Each pass jumps the sequence space like a restarted
 			// exporter; the dedup tracker absorbs it as a stream reset.
 			offset := uint64(pass) << 32
@@ -272,13 +247,13 @@ func feedLive(cfg core.LiveConfig, feed func(emit func(*telemetry.Report))) (*co
 // soakFeed runs one pipeline configuration over the feed and returns
 // its decision accuracy against ground truth plus the (stopped)
 // pipeline for ledger inspection.
-func soakFeed(models []ml.Classifier, scaler *ml.StandardScaler, cfg SoakConfig, injector *fault.Injector, feed func(emit func(*telemetry.Report))) (float64, *core.Live, error) {
+func soakFeed(models []ml.Classifier, scaler *ml.StandardScaler, injector *fault.Injector, feed func(emit func(*telemetry.Report))) (float64, *core.Live, error) {
 	live, err := feedLive(core.LiveConfig{
 		Models:               models,
 		Scaler:               scaler,
-		Shards:               cfg.Shards,
+		Shards:               soakShards,
 		Fault:                injector,
-		DedupWindow:          cfg.DedupWindow,
+		DedupWindow:          soakDedupWindow,
 		WorkerRestartBackoff: time.Millisecond,
 		StoreRetryBackoff:    200 * time.Microsecond,
 	}, feed)

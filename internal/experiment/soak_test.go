@@ -13,13 +13,7 @@ func TestSoakSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak smoke skipped in -short")
 	}
-	cfg := SoakConfig{
-		Scale:          traffic.ScaleTiny,
-		Seed:           42,
-		Passes:         2,
-		PacketsPerType: 400,
-	}
-	r, err := RunSoak(cfg)
+	r, err := RunSoak(SoakConfig{Scale: traffic.ScaleTiny, Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,20 +11,23 @@ import (
 )
 
 // TriageSweepConfig parameterizes the exit-rate/accuracy sweep over
-// benign fraction × stage-0 threshold.
+// benign fraction × stage-0 threshold (triageBenignFracs ×
+// triageThresholds).
 type TriageSweepConfig struct {
 	// Live supplies the base stage-2 settings (scale, seed, pacing).
 	// Its Triage* fields are ignored; the sweep sets them per cell.
 	Live LiveConfig
-	// BenignFracs are the benign shares of each mixed replay stream
-	// (default 0.50, 0.80, 0.95 — the benchmark's benign-heavy mix
-	// last).
-	BenignFracs []float64
-	// Thresholds are the stage-0 confidence cutoffs swept per
-	// fraction (default 0.90, 0.95, 0.99). Each fraction also runs a
-	// triage-off baseline the deltas are measured against.
-	Thresholds []float64
 }
+
+var (
+	// triageBenignFracs are the benign shares of each mixed replay
+	// stream, the benchmark's benign-heavy mix last.
+	triageBenignFracs = []float64{0.50, 0.80, 0.95}
+	// triageThresholds are the stage-0 confidence cutoffs swept per
+	// fraction. Each fraction also runs a triage-off baseline the
+	// deltas are measured against.
+	triageThresholds = []float64{0.90, 0.95, 0.99}
+)
 
 // TriageCell is one sweep measurement: a benign fraction replayed
 // with one threshold (0 = the triage-off baseline).
@@ -41,16 +44,6 @@ type TriageCell struct {
 type TriageSweep struct {
 	Cells    []TriageCell
 	Ensemble []string
-}
-
-func (cfg *TriageSweepConfig) fillDefaults() {
-	cfg.Live.fillDefaults()
-	if len(cfg.BenignFracs) == 0 {
-		cfg.BenignFracs = []float64{0.50, 0.80, 0.95}
-	}
-	if len(cfg.Thresholds) == 0 {
-		cfg.Thresholds = []float64{0.90, 0.95, 0.99}
-	}
 }
 
 // mixedRecords builds one replay stream of n records with the given
@@ -85,14 +78,14 @@ func mixedRecords(w *traffic.Workload, n int, benignFrac float64) []trace.Record
 // the accuracy cost against a triage-off baseline on the identical
 // stream.
 func RunTriageSweep(cfg TriageSweepConfig) (*TriageSweep, error) {
-	cfg.fillDefaults()
+	cfg.Live.fillDefaults()
 	w := traffic.Build(traffic.ConfigForScale(cfg.Live.Scale, cfg.Live.Seed))
 	models, scaler, names, _, err := trainStageTwo(cfg.Live, w)
 	if err != nil {
 		return nil, err
 	}
 	sweep := &TriageSweep{Ensemble: names}
-	for _, frac := range cfg.BenignFracs {
+	for _, frac := range triageBenignFracs {
 		recs := mixedRecords(w, cfg.Live.PacketsPerType, frac)
 		if len(recs) == 0 {
 			return nil, fmt.Errorf("triage sweep: empty stream at benign fraction %g", frac)
@@ -105,7 +98,7 @@ func RunTriageSweep(cfg TriageSweepConfig) (*TriageSweep, error) {
 		}
 		baseCell := summarizeCell(frac, 0, baseDec)
 		sweep.Cells = append(sweep.Cells, baseCell)
-		for _, th := range cfg.Thresholds {
+		for _, th := range triageThresholds {
 			run := cfg.Live
 			run.Triage = true
 			run.TriageThreshold = th

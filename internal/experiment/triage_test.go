@@ -79,9 +79,7 @@ func TestTriageModelResolution(t *testing.T) {
 	cfg := LiveConfig{Triage: true, TriageModel: "NOPE"}
 	cfg.fillDefaults()
 	w := capture(t).Workload
-	models, _, _, _, err := trainStageTwo(LiveConfig{Scale: "tiny", Seed: 42, PacketsPerType: 250,
-		TrainPacketsPerType: 1000, ServiceTime: 1, PollInterval: 1, AttackUtilization: 0.4,
-		VoteWindow: 3, ModelQuorum: 2, Ensemble: StageTwoModels()}, w)
+	models, _, _, _, err := trainStageTwo(LiveConfig{Scale: "tiny", Seed: 42, PacketsPerType: 250}, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,31 +97,35 @@ func TestTriageModelResolution(t *testing.T) {
 	}
 }
 
-// TestTriageSweepTiny smoke-tests the sweep grid end to end at a
-// single cell per axis and checks its invariants: baselines exit
-// nothing, triage cells report exit rates in [0, 1], and the
-// formatter renders one line per cell.
+// TestTriageSweepTiny smoke-tests the sweep grid end to end and checks
+// its invariants: one baseline per benign fraction, followed by a cell
+// per threshold; baselines exit nothing, triage cells report exit rates
+// in [0, 1], and the formatter renders one line per cell.
 func TestTriageSweepTiny(t *testing.T) {
 	sweep, err := RunTriageSweep(TriageSweepConfig{
-		Live:        LiveConfig{Scale: "tiny", Seed: 42, PacketsPerType: 200},
-		BenignFracs: []float64{0.8},
-		Thresholds:  []float64{0.95},
+		Live: LiveConfig{Scale: "tiny", Seed: 42, PacketsPerType: 200},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sweep.Cells) != 2 {
-		t.Fatalf("cells = %d, want 2 (baseline + one threshold)", len(sweep.Cells))
+	perFrac := 1 + len(triageThresholds)
+	if want := len(triageBenignFracs) * perFrac; len(sweep.Cells) != want {
+		t.Fatalf("cells = %d, want %d (a baseline + %d thresholds per fraction)",
+			len(sweep.Cells), want, len(triageThresholds))
 	}
-	base, on := sweep.Cells[0], sweep.Cells[1]
-	if base.Threshold != 0 || base.ExitRate != 0 {
-		t.Errorf("baseline cell = %+v, want threshold 0 and no exits", base)
-	}
-	if on.Rows == 0 || on.ExitRate < 0 || on.ExitRate > 1 {
-		t.Errorf("triage cell = %+v", on)
+	for i, c := range sweep.Cells {
+		if i%perFrac == 0 {
+			if c.Threshold != 0 || c.ExitRate != 0 {
+				t.Errorf("baseline cell = %+v, want threshold 0 and no exits", c)
+			}
+			continue
+		}
+		if c.Rows == 0 || c.ExitRate < 0 || c.ExitRate > 1 {
+			t.Errorf("triage cell = %+v", c)
+		}
 	}
 	out := FormatTriageSweep(sweep)
-	if lines := strings.Count(out, "\n"); lines != 4 {
-		t.Errorf("formatted sweep has %d lines, want 4 (title + header + 2 cells):\n%s", lines, out)
+	if lines, want := strings.Count(out, "\n"), 2+len(sweep.Cells); lines != want {
+		t.Errorf("formatted sweep has %d lines, want %d (title + header + a line per cell):\n%s", lines, want, out)
 	}
 }

@@ -47,23 +47,22 @@ func (r Rule) String() string {
 	}
 }
 
-// Config parameterizes rule generation.
+// Config parameterizes rule generation: the rule lifetime. A source
+// is escalated to a source-scoped rule once sourceThreshold of its
+// flows are flagged; new rules are rejected beyond maxRules.
 type Config struct {
 	// TTL is the rule lifetime; refreshed when the same target is
 	// re-flagged (default 5 s virtual).
 	TTL netsim.Time
-	// SourceThreshold escalates to a source-scoped rule once this
-	// many distinct flows from one source have been flagged
-	// (default 3).
-	SourceThreshold int
-	// MaxRules bounds the table; new rules are rejected beyond it
-	// (default 10000).
-	MaxRules int
 }
+
+const sourceThreshold, maxRules = 3, 10000
 
 // Generator turns decisions into rules.
 type Generator struct {
 	cfg Config
+	// maxRules is the constant of the same name; tests lower it.
+	maxRules int
 
 	rules      map[string]*Rule
 	flowsBySrc map[string]map[flow.Key]bool
@@ -71,7 +70,7 @@ type Generator struct {
 	// Stats
 	Generated int
 	Escalated int // source-scope escalations
-	Rejected  int // dropped at MaxRules
+	Rejected  int // dropped at the table bound
 }
 
 // NewGenerator builds a generator; zero-valued config fields take
@@ -80,14 +79,9 @@ func NewGenerator(cfg Config) *Generator {
 	if cfg.TTL <= 0 {
 		cfg.TTL = 5 * netsim.Second
 	}
-	if cfg.SourceThreshold <= 0 {
-		cfg.SourceThreshold = 3
-	}
-	if cfg.MaxRules <= 0 {
-		cfg.MaxRules = 10000
-	}
 	return &Generator{
 		cfg:        cfg,
+		maxRules:   maxRules,
 		rules:      make(map[string]*Rule),
 		flowsBySrc: make(map[string]map[flow.Key]bool),
 	}
@@ -107,7 +101,7 @@ func (g *Generator) HandleDecision(d core.Decision) {
 	}
 	flows[d.Key] = true
 
-	if len(flows) >= g.cfg.SourceThreshold {
+	if len(flows) >= sourceThreshold {
 		g.install("src:"+src, Rule{Scope: ScopeSource, Key: flow.Key{Src: d.Key.Src}}, d.At, true)
 		return
 	}
@@ -121,7 +115,7 @@ func (g *Generator) install(id string, r Rule, now netsim.Time, escalation bool)
 		existing.Hits++
 		return
 	}
-	if len(g.rules) >= g.cfg.MaxRules {
+	if len(g.rules) >= g.maxRules {
 		g.Rejected++
 		return
 	}

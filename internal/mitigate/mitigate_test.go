@@ -48,8 +48,8 @@ func TestGeneratorFlowRule(t *testing.T) {
 }
 
 func TestGeneratorEscalatesToSource(t *testing.T) {
-	g := NewGenerator(Config{SourceThreshold: 3})
-	for p := uint16(1); p <= 3; p++ {
+	g := NewGenerator(Config{})
+	for p := uint16(1); p <= sourceThreshold; p++ {
 		g.HandleDecision(decision(attacker(p), 1, netsim.Time(p)))
 	}
 	if g.Escalated != 1 {
@@ -87,7 +87,8 @@ func TestGeneratorExpireSweep(t *testing.T) {
 }
 
 func TestGeneratorMaxRules(t *testing.T) {
-	g := NewGenerator(Config{MaxRules: 2, SourceThreshold: 100})
+	g := NewGenerator(Config{})
+	g.maxRules = 2
 	for p := uint16(1); p <= 5; p++ {
 		k := attacker(p)
 		k.Src = netip.AddrFrom4([4]byte{10, 1, 0, byte(p)}) // distinct sources
@@ -102,11 +103,12 @@ func TestGeneratorMaxRules(t *testing.T) {
 }
 
 func TestRulesSortedAndRendered(t *testing.T) {
-	g := NewGenerator(Config{SourceThreshold: 2})
+	g := NewGenerator(Config{})
 	g.HandleDecision(decision(attacker(1), 1, 10))
-	g.HandleDecision(decision(attacker(2), 1, 20)) // escalates
+	g.HandleDecision(decision(attacker(2), 1, 20))
+	g.HandleDecision(decision(attacker(3), 1, 30)) // escalates
 	rules := g.Rules()
-	if len(rules) != 2 {
+	if len(rules) != 3 {
 		t.Fatalf("rules = %d", len(rules))
 	}
 	if rules[0].CreatedAt > rules[1].CreatedAt {

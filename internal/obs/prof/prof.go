@@ -14,16 +14,22 @@ import (
 	"github.com/amlight/intddos/internal/obs"
 )
 
-// Default sampling configuration for always-on production profiling:
-// 1 in 100 contended mutex events and one block sample per 10µs of
-// blocked time keep overhead well under the 5% budget while still
-// catching any contention hot enough to flatten throughput.
+// Sampling configuration for always-on production profiling: 1 in 100
+// contended mutex events and one block sample per 10µs of blocked time
+// keep overhead well under the 5% budget while still catching any
+// contention hot enough to flatten throughput.
 const (
 	DefaultMutexFraction = 100
 	DefaultBlockRateNs   = 10_000
-	DefaultInterval      = 30 * time.Second
-	DefaultCPUWindow     = 2 * time.Second
-	DefaultKeep          = 4
+)
+
+// The capture ring: a capture every DefaultInterval unless Config says
+// otherwise, each with a CPU profile of up to cpuWindow (at most half
+// the interval), keepPerKind snapshots retained per profile kind.
+const (
+	DefaultInterval = 30 * time.Second
+	cpuWindow       = 2 * time.Second
+	keepPerKind     = 4
 )
 
 // Process-global sampling-rate bookkeeping. Rates are process-wide
@@ -46,22 +52,17 @@ func blockRate() int {
 }
 
 // EnableRates applies mutex/block profile sampling rates and returns
-// an idempotent restore function. A non-positive rate leaves that
-// profile's configuration untouched. Enables nest; the outermost
-// restore reinstates the pre-enable state.
+// an idempotent restore function. Enables nest; the outermost restore
+// reinstates the pre-enable state.
 func EnableRates(mutexFraction, blockRateNs int) func() {
 	rateMu.Lock()
 	rateUsers++
 	if rateUsers == 1 {
 		prevMutex = runtime.SetMutexProfileFraction(-1)
 	}
-	if mutexFraction > 0 {
-		runtime.SetMutexProfileFraction(mutexFraction)
-	}
-	if blockRateNs > 0 {
-		runtime.SetBlockProfileRate(blockRateNs)
-		curBlockRate = blockRateNs
-	}
+	runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRateNs)
+	curBlockRate = blockRateNs
 	rateMu.Unlock()
 	var once sync.Once
 	return func() {
@@ -78,27 +79,14 @@ func EnableRates(mutexFraction, blockRateNs int) func() {
 	}
 }
 
-// Config parameterizes a Profiler.
+// Config parameterizes a Profiler. Sampling runs at DefaultMutexFraction
+// and DefaultBlockRateNs, and attribution uses PipelineStages.
 type Config struct {
-	// MutexFraction samples 1-in-N contended mutex events (0 selects
-	// DefaultMutexFraction, negative leaves the runtime setting
-	// untouched). BlockRateNs records one blocking event sample per
-	// that many nanoseconds of blocked time (0 selects
-	// DefaultBlockRateNs, negative leaves the setting untouched).
-	MutexFraction int
-	BlockRateNs   int
-
 	// Dir, when set, enables periodic on-disk profile captures into a
-	// bounded ring of files (<kind>-<seq>.pprof, Keep newest retained
-	// per kind).
-	Dir       string
-	Interval  time.Duration // capture period (default 30s)
-	CPUWindow time.Duration // CPU profile length per capture (default 2s)
-	Keep      int           // snapshots retained per kind (default 4)
-
-	// Rules override the stage-attribution table (nil selects
-	// PipelineStages).
-	Rules []StageRule
+	// bounded ring of files (<kind>-<seq>.pprof, the newest four
+	// retained per kind).
+	Dir      string
+	Interval time.Duration // capture period (default 30s)
 
 	// Registry, when set, gets the attribution report (/debug/attrib),
 	// pprof snapshots in diagnostic bundles, and capture counters.
@@ -109,10 +97,13 @@ type Config struct {
 // sampling rates held enabled for its lifetime, an optional on-disk
 // capture ring, and the attribution wiring on the obs registry.
 type Profiler struct {
-	cfg     Config
-	restore func()
-	quit    chan struct{}
-	wg      sync.WaitGroup
+	cfg Config
+	// cpuWindow is each capture's CPU profile length: cpuWindow, at
+	// most half the capture interval. Tests shorten it after Start.
+	cpuWindow time.Duration
+	restore   func()
+	quit      chan struct{}
+	wg        sync.WaitGroup
 
 	mu  sync.Mutex
 	seq int
@@ -125,35 +116,19 @@ type Profiler struct {
 // rates and registry wiring; a capture directory that cannot be
 // created is the only error path.
 func Start(cfg Config) (*Profiler, error) {
-	if cfg.MutexFraction == 0 {
-		cfg.MutexFraction = DefaultMutexFraction
-	}
-	if cfg.BlockRateNs == 0 {
-		cfg.BlockRateNs = DefaultBlockRateNs
-	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = DefaultInterval
 	}
-	if cfg.CPUWindow <= 0 {
-		cfg.CPUWindow = DefaultCPUWindow
-	}
-	if cfg.CPUWindow > cfg.Interval/2 {
-		cfg.CPUWindow = cfg.Interval / 2
-	}
-	if cfg.Keep <= 0 {
-		cfg.Keep = DefaultKeep
-	}
-	p := &Profiler{cfg: cfg, quit: make(chan struct{})}
+	p := &Profiler{cfg: cfg, cpuWindow: min(cpuWindow, cfg.Interval/2), quit: make(chan struct{})}
 	if cfg.Dir != "" {
 		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 			return nil, fmt.Errorf("prof: capture dir: %w", err)
 		}
 	}
-	p.restore = EnableRates(cfg.MutexFraction, cfg.BlockRateNs)
+	p.restore = EnableRates(DefaultMutexFraction, DefaultBlockRateNs)
 	if reg := cfg.Registry; reg != nil {
-		rules := cfg.Rules
 		reg.SetAttribution(func(topN int) string {
-			return Attribution(topN, rules).Format()
+			return Attribution(topN, nil).Format()
 		})
 		for _, kind := range []string{"mutex", "block", "goroutine", "heap"} {
 			kind := kind
@@ -195,14 +170,10 @@ func (p *Profiler) Stop() {
 	p.restore()
 }
 
-// Attribution returns the current attribution report under the
-// profiler's rules.
+// Attribution returns the current attribution report under
+// PipelineStages.
 func (p *Profiler) Attribution(topN int) *Report {
-	var rules []StageRule
-	if p != nil {
-		rules = p.cfg.Rules
-	}
-	return Attribution(topN, rules)
+	return Attribution(topN, nil)
 }
 
 func (p *Profiler) loop() {
@@ -227,7 +198,8 @@ func (p *Profiler) loop() {
 }
 
 // CaptureNow writes one snapshot of every profile kind (plus a short
-// CPU profile) into the capture ring, pruning each kind to Keep files.
+// CPU profile) into the capture ring, pruning each kind to keepPerKind
+// files.
 func (p *Profiler) CaptureNow() error {
 	if p == nil || p.cfg.Dir == "" {
 		return fmt.Errorf("prof: no capture directory configured")
@@ -257,7 +229,7 @@ func (p *Profiler) CaptureNow() error {
 	if err == nil {
 		if err := pprof.StartCPUProfile(f); err == nil {
 			select {
-			case <-time.After(p.cfg.CPUWindow):
+			case <-time.After(p.cpuWindow):
 			case <-quit:
 			}
 			pprof.StopCPUProfile()
@@ -277,14 +249,14 @@ func (p *Profiler) file(kind string, seq int) string {
 	return filepath.Join(p.cfg.Dir, fmt.Sprintf("%s-%06d.pprof", kind, seq))
 }
 
-// prune keeps the newest Keep snapshots of one kind.
+// prune keeps the newest keepPerKind snapshots of one kind.
 func (p *Profiler) prune(kind string) {
 	matches, err := filepath.Glob(filepath.Join(p.cfg.Dir, kind+"-*.pprof"))
-	if err != nil || len(matches) <= p.cfg.Keep {
+	if err != nil || len(matches) <= keepPerKind {
 		return
 	}
 	sort.Strings(matches) // zero-padded sequence numbers sort chronologically
-	for _, old := range matches[:len(matches)-p.cfg.Keep] {
+	for _, old := range matches[:len(matches)-keepPerKind] {
 		os.Remove(old)
 	}
 }

@@ -2,6 +2,7 @@ package prof
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -167,25 +168,24 @@ func TestEnableRatesNesting(t *testing.T) {
 func TestProfilerCaptureRing(t *testing.T) {
 	dir := t.TempDir()
 	p, err := Start(Config{
-		Dir:       dir,
-		Interval:  time.Hour, // no periodic firing during the test
-		CPUWindow: 10 * time.Millisecond,
-		Keep:      2,
+		Dir:      dir,
+		Interval: time.Hour, // no periodic firing during the test
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Stop()
+	p.cpuWindow = 10 * time.Millisecond
 
-	for i := 0; i < 3; i++ {
+	for i := 0; i < keepPerKind+1; i++ {
 		if err := p.CaptureNow(); err != nil {
 			t.Fatalf("capture %d: %v", i, err)
 		}
 	}
 	for _, kind := range []string{"mutex", "block", "goroutine", "heap", "cpu"} {
 		matches, _ := filepath.Glob(filepath.Join(dir, kind+"-*.pprof"))
-		if len(matches) != 2 {
-			t.Errorf("%s snapshots = %d, want pruned to 2: %v", kind, len(matches), matches)
+		if len(matches) != keepPerKind {
+			t.Errorf("%s snapshots = %d, want pruned to %d: %v", kind, len(matches), keepPerKind, matches)
 		}
 	}
 	// Snapshots are non-empty binary pprof payloads (gzip magic).
@@ -201,7 +201,7 @@ func TestProfilerCaptureRing(t *testing.T) {
 
 func TestProfilerRegistryWiring(t *testing.T) {
 	reg := obs.NewRegistry()
-	p, err := Start(Config{MutexFraction: 2, BlockRateNs: 500, Registry: reg})
+	p, err := Start(Config{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,10 @@ func TestProfilerRegistryWiring(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	reg.WritePrometheus(&buf)
-	for _, want := range []string{"intddos_prof_mutex_fraction 2", "intddos_prof_block_rate_ns 500"} {
+	for _, want := range []string{
+		fmt.Sprintf("intddos_prof_mutex_fraction %d", DefaultMutexFraction),
+		fmt.Sprintf("intddos_prof_block_rate_ns %d", DefaultBlockRateNs),
+	} {
 		if !strings.Contains(buf.String(), want) {
 			t.Errorf("prof gauges missing %q", want)
 		}
