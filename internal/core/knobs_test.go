@@ -20,7 +20,8 @@ import (
 )
 
 // knobStructs are the configs held to the knob rule: the pipeline's,
-// the experiments', the profiler's and the rule generator's. The
+// the experiments', the profiler's, the rule generator's and the MLP's
+// and Random Forest's. The
 // facade's aliases (intddos.LiveConfig, MechanismConfig, ...) name the
 // same types, so the scan sees through them.
 var knobStructs = []string{
@@ -35,6 +36,8 @@ var knobStructs = []string{
 	"internal/experiment.DataConfig",
 	"internal/obs/prof.Config",
 	"internal/mitigate.Config",
+	"internal/ml/neural.Config",
+	"internal/ml/forest.Config",
 }
 
 // TestConfigKnobsHaveCallers enforces the surface rule for every config

@@ -24,8 +24,6 @@ type Config struct {
 	MaxFeatures int
 	// Seed makes training deterministic.
 	Seed int64
-	// Workers bounds training parallelism; 0 selects GOMAXPROCS.
-	Workers int
 }
 
 // Default returns the configuration used by the experiments.
@@ -59,9 +57,6 @@ func New(cfg Config) *Forest {
 	if cfg.MinSamplesLeaf < 1 {
 		cfg.MinSamplesLeaf = 1
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Forest{cfg: cfg}
 }
 
@@ -69,8 +64,8 @@ func New(cfg Config) *Forest {
 func (f *Forest) Name() string { return "RF" }
 
 // Fit trains the ensemble: each tree gets an independent bootstrap
-// sample and RNG, and trees are grown concurrently on a bounded
-// worker pool.
+// sample and RNG, and trees are grown concurrently, GOMAXPROCS at a
+// time.
 func (f *Forest) Fit(X [][]float64, y []int) error {
 	if len(X) == 0 {
 		return errors.New("forest: empty training set")
@@ -103,7 +98,7 @@ func (f *Forest) Fit(X [][]float64, y []int) error {
 	}
 
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, cfg.Workers)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for ti := 0; ti < cfg.Trees; ti++ {
 		wg.Add(1)
 		sem <- struct{}{}

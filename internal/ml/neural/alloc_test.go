@@ -25,3 +25,26 @@ func TestPredictBatchAllocsPerCall(t *testing.T) {
 		}
 	}
 }
+
+// TestFitAllocsFlat pins Fit's allocations to the network's shape: the
+// count is the same at 1 000 and 4 000 rows and at 10 and 30 epochs, so
+// no buffer is made per mini-batch or per row.
+func TestFitAllocsFlat(t *testing.T) {
+	allocs := func(rows, epochs int) float64 {
+		X, y := wideData(rows, 15, 11)
+		cfg := MLP(42)
+		cfg.Epochs = epochs
+		return testing.AllocsPerRun(1, func() {
+			if err := New(cfg).Fit(X, y); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	base := allocs(1000, 10)
+	if more := allocs(4000, 10); more != base {
+		t.Errorf("Fit allocations: %v at 1 000 rows, %v at 4 000", base, more)
+	}
+	if longer := allocs(1000, 30); longer != base {
+		t.Errorf("Fit allocations: %v at 10 epochs, %v at 30", base, longer)
+	}
+}

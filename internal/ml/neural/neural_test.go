@@ -53,8 +53,8 @@ func TestNetworkSeparatesBlobs(t *testing.T) {
 
 func TestNetworkLearnsXOR(t *testing.T) {
 	X, y := xorData(1200, 3)
-	cfg := Config{Hidden: []int{16, 8}, Epochs: 120, LearningRate: 0.05, Seed: 5}
-	n := New(cfg)
+	n := New(Config{Hidden: []int{16, 8}, Epochs: 120, Seed: 5})
+	n.lr = 0.05
 	if err := n.Fit(X, y); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +117,28 @@ func TestNetworkErrors(t *testing.T) {
 	}
 	if err := n.Fit([][]float64{{1}}, []int{0, 1}); err == nil {
 		t.Error("mismatched fit accepted")
+	}
+}
+
+// TestFitRejectsRaggedRows checks that Fit names the first row whose
+// width differs from row 0's, shorter or longer, instead of training on
+// what a previous row left in the buffers.
+func TestFitRejectsRaggedRows(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  []float64
+		want string
+	}{
+		{"shorter", []float64{1}, "neural: row 5 has 1 features, row 0 has 2"},
+		{"longer", []float64{1, 2, 3}, "neural: row 5 has 3 features, row 0 has 2"},
+	} {
+		X, y := blobs(12, 3)
+		X[5] = c.bad
+		X[9] = c.bad
+		err := New(ShallowNN(1)).Fit(X, y)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s row: Fit error %v, want %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -51,8 +51,6 @@ func (n *Network) UnmarshalBinary(buf []byte) error {
 		if l.in <= 0 || l.out <= 0 || len(l.w) != l.in*l.out || len(l.b) != l.out {
 			return fmt.Errorf("neural: layer %d shape mismatch", i)
 		}
-		l.vw = make([]float64, len(l.w))
-		l.vb = make([]float64, len(l.b))
 		n.layers[i] = l
 	}
 	// Consecutive layers must chain.
