@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the gate every change must
-# pass: vet, the workers guard, build, the full test suite, the
+# pass: vet (for the host and for arm64), the workers guard, build, the full test suite, the
 # allocation pins, the race pass, a short fuzz smoke over every
 # wire-format parser, the chaos
 # smoke (the fault-injection suite under the race detector), the
@@ -22,8 +22,14 @@ GO ?= go
 
 check: vet workers-guard build test allocs race fuzz-smoke chaos-smoke recovery-smoke diag-smoke soak-smoke bench-checkpoint-smoke bench-smoke
 
+# vet runs twice: for the host and for arm64. The export scan
+# (TestExportsHaveCallers) type-checks only the host's build, so a
+# deletion that strands a file under a build tag (block_generic.go, the
+# non-amd64 scoring kernel) passes it and the amd64 build; the arm64
+# pass catches it.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # workers-guard fails if anything outside benchmark/ still sets or reads
 # LiveConfig.Workers, which the pipeline ignores (each shard is one

@@ -28,7 +28,7 @@ import (
 var (
 	benchOnce    sync.Once
 	benchCapture *Capture
-	benchLive    *LiveResult
+	benchLive    *experiment.LiveResult
 	benchLiveErr error
 )
 
@@ -50,7 +50,7 @@ func benchSetup(b *testing.B) *Capture {
 
 var liveOnce sync.Once
 
-func benchLiveResult(b *testing.B) *LiveResult {
+func benchLiveResult(b *testing.B) *experiment.LiveResult {
 	b.Helper()
 	liveOnce.Do(func() {
 		benchLive, benchLiveErr = RunTableVI(LiveConfig{
@@ -205,7 +205,7 @@ func BenchmarkFigure3_4_ConfusionMatrices(b *testing.B) {
 func BenchmarkFigure5_Timeline(b *testing.B) {
 	c := benchSetup(b)
 	b.ResetTimer()
-	var fig *Figure5
+	var fig *experiment.Figure5
 	for i := 0; i < b.N; i++ {
 		var err error
 		fig, err = RunFigure5(c, 240, 42)

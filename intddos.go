@@ -2,7 +2,11 @@
 // for Automated DDoS Detection in Production Programmable Networks:
 // The AmLight Use Case" (SC 2024) as a self-contained Go library.
 //
-// The package is a facade over the internal subsystems:
+// The package is a facade over the internal subsystems. It exports
+// what the commands, examples, benchmark and scripts of this module
+// use, and nothing else (internal/core's TestExportsHaveCallers holds
+// it to that); a result type it returns is named by its internal
+// package. The subsystems:
 //
 //   - a deterministic discrete-event network simulator with
 //     INT-capable switches (internal/netsim, internal/telemetry);
@@ -35,11 +39,8 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/mitigate"
 	"github.com/amlight/intddos/internal/ml"
-	"github.com/amlight/intddos/internal/ml/sketch"
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/obs"
-	"github.com/amlight/intddos/internal/obs/prof"
-	"github.com/amlight/intddos/internal/sflow"
 	"github.com/amlight/intddos/internal/telemetry"
 	"github.com/amlight/intddos/internal/testbed"
 	"github.com/amlight/intddos/internal/trace"
@@ -50,14 +51,12 @@ import (
 const (
 	ScaleTiny  = traffic.ScaleTiny
 	ScaleSmall = traffic.ScaleSmall
-	ScaleFull  = traffic.ScaleFull
 )
 
 // Attack type names (Table I / Table VI row keys).
 const (
 	Benign    = traffic.Benign
 	SYNScan   = traffic.SYNScan
-	UDPScan   = traffic.UDPScan
 	SYNFlood  = traffic.SYNFlood
 	SlowLoris = traffic.SlowLoris
 )
@@ -67,8 +66,6 @@ type Time = netsim.Time
 
 // Common durations.
 const (
-	Nanosecond  = netsim.Nanosecond
-	Microsecond = netsim.Microsecond
 	Millisecond = netsim.Millisecond
 	Second      = netsim.Second
 )
@@ -81,145 +78,48 @@ type (
 	Capture = experiment.Capture
 	// EvalResult is one model-comparison row (Tables III/IV).
 	EvalResult = experiment.EvalResult
-	// TableIIIResult bundles Table III with Figures 3 and 4.
-	TableIIIResult = experiment.TableIIIResult
-	// TableIRow is one attack episode with its packet count.
-	TableIRow = experiment.TableIRow
-	// TableVRow is one model's top-five feature importances.
-	TableVRow = experiment.TableVRow
-	// Figure5 is the timeline comparison of truth vs predictions.
-	Figure5 = experiment.Figure5
-	// TimelinePoint is one Figure 5 bucket.
-	TimelinePoint = experiment.TimelinePoint
-	// EpisodeCoverage counts per-episode observations per source.
-	EpisodeCoverage = experiment.EpisodeCoverage
 	// LiveConfig parameterizes the stage-2 live experiment.
 	LiveConfig = experiment.LiveConfig
-	// LiveResult is the stage-2 outcome (Table VI, Figure 7).
-	LiveResult = experiment.LiveResult
 	// ModelSpec names a trainable model family.
 	ModelSpec = experiment.ModelSpec
 	// ScalingConfig parameterizes the processing-capability sweep.
 	ScalingConfig = experiment.ScalingConfig
-	// ScalingPoint is one offered-load measurement.
-	ScalingPoint = experiment.ScalingPoint
-	// ROCRow is one model/source ROC summary.
-	ROCRow = experiment.ROCRow
-	// MitigationResult summarizes one closed-loop mitigation replay.
-	MitigationResult = experiment.MitigationResult
 	// ChaosConfig parameterizes a fault-injected live replay.
 	ChaosConfig = experiment.ChaosConfig
-	// ChaosResult summarizes how the pipeline degraded under faults.
-	ChaosResult = experiment.ChaosResult
 	// TriageSweepConfig parameterizes the tiered-inference sweep over
 	// benign fraction × stage-0 threshold.
 	TriageSweepConfig = experiment.TriageSweepConfig
-	// TriageSweep is the sweep's exit-rate/accuracy grid.
-	TriageSweep = experiment.TriageSweep
-	// TriageCell is one sweep measurement.
-	TriageCell = experiment.TriageCell
 	// ImpairConfig parameterizes the adverse-network sweep: Table
 	// III/IV re-run over a grid of report-wire impairments.
 	ImpairConfig = experiment.ImpairConfig
-	// ImpairPoint is one sweep grid point (name + netem sub-clauses).
-	ImpairPoint = experiment.ImpairPoint
-	// ImpairRow is one grid point's accounting and accuracy outcome.
-	ImpairRow = experiment.ImpairRow
-	// ImpairResult is the sweep artifact (see WriteImpairJSON).
-	ImpairResult = experiment.ImpairResult
 	// SoakConfig parameterizes the adverse-network soak: the live
 	// pipeline fed a scrambled (reordered/duplicated/stale) multi-pass
 	// report stream materialized through an impaired wire.
 	SoakConfig = experiment.SoakConfig
-	// SoakResult is the soak outcome: ledgers, wire stats, accuracy.
-	SoakResult = experiment.SoakResult
 )
 
 // ML layer types.
 type (
-	// Dataset is a dense feature matrix with binary labels.
-	Dataset = ml.Dataset
-	// Scores bundles accuracy, recall, precision, and F1.
-	Scores = ml.Scores
-	// ConfusionMatrix is the 2×2 positives/negatives matrix.
-	ConfusionMatrix = ml.ConfusionMatrix
 	// Classifier is a trainable binary classifier.
 	Classifier = ml.Classifier
-	// BatchClassifier is a Classifier with an amortized many-rows
-	// scoring path; every shipped model family implements it.
-	BatchClassifier = ml.BatchClassifier
-	// BatchProbaClassifier adds the batched attack-probability path
-	// the tiered cascade's stage-0 model must expose.
-	BatchProbaClassifier = ml.BatchProbaClassifier
-	// Cascade is the early-exit scoring cascade behind tiered
-	// inference (MechanismConfig.Triage / LiveRuntimeConfig.Triage).
-	Cascade = ml.Cascade
-	// CascadeStage is one cascade stage: a model plus its exit
-	// confidence threshold.
-	CascadeStage = ml.CascadeStage
-	// Sketch is the streaming count-min + flow-key-entropy triage
-	// sketch feeding the cascade's suspicion veto.
-	Sketch = sketch.Sketch
 	// StandardScaler standardizes features to zero mean, unit var.
 	StandardScaler = ml.StandardScaler
-	// Bundle is a deployable model set: ensemble + scaler + feature
-	// names, as the Prediction module loads at initialization.
-	Bundle = ml.Bundle
 )
 
 // Substrate types for building custom setups.
 type (
-	// Workload is a generated capture plus its attack schedule.
-	Workload = traffic.Workload
-	// WorkloadConfig shapes workload generation.
-	WorkloadConfig = traffic.Config
-	// Schedule is the list of attack episodes.
-	Schedule = traffic.Schedule
-	// Episode is one attack window.
-	Episode = traffic.Episode
-	// Record is one captured packet in a trace.
-	Record = trace.Record
-	// Replayer injects a trace through a host (tcpreplay analogue).
-	Replayer = trace.Replayer
-	// Testbed is the Figure 6 single-switch rig.
-	Testbed = testbed.Testbed
 	// TestbedConfig parameterizes the rig.
 	TestbedConfig = testbed.Config
 	// Report is one decoded INT telemetry report.
 	Report = telemetry.Report
-	// NetCollector terminates report datagrams on a real UDP socket.
-	NetCollector = telemetry.NetCollector
-	// ReportSender ships encoded reports to a collector over UDP.
-	ReportSender = telemetry.ReportSender
-	// FlowSample is one decoded sFlow sample.
-	FlowSample = sflow.FlowSample
-	// FeatureSet selects the model input features.
-	FeatureSet = flow.FeatureSet
 	// FlowKey is the 5-tuple flow identity.
 	FlowKey = flow.Key
-	// Mechanism is the paper's automated detection pipeline.
-	Mechanism = core.Mechanism
 	// MechanismConfig parameterizes the pipeline.
 	MechanismConfig = core.Config
-	// Live is the wall-clock concurrent runtime of the pipeline.
-	Live = core.Live
 	// LiveRuntimeConfig parameterizes the wall-clock runtime.
 	LiveRuntimeConfig = core.LiveConfig
 	// Decision is one final smoothed classification.
 	Decision = core.Decision
-	// RestoreSummary describes the checkpoint a live runtime resumed
-	// from (see Live.Restore and LiveRuntimeConfig.CheckpointDir).
-	RestoreSummary = core.RestoreSummary
-	// Ledger is one reading of a live runtime's accounting (see
-	// Live.Ledger and Live.AwaitSettled).
-	Ledger = core.Ledger
-	// TypeResult is one Table VI row.
-	TypeResult = core.TypeResult
-	// HealthState is the live pipeline's aggregate condition
-	// (healthy, degraded, or shedding), reported on /healthz.
-	HealthState = core.HealthState
-	// FaultSpec is a parsed fault-injection schedule.
-	FaultSpec = fault.Spec
 	// FaultInjector decides, deterministically from a seed, when the
 	// faults of a FaultSpec fire; wire it into
 	// LiveRuntimeConfig.Fault to chaos-test the live pipeline.
@@ -228,79 +128,20 @@ type (
 	// into TestbedConfig.Netem or DataConfig.Netem ("*" matches every
 	// link).
 	NetemSpec = fault.NetemSpec
-	// LinkImpairment is one link's netem parameters (delay/jitter,
-	// loss, dup, reorder, rate cap, queue limit).
-	LinkImpairment = fault.LinkImpairment
-	// LinkImpairStats is an impaired link's delivery ledger.
-	LinkImpairStats = netsim.ImpairStats
 )
 
-// Pipeline health states, in increasing severity.
-const (
-	HealthHealthy  = core.HealthHealthy
-	HealthDegraded = core.HealthDegraded
-	HealthShedding = core.HealthShedding
-)
-
-// Extension modules: microburst detection over the same telemetry
+// MitigateConfig parameterizes the mitigation rule generator, one of
+// the extension modules: microburst detection over the same telemetry
 // feed (the paper's reference [8]) and the mitigation hooks it lists
 // as future work.
-type (
-	// Microburst is one detected queue-buildup event.
-	Microburst = telemetry.Microburst
-	// MicroburstDetector coalesces hot queue-occupancy runs.
-	MicroburstDetector = telemetry.MicroburstDetector
-	// MitigationRule is one generated drop rule.
-	MitigationRule = mitigate.Rule
-	// MitigateConfig parameterizes rule generation.
-	MitigateConfig = mitigate.Config
-	// RuleGenerator turns attack decisions into expiring drop rules.
-	RuleGenerator = mitigate.Generator
-)
+type MitigateConfig = mitigate.Config
 
-// Observability layer: a dependency-free metrics registry with
-// counters, gauges, and lock-free latency histograms, a sampled
-// flow-journey tracer, and an HTTP surface exposing /metrics
-// (Prometheus text), /healthz, /traces/flow, and pprof. Wire a registry
-// into LiveRuntimeConfig.Registry (or read Live.Obs()) and mount
-// Registry.Handler() to watch the pipeline run.
-type (
-	// ObsRegistry names and owns a set of metrics for one pipeline.
-	ObsRegistry = obs.Registry
-	// ObsSnapshot is a point-in-time copy of every metric.
-	ObsSnapshot = obs.Snapshot
-	// ObsHistogramSnapshot is one histogram's state with quantiles.
-	ObsHistogramSnapshot = obs.HistogramSnapshot
-	// ObsServer is a running observability HTTP listener.
-	ObsServer = obs.Server
-	// ObsEvent is one structured pipeline event (shard restart,
-	// health transition, checkpoint, shed decision).
-	ObsEvent = obs.Event
-	// ObsEventLog is the bounded in-memory event ring behind
-	// /debug/events and Live.Events().
-	ObsEventLog = obs.EventLog
-	// FlowJourney is one sampled record's end-to-end hop trail
-	// (ingest → journal → poll → batch → predict → vote).
-	FlowJourney = obs.Journey
-	// FlowJourneys is the journey sampler behind /traces/flow.
-	FlowJourneys = obs.Journeys
-	// ProfilerConfig parameterizes always-on contention profiling.
-	ProfilerConfig = prof.Config
-	// Profiler owns sampling rates, the on-disk capture ring, and the
-	// contention-attribution wiring for one pipeline.
-	Profiler = prof.Profiler
-	// AttributionReport maps profiled blocked time onto pipeline
-	// stages (served on /debug/attrib).
-	AttributionReport = prof.Report
-)
-
-// StartProfiler enables contention profiling per cfg (the live
-// runtime starts one automatically; use this for custom setups).
-func StartProfiler(cfg ProfilerConfig) (*Profiler, error) { return prof.Start(cfg) }
-
-// ContentionAttribution reads the process's mutex and block profiles
-// and attributes the top blocked-time stacks to pipeline stages.
-func ContentionAttribution(topN int) *AttributionReport { return prof.Attribution(topN, nil) }
+// ObsRegistry is the observability layer's metrics registry for one
+// pipeline: counters, gauges and lock-free latency histograms behind
+// an HTTP surface exposing /metrics (Prometheus text), /healthz,
+// /traces/flow, and pprof. Wire one into LiveRuntimeConfig.Registry
+// and mount Registry.Handler() to watch the pipeline run.
+type ObsRegistry = obs.Registry
 
 // NewObsRegistry returns an empty metrics registry.
 func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
@@ -316,36 +157,36 @@ var (
 
 // NewMicroburstDetector builds a detector with the given queue-depth
 // threshold and quiet period.
-func NewMicroburstDetector(threshold uint32, quiet Time) *MicroburstDetector {
+func NewMicroburstDetector(threshold uint32, quiet Time) *telemetry.MicroburstDetector {
 	return telemetry.NewMicroburstDetector(threshold, quiet)
 }
 
 // NewRuleGenerator builds a mitigation rule generator.
-func NewRuleGenerator(cfg MitigateConfig) *RuleGenerator { return mitigate.NewGenerator(cfg) }
+func NewRuleGenerator(cfg MitigateConfig) *mitigate.Generator { return mitigate.NewGenerator(cfg) }
 
 // BuildWorkload generates the June 6–11 benign-plus-attacks capture
 // at the given scale preset.
-func BuildWorkload(scale string, seed int64) *Workload {
+func BuildWorkload(scale string, seed int64) *traffic.Workload {
 	return traffic.Build(traffic.ConfigForScale(scale, seed))
 }
 
 // PaperSchedule maps Table I onto a compressed timeline.
-func PaperSchedule(dayLen, minEpisode Time) Schedule {
+func PaperSchedule(dayLen, minEpisode Time) traffic.Schedule {
 	return traffic.PaperSchedule(dayLen, minEpisode)
 }
 
 // NewTestbed assembles the Figure 6 topology.
-func NewTestbed(cfg TestbedConfig) *Testbed { return testbed.New(cfg) }
+func NewTestbed(cfg TestbedConfig) *testbed.Testbed { return testbed.New(cfg) }
 
 // NewMechanism builds the automated detection pipeline on a testbed's
 // engine; wire it with tb.Collector.OnReport = m.HandleReport.
-func NewMechanism(tb *Testbed, cfg MechanismConfig) (*Mechanism, error) {
+func NewMechanism(tb *testbed.Testbed, cfg MechanismConfig) (*core.Mechanism, error) {
 	return core.New(tb.Eng, cfg)
 }
 
 // NewLiveRuntime builds the wall-clock concurrent runtime of the
 // mechanism, for driving with real (non-simulated) report feeds.
-func NewLiveRuntime(cfg LiveRuntimeConfig) (*Live, error) { return core.NewLive(cfg) }
+func NewLiveRuntime(cfg LiveRuntimeConfig) (*core.Live, error) { return core.NewLive(cfg) }
 
 // ParseFaultSpec parses a fault schedule in the clause grammar
 // ("drop=0.01,store.stall=5ms@0.02,model.fail=GNB@0.5", ...) and
@@ -361,37 +202,18 @@ func ParseFaultSpec(spec string, seed int64) (*FaultInjector, error) {
 // NetemSpec, which impairs nothing.
 func ParseNetem(spec string) (NetemSpec, error) { return fault.ParseNetem(spec) }
 
-// Names of the testbed's impairable links, as ParseNetem's link=
-// selector addresses them.
-const (
-	LinkSourceSwitch    = testbed.LinkSourceSwitch
-	LinkSwitchLoop      = testbed.LinkSwitchLoop
-	LinkSwitchTarget    = testbed.LinkSwitchTarget
-	LinkSwitchCollector = testbed.LinkSwitchCollector
-	LinkAgentCollector  = testbed.LinkAgentCollector
-	LinkSFlowCollector  = testbed.LinkSFlowCollector
-)
-
 // ListenReports opens a UDP INT-report collector on addr
 // ("127.0.0.1:0" picks a free port).
-func ListenReports(addr string) (*NetCollector, error) { return telemetry.ListenReports(addr) }
+func ListenReports(addr string) (*telemetry.NetCollector, error) {
+	return telemetry.ListenReports(addr)
+}
 
 // DialReports connects a report sender to a collector address.
-func DialReports(addr string) (*ReportSender, error) { return telemetry.DialReports(addr, 0) }
-
-// INTFeatures returns the paper's 15-feature INT input vector.
-func INTFeatures() FeatureSet { return flow.INTFeatures() }
-
-// SFlowFeatures returns the 12 features derivable from sampled data.
-func SFlowFeatures() FeatureSet { return flow.SFlowFeatures() }
+func DialReports(addr string) (*telemetry.ReportSender, error) { return telemetry.DialReports(addr, 0) }
 
 // Collect replays a workload through the testbed with INT and sFlow
 // attached and materializes both datasets.
 func Collect(cfg DataConfig) (*Capture, error) { return experiment.Collect(cfg) }
-
-// TablesSFlowRate returns the sampling rate preserving per-class
-// sample volumes at a workload scale.
-func TablesSFlowRate(scale string) int { return experiment.TablesSFlowRate(scale) }
 
 // CoverageSFlowRate returns the sampling rate preserving the
 // production deployment's per-episode sample proportions.
@@ -404,24 +226,24 @@ func StageOneModels() []ModelSpec { return experiment.StageOneModels() }
 func StageTwoModels() []ModelSpec { return experiment.StageTwoModels() }
 
 // TrainEval fits one model spec and scores it.
-func TrainEval(spec ModelSpec, train, test *Dataset, seed int64) (EvalResult, error) {
+func TrainEval(spec ModelSpec, train, test *ml.Dataset, seed int64) (EvalResult, error) {
 	return experiment.TrainEval(spec, train, test, seed)
 }
 
 // FitModel standardizes and fits one model, returning the classifier
 // and its scaler.
-func FitModel(spec ModelSpec, train *Dataset, seed int64) (Classifier, *StandardScaler, error) {
+func FitModel(spec ModelSpec, train *ml.Dataset, seed int64) (Classifier, *StandardScaler, error) {
 	return experiment.FitModel(spec, train, seed)
 }
 
 // RunTableI returns the attack schedule with packet counts.
-func RunTableI(c *Capture) []TableIRow { return experiment.RunTableI(c) }
+func RunTableI(c *Capture) []experiment.TableIRow { return experiment.RunTableI(c) }
 
 // RunTableII returns the Table II feature-availability matrix.
 func RunTableII() []flow.AvailabilityRow { return experiment.RunTableII() }
 
 // RunTableIII runs the 90:10-split model comparison.
-func RunTableIII(c *Capture, seed int64) (*TableIIIResult, error) {
+func RunTableIII(c *Capture, seed int64) (*experiment.TableIIIResult, error) {
 	return experiment.RunTableIII(c, seed)
 }
 
@@ -431,55 +253,55 @@ func RunTableIV(c *Capture, seed int64) ([]EvalResult, error) {
 }
 
 // RunTableV computes per-model top-five feature importances.
-func RunTableV(c *Capture, seed int64) ([]TableVRow, error) {
+func RunTableV(c *Capture, seed int64) ([]experiment.TableVRow, error) {
 	return experiment.RunTableV(c, seed)
 }
 
 // RunTableVI runs the live automated-detection experiment.
-func RunTableVI(cfg LiveConfig) (*LiveResult, error) { return experiment.RunTableVI(cfg) }
+func RunTableVI(cfg LiveConfig) (*experiment.LiveResult, error) { return experiment.RunTableVI(cfg) }
 
 // RunFigure5 sweeps RF predictions across the capture timeline.
-func RunFigure5(c *Capture, buckets int, seed int64) (*Figure5, error) {
+func RunFigure5(c *Capture, buckets int, seed int64) (*experiment.Figure5, error) {
 	return experiment.RunFigure5(c, buckets, seed)
 }
 
 // RunEpisodeCoverage counts per-episode observations per source.
-func RunEpisodeCoverage(c *Capture) []EpisodeCoverage {
+func RunEpisodeCoverage(c *Capture) []experiment.EpisodeCoverage {
 	return experiment.RunEpisodeCoverage(c)
 }
 
 // RunScalingStudy sweeps offered load through the prediction
 // pipeline, quantifying the §V processing-capability discussion.
-func RunScalingStudy(cfg ScalingConfig) ([]ScalingPoint, error) {
+func RunScalingStudy(cfg ScalingConfig) ([]experiment.ScalingPoint, error) {
 	return experiment.RunScalingStudy(cfg)
 }
 
 // RunROC computes threshold-free ROC/AUC comparisons for the
 // probability-capable models on both monitoring sources.
-func RunROC(c *Capture, seed int64) ([]ROCRow, error) { return experiment.RunROC(c, seed) }
+func RunROC(c *Capture, seed int64) ([]experiment.ROCRow, error) { return experiment.RunROC(c, seed) }
 
 // RunMitigation closes the detection→drop-rule loop in the data
 // plane and measures per-attack suppression.
-func RunMitigation(cfg LiveConfig) ([]MitigationResult, error) {
+func RunMitigation(cfg LiveConfig) ([]experiment.MitigationResult, error) {
 	return experiment.RunMitigation(cfg)
 }
 
 // RunChaos trains the stage-2 ensemble and replays the workload's INT
 // reports through the wall-clock runtime under a deterministic fault
 // schedule, returning the degradation summary.
-func RunChaos(cfg ChaosConfig) (*ChaosResult, error) { return experiment.RunChaos(cfg) }
+func RunChaos(cfg ChaosConfig) (*experiment.ChaosResult, error) { return experiment.RunChaos(cfg) }
 
 // RunTriageSweep measures the tiered cascade's exit rate and accuracy
 // cost across benign fraction × threshold, against triage-off
 // baselines on identical streams.
-func RunTriageSweep(cfg TriageSweepConfig) (*TriageSweep, error) {
+func RunTriageSweep(cfg TriageSweepConfig) (*experiment.TriageSweep, error) {
 	return experiment.RunTriageSweep(cfg)
 }
 
 // RunImpairmentSweep re-runs the Table III/IV experiments across a
 // grid of report-wire impairments, quantifying the accuracy cost of
 // adverse telemetry networks. Row 0 is always the clean baseline.
-func RunImpairmentSweep(cfg ImpairConfig) (*ImpairResult, error) {
+func RunImpairmentSweep(cfg ImpairConfig) (*experiment.ImpairResult, error) {
 	return experiment.RunImpairmentSweep(cfg)
 }
 
@@ -487,15 +309,11 @@ func RunImpairmentSweep(cfg ImpairConfig) (*ImpairResult, error) {
 // runtime a multi-pass reordered/duplicated/stale report stream
 // materialized through an impaired wire, asserting that the report
 // and pipeline ledgers still close and accuracy stays bounded.
-func RunSoak(cfg SoakConfig) (*SoakResult, error) { return experiment.RunSoak(cfg) }
+func RunSoak(cfg SoakConfig) (*experiment.SoakResult, error) { return experiment.RunSoak(cfg) }
 
 // DefaultTriageThreshold is the stage-0 exit confidence used when
 // triage is enabled without an explicit threshold.
 const DefaultTriageThreshold = core.DefaultTriageThreshold
-
-// NewSketch builds a triage sketch (non-positive arguments select the
-// defaults the pipeline uses).
-func NewSketch(depth, width int) *Sketch { return sketch.New(depth, width) }
 
 // FeatureAblation contrasts INT with and without queue-occupancy
 // features.
@@ -556,4 +374,4 @@ func SaveEnsemble(path string, models []Classifier, scaler *StandardScaler, feat
 }
 
 // LoadEnsemble restores a bundle written by SaveEnsemble.
-func LoadEnsemble(path string) (*Bundle, error) { return experiment.LoadEnsemble(path) }
+func LoadEnsemble(path string) (*ml.Bundle, error) { return experiment.LoadEnsemble(path) }

@@ -4,6 +4,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"github.com/amlight/intddos/internal/experiment"
+	"github.com/amlight/intddos/internal/flow"
+	"github.com/amlight/intddos/internal/traffic"
 )
 
 // Facade-level tests exercise the public API end to end at tiny
@@ -35,8 +39,11 @@ func TestFacadeBuildWorkload(t *testing.T) {
 	if len(w.Schedule) != 11 {
 		t.Errorf("schedule = %d episodes", len(w.Schedule))
 	}
-	counts := w.CountByType()
-	for _, typ := range []string{Benign, SYNScan, UDPScan, SYNFlood, SlowLoris} {
+	counts := make(map[string]int)
+	for i := range w.Records {
+		counts[w.Records[i].AttackType]++
+	}
+	for _, typ := range []string{traffic.Benign, traffic.SYNScan, traffic.UDPScan, traffic.SYNFlood, traffic.SlowLoris} {
 		if counts[typ] == 0 {
 			t.Errorf("no %s traffic", typ)
 		}
@@ -54,19 +61,19 @@ func TestFacadePaperSchedule(t *testing.T) {
 }
 
 func TestFacadeFeatureSets(t *testing.T) {
-	if len(INTFeatures()) != 15 {
-		t.Errorf("INT features = %d", len(INTFeatures()))
+	if len(flow.INTFeatures()) != 15 {
+		t.Errorf("INT features = %d", len(flow.INTFeatures()))
 	}
-	if len(SFlowFeatures()) != 12 {
-		t.Errorf("sFlow features = %d", len(SFlowFeatures()))
+	if len(flow.SFlowFeatures()) != 12 {
+		t.Errorf("sFlow features = %d", len(flow.SFlowFeatures()))
 	}
 }
 
 func TestFacadeSamplingRates(t *testing.T) {
-	for _, scale := range []string{ScaleTiny, ScaleSmall, ScaleFull} {
-		if TablesSFlowRate(scale) >= CoverageSFlowRate(scale) {
+	for _, scale := range []string{traffic.ScaleTiny, traffic.ScaleSmall, traffic.ScaleFull} {
+		if experiment.TablesSFlowRate(scale) >= CoverageSFlowRate(scale) {
 			t.Errorf("%s: tables rate %d not below coverage rate %d",
-				scale, TablesSFlowRate(scale), CoverageSFlowRate(scale))
+				scale, experiment.TablesSFlowRate(scale), CoverageSFlowRate(scale))
 		}
 	}
 }
@@ -247,7 +254,7 @@ func TestIntegrationSmallScale(t *testing.T) {
 	if got := fig.CoverageOfType(fig.SFlow, SlowLoris); got != 0 {
 		t.Errorf("sFlow captured %d SlowLoris observations, want 0 (Figure 5)", got)
 	}
-	for _, typ := range []string{SYNScan, UDPScan, SYNFlood, SlowLoris} {
+	for _, typ := range []string{traffic.SYNScan, traffic.UDPScan, traffic.SYNFlood, traffic.SlowLoris} {
 		if fig.CoverageOfType(fig.INT, typ) == 0 {
 			t.Errorf("INT missed %s entirely", typ)
 		}

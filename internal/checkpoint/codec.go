@@ -89,20 +89,9 @@ type EncodeOptions struct {
 type writer struct{ buf []byte }
 
 func (w *writer) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *writer) u16(v uint16) { w.buf = binary.BigEndian.AppendUint16(w.buf, v) }
 func (w *writer) u32(v uint32) { w.buf = binary.BigEndian.AppendUint32(w.buf, v) }
 func (w *writer) u64(v uint64) { w.buf = binary.BigEndian.AppendUint64(w.buf, v) }
 func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-func (w *writer) f64(v float64) {
-	w.u64(math.Float64bits(v))
-}
-func (w *writer) boolb(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
 func (w *writer) str(s string) {
 	w.u32(uint32(len(s)))
 	w.buf = append(w.buf, s...)

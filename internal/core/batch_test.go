@@ -96,7 +96,7 @@ func runLiveBatch(t *testing.T, predictBatch int) (byFlow map[string][]string, c
 		}
 		byFlow[k][d.Seq] = fmt.Sprint(d.Label, d.Votes)
 	}
-	return byFlow, l.met.batchSize.Count()
+	return byFlow, l.met.batchSize.Snapshot().Count
 }
 
 // TestLivePredictBatchEquivalence requires the micro-batched shards

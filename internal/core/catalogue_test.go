@@ -28,7 +28,7 @@ func TestMetricCatalogueMatchesREADME(t *testing.T) {
 	defer l.Stop()
 
 	var b strings.Builder
-	l.Obs().WritePrometheus(&b)
+	l.reg.WritePrometheus(&b)
 	registered := make(map[string]bool)
 	for _, line := range strings.Split(b.String(), "\n") {
 		if name, ok := strings.CutPrefix(line, "# TYPE "); ok && strings.HasPrefix(name, "intddos_") {

@@ -214,18 +214,6 @@ func awaitSettled(timeout time.Duration, done func() bool) bool {
 	return true
 }
 
-// CaptureCheckpoint quiesces the pipeline and captures a consistent
-// full snapshot of its durable state: it first waits for the shards to
-// take everything accepted so far, then takes every shard's barrier
-// for write — which waits out the one pass each shard may be in, so no
-// row is between its take and its decision — and exports every shard's
-// flow table, pending rows and prediction log, and the vote windows.
-// The freeze lasts for the export only; sorting, encoding, and disk IO
-// happen after the locks are released.
-func (l *Live) CaptureCheckpoint() (*checkpoint.Snapshot, error) {
-	return l.capture(false, nil)
-}
-
 // LastCheckpointBarrier returns the barrier hold of the most recent
 // capture — how long the per-shard locks were held, the pause the
 // pipeline actually feels (encode and IO run outside it).
@@ -255,6 +243,15 @@ type durableStore interface {
 	LastPredictionSeq() uint64
 }
 
+// capture quiesces the pipeline and captures a consistent snapshot of
+// its durable state (only what changed since the previous capture when
+// delta is set; into scratch's arrays when it is non-nil): it first
+// waits for the shards to take everything accepted so far, then takes
+// every shard's barrier for write — which waits out the one pass each
+// shard may be in, so no row is between its take and its decision —
+// and exports every shard's flow table, pending rows and prediction
+// log, and the vote windows. The freeze lasts for the export only;
+// sorting, encoding, and disk IO happen after the locks are released.
 func (l *Live) capture(delta bool, scratch *captureScratch) (*checkpoint.Snapshot, error) {
 	if err := l.settleIngest(); err != nil {
 		return nil, err

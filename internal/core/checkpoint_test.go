@@ -171,7 +171,7 @@ func TestKillRestoreV1Compat(t *testing.T) {
 	// layout — the snapshot an old binary would have left on disk.
 	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
-	snap, err := b.CaptureCheckpoint()
+	snap, err := b.capture(false, nil)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -448,7 +448,7 @@ func TestKillRestoreV2Compat(t *testing.T) {
 
 	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
-	snap, err := b.CaptureCheckpoint()
+	snap, err := b.capture(false, nil)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}
@@ -479,11 +479,11 @@ func TestCaptureDeterministic(t *testing.T) {
 	l := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(l, 20, 0, 4)
 	settle(t, l, 5*time.Second)
-	s1, err := l.CaptureCheckpoint()
+	s1, err := l.capture(false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := l.CaptureCheckpoint()
+	s2, err := l.capture(false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -809,7 +809,7 @@ func TestKillRestoreIgnoresStoreRecordsAndOrphanWindows(t *testing.T) {
 	const nFlows, cut, total, late = 12, 3, 6, 9000
 	b := startLive(t, ckptConfig(t.TempDir()))
 	feedRange(b, nFlows, 0, cut)
-	snap, err := b.CaptureCheckpoint()
+	snap, err := b.capture(false, nil)
 	if err != nil {
 		t.Fatalf("capture: %v", err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/amlight/intddos/internal/obs"
 )
@@ -33,18 +34,18 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 		l.IngestAsync(liveObs(uint16(2000+i), 40, true, "synflood"))
 	}
 	if !waitFor(t, 5e9, func() bool {
-		return l.Predictions.Load() >= n && l.Journeys().Active() == 0
+		return l.Predictions.Load() >= n && l.journeys.Active() == 0
 	}) {
 		t.Fatalf("pipeline did not drain: completed=%d active=%d",
-			l.Predictions.Load(), l.Journeys().Active())
+			l.Predictions.Load(), l.journeys.Active())
 	}
 	l.Stop()
 
-	recent := l.Journeys().Recent()
+	recent := l.journeys.Recent()
 	if len(recent) == 0 {
 		t.Fatal("no finished journeys recorded at 1-in-1 sampling")
 	}
-	completed, aborted, _ := l.Journeys().Stats()
+	completed, aborted, _ := l.journeys.Stats()
 	if completed < n {
 		t.Errorf("completed journeys = %d, want >= %d", completed, n)
 	}
@@ -61,7 +62,14 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 		}
 		prev := j.Hops[0].At
 		for _, hop := range []string{"ingest", "journal", "poll", "batch", "predict", "vote"} {
-			at, ok := j.Hop(hop)
+			var at time.Time
+			ok := false
+			for _, h := range j.Hops {
+				if h.Name == hop {
+					at, ok = h.At, true
+					break
+				}
+			}
 			if !ok {
 				t.Errorf("journey %s missing hop %q: %s", j.Flow, hop, j.String())
 				continue
@@ -87,7 +95,7 @@ func TestJourneySamplingDisabled(t *testing.T) {
 	waitFor(t, 5e9, func() bool { return l.Predictions.Load() >= 10 })
 	l.Stop()
 
-	if got := len(l.Journeys().Recent()); got != 0 {
+	if got := len(l.journeys.Recent()); got != 0 {
 		t.Errorf("journeys recorded with sampling disabled: %d", got)
 	}
 }
@@ -105,7 +113,7 @@ func TestLiveEventLog(t *testing.T) {
 	l.Stop()
 
 	var started, stopped bool
-	for _, e := range l.Events().Recent() {
+	for _, e := range l.events.Recent() {
 		switch e.Msg {
 		case "pipeline started":
 			started = true
@@ -131,7 +139,7 @@ func TestLiveEventLog(t *testing.T) {
 	}
 	// Per-shard vectors render into the Prometheus exposition.
 	var sb strings.Builder
-	l.Obs().WritePrometheus(&sb)
+	l.reg.WritePrometheus(&sb)
 	for _, want := range []string{
 		"intddos_shard_queue_depth{shard=\"0\"}",
 		"intddos_shard_utilization{shard=\"0\"}",

@@ -44,8 +44,8 @@ var knobStructs = []string{
 // in knobStructs: an exported field is a knob some program turns, or
 // it is a constant (with an unexported seam only if a test varies it).
 //
-// It type-checks the non-test Go files under cmd/, examples/,
-// internal/ and benchmark/. A program turns a field when it gives it a
+// It reads every program modulePrograms loads: the module's non-test
+// files and the root's example_test.go. A program turns a field when it gives it a
 // value in a config it builds itself: as a key of a composite literal,
 // or by assigning through a variable it declared. A value copied from
 // another config's field (VoteWindow: cfg.VoteWindow) turns the field
@@ -107,9 +107,7 @@ func deadKnobs(t *testing.T) []string {
 // scanKnobs does the scan deadKnobs caches.
 func scanKnobs(t *testing.T) []string {
 	t.Helper()
-	const module = "github.com/amlight/intddos"
-	root := filepath.Join("..", "..")
-	pkgs := loadPrograms(t, root, module, "cmd", "examples", "internal", "benchmark")
+	pkgs := modulePrograms(t)
 
 	tracked := make(map[string]bool)
 	for _, s := range knobStructs {
@@ -186,23 +184,50 @@ func scanKnobs(t *testing.T) []string {
 	return dead
 }
 
-// program is one type-checked package's non-test files.
+// module is the import path every scan in this package resolves
+// names against.
+const module = "github.com/amlight/intddos"
+
+// program is one type-checked package: a package's non-test files, or
+// the root package's example_test.go (test set).
 type program struct {
 	files []*ast.File
 	info  *types.Info
 	types *types.Package
+	test  bool
 }
 
-// loadPrograms type-checks, from source, the module's packages under
-// dirs (relative to root); their imports come from the export data
+// loaded caches the one load the knob and export scans share: one
+// `go list -deps -export` and one type-check of the module.
+var loaded struct {
+	sync.Mutex
+	done  bool
+	progs []program
+}
+
+// modulePrograms type-checks, from source, every package of the module
+// (the root package and everything under cmd/, examples/, internal/,
+// benchmark/ and scripts/) plus the root's example_test.go. Packages
+// are checked in dependency order, each against the others'
+// source-checked types, so an object has one identity across the
+// module; the standard library comes from the export data
 // `go list -export` reports.
-func loadPrograms(t *testing.T, root, module string, dirs ...string) []program {
+func modulePrograms(t *testing.T) []program {
 	t.Helper()
-	args := []string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export"}
-	for _, d := range dirs {
-		args = append(args, "./"+d+"/...")
+	loaded.Lock()
+	defer loaded.Unlock()
+	if !loaded.done {
+		loaded.progs = loadPrograms(t, filepath.Join("..", ".."))
+		loaded.done = true
 	}
-	cmd := exec.Command("go", args...)
+	return loaded.progs
+}
+
+// loadPrograms does the load modulePrograms caches.
+func loadPrograms(t *testing.T, root string) []program {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export",
+		".", "./cmd/...", "./examples/...", "./internal/...", "./benchmark/...", "./scripts/...")
 	cmd.Dir = root
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
@@ -215,11 +240,9 @@ func loadPrograms(t *testing.T, root, module string, dirs ...string) []program {
 		GoFiles                 []string
 	}
 	exports := make(map[string]string)
+	// mine lists the module's packages, deps first (go list -deps
+	// prints every package after its imports).
 	var mine []listed
-	absRoot, err := filepath.Abs(root)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
 		var p listed
 		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
@@ -228,27 +251,28 @@ func loadPrograms(t *testing.T, root, module string, dirs ...string) []program {
 			t.Fatal(err)
 		}
 		exports[p.ImportPath] = p.Export
-		for _, d := range dirs {
-			if strings.HasPrefix(p.ImportPath, module+"/"+d+"/") || p.ImportPath == module+"/"+d {
-				if rel, err := filepath.Rel(absRoot, p.Dir); err == nil && !strings.HasPrefix(rel, "..") {
-					mine = append(mine, p)
-				}
-				break
-			}
+		if p.ImportPath == module || strings.HasPrefix(p.ImportPath, module+"/") {
+			mine = append(mine, p)
 		}
 	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
+	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		if exports[path] == "" {
 			return nil, errors.New("no export data for " + path)
 		}
 		return os.Open(exports[path])
 	})
-	var progs []program
-	for _, p := range mine {
+	checked := make(map[string]*types.Package)
+	imp := importerFunc(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})
+	check := func(path, dir string, names []string, test bool) program {
 		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
+		for _, name := range names {
+			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,14 +285,31 @@ func loadPrograms(t *testing.T, root, module string, dirs ...string) []program {
 			Selections: make(map[*ast.SelectorExpr]*types.Selection),
 		}
 		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
+		pkg, err := conf.Check(path, fset, files, info)
 		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
+			t.Fatalf("type-check %s: %v", path, err)
 		}
-		progs = append(progs, program{files: files, info: info, types: pkg})
+		checked[path] = pkg
+		return program{files: files, info: info, types: pkg, test: test}
 	}
-	return progs
+	var progs []program
+	var rootDir string
+	for _, p := range mine {
+		progs = append(progs, check(p.ImportPath, p.Dir, p.GoFiles, false))
+		if p.ImportPath == module {
+			rootDir = p.Dir
+		}
+	}
+	if rootDir == "" {
+		t.Fatal("go list did not report the root package")
+	}
+	return append(progs, check(module+"_test", rootDir, []string{"example_test.go"}, true))
 }
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // configWrites calls write for every value f gives a tracked config
 // field (named "<pkg path>.<Struct>.<Field>"): a composite-literal key,

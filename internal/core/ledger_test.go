@@ -154,7 +154,7 @@ func TestLedgerStringIsTheOneRendering(t *testing.T) {
 	}
 
 	found := false
-	for _, e := range l.Events().Recent() {
+	for _, e := range l.events.Recent() {
 		if e.Msg == "pipeline stopped" {
 			found = true
 			if e.Attrs["ledger"] != want {

@@ -152,8 +152,8 @@ type Live struct {
 	// back to the next full capture, which then copies into warm
 	// memory instead of allocating (and page-faulting) hundreds of
 	// megabytes inside the barrier. Guarded by ckptWriteMu; only the
-	// WriteCheckpoint path reuses — CaptureCheckpoint callers own
-	// their snapshots indefinitely, so they always get fresh arrays.
+	// WriteCheckpoint path reuses — a capture given no scratch owns
+	// its snapshot indefinitely, so it always gets fresh arrays.
 	ckptScratch *captureScratch
 
 	// encScratch is the encoder's buffer freelist, owned here so the
@@ -416,18 +416,10 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	return l, nil
 }
 
-// Obs returns the runtime's metrics registry (the one passed in
-// LiveConfig.Registry, or the private default). Mount Obs().Handler()
-// to serve /metrics, /healthz, /traces/flow, and pprof.
-func (l *Live) Obs() *obs.Registry { return l.reg }
-
 // MetricsSnapshot captures every runtime metric — counters, queue
 // gauges, and the per-stage latency histograms — for end-of-run
 // summaries.
 func (l *Live) MetricsSnapshot() obs.Snapshot { return l.reg.Snapshot() }
-
-// Shards returns the pipeline's stripe count.
-func (l *Live) Shards() int { return l.nShards }
 
 // now returns the wall clock in the repository's Time domain.
 func now() netsim.Time { return netsim.Time(time.Now().UnixNano()) }
@@ -502,12 +494,6 @@ func (l *Live) startProfiler() {
 func (l *Live) event(msg string, attrs ...any) {
 	l.elog.Info(msg, attrs...)
 }
-
-// Events returns the pipeline's structured event log.
-func (l *Live) Events() *obs.EventLog { return l.events }
-
-// Journeys returns the pipeline's flow-journey sampler.
-func (l *Live) Journeys() *obs.Journeys { return l.journeys }
 
 // Journey helpers: a row no journey follows costs one atomic load; its
 // key is hashed only when its Seq matches one in flight.

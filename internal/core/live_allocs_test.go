@@ -59,15 +59,15 @@ func steadyStateAllocs(t *testing.T, cfg LiveConfig) {
 		growBursts(t, l, func(i int) flow.PacketInfo { return liveObs(uint16(3000+i%flows), 700, false, "benign") })
 	}
 	// A neighbour's journey, in flight for the whole measurement.
-	l.Journeys().Begin(obs.JourneyID{Flow: 1, Seq: 1}, "neighbour", "ingest", time.Now())
+	l.journeys.Begin(obs.JourneyID{Flow: 1, Seq: 1}, "neighbour", "ingest", time.Now())
 
 	var before, after runtime.MemStats
-	batches := l.met.batchSize.Count()
+	batches := l.met.batchSize.Snapshot().Count
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	feed(rows)
 	runtime.ReadMemStats(&after)
-	batches = l.met.batchSize.Count() - batches
+	batches = l.met.batchSize.Snapshot().Count - batches
 
 	objects := after.Mallocs - before.Mallocs
 	t.Logf("%d rows, %d batches: %d objects, %d bytes a row", rows, batches,

@@ -104,7 +104,7 @@ type LiveConfig struct {
 	CheckpointCompress bool
 
 	// Registry receives the runtime's metrics, stage histograms, and
-	// flow journeys; nil builds a private registry, readable via Obs().
+	// flow journeys; nil builds a private registry.
 	// A registry serves one pipeline instance.
 	Registry *obs.Registry
 

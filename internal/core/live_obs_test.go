@@ -137,7 +137,7 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 	cfg.Fault = fault.New(fault.Spec{StoreErr: 0.5, WorkerPanic: 0.2}, 7)
 	cfg.WorkerRestartBackoff, cfg.StoreRetryBackoff = time.Millisecond, 50*time.Microsecond
 	l := newLive(t, cfg)
-	if l.Obs() != reg {
+	if l.reg != reg {
 		t.Fatal("Obs() does not return the provided registry")
 	}
 	l.workerRestartBudget = -1
@@ -249,11 +249,11 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 	if perType != decided {
 		t.Errorf("per-type decisions sum to %d, predictions %d", perType, decided)
 	}
-	if h, ok := snap.Histogram("intddos_predict_latency_seconds"); !ok || int64(h.Count) != decided {
+	if h, ok := snap.Histograms["intddos_predict_latency_seconds"]; !ok || int64(h.Count) != decided {
 		t.Errorf("predict latency histogram count = %d, predictions %d", h.Count, decided)
 	}
 	for _, stage := range []string{"ingest", "journal_wait", "queue_wait", "scale_predict", "vote"} {
-		if h, ok := snap.Histogram(`intddos_stage_seconds{stage="` + stage + `"}`); !ok || h.Count == 0 {
+		if h, ok := snap.Histograms[`intddos_stage_seconds{stage="`+stage+`"}`]; !ok || h.Count == 0 {
 			t.Errorf("stage %q histogram empty", stage)
 		}
 	}
@@ -263,7 +263,7 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 
 	hops := []string{"ingest", "journal", "poll", "batch", "predict", "vote"}
 	done := 0
-	for _, j := range l.Journeys().Recent() {
+	for _, j := range l.journeys.Recent() {
 		if j.Aborted != "" {
 			continue
 		}

@@ -249,9 +249,6 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 	return m, nil
 }
 
-// Config returns the effective configuration after defaulting.
-func (m *Mechanism) Config() Config { return m.cfg }
-
 // Start arms the CentralServer polling loop.
 func (m *Mechanism) Start() {
 	m.eng.After(pollInterval, m.pollTick)

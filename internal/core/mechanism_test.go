@@ -84,7 +84,7 @@ func TestMechanismValidatesConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.Config()
+	cfg := m.cfg
 	if cfg.PredictBatch != 1 {
 		t.Errorf("defaults = %+v", cfg)
 	}

@@ -19,8 +19,8 @@ func TestLiveShardAffinityOrdering(t *testing.T) {
 	cfg := liveConfig(attackDetector())
 	cfg.Shards = 8
 	l := newLive(t, cfg)
-	if l.Shards() != 8 {
-		t.Fatalf("Shards() = %d", l.Shards())
+	if l.nShards != 8 {
+		t.Fatalf("nShards = %d", l.nShards)
 	}
 
 	perFlow := make(map[flow.Key][]int)

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/amlight/intddos/internal/core"
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
@@ -242,17 +241,6 @@ func FormatEpisodeCoverage(rows []EpisodeCoverage, rate int) string {
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%-10s %14v %14v %12d %14d\n",
 			r.Episode.Type, r.Episode.Start, r.Episode.End, r.INTPackets, r.SFlowSamples)
-	}
-	return b.String()
-}
-
-// FormatDecisionSummary renders a compact per-type summary used by
-// the live CLI.
-func FormatDecisionSummary(rows []core.TypeResult) string {
-	var b strings.Builder
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s acc=%.4f mis=%d/%d avg=%v max=%v\n",
-			r.Type, r.Accuracy, r.Misclassified, r.Total, r.AvgLatency, r.MaxLatency)
 	}
 	return b.String()
 }

@@ -147,14 +147,6 @@ func (in *Injector) Spec() Spec {
 	return in.spec
 }
 
-// Seed returns the master seed.
-func (in *Injector) Seed() int64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // hit fires the site with probability p, counting fired faults.
 func (in *Injector) hit(name string, p float64) bool {
 	if in == nil || p <= 0 {

@@ -74,9 +74,6 @@ func (s Spec) OnlyNetem() bool { return s.SitesZero() && len(s.Netem) > 0 }
 // i.e. whether a pipeline needs its store wrapped.
 func (s Spec) HasStoreFaults() bool { return s.StoreErr > 0 || s.StoreStallP > 0 }
 
-// HasModelFaults reports whether the spec touches model scoring.
-func (s Spec) HasModelFaults() bool { return len(s.ModelFail) > 0 || s.PredictLatencyP > 0 }
-
 // ParseSpec parses a fault schedule written in the clause grammar
 //
 //	spec      := clause ("," clause)*

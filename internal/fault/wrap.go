@@ -67,9 +67,6 @@ func WrapModel(m ml.Classifier, in *Injector) *Model {
 	return &Model{inner: m, in: in}
 }
 
-// Unwrap returns the wrapped classifier.
-func (m *Model) Unwrap() ml.Classifier { return m.inner }
-
 // Name delegates, so fault targeting and health reporting use the
 // real model name.
 func (m *Model) Name() string { return m.inner.Name() }

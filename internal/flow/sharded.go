@@ -80,9 +80,6 @@ func (t *ShardedTable) SetDeltaTracking(on bool) {
 	t.track = on
 }
 
-// Shards returns the stripe count.
-func (t *ShardedTable) Shards() int { return len(t.shards) }
-
 // SetIdleTimeout configures idle eviction on every shard.
 func (t *ShardedTable) SetIdleTimeout(d netsim.Time) {
 	for i := range t.shards {

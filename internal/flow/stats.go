@@ -31,9 +31,6 @@ func (s *Stats) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// Count returns the number of observations.
-func (s *Stats) Count() int { return s.n }
-
 // Last returns the most recent observation, or 0 before any.
 func (s *Stats) Last() float64 { return s.last }
 

@@ -9,14 +9,14 @@ import (
 
 func TestStatsBasics(t *testing.T) {
 	var s Stats
-	if s.Mean() != 0 || s.Std() != 0 || s.Sum() != 0 || s.Last() != 0 || s.Count() != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Sum() != 0 || s.Last() != 0 || s.n != 0 {
 		t.Error("zero-value Stats not all-zero")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		s.Add(x)
 	}
-	if s.Count() != 8 {
-		t.Errorf("Count = %d", s.Count())
+	if s.n != 8 {
+		t.Errorf("Count = %d", s.n)
 	}
 	if s.Last() != 9 {
 		t.Errorf("Last = %v", s.Last())

@@ -139,10 +139,6 @@ func (st *State) Update(pi PacketInfo) {
 	}
 }
 
-// Duration returns the cumulative inter-arrival time — the flow
-// duration as the paper defines it.
-func (st *State) Duration() netsim.Time { return netsim.Time(st.IAT.Sum()) }
-
 // Feature returns the current value of a single feature.
 func (st *State) Feature(f FeatureID) float64 {
 	switch f {

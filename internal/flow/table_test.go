@@ -78,8 +78,8 @@ func TestStateIATFromHardwareStamps(t *testing.T) {
 	tbl.Observe(intObs(k, 0, 1000, 100, 0))
 	tbl.Observe(intObs(k, 0, 4000, 100, 0))
 	st, _ := tbl.Observe(intObs(k, 0, 9000, 100, 0))
-	if st.IAT.Count() != 2 {
-		t.Fatalf("IAT observations = %d, want 2", st.IAT.Count())
+	if st.IAT.n != 2 {
+		t.Fatalf("IAT observations = %d, want 2", st.IAT.n)
 	}
 	if st.Feature(FIAT) != 5000 {
 		t.Errorf("FIAT = %v, want 5000", st.Feature(FIAT))
@@ -96,8 +96,8 @@ func TestStateIATWrapAware(t *testing.T) {
 	tbl := NewTable()
 	k := tcpKey(1003)
 	// Consecutive ingress times straddling a 32-bit wrap.
-	t0 := netsim.WrapPeriod - 100
-	t1 := netsim.WrapPeriod + 400
+	t0 := netsim.Time(1<<32) - 100
+	t1 := netsim.Time(1<<32) + 400
 	tbl.Observe(intObs(k, 0, t0, 100, 0))
 	st, _ := tbl.Observe(intObs(k, 0, t1, 100, 0))
 	if got := st.Feature(FIAT); got != 500 {
@@ -124,8 +124,8 @@ func TestStateSFlowFallbackIAT(t *testing.T) {
 	tbl.Observe(mk(1000))
 	tbl.Observe(mk(2500))
 	st, _ := tbl.Observe(mk(6000))
-	if st.IAT.Count() != 2 {
-		t.Fatalf("IAT count = %d, want 2", st.IAT.Count())
+	if st.IAT.n != 2 {
+		t.Fatalf("IAT count = %d, want 2", st.IAT.n)
 	}
 	if st.Feature(FIAT) != 3500 {
 		t.Errorf("FIAT = %v, want 3500 (collector clock)", st.Feature(FIAT))

@@ -129,33 +129,6 @@ func (g *Generator) install(id string, r Rule, now netsim.Time, escalation bool)
 	}
 }
 
-// Expire removes rules past their TTL at now, returning how many were
-// dropped.
-func (g *Generator) Expire(now netsim.Time) int {
-	n := 0
-	for id, r := range g.rules {
-		if now >= r.ExpiresAt {
-			delete(g.rules, id)
-			n++
-		}
-	}
-	return n
-}
-
-// Match reports whether a packet with the given key would be dropped
-// under the current rule set at time now.
-func (g *Generator) Match(k flow.Key, now netsim.Time) bool {
-	if r, ok := g.rules["src:"+k.Src.String()]; ok && now < r.ExpiresAt {
-		r.Hits++
-		return true
-	}
-	if r, ok := g.rules["flow:"+k.String()]; ok && now < r.ExpiresAt {
-		r.Hits++
-		return true
-	}
-	return false
-}
-
 // Rules returns the active rules sorted by creation time.
 func (g *Generator) Rules() []Rule {
 	out := make([]Rule, 0, len(g.rules))

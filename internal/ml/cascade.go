@@ -48,19 +48,6 @@ func growInts(s []int, n int) []int {
 	return s[:n]
 }
 
-// Enabled reports whether any stage can actually exit rows.
-func (c *Cascade) Enabled() bool {
-	if c == nil {
-		return false
-	}
-	for _, st := range c.Stages {
-		if st.Model != nil && st.Threshold > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // TriageBatch runs every row of X through the cascade stages in
 // order. It returns two slices of len(X), valid until the next call
 // with the same scratch: stage[i] is 1+the index of the stage that

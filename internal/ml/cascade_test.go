@@ -68,18 +68,12 @@ func TestCascadeDisabledFallsThroughEverything(t *testing.T) {
 				t.Fatalf("%s: row %d exited at stage %d, want fall-through", name, i, st)
 			}
 		}
-		if c.Enabled() {
-			t.Fatalf("%s: Enabled() = true, want false", name)
-		}
 	}
 }
 
 func TestCascadeEarlyExit(t *testing.T) {
 	m := &probaStub{}
 	c := &Cascade{Stages: []CascadeStage{{Name: "t", Model: m, Threshold: 0.9}}}
-	if !c.Enabled() {
-		t.Fatal("Enabled() = false for an active stage")
-	}
 	// |2p-1| >= 0.9  <=>  p <= 0.05 or p >= 0.95.
 	X := rowsWithProbs(0.01, 0.5, 0.96, 0.07, 1.0, 0.0)
 	stage, label := c.TriageBatch(X, nil, nil)

@@ -82,9 +82,6 @@ func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
 // Err returns the sticky error, if any.
 func (d *Decoder) Err() error { return d.err }
 
-// Done reports whether the stream was fully consumed without error.
-func (d *Decoder) Done() bool { return d.err == nil && d.off == len(d.buf) }
-
 func (d *Decoder) fail(msg string) {
 	if d.err == nil {
 		d.err = fmt.Errorf("%w: %s at offset %d", ErrCodec, msg, d.off)

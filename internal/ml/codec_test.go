@@ -35,7 +35,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if !bytes.Equal(d.Blob(), []byte{0xDE, 0xAD}) {
 		t.Fatal("Blob round trip failed")
 	}
-	if !d.Done() {
+	if !(d.err == nil && d.off == len(d.buf)) {
 		t.Errorf("stream not fully consumed: err=%v", d.Err())
 	}
 }
@@ -69,7 +69,7 @@ func TestDecoderStickyError(t *testing.T) {
 	if d.F64() != 0 || d.Str() != "" || d.F64s() != nil || d.Blob() != nil {
 		t.Error("sticky error not honored")
 	}
-	if d.Done() {
+	if d.err == nil && d.off == len(d.buf) {
 		t.Error("Done with sticky error")
 	}
 }
@@ -113,7 +113,7 @@ func TestCodecPropertyRoundTrip(t *testing.T) {
 				return false
 			}
 		}
-		return d.Str() == s && d.Done()
+		return d.Str() == s && (d.err == nil && d.off == len(d.buf))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -67,18 +67,6 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// ClassCounts returns (benign, attack) row counts.
-func (d *Dataset) ClassCounts() (neg, pos int) {
-	for _, y := range d.Y {
-		if y == 1 {
-			pos++
-		} else {
-			neg++
-		}
-	}
-	return neg, pos
-}
-
 // Select returns a new dataset view containing the given row indices.
 // Rows are shared, not copied.
 func (d *Dataset) Select(idx []int) *Dataset {

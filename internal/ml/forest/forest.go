@@ -249,6 +249,3 @@ func (f *Forest) Importances() []float64 {
 	}
 	return out
 }
-
-// Trees reports the ensemble size.
-func (f *Forest) Trees() int { return len(f.trees) }

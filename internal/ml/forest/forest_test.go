@@ -164,8 +164,8 @@ func TestForestTreesCount(t *testing.T) {
 	X, y := blobs(100, 0, 21)
 	f := New(Config{Trees: 17, Seed: 1})
 	f.Fit(X, y)
-	if f.Trees() != 17 {
-		t.Errorf("Trees() = %d, want 17", f.Trees())
+	if len(f.trees) != 17 {
+		t.Errorf("trees = %d, want 17", len(f.trees))
 	}
 }
 

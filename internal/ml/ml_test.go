@@ -77,14 +77,6 @@ func TestDatasetSubsample(t *testing.T) {
 	}
 }
 
-func TestClassCounts(t *testing.T) {
-	d := toyDataset(10, 4)
-	neg, pos := d.ClassCounts()
-	if neg != 5 || pos != 5 {
-		t.Errorf("counts = %d/%d", neg, pos)
-	}
-}
-
 func TestConfusionAndMetrics(t *testing.T) {
 	yTrue := []int{1, 1, 1, 1, 0, 0, 0, 0, 0, 0}
 	yPred := []int{1, 1, 1, 0, 0, 0, 0, 0, 1, 1}

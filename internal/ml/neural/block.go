@@ -12,23 +12,24 @@ package neural
 // amd64 assembly kernel follows the same contract.
 func layerBlock4Go(w, b, xt, yt []float64, in int) {
 	for o := range b {
-		// Reslicing to the layer width lets the compiler drop the
-		// per-element bounds checks in the dot-product loop.
+		// Ranging over the row resliced to the layer width, and
+		// reading each packed column through a [4]float64, leave the
+		// dot-product loop one length check per weight instead of four
+		// index checks.
 		row := w[o*in:]
 		row = row[:in]
 		bo := b[o]
 		s0, s1, s2, s3 := bo, bo, bo, bo
 		x := xt
 		for _, v := range row {
-			s0 += v * x[0]
-			s1 += v * x[1]
-			s2 += v * x[2]
-			s3 += v * x[3]
+			c := (*[4]float64)(x)
+			s0 += v * c[0]
+			s1 += v * c[1]
+			s2 += v * c[2]
+			s3 += v * c[3]
 			x = x[4:]
 		}
-		yt[4*o] = s0
-		yt[4*o+1] = s1
-		yt[4*o+2] = s2
-		yt[4*o+3] = s3
+		y := (*[4]float64)(yt[4*o:])
+		y[0], y[1], y[2], y[3] = s0, s1, s2, s3
 	}
 }

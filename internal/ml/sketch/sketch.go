@@ -106,9 +106,6 @@ func (s *Sketch) Estimate(h uint64) uint64 {
 	return est
 }
 
-// Total returns the number of updates recorded.
-func (s *Sketch) Total() uint64 { return s.total.Load() }
-
 // HeavyHitter reports whether h accounts for at least frac of the
 // stream. Streams shorter than minSample updates never flag — the
 // sketch has not seen enough traffic to call anything heavy.
@@ -175,16 +172,4 @@ func (s *Sketch) Suspicious(h uint64, hhFrac, entropyFloor float64, minSample ui
 		return true
 	}
 	return s.Entropy() < entropyFloor
-}
-
-// Reset zeroes every counter. Only safe to call while no writer is
-// active (e.g. under the checkpoint barrier write locks).
-func (s *Sketch) Reset() {
-	for i := range s.counters {
-		s.counters[i].Store(0)
-	}
-	for i := range s.buckets {
-		s.buckets[i].Store(0)
-	}
-	s.total.Store(0)
 }

@@ -63,15 +63,3 @@ func EnsembleVotesInto(s *VoteScratch, models []Classifier, X [][]float64) (vote
 	}
 	return votes, ones
 }
-
-// QuorumLabels reduces per-row attack-vote counts to raw ensemble
-// labels: 1 where at least quorum models voted attack.
-func QuorumLabels(ones []int, quorum int) []int {
-	out := make([]int, len(ones))
-	for i, n := range ones {
-		if n >= quorum {
-			out[i] = 1
-		}
-	}
-	return out
-}

@@ -55,10 +55,6 @@ func (a *ACL) Install(r ACLRule) {
 	a.Installed++
 }
 
-// Len returns the number of resident rules (including expired ones
-// not yet reclaimed).
-func (a *ACL) Len() int { return len(a.rules) }
-
 // Match reports whether p should be dropped at time now.
 func (a *ACL) Match(p *Packet, now Time) bool {
 	for i := range a.rules {
@@ -68,20 +64,6 @@ func (a *ACL) Match(p *Packet, now Time) bool {
 		}
 	}
 	return false
-}
-
-// Expire reclaims rules past their deadline, returning how many were
-// removed.
-func (a *ACL) Expire(now Time) int {
-	kept := a.rules[:0]
-	for _, r := range a.rules {
-		if r.ExpiresAt == 0 || now < r.ExpiresAt {
-			kept = append(kept, r)
-		}
-	}
-	n := len(a.rules) - len(kept)
-	a.rules = kept
-	return n
 }
 
 // ACLForwarder wraps a forwarding decision with the drop table: a

@@ -54,11 +54,6 @@ func (h *Host) Send(p *Packet) {
 	h.Uplink.Send(p)
 }
 
-// SendAt schedules a packet transmission at absolute virtual time at.
-func (h *Host) SendAt(at Time, p *Packet) {
-	h.eng.Schedule(at, func() { h.Send(p) })
-}
-
 // Receive implements Receiver.
 func (h *Host) Receive(p *Packet) {
 	p.DeliveredAt = h.eng.Now()

@@ -84,9 +84,6 @@ type HopRecord struct {
 	QueueBytes  int  // bytes in the egress queue when this packet was dequeued
 }
 
-// HopLatency returns the switch residence time for this hop.
-func (h HopRecord) HopLatency() Time { return h.EgressTime - h.IngressTime }
-
 // Packet is a simulated network packet. Only header-level information
 // is modelled; payload bytes are represented by Length alone, which is
 // all the paper's feature set consumes.
@@ -132,20 +129,4 @@ type Packet struct {
 	// AttackType names the generating workload ("benign", "synflood",
 	// ...); used for per-attack-type result breakdowns (Table VI).
 	AttackType string
-}
-
-// FiveTuple returns the flow identity of the packet in canonical
-// string form. The paper defines Flow ID as the 5-tuple {src IP, dst
-// IP, src port, dst port, protocol}.
-func (p *Packet) FiveTuple() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%s", p.Src, p.SrcPort, p.Dst, p.DstPort, p.Proto)
-}
-
-// LastHop returns the most recent hop record and true, or a zero
-// record and false if the packet has not transited a switch.
-func (p *Packet) LastHop() (HopRecord, bool) {
-	if len(p.Hops) == 0 {
-		return HopRecord{}, false
-	}
-	return p.Hops[len(p.Hops)-1], true
 }

@@ -37,13 +37,6 @@ func NewOutputQueue(eng *Engine, rateBps int64, capPackets int) *OutputQueue {
 	return &OutputQueue{eng: eng, RateBps: rateBps, CapPackets: capPackets}
 }
 
-// Len returns the number of packets currently queued (including the
-// one being serialized).
-func (q *OutputQueue) Len() int { return len(q.fifo) }
-
-// Bytes returns the bytes currently queued.
-func (q *OutputQueue) Bytes() int { return q.bytes }
-
 // serializationDelay is the time to clock p onto the wire.
 func (q *OutputQueue) serializationDelay(p *Packet) Time {
 	bits := int64(p.Length) * 8

@@ -108,12 +108,12 @@ func TestQueueBytesAccounting(t *testing.T) {
 	q := NewOutputQueue(eng, 1_000_000_000, 16)
 	q.Enqueue(mkPacket(1, 700))
 	q.Enqueue(mkPacket(2, 300))
-	if q.Bytes() != 1000 {
-		t.Errorf("Bytes() = %d, want 1000", q.Bytes())
+	if q.bytes != 1000 {
+		t.Errorf("Bytes() = %d, want 1000", q.bytes)
 	}
 	eng.Run()
-	if q.Bytes() != 0 || q.Len() != 0 {
-		t.Errorf("after drain Bytes=%d Len=%d, want 0/0", q.Bytes(), q.Len())
+	if q.bytes != 0 || len(q.fifo) != 0 {
+		t.Errorf("after drain Bytes=%d Len=%d, want 0/0", q.bytes, len(q.fifo))
 	}
 }
 

@@ -11,14 +11,6 @@ type Forwarder interface {
 	EgressPort(p *Packet, ingressPort uint16) int
 }
 
-// ForwarderFunc adapts a function to the Forwarder interface.
-type ForwarderFunc func(p *Packet, ingressPort uint16) int
-
-// EgressPort implements Forwarder.
-func (f ForwarderFunc) EgressPort(p *Packet, ingressPort uint16) int {
-	return f(p, ingressPort)
-}
-
 // StaticForwarder forwards by destination address, with an optional
 // per-ingress-port override (used to model the testbed's port 1↔2 and
 // 3↔4 loops).
@@ -124,9 +116,6 @@ func NewSwitch(eng *Engine, cfg SwitchConfig) *Switch {
 	}
 	return sw
 }
-
-// ID returns the switch identifier carried in hop records.
-func (sw *Switch) ID() uint32 { return sw.cfg.ID }
 
 // Config returns the switch configuration.
 func (sw *Switch) Config() SwitchConfig { return sw.cfg }

@@ -57,8 +57,8 @@ func TestSwitchHopRecord(t *testing.T) {
 		t.Fatalf("hops = %d, want 1", len(got.Hops))
 	}
 	h := got.Hops[0]
-	if h.SwitchID != sw.ID() {
-		t.Errorf("SwitchID = %d, want %d", h.SwitchID, sw.ID())
+	if h.SwitchID != sw.cfg.ID {
+		t.Errorf("SwitchID = %d, want %d", h.SwitchID, sw.cfg.ID)
 	}
 	if h.IngressPort != 1 || h.EgressPort != 2 {
 		t.Errorf("ports = %d->%d, want 1->2", h.IngressPort, h.EgressPort)
@@ -66,8 +66,8 @@ func TestSwitchHopRecord(t *testing.T) {
 	if h.EgressTime <= h.IngressTime {
 		t.Errorf("egress %v not after ingress %v", h.EgressTime, h.IngressTime)
 	}
-	if h.HopLatency() < sw.Config().PipelineDelay {
-		t.Errorf("hop latency %v below pipeline delay", h.HopLatency())
+	if lat := h.EgressTime - h.IngressTime; lat < sw.Config().PipelineDelay {
+		t.Errorf("hop latency %v below pipeline delay", lat)
 	}
 	if h.QueueDepth != 0 {
 		t.Errorf("lone packet saw queue depth %d, want 0", h.QueueDepth)
@@ -79,7 +79,7 @@ func TestSwitchQueueDepthUnderBurst(t *testing.T) {
 	a, b, _ := twoHostTopology(eng)
 	var depths []int
 	b.OnReceive = func(p *Packet) {
-		h, _ := p.LastHop()
+		h := p.Hops[len(p.Hops)-1]
 		depths = append(depths, h.QueueDepth)
 	}
 	// Burst of simultaneous sends: later packets must observe deeper queues.
@@ -163,19 +163,8 @@ func TestSwitchOnForwardHook(t *testing.T) {
 	if hookPort != 2 {
 		t.Errorf("hook egress = %d, want 2", hookPort)
 	}
-	if hookHop.SwitchID != sw.ID() {
-		t.Errorf("hook hop switch = %d, want %d", hookHop.SwitchID, sw.ID())
-	}
-}
-
-func TestFiveTupleFormat(t *testing.T) {
-	p := &Packet{
-		Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
-		SrcPort: 1234, DstPort: 80, Proto: TCP,
-	}
-	want := "10.0.0.1:1234>10.0.0.2:80/TCP"
-	if got := p.FiveTuple(); got != want {
-		t.Errorf("FiveTuple() = %q, want %q", got, want)
+	if hookHop.SwitchID != sw.cfg.ID {
+		t.Errorf("hook hop switch = %d, want %d", hookHop.SwitchID, sw.cfg.ID)
 	}
 }
 

@@ -30,9 +30,6 @@ const (
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// Millis returns the time as floating-point milliseconds.
-func (t Time) Millis() float64 { return float64(t) / float64(Millisecond) }
-
 // String formats the time with an adaptive unit.
 func (t Time) String() string {
 	switch {
@@ -55,9 +52,6 @@ type Timestamp32 uint32
 // Wrap32 truncates a full simulation time to the 32-bit hardware
 // timestamp domain.
 func Wrap32(t Time) Timestamp32 { return Timestamp32(uint64(t) & 0xFFFFFFFF) }
-
-// WrapPeriod is the period after which a Timestamp32 repeats.
-const WrapPeriod Time = 1 << 32 // ≈ 4.295 s
 
 // WrapDiff returns the elapsed nanoseconds from earlier to later,
 // assuming the true gap is less than one wrap period (~4.295 s). This

@@ -128,7 +128,11 @@ func TestJourneysLifecycle(t *testing.T) {
 		t.Errorf("journey A = %+v", a)
 	}
 	for _, hop := range []string{"ingest", "journal", "poll", "vote"} {
-		if _, ok := a.Hop(hop); !ok {
+		found := false
+		for _, h := range a.Hops {
+			found = found || h.Name == hop
+		}
+		if !found {
 			t.Errorf("journey A missing hop %q: %v", hop, a.Hops)
 		}
 	}

@@ -90,14 +90,6 @@ func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
 // Since records the elapsed wall time from start, in seconds.
 func (h *Histogram) Since(start time.Time) { h.ObserveDuration(time.Since(start)) }
 
-// Count returns the number of observations so far.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // addFloat atomically adds v to a float64 stored as bits.
 func addFloat(bits *atomic.Uint64, v float64) {
 	for {

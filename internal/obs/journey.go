@@ -41,17 +41,6 @@ func (j Journey) Total() time.Duration {
 	return j.Hops[len(j.Hops)-1].At.Sub(j.Hops[0].At)
 }
 
-// Hop returns the timestamp of the named hop and whether it was
-// recorded.
-func (j Journey) Hop(name string) (time.Time, bool) {
-	for _, h := range j.Hops {
-		if h.Name == name {
-			return h.At, true
-		}
-	}
-	return time.Time{}, false
-}
-
 // String renders the journey as one line, hop offsets relative to the
 // first hop:
 //

@@ -42,7 +42,7 @@ func TestNilSafety(t *testing.T) {
 	h.Since(time.Now())
 	cv.With("x").Inc()
 	hv.With("x").Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil instruments produced values")
 	}
 	if s := h.Snapshot(); s.Count != 0 {
@@ -227,10 +227,10 @@ func TestSnapshotIncludesVecChildren(t *testing.T) {
 	if s.Counters["owned_total"] != 13 {
 		t.Error("counter-of missing")
 	}
-	if h, ok := s.Histogram("lat_seconds"); !ok || h.Count != 1 {
+	if h, ok := s.Histograms["lat_seconds"]; !ok || h.Count != 1 {
 		t.Error("histogram missing")
 	}
-	if h, ok := s.Histogram(`stage_seconds{stage="vote"}`); !ok || h.Count != 1 {
+	if h, ok := s.Histograms[`stage_seconds{stage="vote"}`]; !ok || h.Count != 1 {
 		t.Error("histogram vec child missing")
 	}
 }

@@ -292,40 +292,6 @@ func Attribution(topN int, rules []StageRule) *Report {
 	return rep
 }
 
-// Diff returns after minus before, row by stack, dropping rows that
-// did not grow. Both reports must be un-truncated (topN <= 0) for the
-// subtraction to be exact.
-func Diff(before, after *Report) *Report {
-	prev := make(map[string]Row, len(before.Rows))
-	for _, r := range before.Rows {
-		prev[r.stackKey()] = r
-	}
-	out := &Report{MutexFraction: after.MutexFraction, BlockRateNs: after.BlockRateNs}
-	for _, r := range after.Rows {
-		if p, ok := prev[r.stackKey()]; ok {
-			r.Count -= p.Count
-			r.Seconds -= p.Seconds
-		}
-		if r.Count <= 0 && r.Seconds <= 0 {
-			continue
-		}
-		if r.Seconds < 0 {
-			r.Seconds = 0
-		}
-		out.Rows = append(out.Rows, r)
-	}
-	sort.SliceStable(out.Rows, func(i, j int) bool { return out.Rows[i].Seconds > out.Rows[j].Seconds })
-	return out
-}
-
-// Top returns the first n rows (all rows when n <= 0).
-func (r *Report) Top(n int) []Row {
-	if n <= 0 || n > len(r.Rows) {
-		n = len(r.Rows)
-	}
-	return r.Rows[:n]
-}
-
 // StageTotals aggregates rows by (kind, stage), sorted by blocked
 // seconds descending. Idle rows are not blocked time and are left out.
 func (r *Report) StageTotals() []Row {

@@ -170,12 +170,6 @@ func (p *Profiler) Stop() {
 	p.restore()
 }
 
-// Attribution returns the current attribution report under
-// PipelineStages.
-func (p *Profiler) Attribution(topN int) *Report {
-	return Attribution(topN, nil)
-}
-
 func (p *Profiler) loop() {
 	defer p.wg.Done()
 	p.mu.Lock()

@@ -39,10 +39,9 @@ func TestAttributionSeesInducedContention(t *testing.T) {
 	restore := EnableRates(1, 100)
 	defer restore()
 
-	before := Attribution(0, nil)
 	grindMutex(4, 40)
 	rules := append([]StageRule{{Match: "prof.grindMutex", Stage: "test.grind"}}, PipelineStages()...)
-	diff := Diff(before, Attribution(0, rules))
+	diff := Attribution(0, rules)
 
 	var hit *Row
 	for i := range diff.Rows {

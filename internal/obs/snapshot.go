@@ -64,13 +64,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Histogram returns the named histogram snapshot (vector children use
-// the `name{label="value"}` key form).
-func (s Snapshot) Histogram(name string) (HistogramSnapshot, bool) {
-	h, ok := s.Histograms[name]
-	return h, ok
-}
-
 func childKey(name, label, value string) string {
 	return fmt.Sprintf("%s{%s=%q}", name, label, value)
 }

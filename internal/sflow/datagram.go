@@ -63,11 +63,6 @@ type Truth struct {
 	SentAt     netsim.Time
 }
 
-// FiveTuple renders the canonical flow identity string.
-func (s *FlowSample) FiveTuple() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%s", s.Src, s.SrcPort, s.Dst, s.DstPort, s.Proto)
-}
-
 // CounterSample is a periodic interface counter export.
 type CounterSample struct {
 	Seq      uint64

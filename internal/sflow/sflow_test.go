@@ -116,7 +116,7 @@ func sflowTestbed(t *testing.T, cfg AgentConfig) (*netsim.Engine, *netsim.Host, 
 func TestAgentDeterministicSampling(t *testing.T) {
 	eng, a, b, agent, col := sflowTestbed(t, AgentConfig{SampleRate: 10, Deterministic: true})
 	for i := 0; i < 100; i++ {
-		a.SendAt(netsim.Time(i)*100*netsim.Microsecond, &netsim.Packet{
+		sendAt(eng, a, netsim.Time(i)*100*netsim.Microsecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.TCP, Length: 500,
 		})
 	}
@@ -136,7 +136,7 @@ func TestAgentRandomizedSamplingMean(t *testing.T) {
 	eng, a, b, agent, _ := sflowTestbed(t, AgentConfig{SampleRate: 16, Seed: 3})
 	n := 8000
 	for i := 0; i < n; i++ {
-		a.SendAt(netsim.Time(i)*20*netsim.Microsecond, &netsim.Packet{
+		sendAt(eng, a, netsim.Time(i)*20*netsim.Microsecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.UDP, Length: 200,
 		})
 	}
@@ -152,7 +152,7 @@ func TestAgentSamplePoolAccounting(t *testing.T) {
 	var pools []uint32
 	col.OnFlowSample = func(s *FlowSample, _ netsim.Time) { pools = append(pools, s.SamplePool) }
 	for i := 0; i < 30; i++ {
-		a.SendAt(netsim.Time(i)*100*netsim.Microsecond, &netsim.Packet{
+		sendAt(eng, a, netsim.Time(i)*100*netsim.Microsecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.TCP, Length: 500,
 		})
 	}
@@ -184,7 +184,7 @@ func TestAgentLowRateFlowEscapesSampling(t *testing.T) {
 	// through an agent sampling 1/4096: expect zero samples.
 	eng, a, b, agent, _ := sflowTestbed(t, AgentConfig{SampleRate: 4096, Deterministic: true})
 	for i := 0; i < 50; i++ {
-		a.SendAt(netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
+		sendAt(eng, a, netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.TCP, Length: 80, Label: true, AttackType: "slowloris",
 		})
 	}
@@ -199,7 +199,7 @@ func TestAgentCounterExport(t *testing.T) {
 		SampleRate: 4096, Deterministic: true, CounterInterval: 10 * netsim.Millisecond,
 	})
 	for i := 0; i < 20; i++ {
-		a.SendAt(netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
+		sendAt(eng, a, netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.UDP, Length: 400,
 		})
 	}
@@ -220,4 +220,9 @@ func TestCollectorDecodeErrorCount(t *testing.T) {
 	if col.DecodeErrors != 1 {
 		t.Errorf("decode errors = %d, want 1", col.DecodeErrors)
 	}
+}
+
+// sendAt schedules h to send p at virtual time at.
+func sendAt(eng *netsim.Engine, h *netsim.Host, at netsim.Time, p *netsim.Packet) {
+	eng.Schedule(at, func() { h.Send(p) })
 }

@@ -111,7 +111,7 @@ func TestShardedInstrument(t *testing.T) {
 			t.Errorf("journal gauge %s registered", name)
 		}
 	}
-	if _, ok := snap.Histogram("intddos_store_upsert_seconds"); ok {
+	if _, ok := snap.Histograms["intddos_store_upsert_seconds"]; ok {
 		t.Error("upsert histogram registered")
 	}
 }

@@ -160,7 +160,7 @@ func TestInstrument(t *testing.T) {
 	if _, ok := s.Gauges["intddos_store_journal_length"]; ok {
 		t.Error("journal gauge registered")
 	}
-	if _, ok := s.Histogram("intddos_store_upsert_seconds"); ok {
+	if _, ok := s.Histograms["intddos_store_upsert_seconds"]; ok {
 		t.Error("upsert histogram registered")
 	}
 }

@@ -55,7 +55,7 @@ func newINTTestbed(t *testing.T, sampler Sampler) *intTestbed {
 func (tb *intTestbed) sendTCP(n int) {
 	// Pace packets so bursts fit the egress queues.
 	for i := 0; i < n; i++ {
-		tb.src.SendAt(netsim.Time(i)*10*netsim.Microsecond, &netsim.Packet{
+		sendAt(tb.eng, tb.src, netsim.Time(i)*10*netsim.Microsecond, &netsim.Packet{
 			Dst: tb.dst.Addr, SrcPort: 40000, DstPort: 80,
 			Proto: netsim.TCP, Flags: netsim.FlagSYN, Length: 400,
 			Label: true, AttackType: "synflood",
@@ -145,8 +145,22 @@ func TestAgentProbabilisticSampling(t *testing.T) {
 	}
 }
 
+// everyNth instruments one packet in every n.
+type everyNth struct{ n, count int }
+
+func (s *everyNth) Sample(*netsim.Packet) bool {
+	s.count++
+	if s.count >= s.n {
+		s.count = 0
+		return true
+	}
+	return false
+}
+
+// TestAgentEveryNthSampling pins that the agent instruments exactly
+// the packets its Sampler picks.
 func TestAgentEveryNthSampling(t *testing.T) {
-	tb := newINTTestbed(t, &EveryNth{N: 10})
+	tb := newINTTestbed(t, &everyNth{n: 10})
 	tb.sendTCP(100)
 	tb.eng.Run()
 	if tb.agent.Instrumented != 10 {
@@ -238,4 +252,9 @@ func TestCollectorDecodeErrorCounting(t *testing.T) {
 	if c.DecodeErrors != 1 || c.Received != 0 {
 		t.Errorf("errors=%d received=%d, want 1/0", c.DecodeErrors, c.Received)
 	}
+}
+
+// sendAt schedules h to send p at virtual time at.
+func sendAt(eng *netsim.Engine, h *netsim.Host, at netsim.Time, p *netsim.Packet) {
+	eng.Schedule(at, func() { h.Send(p) })
 }

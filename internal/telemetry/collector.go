@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/obs"
 )
 
 // Collector is the INT collector: it terminates report datagrams,
@@ -41,47 +40,11 @@ type Collector struct {
 	Stale        int // reports rejected as older than the window
 	Reordered    int // reports accepted out of order
 	seqs         *SeqTracker
-
-	// Obs mirrors (nil-safe; set by Instrument). The plain-int stats
-	// above are only safe to read from the event loop; these counters
-	// are safe to scrape concurrently.
-	decoded   *obs.Counter
-	dropped   *obs.Counter
-	gaps      *obs.Counter
-	healed    *obs.Counter
-	dup       *obs.Counter
-	stale     *obs.Counter
-	reordered *obs.Counter
-}
-
-// Instrument registers concurrent-scrape-safe counters for the
-// collector's decode statistics on reg. Call before the simulation
-// starts.
-func (c *Collector) Instrument(reg *obs.Registry) {
-	c.decoded = reg.Counter("intddos_telemetry_reports_decoded_total")
-	c.dropped = reg.Counter("intddos_telemetry_reports_dropped_total")
-	c.gaps = reg.Counter("intddos_telemetry_seq_gaps_total")
-	c.healed = reg.Counter("intddos_telemetry_seq_healed_total")
-	c.dup = reg.Counter("intddos_telemetry_reports_duplicate_total")
-	c.stale = reg.Counter("intddos_telemetry_reports_stale_total")
-	c.reordered = reg.Counter("intddos_telemetry_reports_reordered_total")
 }
 
 // NewCollector constructs a collector on eng.
 func NewCollector(eng *netsim.Engine) *Collector {
 	return &Collector{eng: eng}
-}
-
-// Accepted is how many decoded reports were delivered to OnReport:
-// received minus the duplicate and stale suppressions.
-func (c *Collector) Accepted() int { return c.Received - c.Duplicates - c.Stale }
-
-// Sources returns how many report sources the collector is tracking.
-func (c *Collector) Sources() int {
-	if c.seqs == nil {
-		return 0
-	}
-	return c.seqs.SourceCount()
 }
 
 // tracker lazily builds the per-source sequence tracker.
@@ -102,34 +65,27 @@ func (c *Collector) Receive(p *netsim.Packet) {
 	rep, err := DecodeReport(p.Payload)
 	if err != nil {
 		c.DecodeErrors++
-		c.dropped.Inc()
 		return
 	}
 	c.Received++
-	c.decoded.Inc()
 	if rep.Source == "" && p.Src.IsValid() {
 		rep.Source = p.Src.String()
 	}
 	res := c.tracker().Observe(rep.SourceKey(), rep.Seq)
 	if res.Gaps > 0 {
 		c.SeqGaps += res.Gaps
-		c.gaps.Add(int64(res.Gaps))
 	}
 	switch res.Verdict {
 	case SeqDuplicate:
 		c.Duplicates++
-		c.dup.Inc()
 		return
 	case SeqStale:
 		c.Stale++
-		c.stale.Inc()
 		return
 	case SeqReordered:
 		c.Reordered++
-		c.reordered.Inc()
 		if res.Healed {
 			c.Healed++
-			c.healed.Inc()
 		}
 	}
 	// Re-attach simulation ground truth carried on the datagram.

@@ -142,8 +142,8 @@ func TestHopFromRecordTruncatesTimestamps(t *testing.T) {
 		SwitchID:    1,
 		IngressPort: 1,
 		EgressPort:  2,
-		IngressTime: netsim.WrapPeriod + 100, // past one wrap
-		EgressTime:  netsim.WrapPeriod + 500,
+		IngressTime: netsim.Time(1<<32) + 100, // past one wrap
+		EgressTime:  netsim.Time(1<<32) + 500,
 		QueueDepth:  9,
 	}
 	m := HopFromRecord(rec)

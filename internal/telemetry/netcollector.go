@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/amlight/intddos/internal/netsim"
-	"github.com/amlight/intddos/internal/obs"
 )
 
 // NetCollector is a real INT collector: it terminates report
@@ -70,21 +69,6 @@ func ListenReports(addr string) (*NetCollector, error) {
 
 // Addr returns the bound address (useful with port 0).
 func (c *NetCollector) Addr() net.Addr { return c.conn.LocalAddr() }
-
-// Instrument exposes the collector's receive statistics on reg. The
-// existing atomics back the counters directly, so Instrument can be
-// called before or after Start.
-func (c *NetCollector) Instrument(reg *obs.Registry) {
-	reg.CounterFunc("intddos_telemetry_reports_received_total", func() float64 {
-		return float64(c.Received.Load())
-	})
-	reg.CounterFunc("intddos_telemetry_report_decode_errors_total", func() float64 {
-		return float64(c.DecodeErrors.Load())
-	})
-	reg.CounterFunc("intddos_collector_read_errors", func() float64 {
-		return float64(c.ReadErrors.Load())
-	})
-}
 
 // Start launches the receive loop.
 func (c *NetCollector) Start() {

@@ -62,14 +62,6 @@ func (r *Report) LastHop() (HopMetadata, bool) {
 	return r.Hops[len(r.Hops)-1], true
 }
 
-// FirstHop returns the source-side hop and true, or zero and false.
-func (r *Report) FirstHop() (HopMetadata, bool) {
-	if len(r.Hops) == 0 {
-		return HopMetadata{}, false
-	}
-	return r.Hops[0], true
-}
-
 // SourceKey returns the identity sequence tracking is keyed by: the
 // sink switch that assigned the sequence number when the metadata
 // stack names one (robust even when several exporters share a relay
@@ -79,12 +71,6 @@ func (r *Report) SourceKey() string {
 		return "sw" + strconv.FormatUint(uint64(h.SwitchID), 10)
 	}
 	return r.Source
-}
-
-// FiveTuple renders the canonical flow identity string, matching
-// netsim.Packet.FiveTuple.
-func (r *Report) FiveTuple() string {
-	return fmt.Sprintf("%s:%d>%s:%d/%s", r.Src, r.SrcPort, r.Dst, r.DstPort, r.Proto)
 }
 
 // PathLatency sums wrap-aware per-hop residence times across the

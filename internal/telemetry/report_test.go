@@ -61,16 +61,6 @@ func TestReportDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestReportFiveTupleMatchesPacket(t *testing.T) {
-	r := sampleReport()
-	p := &netsim.Packet{
-		Src: r.Src, Dst: r.Dst, SrcPort: r.SrcPort, DstPort: r.DstPort, Proto: r.Proto,
-	}
-	if r.FiveTuple() != p.FiveTuple() {
-		t.Errorf("report five-tuple %q != packet five-tuple %q", r.FiveTuple(), p.FiveTuple())
-	}
-}
-
 func TestReportPathLatencyWrapAware(t *testing.T) {
 	r := &Report{Hops: []HopMetadata{
 		{IngressTS: 0xFFFFFF00, EgressTS: 0x00000100}, // crosses the wrap: 0x200 ns
@@ -83,18 +73,11 @@ func TestReportPathLatencyWrapAware(t *testing.T) {
 
 func TestReportHopAccessors(t *testing.T) {
 	r := sampleReport()
-	first, ok := r.FirstHop()
-	if !ok || first.IngressTS != 1000 {
-		t.Errorf("FirstHop = %+v ok=%v", first, ok)
-	}
 	last, ok := r.LastHop()
 	if !ok || last.IngressTS != 2500 {
 		t.Errorf("LastHop = %+v ok=%v", last, ok)
 	}
 	empty := &Report{}
-	if _, ok := empty.FirstHop(); ok {
-		t.Error("FirstHop on empty stack reported ok")
-	}
 	if _, ok := empty.LastHop(); ok {
 		t.Error("LastHop on empty stack reported ok")
 	}

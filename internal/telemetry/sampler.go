@@ -7,9 +7,9 @@ import (
 )
 
 // Sampler decides which packets the INT source instruments. The
-// AmLight deployment instruments every packet; probabilistic and
-// every-Nth samplers implement the PINT-style overhead reductions the
-// paper cites as future work ([30], [31]).
+// AmLight deployment instruments every packet; the probabilistic
+// sampler implements the PINT-style overhead reduction the paper
+// cites as future work ([30], [31]).
 type Sampler interface {
 	// Sample reports whether p should carry INT.
 	Sample(p *netsim.Packet) bool
@@ -36,20 +36,3 @@ func NewProbabilistic(p float64, seed int64) *Probabilistic {
 
 // Sample implements Sampler.
 func (s *Probabilistic) Sample(*netsim.Packet) bool { return s.rng.Float64() < s.P }
-
-// EveryNth instruments one packet in every N, counter-based, matching
-// the mechanism sFlow uses but applied to INT insertion.
-type EveryNth struct {
-	N     int
-	count int
-}
-
-// Sample implements Sampler.
-func (s *EveryNth) Sample(*netsim.Packet) bool {
-	s.count++
-	if s.count >= s.N {
-		s.count = 0
-		return true
-	}
-	return false
-}

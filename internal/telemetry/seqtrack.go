@@ -126,9 +126,6 @@ func NewSeqTracker(window, maxSources int) *SeqTracker {
 	}
 }
 
-// Window returns the acceptance window size.
-func (t *SeqTracker) Window() int { return int(t.window) }
-
 // Observe classifies one (source, sequence) observation.
 func (t *SeqTracker) Observe(src string, seq uint64) SeqResult {
 	t.mu.Lock()
@@ -206,26 +203,4 @@ func (t *SeqTracker) admit(src string) *seqSource {
 	s := &seqSource{bits: make([]uint64, (t.window+63)>>6)}
 	t.sources[src] = s
 	return s
-}
-
-// SourceCount returns how many sources are currently tracked.
-func (t *SeqTracker) SourceCount() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.sources)
-}
-
-// Resets returns how many stream resets (huge forward jumps) were
-// absorbed.
-func (t *SeqTracker) Resets() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.resets
-}
-
-// Evictions returns how many sources were evicted at the bound.
-func (t *SeqTracker) Evictions() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.evictions
 }

@@ -64,8 +64,8 @@ func TestSeqTrackerPerSourceIndependence(t *testing.T) {
 			}
 		}
 	}
-	if tr.SourceCount() != 2 {
-		t.Errorf("sources = %d, want 2", tr.SourceCount())
+	if len(tr.sources) != 2 {
+		t.Errorf("sources = %d, want 2", len(tr.sources))
 	}
 }
 
@@ -82,8 +82,8 @@ func TestSeqTrackerStreamReset(t *testing.T) {
 	if res.Verdict != SeqAccept || res.Gaps != 0 {
 		t.Fatalf("huge forward jump = %+v, want reset accept with 0 gaps", res)
 	}
-	if tr.Resets() != 1 {
-		t.Errorf("resets = %d, want 1", tr.Resets())
+	if tr.resets != 1 {
+		t.Errorf("resets = %d, want 1", tr.resets)
 	}
 }
 
@@ -92,11 +92,11 @@ func TestSeqTrackerBoundedSources(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		tr.Observe(fmt.Sprintf("src-%d", i), 1)
 	}
-	if tr.SourceCount() > 16 {
-		t.Errorf("sources = %d, want <= 16", tr.SourceCount())
+	if len(tr.sources) > 16 {
+		t.Errorf("sources = %d, want <= 16", len(tr.sources))
 	}
-	if tr.Evictions() != 100-16 {
-		t.Errorf("evictions = %d, want %d", tr.Evictions(), 100-16)
+	if tr.evictions != 100-16 {
+		t.Errorf("evictions = %d, want %d", tr.evictions, 100-16)
 	}
 	// The most recently active source survives eviction pressure.
 	res := tr.Observe("src-99", 2)
@@ -135,11 +135,11 @@ func TestCollectorInterleavedAgentsNoFalseGaps(t *testing.T) {
 	if c.Duplicates != 0 || c.Stale != 0 || c.Reordered != 0 {
 		t.Errorf("dup/stale/reordered = %d/%d/%d, want 0/0/0", c.Duplicates, c.Stale, c.Reordered)
 	}
-	if accepted != 2*n || c.Accepted() != 2*n {
-		t.Errorf("accepted %d (ledger %d), want %d", accepted, c.Accepted(), 2*n)
+	if ledger := c.Received - c.Duplicates - c.Stale; accepted != 2*n || ledger != 2*n {
+		t.Errorf("accepted %d (ledger %d), want %d", accepted, ledger, 2*n)
 	}
-	if c.Sources() != 2 {
-		t.Errorf("tracked sources = %d, want 2", c.Sources())
+	if len(c.seqs.sources) != 2 {
+		t.Errorf("tracked sources = %d, want 2", len(c.seqs.sources))
 	}
 }
 
@@ -176,7 +176,7 @@ func TestCollectorSuppressesDuplicatesAndStale(t *testing.T) {
 			t.Fatalf("accepted %v, want %v", accepted, want)
 		}
 	}
-	if c.Accepted() != len(want) {
-		t.Errorf("Accepted() = %d, want %d", c.Accepted(), len(want))
+	if ledger := c.Received - c.Duplicates - c.Stale; ledger != len(want) {
+		t.Errorf("accepted = %d, want %d", ledger, len(want))
 	}
 }

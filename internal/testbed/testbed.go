@@ -9,7 +9,6 @@ package testbed
 
 import (
 	"net/netip"
-	"sort"
 
 	"github.com/amlight/intddos/internal/fault"
 	"github.com/amlight/intddos/internal/netsim"
@@ -51,9 +50,9 @@ type Config struct {
 	Seed int64
 
 	// Netem applies netem-style impairment (delay/jitter, loss, dup,
-	// reorder, rate caps) to the rig's named links — see LinkNames for
-	// the names; "*" matches every link. Nil or all-zero leaves every
-	// link on the exact unimpaired fast path.
+	// reorder, rate caps) to the rig's named links — see the Link*
+	// constants for the names; "*" matches every link. Nil or all-zero
+	// leaves every link on the exact unimpaired fast path.
 	Netem fault.NetemSpec
 	// NetemSeed drives each impaired link's RNG (links are salted by
 	// name, so two impaired links never share a stream).
@@ -86,20 +85,6 @@ type Testbed struct {
 
 	collectorHost *netsim.Host
 	links         map[string]*netsim.Link
-}
-
-// Link returns a named link of the rig (nil for unknown names or an
-// sFlow link on a rig without sFlow).
-func (tb *Testbed) Link(name string) *netsim.Link { return tb.links[name] }
-
-// LinkNames lists the rig's impairable links in stable order.
-func (tb *Testbed) LinkNames() []string {
-	names := make([]string, 0, len(tb.links))
-	for name := range tb.links {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // ImpairedStats returns per-link impairment ledgers for every link

@@ -99,10 +99,10 @@ func TestNetemImpairsNamedLink(t *testing.T) {
 	rp.Start()
 	tb.Run()
 
-	if !tb.Link(LinkAgentCollector).Impaired() {
+	if !tb.links[LinkAgentCollector].Impaired() {
 		t.Fatal("agent->collector not impaired")
 	}
-	if tb.Link(LinkSourceSwitch).Impaired() {
+	if tb.links[LinkSourceSwitch].Impaired() {
 		t.Error("source->switch impaired by a spec naming only agent->collector")
 	}
 	stats := tb.ImpairedStats()[LinkAgentCollector]
@@ -124,8 +124,8 @@ func TestNetemImpairsNamedLink(t *testing.T) {
 func TestNetemUnsetLeavesLinksInert(t *testing.T) {
 	for _, cfg := range []Config{{}, {Netem: fault.NetemSpec{}}} {
 		tb := New(cfg)
-		for _, name := range tb.LinkNames() {
-			if tb.Link(name).Impaired() {
+		for name := range tb.links {
+			if tb.links[name].Impaired() {
 				t.Errorf("link %s impaired with empty netem spec", name)
 			}
 		}

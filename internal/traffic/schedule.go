@@ -35,9 +35,6 @@ type Episode struct {
 	End   netsim.Time
 }
 
-// Duration returns the episode length.
-func (e Episode) Duration() netsim.Time { return e.End - e.Start }
-
 // String renders the episode like a Table I row.
 func (e Episode) String() string {
 	return fmt.Sprintf("%-9s %v - %v", e.Type, e.Start, e.End)
@@ -55,17 +52,6 @@ func (s Schedule) ActiveAt(t netsim.Time) string {
 		}
 	}
 	return ""
-}
-
-// ByType returns the episodes of one attack type.
-func (s Schedule) ByType(typ string) Schedule {
-	var out Schedule
-	for _, e := range s {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // tableIEntry is one row of the paper's Table I in capture-day
@@ -131,6 +117,3 @@ func PaperSchedule(dayLen, minEpisode netsim.Time) Schedule {
 func scaleSeconds(sec int, dayLen netsim.Time) netsim.Time {
 	return netsim.Time(int64(sec) * int64(dayLen) / realDay)
 }
-
-// DayOf returns which compressed capture day t falls on.
-func DayOf(t netsim.Time, dayLen netsim.Time) int { return int(t / dayLen) }

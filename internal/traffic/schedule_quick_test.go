@@ -22,7 +22,7 @@ func TestPaperSchedulePropertyDisjoint(t *testing.T) {
 			if e.End <= e.Start {
 				return false
 			}
-			if minEp > 0 && e.Duration() < minEp {
+			if minEp > 0 && (e.End-e.Start) < minEp {
 				return false
 			}
 			if i > 0 && e.Start < s[i-1].End {
@@ -43,7 +43,7 @@ func TestPaperSchedulePropertyActiveAtConsistent(t *testing.T) {
 		day := netsim.Time(int64(dayMs)+10) * netsim.Millisecond
 		s := PaperSchedule(day, netsim.Millisecond)
 		for _, e := range s {
-			mid := e.Start + e.Duration()/2
+			mid := e.Start + (e.End-e.Start)/2
 			if s.ActiveAt(mid) != e.Type {
 				return false
 			}

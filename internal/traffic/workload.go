@@ -117,15 +117,6 @@ func (w *Workload) Horizon() netsim.Time {
 	return netsim.Time(w.Config.Days) * w.Config.DayLen
 }
 
-// CountByType tallies records per attack type (Benign included).
-func (w *Workload) CountByType() map[string]int {
-	out := make(map[string]int)
-	for i := range w.Records {
-		out[w.Records[i].AttackType]++
-	}
-	return out
-}
-
 // Build generates the full capture: benign background, Table I
 // attacks, merged chronologically.
 func Build(cfg Config) *Workload {
@@ -136,19 +127,4 @@ func Build(cfg Config) *Workload {
 	recs = GenerateAttacks(recs, cfg.Attack, sched, rng)
 	trace.SortByTime(recs)
 	return &Workload{Config: cfg, Schedule: sched, Records: recs}
-}
-
-// SplitAtDay partitions records into those before the start of day d
-// and those from day d on — the paper's zero-day split assigns June
-// 11 (day 5) to the test set.
-func (w *Workload) SplitAtDay(d int) (before, after []trace.Record) {
-	cut := netsim.Time(d) * w.Config.DayLen
-	for i := range w.Records {
-		if w.Records[i].At < cut {
-			before = append(before, w.Records[i])
-		} else {
-			after = append(after, w.Records[i])
-		}
-	}
-	return before, after
 }
