@@ -97,7 +97,7 @@ type Snapshot struct {
 	// order. Version-2 snapshots persist predictions per shard in
 	// ShardStates (store.ShardExport.Preds) and leave this empty; it
 	// is populated only when decoding a version-1 file, and restore
-	// routes it through Checkpointable.ImportPredictions.
+	// routes it through the store's ImportPredictions.
 	Predictions []store.PredictionRecord
 }
 

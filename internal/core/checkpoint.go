@@ -231,14 +231,29 @@ type captureScratch struct {
 }
 
 // durableStore is what checkpointing needs of the concrete store: the
-// prediction log's full and incremental export/import surfaces plus
-// the scratch-reusing export, and — the log being where decisions live
-// — the cursor Decisions reads. store.DB and store.ShardedDB both
-// provide all of it.
+// prediction log's full and incremental export and import, and — the
+// log being where decisions live — the cursor Decisions reads.
+// store.DB and store.ShardedDB both provide all of it; fault-injection
+// wrappers deliberately do not (a checkpoint must read the real state,
+// not a fault-shaped view), so Live keeps the concrete store beside
+// the wrapped one. Every export, full or delta, moves the shard's
+// prediction mark, so consecutive delta exports chain. Out-of-range
+// shards export nothing and fail to import.
 type durableStore interface {
 	store.Store
-	store.DeltaCheckpointable
+	// ExportShardInto deep-copies one shard's prediction log into
+	// pre's arrays.
 	ExportShardInto(shard int, pre store.ShardExport) store.ShardExport
+	// ExportShardDelta deep-copies the predictions one shard logged
+	// since the previous export.
+	ExportShardDelta(shard int) store.ShardExport
+	// ImportShard replaces one shard's log with an export's;
+	// ApplyShardDelta appends a delta export's to it.
+	ImportShard(shard int, ex store.ShardExport) error
+	ApplyShardDelta(shard int, d store.ShardExport) error
+	// ImportPredictions replaces the whole log with a version-1
+	// snapshot's one global-order history.
+	ImportPredictions(preds []store.PredictionRecord) error
 	PredictionCursor(after uint64) *store.MergeCursor
 	LastPredictionSeq() uint64
 }

@@ -65,7 +65,7 @@ func feedRange(l *Live, nFlows, from, to int) {
 // the log includes the pre-crash history.
 func predTrace(l *Live) map[string][]string {
 	out := make(map[string][]string)
-	for _, p := range l.DB.Predictions() {
+	for _, p := range logged(l) {
 		key := p.Key.String()
 		out[key] = append(out[key], fmt.Sprintf("label=%d votes=%v", p.Label, p.Votes))
 	}
@@ -125,8 +125,8 @@ func TestKillRestoreBitIdentical(t *testing.T) {
 	feedRange(c, nFlows, cut, total)
 	// Bit-identity implies the same prediction total as the reference.
 	settle(t, c, 5*time.Second)
-	if wantPreds := len(a.DB.Predictions()); len(c.DB.Predictions()) < wantPreds {
-		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
+	if wantPreds := len(logged(a)); len(logged(c)) < wantPreds {
+		t.Fatalf("restored run produced %d predictions, reference %d", len(logged(c)), wantPreds)
 	}
 	c.Stop()
 	assertAccounting(t, c)
@@ -200,15 +200,15 @@ func TestKillRestoreV1Compat(t *testing.T) {
 	c.Start()
 	feedRange(c, nFlows, cut, total)
 	settle(t, c, 5*time.Second)
-	if wantPreds := len(a.DB.Predictions()); len(c.DB.Predictions()) < wantPreds {
-		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
+	if wantPreds := len(logged(a)); len(logged(c)) < wantPreds {
+		t.Fatalf("restored run produced %d predictions, reference %d", len(logged(c)), wantPreds)
 	}
 	c.Stop()
 	assertAccounting(t, c)
 
 	// The re-stamped history plus post-restore decisions still merge
 	// into one strictly increasing global order.
-	merged := c.DB.Predictions()
+	merged := logged(c)
 	for i := 1; i < len(merged); i++ {
 		if merged[i].Seq <= merged[i-1].Seq {
 			t.Fatalf("merged log not strictly Seq-increasing at %d after v1 restore", i)
@@ -318,7 +318,7 @@ func referenceRun(t *testing.T, nFlows, total int) (map[string][]string, int) {
 	feedRange(a, nFlows, 0, total)
 	settle(t, a, 5*time.Second)
 	a.Stop()
-	return predTrace(a), len(a.DB.Predictions())
+	return predTrace(a), len(logged(a))
 }
 
 // finishRestored feeds the stream suffix [from, total) into a
@@ -329,8 +329,8 @@ func finishRestored(t *testing.T, c *Live, nFlows, from, total, wantPreds int) {
 	c.Start()
 	feedRange(c, nFlows, from, total)
 	settle(t, c, 5*time.Second)
-	if len(c.DB.Predictions()) < wantPreds {
-		t.Fatalf("restored run produced %d predictions, reference %d", len(c.DB.Predictions()), wantPreds)
+	if len(logged(c)) < wantPreds {
+		t.Fatalf("restored run produced %d predictions, reference %d", len(logged(c)), wantPreds)
 	}
 	c.Stop()
 	assertAccounting(t, c)

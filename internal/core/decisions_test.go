@@ -128,7 +128,7 @@ func TestDecisionsStartAtTheRestoreMark(t *testing.T) {
 	}
 	// Per-flow Seq and Stage are not persisted: restored history reads
 	// zero for both, this process's records carry theirs.
-	for i, p := range c.DB.Predictions() {
+	for i, p := range logged(c) {
 		if i < restored && (p.FlowSeq != 0 || p.Stage != 0) {
 			t.Fatalf("restored prediction %d surfaces provenance flowSeq=%d stage=%d", i, p.FlowSeq, p.Stage)
 		}

@@ -59,10 +59,14 @@ var exportAllowlist = map[string]string{
 //     non-test file under cmd/, examples/, benchmark/ or scripts/, or by
 //     the root's example_test.go.
 //
-// A method is used when a selector resolves to it, or when a type that
-// has it implements an interface, declaring it, that the calling
-// programs name; String() string and Error() string always count.
-// Names on exportAllowlist may stay unused, and only while unused.
+// A method is used when a selector resolves to it, or when its type
+// implements an interface that the calling programs name and that
+// declares the method: an interface of this module only if some
+// calling program calls that method of it, one from outside (sort,
+// slog, heap) on satisfaction alone, since code the scan does not
+// read calls it. String() string and Error() string always count. An
+// exported interface's own methods are held to the same rule. Names
+// on exportAllowlist may stay unused, and only while unused.
 func TestExportsHaveCallers(t *testing.T) {
 	dead := deadExports(t)
 	for _, name := range dead {
@@ -99,7 +103,10 @@ func TestExportsHaveCallers(t *testing.T) {
 func TestExportScanMethodRule(t *testing.T) {
 	const src = `package fixture
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+)
 
 type Shape interface{ Area() float64 }
 
@@ -108,6 +115,20 @@ type Square struct{ side float64 }
 func (s Square) Area() float64      { return s.side * s.side }
 func (s Square) Perimeter() float64 { return 4 * s.side }
 
+type Sizer interface{ Size() int }
+
+type Box struct{}
+
+func (Box) Size() int { return 1 }
+
+var _ Sizer = Box{}
+
+type ByLen []string
+
+func (b ByLen) Len() int           { return len(b) }
+func (b ByLen) Less(i, j int) bool { return len(b[i]) < len(b[j]) }
+func (b ByLen) Swap(i, j int)      { b[i], b[j] = b[j], b[i] }
+
 type Name string
 
 func (n Name) String() string { return string(n) }
@@ -115,6 +136,7 @@ func (n Name) String() string { return string(n) }
 func Used() float64 {
 	var s Shape = Square{side: 2}
 	fmt.Println(Name("n"))
+	sort.Sort(ByLen{"ab", "a"})
 	return s.Area()
 }
 
@@ -138,7 +160,9 @@ func init() { Used() }
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
-	pkg, err := (&types.Config{Importer: importer.Default()}).Check("fixture", fset, []*ast.File{f}, info)
+	// Checked as one of the module's packages, so its interfaces are
+	// held to the call rule.
+	pkg, err := (&types.Config{Importer: importer.Default()}).Check(module+"/internal/fixture", fset, []*ast.File{f}, info)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +175,17 @@ func init() { Used() }
 		name, why string
 		want      bool
 	}{
-		{"fixture.Square.Area", "reached only through a Shape value", false},
-		{"fixture.Name.String", "reached only through fmt", false},
-		{"fixture.Used", "called from init", false},
-		{"fixture.Shape", "names a variable's type", false},
-		{"fixture.Orphan", "called only by itself", true},
-		{"fixture.Square.Perimeter", "no caller, no interface declares it", true},
+		{"internal/fixture.Square.Area", "reached through a Shape value that calls it", false},
+		{"internal/fixture.Shape.Area", "called through a Shape value", false},
+		{"internal/fixture.Name.String", "reached only through fmt", false},
+		{"internal/fixture.ByLen.Less", "a sort.Interface handed to sort.Sort", false},
+		{"internal/fixture.Used", "called from init", false},
+		{"internal/fixture.Shape", "names a variable's type", false},
+		{"internal/fixture.Sizer", "names a variable's type", false},
+		{"internal/fixture.Orphan", "called only by itself", true},
+		{"internal/fixture.Square.Perimeter", "no caller, no interface declares it", true},
+		{"internal/fixture.Sizer.Size", "a module interface's method nobody calls", true},
+		{"internal/fixture.Box.Size", "satisfies Sizer, whose Size nobody calls", true},
 	} {
 		if flagged[c.name] != c.want {
 			t.Errorf("%s (%s): flagged = %v, want %v", c.name, c.why, flagged[c.name], c.want)
@@ -230,8 +259,8 @@ func recvName(t types.Type) string {
 	return t.String()
 }
 
-// declaredExports lists the exported package-level names and exported
-// methods p's files declare.
+// declaredExports lists the exported package-level names, exported
+// methods and exported interfaces' exported methods p's files declare.
 func declaredExports(p program) []types.Object {
 	var objs []types.Object
 	add := func(id *ast.Ident) {
@@ -251,6 +280,13 @@ func declaredExports(p program) []types.Object {
 					switch s := s.(type) {
 					case *ast.TypeSpec:
 						add(s.Name)
+						if it, ok := s.Type.(*ast.InterfaceType); ok && s.Name.IsExported() {
+							for _, m := range it.Methods.List {
+								for _, id := range m.Names {
+									add(id)
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, id := range s.Names {
 							add(id)
@@ -267,9 +303,10 @@ func declaredExports(p program) []types.Object {
 // file of callers uses. A use inside the declaration itself (a
 // recursive call, a method's own receiver) does not count. A method
 // also counts as used when its type, or a pointer to it, implements an
-// interface that declares it and that callers name anywhere — so
-// sort.Interface methods handed to sort.Sort, or handler methods
-// reached through an interface value, count — and String() string and
+// interface that declares it and that callers name anywhere: one of
+// this module when callers call that interface method (a handler
+// reached through an interface value), one from outside always
+// (sort.Interface methods handed to sort.Sort). String() string and
 // Error() string always count, since fmt reaches them.
 func unusedExports(decls, callers []program) []string {
 	used := make(map[types.Object]bool)
@@ -284,7 +321,7 @@ func unusedExports(decls, callers []program) []string {
 	var names []string
 	for _, p := range decls {
 		for _, obj := range declaredExports(p) {
-			if !used[obj] && !reachedThroughInterface(obj, ifaces) {
+			if !used[obj] && !reachedThroughInterface(obj, ifaces, used) {
 				names = append(names, exportName(obj))
 			}
 		}
@@ -400,8 +437,9 @@ func interfacesNamed(progs []program) []*types.Interface {
 
 // reachedThroughInterface reports whether obj is a method fmt reaches
 // (String, Error) or one its type satisfies some interface of ifaces
-// with.
-func reachedThroughInterface(obj types.Object, ifaces []*types.Interface) bool {
+// with: an interface from outside the module, or one whose method of
+// that name is in called.
+func reachedThroughInterface(obj types.Object, ifaces []*types.Interface, called map[types.Object]bool) bool {
 	fn, ok := obj.(*types.Func)
 	if !ok {
 		return false
@@ -423,16 +461,22 @@ func reachedThroughInterface(obj types.Object, ifaces []*types.Interface) bool {
 		if iface.Empty() {
 			continue
 		}
-		declares := false
+		reaches := false
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == fn.Name() {
-				declares = true
+			if m := iface.Method(i); m.Name() == fn.Name() {
+				reaches = called[m] || !inModule(m.Pkg())
 				break
 			}
 		}
-		if declares && (types.Implements(recv, iface) || types.Implements(ptr, iface)) {
+		if reaches && (types.Implements(recv, iface) || types.Implements(ptr, iface)) {
 			return true
 		}
 	}
 	return false
+}
+
+// inModule reports whether pkg is one of this module's packages (false
+// for the universe's error).
+func inModule(pkg *types.Package) bool {
+	return pkg != nil && (pkg.Path() == module || strings.HasPrefix(pkg.Path(), module+"/"))
 }

@@ -10,6 +10,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,30 +20,26 @@ import (
 	"testing"
 )
 
-// knobStructs are the configs held to the knob rule: the pipeline's,
-// the experiments', the profiler's, the rule generator's and the MLP's
-// and Random Forest's. The
-// facade's aliases (intddos.LiveConfig, MechanismConfig, ...) name the
-// same types, so the scan sees through them.
-var knobStructs = []string{
-	"internal/core.Config",
-	"internal/core.LiveConfig",
-	"internal/experiment.LiveConfig",
-	"internal/experiment.ChaosConfig",
-	"internal/experiment.SoakConfig",
-	"internal/experiment.ScalingConfig",
-	"internal/experiment.ImpairConfig",
-	"internal/experiment.TriageSweepConfig",
-	"internal/experiment.DataConfig",
-	"internal/obs/prof.Config",
-	"internal/mitigate.Config",
-	"internal/ml/neural.Config",
-	"internal/ml/forest.Config",
+// knobAllowlist holds the config fields that stay though no program
+// turns them, each with the test or benchmark that does. An
+// allowlisted field counts as a knob under the copy rule, so the
+// fields it is copied into need no entry of their own.
+var knobAllowlist = map[string]string{
+	"internal/testbed.Config.INTMode":    "INT-MD vs INT-XD ablation: BenchmarkAblation_EmbedVsPostcard builds the rig in both modes (EXPERIMENTS.md)",
+	"internal/testbed.Config.INTSampler": "PINT sampling ablation: BenchmarkAblation_INTSamplingOverhead builds the rig with each sampler (EXPERIMENTS.md)",
+}
+
+// isConfigName reports whether a type name marks a config the knob
+// rule holds: Config, or a name ending in Config, Options or Spec.
+func isConfigName(name string) bool {
+	return strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")
 }
 
 // TestConfigKnobsHaveCallers enforces the surface rule for every config
-// in knobStructs: an exported field is a knob some program turns, or
-// it is a constant (with an unexported seam only if a test varies it).
+// under internal/ — every exported struct type isConfigName accepts:
+// an exported field is a knob some program turns, or it is a constant
+// (with an unexported seam only if a test varies it). Fields on
+// knobAllowlist may stay unturned, and only while unturned.
 //
 // It reads every program modulePrograms loads: the module's non-test
 // files and the root's example_test.go. A program turns a field when it gives it a
@@ -55,8 +52,19 @@ var knobStructs = []string{
 // it was handed without reading it (the benchmark's configure hooks,
 // HopLatencyAblation's INTSet) does.
 func TestConfigKnobsHaveCallers(t *testing.T) {
-	for _, f := range deadKnobs(t) {
+	scan := knobs(t)
+	for _, f := range scan.dead {
 		t.Errorf("%s is turned by no program: make it a constant (with an unexported seam if a test varies it) or delete it", f)
+	}
+	for f, reason := range knobAllowlist {
+		switch {
+		case reason == "":
+			t.Errorf("%s is allowlisted without a reason", f)
+		case !scan.fields[f]:
+			t.Errorf("%s is allowlisted but no longer a config field: drop it from knobAllowlist", f)
+		case scan.turned[f]:
+			t.Errorf("%s is allowlisted but a program turns it now: drop it from knobAllowlist", f)
+		}
 	}
 }
 
@@ -73,14 +81,25 @@ func TestMechanismConfigKnobsHaveCallers(t *testing.T) {
 	checkKnobsOf(t, "internal/core.Config")
 }
 
-// checkKnobsOf fails on every dead knob of the tracked config s.
+// checkKnobsOf fails on every dead knob of the config s.
 func checkKnobsOf(t *testing.T, s string) {
 	t.Helper()
-	for _, f := range deadKnobs(t) {
+	for _, f := range knobs(t).dead {
 		if strings.HasPrefix(f, s+".") {
 			t.Errorf("%s is turned by no program: make it a constant (with an unexported seam if a test varies it) or delete it", f)
 		}
 	}
+}
+
+// knobResult is the knob scan's finding. Fields are named
+// "<dir>/<pkg>.<Struct>.<Field>" ("internal/core.Config.Seed").
+type knobResult struct {
+	// dead lists, sorted, the exported config fields no program turns
+	// and knobAllowlist does not hold.
+	dead []string
+	// fields holds every exported config field; turned, those some
+	// program turns, the allowlist aside.
+	fields, turned map[string]bool
 }
 
 // knobScan caches the scan's result: type-checking every program once
@@ -88,30 +107,55 @@ func checkKnobsOf(t *testing.T, s string) {
 var knobScan struct {
 	sync.Mutex
 	done bool
-	dead []string
+	res  knobResult
 }
 
-// deadKnobs lists, as "<dir>/<pkg>.<Struct>.<Field>" sorted, the
-// exported fields of knobStructs that no program turns.
-func deadKnobs(t *testing.T) []string {
+// knobs returns the knob scan's finding.
+func knobs(t *testing.T) knobResult {
 	t.Helper()
 	knobScan.Lock()
 	defer knobScan.Unlock()
 	if !knobScan.done {
-		knobScan.dead = scanKnobs(t)
+		knobScan.res = scanKnobs(t)
 		knobScan.done = true
 	}
-	return knobScan.dead
+	return knobScan.res
 }
 
-// scanKnobs does the scan deadKnobs caches.
-func scanKnobs(t *testing.T) []string {
+// scanKnobs does the scan knobs caches.
+func scanKnobs(t *testing.T) knobResult {
 	t.Helper()
 	pkgs := modulePrograms(t)
 
+	// tracked holds the configs — the exported struct types under
+	// internal/ whose names isConfigName accepts — and fields their
+	// exported fields.
 	tracked := make(map[string]bool)
-	for _, s := range knobStructs {
-		tracked[module+"/"+s] = true
+	fields := make(map[string]bool)
+	for _, p := range pkgs {
+		if p.test || !strings.HasPrefix(p.types.Path(), module+"/internal/") {
+			continue
+		}
+		for _, name := range p.types.Scope().Names() {
+			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || tn.IsAlias() || !isConfigName(name) {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue // a Spec that is a map or a slice, say
+			}
+			config := p.types.Path() + "." + name
+			tracked[config] = true
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[config+"."+f.Name()] = true
+				}
+			}
+		}
+	}
+	if len(fields) == 0 {
+		t.Fatal("no config found: the scan is broken")
 	}
 	// structOf names the tracked config a field selection or literal
 	// belongs to ("" for any other type).
@@ -130,26 +174,11 @@ func scanKnobs(t *testing.T) []string {
 		return name
 	}
 
-	// fields lists every exported field of the tracked configs, from
-	// the declaring package's own type-check.
-	fields := make(map[string]bool)
 	// knob holds the fields a program turns; copies maps a field to
 	// the fields whose values flow into it.
 	knob := make(map[string]bool)
 	copies := make(map[string][]string)
 	for _, p := range pkgs {
-		for _, name := range p.types.Scope().Names() {
-			tn, ok := p.types.Scope().Lookup(name).(*types.TypeName)
-			if !ok || structOf(tn.Type()) == "" {
-				continue
-			}
-			st := tn.Type().Underlying().(*types.Struct)
-			for i := 0; i < st.NumFields(); i++ {
-				if f := st.Field(i); f.Exported() {
-					fields[structOf(tn.Type())+"."+f.Name()] = true
-				}
-			}
-		}
 		for _, f := range p.files {
 			configWrites(f, p.info, structOf, func(field string, value ast.Expr) {
 				if src := copiedField(value, p.info, structOf); src != "" {
@@ -160,28 +189,39 @@ func scanKnobs(t *testing.T) []string {
 			})
 		}
 	}
-	if len(fields) == 0 {
-		t.Fatal("no tracked config found: the scan is broken")
-	}
 	// A copy of a knob is a knob: propagate to the fixed point.
-	for changed := true; changed; {
-		changed = false
-		for dst, srcs := range copies {
-			for _, src := range srcs {
-				if knob[src] && !knob[dst] {
-					knob[dst], changed = true, true
+	propagate := func(knob map[string]bool) {
+		for changed := true; changed; {
+			changed = false
+			for dst, srcs := range copies {
+				for _, src := range srcs {
+					if knob[src] && !knob[dst] {
+						knob[dst], changed = true, true
+					}
 				}
 			}
 		}
 	}
-	var dead []string
+	res := knobResult{fields: make(map[string]bool), turned: make(map[string]bool)}
+	allowed := make(map[string]bool)
+	for f := range knob {
+		allowed[f] = true
+	}
+	for f := range knobAllowlist {
+		allowed[module+"/"+f] = true
+	}
+	propagate(knob)
+	propagate(allowed)
 	for f := range fields {
-		if !knob[f] {
-			dead = append(dead, strings.TrimPrefix(f, module+"/"))
+		name := strings.TrimPrefix(f, module+"/")
+		res.fields[name] = true
+		res.turned[name] = knob[f]
+		if !allowed[f] {
+			res.dead = append(res.dead, name)
 		}
 	}
-	sort.Strings(dead)
-	return dead
+	sort.Strings(res.dead)
+	return res
 }
 
 // module is the import path every scan in this package resolves
@@ -294,8 +334,10 @@ func loadPrograms(t *testing.T, root string) []program {
 	}
 	var progs []program
 	var rootDir string
+	pkgDirs := make(map[string]bool)
 	for _, p := range mine {
 		progs = append(progs, check(p.ImportPath, p.Dir, p.GoFiles, false))
+		pkgDirs[p.Dir] = true
 		if p.ImportPath == module {
 			rootDir = p.Dir
 		}
@@ -303,7 +345,38 @@ func loadPrograms(t *testing.T, root string) []program {
 	if rootDir == "" {
 		t.Fatal("go list did not report the root package")
 	}
+	walkSources(t, rootDir, pkgDirs)
 	return append(progs, check(module+"_test", rootDir, []string{"example_test.go"}, true))
+}
+
+// walkSources reads every directory of the scanned trees under root
+// and fails on one holding non-test Go files that go list did not
+// report. Reading the listings also keys go test's result cache on
+// them, so a file or package added since the last run re-runs the
+// scans instead of replaying a pass from the cache.
+func walkSources(t *testing.T, root string, pkgDirs map[string]bool) {
+	t.Helper()
+	if _, err := os.ReadDir(root); err != nil {
+		t.Fatal(err)
+	}
+	for _, tree := range []string{"cmd", "examples", "internal", "benchmark", "scripts"} {
+		err := filepath.WalkDir(filepath.Join(root, tree), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") && !pkgDirs[filepath.Dir(path)] {
+				t.Errorf("%s is in no package go list reported: the scans would miss it", path)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // importerFunc adapts a function to types.Importer.

@@ -9,6 +9,7 @@ import (
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/ml"
 	"github.com/amlight/intddos/internal/netsim"
+	"github.com/amlight/intddos/internal/store"
 	"github.com/amlight/intddos/internal/telemetry"
 )
 
@@ -39,6 +40,17 @@ func startLive(t *testing.T, cfg LiveConfig) *Live {
 	l := newLive(t, cfg)
 	l.Start()
 	return l
+}
+
+// logged reads l's whole prediction log, restored history included,
+// in global decision order.
+func logged(l *Live) []store.PredictionRecord {
+	var out []store.PredictionRecord
+	c := l.rawDB.PredictionCursor(0)
+	for p, ok := c.Next(); ok; p, ok = c.Next() {
+		out = append(out, p)
+	}
+	return out
 }
 
 // waitFor polls cond until it holds or the deadline passes.

@@ -153,8 +153,6 @@ type Mechanism struct {
 	cfg Config
 
 	Table *flow.Table
-	// DB is the prediction log: every decision is appended to it.
-	DB *store.DB
 
 	// pending holds the snapshots the Data Processor has written and the
 	// CentralServer has not yet polled, in Observe order; queue holds
@@ -237,7 +235,6 @@ func New(eng *netsim.Engine, cfg Config) (*Mechanism, error) {
 		eng:    eng,
 		cfg:    cfg,
 		Table:  flow.NewTable(),
-		DB:     store.New(),
 		scorer: sc,
 	}
 	// The simulation's ensemble call is the plain batch path: every
@@ -344,7 +341,6 @@ func (m *Mechanism) completeService() {
 	p.Votes = slices.Clone(p.Votes)
 	d := decisionOf(p)
 	m.Decisions = append(m.Decisions, d)
-	m.DB.AppendPrediction(p)
 	if m.OnDecision != nil {
 		m.OnDecision(d)
 	}

@@ -184,12 +184,14 @@ func TestStoreWrapperInjectsOnFalliblePathsOnly(t *testing.T) {
 
 func TestStoreWrapperCleanWhenNoStoreFaults(t *testing.T) {
 	in := New(Spec{Drop: 1}, 1) // faults elsewhere only
-	db := WrapStore(store.New(), in)
+	raw := store.New()
+	db := WrapStore(raw, in)
 	if err := db.TryAppendPrediction(store.PredictionRecord{Key: faultKey(1), Label: 1}); err != nil {
 		t.Fatalf("TryAppendPrediction = %v", err)
 	}
-	if preds := db.Predictions(); len(preds) != 1 || preds[0].Label != 1 {
-		t.Errorf("prediction log = %+v, want the one record", preds)
+	c := raw.PredictionCursor(0)
+	if p, ok := c.Next(); !ok || p.Label != 1 || c.Remaining() != 0 {
+		t.Errorf("prediction log = %+v (%d more), want the one record", p, c.Remaining())
 	}
 }
 

@@ -49,7 +49,7 @@ func (r Rule) String() string {
 
 // Config parameterizes rule generation: the rule lifetime. A source
 // is escalated to a source-scoped rule once sourceThreshold of its
-// flows are flagged; new rules are rejected beyond maxRules.
+// flows are flagged; new rules are rejected beyond maxRules live ones.
 type Config struct {
 	// TTL is the rule lifetime; refreshed when the same target is
 	// re-flagged (default 5 s virtual).
@@ -66,6 +66,9 @@ type Generator struct {
 
 	rules      map[string]*Rule
 	flowsBySrc map[string]map[flow.Key]bool
+	// expiresFrom is a lower bound on every rule's ExpiresAt (a
+	// refresh only raises one): before it, no rule can be reclaimed.
+	expiresFrom netsim.Time
 
 	// Stats
 	Generated int
@@ -89,9 +92,13 @@ func NewGenerator(cfg Config) *Generator {
 
 // HandleDecision consumes one mechanism decision; benign decisions
 // are ignored. Wire it to core.Mechanism.OnDecision.
-func (g *Generator) HandleDecision(d core.Decision) {
+func (g *Generator) HandleDecision(d core.Decision) { g.handle(d) }
+
+// handle is HandleDecision, returning the rule the decision created
+// or refreshed (nil if none).
+func (g *Generator) handle(d core.Decision) *Rule {
 	if d.Label != 1 {
-		return
+		return nil
 	}
 	src := d.Key.Src.String()
 	flows := g.flowsBySrc[src]
@@ -102,22 +109,25 @@ func (g *Generator) HandleDecision(d core.Decision) {
 	flows[d.Key] = true
 
 	if len(flows) >= sourceThreshold {
-		g.install("src:"+src, Rule{Scope: ScopeSource, Key: flow.Key{Src: d.Key.Src}}, d.At, true)
-		return
+		return g.install("src:"+src, Rule{Scope: ScopeSource, Key: flow.Key{Src: d.Key.Src}}, d.At, true)
 	}
-	g.install("flow:"+d.Key.String(), Rule{Scope: ScopeFlow, Key: d.Key}, d.At, false)
+	return g.install("flow:"+d.Key.String(), Rule{Scope: ScopeFlow, Key: d.Key}, d.At, false)
 }
 
-// install adds or refreshes a rule.
-func (g *Generator) install(id string, r Rule, now netsim.Time, escalation bool) {
+// install adds or refreshes a rule and returns it; at the bound it
+// first reclaims expired rules, and returns nil if none has expired.
+func (g *Generator) install(id string, r Rule, now netsim.Time, escalation bool) *Rule {
 	if existing, ok := g.rules[id]; ok {
 		existing.ExpiresAt = now + g.cfg.TTL
 		existing.Hits++
-		return
+		return existing
+	}
+	if len(g.rules) >= g.maxRules {
+		g.reclaim(now)
 	}
 	if len(g.rules) >= g.maxRules {
 		g.Rejected++
-		return
+		return nil
 	}
 	r.CreatedAt = now
 	r.ExpiresAt = now + g.cfg.TTL
@@ -126,6 +136,22 @@ func (g *Generator) install(id string, r Rule, now netsim.Time, escalation bool)
 	g.Generated++
 	if escalation {
 		g.Escalated++
+	}
+	return &r
+}
+
+// reclaim deletes the rules expired at now.
+func (g *Generator) reclaim(now netsim.Time) {
+	if now < g.expiresFrom {
+		return
+	}
+	g.expiresFrom = now + g.cfg.TTL
+	for id, r := range g.rules {
+		if r.ExpiresAt <= now {
+			delete(g.rules, id)
+		} else {
+			g.expiresFrom = min(g.expiresFrom, r.ExpiresAt)
+		}
 	}
 }
 
@@ -154,19 +180,15 @@ func Compile(r Rule) netsim.ACLRule {
 	return out
 }
 
-// InstallInto wires the generator to a switch ACL: every newly
-// generated or escalated rule is compiled and installed in the data
-// plane as it is created. Returns the wrapped decision handler to
-// hook to core.Mechanism.OnDecision.
+// InstallInto wires the generator to a switch ACL: the rule each
+// decision creates or refreshes is compiled and installed in the data
+// plane at once, so a refresh extends the data-plane entry's expiry
+// too. Returns the wrapped decision handler to hook to
+// core.Mechanism.OnDecision.
 func (g *Generator) InstallInto(acl *netsim.ACL) func(core.Decision) {
-	installed := map[string]bool{}
 	return func(d core.Decision) {
-		g.HandleDecision(d)
-		for id, r := range g.rules {
-			if !installed[id] {
-				installed[id] = true
-				acl.Install(Compile(*r))
-			}
+		if r := g.handle(d); r != nil {
+			acl.Install(Compile(*r))
 		}
 	}
 }

@@ -27,7 +27,7 @@ func drops(g *Generator, k flow.Key, now netsim.Time) bool {
 	for _, r := range g.Rules() {
 		acl.Install(Compile(r))
 	}
-	return acl.Match(&netsim.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}, now)
+	return acl.Match(packetOf(k), now)
 }
 
 func TestGeneratorIgnoresBenign(t *testing.T) {
@@ -97,6 +97,49 @@ func TestGeneratorMaxRules(t *testing.T) {
 	}
 	if g.Rejected != 3 {
 		t.Errorf("rejected = %d, want 3", g.Rejected)
+	}
+}
+
+// packetOf is a packet of flow k.
+func packetOf(k flow.Key) *netsim.Packet {
+	return &netsim.Packet{Src: k.Src, Dst: k.Dst, SrcPort: k.SrcPort, DstPort: k.DstPort, Proto: k.Proto}
+}
+
+func TestInstallIntoRefreshesDataPlaneExpiry(t *testing.T) {
+	g := NewGenerator(Config{TTL: 100})
+	var acl netsim.ACL
+	install := g.InstallInto(&acl)
+	k := attacker(1)
+	install(decision(k, 1, 0))
+	install(decision(k, 1, 80)) // refresh at t=80 → expires 180
+	if !acl.Match(packetOf(k), 150) {
+		t.Error("the ACL entry expired at its first decision's TTL, not the refresh's")
+	}
+	if acl.Match(packetOf(k), 181) {
+		t.Error("the ACL entry outlived the refreshed TTL")
+	}
+	if acl.Installed != 1 {
+		t.Errorf("installed = %d, want 1 (a refresh is no new entry)", acl.Installed)
+	}
+}
+
+func TestGeneratorReclaimsExpiredRulesAtBound(t *testing.T) {
+	g := NewGenerator(Config{TTL: 100})
+	g.maxRules = 2
+	src := func(p uint16) flow.Key {
+		k := attacker(p)
+		k.Src = netip.AddrFrom4([4]byte{10, 1, 0, byte(p)}) // distinct sources
+		return k
+	}
+	g.HandleDecision(decision(src(1), 1, 0))
+	g.HandleDecision(decision(src(2), 1, 10))
+	g.HandleDecision(decision(src(3), 1, 200)) // both rules expired by now
+	if g.Rejected != 0 || g.Generated != 3 || g.Len() != 1 {
+		t.Errorf("rejected %d, generated %d, live %d: want the new attacker accepted once the expired rules are reclaimed",
+			g.Rejected, g.Generated, g.Len())
+	}
+	if !drops(g, src(3), 250) {
+		t.Error("the new attacker's rule does not drop it")
 	}
 }
 

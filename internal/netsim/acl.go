@@ -3,8 +3,9 @@ package netsim
 import "net/netip"
 
 // ACLRule is one drop rule in a P4-style match-action table: each
-// field matches exactly or, when zero-valued, wildcards. Expired
-// rules stop matching and are reclaimed by Expire.
+// field matches exactly or, when zero-valued, wildcards. An expired
+// rule stops matching but keeps its entry, which a later Install of
+// the same match fields revives.
 type ACLRule struct {
 	Src       netip.Addr // invalid = wildcard
 	Dst       netip.Addr
@@ -43,14 +44,27 @@ func (r *ACLRule) matches(p *Packet, now Time) bool {
 // a TCAM priority list.
 type ACL struct {
 	rules []ACLRule
+	// entry indexes rules by their match fields (ExpiresAt zeroed).
+	entry map[ACLRule]int
 
 	// Stats
-	Installed int
+	Installed int // entries added, not refreshed
 	Hits      int
 }
 
-// Install adds a rule.
+// Install adds a rule. A rule whose match fields equal an existing
+// entry's replaces that entry's expiry instead, keeping its place.
 func (a *ACL) Install(r ACLRule) {
+	match := r
+	match.ExpiresAt = 0
+	if i, ok := a.entry[match]; ok {
+		a.rules[i].ExpiresAt = r.ExpiresAt
+		return
+	}
+	if a.entry == nil {
+		a.entry = make(map[ACLRule]int)
+	}
+	a.entry[match] = len(a.rules)
 	a.rules = append(a.rules, r)
 	a.Installed++
 }

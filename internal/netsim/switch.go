@@ -117,9 +117,6 @@ func NewSwitch(eng *Engine, cfg SwitchConfig) *Switch {
 	return sw
 }
 
-// Config returns the switch configuration.
-func (sw *Switch) Config() SwitchConfig { return sw.cfg }
-
 // Connect attaches the egress side of port to dst over a link with
 // the given propagation delay.
 func (sw *Switch) Connect(port uint16, delay Time, dst Receiver) {
@@ -139,13 +136,6 @@ func (sw *Switch) Port(port uint16) Receiver {
 func (sw *Switch) Wire(port uint16) *Link {
 	sw.mustPort(port)
 	return sw.wires[port]
-}
-
-// Queue exposes the egress queue for a port, mainly for tests and
-// stats collection.
-func (sw *Switch) Queue(port uint16) *OutputQueue {
-	sw.mustPort(port)
-	return sw.queues[port]
 }
 
 func (sw *Switch) mustPort(port uint16) {

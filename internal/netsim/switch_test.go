@@ -66,7 +66,7 @@ func TestSwitchHopRecord(t *testing.T) {
 	if h.EgressTime <= h.IngressTime {
 		t.Errorf("egress %v not after ingress %v", h.EgressTime, h.IngressTime)
 	}
-	if lat := h.EgressTime - h.IngressTime; lat < sw.Config().PipelineDelay {
+	if lat := h.EgressTime - h.IngressTime; lat < sw.cfg.PipelineDelay {
 		t.Errorf("hop latency %v below pipeline delay", lat)
 	}
 	if h.QueueDepth != 0 {

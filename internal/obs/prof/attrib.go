@@ -84,7 +84,6 @@ func PipelineStages() []StageRule {
 	return []StageRule{
 		{"store.(*ShardedDB).AppendPrediction", "store.prediction_log"},
 		{"store.(*DB).AppendPrediction", "store.prediction_log"},
-		{"store.(*ShardedDB).Predictions", "store.prediction_merge"},
 		{"store.(*MergeCursor)", "store.prediction_merge"},
 		{"store.(*DB).UpsertFlow", "store.shard_upsert"},
 		{"store.(*DB).PollUpdates", "store.journal_poll"},

@@ -9,17 +9,11 @@ import (
 // AgentConfig parameterizes a switch-attached sFlow agent.
 type AgentConfig struct {
 	// SampleRate selects 1-in-N packet sampling; zero means the
-	// AmLight production default of 1/4096.
+	// AmLight production default of 1/4096. The agent draws a fresh
+	// skip after each sample (the sFlow-spec randomized countdown).
 	SampleRate int
-	// Deterministic makes the agent sample exactly every Nth packet.
-	// When false the agent draws a fresh geometric skip after each
-	// sample (the sFlow-spec randomized countdown), seeded by Seed.
-	Deterministic bool
 	// Seed drives the randomized countdown.
 	Seed int64
-	// CounterInterval, if nonzero, exports interface counter samples
-	// this often.
-	CounterInterval netsim.Time
 	// Ports restricts observation to packets egressing the listed
 	// ports, like enabling sFlow on specific interfaces; empty means
 	// every port.
@@ -29,13 +23,16 @@ type AgentConfig struct {
 	// Wire carries encoded datagrams to the collector. If nil samples
 	// are counted but not exported.
 	Wire *netsim.Link
+
+	// deterministic makes the agent sample exactly every Nth packet;
+	// tests set it to count samples exactly.
+	deterministic bool
 }
 
 // Agent samples forwarded packets at a fixed rate and exports flow
 // samples, mirroring a device-resident sFlow agent.
 type Agent struct {
 	eng *netsim.Engine
-	sw  *netsim.Switch
 	cfg AgentConfig
 
 	rng       interface{ Int63n(int64) int64 }
@@ -43,7 +40,6 @@ type Agent struct {
 	countdown int
 	pool      uint32
 	seq       uint64
-	ctrSeq    uint64
 
 	// Stats
 	Observed int // packets seen by the agent
@@ -56,7 +52,7 @@ func NewAgent(eng *netsim.Engine, sw *netsim.Switch, cfg AgentConfig) *Agent {
 	if cfg.SampleRate <= 0 {
 		cfg.SampleRate = DefaultSampleRate
 	}
-	a := &Agent{eng: eng, sw: sw, cfg: cfg, rng: netsim.NewRNG(cfg.Seed)}
+	a := &Agent{eng: eng, cfg: cfg, rng: netsim.NewRNG(cfg.Seed)}
 	if len(cfg.Ports) > 0 {
 		a.ports = make(map[uint16]bool, len(cfg.Ports))
 		for _, p := range cfg.Ports {
@@ -71,9 +67,6 @@ func NewAgent(eng *netsim.Engine, sw *netsim.Switch, cfg AgentConfig) *Agent {
 			prev(p, hop, egress)
 		}
 	}
-	if cfg.CounterInterval > 0 {
-		eng.After(cfg.CounterInterval, a.exportCounters)
-	}
 	return a
 }
 
@@ -81,7 +74,7 @@ func NewAgent(eng *netsim.Engine, sw *netsim.Switch, cfg AgentConfig) *Agent {
 // deterministic mode, uniform in [1, 2N-1] otherwise (mean N, per the
 // sFlow spec's unbiased countdown).
 func (a *Agent) resetCountdown() {
-	if a.cfg.Deterministic {
+	if a.cfg.deterministic {
 		a.countdown = a.cfg.SampleRate
 		return
 	}
@@ -134,31 +127,4 @@ func (a *Agent) observe(p *netsim.Packet, hop netsim.HopRecord, egress uint16) {
 			AttackType: p.AttackType,
 		})
 	}
-}
-
-// exportCounters emits one counter sample per switch port, then
-// re-arms itself.
-func (a *Agent) exportCounters() {
-	for port := 1; port <= a.sw.Config().Ports; port++ {
-		q := a.sw.Queue(uint16(port))
-		a.ctrSeq++
-		c := &CounterSample{
-			Seq:     a.ctrSeq,
-			Port:    uint16(port),
-			OutPkts: uint64(q.Dequeued),
-			Drops:   uint64(q.Drops),
-		}
-		if a.cfg.Wire != nil {
-			buf := EncodeCounterSample(c)
-			a.cfg.Wire.Send(&netsim.Packet{
-				ID:      a.eng.NextPacketID(),
-				Dst:     a.cfg.CollectorAddr,
-				Proto:   netsim.UDP,
-				Length:  len(buf) + 42,
-				Payload: buf,
-				SentAt:  a.eng.Now(),
-			})
-		}
-	}
-	a.eng.After(a.cfg.CounterInterval, a.exportCounters)
 }

@@ -10,13 +10,10 @@ type Collector struct {
 	// OnFlowSample receives each decoded flow sample with its
 	// collector-local arrival time.
 	OnFlowSample func(s *FlowSample, at netsim.Time)
-	// OnCounterSample receives periodic counter exports.
-	OnCounterSample func(c *CounterSample, at netsim.Time)
 
 	// Stats
-	FlowSamples    int
-	CounterSamples int
-	DecodeErrors   int
+	FlowSamples  int
+	DecodeErrors int
 }
 
 // NewCollector constructs a collector on eng.
@@ -26,23 +23,14 @@ func NewCollector(eng *netsim.Engine) *Collector {
 
 // Receive implements netsim.Receiver.
 func (c *Collector) Receive(p *netsim.Packet) {
-	fs, cs, err := Decode(p.Payload)
+	fs, err := Decode(p.Payload)
 	if err != nil {
 		c.DecodeErrors++
 		return
 	}
-	at := c.eng.Now()
-	switch {
-	case fs != nil:
-		c.FlowSamples++
-		fs.Truth = Truth{Label: p.Label, AttackType: p.AttackType, SentAt: p.SentAt}
-		if c.OnFlowSample != nil {
-			c.OnFlowSample(fs, at)
-		}
-	case cs != nil:
-		c.CounterSamples++
-		if c.OnCounterSample != nil {
-			c.OnCounterSample(cs, at)
-		}
+	c.FlowSamples++
+	fs.Truth = Truth{Label: p.Label, AttackType: p.AttackType, SentAt: p.SentAt}
+	if c.OnFlowSample != nil {
+		c.OnFlowSample(fs, c.eng.Now())
 	}
 }

@@ -3,9 +3,8 @@
 // in a switch (1-in-4096 in the AmLight deployment) and a collector
 // that decodes the exported datagrams.
 //
-// Only header-level flow samples and periodic interface counter
-// samples are modelled — the two record types the paper's analysis
-// consumes. The wire format is a compact sFlow-v5-style layout rather
+// Only header-level flow samples are modelled — the record type the
+// paper's analysis consumes. The wire format is a compact sFlow-v5-style layout rather
 // than the full XDR encoding; what matters for the comparison is the
 // sampling semantics, which are reproduced exactly.
 package sflow
@@ -27,8 +26,7 @@ const (
 	datagramMagic uint32 = 0x53464C57 // "SFLW"
 	version       uint8  = 5
 
-	recFlowSample    uint8 = 1
-	recCounterSample uint8 = 2
+	recFlowSample uint8 = 1
 )
 
 // FlowSample is one sampled packet's header snapshot. Unlike INT,
@@ -61,17 +59,6 @@ type Truth struct {
 	Label      bool
 	AttackType string
 	SentAt     netsim.Time
-}
-
-// CounterSample is a periodic interface counter export.
-type CounterSample struct {
-	Seq      uint64
-	Port     uint16
-	InPkts   uint64
-	OutPkts  uint64
-	InBytes  uint64
-	OutBytes uint64
-	Drops    uint64
 }
 
 // ErrShort reports a truncated datagram.
@@ -109,73 +96,36 @@ func EncodeFlowSample(s *FlowSample) []byte {
 	return buf
 }
 
-// EncodeCounterSample serializes c to wire form.
-func EncodeCounterSample(c *CounterSample) []byte {
-	buf := make([]byte, 0, 56)
-	var w8 [8]byte
-	binary.BigEndian.PutUint32(w8[:4], datagramMagic)
-	buf = append(buf, w8[:4]...)
-	buf = append(buf, version, recCounterSample)
-	binary.BigEndian.PutUint64(w8[:], c.Seq)
-	buf = append(buf, w8[:]...)
-	binary.BigEndian.PutUint16(w8[:2], c.Port)
-	buf = append(buf, w8[:2]...)
-	for _, v := range []uint64{c.InPkts, c.OutPkts, c.InBytes, c.OutBytes, c.Drops} {
-		binary.BigEndian.PutUint64(w8[:], v)
-		buf = append(buf, w8[:]...)
-	}
-	return buf
-}
-
-// Decode parses a datagram, returning exactly one of a flow sample or
-// a counter sample.
-func Decode(buf []byte) (*FlowSample, *CounterSample, error) {
+// Decode parses a flow-sample datagram.
+func Decode(buf []byte) (*FlowSample, error) {
 	if len(buf) < 6 {
-		return nil, nil, ErrShort
+		return nil, ErrShort
 	}
 	if binary.BigEndian.Uint32(buf[:4]) != datagramMagic {
-		return nil, nil, fmt.Errorf("sflow: bad magic %#x", binary.BigEndian.Uint32(buf[:4]))
+		return nil, fmt.Errorf("sflow: bad magic %#x", binary.BigEndian.Uint32(buf[:4]))
 	}
 	if buf[4] != version {
-		return nil, nil, fmt.Errorf("sflow: unsupported version %d", buf[4])
+		return nil, fmt.Errorf("sflow: unsupported version %d", buf[4])
 	}
-	switch buf[5] {
-	case recFlowSample:
-		if len(buf) < 46 {
-			return nil, nil, ErrShort
-		}
-		s := &FlowSample{
-			Seq:        binary.BigEndian.Uint64(buf[6:14]),
-			SampleRate: binary.BigEndian.Uint32(buf[14:18]),
-			SamplePool: binary.BigEndian.Uint32(buf[18:22]),
-			Drops:      binary.BigEndian.Uint32(buf[22:26]),
-			InputPort:  binary.BigEndian.Uint16(buf[26:28]),
-			OutputPort: binary.BigEndian.Uint16(buf[28:30]),
-			Src:        netip.AddrFrom4([4]byte(buf[30:34])),
-			Dst:        netip.AddrFrom4([4]byte(buf[34:38])),
-			SrcPort:    binary.BigEndian.Uint16(buf[38:40]),
-			DstPort:    binary.BigEndian.Uint16(buf[40:42]),
-			Proto:      netsim.Proto(buf[42]),
-			Flags:      netsim.TCPFlags(buf[43]),
-			Length:     binary.BigEndian.Uint16(buf[44:46]),
-		}
-		return s, nil, nil
-	case recCounterSample:
-		if len(buf) < 56 {
-			return nil, nil, ErrShort
-		}
-		c := &CounterSample{
-			Seq:  binary.BigEndian.Uint64(buf[6:14]),
-			Port: binary.BigEndian.Uint16(buf[14:16]),
-		}
-		vals := buf[16:]
-		c.InPkts = binary.BigEndian.Uint64(vals[0:8])
-		c.OutPkts = binary.BigEndian.Uint64(vals[8:16])
-		c.InBytes = binary.BigEndian.Uint64(vals[16:24])
-		c.OutBytes = binary.BigEndian.Uint64(vals[24:32])
-		c.Drops = binary.BigEndian.Uint64(vals[32:40])
-		return nil, c, nil
-	default:
-		return nil, nil, fmt.Errorf("sflow: unknown record type %d", buf[5])
+	if buf[5] != recFlowSample {
+		return nil, fmt.Errorf("sflow: unknown record type %d", buf[5])
 	}
+	if len(buf) < 46 {
+		return nil, ErrShort
+	}
+	return &FlowSample{
+		Seq:        binary.BigEndian.Uint64(buf[6:14]),
+		SampleRate: binary.BigEndian.Uint32(buf[14:18]),
+		SamplePool: binary.BigEndian.Uint32(buf[18:22]),
+		Drops:      binary.BigEndian.Uint32(buf[22:26]),
+		InputPort:  binary.BigEndian.Uint16(buf[26:28]),
+		OutputPort: binary.BigEndian.Uint16(buf[28:30]),
+		Src:        netip.AddrFrom4([4]byte(buf[30:34])),
+		Dst:        netip.AddrFrom4([4]byte(buf[34:38])),
+		SrcPort:    binary.BigEndian.Uint16(buf[38:40]),
+		DstPort:    binary.BigEndian.Uint16(buf[40:42]),
+		Proto:      netsim.Proto(buf[42]),
+		Flags:      netsim.TCPFlags(buf[43]),
+		Length:     binary.BigEndian.Uint16(buf[44:46]),
+	}, nil
 }

@@ -28,12 +28,9 @@ func sampleFlow() *FlowSample {
 
 func TestFlowSampleRoundTrip(t *testing.T) {
 	s := sampleFlow()
-	fs, cs, err := Decode(EncodeFlowSample(s))
+	fs, err := Decode(EncodeFlowSample(s))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cs != nil {
-		t.Fatal("decoded as counter sample")
 	}
 	want := *s
 	if *fs != want {
@@ -41,37 +38,25 @@ func TestFlowSampleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCounterSampleRoundTrip(t *testing.T) {
-	c := &CounterSample{Seq: 4, Port: 3, InPkts: 100, OutPkts: 90, InBytes: 5000, OutBytes: 4500, Drops: 10}
-	fs, got, err := Decode(EncodeCounterSample(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs != nil {
-		t.Fatal("decoded as flow sample")
-	}
-	if *got != *c {
-		t.Errorf("round trip = %+v, want %+v", *got, *c)
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
-	if _, _, err := Decode(nil); err == nil {
+	if _, err := Decode(nil); err == nil {
 		t.Error("nil accepted")
 	}
-	if _, _, err := Decode([]byte("XXXXXXXX")); err == nil {
+	if _, err := Decode([]byte("XXXXXXXX")); err == nil {
 		t.Error("bad magic accepted")
 	}
 	buf := EncodeFlowSample(sampleFlow())
-	if _, _, err := Decode(buf[:20]); err == nil {
+	if _, err := Decode(buf[:20]); err == nil {
 		t.Error("truncated flow sample accepted")
 	}
-	buf[5] = 99
-	if _, _, err := Decode(buf); err == nil {
-		t.Error("unknown record type accepted")
+	for _, rec := range []byte{2, 99} { // 2 was the interface counter sample
+		buf[5] = rec
+		if _, err := Decode(buf); err == nil {
+			t.Errorf("record type %d accepted", rec)
+		}
 	}
 	buf[4] = 4 // version
-	if _, _, err := Decode(buf); err == nil {
+	if _, err := Decode(buf); err == nil {
 		t.Error("bad version accepted")
 	}
 }
@@ -83,7 +68,7 @@ func TestFlowSampleRoundTripProperty(t *testing.T) {
 			Src: netip.MustParseAddr("10.1.2.3"), Dst: netip.MustParseAddr("10.4.5.6"),
 			SrcPort: sport, DstPort: dport, Proto: netsim.UDP, Length: length,
 		}
-		got, _, err := Decode(EncodeFlowSample(s))
+		got, err := Decode(EncodeFlowSample(s))
 		return err == nil && *got == *s
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -114,7 +99,7 @@ func sflowTestbed(t *testing.T, cfg AgentConfig) (*netsim.Engine, *netsim.Host, 
 }
 
 func TestAgentDeterministicSampling(t *testing.T) {
-	eng, a, b, agent, col := sflowTestbed(t, AgentConfig{SampleRate: 10, Deterministic: true})
+	eng, a, b, agent, col := sflowTestbed(t, AgentConfig{SampleRate: 10, deterministic: true})
 	for i := 0; i < 100; i++ {
 		sendAt(eng, a, netsim.Time(i)*100*netsim.Microsecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.TCP, Length: 500,
@@ -148,7 +133,7 @@ func TestAgentRandomizedSamplingMean(t *testing.T) {
 }
 
 func TestAgentSamplePoolAccounting(t *testing.T) {
-	eng, a, b, _, col := sflowTestbed(t, AgentConfig{SampleRate: 10, Deterministic: true})
+	eng, a, b, _, col := sflowTestbed(t, AgentConfig{SampleRate: 10, deterministic: true})
 	var pools []uint32
 	col.OnFlowSample = func(s *FlowSample, _ netsim.Time) { pools = append(pools, s.SamplePool) }
 	for i := 0; i < 30; i++ {
@@ -168,7 +153,7 @@ func TestAgentSamplePoolAccounting(t *testing.T) {
 }
 
 func TestAgentTruthPropagation(t *testing.T) {
-	eng, a, b, _, col := sflowTestbed(t, AgentConfig{SampleRate: 1, Deterministic: true})
+	eng, a, b, _, col := sflowTestbed(t, AgentConfig{SampleRate: 1, deterministic: true})
 	var got []Truth
 	col.OnFlowSample = func(s *FlowSample, _ netsim.Time) { got = append(got, s.Truth) }
 	a.Send(&netsim.Packet{Dst: b.Addr, Proto: netsim.TCP, Length: 100, Label: true, AttackType: "synscan"})
@@ -182,7 +167,7 @@ func TestAgentLowRateFlowEscapesSampling(t *testing.T) {
 	// The paper's core sFlow limitation: a SlowLoris-style flow with
 	// few packets is invisible at 1/4096 sampling. Send 50 packets
 	// through an agent sampling 1/4096: expect zero samples.
-	eng, a, b, agent, _ := sflowTestbed(t, AgentConfig{SampleRate: 4096, Deterministic: true})
+	eng, a, b, agent, _ := sflowTestbed(t, AgentConfig{SampleRate: 4096, deterministic: true})
 	for i := 0; i < 50; i++ {
 		sendAt(eng, a, netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
 			Dst: b.Addr, Proto: netsim.TCP, Length: 80, Label: true, AttackType: "slowloris",
@@ -191,25 +176,6 @@ func TestAgentLowRateFlowEscapesSampling(t *testing.T) {
 	eng.Run()
 	if agent.Sampled != 0 {
 		t.Errorf("sampled = %d, want 0 — low-rate flow must escape 1/4096 sampling", agent.Sampled)
-	}
-}
-
-func TestAgentCounterExport(t *testing.T) {
-	eng, a, b, _, col := sflowTestbed(t, AgentConfig{
-		SampleRate: 4096, Deterministic: true, CounterInterval: 10 * netsim.Millisecond,
-	})
-	for i := 0; i < 20; i++ {
-		sendAt(eng, a, netsim.Time(i)*netsim.Millisecond, &netsim.Packet{
-			Dst: b.Addr, Proto: netsim.UDP, Length: 400,
-		})
-	}
-	eng.RunUntil(25 * netsim.Millisecond)
-	if col.CounterSamples == 0 {
-		t.Fatal("no counter samples exported")
-	}
-	// 2 polls × 8 ports
-	if col.CounterSamples != 16 {
-		t.Errorf("counter samples = %d, want 16", col.CounterSamples)
 	}
 }
 

@@ -27,7 +27,7 @@ func arenaRow(i int) []float64 {
 // records keep their rows after the chunks are reused.
 func TestJournalArenaBoundedUnderPollTrim(t *testing.T) {
 	for _, db := range []Store{New(), NewSharded(4)} {
-		cursors := make([]uint64, db.Shards())
+		cursors := make([]uint64, shardCount(db))
 		var kept []FlowRecord
 		n := 0
 		for cycle := 0; cycle < 200; cycle++ {

@@ -32,45 +32,6 @@ type ShardExport struct {
 	Preds   []PredictionRecord
 }
 
-// Checkpointable is the optional export/import surface of a store.
-// The in-memory DB and ShardedDB implement it; fault-injection
-// wrappers deliberately do not (a checkpoint must read the real
-// state, not a fault-shaped view), so consumers capture the concrete
-// store before wrapping.
-type Checkpointable interface {
-	// ExportShard deep-copies one shard's prediction log.
-	// Out-of-range shards yield a zero export.
-	ExportShard(shard int) ShardExport
-	// ImportShard loads an export's predictions into one shard,
-	// replacing its log. It fails, before anything is replaced, when
-	// the shard index is out of range — the checkpointed shard count
-	// must match the store's — or a prediction does not fit the log.
-	ImportShard(shard int, ex ShardExport) error
-	// ImportPredictions replaces the whole prediction log with a
-	// restored global-order history — the version-1 snapshot layout,
-	// where the log was one shared section. Version-2 snapshots carry
-	// predictions per shard inside ShardExport instead. A record the
-	// log cannot hold exactly (see MaxVotes) fails the import and
-	// leaves the log as it was.
-	ImportPredictions(preds []PredictionRecord) error
-}
-
-// DeltaCheckpointable is the incremental-checkpoint surface of a
-// store. Every export — full or delta — moves the shard's prediction
-// mark, so consecutive delta exports chain: each one carries the
-// predictions logged since whichever export came before it.
-type DeltaCheckpointable interface {
-	Checkpointable
-	// ExportShardDelta deep-copies the predictions one shard logged
-	// since the previous export. Out-of-range shards yield a zero
-	// export.
-	ExportShardDelta(shard int) ShardExport
-	// ApplyShardDelta appends a delta export's predictions to the
-	// shard's log. A prediction that does not fit the log fails it
-	// with nothing applied.
-	ApplyShardDelta(shard int, d ShardExport) error
-}
-
 // raiseCounter lifts an atomic sequence counter to at least v, so
 // stamps taken after a restore never collide with restored ones. The
 // restore path is single-threaded, but the CAS keeps this safe to
@@ -115,19 +76,15 @@ func (l *predLog) restoreAll(preds []PredictionRecord, ctr *atomic.Uint64, stamp
 	return nil
 }
 
-// ExportShard deep-copies the DB's prediction log (the legacy DB is
-// its own single shard). A full export moves the prediction mark — it
-// is the new base an incremental export diffs against.
-func (db *DB) ExportShard(shard int) ShardExport {
-	return db.ExportShardInto(shard, ShardExport{})
-}
-
-// ExportShardInto is ExportShard reusing pre's backing arrays where
-// their capacity suffices. The checkpoint writer hands the previous
-// capture's export — already encoded to disk, no longer read — back
-// in, so the copy under the barrier lands in warm memory instead of
-// freshly allocated (and kernel-zeroed) pages. Callers must ensure
-// nothing else still reads pre.
+// ExportShardInto deep-copies the DB's prediction log (the legacy DB
+// is its own single shard; other shards yield a zero export), reusing
+// pre's backing arrays where their capacity suffices. The checkpoint
+// writer hands the previous capture's export — already encoded to
+// disk, no longer read — back in, so the copy under the barrier lands
+// in warm memory instead of freshly allocated (and kernel-zeroed)
+// pages; a zero pre allocates afresh. Callers must ensure nothing else
+// still reads pre. A full export moves the prediction mark — it is the
+// new base an incremental export diffs against.
 func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 	if shard != 0 {
 		return ShardExport{}
@@ -136,7 +93,8 @@ func (db *DB) ExportShardInto(shard int, pre ShardExport) ShardExport {
 }
 
 // ExportShardDelta deep-copies the predictions the DB logged since the
-// previous export (see DeltaCheckpointable).
+// previous export, full or delta, so consecutive delta exports chain.
+// Out-of-range shards yield a zero export.
 func (db *DB) ExportShardDelta(shard int) ShardExport {
 	if shard != 0 {
 		return ShardExport{}
@@ -167,10 +125,11 @@ func (db *DB) export(pre ShardExport, delta bool) ShardExport {
 	return ex
 }
 
-// ApplyShardDelta replays a delta export on top of the DB's current
-// log (see DeltaCheckpointable). The restore path applies deltas
-// base-first, so after the last one the log matches the crashed
-// process's at its final capture.
+// ApplyShardDelta appends a delta export's predictions to the DB's
+// current log; a prediction that does not fit the log fails it with
+// nothing applied. The restore path applies deltas base-first, so
+// after the last one the log matches the crashed process's at its
+// final capture.
 func (db *DB) ApplyShardDelta(shard int, d ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: apply delta shard %d out of range (DB has exactly one)", shard)
@@ -182,7 +141,10 @@ func (db *DB) ApplyShardDelta(shard int, d ShardExport) error {
 	return err
 }
 
-// ImportShard replaces the DB's prediction log with an export's.
+// ImportShard replaces the DB's prediction log with an export's. It
+// fails, before anything is replaced, when the shard index is out of
+// range — the checkpointed shard count must match the store's — or a
+// prediction does not fit the log.
 func (db *DB) ImportShard(shard int, ex ShardExport) error {
 	if shard != 0 {
 		return fmt.Errorf("store: import shard %d out of range (DB has exactly one)", shard)
@@ -199,8 +161,11 @@ func (db *DB) ImportShard(shard int, ex ShardExport) error {
 }
 
 // ImportPredictions replaces the prediction log with a restored
-// global-order history (version-1 snapshot layout). Records without a
-// Seq stamp are stamped in input order.
+// global-order history — the version-1 snapshot layout, where the log
+// was one shared section; version-2 snapshots carry predictions per
+// shard inside ShardExport instead. Records without a Seq stamp are
+// stamped in input order. A record the log cannot hold exactly (see
+// MaxVotes) fails the import and leaves the log as it was.
 func (db *DB) ImportPredictions(preds []PredictionRecord) error {
 	var log predLog
 	if err := log.restoreAll(preds, db.predCtr, true); err != nil {
@@ -210,11 +175,6 @@ func (db *DB) ImportPredictions(preds []PredictionRecord) error {
 	db.preds = log
 	db.pmu.Unlock()
 	return nil
-}
-
-// ExportShard deep-copies one shard's prediction log.
-func (s *ShardedDB) ExportShard(shard int) ShardExport {
-	return s.ExportShardInto(shard, ShardExport{})
 }
 
 // ExportShardInto deep-copies one shard's prediction log, reusing a
@@ -272,8 +232,3 @@ func (s *ShardedDB) ImportPredictions(preds []PredictionRecord) error {
 	}
 	return nil
 }
-
-var (
-	_ DeltaCheckpointable = (*DB)(nil)
-	_ DeltaCheckpointable = (*ShardedDB)(nil)
-)

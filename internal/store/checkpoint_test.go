@@ -18,7 +18,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 	dst := NewSharded(4)
 	var ex ShardExport
 	for i := 0; i < 4; i++ {
-		ex = src.ExportShard(i)
+		ex = src.ExportShardInto(i, ShardExport{})
 		if len(ex.Journal) != 0 || ex.Seq != 0 {
 			t.Fatalf("shard %d export carries %d journal entries, seq %d: the store exports its log alone", i, len(ex.Journal), ex.Seq)
 		}
@@ -29,15 +29,15 @@ func TestExportImportRoundTrip(t *testing.T) {
 	if dst.JournalLen() != 0 {
 		t.Fatalf("import left %d journal entries from an export that carries none", dst.JournalLen())
 	}
-	if !reflect.DeepEqual(src.Predictions(), dst.Predictions()) {
+	if !reflect.DeepEqual(logged(src), logged(dst)) {
 		t.Error("prediction log diverged")
 	}
 
 	// Imports are deep copies: mutating the export must not reach dst.
-	before := dst.Predictions()
+	before := logged(dst)
 	ex.Preds[0].Votes[0] = 0
 	ex.Preds[0].Label = 7
-	if !reflect.DeepEqual(before, dst.Predictions()) {
+	if !reflect.DeepEqual(before, logged(dst)) {
 		t.Error("import aliased the export")
 	}
 

@@ -29,14 +29,14 @@ type diffHarness struct {
 func newDiffHarness(db Store) *diffHarness {
 	return &diffHarness{
 		db:      db,
-		cursors: make([]uint64, db.Shards()),
+		cursors: make([]uint64, shardCount(db)),
 		polled:  make(map[flow.Key][]FlowRecord),
 	}
 }
 
 // pollAll drains every shard's journal into the per-flow history.
 func (h *diffHarness) pollAll(batch int, trim bool) {
-	for s := 0; s < h.db.Shards(); s++ {
+	for s := 0; s < shardCount(h.db); s++ {
 		for {
 			recs, cur := h.db.PollShard(s, h.cursors[s], batch)
 			if len(recs) == 0 {
@@ -152,7 +152,7 @@ func TestDifferentialGlobalPollAndPredictions(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
 				legacy, sharded, keys := replay(shards, seed, applyLogOp)
 				assertStoresEqual(t, legacy, sharded, keys)
-				if !reflect.DeepEqual(legacy.db.Predictions(), sharded.db.Predictions()) {
+				if !reflect.DeepEqual(logged(legacy.db), logged(sharded.db)) {
 					t.Errorf("prediction logs differ (%d vs %d records)",
 						sharded.db.PredictionCount(), legacy.db.PredictionCount())
 				}
@@ -200,7 +200,7 @@ func projectJournal(recs []FlowRecord) []string {
 func TestDifferentialConcurrent(t *testing.T) {
 	for _, db := range []Store{New(), NewSharded(8)} {
 		db := db
-		t.Run(fmt.Sprintf("shards=%d", db.Shards()), func(t *testing.T) {
+		t.Run(fmt.Sprintf("shards=%d", shardCount(db)), func(t *testing.T) {
 			const writers, perWriter, flows = 8, 500, 16
 			var wg sync.WaitGroup
 			for w := 0; w < writers; w++ {
@@ -219,7 +219,7 @@ func TestDifferentialConcurrent(t *testing.T) {
 			history := make(chan FlowRecord, writers*perWriter)
 			var pollWg sync.WaitGroup
 			stop := make(chan struct{})
-			for s := 0; s < db.Shards(); s++ {
+			for s := 0; s < shardCount(db); s++ {
 				pollWg.Add(1)
 				go func(s int) {
 					defer pollWg.Done()

@@ -61,11 +61,6 @@ func (c *MergeCursor) Remaining() int {
 	return n
 }
 
-// All drains the cursor into one slice in global decision order.
-func (c *MergeCursor) All() []PredictionRecord {
-	return c.appendTo(make([]PredictionRecord, 0, c.Remaining()))
-}
-
 // appendTo drains the cursor onto dst.
 func (c *MergeCursor) appendTo(dst []PredictionRecord) []PredictionRecord {
 	for rec, ok := c.Next(); ok; rec, ok = c.Next() {

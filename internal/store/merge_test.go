@@ -79,7 +79,7 @@ func TestMergedPredictionsLinearize(t *testing.T) {
 			}
 			wg.Wait()
 
-			merged := db.Predictions()
+			merged := logged(db)
 			if len(merged) != writers*perWriter {
 				t.Fatalf("merged log holds %d records, want %d", len(merged), writers*perWriter)
 			}
@@ -109,7 +109,7 @@ func TestMergedPredictionsLinearize(t *testing.T) {
 			}
 			// Every per-shard log the merge read is itself Seq-sorted.
 			for s := 0; s < nShards; s++ {
-				log := db.shards[s].Predictions()
+				log := logged(db.shards[s])
 				for i := 1; i < len(log); i++ {
 					if log[i].Seq <= log[i-1].Seq {
 						t.Fatalf("shard %d log not Seq-sorted at %d", s, i)
@@ -143,11 +143,11 @@ func TestMergedPredictionsMatchSingleLogOracle(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		oracle := New()
 		appends(oracle, seed)
-		want := oracle.Predictions()
+		want := logged(oracle)
 		for _, nShards := range []int{1, 2, 8} {
 			sharded := NewSharded(nShards)
 			appends(sharded, seed)
-			got := sharded.Predictions()
+			got := logged(sharded)
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("seed %d shards %d: merged log diverged from single-log oracle (%d vs %d records)",
 					seed, nShards, len(got), len(want))
@@ -157,4 +157,24 @@ func TestMergedPredictionsMatchSingleLogOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// logged reads db's whole prediction log in global decision order.
+func logged(db Store) []PredictionRecord {
+	return drain(db.(interface {
+		PredictionCursor(after uint64) *MergeCursor
+	}).PredictionCursor(0))
+}
+
+// drain reads the rest of c.
+func drain(c *MergeCursor) []PredictionRecord {
+	return c.appendTo(make([]PredictionRecord, 0, c.Remaining()))
+}
+
+// shardCount is a store's stripe count.
+func shardCount(s Store) int {
+	if sh, ok := s.(*ShardedDB); ok {
+		return len(sh.shards)
+	}
+	return 1
 }

@@ -116,7 +116,7 @@ func TestPredictionRoundTrip(t *testing.T) {
 		p.Seq = uint64(len(want) + 1)
 		want = append(want, p)
 	}
-	got := db.Predictions()
+	got := logged(db)
 	if len(got) != len(want) {
 		t.Fatalf("log holds %d records, want %d", len(got), len(want))
 	}
@@ -131,7 +131,7 @@ func TestPredictionRoundTrip(t *testing.T) {
 			_ = append(got[i].Votes, 7)
 		}
 	}
-	if again := db.Predictions(); !reflect.DeepEqual(again, want) {
+	if again := logged(db); !reflect.DeepEqual(again, want) {
 		t.Error("appending to a returned Votes slice reached the log or a neighbour")
 	}
 }
@@ -158,7 +158,7 @@ func TestPredictionRejected(t *testing.T) {
 			if err := db.ImportShard(0, ShardExport{Preds: []PredictionRecord{good}}); err != nil {
 				t.Fatal(err)
 			}
-			want := db.Predictions()
+			want := logged(db)
 
 			func() {
 				defer func() {
@@ -182,7 +182,7 @@ func TestPredictionRejected(t *testing.T) {
 			if err := db.ImportPredictions([]PredictionRecord{good, bad}); err == nil {
 				t.Error("ImportPredictions accepted the record")
 			}
-			if got := db.Predictions(); !reflect.DeepEqual(got, want) {
+			if got := logged(db); !reflect.DeepEqual(got, want) {
 				t.Errorf("a refused record changed the log: %+v, want %+v", got, want)
 			}
 		})
@@ -201,7 +201,11 @@ func samePrediction(a, b PredictionRecord) bool {
 // shardDumper is the per-shard read surface DB and ShardedDB share.
 type shardDumper interface {
 	Store
-	DeltaCheckpointable
+	ExportShardInto(shard int, pre ShardExport) ShardExport
+	ExportShardDelta(shard int) ShardExport
+	ImportShard(shard int, ex ShardExport) error
+	ApplyShardDelta(shard int, d ShardExport) error
+	ImportPredictions(preds []PredictionRecord) error
 	PredictionCursor(after uint64) *MergeCursor
 	LastPredictionSeq() uint64
 }
@@ -268,7 +272,7 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 					add(base)
 					fulls := make([]ShardExport, lay.shards)
 					for s := range fulls {
-						fulls[s] = db.ExportShard(s)
+						fulls[s] = db.ExportShardInto(s, ShardExport{})
 						equal(fmt.Sprintf("full export of shard %d", s), fulls[s].Preds, ofShard(want, s))
 					}
 					add(more)
@@ -278,10 +282,10 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 					if got := db.LastPredictionSeq(); got != uint64(len(want)) {
 						t.Fatalf("LastPredictionSeq = %d, want %d", got, len(want))
 					}
-					equal("Predictions", db.Predictions(), want)
+					equal("Predictions", logged(db), want)
 					if sh, ok := db.(*ShardedDB); ok {
 						for s := 0; s < lay.shards; s++ {
-							equal(fmt.Sprintf("shard %d Predictions", s), sh.shards[s].Predictions(), ofShard(want, s))
+							equal(fmt.Sprintf("shard %d Predictions", s), logged(sh.shards[s]), ofShard(want, s))
 						}
 					}
 					for _, after := range []int{0, 1, base, len(want)} {
@@ -292,7 +296,7 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 						if got := cur.Remaining(); got != len(want)-after {
 							t.Fatalf("cursor after %d: Remaining = %d, want %d", after, got, len(want)-after)
 						}
-						equal(fmt.Sprintf("cursor after %d", after), cur.All(), want[after:])
+						equal(fmt.Sprintf("cursor after %d", after), drain(cur), want[after:])
 					}
 					deltas := make([]ShardExport, lay.shards)
 					for s := range deltas {
@@ -314,7 +318,7 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					equal("full+delta replay", dst.Predictions(), want)
+					equal("full+delta replay", logged(dst), want)
 					if got := dst.LastPredictionSeq(); got != uint64(len(want)) {
 						t.Fatalf("replayed LastPredictionSeq = %d, want %d", got, len(want))
 					}
@@ -322,12 +326,12 @@ func TestPackedLogMatchesPlainSlice(t *testing.T) {
 					if err := v1.ImportPredictions(want); err != nil {
 						t.Fatal(err)
 					}
-					equal("ImportPredictions", v1.Predictions(), want)
+					equal("ImportPredictions", logged(v1), want)
 					// A replayed store keeps logging where the history ended.
 					next := PredictionRecord{Key: testKey(3), Label: 1}
 					dst.AppendPrediction(next)
 					next.Seq = uint64(len(want) + 1)
-					equal("append after replay", dst.Predictions(), append(want[:len(want):len(want)], next))
+					equal("append after replay", logged(dst), append(want[:len(want):len(want)], next))
 				})
 			}
 		}
@@ -390,9 +394,9 @@ func TestPredictionLogConcurrentReaders(t *testing.T) {
 					return
 				default:
 				}
-				check("Predictions", db.Predictions())
-				check("cursor", db.PredictionCursor(uint64(r*100)).All())
-				check("export", db.ExportShard(r).Preds)
+				check("Predictions", logged(db))
+				check("cursor", drain(db.PredictionCursor(uint64(r*100))))
+				check("export", db.ExportShardInto(r, ShardExport{}).Preds)
 			}
 		}(r)
 	}
@@ -402,7 +406,7 @@ func TestPredictionLogConcurrentReaders(t *testing.T) {
 	if got := db.PredictionCount(); got != writers*perWriter {
 		t.Fatalf("log holds %d records, want %d", got, writers*perWriter)
 	}
-	check("final", db.Predictions())
+	check("final", logged(db))
 }
 
 // TestAppendPredictionAllocs pins the append at no allocation but the

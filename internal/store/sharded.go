@@ -16,7 +16,7 @@ import (
 // cross-shard state is an atomic sequence counter: every prediction
 // carries a global decision stamp, so the per-shard logs are mergeable
 // into the exact total order the legacy single-lock layout recorded
-// directly (Predictions).
+// directly (PredictionCursor).
 //
 // With one shard, a ShardedDB is a thin wrapper around a single DB
 // and observably identical to it (the differential tests assert
@@ -48,9 +48,6 @@ func NewSharded(n int) *ShardedDB {
 func (s *ShardedDB) shardFor(key flow.Key) *DB {
 	return s.shards[key.Shard(len(s.shards))]
 }
-
-// Shards returns the stripe count.
-func (s *ShardedDB) Shards() int { return len(s.shards) }
 
 // UpsertFlow writes a feature snapshot into the key's shard.
 func (s *ShardedDB) UpsertFlow(key flow.Key, features []float64, registeredAt, updatedAt netsim.Time, updates int, truth bool, attackType string) bool {
@@ -95,15 +92,11 @@ func (s *ShardedDB) JournalLen() int {
 // PR 2 kept one global log behind one mutex — the store's top
 // serialization point once prediction scaled out; decisions of flows on
 // different shards now never contend. The shared decision-sequence
-// stamp (taken under the shard's log lock) is what lets Predictions
-// reconstruct the global append order.
+// stamp (taken under the shard's log lock) is what lets
+// PredictionCursor reconstruct the global append order.
 func (s *ShardedDB) AppendPrediction(p PredictionRecord) {
 	s.shardFor(p.Key).AppendPrediction(p)
 }
-
-// Predictions returns the prediction log in global decision order: a
-// merge-on-read of the Seq-sorted per-shard logs (see MergeCursor).
-func (s *ShardedDB) Predictions() []PredictionRecord { return s.PredictionCursor(0).All() }
 
 // PredictionCursor reads the decisions logged so far with Seq > after,
 // merged across shards into global decision order.

@@ -22,8 +22,8 @@ func testKey(i int) flow.Key {
 
 func TestShardedBasics(t *testing.T) {
 	s := NewSharded(4)
-	if s.Shards() != 4 {
-		t.Fatalf("Shards() = %d", s.Shards())
+	if len(s.shards) != 4 {
+		t.Fatalf("%d shards, want 4", len(s.shards))
 	}
 	for i := 0; i < 64; i++ {
 		created := s.UpsertFlow(testKey(i), []float64{float64(i)}, 1, 2, 1, false, "")
@@ -38,7 +38,7 @@ func TestShardedBasics(t *testing.T) {
 	for i, sh := range s.shards {
 		want := 0
 		for j := 0; j < 64; j++ {
-			if testKey(j).Shard(s.Shards()) == i {
+			if testKey(j).Shard(len(s.shards)) == i {
 				want++
 			}
 		}
@@ -53,7 +53,7 @@ func TestShardedBasics(t *testing.T) {
 
 	// Poll each shard to exhaustion; union must be every upsert.
 	seen := 0
-	for sh := 0; sh < s.Shards(); sh++ {
+	for sh := range s.shards {
 		cursor := uint64(0)
 		for {
 			recs, cur := s.PollShard(sh, cursor, 10)
@@ -78,7 +78,7 @@ func TestShardedPredictionsGlobalOrder(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.AppendPrediction(PredictionRecord{Key: testKey(i), Label: i % 2})
 	}
-	preds := s.Predictions()
+	preds := logged(s)
 	if len(preds) != 10 || s.PredictionCount() != 10 {
 		t.Fatalf("predictions = %d", len(preds))
 	}

@@ -1,6 +1,8 @@
-// Package store implements the database of the paper's Figure 2. Both
-// pipelines use it as the decision log: a prediction log holding final
-// labels with their prediction latencies. The keyed flow-record table
+// Package store implements the database of the paper's Figure 2. The
+// live pipeline uses it as the decision log: a prediction log holding
+// final labels with their prediction latencies (the simulated
+// Mechanism keeps its decisions in memory, in Mechanism.Decisions).
+// The keyed flow-record table
 // and the update journal beside it (UpsertFlow, PollShard, TrimShard)
 // are the round trip the paper's CentralServer polls; no pipeline in
 // this repository takes it any more, and the benchmark's replay alone
@@ -76,8 +78,8 @@ type PredictionRecord struct {
 // against. Two implementations exist: DB, the paper-faithful single
 // mutex around one flow map (the shape of the original Python
 // deployment's one database), and ShardedDB, N lock-striped DB shards
-// for multi-core logging. Both pipelines keep their flows and their
-// undecided rows themselves and write only the prediction log.
+// for multi-core logging. The live pipeline keeps its flows and its
+// undecided rows itself and writes only the prediction log.
 type Store interface {
 	// UpsertFlow writes a feature snapshot for key into its flow record
 	// and the journal, returning whether the record was created. The
@@ -86,8 +88,6 @@ type Store interface {
 	// DeleteFlow removes a flow record (eviction passthrough).
 	DeleteFlow(key flow.Key)
 
-	// Shards returns the journal stripe count (1 for the legacy DB).
-	Shards() int
 	// PollShard returns up to max journal entries after cursor on one
 	// shard and the new cursor — the CentralServer's change feed. The
 	// records' Features are the caller's to keep.
@@ -97,12 +97,10 @@ type Store interface {
 	// JournalLen returns unconsumed journal entries across all shards.
 	JournalLen() int
 
-	// AppendPrediction logs a final decision; Predictions materialises
-	// the log in append order; PredictionCount returns its size. A
-	// record the log cannot hold exactly (see MaxVotes) is a caller bug
-	// and panics.
+	// AppendPrediction logs a final decision; PredictionCount returns
+	// the log's size. A record the log cannot hold exactly (see
+	// MaxVotes) is a caller bug and panics.
 	AppendPrediction(p PredictionRecord)
-	Predictions() []PredictionRecord
 	PredictionCount() int
 
 	// Instrument registers the store's metrics on reg.
@@ -305,9 +303,6 @@ func (db *DB) freezePredictions() predView {
 	return db.preds.view()
 }
 
-// Predictions materialises the prediction log.
-func (db *DB) Predictions() []PredictionRecord { return db.PredictionCursor(0).All() }
-
 // PredictionCursor reads the decisions logged so far with Seq > after.
 func (db *DB) PredictionCursor(after uint64) *MergeCursor {
 	return newMergeCursor([]predView{db.freezePredictions()}, after)
@@ -329,9 +324,6 @@ func (db *DB) DeleteFlow(key flow.Key) {
 	defer db.mu.Unlock()
 	delete(db.flows, key)
 }
-
-// Shards returns 1: the legacy database is a single journal stripe.
-func (db *DB) Shards() int { return 1 }
 
 // PollShard is PollUpdates on the store's only stripe, giving DB the
 // same per-shard polling surface as ShardedDB. A shard other than 0 —

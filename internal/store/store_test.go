@@ -120,13 +120,13 @@ func TestPredictionLog(t *testing.T) {
 	if db.PredictionCount() != 2 {
 		t.Fatalf("count = %d", db.PredictionCount())
 	}
-	preds := db.Predictions()
+	preds := logged(db)
 	if preds[0].Label != 1 || preds[1].Label != 0 {
 		t.Errorf("log = %+v", preds)
 	}
 	// Copy semantics.
 	preds[0].Label = 99
-	if db.Predictions()[0].Label == 99 {
+	if logged(db)[0].Label == 99 {
 		t.Error("Predictions exposed internal storage")
 	}
 }

@@ -42,10 +42,6 @@ type AgentConfig struct {
 	// SinkPorts are egress ports where the metadata stack is
 	// extracted and exported to the collector before final delivery.
 	SinkPorts []uint16
-	// Instructions selects the metadata each hop pushes.
-	Instructions Instruction
-	// MaxHops bounds the metadata stack (the INT remaining-hop-count).
-	MaxHops int
 	// DomainID tags the observation domain in the header.
 	DomainID uint32
 	// Sampler selects packets for instrumentation at the source; nil
@@ -57,7 +53,15 @@ type AgentConfig struct {
 	// link in the testbed topology). If nil the agent counts reports
 	// but exports nothing.
 	ReportWire *netsim.Link
+
+	// maxHops bounds the metadata stack (the INT remaining-hop-count);
+	// zero means maxHops. Tests lower it.
+	maxHops int
 }
+
+// maxHops is the INT remaining-hop-count a source sets. Every hop
+// pushes all of InstAll's metadata.
+const maxHops = 8
 
 // Agent attaches INT source/transit/sink behaviour to a netsim
 // switch via its OnForward hook.
@@ -81,11 +85,8 @@ type Agent struct {
 // hook so multiple observers can coexist (e.g. INT and sFlow on the
 // same switch).
 func NewAgent(eng *netsim.Engine, sw *netsim.Switch, cfg AgentConfig) *Agent {
-	if cfg.Instructions == 0 {
-		cfg.Instructions = InstAll
-	}
-	if cfg.MaxHops == 0 {
-		cfg.MaxHops = 8
+	if cfg.maxHops == 0 {
+		cfg.maxHops = maxHops
 	}
 	if cfg.Sampler == nil {
 		cfg.Sampler = AllPackets{}
@@ -131,9 +132,9 @@ func (a *Agent) onForward(p *netsim.Packet, hop netsim.HopRecord, egress uint16)
 		st = &intState{
 			header: Header{
 				Version:      Version,
-				HopML:        uint8(a.cfg.Instructions.WordsPerHop()),
-				RemainingHop: uint8(a.cfg.MaxHops),
-				Instructions: a.cfg.Instructions,
+				HopML:        uint8(InstAll.WordsPerHop()),
+				RemainingHop: uint8(a.cfg.maxHops),
+				Instructions: InstAll,
 				DomainID:     a.cfg.DomainID,
 			},
 			origLen: p.Length,
@@ -211,7 +212,7 @@ func (a *Agent) postcard(p *netsim.Packet, hop netsim.HopRecord, egress uint16) 
 		Length:  uint16(p.Length),
 		Hops:    []HopMetadata{HopFromRecord(hop)},
 	}
-	a.export(rep, a.cfg.Instructions, p)
+	a.export(rep, InstAll, p)
 }
 
 // export encodes rep and ships it toward the collector, carrying the

@@ -212,7 +212,7 @@ func TestAgentMaxHopsBudget(t *testing.T) {
 	wire := netsim.NewLink(eng, 0, colHost)
 	agent := NewAgent(eng, sw, AgentConfig{
 		SourcePorts: []uint16{3}, SinkPorts: []uint16{8},
-		MaxHops: 2, ReportWire: wire, CollectorAddr: colHost.Addr,
+		maxHops: 2, ReportWire: wire, CollectorAddr: colHost.Addr,
 	})
 	var rep *Report
 	collector.OnReport = func(r *Report, _ netsim.Time) { rep = r }

@@ -24,14 +24,10 @@ var (
 	CollectorAddr = netip.AddrFrom4([4]byte{10, 0, 0, 5})
 )
 
-// Config parameterizes the rig.
+// Config parameterizes the rig. The switch is
+// netsim.DefaultSwitchConfig(1) and every cable's propagation delay is
+// linkDelay.
 type Config struct {
-	// Switch overrides the switch parameters; zero value selects
-	// netsim.DefaultSwitchConfig.
-	Switch netsim.SwitchConfig
-	// LinkDelay is the propagation delay of every cable (default 1 µs).
-	LinkDelay netsim.Time
-
 	// INTSampler selects packets for INT instrumentation; nil =
 	// every packet (the deployment default).
 	INTSampler telemetry.Sampler
@@ -43,9 +39,6 @@ type Config struct {
 	EnableSFlow bool
 	// SFlowRate is the 1-in-N sampling rate (default 4096).
 	SFlowRate int
-	// SFlowDeterministic switches the agent to exact every-Nth
-	// sampling.
-	SFlowDeterministic bool
 	// Seed drives the sFlow randomized countdown.
 	Seed int64
 
@@ -58,6 +51,9 @@ type Config struct {
 	// name, so two impaired links never share a stream).
 	NetemSeed int64
 }
+
+// linkDelay is the propagation delay of every cable.
+const linkDelay = netsim.Microsecond
 
 // Names of the rig's impairable links, as the netem grammar addresses
 // them.
@@ -126,12 +122,6 @@ func toImpairment(li fault.LinkImpairment, seed int64) netsim.Impairment {
 // New assembles the topology.
 func New(cfg Config) *Testbed {
 	eng := netsim.NewEngine()
-	if cfg.Switch.Ports == 0 {
-		cfg.Switch = netsim.DefaultSwitchConfig(1)
-	}
-	if cfg.LinkDelay <= 0 {
-		cfg.LinkDelay = netsim.Microsecond
-	}
 	if cfg.SFlowRate <= 0 {
 		cfg.SFlowRate = sflow.DefaultSampleRate
 	}
@@ -140,7 +130,7 @@ func New(cfg Config) *Testbed {
 	tb.Source = netsim.NewHost(eng, "source", SourceAddr)
 	tb.Target = netsim.NewHost(eng, "target", TargetAddr)
 	tb.collectorHost = netsim.NewHost(eng, "collector", CollectorAddr)
-	tb.Switch = netsim.NewSwitch(eng, cfg.Switch)
+	tb.Switch = netsim.NewSwitch(eng, netsim.DefaultSwitchConfig(1))
 
 	// Data path 1 → 3 ⇒(loop)⇒ 4 → 2: two transits per packet.
 	fwd := netsim.NewStaticForwarder()
@@ -148,15 +138,15 @@ func New(cfg Config) *Testbed {
 	fwd.ByIngress[4] = 2
 	tb.Switch.Forwarder = fwd
 
-	tb.Source.Attach(cfg.LinkDelay, tb.Switch.Port(1))
-	tb.Switch.Connect(3, cfg.LinkDelay, tb.Switch.Port(4))
-	tb.Switch.Connect(2, cfg.LinkDelay, tb.Target)
-	tb.Switch.Connect(5, cfg.LinkDelay, tb.collectorHost)
+	tb.Source.Attach(linkDelay, tb.Switch.Port(1))
+	tb.Switch.Connect(3, linkDelay, tb.Switch.Port(4))
+	tb.Switch.Connect(2, linkDelay, tb.Target)
+	tb.Switch.Connect(5, linkDelay, tb.collectorHost)
 
 	tb.Collector = telemetry.NewCollector(eng)
 	tb.collectorHost.OnReceive = tb.Collector.Receive
 
-	reportWire := netsim.NewLink(eng, cfg.LinkDelay, tb.collectorHost)
+	reportWire := netsim.NewLink(eng, linkDelay, tb.collectorHost)
 	tb.INTAgent = telemetry.NewAgent(eng, tb.Switch, telemetry.AgentConfig{
 		Mode:          cfg.INTMode,
 		SourcePorts:   []uint16{3},
@@ -178,11 +168,10 @@ func New(cfg Config) *Testbed {
 		tb.SFlowCollector = sflow.NewCollector(eng)
 		sfHost := netsim.NewHost(eng, "sflow-collector", netip.AddrFrom4([4]byte{10, 0, 0, 6}))
 		sfHost.OnReceive = tb.SFlowCollector.Receive
-		sfWire := netsim.NewLink(eng, cfg.LinkDelay, sfHost)
+		sfWire := netsim.NewLink(eng, linkDelay, sfHost)
 		tb.SFlowAgent = sflow.NewAgent(eng, tb.Switch, sflow.AgentConfig{
-			SampleRate:    cfg.SFlowRate,
-			Deterministic: cfg.SFlowDeterministic,
-			Seed:          cfg.Seed,
+			SampleRate: cfg.SFlowRate,
+			Seed:       cfg.Seed,
 			// Observe only the target-facing interface so each packet
 			// is counted once against the sampling rate, as on a
 			// production monitored link.

@@ -7,7 +7,6 @@ import (
 	"github.com/amlight/intddos/internal/netsim"
 	"github.com/amlight/intddos/internal/sflow"
 	"github.com/amlight/intddos/internal/telemetry"
-	"github.com/amlight/intddos/internal/trace"
 	"github.com/amlight/intddos/internal/traffic"
 )
 
@@ -60,26 +59,26 @@ func TestReplayerMaxPacketsMatchesPaperUsage(t *testing.T) {
 }
 
 func TestSFlowCoexistsWithINT(t *testing.T) {
-	tb := New(Config{EnableSFlow: true, SFlowRate: 10, SFlowDeterministic: true})
+	// At 1-in-1 the randomized countdown is always 1: every packet is
+	// sampled, so the counts below are exact.
+	tb := New(Config{EnableSFlow: true, SFlowRate: 1})
 	intReports, sfSamples := 0, 0
 	tb.Collector.OnReport = func(*telemetry.Report, netsim.Time) { intReports++ }
 	tb.SFlowCollector.OnFlowSample = func(*sflow.FlowSample, netsim.Time) { sfSamples++ }
-	var recs []trace.Record
 	w := traffic.Build(traffic.TinyConfig(3))
-	recs = w.Records[:400]
-	rp := tb.Replayer(recs)
+	rp := tb.Replayer(w.Records[:400])
 	rp.Start()
 	tb.Run()
 	if intReports == 0 {
 		t.Error("INT produced no reports alongside sFlow")
 	}
-	if tb.SFlowAgent.Sampled == 0 {
-		t.Error("sFlow sampled nothing at 1/10 over 400 packets")
-	}
 	// The agent watches only the target-facing port, so each packet
-	// counts once; exact every-10th sampling.
-	if got, want := tb.SFlowAgent.Sampled, tb.SFlowAgent.Observed/10; got != want {
-		t.Errorf("sampled %d, want %d", got, want)
+	// counts once.
+	if tb.SFlowAgent.Observed != tb.Target.Received {
+		t.Errorf("sFlow observed %d, target received %d", tb.SFlowAgent.Observed, tb.Target.Received)
+	}
+	if tb.SFlowAgent.Sampled != tb.SFlowAgent.Observed {
+		t.Errorf("sampled %d of %d at 1-in-1", tb.SFlowAgent.Sampled, tb.SFlowAgent.Observed)
 	}
 	if sfSamples != tb.SFlowAgent.Sampled {
 		t.Errorf("collector samples %d != agent %d", sfSamples, tb.SFlowAgent.Sampled)
