@@ -49,7 +49,8 @@ func (r Rule) String() string {
 
 // Config parameterizes rule generation: the rule lifetime. A source
 // is escalated to a source-scoped rule once sourceThreshold of its
-// flows are flagged; new rules are rejected beyond maxRules live ones.
+// flows are flagged within one TTL; new rules are rejected beyond
+// maxRules live ones.
 type Config struct {
 	// TTL is the rule lifetime; refreshed when the same target is
 	// re-flagged (default 5 s virtual).
@@ -64,8 +65,14 @@ type Generator struct {
 	// maxRules is the constant of the same name; tests lower it.
 	maxRules int
 
-	rules      map[string]*Rule
-	flowsBySrc map[string]map[flow.Key]bool
+	rules map[string]*Rule
+	// flowsBySrc holds each source's flagged flows with the time each
+	// was last flagged. Flows flagged a TTL or more ago no longer count
+	// toward escalation; sweep deletes them, and emptied sources, at
+	// most once per TTL, so the map holds the flows of the last two TTLs.
+	flowsBySrc map[string]map[flow.Key]netsim.Time
+	// sweepAt is when the next sweep of flowsBySrc is due.
+	sweepAt netsim.Time
 	// expiresFrom is a lower bound on every rule's ExpiresAt (a
 	// refresh only raises one): before it, no rule can be reclaimed.
 	expiresFrom netsim.Time
@@ -86,7 +93,7 @@ func NewGenerator(cfg Config) *Generator {
 		cfg:        cfg,
 		maxRules:   maxRules,
 		rules:      make(map[string]*Rule),
-		flowsBySrc: make(map[string]map[flow.Key]bool),
+		flowsBySrc: make(map[string]map[flow.Key]netsim.Time),
 	}
 }
 
@@ -100,18 +107,51 @@ func (g *Generator) handle(d core.Decision) *Rule {
 	if d.Label != 1 {
 		return nil
 	}
+	if d.At >= g.sweepAt {
+		g.sweep(d.At)
+	}
 	src := d.Key.Src.String()
 	flows := g.flowsBySrc[src]
 	if flows == nil {
-		flows = make(map[flow.Key]bool)
+		flows = make(map[flow.Key]netsim.Time)
 		g.flowsBySrc[src] = flows
 	}
-	flows[d.Key] = true
+	flows[d.Key] = d.At
 
-	if len(flows) >= sourceThreshold {
+	if g.live(flows, d.At) >= sourceThreshold {
 		return g.install("src:"+src, Rule{Scope: ScopeSource, Key: flow.Key{Src: d.Key.Src}}, d.At, true)
 	}
 	return g.install("flow:"+d.Key.String(), Rule{Scope: ScopeFlow, Key: d.Key}, d.At, false)
+}
+
+// live counts a source's flows flagged within the TTL before now,
+// stopping at sourceThreshold.
+func (g *Generator) live(flows map[flow.Key]netsim.Time, now netsim.Time) int {
+	n := 0
+	for _, at := range flows {
+		if now-at < g.cfg.TTL {
+			if n++; n == sourceThreshold {
+				break
+			}
+		}
+	}
+	return n
+}
+
+// sweep forgets the flows last flagged a TTL or more before now, and
+// the sources left with none, and schedules the next sweep a TTL on.
+func (g *Generator) sweep(now netsim.Time) {
+	g.sweepAt = now + g.cfg.TTL
+	for src, flows := range g.flowsBySrc {
+		for k, at := range flows {
+			if now-at >= g.cfg.TTL {
+				delete(flows, k)
+			}
+		}
+		if len(flows) == 0 {
+			delete(g.flowsBySrc, src)
+		}
+	}
 }
 
 // install adds or refreshes a rule and returns it; at the bound it

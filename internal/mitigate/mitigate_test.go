@@ -71,6 +71,58 @@ func TestGeneratorEscalatesToSource(t *testing.T) {
 	}
 }
 
+// TestGeneratorEscalationForgets pins escalation to flows flagged
+// within one TTL of each other: three flags spread over three TTLs
+// leave the source with flow rules, three inside one TTL escalate it.
+func TestGeneratorEscalationForgets(t *testing.T) {
+	for _, c := range []struct {
+		at   [sourceThreshold]netsim.Time
+		want int
+	}{
+		{[sourceThreshold]netsim.Time{0, 150, 300}, 0},
+		{[sourceThreshold]netsim.Time{0, 10, 20}, 1},
+	} {
+		g := NewGenerator(Config{TTL: 100})
+		for i, at := range c.at {
+			g.HandleDecision(decision(attacker(uint16(i+1)), 1, at))
+		}
+		if g.Escalated != c.want {
+			t.Errorf("flags at %v: %d escalations, want %d", c.at, g.Escalated, c.want)
+		}
+	}
+}
+
+// TestGeneratorSweepsStaleFlows floods the generator with one-flow
+// sources, as a spoofed flood makes them, over three TTLs: after one
+// more decision, flowsBySrc holds only flows flagged in the last two
+// TTLs, and no source without a flow.
+func TestGeneratorSweepsStaleFlows(t *testing.T) {
+	const ttl, sources = 100, 10000
+	g := NewGenerator(Config{TTL: ttl})
+	for i := range sources {
+		k := attacker(80)
+		k.Src = netip.AddrFrom4([4]byte{10, byte(i >> 16), byte(i >> 8), byte(i)})
+		g.HandleDecision(decision(k, 1, netsim.Time(i*3*ttl/sources)))
+	}
+	now := netsim.Time(3 * ttl)
+	g.HandleDecision(decision(attacker(1), 1, now))
+	held := 0
+	for src, flows := range g.flowsBySrc {
+		if len(flows) == 0 {
+			t.Errorf("source %s kept with no flow", src)
+		}
+		for k, at := range flows {
+			held++
+			if now-at >= 2*ttl {
+				t.Fatalf("flow %v flagged at %v still held at %v", k, at, now)
+			}
+		}
+	}
+	if held == 0 || held > sources*2/3+1 {
+		t.Errorf("%d flows held of %d flagged, want at most the last two TTLs' share", held, sources+1)
+	}
+}
+
 func TestGeneratorRefreshExtendsTTL(t *testing.T) {
 	g := NewGenerator(Config{TTL: 100})
 	k := attacker(1)

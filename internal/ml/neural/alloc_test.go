@@ -9,8 +9,8 @@ import "testing"
 
 // TestPredictBatchAllocsPerCall pins a scoring call with a warm label
 // buffer at no allocation: the activation buffers come from the pool
-// and the labels go straight into dst, at batch 1 (the scalar path),
-// 3 (a partial block) and 32 (the block path).
+// and the labels go straight into dst, at batch 1 and 3 (one padded
+// block) and 32 (eight full blocks).
 func TestPredictBatchAllocsPerCall(t *testing.T) {
 	X, y := blobs(64, 23)
 	n := New(MLP(1))

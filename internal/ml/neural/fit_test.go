@@ -34,12 +34,26 @@ func wideData(n, features int, seed int64) ([][]float64, []int) {
 
 // TestFitWeightsPinned pins the fitted weights bit for bit: the SHA-256
 // of MarshalBinary after Fit, for the pipeline's MLP on 2 001×15 rows
-// (the last mini-batch holds 17 rows, so the per-row remainder runs)
-// and for the stage-1 network on two-feature blobs (last batch 27).
-// The digests were computed with the per-row SGD loop that predates
-// the four-row blocked one; any change to the order of a floating-point
-// operation in training changes them.
+// (the last mini-batch holds 17 rows, so a padded block runs) and for
+// the stage-1 network on two-feature blobs (last batch 27). The
+// digests were computed with the per-row SGD loop that predates the
+// blocked one; any change to the order of a floating-point operation
+// in training changes them.
+//
+// Platform note: the sigmoid calls math.Exp, which on amd64 takes an
+// FMA path when the CPU has FMA and so differs in the last bit from
+// Go's portable exp on a share of inputs. The digests therefore pin
+// amd64 with FMA; elsewhere (386, arm64, amd64 without FMA) they
+// differ, while the kernel-against-kernel identities of block_test.go
+// hold on every target.
 func TestFitWeightsPinned(t *testing.T) {
+	checkFitDigests(t)
+}
+
+// checkFitDigests fits both pinned networks through the kernels
+// useAVX2 selects and compares their weight digests.
+func checkFitDigests(t *testing.T) {
+	t.Helper()
 	wide, wideY := wideData(2001, 15, 11)
 	blobX, blobY := blobs(603, 1)
 	for _, c := range []struct {

@@ -5,12 +5,15 @@
 // 32-16-8 network of §IV-B3 and the scikit-learn-style MLP 64-32-16 of
 // §IV-C3.
 //
-// Training and scoring share one kernel, layerBlock4, which runs four
-// rows at a time through a dense layer (SSE2 on amd64). Fit uses it
-// forward, and backward over the transposed weights; batch scoring
-// uses it forward. Neither reorders a floating-point sum: the fitted
-// weights are bit-identical to per-row SGD, and batch scores to
-// per-row Proba.
+// Every pass through the network runs four rows at a time through one
+// kernel, layerBlock4: scoring forward, and Fit forward and then
+// backward over the transposed weights. A second kernel, gradStep,
+// sums a layer's gradients over a whole mini-batch and takes the SGD
+// step. On amd64 with AVX2 both run in assembly, chosen once at
+// start-up; elsewhere the portable Go kernels run. No kernel fuses a
+// multiply-add or reorders a floating-point sum, so the fitted weights
+// are bit-identical to per-row SGD, and every score to a one-row pass,
+// on either kernel set.
 package neural
 
 import (
@@ -80,16 +83,16 @@ type Network struct {
 	scratch *sync.Pool
 }
 
-// inferScratch is one call's activation buffers: packed four-row
-// planes for forwardBlock4 and single-row acts for forward.
+// inferScratch is one call's packed activation planes for
+// forwardBlock4.
 type inferScratch struct {
-	planes, acts [][]float64
+	planes [][]float64
 }
 
 // newScratchPool returns a pool of buffers sized to the current layers.
 func (n *Network) newScratchPool() *sync.Pool {
 	return &sync.Pool{New: func() any {
-		return &inferScratch{planes: n.makePlanes(), acts: n.makeActs()}
+		return &inferScratch{planes: n.makePlanes()}
 	}}
 }
 
@@ -139,39 +142,17 @@ func (n *Network) init(features int, rng *rand.Rand) {
 	n.scratch = n.newScratchPool()
 }
 
-// forward computes activations for one row. acts[0] is the input;
-// acts[i+1] the output of layer i (ReLU for hidden, sigmoid for the
-// final layer).
-func (n *Network) forward(x []float64, acts [][]float64) {
-	copy(acts[0], x)
-	for li := range n.layers {
-		l := &n.layers[li]
-		in, out := acts[li], acts[li+1]
-		last := li == len(n.layers)-1
-		for o := 0; o < l.out; o++ {
-			sum := l.b[o]
-			row := l.w[o*l.in : (o+1)*l.in]
-			for i, v := range in {
-				sum += row[i] * v
-			}
-			if last {
-				out[o] = 1 / (1 + math.Exp(-sum))
-			} else if sum > 0 {
-				out[o] = sum
-			} else {
-				out[o] = 0
-			}
-		}
-	}
-}
-
-// Fit trains with mini-batch SGD on binary cross-entropy.
-// Each mini-batch runs four rows at a time through layerBlock4, the
-// kernel scoring uses: forward on packed planes, deltas back through
-// the transposed weights, gradients summed four rows per weight load.
-// Every weight's gradient still adds the batch's rows in order, so the
-// fitted weights are bit-identical to per-row SGD; a batch's last
-// len(batch)%4 rows run the per-row forward and backward.
+// Fit trains with mini-batch SGD on binary cross-entropy. Each
+// mini-batch runs in two phases. First its rows go through the network
+// in four-row blocks (trainBlock): forward through layerBlock4, then
+// deltas back through it over the transposed weights, leaving every
+// layer's inputs and deltas for the whole batch in the trainer. Then
+// one gradStep call per layer sums each weight's gradient over the
+// batch's rows, in row order from +0, and takes the step. A batch's
+// last len(batch)%4 rows fill their block's spare lanes with copies of
+// a real row, and gradStep never reads those lanes. No floating-point
+// sum is reordered, so the fitted weights are bit-identical to per-row
+// SGD.
 func (n *Network) Fit(X [][]float64, y []int) error {
 	if len(X) == 0 {
 		return errors.New("neural: empty training set")
@@ -196,26 +177,14 @@ func (n *Network) Fit(X [][]float64, y []int) error {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for start := 0; start < len(idx); start += batchSize {
 			batch := idx[start:min(start+batchSize, len(idx))]
-			for li := range t.gw {
-				clear(t.gw[li])
-				clear(t.gb[li])
+			for k := 0; k < len(batch); k += blockRows {
+				n.trainBlock(t, X, y, batch, k)
 			}
-			i := 0
-			for ; i+blockRows <= len(batch); i += blockRows {
-				r0, r1, r2, r3 := batch[i], batch[i+1], batch[i+2], batch[i+3]
-				p0, p1, p2, p3 := n.forwardBlock4(X[r0], X[r1], X[r2], X[r3], t.planes)
-				d := t.deltas[len(n.layers)-1]
-				d[0] = p0 - float64(y[r0])
-				d[1] = p1 - float64(y[r1])
-				d[2] = p2 - float64(y[r2])
-				d[3] = p3 - float64(y[r3])
-				n.backwardBlock4(t)
+			lr := n.lr / float64(len(batch))
+			for li := range n.layers {
+				l := &n.layers[li]
+				gradStep(l.w, l.b, t.inputs[li], t.deltas[li], l.in, len(batch), lr)
 			}
-			for _, r := range batch[i:] {
-				n.forward(X[r], t.acts)
-				n.backward(float64(y[r]), t.acts, t.rowDeltas, t.gw, t.gb)
-			}
-			n.step(len(batch), t.gw, t.gb)
 			t.transpose(n.layers)
 		}
 	}
@@ -225,41 +194,36 @@ func (n *Network) Fit(X [][]float64, y []int) error {
 
 // trainer is one Fit's buffers, sized to the layer stack once.
 type trainer struct {
-	// planes are the packed four-row activations (as forwardBlock4
-	// fills them) and deltas[li] layer li's packed
-	// dLoss/dPreactivation; acts and rowDeltas are the per-row
-	// remainder's.
-	planes, deltas  [][]float64
-	acts, rowDeltas [][]float64
+	// planes are one block's packed activations, as forwardBlock4
+	// fills them.
+	planes [][]float64
+	// inputs[li] holds layer li's inputs for a mini-batch, row-major,
+	// and deltas[li] its dLoss/dPreactivation in packed four-row
+	// blocks: the two operands gradStep reads.
+	inputs, deltas [][]float64
 	// wt[li] is layer li's weights transposed (in×out, row-major), so
 	// layerBlock4 propagates deltas back through it; wt[0] is unused.
 	wt [][]float64
 	// zero is the zero bias of the backward layerBlock4 calls.
-	zero   []float64
-	gw, gb [][]float64
+	zero []float64
 }
 
 // newTrainer sizes a trainer to n's layers, with wt transposed from
 // the initial weights.
 func (n *Network) newTrainer() *trainer {
 	t := &trainer{
-		planes:    n.makePlanes(),
-		acts:      n.makeActs(),
-		deltas:    make([][]float64, len(n.layers)),
-		rowDeltas: make([][]float64, len(n.layers)),
-		wt:        make([][]float64, len(n.layers)),
-		gw:        make([][]float64, len(n.layers)),
-		gb:        make([][]float64, len(n.layers)),
+		planes: n.makePlanes(),
+		inputs: make([][]float64, len(n.layers)),
+		deltas: make([][]float64, len(n.layers)),
+		wt:     make([][]float64, len(n.layers)),
 	}
 	width := 0
 	for li, l := range n.layers {
-		t.deltas[li] = make([]float64, blockRows*l.out)
-		t.rowDeltas[li] = make([]float64, l.out)
+		t.inputs[li] = make([]float64, batchSize*l.in)
+		t.deltas[li] = make([]float64, batchSize*l.out)
 		if li > 0 {
 			t.wt[li] = make([]float64, len(l.w))
 		}
-		t.gw[li] = make([]float64, len(l.w))
-		t.gb[li] = make([]float64, len(l.b))
 		width = max(width, l.in)
 	}
 	t.zero = make([]float64, width)
@@ -280,107 +244,36 @@ func (t *trainer) transpose(layers []layer) {
 	}
 }
 
-// backwardBlock4 accumulates the gradients of the four rows whose
-// activations sit in t.planes, from the output deltas in the last
-// t.deltas plane. Each packed delta is Σ_o w[o][i]·δ[o] summed from +0
-// in o order, masked by ReLU′, as backward computes it; each gradient
-// adds the four rows in row order, as four backward calls would.
-func (n *Network) backwardBlock4(t *trainer) {
-	for li := len(n.layers) - 1; li > 0; li-- {
-		l := &n.layers[li]
-		d := t.deltas[li-1]
-		layerBlock4(t.wt[li], t.zero[:l.in], t.deltas[li], d, l.out)
-		for k, a := range t.planes[li] {
-			if !(a > 0) { // ReLU', tested as backward tests it
-				d[k] = 0
-			}
-		}
+// trainBlock runs the block of a mini-batch's rows k..k+3 forward and
+// back: their inputs to every layer go to t.inputs and their deltas to
+// t.deltas. Each delta is Σ_o w[o][i]·δ[o] summed from +0 in o order,
+// masked by ReLU′, as per-row backpropagation computes it.
+func (n *Network) trainBlock(t *trainer, X [][]float64, y []int, batch []int, k int) {
+	var xs [blockRows][]float64
+	var ys [blockRows]float64
+	for j, r := range blockOf(k, len(batch)) {
+		xs[j], ys[j] = X[batch[r]], float64(y[batch[r]])
 	}
-	for li := range n.layers {
-		l := &n.layers[li]
-		gw, gb, d := t.gw[li], t.gb[li], t.deltas[li]
-		for o := range gb {
-			d0, d1, d2, d3 := d[4*o], d[4*o+1], d[4*o+2], d[4*o+3]
-			g := gb[o]
-			g += d0
-			g += d1
-			g += d2
-			g += d3
-			gb[o] = g
-			// Reslicing row to the layer width and reading each
-			// packed column through a [4]float64 leave the loop one
-			// bounds check per weight instead of four.
-			row := gw[o*l.in:]
-			row = row[:l.in]
-			x := t.planes[li]
-			for i, g := range row {
-				xb := (*[4]float64)(x)
-				g += d0 * xb[0]
-				g += d1 * xb[1]
-				g += d2 * xb[2]
-				g += d3 * xb[3]
-				row[i] = g
-				x = x[4:]
-			}
-		}
-	}
-}
-
-// backward accumulates gradients for one row into gw/gb.
-func (n *Network) backward(target float64, acts, deltas, gw, gb [][]float64) {
+	p := n.forwardBlock4(xs, t.planes)
 	last := len(n.layers) - 1
-	// Sigmoid + BCE: delta = prediction - target.
-	deltas[last][0] = acts[last+1][0] - target
-	for li := last - 1; li >= 0; li-- {
-		l := &n.layers[li+1]
-		for i := 0; i < l.in; i++ {
-			var s float64
-			for o := 0; o < l.out; o++ {
-				s += l.w[o*l.in+i] * deltas[li+1][o]
-			}
-			if acts[li+1][i] > 0 { // ReLU'
-				deltas[li][i] = s
-			} else {
-				deltas[li][i] = 0
-			}
-		}
+	// Sigmoid + BCE: delta = prediction - target. The output layer
+	// has one neuron, so its block sits at offset k.
+	d := (*[blockRows]float64)(t.deltas[last][k:])
+	for j := range d {
+		d[j] = p[j] - ys[j]
 	}
-	for li := range n.layers {
+	for li := last; li > 0; li-- {
 		l := &n.layers[li]
-		in := acts[li]
-		for o := 0; o < l.out; o++ {
-			d := deltas[li][o]
-			gb[li][o] += d
-			row := gw[li][o*l.in : (o+1)*l.in]
-			for i, v := range in {
-				row[i] += d * v
-			}
+		prev := t.deltas[li-1][k*l.in:][:blockRows*l.in]
+		layerBlock4(t.wt[li], t.zero[:l.in], t.deltas[li][k*l.out:][:blockRows*l.out], prev, l.out)
+		for j, a := range t.planes[li] {
+			prev[j] = math.Float64frombits(math.Float64bits(prev[j]) & positive(a)) // ReLU′
 		}
 	}
-}
-
-// step applies one SGD update from accumulated gradients.
-func (n *Network) step(batch int, gw, gb [][]float64) {
-	lr := n.lr / float64(batch)
 	for li := range n.layers {
-		l := &n.layers[li]
-		for i := range l.w {
-			l.w[i] -= lr * gw[li][i]
-		}
-		for i := range l.b {
-			l.b[i] -= lr * gb[li][i]
-		}
+		in := n.layers[li].in
+		unpack(t.inputs[li][k*in:], t.planes[li], in)
 	}
-}
-
-// makeActs allocates activation buffers sized to the layer stack.
-func (n *Network) makeActs() [][]float64 {
-	acts := make([][]float64, len(n.layers)+1)
-	acts[0] = make([]float64, n.layers[0].in)
-	for li := range n.layers {
-		acts[li+1] = make([]float64, n.layers[li].out)
-	}
-	return acts
 }
 
 // Proba returns P(attack|x).
@@ -390,8 +283,7 @@ func (n *Network) Proba(x []float64) float64 {
 	}
 	sc := n.scratch.Get().(*inferScratch)
 	defer n.scratch.Put(sc)
-	n.forward(x, sc.acts)
-	return sc.acts[len(sc.acts)-1][0]
+	return n.forwardBlock4([blockRows][]float64{x, x, x, x}, sc.planes)[0]
 }
 
 // Predict implements ml.Classifier with a 0.5 threshold.
@@ -402,25 +294,35 @@ func (n *Network) Predict(x []float64) int {
 	return 0
 }
 
-// blockRows is the row-block width of the batch forward pass: each
-// weight row is streamed once per block instead of once per sample,
-// and the block's dot products accumulate in independent chains, so
-// the FP-add latency that serializes the single-sample path cannot
+// blockRows is the row-block width of every pass through the network:
+// each weight row is streamed once per block instead of once per
+// sample, and the block's dot products accumulate in independent
+// chains, so the FP-add latency that serializes a single sample cannot
 // bind. Activations for a block live in packed column-major planes
 // (element j*blockRows+r is row r's value for neuron j), which lets
-// the layerBlock4 kernel pair adjacent rows into SIMD lanes on amd64.
-// Four divides the common micro-batch sizes (8/32/128), so chunked
-// calls never fall to the scalar remainder. Per-row accumulation
-// order is unchanged in every kernel, keeping batch scores
-// bit-identical to Proba.
+// layerBlock4 put the four rows in the four lanes of an AVX2 register.
+// A partial block (a single Proba, a scoring call's last rows, a
+// mini-batch's last rows) repeats a real row in its spare lanes and
+// discards their results; lanes never mix, so every row's score is
+// the same bits whichever block carries it.
 const blockRows = 4
 
-// forwardBlock4 runs one full-width block of four rows through the
-// network. planes[0] receives the packed input block; planes[li+1]
-// holds layer li's packed activations. It returns the four sigmoid
-// outputs.
-func (n *Network) forwardBlock4(x0, x1, x2, x3 []float64, planes [][]float64) (p0, p1, p2, p3 float64) {
+// blockOf returns the indices of the block of rows i..i+3 out of n
+// rows: a lane past row n-1 repeats row n-1.
+func blockOf(i, n int) [blockRows]int {
+	var b [blockRows]int
+	for j := range b {
+		b[j] = min(i+j, n-1)
+	}
+	return b
+}
+
+// forwardBlock4 runs one block of four rows through the network.
+// planes[0] receives the packed input block; planes[li+1] holds layer
+// li's packed activations. It returns the four sigmoid outputs.
+func (n *Network) forwardBlock4(x [blockRows][]float64, planes [][]float64) (p [blockRows]float64) {
 	xt := planes[0]
+	x0, x1, x2, x3 := x[0], x[1][:len(x[0])], x[2][:len(x[0])], x[3][:len(x[0])]
 	for j := range x0 {
 		xt[4*j] = x0[j]
 		xt[4*j+1] = x1[j]
@@ -432,25 +334,17 @@ func (n *Network) forwardBlock4(x0, x1, x2, x3 []float64, planes [][]float64) (p
 		yt := planes[li+1]
 		layerBlock4(l.w, l.b, xt, yt, l.in)
 		if li == len(n.layers)-1 {
-			p0 = 1 / (1 + math.Exp(-yt[0]))
-			p1 = 1 / (1 + math.Exp(-yt[1]))
-			p2 = 1 / (1 + math.Exp(-yt[2]))
-			p3 = 1 / (1 + math.Exp(-yt[3]))
-			return
+			for r := range p {
+				p[r] = 1 / (1 + math.Exp(-yt[r]))
+			}
+			return p
 		}
 		for i, v := range yt {
 			yt[i] = relu(v)
 		}
 		xt = yt
 	}
-	return
-}
-
-func relu(v float64) float64 {
-	if v > 0 {
-		return v
-	}
-	return 0
+	return p
 }
 
 // makePlanes allocates the packed activation planes for forwardBlock4:
@@ -465,24 +359,22 @@ func (n *Network) makePlanes() [][]float64 {
 	return planes
 }
 
-// forEachProba runs X through one pooled set of activation buffers in
+// forEachProba runs X through one pooled set of activation planes in
 // four-row blocks and hands emit each row's P(attack|x) in row order;
 // the scores are bit-identical to per-row Proba calls. The network
 // must be trained.
 func (n *Network) forEachProba(X [][]float64, emit func(i int, p float64)) {
 	sc := n.scratch.Get().(*inferScratch)
 	defer n.scratch.Put(sc)
-	i := 0
-	for ; i+blockRows <= len(X); i += blockRows {
-		p0, p1, p2, p3 := n.forwardBlock4(X[i], X[i+1], X[i+2], X[i+3], sc.planes)
-		emit(i, p0)
-		emit(i+1, p1)
-		emit(i+2, p2)
-		emit(i+3, p3)
-	}
-	for ; i < len(X); i++ {
-		n.forward(X[i], sc.acts)
-		emit(i, sc.acts[len(sc.acts)-1][0])
+	for i := 0; i < len(X); i += blockRows {
+		var xs [blockRows][]float64
+		for j, r := range blockOf(i, len(X)) {
+			xs[j] = X[r]
+		}
+		p := n.forwardBlock4(xs, sc.planes)
+		for j := range min(blockRows, len(X)-i) {
+			emit(i+j, p[j])
+		}
 	}
 }
 

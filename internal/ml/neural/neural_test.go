@@ -215,8 +215,16 @@ func TestNetworkUnmarshalRejectsCorruption(t *testing.T) {
 // under the sharing the live pipeline has: prediction workers call one
 // Network at once, each with its own batch, and every label must equal
 // the single-row Predict — at sizes on both sides of the four-row
-// block, so the packed planes and the scalar remainder are both shared.
+// block, so full and padded blocks share the packed planes.
 func TestPredictBatchConcurrentMatchesPredict(t *testing.T) {
+	checkBatchMatchesPredict(t)
+}
+
+// checkBatchMatchesPredict fits a small network and has eight
+// goroutines score it in batches of 1, 3, 4, 7 and 32, each label
+// checked against Predict, all through the kernels useAVX2 selects.
+func checkBatchMatchesPredict(t *testing.T) {
+	t.Helper()
 	X, y := blobs(400, 17)
 	var sc ml.StandardScaler
 	Z, _ := sc.FitTransform(X)

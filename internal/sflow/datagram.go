@@ -37,7 +37,6 @@ type FlowSample struct {
 	Seq        uint64
 	SampleRate uint32 // 1-in-SampleRate
 	SamplePool uint32 // packets observed since the previous sample
-	Drops      uint32 // samples dropped by the agent
 	InputPort  uint16
 	OutputPort uint16
 
@@ -77,8 +76,8 @@ func EncodeFlowSample(s *FlowSample) []byte {
 	buf = append(buf, w8[:4]...)
 	binary.BigEndian.PutUint32(w8[:4], s.SamplePool)
 	buf = append(buf, w8[:4]...)
-	binary.BigEndian.PutUint32(w8[:4], s.Drops)
-	buf = append(buf, w8[:4]...)
+	// The drops count: 0, since the agent never drops a sample.
+	buf = append(buf, 0, 0, 0, 0)
 	binary.BigEndian.PutUint16(w8[:2], s.InputPort)
 	buf = append(buf, w8[:2]...)
 	binary.BigEndian.PutUint16(w8[:2], s.OutputPort)
@@ -117,7 +116,7 @@ func Decode(buf []byte) (*FlowSample, error) {
 		Seq:        binary.BigEndian.Uint64(buf[6:14]),
 		SampleRate: binary.BigEndian.Uint32(buf[14:18]),
 		SamplePool: binary.BigEndian.Uint32(buf[18:22]),
-		Drops:      binary.BigEndian.Uint32(buf[22:26]),
+		// buf[22:26] is the drops count, which the agent never sets.
 		InputPort:  binary.BigEndian.Uint16(buf[26:28]),
 		OutputPort: binary.BigEndian.Uint16(buf[28:30]),
 		Src:        netip.AddrFrom4([4]byte(buf[30:34])),

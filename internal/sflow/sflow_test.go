@@ -13,7 +13,6 @@ func sampleFlow() *FlowSample {
 		Seq:        9,
 		SampleRate: 4096,
 		SamplePool: 4100,
-		Drops:      1,
 		InputPort:  1,
 		OutputPort: 2,
 		Src:        netip.MustParseAddr("192.0.2.10"),
