@@ -14,7 +14,10 @@
 # CI runs each target once: its `check` job runs `make vet
 # workers-guard build test allocs race fuzz-smoke`, and every smoke (plus impair-smoke, which
 # `make check` leaves out) is a job of its own, so the two together
-# cover exactly what `make check` does locally.
+# cover exactly what `make check` does locally. The `check` job then
+# fails if `git status --porcelain` is non-empty: no target may write
+# into the checkout (seed corpora and goldens are written only under a
+# test's -update flag).
 
 GO ?= go
 

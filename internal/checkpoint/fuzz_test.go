@@ -5,11 +5,12 @@
 // canonical form. Seeds span both format versions (the current
 // per-shard layout and the version-1 global prediction log) so the
 // fuzzer starts inside each valid-format region; the committed corpus
-// lives under testdata/fuzz/ (regenerated by TestFuzzSeedCorpus).
+// lives under testdata/fuzz/ (checked, and with -update written, by TestFuzzSeedCorpus).
 package checkpoint
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -98,32 +99,42 @@ func FuzzDecode(f *testing.F) {
 	})
 }
 
-// TestFuzzSeedCorpus materializes the in-code seeds as committed
-// corpus files so `go test` (no -fuzz) exercises them from disk too.
+var update = flag.Bool("update", false, "rewrite the committed seed corpus from the in-code seeds")
+
+// TestFuzzSeedCorpus checks that the in-code seeds are committed as
+// corpus files under testdata/fuzz/, so `go test` (no -fuzz) runs
+// them from disk too; -update writes the missing ones.
 func TestFuzzSeedCorpus(t *testing.T) {
 	for _, seed := range fuzzSeeds() {
-		writeCorpusEntry(t, "FuzzDecode", fmt.Sprintf("[]byte(%q)\n", seed))
+		checkCorpusEntry(t, "FuzzDecode", fmt.Sprintf("[]byte(%q)\n", seed))
 	}
 }
 
-// writeCorpusEntry writes one Go fuzz corpus file (format "go test
-// fuzz v1") named by a content counter, skipping rewrites of
-// identical files so repeated test runs leave the tree clean.
-func writeCorpusEntry(t *testing.T, fuzzName, args string) {
+// checkCorpusEntry checks that the Go fuzz corpus file (format "go
+// test fuzz v1") holding args is committed under testdata/fuzz/,
+// named by its content hash; with -update it writes the file instead.
+func checkCorpusEntry(t *testing.T, fuzzName, args string) {
 	t.Helper()
-	dir := filepath.Join("testdata", "fuzz", fuzzName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
 	content := []byte("go test fuzz v1\n" + args)
-	// Name by a stable content hash so entries never collide.
 	sum := uint64(14695981039346656037)
 	for _, b := range content {
 		sum = (sum ^ uint64(b)) * 1099511628211
 	}
-	path := filepath.Join(dir, fmt.Sprintf("seed-%016x", sum))
-	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, content) {
+	path := filepath.Join("testdata", "fuzz", fuzzName, fmt.Sprintf("seed-%016x", sum))
+	old, err := os.ReadFile(path)
+	if err == nil && bytes.Equal(old, content) {
 		return
+	}
+	if !*update {
+		what := "stale"
+		if err != nil {
+			what = "missing"
+		}
+		t.Errorf("seed corpus file %s is %s: rerun TestFuzzSeedCorpus with -update and commit it", path, what)
+		return
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
 	}
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)

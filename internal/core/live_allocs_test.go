@@ -17,7 +17,7 @@ import (
 // own — its feature vector is built in the shard's scratch and copied
 // into the journal's arena — and neither does its batch: the models
 // write their labels into the shard's scoring scratch, whose vote and
-// exit slabs are reused batch to batch. What a row shares is its 80
+// exit slabs are reused batch to batch. What a row shares is its 56
 // bytes of a log chunk. The budget fails if the journal goes back to a
 // fresh clone a row (+1 object a row), if the feature vector goes back
 // to a fresh slice per row (+1), if the vote slab or a model's label
@@ -78,8 +78,8 @@ func steadyStateAllocs(t *testing.T, cfg LiveConfig) {
 		t.Errorf("%d rows in %d batches allocated %d objects (%.3f a row), budget %d: none a row or a batch, a sixteenth of one a row for log chunks and sampled journeys",
 			rows, batches, objects, float64(objects)/rows, budget)
 	}
-	if bytes := (after.TotalAlloc - before.TotalAlloc) / rows; bytes > 96 {
-		t.Errorf("a row allocated %d bytes, budget 96 (80 log record + sampling; 81-85 measured)", bytes)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / rows; bytes > 72 {
+		t.Errorf("a row allocated %d bytes, budget 72 (56 log record + sampling; 57-60 measured)", bytes)
 	}
 }
 

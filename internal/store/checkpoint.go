@@ -49,7 +49,7 @@ func raiseCounter(ctr *atomic.Uint64, v uint64) {
 // was saved with, raising ctr past it; with stamp set, a record saved
 // without one (version-1 snapshots) takes the next.
 func (l *predLog) restore(p *PredictionRecord, ctr *atomic.Uint64, stamp bool) error {
-	rec, err := packPrediction(p)
+	rec, ends, err := packPrediction(p)
 	if err != nil {
 		return err
 	}
@@ -58,18 +58,19 @@ func (l *predLog) restore(p *PredictionRecord, ctr *atomic.Uint64, stamp bool) e
 	} else {
 		raiseCounter(ctr, rec.seq)
 	}
-	l.append(rec, p.AttackType)
+	l.append(rec, &ends, p.AttackType)
 	return nil
 }
 
 // restoreAll appends a restored history, all of it or none: on a
-// record that does not fit, the log is cut back to where it stood (no
-// view reaches the slots past that, and later appends rewrite them).
+// record that does not fit, the log and its IPv6 ends are cut back to
+// where they stood (no view reaches the slots past that, and later
+// appends rewrite them).
 func (l *predLog) restoreAll(preds []PredictionRecord, ctr *atomic.Uint64, stamp bool) error {
-	held := l.n
+	held, heldWide := l.n, len(l.wide)
 	for i := range preds {
 		if err := l.restore(&preds[i], ctr, stamp); err != nil {
-			l.n = held
+			l.n, l.wide = held, l.wide[:heldWide]
 			return err
 		}
 	}

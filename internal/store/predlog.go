@@ -1,7 +1,9 @@
 package store
 
 import (
+	"encoding/binary"
 	"fmt"
+	"net/netip"
 	"sort"
 
 	"github.com/amlight/intddos/internal/flow"
@@ -31,17 +33,21 @@ const (
 // addresses' forms (flow.PackAddr): src form | dst form<<2 | flagTruth.
 const flagTruth = 1 << 4
 
-// predRec is one logged decision, packed: fixed size (80 bytes) and
+// predRec is one logged decision, packed: fixed size (56 bytes) and
 // pointer-free, so a chunk of them is one allocation the collector
 // never scans. The attack type is an index into the log's interned
-// table. flowSeq and stage are in-memory provenance: checkpoints do
-// not persist them, so restored history reads zero for both.
+// table. An address of form flow.Form4 is held in its field itself; a
+// flow.Form6 one is an index into the log's side slice of 16-byte
+// addresses (the wire carries IPv4 only, so that slice stays empty in
+// the pipeline). flowSeq and stage are in-memory provenance:
+// checkpoints do not persist them, so restored history reads zero for
+// both.
 type predRec struct {
 	seq      uint64 // global decision sequence
 	at       int64
 	latency  int64
 	flowSeq  int64
-	src, dst [16]byte
+	src, dst uint32
 	votes    uint32
 	attack   uint32
 	srcPort  uint16
@@ -52,11 +58,16 @@ type predRec struct {
 	stage    uint8
 }
 
-// packPrediction packs everything of p but its Seq stamp and attack
-// type, which the log sets under its lock. It fails on a record the
-// packed layout cannot hold exactly; the pipeline never produces one.
-func packPrediction(p *PredictionRecord) (predRec, error) {
-	r := predRec{
+// wideEnds holds the 16-byte forms of a packed record's src and dst,
+// of which the log keeps only the flow.Form6 ones.
+type wideEnds [2][16]byte
+
+// packPrediction packs everything of p but its Seq stamp, attack type
+// and IPv6 ends, which the log sets under its lock: ends carries the
+// latter's bytes. It fails on a record the packed layout cannot hold
+// exactly; the pipeline never produces one.
+func packPrediction(p *PredictionRecord) (r predRec, ends wideEnds, err error) {
+	r = predRec{
 		seq:     p.Seq,
 		at:      int64(p.At),
 		latency: int64(p.Latency),
@@ -69,10 +80,10 @@ func packPrediction(p *PredictionRecord) (predRec, error) {
 		stage:   uint8(p.Stage),
 	}
 	if int(r.label) != p.Label || int(r.stage) != p.Stage {
-		return r, fmt.Errorf("store: prediction label %d or stage %d outside 0..255", p.Label, p.Stage)
+		return r, ends, fmt.Errorf("store: prediction label %d or stage %d outside 0..255", p.Label, p.Stage)
 	}
 	if len(p.Votes) > MaxVotes {
-		return r, fmt.Errorf("store: prediction carries %d votes, the log holds %d", len(p.Votes), MaxVotes)
+		return r, ends, fmt.Errorf("store: prediction carries %d votes, the log holds %d", len(p.Votes), MaxVotes)
 	}
 	for i, v := range p.Votes {
 		var slot uint32
@@ -84,26 +95,30 @@ func packPrediction(p *PredictionRecord) (predRec, error) {
 		case VoteAbsent:
 			slot = slotAbsent
 		default:
-			return r, fmt.Errorf("store: prediction vote %d is not 0, 1 or absent", v)
+			return r, ends, fmt.Errorf("store: prediction vote %d is not 0, 1 or absent", v)
 		}
 		r.votes = r.votes&^(slotEmpty<<(2*i)) | slot<<(2*i)
 	}
-	var srcForm, dstForm uint8
-	var err error
-	if r.src, srcForm, err = flow.PackAddr(p.Key.Src); err == nil {
-		r.dst, dstForm, err = flow.PackAddr(p.Key.Dst)
+	var forms [2]uint8
+	for i, a := range [2]netip.Addr{p.Key.Src, p.Key.Dst} {
+		if ends[i], forms[i], err = flow.PackAddr(a); err != nil {
+			return r, ends, fmt.Errorf("store: prediction key: %w", err)
+		}
 	}
-	if err != nil {
-		return r, fmt.Errorf("store: prediction key: %w", err)
+	if forms[0] == flow.Form4 {
+		r.src = binary.BigEndian.Uint32(ends[0][12:])
 	}
-	r.flags = srcForm | dstForm<<2
+	if forms[1] == flow.Form4 {
+		r.dst = binary.BigEndian.Uint32(ends[1][12:])
+	}
+	r.flags = forms[0] | forms[1]<<2
 	if p.Truth {
 		r.flags |= flagTruth
 	}
-	return r, nil
+	return r, ends, nil
 }
 
-// predChunkLen is how many records one chunk of the log holds (80 KiB
+// predChunkLen is how many records one chunk of the log holds (56 KiB
 // a chunk). Chunks are allocated on demand at this one size and never
 // regrown or copied, so a record's address is stable for the log's
 // life — what lets a predView read without the log's lock.
@@ -118,10 +133,15 @@ type predLog struct {
 	// types interns attack types; predRec.attack indexes it. Append-only.
 	types  []string
 	typeOf map[string]uint32
+
+	// wide holds the records' IPv6 ends, one entry an end, in append
+	// order; a flow.Form6 predRec.src or dst indexes it. Append-only
+	// but for restoreAll's cut.
+	wide [][16]byte
 }
 
-// append logs r, interning its attack type.
-func (l *predLog) append(r predRec, attackType string) {
+// append logs r, interning its attack type and filing its IPv6 ends.
+func (l *predLog) append(r predRec, ends *wideEnds, attackType string) {
 	idx, ok := l.typeOf[attackType]
 	if !ok {
 		if l.typeOf == nil {
@@ -132,6 +152,14 @@ func (l *predLog) append(r predRec, attackType string) {
 		l.typeOf[attackType] = idx
 	}
 	r.attack = idx
+	if r.flags&3 == flow.Form6 {
+		r.src = uint32(len(l.wide))
+		l.wide = append(l.wide, ends[0])
+	}
+	if r.flags>>2&3 == flow.Form6 {
+		r.dst = uint32(len(l.wide))
+		l.wide = append(l.wide, ends[1])
+	}
 	if l.n == len(l.chunks)*predChunkLen {
 		l.chunks = append(l.chunks, new([predChunkLen]predRec))
 	}
@@ -147,12 +175,12 @@ func (l *predLog) lastSeq() uint64 {
 	return l.view().at(l.n - 1).seq
 }
 
-// view freezes the log's current prefix. Records, chunks and interned
-// types below the frozen lengths are never written again — appends
-// only touch what lies beyond them — so a view taken under pmu is read
-// after releasing it, while appends continue.
+// view freezes the log's current prefix. Records, chunks, interned
+// types and IPv6 ends below the frozen lengths are never written again
+// — appends only touch what lies beyond them — so a view taken under
+// pmu is read after releasing it, while appends continue.
 func (l *predLog) view() predView {
-	return predView{chunks: l.chunks, n: l.n, types: l.types}
+	return predView{chunks: l.chunks, n: l.n, types: l.types, wide: l.wide}
 }
 
 // predView is a frozen prefix of a predLog.
@@ -160,6 +188,7 @@ type predView struct {
 	chunks []*[predChunkLen]predRec
 	n      int
 	types  []string
+	wide   [][16]byte
 }
 
 func (v predView) at(i int) *predRec { return &v.chunks[i/predChunkLen][i%predChunkLen] }
@@ -174,8 +203,8 @@ func (v predView) record(i int, slab *voteSlab) PredictionRecord {
 	r := v.at(i)
 	p := PredictionRecord{
 		Key: flow.Key{
-			Src:     flow.UnpackAddr(r.src, r.flags&3),
-			Dst:     flow.UnpackAddr(r.dst, r.flags>>2&3),
+			Src:     v.addr(r.src, r.flags&3),
+			Dst:     v.addr(r.dst, r.flags>>2&3),
 			SrcPort: r.srcPort,
 			DstPort: r.dstPort,
 			Proto:   netsim.Proto(r.proto),
@@ -205,6 +234,18 @@ func (v predView) record(i int, slab *voteSlab) PredictionRecord {
 		}
 	}
 	return p
+}
+
+// addr rebuilds one end of a record from its field x and form.
+func (v predView) addr(x uint32, form uint8) netip.Addr {
+	var b [16]byte
+	switch form {
+	case flow.Form4:
+		binary.BigEndian.PutUint32(b[12:], x)
+	case flow.Form6:
+		b = v.wide[x]
+	}
+	return flow.UnpackAddr(b, form)
 }
 
 // voteSlab cuts the Votes slices of materialised records from shared

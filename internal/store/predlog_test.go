@@ -33,8 +33,8 @@ func packedLogs(t *testing.T, logs [][]PredictionRecord) []predView {
 }
 
 func TestPredRecIsSmallAndPointerFree(t *testing.T) {
-	if got := unsafe.Sizeof(predRec{}); got != 80 {
-		t.Errorf("predRec is %d bytes, want 80", got)
+	if got := unsafe.Sizeof(predRec{}); got != 56 {
+		t.Errorf("predRec is %d bytes, want 56", got)
 	}
 	rt := reflect.TypeOf(predRec{})
 	for i := 0; i < rt.NumField(); i++ {
@@ -410,13 +410,147 @@ func TestPredictionLogConcurrentReaders(t *testing.T) {
 }
 
 // TestAppendPredictionAllocs pins the append at no allocation but the
-// chunk a full one makes room for (AllocsPerRun's average truncates
-// that one-in-a-thousand away).
+// chunk a full one makes room for and, for an IPv6 key, the side
+// slice's doubling (AllocsPerRun's average truncates those few in
+// thousands away).
 func TestAppendPredictionAllocs(t *testing.T) {
-	db := NewSharded(4)
-	p := PredictionRecord{Key: testKey(1), Label: 1, Votes: []int{1, 0, 1}, AttackType: "synflood"}
-	db.AppendPrediction(p)
-	if got := testing.AllocsPerRun(4*predChunkLen, func() { db.AppendPrediction(p) }); got != 0 {
-		t.Errorf("AppendPrediction allocates %.0f objects a record, want 0", got)
+	v6 := testKey(1)
+	v6.Src, v6.Dst = netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	for name, key := range map[string]flow.Key{"IPv4": testKey(1), "IPv6": v6} {
+		t.Run(name, func(t *testing.T) {
+			db := NewSharded(4)
+			p := PredictionRecord{Key: key, Label: 1, Votes: []int{1, 0, 1}, AttackType: "synflood"}
+			db.AppendPrediction(p)
+			if got := testing.AllocsPerRun(4*predChunkLen, func() { db.AppendPrediction(p) }); got != 0 {
+				t.Errorf("AppendPrediction allocates %.0f objects a record, want 0", got)
+			}
+		})
+	}
+}
+
+// viewed materialises every record of v.
+func viewed(v predView) []PredictionRecord { return drain(newMergeCursor([]predView{v}, 0)) }
+
+// TestIPv6EndsFileOneSideEntryEach: an IPv4 or absent end lives in its
+// record, and each IPv6 end — IPv4-mapped ones included — adds exactly
+// one entry to the log's side slice.
+func TestIPv6EndsFileOneSideEntryEach(t *testing.T) {
+	db := New()
+	var want []PredictionRecord
+	add := func(k flow.Key) {
+		p := PredictionRecord{Key: k, Label: 1, Votes: []int{1}}
+		db.AppendPrediction(p)
+		p.Seq = uint64(len(want) + 1)
+		want = append(want, p)
+	}
+	for i := 0; i < predChunkLen+1; i++ {
+		add(testKey(i))
+	}
+	if n := len(db.preds.wide); n != 0 {
+		t.Fatalf("%d IPv4 records filed %d side entries, want 0", len(want), n)
+	}
+	v4, v6 := netip.MustParseAddr("10.0.0.1"), netip.MustParseAddr("2001:db8::1")
+	mapped := netip.AddrFrom16(v4.As16())
+	side := 0
+	for _, c := range []struct {
+		src, dst netip.Addr
+		ends     int
+	}{
+		{v6, v4, 1}, {v4, v6, 1}, {v6, v6, 2}, {mapped, v4, 1},
+		{netip.Addr{}, v6, 1}, {v4, netip.Addr{}, 0}, {netip.Addr{}, netip.Addr{}, 0},
+	} {
+		k := testKey(7)
+		k.Src, k.Dst = c.src, c.dst
+		add(k)
+		side += c.ends
+		if n := len(db.preds.wide); n != side {
+			t.Fatalf("after %s -> %s the log holds %d side entries, want %d", c.src, c.dst, n, side)
+		}
+	}
+	if got := logged(db); !reflect.DeepEqual(got, want) {
+		t.Error("a record changed in the log")
+	}
+}
+
+// TestFailedRestoreKeepsLog: a restore refused partway — after records
+// that filed IPv6 ends — leaves the log reading exactly as before it,
+// side slice included, and later appends file their ends afresh.
+func TestFailedRestoreKeepsLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var l predLog
+	ctr := new(atomic.Uint64)
+	for i := 0; i < predChunkLen-2; i++ {
+		p := randPrediction(rng, 50)
+		if err := l.restore(&p, ctr, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, wide := viewed(l.view()), len(l.wide)
+	if wide == 0 {
+		t.Fatal("the history holds no IPv6 end; the test needs some")
+	}
+
+	v6 := testKey(1)
+	v6.Src, v6.Dst = netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	var tail []PredictionRecord
+	for i := 0; i < 4; i++ { // across the chunk boundary
+		tail = append(tail, PredictionRecord{Key: v6, Seq: uint64(len(before) + 1 + i), AttackType: "new"})
+	}
+	tail = append(tail, PredictionRecord{Key: v6, Seq: uint64(len(before) + 5), Label: 256})
+	if err := l.restoreAll(tail, ctr, false); err == nil {
+		t.Fatal("restoreAll accepted a label outside 0..255")
+	}
+	if got := viewed(l.view()); !reflect.DeepEqual(got, before) {
+		t.Error("a failed restore changed the log")
+	}
+	if len(l.wide) != wide {
+		t.Errorf("a failed restore left %d side entries, want %d", len(l.wide), wide)
+	}
+
+	next := PredictionRecord{Key: testKey(2), Seq: uint64(len(before) + 1)}
+	next.Key.Dst = netip.MustParseAddr("2001:db8::3")
+	if err := l.restoreAll([]PredictionRecord{next}, ctr, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := viewed(l.view()); !reflect.DeepEqual(got, append(before, next)) {
+		t.Errorf("the append after a failed restore reads %+v, want %+v", got[len(got)-1], next)
+	}
+}
+
+// TestViewSurvivesIPv6Appends: a view taken before IPv6 appends reads
+// the same records while and after they land — they grow, and
+// reallocate, the side slice the view froze. Under -race this also
+// checks that the view reads nothing an append writes.
+func TestViewSurvivesIPv6Appends(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	db := New()
+	for i := 0; i < predChunkLen/2; i++ {
+		db.AppendPrediction(randPrediction(rng, 50))
+	}
+	v := db.freezePredictions()
+	want := viewed(v)
+
+	v6 := testKey(1)
+	v6.Src, v6.Dst = netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("2001:db8::2")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2*predChunkLen; i++ {
+			v6.SrcPort = uint16(i)
+			db.AppendPrediction(PredictionRecord{Key: v6, Votes: []int{1, 1, 0}})
+		}
+	}()
+	for reading := true; reading; {
+		select {
+		case <-done:
+			reading = false
+		default:
+		}
+		if got := viewed(v); !reflect.DeepEqual(got, want) {
+			t.Fatal("a frozen view changed under IPv6 appends")
+		}
+	}
+	if n := len(db.preds.wide) - len(v.wide); n != 2*2*predChunkLen {
+		t.Errorf("the appends filed %d side entries, want %d", n, 2*2*predChunkLen)
 	}
 }

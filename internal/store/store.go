@@ -283,7 +283,7 @@ func (db *DB) JournalLen() int {
 // inside the log's lock, so the log is always Seq-sorted — the
 // invariant the merge-on-read cursor depends on.
 func (db *DB) AppendPrediction(p PredictionRecord) {
-	rec, err := packPrediction(&p)
+	rec, ends, err := packPrediction(&p)
 	if err != nil {
 		panic(err)
 	}
@@ -293,7 +293,7 @@ func (db *DB) AppendPrediction(p PredictionRecord) {
 	}
 	defer db.pmu.Unlock()
 	rec.seq = db.predCtr.Add(1)
-	db.preds.append(rec, p.AttackType)
+	db.preds.append(rec, &ends, p.AttackType)
 }
 
 // freezePredictions returns the log as it stands (see predLog.view).
