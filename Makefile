@@ -72,17 +72,21 @@ race:
 # fuzz-smoke runs each fuzz target for 10s from its committed seed
 # corpus (testdata/fuzz/) — enough to catch format-level regressions,
 # and the flow table drifting from its map-based reference, without
-# turning `make check` into a fuzzing campaign.
+# turning `make check` into a fuzzing campaign. A worker that finds new
+# coverage minimizes the input before it fuzzes on, for up to 60 s by
+# default: longer than the whole smoke, so one early find could leave a
+# target a few dozen counted runs, so the smoke caps it at 1 s.
 FUZZTIME ?= 10s
+FUZZ = $(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHeader$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeHop$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime $(FUZZTIME) ./internal/telemetry/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/sflow/
-	$(GO) test -run '^$$' -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) ./internal/trace/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime $(FUZZTIME) ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz '^FuzzSketch$$' -fuzztime $(FUZZTIME) ./internal/ml/sketch/
-	$(GO) test -run '^$$' -fuzz '^FuzzTable$$' -fuzztime $(FUZZTIME) ./internal/flow/
+	$(FUZZ) -fuzz '^FuzzDecodeHeader$$' ./internal/telemetry/
+	$(FUZZ) -fuzz '^FuzzDecodeHop$$' ./internal/telemetry/
+	$(FUZZ) -fuzz '^FuzzDecodeReport$$' ./internal/telemetry/
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/sflow/
+	$(FUZZ) -fuzz '^FuzzRead$$' ./internal/trace/
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/checkpoint/
+	$(FUZZ) -fuzz '^FuzzSketch$$' ./internal/ml/sketch/
+	$(FUZZ) -fuzz '^FuzzTable$$' ./internal/flow/
 
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against

@@ -79,8 +79,8 @@ func runLiveBatch(t *testing.T, predictBatch int) (byFlow map[string][]string, c
 		l.ckptMu[s].Lock()
 	}
 	for i := 0; i < per; i++ {
-		l.IngestAsync(liveObs(7, 40, true, "synflood"))
-		l.IngestAsync(liveObs(8, 1000, false, "benign"))
+		l.ingestAsync(liveObs(7, 40, true, "synflood"))
+		l.ingestAsync(liveObs(8, 1000, false, "benign"))
 	}
 	for s := range l.ckptMu {
 		l.ckptMu[s].Unlock()

@@ -487,7 +487,7 @@ func TestDrainOnStopPinsBothPolicies(t *testing.T) {
 		// Not started: the reports wait in the shard queue, and Start's
 		// first pass takes all n of them.
 		for i := 0; i < n; i++ {
-			l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
+			l.ingestAsync(liveObs(uint16(i), 1000, false, "benign"))
 		}
 		l.Start()
 		// Everything taken, the shard still grinding its first call.
@@ -554,9 +554,9 @@ func TestShardShedPathIsolatesOverload(t *testing.T) {
 	const coldN = 30
 	for i := 0; i < coldN; i++ {
 		for j := 0; j < 8; j++ {
-			l.IngestAsync(liveObs(hot, 40, true, "synflood")) // slow path: floods its shard
+			l.ingestAsync(liveObs(hot, 40, true, "synflood")) // slow path: floods its shard
 		}
-		l.IngestAsync(liveObs(cold, 1000, false, "benign")) // fast path on the other shard
+		l.ingestAsync(liveObs(cold, 1000, false, "benign")) // fast path on the other shard
 		// Pace the feed so the healthy shard (instant on big packets)
 		// keeps up — only the flooded shard should shed.
 		time.Sleep(2 * time.Millisecond)
@@ -618,7 +618,7 @@ func TestHealthzEndpointTracksState(t *testing.T) {
 		t.Fatalf("initial /healthz = %d %q", code, body)
 	}
 	for i := 0; i < 60; i++ {
-		l.IngestAsync(liveObs(uint16(i), 1000, false, "benign"))
+		l.ingestAsync(liveObs(uint16(i), 1000, false, "benign"))
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return l.Shed.Load() > 0 && l.Health() == HealthShedding }) {
 		t.Fatalf("never reached shedding; shed=%d", l.Shed.Load())

@@ -31,7 +31,7 @@ func TestFlowJourneyCompleteness(t *testing.T) {
 	// Through the shard's queue, the path reports take.
 	const n = 40
 	for i := 0; i < n; i++ {
-		l.IngestAsync(liveObs(uint16(2000+i), 40, true, "synflood"))
+		l.ingestAsync(liveObs(uint16(2000+i), 40, true, "synflood"))
 	}
 	if !waitFor(t, 5e9, func() bool {
 		return l.Predictions.Load() >= n && l.journeys.Active() == 0

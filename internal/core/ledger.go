@@ -26,7 +26,7 @@ import (
 // the one source of pending rows without a snapshot (a checkpoint's
 // journal tail, which each shard's first pass decides). A row whose
 // decision could not be logged is abandoned (store_dropped). Direct
-// Ingest and IngestAsync callers add to Accepted only: ReportsClosed
+// Ingest callers (and the tests' queued equivalent) add to Accepted only: ReportsClosed
 // is for pipelines fed by HandleReport.
 type Ledger struct {
 	Reports, Duplicates, Stale, FaultDrops, IngestDropped, Accepted, Journaled int64 // report side

@@ -168,13 +168,13 @@ func TestLedgerStringIsTheOneRendering(t *testing.T) {
 }
 
 // TestIngestAfterStopIsDropped pins Stop's contract for a late
-// producer: a report handed to IngestAsync after Stop is counted as
+// producer: a report handed to ingestAsync after Stop is counted as
 // dropped, never parked in a queue no shard drains again.
 func TestIngestAfterStopIsDropped(t *testing.T) {
 	l := startLive(t, liveConfig(attackDetector()))
 	l.Stop()
 	for i := 0; i < 100; i++ {
-		l.IngestAsync(liveObs(uint16(i), 40, true, "synflood"))
+		l.ingestAsync(liveObs(uint16(i), 40, true, "synflood"))
 	}
 	if got := l.MetricsSnapshot().Counters["intddos_ingest_dropped_total"]; got != 100 {
 		t.Errorf("intddos_ingest_dropped_total = %d, want 100", got)

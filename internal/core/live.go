@@ -30,7 +30,7 @@ import (
 // also holds the shard's ckptMu for read, so a capture, which holds it
 // for write, reads pending without run.
 type liveShard struct {
-	queue chan flow.PacketInfo // IngestAsync → runShard; QueueCap ÷ shards
+	queue chan flow.Observation // the demux → runShard; QueueCap ÷ shards
 
 	run sync.Mutex
 	// pending is the shard's rows taken and not yet decided, in take
@@ -211,6 +211,9 @@ type Live struct {
 	// dedup suppresses duplicate/stale reports per source at
 	// HandleReport (nil when LiveConfig.DedupWindow is zero).
 	dedup *telemetry.SeqTracker
+	// attacks interns the attack types observations carry through the
+	// shard queues as indexes.
+	attacks attackTypes
 
 	// Stats (atomics: read while running). Each is the one count of its
 	// fact: the registry reads it on scrape (registerAtomics). Ledger
@@ -304,7 +307,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	for i := range l.shards {
 		l.shards[i] = &liveShard{
-			queue:   make(chan flow.PacketInfo, max(cfg.QueueCap/nShards, 1)),
+			queue:   make(chan flow.Observation, max(cfg.QueueCap/nShards, 1)),
 			backoff: cfg.WorkerRestartBackoff,
 			polled:  l.met.shardPolled.With(strconv.Itoa(i)),
 		}

@@ -154,7 +154,7 @@ var intFeatures = flow.INTFeatures()
 // between NewLive and Start.
 const (
 	// shedAfter is the overload bound: a report its shard takes more
-	// than this long after IngestAsync accepted it is folded into its
+	// than this long after the demux accepted it is folded into its
 	// flow, then shed. It exceeds the QueueCap ÷ rate of every configured workload
 	// (0.4 s on the default), so only a backlog no queue bound explains
 	// sheds.

@@ -153,7 +153,7 @@ func TestLiveMetricsMirrorPipeline(t *testing.T) {
 	}
 	late := liveObs(20, 40, true, "synflood")
 	late.At = now() - netsim.Time(2*shedAfter) // accepted past the shed bound
-	l.IngestAsync(late)
+	l.ingestAsync(late)
 	settle(t, l, 10*time.Second)
 	if _, _, err := l.WriteCheckpoint(); err != nil {
 		t.Fatal(err)

@@ -28,8 +28,8 @@ func (l *Live) runShard(shard int) {
 			l.sleepQuit(pause)
 		}
 		select {
-		case pi := <-queue:
-			pause = l.burst(shard, &pi, true)
+		case o := <-queue:
+			pause = l.burst(shard, &o, true)
 		case <-l.quit:
 			l.takeQueued(shard)
 			return
@@ -42,8 +42,8 @@ func (l *Live) runShard(shard int) {
 func (l *Live) takeQueued(shard int) {
 	queue := l.shards[shard].queue
 	for len(queue) > 0 {
-		pi := <-queue
-		l.burst(shard, &pi, true)
+		o := <-queue
+		l.burst(shard, &o, true)
 	}
 }
 
@@ -60,7 +60,7 @@ func (l *Live) takeQueued(shard int) {
 // A queued report the shard takes more than shedAfter after it was
 // accepted is folded in — its flow's Seq advances, as a shed row's
 // must — and then shed. pause is the restart backoff after a panic.
-func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (pause time.Duration) {
+func (l *Live) burst(shard int, first *flow.Observation, queued bool) (pause time.Duration) {
 	bar := &l.ckptMu[shard]
 	if !bar.TryRLock() {
 		// Ingest stalled behind a capture: counted, because from the
@@ -96,9 +96,9 @@ func (l *Live) burst(shard int, first *flow.PacketInfo, queued bool) (pause time
 		if queued {
 			behind = len(sh.queue)
 		}
-		for i, pi := 0, *first; ; i, pi = i+1, <-sh.queue {
-			l.fold(sh, pi)
-			if queued && pi.At < oldest {
+		for i, o := 0, *first; ; i, o = i+1, <-sh.queue {
+			l.fold(sh, &o)
+			if queued && o.At < oldest {
 				late++
 			}
 			if i == behind {

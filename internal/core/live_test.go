@@ -66,6 +66,13 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) bool {
 	return cond()
 }
 
+// ingestAsync queues an observation a test built for its shard, as
+// HandleReport queues a report.
+func (l *Live) ingestAsync(pi flow.PacketInfo) {
+	o := l.pack(pi)
+	l.enqueue(&o)
+}
+
 func liveObs(sport uint16, length int, label bool, typ string) flow.PacketInfo {
 	return flow.PacketInfo{
 		Key: flow.Key{
@@ -231,7 +238,7 @@ func TestLiveShedsUnderOverload(t *testing.T) {
 	l.Start()
 	defer l.Stop()
 	for i := 0; i < 100; i++ {
-		l.IngestAsync(liveObs(uint16(i), 500, false, "benign"))
+		l.ingestAsync(liveObs(uint16(i), 500, false, "benign"))
 	}
 	if !waitFor(t, 3*time.Second, func() bool {
 		return int(l.Shed.Load())+len(l.Decisions()) >= 20

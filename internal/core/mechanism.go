@@ -108,17 +108,17 @@ func decisionOf(p store.PredictionRecord) Decision {
 	}
 }
 
-// snapshot is the Data Processor's database row for observation pi,
-// just folded into its flow's record st: the flow's feature row, cut
-// from the end of slab (returned extended), and its bookkeeping. Both
-// drivers build their rows here.
-func snapshot(pi flow.PacketInfo, st *flow.State, slab []float64) (store.FlowRecord, []float64) {
+// snapshot is the Data Processor's database row for an observation of
+// key, with its ground truth, just folded into its flow's record st:
+// the flow's feature row, cut from the end of slab (returned extended),
+// and its bookkeeping. Both drivers build their rows here.
+func snapshot(key flow.Key, truth bool, attackType string, st *flow.State, slab []float64) (store.FlowRecord, []float64) {
 	off := len(slab)
 	slab = st.Features(slab, intFeatures)
 	return store.FlowRecord{
-		Key: pi.Key, Features: slab[off:len(slab):len(slab)],
+		Key: key, Features: slab[off:len(slab):len(slab)],
 		RegisteredAt: st.RegisteredAt, UpdatedAt: st.LastAt, Updates: st.Updates,
-		Truth: pi.Label, AttackType: pi.AttackType,
+		Truth: truth, AttackType: attackType,
 	}, slab
 }
 
@@ -265,13 +265,13 @@ func (m *Mechanism) HandleReport(r *telemetry.Report, at netsim.Time) {
 // Tests and the sFlow-driven variant of the mechanism feed it
 // normalized observations directly.
 func (m *Mechanism) Observe(pi flow.PacketInfo) {
-	m.scorer.observe(pi.Key)
+	m.scorer.observe(pi.Key.Hash())
 	st, _ := m.Table.Observe(pi)
 	if cap(m.chunk)-len(m.chunk) < len(intFeatures) {
 		m.chunk = make([]float64, 0, rowChunkLen)
 	}
 	var rec store.FlowRecord
-	rec, m.chunk = snapshot(pi, st, m.chunk)
+	rec, m.chunk = snapshot(pi.Key, pi.Label, pi.AttackType, st, m.chunk)
 	m.pending.push(rec)
 	m.Snapshots++
 }

@@ -95,7 +95,7 @@ func TestPushBurstIdleBurstOneShard(t *testing.T) {
 				pi := flow.PacketInfo{Key: key, Length: 40, HasTelemetry: true, Label: true, AttackType: "synflood"}
 				for i := 0; i < perBurst; i++ {
 					if f%2 == 1 {
-						l.IngestAsync(pi)
+						l.ingestAsync(pi)
 					} else {
 						l.Ingest(pi)
 					}
@@ -290,7 +290,7 @@ func TestPushQueueOfOneShedsAndLedgerCloses(t *testing.T) {
 	l.Start()
 	const n = 60
 	for i := 0; i < n; i++ {
-		l.IngestAsync(liveObs(uint16(i%6), 1000, false, "benign"))
+		l.ingestAsync(liveObs(uint16(i%6), 1000, false, "benign"))
 	}
 	settle(t, l, 10*time.Second)
 	if l.Polled.Load() != n {

@@ -169,10 +169,10 @@ func resolveTriageModel(configured ml.Classifier, models []ml.Classifier) (ml.Ba
 	return nil, false
 }
 
-// observe feeds one ingested flow key to its shard's triage sketch.
-func (sc *scorer) observe(key flow.Key) {
+// observe feeds one ingested flow key, by its hash, to its shard's
+// triage sketch.
+func (sc *scorer) observe(h uint64) {
 	if sc.sketches != nil {
-		h := key.Hash()
 		sc.sketches[h%uint64(len(sc.sketches))].Update(h)
 	}
 }

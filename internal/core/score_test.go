@@ -109,9 +109,9 @@ func TestScore(t *testing.T) {
 			// One heavy hitter among enough distinct flows to keep the
 			// key entropy healthy: only the heavy flow is suspicious.
 			for i := 0; i < 2*triageMinSample; i++ {
-				sc.observe(scoreKey(heavy))
-				sc.observe(scoreKey(uint16(1000 + i)))
-				sc.observe(scoreKey(uint16(5000 + i)))
+				sc.observe(scoreKey(heavy).Hash())
+				sc.observe(scoreKey(uint16(1000 + i)).Hash())
+				sc.observe(scoreKey(uint16(5000 + i)).Hash())
 			}
 			keys := make([]flow.Key, len(tc.keys))
 			for i, p := range tc.keys {

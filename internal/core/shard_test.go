@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -64,8 +65,8 @@ func TestShardStallShorterThanBoundShedsNothing(t *testing.T) {
 	const n = 100
 	stalled := time.Now()
 	for i := 0; i < n; i++ {
-		l.IngestAsync(flow.PacketInfo{Key: hot, Length: 40, HasTelemetry: true, Label: true, AttackType: "synflood"})
-		l.IngestAsync(flow.PacketInfo{Key: cold, Length: 1000, HasTelemetry: true, AttackType: "benign"})
+		l.ingestAsync(flow.PacketInfo{Key: hot, Length: 40, HasTelemetry: true, Label: true, AttackType: "synflood"})
+		l.ingestAsync(flow.PacketInfo{Key: cold, Length: 1000, HasTelemetry: true, AttackType: "benign"})
 		time.Sleep(time.Millisecond)
 	}
 	if !waitFor(t, 5*time.Second, func() bool { return decided(cold) == n }) {
@@ -267,7 +268,7 @@ func TestVoteSpanIsPerRow(t *testing.T) {
 	// Queued before Start, the rows reach the shard as one pass and so
 	// one batch.
 	for i := 0; i < 32; i++ {
-		l.IngestAsync(liveObs(uint16(100+i), 40, true, "synflood"))
+		l.ingestAsync(liveObs(uint16(100+i), 40, true, "synflood"))
 	}
 	l.Start()
 	settle(t, l, 5*time.Second)
@@ -277,5 +278,70 @@ func TestVoteSpanIsPerRow(t *testing.T) {
 	}
 	if p50 := time.Duration(l.met.stageVote.Snapshot().Quantile(0.5) * float64(time.Second)); p50 >= time.Millisecond {
 		t.Errorf("vote stage p50 = %v with a 1 ms OnDecision: the span includes other rows' finishing", p50)
+	}
+}
+
+// TestQueueElementIsSmallAndPointerFree pins the shard queues' element:
+// 88 bytes measured, and no pointer anywhere in it. A pointer would make
+// every queued slot a root the collector scans and let the demux's
+// producer leak the report it packed (a netip.Addr's zone handle, an
+// attack-type string), so a decoded report could no longer stay in its
+// caller's frame; growth is bytes copied twice a row.
+func TestQueueElementIsSmallAndPointerFree(t *testing.T) {
+	elem := reflect.TypeOf(liveShard{}.queue).Elem()
+	if got := elem.Size(); got != 88 {
+		t.Errorf("the queue element %s is %d bytes, want 88", elem, got)
+	}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice, reflect.String,
+			reflect.Chan, reflect.Func, reflect.Interface:
+			t.Errorf("%s is a %s: the queue element must hold no pointer", path, ty.Kind())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		case reflect.Array:
+			walk(ty.Elem(), path+"[]")
+		}
+	}
+	walk(elem, elem.String())
+}
+
+// TestAttackTypesConcurrent interns attack types from several
+// producers at once, as concurrent HandleReport callers do: "" stays
+// index 0, each name gets one index, and every index a producer got
+// resolves back to its name while other names are still being added.
+func TestAttackTypesConcurrent(t *testing.T) {
+	var a attackTypes
+	names := []string{"", "synflood", "udpflood", "slowloris", "tcpscan", "benign"}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 100; rep++ {
+				for i := range names {
+					name := names[(i+g)%len(names)]
+					if got := a.name(a.index(name)); got != name {
+						t.Errorf("%q resolved back as %q", name, got)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	byIndex := map[uint32]string{}
+	for _, name := range names {
+		i := a.index(name)
+		if other, ok := byIndex[i]; ok {
+			t.Errorf("%q and %q share index %d", name, other, i)
+		}
+		byIndex[i] = name
+	}
+	if i := a.index(""); i != 0 {
+		t.Errorf(`"" is index %d, want 0`, i)
 	}
 }

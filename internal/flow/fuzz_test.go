@@ -98,7 +98,8 @@ func FuzzTable(f *testing.F) {
 					r = &ref{st: State{key: packKey(k), RegisteredAt: at}}
 					want[k] = r
 				}
-				r.st.Update(pi)
+				o := pi.Pack()
+				r.st.update(&o)
 				if st != tbl.Get(k) {
 					t.Fatalf("observe %s: returned a slot Get does not find", k)
 				}

@@ -80,15 +80,25 @@ const (
 // the flow table's slots and the store's prediction log share. A zoned
 // address has no packed form.
 func PackAddr(a netip.Addr) (b [16]byte, form uint8, err error) {
+	b, form, ok := packAddr(a)
+	if !ok {
+		return b, 0, fmt.Errorf("address %s carries a zone", a)
+	}
+	return b, form, nil
+}
+
+// packAddr is PackAddr reporting a zone as !ok. It keeps nothing of a,
+// so packing a report's addresses does not make the report escape.
+func packAddr(a netip.Addr) (b [16]byte, form uint8, ok bool) {
 	switch {
 	case !a.IsValid():
-		return b, FormInvalid, nil
+		return b, FormInvalid, true
 	case a.Zone() != "":
-		return b, 0, fmt.Errorf("address %s carries a zone", a)
+		return b, 0, false
 	case a.Is4():
-		return a.As16(), Form4, nil
+		return a.As16(), Form4, true
 	default:
-		return a.As16(), Form6, nil
+		return a.As16(), Form6, true
 	}
 }
 
@@ -168,6 +178,77 @@ type PacketInfo struct {
 	Label      bool
 	AttackType string
 }
+
+// Observation is one observation packed pointer-free, its key hashed
+// once: the element of the live pipeline's shard queues. A PacketInfo
+// holds pointers — each netip.Addr's zone handle and the AttackType
+// string —, so a queue of them is scanned by the collector and a report
+// packed into one escapes to the heap; here the key is packed as a
+// flow-table slot packs it, and the attack type is an index into a
+// table of names the producer keeps (zero is the empty name).
+type Observation struct {
+	key          slotKey
+	Flags        netsim.TCPFlags
+	HasTelemetry bool
+	hash         uint64 // key.hash(): the shard, the stripe and the probe
+
+	At           netsim.Time
+	HopLatencyNs uint64
+	Length       uint32
+	IngressTS    netsim.Timestamp32
+	EgressTS     netsim.Timestamp32
+	QueueDepth   uint32
+	AttackType   uint32
+	Label        bool
+}
+
+// Pack packs pi, hashing its key, with AttackType zero: the index is
+// the caller's to set. A zoned address panics (see packKey).
+func (pi PacketInfo) Pack() Observation {
+	o := Observation{
+		key: packKey(pi.Key), Flags: pi.Flags, HasTelemetry: pi.HasTelemetry,
+		At: pi.At, HopLatencyNs: pi.HopLatencyNs, Length: uint32(pi.Length),
+		IngressTS: pi.IngressTS, EgressTS: pi.EgressTS, QueueDepth: pi.QueueDepth,
+		Label: pi.Label,
+	}
+	o.hash = o.key.hash()
+	return o
+}
+
+// PackINT is FromINT(r, at).Pack() straight from the report, keeping
+// nothing of it: a caller that packs a report it decoded into its own
+// frame leaves the report there. AttackType is zero, as in Pack.
+func PackINT(r *telemetry.Report, at netsim.Time) Observation {
+	src, srcForm, okSrc := packAddr(r.Src)
+	dst, dstForm, okDst := packAddr(r.Dst)
+	if !okSrc || !okDst {
+		panic("flow: report " + r.Src.String() + " > " + r.Dst.String() + " carries a zoned address")
+	}
+	o := Observation{
+		key: slotKey{src: src, dst: dst, srcPort: r.SrcPort, dstPort: r.DstPort, proto: r.Proto,
+			forms: srcForm | dstForm<<2},
+		Flags: r.Flags, HasTelemetry: true,
+		At: at, HopLatencyNs: uint64(r.PathLatency()), Length: uint32(r.Length),
+		Label: r.Truth.Label,
+	}
+	o.hash = o.key.hash()
+	if h, ok := r.LastHop(); ok {
+		o.IngressTS, o.EgressTS, o.QueueDepth = h.IngressTS, h.EgressTS, h.QueueDepth
+	}
+	return o
+}
+
+// Key unpacks the observation's Flow ID.
+func (o *Observation) Key() Key { return o.key.key() }
+
+// Hash is Key().Hash(), computed when the observation was packed.
+func (o *Observation) Hash() uint64 { return o.hash }
+
+// Shard is Key().Shard(n) from the carried hash.
+func (o *Observation) Shard(n int) int { return int(o.hash % uint64(n)) }
+
+// String renders the key as Key.String does.
+func (o *Observation) String() string { return o.key.key().String() }
 
 // FromINT normalizes a decoded INT report received at time at. Queue
 // occupancy and timestamps are taken from the last hop (the sink

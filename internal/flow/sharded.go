@@ -256,13 +256,20 @@ func (t *ShardedTable) RestoreWindow(k Key, votes []int) (bool, error) {
 	return true, nil
 }
 
-// ObserveFunc folds one observation into its flow's shard and invokes
-// fn, when set, on the updated record while the shard lock is held, so
-// fn can extract features without racing other writers. fn must not
+// ObserveFunc is ObservePacked for an observation not yet packed.
+func (t *ShardedTable) ObserveFunc(pi PacketInfo, fn func(*State)) (created bool) {
+	o := pi.Pack()
+	return t.ObservePacked(&o, fn)
+}
+
+// ObservePacked folds one observation into its flow's shard — the
+// carried hash picks the stripe and probes its index — and invokes fn,
+// when set, on the updated record while the shard lock is held, so fn
+// can extract features without racing other writers. fn must not
 // block, call back into the table or keep the *State. It reports
 // whether the record was created.
-func (t *ShardedTable) ObserveFunc(pi PacketInfo, fn func(*State)) (created bool) {
-	pk, h, s := t.shardOf(pi.Key)
+func (t *ShardedTable) ObservePacked(o *Observation, fn func(*State)) (created bool) {
+	s := &t.shards[o.hash%uint64(len(t.shards))]
 	if !s.mu.TryLock() {
 		if t.onContention != nil {
 			t.onContention()
@@ -270,10 +277,11 @@ func (t *ShardedTable) ObserveFunc(pi PacketInfo, fn func(*State)) (created bool
 		s.mu.Lock()
 	}
 	defer s.mu.Unlock()
-	st, created := s.table.observe(pi, &pk, h)
+	st, created := s.table.observe(o)
 	if t.track {
-		s.dirty[pi.Key] = struct{}{}
-		delete(s.removed, pi.Key)
+		k := o.Key()
+		s.dirty[k] = struct{}{}
+		delete(s.removed, k)
 	}
 	if fn != nil {
 		fn(st)

@@ -110,32 +110,32 @@ func RestoreState(sn StateSnapshot) *State {
 // not a deployment.
 var NaiveIAT = false
 
-// Update folds one observation into the record. Ground truth is not
+// update folds one observation into the record. Ground truth is not
 // the record's: it travels with each journaled row.
-func (st *State) Update(pi PacketInfo) {
+func (st *State) update(o *Observation) {
 	prevAt := st.LastAt
 	st.Updates++
-	st.LastAt = pi.At
-	st.Size.Add(float64(pi.Length))
-	if pi.HasTelemetry {
+	st.LastAt = o.At
+	st.Size.Add(float64(o.Length))
+	if o.HasTelemetry {
 		st.hasTelemetry = true
-		st.Queue.Add(float64(pi.QueueDepth))
-		st.HopLat.Add(float64(pi.HopLatencyNs))
+		st.Queue.Add(float64(o.QueueDepth))
+		st.HopLat.Add(float64(o.HopLatencyNs))
 		if st.haveIngress {
 			var d netsim.Time
 			if NaiveIAT {
-				d = netsim.NaiveDiff(st.lastIngress, pi.IngressTS)
+				d = netsim.NaiveDiff(st.lastIngress, o.IngressTS)
 			} else {
-				d = netsim.WrapDiff(st.lastIngress, pi.IngressTS)
+				d = netsim.WrapDiff(st.lastIngress, o.IngressTS)
 			}
 			st.IAT.Add(float64(d))
 		}
-		st.lastIngress = pi.IngressTS
+		st.lastIngress = o.IngressTS
 		st.haveIngress = true
 	} else if st.Updates > 1 {
 		// sFlow has no hardware stamps; inter-arrival falls back to
 		// the collector clock between sampled packets.
-		st.IAT.Add(float64(pi.At - prevAt))
+		st.IAT.Add(float64(o.At - prevAt))
 	}
 }
 
@@ -362,22 +362,22 @@ func (t *Table) Get(k Key) *State {
 // Observe folds one observation into its flow record, creating it if
 // needed. It returns the record and whether it was just created.
 func (t *Table) Observe(pi PacketInfo) (*State, bool) {
-	pk := packKey(pi.Key)
-	return t.observe(pi, &pk, pk.hash())
+	o := pi.Pack()
+	return t.observe(&o)
 }
 
-// observe is Observe for a key already packed and hashed.
-func (t *Table) observe(pi PacketInfo, pk *slotKey, h uint64) (*State, bool) {
+// observe is Observe for an observation already packed and hashed.
+func (t *Table) observe(o *Observation) (*State, bool) {
 	t.reserve()
-	pos, found := t.find(pk, h)
+	pos, found := t.find(&o.key, o.hash)
 	if found {
 		st := t.slot(uint32(t.index[pos]) - 1)
-		st.Update(pi)
+		st.update(o)
 		return st, false
 	}
-	st := t.claim(pos, pk, h)
-	st.RegisteredAt = pi.At
-	st.Update(pi)
+	st := t.claim(pos, &o.key, o.hash)
+	st.RegisteredAt = o.At
+	st.update(o)
 	return st, true
 }
 

@@ -323,6 +323,28 @@ func TestFromINTNormalization(t *testing.T) {
 	}
 }
 
+// TestPackINTIsFromINTPacked holds the packed path to the unpacked
+// one: PackINT is FromINT then Pack, field for field, over IPv4, IPv6
+// and empty hop stacks; the carried hash is the key's, and the key and
+// its rendering survive the packing.
+func TestPackINTIsFromINTPacked(t *testing.T) {
+	v6 := netip.MustParseAddr("2001:db8::7")
+	for _, r := range []*telemetry.Report{
+		{Src: clientA, Dst: server, SrcPort: 5, DstPort: 80, Proto: netsim.TCP, Flags: netsim.FlagSYN, Length: 123,
+			Hops:  []telemetry.HopMetadata{{QueueDepth: 3, IngressTS: 100, EgressTS: 400}, {QueueDepth: 9, IngressTS: 600, EgressTS: 1100}},
+			Truth: telemetry.Truth{Label: true, AttackType: "synscan"}},
+		{Src: v6, Dst: netip.AddrFrom16(clientA.As16()), SrcPort: 53, DstPort: 9, Proto: netsim.UDP, Length: 60},
+	} {
+		o, want := PackINT(r, 7777), FromINT(r, 7777)
+		if packed := want.Pack(); o != packed {
+			t.Errorf("PackINT(%+v) = %+v, want %+v", r, o, packed)
+		}
+		if k := o.Key(); k != want.Key || o.Hash() != k.Hash() || o.Shard(7) != k.Shard(7) || o.String() != k.String() {
+			t.Errorf("packed key %v (hash %x), want %v (hash %x)", k, o.Hash(), want.Key, want.Key.Hash())
+		}
+	}
+}
+
 func TestFromSFlowNormalization(t *testing.T) {
 	s := &sflow.FlowSample{
 		Src: clientA, Dst: server, SrcPort: 5, DstPort: 80, Proto: netsim.UDP,

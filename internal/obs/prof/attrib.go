@@ -106,7 +106,7 @@ func PipelineStages() []StageRule {
 		// a direct Ingest's frames, so its rule precedes theirs.
 		{"core.(*Live).burst", "core.shard"},
 		// A producer blocked on a full shard queue: backpressure.
-		{"core.(*Live).IngestAsync", "core.ingest_demux"},
+		{"core.(*Live).enqueue", "core.ingest_demux"},
 		// The shard loop outside a pass is parked on its queue or its
 		// restart backoff: waiting for work.
 		{"core.(*Live).runShard", StageIdle},

@@ -110,7 +110,7 @@ func TestPipelineStagesScoringBuckets(t *testing.T) {
 	}{
 		{[]string{"runtime.selectgo", core + "(*Live).runShard", core + "(*Live).Start.gowrap1"}, StageIdle},
 		{[]string{"runtime.selectgo", core + "(*Live).sleepQuit", core + "(*Live).runShard"}, StageIdle},
-		{[]string{"runtime.selectgo", core + "(*Live).IngestAsync", core + "(*Live).HandleReport"}, "core.ingest_demux"},
+		{[]string{"runtime.selectgo", core + "(*Live).enqueue", core + "(*Live).HandleReport"}, "core.ingest_demux"},
 		{[]string{"runtime.chanrecv1", "main.consume"}, "chan.recv"},
 	} {
 		if got := attribute(c.stack, PipelineStages()); got != c.want {

@@ -117,26 +117,44 @@ func (r *Report) Encode(inst Instruction) []byte {
 	return buf
 }
 
-// inlineHops is the hop-stack depth DecodeReport makes room for inside
-// the report's own allocation (the testbed's paths are one to three
-// switches).
+// inlineHops is the hop-stack depth a decoded report makes room for
+// inside its own value (the testbed's paths are one to three switches).
 const inlineHops = 4
 
-// DecodeReport parses a wire-form report produced by Encode.
-func DecodeReport(buf []byte) (*Report, error) {
+// decoded is a report with room for the usual hop stack beside it, so
+// the report and its hops are one value.
+type decoded struct {
+	Report
+	hops [inlineHops]HopMetadata
+}
+
+// DecodeReport parses a wire-form report produced by Encode, returning
+// nil with every error. It is small enough to inline, so the report
+// lives in its caller's frame: a caller that hands it to a consumer
+// retaining nothing of it (Live.HandleReport) allocates nothing; one
+// that keeps it allocates the report, with its hop room, once. A stack
+// deeper than inlineHops gets an allocation of its own. The inlining
+// rests on the compiler's cost model: on go1.24.0 this body costs 80
+// of a budget of 80, so anything added here, or another toolchain,
+// may put the report back on the heap (TestDecodeReportAllocs pins it).
+func DecodeReport(buf []byte) (r *Report, err error) {
+	var d decoded
+	if d.Hops, err = d.decode(buf); err == nil {
+		r = &d.Report
+	}
+	return r, err
+}
+
+// decode parses buf into d's report and returns its hop stack, which
+// the caller links as d.Hops: backed by d.hops when it fits.
+func (d *decoded) decode(buf []byte) ([]HopMetadata, error) {
 	if len(buf) < 31 {
 		return nil, ErrShortBuffer
 	}
 	if binary.BigEndian.Uint32(buf[:4]) != reportMagic {
 		return nil, fmt.Errorf("telemetry: bad report magic %#x", binary.BigEndian.Uint32(buf[:4]))
 	}
-	// The report and room for the usual hop stack are one allocation;
-	// a deeper stack gets its own.
-	alloc := &struct {
-		Report
-		hops [inlineHops]HopMetadata
-	}{}
-	r := &alloc.Report
+	r := &d.Report
 	r.Seq = binary.BigEndian.Uint64(buf[4:12])
 	r.Src = netip.AddrFrom4([4]byte(buf[12:16]))
 	r.Dst = netip.AddrFrom4([4]byte(buf[16:20]))
@@ -148,9 +166,9 @@ func DecodeReport(buf []byte) (*Report, error) {
 	hopCount := int(buf[28])
 	inst := Instruction(binary.BigEndian.Uint16(buf[29:31]))
 	rest := buf[31:]
-	r.Hops = alloc.hops[:0]
+	hops := d.hops[:0]
 	if hopCount > inlineHops {
-		r.Hops = make([]HopMetadata, 0, hopCount)
+		hops = make([]HopMetadata, 0, hopCount)
 	}
 	for i := 0; i < hopCount; i++ {
 		var (
@@ -161,7 +179,7 @@ func DecodeReport(buf []byte) (*Report, error) {
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: hop %d: %w", i, err)
 		}
-		r.Hops = append(r.Hops, h)
+		hops = append(hops, h)
 	}
-	return r, nil
+	return hops, nil
 }

@@ -95,20 +95,41 @@ func TestReportTruthNotSerialized(t *testing.T) {
 	}
 }
 
-// TestDecodeReportAllocs pins the decode at one allocation for the
-// usual hop stacks — the report carries room for them — and two beyond.
+// TestDecodeReportAllocs pins the decode's allocations. A caller that
+// keeps the report allocates it, with room for the usual hop stack
+// inside, once, and a deeper stack once more. A caller that keeps
+// nothing of it keeps it in its own frame — DecodeReport inlines — and
+// allocates only a stack too deep for that room. That zero holds only
+// while the compiler inlines DecodeReport, which depends on its cost
+// model: on go1.24.0 the wrapper costs 80 of a budget of 80, with or
+// without coverage counters. A coverage run skips the zero, so a
+// toolchain whose counters tip the wrapper over the budget does not
+// report it as a regression; the kept-report cases hold regardless.
 func TestDecodeReportAllocs(t *testing.T) {
+	inlined := testing.CoverMode() == ""
 	r := sampleReport()
-	for hops, want := range map[int]float64{0: 1, 2: 1, inlineHops: 1, inlineHops + 1: 2} {
+	for hops, want := range map[int][2]float64{0: {0, 1}, 2: {0, 1}, inlineHops: {0, 1}, inlineHops + 1: {1, 2}} {
 		r.Hops = make([]HopMetadata, hops)
 		for i := range r.Hops {
 			r.Hops[i] = HopMetadata{SwitchID: uint32(i + 1), QueueDepth: 7, IngressTS: 10, EgressTS: 30}
 		}
 		buf := r.Encode(InstAll)
+		var last HopMetadata
+		allocs := testing.AllocsPerRun(200, func() {
+			if got, err := DecodeReport(buf); err == nil {
+				last, _ = got.LastHop()
+			}
+		})
+		if inlined && allocs != want[0] {
+			t.Errorf("%d hops, report not kept: DecodeReport allocates %.0f objects, want %.0f", hops, allocs, want[0])
+		}
+		if hops > 0 && last != r.Hops[hops-1] {
+			t.Errorf("%d hops, report not kept: last hop %+v", hops, last)
+		}
 		var got *Report
-		allocs := testing.AllocsPerRun(200, func() { got, _ = DecodeReport(buf) })
-		if allocs != want {
-			t.Errorf("%d hops: DecodeReport allocates %.0f objects, want %.0f", hops, allocs, want)
+		allocs = testing.AllocsPerRun(200, func() { got, _ = DecodeReport(buf) })
+		if allocs != want[1] {
+			t.Errorf("%d hops, report kept: DecodeReport allocates %.0f objects, want %.0f", hops, allocs, want[1])
 		}
 		if len(got.Hops) != hops || (hops > 0 && got.Hops[hops-1] != r.Hops[hops-1]) {
 			t.Errorf("%d hops: decoded stack %+v", hops, got.Hops)

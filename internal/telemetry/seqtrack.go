@@ -1,6 +1,9 @@
 package telemetry
 
-import "sync"
+import (
+	"strings"
+	"sync"
+)
 
 // SeqVerdict classifies one report against its source's sequence
 // window.
@@ -186,7 +189,9 @@ func (t *SeqTracker) Observe(src string, seq uint64) SeqResult {
 }
 
 // admit returns a fresh source slot, evicting the least-recently
-// active source when the bound is reached.
+// active source when the bound is reached. The tracker keys it by a
+// clone of src: it never keeps its caller's string (a report's Source,
+// say), so the report it came from is free to die with its caller.
 func (t *SeqTracker) admit(src string) *seqSource {
 	if len(t.sources) >= t.maxSources {
 		var coldest string
@@ -201,6 +206,6 @@ func (t *SeqTracker) admit(src string) *seqSource {
 		t.evictions++
 	}
 	s := &seqSource{bits: make([]uint64, (t.window+63)>>6)}
-	t.sources[src] = s
+	t.sources[strings.Clone(src)] = s
 	return s
 }
