@@ -52,8 +52,9 @@ test:
 # config), per scoring call with a warm label buffer (ml: every model
 # family's PredictBatchInto and the ensemble vote), per log append
 # (store), per feature vector and per flow created and evicted (flow),
-# per decoded report (telemetry) and per hop of a record no journey
-# follows (obs), plus the walks that keep the flow slot and the log
+# per decoded report (telemetry), per triage batch (the cascade's
+# forest stage), and per followed and unfollowed journey hop (obs),
+# plus the walks that keep the flow slot and the log
 # record pointer-free. An allocation creeping back fails here in
 # seconds, not in a 20-minute benchmark campaign.
 allocs:
@@ -75,18 +76,23 @@ race:
 # turning `make check` into a fuzzing campaign. A worker that finds new
 # coverage minimizes the input before it fuzzes on, for up to 60 s by
 # default: longer than the whole smoke, so one early find could leave a
-# target a few dozen counted runs, so the smoke caps it at 1 s.
+# target a few dozen counted runs, so the smoke caps it at 1 s. Each
+# target's output goes through scripts/fuzz_floor.sh, which fails the
+# target unless its last `execs:` line counted FUZZFLOOR inputs: a
+# stalled fuzzer is a red build, not a progress line.
 FUZZTIME ?= 10s
+FUZZFLOOR = 10000
 FUZZ = $(GO) test -run '^$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+FLOOR = 2>&1 | sh scripts/fuzz_floor.sh $(FUZZFLOOR)
 fuzz-smoke:
-	$(FUZZ) -fuzz '^FuzzDecodeHeader$$' ./internal/telemetry/
-	$(FUZZ) -fuzz '^FuzzDecodeHop$$' ./internal/telemetry/
-	$(FUZZ) -fuzz '^FuzzDecodeReport$$' ./internal/telemetry/
-	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/sflow/
-	$(FUZZ) -fuzz '^FuzzRead$$' ./internal/trace/
-	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/checkpoint/
-	$(FUZZ) -fuzz '^FuzzSketch$$' ./internal/ml/sketch/
-	$(FUZZ) -fuzz '^FuzzTable$$' ./internal/flow/
+	$(FUZZ) -fuzz '^FuzzDecodeHeader$$' ./internal/telemetry/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzDecodeHop$$' ./internal/telemetry/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzDecodeReport$$' ./internal/telemetry/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/sflow/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzRead$$' ./internal/trace/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzDecode$$' ./internal/checkpoint/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzSketch$$' ./internal/ml/sketch/ $(FLOOR)
+	$(FUZZ) -fuzz '^FuzzTable$$' ./internal/flow/ $(FLOOR)
 
 # chaos-smoke runs the fault-injection suite under the race detector:
 # the injector/wrapper unit tests plus every chaos scenario against

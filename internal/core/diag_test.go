@@ -9,12 +9,15 @@ import (
 )
 
 // sampleJourneys replaces the pipeline's journey sampler, between
-// NewLive and Start: one following 1-in-every records, or none at all
-// when every is negative.
+// NewLive and Start: one following 1-in-every records on each shard,
+// or none at all when every is negative.
 func sampleJourneys(l *Live, every int) {
 	l.journeys = nil
 	if every >= 0 {
-		l.journeys = obs.NewJourneys(every, 0)
+		l.journeys = obs.NewJourneys(every, 0, l.nShards)
+	}
+	for i, sh := range l.shards {
+		sh.journeys = l.journeys.Shard(i)
 	}
 	l.reg.SetFlowJourneys(l.journeys)
 }

@@ -42,6 +42,9 @@ type liveShard struct {
 	pending []store.FlowRecord
 	slab    []float64
 	scratch batchScratch // scoring buffers (predictBatch)
+	// journeys is the shard's share of the journey sampler: its
+	// sampling counter, Following mask and active records.
+	journeys *obs.JourneyShard
 	// todo[:done] of the pass in progress are finished; a panic
 	// abandons the rest.
 	todo []store.FlowRecord
@@ -291,7 +294,7 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 		ckptMu:      make([]sync.RWMutex, nShards),
 		quit:        make(chan struct{}),
 		reg:         cfg.Registry,
-		journeys:    obs.NewJourneys(obs.DefaultJourneySampleEvery, 0),
+		journeys:    obs.NewJourneys(obs.DefaultJourneySampleEvery, 0, nShards),
 
 		shedAfter:           shedAfter,
 		workerRestartBudget: workerRestartBudget,
@@ -307,9 +310,10 @@ func NewLive(cfg LiveConfig) (*Live, error) {
 	}
 	for i := range l.shards {
 		l.shards[i] = &liveShard{
-			queue:   make(chan flow.Observation, max(cfg.QueueCap/nShards, 1)),
-			backoff: cfg.WorkerRestartBackoff,
-			polled:  l.met.shardPolled.With(strconv.Itoa(i)),
+			queue:    make(chan flow.Observation, max(cfg.QueueCap/nShards, 1)),
+			journeys: l.journeys.Shard(i),
+			backoff:  cfg.WorkerRestartBackoff,
+			polled:   l.met.shardPolled.With(strconv.Itoa(i)),
 		}
 	}
 	l.tables.SetIdleTimeout(netsim.Time(cfg.FlowIdleTimeout))
@@ -498,27 +502,6 @@ func (l *Live) event(msg string, attrs ...any) {
 	l.elog.Info(msg, attrs...)
 }
 
-// Journey helpers: a row no journey follows costs one atomic load; its
-// key is hashed only when its Seq matches one in flight.
-
-func (l *Live) jHop(key flow.Key, seq int, hop string) {
-	if l.journeys.Following(seq) {
-		l.journeys.Hop(obs.JourneyID{Flow: key.Hash(), Seq: seq}, hop)
-	}
-}
-
-func (l *Live) jComplete(key flow.Key, seq int) {
-	if l.journeys.Following(seq) {
-		l.journeys.Complete(obs.JourneyID{Flow: key.Hash(), Seq: seq}, "vote")
-	}
-}
-
-func (l *Live) jAbort(key flow.Key, seq int, reason string) {
-	if l.journeys.Following(seq) {
-		l.journeys.Abort(obs.JourneyID{Flow: key.Hash(), Seq: seq}, reason)
-	}
-}
-
 // sleepQuit sleeps for d — a shard's restart backoff — or until Stop
 // begins.
 func (l *Live) sleepQuit(d time.Duration) {
@@ -574,12 +557,12 @@ func (l *Live) abandon(reason string) {
 	l.met.abandoned.With(reason).Inc()
 }
 
-// abandonRecord accounts one record lost to a fault: counted, its flow
-// tainted, its sampled journey aborted.
-func (l *Live) abandonRecord(rec *store.FlowRecord, reason string) {
+// abandonRecord accounts one of sh's records lost to a fault: counted,
+// its flow tainted, its sampled journey aborted.
+func (l *Live) abandonRecord(sh *liveShard, rec *store.FlowRecord, reason string) {
 	l.abandon(reason)
 	l.taintKey(rec.Key)
-	l.jAbort(rec.Key, rec.Updates, reason)
+	sh.journeys.Abort(&rec.Key, rec.Updates, reason)
 }
 
 // taintKey marks a flow as fault-touched when an injector is wired.

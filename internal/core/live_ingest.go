@@ -29,7 +29,7 @@ func (l *Live) HandleReport(r *telemetry.Report) {
 	// with no source identity skip dedup — sequence numbers are only
 	// meaningful per exporter.
 	if l.dedup != nil {
-		if src := r.SourceKey(); src != "" {
+		if src := r.SourceKey(); src != (telemetry.SourceKey{}) {
 			res := l.dedup.Observe(src, r.Seq)
 			if res.Gaps > 0 {
 				l.SeqGaps.Add(int64(res.Gaps))
@@ -134,14 +134,13 @@ func (l *Live) fold(sh *liveShard, o *flow.Observation) {
 	l.tables.ObservePacked(o, func(st *flow.State) {
 		rec, sh.slab = snapshot(o.Key(), o.Label, l.attacks.name(o.AttackType), st, sh.slab)
 	})
-	if l.journeys.ShouldSample() {
+	if sh.journeys.ShouldSample() {
 		// The ingest hop is the report's accept stamp, so the poll − ingest
 		// gap is the journal_wait stage the histogram times.
-		l.journeys.Begin(obs.JourneyID{Flow: o.Hash(), Seq: rec.Updates}, o.String(), "ingest",
-			time.Unix(0, int64(o.At)))
+		sh.journeys.Begin(&rec.Key, rec.Updates, time.Unix(0, int64(o.At)))
 	}
 	sh.pending = append(sh.pending, rec)
-	l.jHop(rec.Key, rec.Updates, "journal")
+	sh.journeys.Hop(&rec.Key, rec.Updates, obs.HopJournal)
 	l.Snapshots.Add(1)
 	l.met.stageIngest.Since(start)
 }

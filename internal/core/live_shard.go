@@ -8,6 +8,7 @@ import (
 	"github.com/amlight/intddos/internal/fault"
 	"github.com/amlight/intddos/internal/flow"
 	"github.com/amlight/intddos/internal/netsim"
+	"github.com/amlight/intddos/internal/obs"
 	"github.com/amlight/intddos/internal/store"
 )
 
@@ -80,7 +81,7 @@ func (l *Live) burst(shard int, first *flow.Observation, queued bool) (pause tim
 		// voting/logging path.
 		if r := recover(); r != nil {
 			for i := sh.done; i < len(sh.todo); i++ {
-				l.abandonRecord(&sh.todo[i], "panic")
+				l.abandonRecord(sh, &sh.todo[i], "panic")
 			}
 			pause = l.restart(sh, shard)
 		}
@@ -134,12 +135,12 @@ func (l *Live) decide(sh *liveShard, carried, late int) {
 		rec := &rows[i]
 		// Journal wait: accepted → taken.
 		l.met.stageJournal.ObserveDuration(taken.Sub(time.Unix(0, int64(rec.UpdatedAt))))
-		l.jHop(rec.Key, rec.Updates, "poll")
+		sh.journeys.Hop(&rec.Key, rec.Updates, obs.HopPoll)
 		switch {
 		case i >= carried && i < carried+late:
-			l.shed(rec)
+			l.shed(sh, rec)
 		case len(rec.Features) != want:
-			l.abandonRecord(rec, "malformed")
+			l.abandonRecord(sh, rec, "malformed")
 		default:
 			todo = append(todo, *rec)
 		}
@@ -150,12 +151,12 @@ func (l *Live) decide(sh *liveShard, carried, late int) {
 		switch {
 		case sh.down:
 			for i := range rest {
-				l.abandonRecord(&rest[i], "worker_down")
+				l.abandonRecord(sh, &rest[i], "worker_down")
 			}
 		case !l.drainOnStop && l.quitting():
 			for i := range rest {
 				l.abandon("stop")
-				l.jAbort(rest[i].Key, rest[i].Updates, "stop")
+				sh.journeys.Abort(&rest[i].Key, rest[i].Updates, "stop")
 			}
 		default:
 			if l.cfg.Fault.WorkerPanicNow() {
@@ -178,12 +179,12 @@ func (l *Live) quitting() bool {
 	}
 }
 
-// shed drops one row its shard took past the shed bound:
-// counted, its flow tainted, its sampled journey aborted.
-func (l *Live) shed(rec *store.FlowRecord) {
+// shed drops one row sh took past the shed bound: counted, its flow
+// tainted, its sampled journey aborted.
+func (l *Live) shed(sh *liveShard, rec *store.FlowRecord) {
 	l.Shed.Add(1)
 	l.taintKey(rec.Key)
-	l.jAbort(rec.Key, rec.Updates, "shed")
+	sh.journeys.Abort(&rec.Key, rec.Updates, "shed")
 	l.noteShedding("queue wait past the shed bound")
 }
 
@@ -223,7 +224,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.
 	for i := range batch {
 		rec := &batch[i]
 		l.met.stageQueue.ObserveDuration(dequeued.Sub(taken))
-		l.jHop(rec.Key, rec.Updates, "batch")
+		sh.journeys.Hop(&rec.Key, rec.Updates, obs.HopBatch)
 		s.rows = append(s.rows, rec.Features)
 		s.keys = append(s.keys, rec.Key)
 	}
@@ -245,7 +246,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.
 	for i, v := range verdicts {
 		rec := &batch[i]
 		l.met.stagePredict.Observe(perSample.Seconds())
-		l.jHop(rec.Key, rec.Updates, "predict")
+		sh.journeys.Hop(&rec.Key, rec.Updates, obs.HopPredict)
 		switch {
 		case v.stage == 1:
 			l.met.triageExitStage1.Inc()
@@ -262,7 +263,7 @@ func (l *Live) predictBatch(sh *liveShard, batch []store.FlowRecord, taken time.
 		} else {
 			// Every ensemble member is out: no best-effort answer exists
 			// for a row the cascade did not exit.
-			l.abandonRecord(rec, "no_model")
+			l.abandonRecord(sh, rec, "no_model")
 		}
 		sh.done++
 	}
@@ -282,7 +283,7 @@ func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
 	// The one record the decision leaves behind: Decisions and every
 	// checkpoint read it back from the store's log.
 	if !l.logPrediction(sh, &p) {
-		l.abandonRecord(rec, "store_dropped")
+		l.abandonRecord(sh, rec, "store_dropped")
 		return
 	}
 	d := decisionOf(p)
@@ -298,7 +299,7 @@ func (l *Live) finish(sh *liveShard, rec *store.FlowRecord, v verdict) {
 	if cb := l.OnDecision; cb != nil {
 		cb(d)
 	}
-	l.jComplete(rec.Key, rec.Updates)
+	sh.journeys.Complete(&rec.Key, rec.Updates)
 	l.Predictions.Add(1)
 }
 

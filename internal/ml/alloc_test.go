@@ -65,3 +65,24 @@ func TestPredictBatchIntoAllocs(t *testing.T) {
 		t.Errorf("EnsembleVotesInto on a warm scratch: %v allocations a call, want 0", got)
 	}
 }
+
+// TestTriageBatchAllocs pins the triage cascade at no allocation a
+// batch once its scratch is warm: a forest stage, on either of its
+// paths, writes its probabilities into the scratch.
+func TestTriageBatchAllocs(t *testing.T) {
+	X, y := synth(3, 400, 9)
+	small := forest.New(forest.Default(3))
+	if err := small.Fit(X[:300], y[:300]); err != nil {
+		t.Fatal(err)
+	}
+	batch := X[300:332]
+	suspicious := make([]bool, len(batch))
+	for name, f := range map[string]*forest.Forest{"row-outer": small, "tree-outer": treeOuterForest(t, 3)} {
+		c := &ml.Cascade{Stages: []ml.CascadeStage{{Name: "RF", Model: f, Threshold: 0.5}}}
+		var s ml.CascadeScratch
+		c.TriageBatch(batch, suspicious, &s)
+		if got := testing.AllocsPerRun(100, func() { c.TriageBatch(batch, suspicious, &s) }); got != 0 {
+			t.Errorf("forest/%s stage: %v allocations a batch, want 0", name, got)
+		}
+	}
+}

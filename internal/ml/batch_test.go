@@ -130,7 +130,8 @@ func TestPredictProbaBatchMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{3, 42} {
 		X, y := synth(seed, 400, 9)
 		train, test := X[:300], X[300:]
-		for _, m := range batchModels(t, seed, train, y[:300]) {
+		models := append(batchModels(t, seed, train, y[:300]), treeOuterForest(t, seed))
+		for _, m := range models {
 			bp, ok := m.(ml.BatchProbaClassifier)
 			if !ok {
 				continue // KNN has no probability surface

@@ -39,6 +39,15 @@ type CascadeScratch struct {
 	label []int
 	idx   []int
 	sub   [][]float64
+	proba []float64 // a stage's probabilities, for models that write into it
+}
+
+// probaBatchIntoClassifier is the optional shape of a stage model that
+// writes its probabilities into a caller's buffer, as BatchClassifier
+// does labels; a stage model without it pays PredictProbaBatch's fresh
+// slice a call.
+type probaBatchIntoClassifier interface {
+	PredictProbaBatchInto(dst []float64, X [][]float64) []float64
 }
 
 func growInts(s []int, n int) []int {
@@ -93,7 +102,13 @@ func (c *Cascade) TriageBatch(X [][]float64, suspicious []bool, s *CascadeScratc
 		for j, i := range remaining {
 			sub[j] = X[i]
 		}
-		probs := st.Model.PredictProbaBatch(sub)
+		var probs []float64
+		if m, ok := st.Model.(probaBatchIntoClassifier); ok {
+			s.proba = m.PredictProbaBatchInto(s.proba, sub)
+			probs = s.proba
+		} else {
+			probs = st.Model.PredictProbaBatch(sub)
+		}
 		next := remaining[:0]
 		for j, i := range remaining {
 			p := probs[j]

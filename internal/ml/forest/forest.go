@@ -158,13 +158,13 @@ func (f *Forest) arenaNodes() int {
 // treeOuterVotes accumulates per-row attack votes into votes
 // (len(X) long, zeroed here) with tree-outer iteration: each tree's
 // arena is walked across the whole batch while it is cache-resident.
-// Vote totals are integer sums and therefore identical to per-sample
-// traversal in either order.
-func (f *Forest) treeOuterVotes(votes []int, X [][]float64) {
+// Vote totals are integer sums — exact in a float64 too — and
+// therefore identical to per-sample traversal in either order.
+func treeOuterVotes[T int | float64](f *Forest, votes []T, X [][]float64) {
 	clear(votes)
 	for _, t := range f.trees {
 		for i, x := range X {
-			votes[i] += t.predict(x)
+			votes[i] += T(t.predict(x))
 		}
 	}
 }
@@ -180,7 +180,7 @@ func (f *Forest) PredictBatchInto(dst []int, X [][]float64) []int {
 	}
 	dst = dst[:len(X)]
 	if f.arenaNodes() >= treeOuterMinNodes {
-		f.treeOuterVotes(dst, X)
+		treeOuterVotes(f, dst, X)
 		for i, v := range dst {
 			dst[i] = b2i(2*v > len(f.trees))
 		}
@@ -206,24 +206,34 @@ func b2i(b bool) int {
 // PredictProbaBatch returns the attack-vote fraction per row,
 // row-for-row identical to Proba.
 func (f *Forest) PredictProbaBatch(X [][]float64) []float64 {
-	out := make([]float64, len(X))
+	return f.PredictProbaBatchInto(nil, X)
+}
+
+// PredictProbaBatchInto is PredictProbaBatch into dst[:len(X)], grown
+// only when it is too short: the cascade's triage stage scores through
+// it into a buffer it keeps batch to batch. Large forests vote
+// tree-outer, accumulating in dst itself.
+func (f *Forest) PredictProbaBatchInto(dst []float64, X [][]float64) []float64 {
+	if cap(dst) < len(X) {
+		dst = make([]float64, len(X))
+	}
+	dst = dst[:len(X)]
 	n := float64(len(f.trees))
 	if f.arenaNodes() >= treeOuterMinNodes {
-		votes := make([]int, len(X))
-		f.treeOuterVotes(votes, X)
-		for i, v := range votes {
-			out[i] = float64(v) / n
+		treeOuterVotes(f, dst, X)
+		for i, v := range dst {
+			dst[i] = v / n
 		}
-		return out
+		return dst
 	}
 	for i, x := range X {
 		v := 0
 		for _, t := range f.trees {
 			v += t.predict(x)
 		}
-		out[i] = float64(v) / n
+		dst[i] = float64(v) / n
 	}
-	return out
+	return dst
 }
 
 // Importances returns normalized Gini feature importances averaged

@@ -9,10 +9,14 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/amlight/intddos/internal/flow"
+	"github.com/amlight/intddos/internal/netsim"
 )
 
 func TestEventLogRingAndRendering(t *testing.T) {
@@ -91,40 +95,43 @@ func TestEventLogJSONL(t *testing.T) {
 	}
 }
 
-// jid identifies a test record the way core does a real one: a hash of
-// the flow, and the sequence.
-func jid(flow string, seq int) JourneyID {
-	h := fnv.New64a()
-	h.Write([]byte(flow))
-	return JourneyID{Flow: h.Sum64(), Seq: seq}
+// jkey is a test flow's key: one five-tuple per name.
+func jkey(name string) flow.Key {
+	h := fnv.New32a()
+	h.Write([]byte(name))
+	port := uint16(h.Sum32())
+	return flow.Key{Src: netip.MustParseAddr("10.0.0.1"), Dst: netip.MustParseAddr("10.0.0.2"),
+		SrcPort: port, DstPort: 80, Proto: netsim.TCP}
 }
 
 func TestJourneysLifecycle(t *testing.T) {
-	js := NewJourneys(1, 8)
-	if !js.ShouldSample() {
+	js := NewJourneys(1, 8, 1)
+	s := js.Shard(0)
+	if !s.ShouldSample() {
 		t.Fatal("sampleEvery=1 must sample everything")
 	}
-	js.Begin(jid("flowA", 1), "flowA", "ingest", time.Now())
+	fa, fb := jkey("flowA"), jkey("flowB")
+	s.Begin(&fa, 1, time.Now())
 	if js.Active() != 1 {
 		t.Fatalf("active = %d, want 1", js.Active())
 	}
-	js.Hop(jid("flowA", 1), "journal")
-	js.Hop(jid("flowA", 1), "poll")
-	js.Hop(jid("flowB", 9), "poll") // unfollowed: no-op
-	js.Complete(jid("flowA", 1), "vote")
+	s.Hop(&fa, 1, HopJournal)
+	s.Hop(&fa, 1, HopPoll)
+	s.Hop(&fb, 9, HopPoll) // unfollowed: no-op
+	s.Complete(&fa, 1)
 	if js.Active() != 0 {
 		t.Fatalf("active after complete = %d, want 0", js.Active())
 	}
 
-	js.Begin(jid("flowB", 2), "flowB", "ingest", time.Now())
-	js.Abort(jid("flowB", 2), "shed")
+	s.Begin(&fb, 2, time.Now())
+	s.Abort(&fb, 2, "shed")
 
 	recent := js.Recent()
 	if len(recent) != 2 {
 		t.Fatalf("finished = %d, want 2", len(recent))
 	}
 	a, b := recent[0], recent[1]
-	if a.Flow != "flowA" || !a.Done || a.Aborted != "" {
+	if a.Flow != fa.String() || !a.Done || a.Aborted != "" {
 		t.Errorf("journey A = %+v", a)
 	}
 	for _, hop := range []string{"ingest", "journal", "poll", "vote"} {
@@ -149,33 +156,41 @@ func TestJourneysLifecycle(t *testing.T) {
 
 	var buf bytes.Buffer
 	js.WriteText(&buf)
-	if !strings.Contains(buf.String(), "flowA") || !strings.Contains(buf.String(), "aborted=shed") {
+	if !strings.Contains(buf.String(), fa.String()) || !strings.Contains(buf.String(), "aborted=shed") {
 		t.Errorf("WriteText = %q", buf.String())
 	}
 }
 
 // TestJourneysUnfollowedAllocs: while a journey is in flight, a record
-// no journey follows costs its call sites one atomic load — Following
-// is false for every Seq but those sharing the followed one's low six
+// no journey follows costs its call sites one load — Following is
+// false for every Seq but those sharing the followed one's low six
 // bits — and never an allocation, whichever way the mask falls.
 func TestJourneysUnfollowedAllocs(t *testing.T) {
-	js := NewJourneys(1, 8)
-	js.Begin(jid("followed", 70), "followed", "ingest", time.Now())
+	js := NewJourneys(1, 8, 1)
+	s := js.Shard(0)
+	followed, neighbour := jkey("followed"), jkey("neighbour")
+	s.Begin(&followed, 70, time.Now())
 	for seq := 0; seq < 256; seq++ {
-		if got, want := js.Following(seq), seq&63 == 70&63; got != want {
+		if got, want := s.Following(seq), seq&63 == 70&63; got != want {
 			t.Fatalf("Following(%d) = %t with Seq 70 in flight", seq, got)
 		}
 	}
-	neighbour := jid("neighbour", 70+64) // passes the mask, misses the map
+	// The neighbour passes the mask and misses the table, at its own
+	// key with the followed Seq and at the followed key with a Seq that
+	// shares its low bits.
 	if got := testing.AllocsPerRun(1000, func() {
-		js.Hop(neighbour, "poll")
-		js.Abort(neighbour, "shed")
-		js.Complete(neighbour, "vote")
+		for _, seq := range [...]int{70, 70 + 64} {
+			s.Hop(&neighbour, seq, HopPoll)
+			s.Abort(&neighbour, seq, "shed")
+			s.Complete(&neighbour, seq)
+		}
+		s.Hop(&followed, 70+64, HopPoll)
+		s.Abort(&followed, 70+64, "shed")
 	}); got != 0 {
 		t.Errorf("hops of an unfollowed record allocate %.0f objects, want 0", got)
 	}
-	js.Complete(jid("followed", 70), "vote")
-	if js.Following(70) || js.Active() != 0 {
+	s.Complete(&followed, 70)
+	if s.Following(70) || js.Active() != 0 {
 		t.Error("mask still set after the last journey finished")
 	}
 	if c, a, _ := js.Stats(); c != 1 || a != 0 {
@@ -183,11 +198,64 @@ func TestJourneysUnfollowedAllocs(t *testing.T) {
 	}
 }
 
+// TestJourneysFollowedAllocs: following a record allocates nothing —
+// its begin, every hop, its completion or abort, and the eviction a
+// begin on a full table makes — because every record, active and
+// finished, was allocated by NewJourneys.
+func TestJourneysFollowedAllocs(t *testing.T) {
+	js := NewJourneys(1, 2, 1) // 8 active records a shard, 2 finished
+	s := js.Shard(0)
+	k := jkey("followed")
+	seq := 0
+	follow := func(abort bool) {
+		seq++
+		if !s.ShouldSample() {
+			panic("sampleEvery=1 skipped a row")
+		}
+		s.Begin(&k, seq, time.Now())
+		for _, h := range [...]Hop{HopJournal, HopPoll, HopBatch, HopPredict} {
+			s.Hop(&k, seq, h)
+		}
+		if abort {
+			s.Abort(&k, seq, "shed")
+		} else {
+			s.Complete(&k, seq)
+		}
+	}
+	if got := testing.AllocsPerRun(1000, func() { follow(false) }); got != 0 {
+		t.Errorf("a completed journey allocates %.1f objects, want 0", got)
+	}
+	if got := testing.AllocsPerRun(1000, func() { follow(true) }); got != 0 {
+		t.Errorf("an aborted journey allocates %.1f objects, want 0", got)
+	}
+	// Fill the table, then every begin evicts the oldest journey.
+	for js.Active() < int64(len(s.active)) {
+		seq++
+		s.Begin(&k, seq, time.Now())
+	}
+	_, _, before := js.Stats()
+	if got := testing.AllocsPerRun(1000, func() {
+		seq++
+		s.Begin(&k, seq, time.Now())
+	}); got != 0 {
+		t.Errorf("a begin that evicts allocates %.1f objects, want 0", got)
+	}
+	if _, _, evicted := js.Stats(); evicted-before != 1001 || js.Active() != int64(len(s.active)) {
+		t.Errorf("evicted %d with %d active, want 1001 evictions at a full table of %d",
+			evicted-before, js.Active(), len(s.active))
+	}
+	completed, aborted, _ := js.Stats()
+	if completed != 1001 || aborted != 1001 {
+		t.Errorf("stats = %d completed, %d aborted, want 1001 each", completed, aborted)
+	}
+}
+
 func TestJourneysSamplingRate(t *testing.T) {
-	js := NewJourneys(4, 8)
+	js := NewJourneys(4, 8, 1)
+	s := js.Shard(0)
 	sampled := 0
 	for i := 0; i < 400; i++ {
-		if js.ShouldSample() {
+		if s.ShouldSample() {
 			sampled++
 		}
 	}
@@ -197,9 +265,11 @@ func TestJourneysSamplingRate(t *testing.T) {
 }
 
 func TestJourneysEvictsWhenFull(t *testing.T) {
-	js := NewJourneys(1, 1) // maxActive = 4
+	js := NewJourneys(1, 1, 1) // maxActive = 4
+	s := js.Shard(0)
+	k := jkey("flow")
 	for i := 0; i < 6; i++ {
-		js.Begin(jid("flow", i), "flow", "ingest", time.Now())
+		s.Begin(&k, i, time.Now())
 	}
 	if js.Active() != 4 {
 		t.Errorf("active = %d, want capped at 4", js.Active())
@@ -212,13 +282,15 @@ func TestJourneysEvictsWhenFull(t *testing.T) {
 
 func TestJourneysNilSafe(t *testing.T) {
 	var js *Journeys
-	if js.ShouldSample() || js.Active() != 0 || js.SampleEvery() != 0 {
+	s := js.Shard(0)
+	if s.ShouldSample() || js.Active() != 0 || js.SampleEvery() != 0 {
 		t.Error("nil sampler should be inert")
 	}
-	js.Begin(jid("f", 1), "f", "ingest", time.Now())
-	js.Hop(jid("f", 1), "poll")
-	js.Complete(jid("f", 1), "vote")
-	js.Abort(jid("f", 1), "shed")
+	k := jkey("f")
+	s.Begin(&k, 1, time.Now())
+	s.Hop(&k, 1, HopPoll)
+	s.Complete(&k, 1)
+	s.Abort(&k, 1, "shed")
 	js.WriteText(io.Discard)
 	if js.Recent() != nil {
 		t.Error("nil Recent should be nil")
@@ -226,21 +298,22 @@ func TestJourneysNilSafe(t *testing.T) {
 }
 
 func TestJourneysConcurrent(t *testing.T) {
-	js := NewJourneys(1, 16)
+	js := NewJourneys(1, 16, 4)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		g := g
+		s := js.Shard(g)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			k := jkey("f")
 			for i := 0; i < 200; i++ {
 				seq := g*1000 + i
-				js.Begin(jid("f", seq), "f", "ingest", time.Now())
-				js.Hop(jid("f", seq), "poll")
+				s.Begin(&k, seq, time.Now())
+				s.Hop(&k, seq, HopPoll)
 				if i%2 == 0 {
-					js.Complete(jid("f", seq), "vote")
+					s.Complete(&k, seq)
 				} else {
-					js.Abort(jid("f", seq), "shed")
+					s.Abort(&k, seq, "shed")
 				}
 			}
 		}()
@@ -250,6 +323,72 @@ func TestJourneysConcurrent(t *testing.T) {
 	if completed+aborted+evicted+uint64(js.Active()) != 800 {
 		t.Errorf("accounting leak: completed=%d aborted=%d evicted=%d active=%d",
 			completed, aborted, evicted, js.Active())
+	}
+}
+
+// TestJourneysReadWhileFinishing runs readers — Recent, Stats,
+// Active, WriteText — against shards that begin, stamp and finish
+// journeys, for the race detector: what a reader sees is always whole
+// finished journeys, oldest first.
+func TestJourneysReadWhileFinishing(t *testing.T) {
+	const shards, rows = 4, 2000
+	js := NewJourneys(1, 8, shards)
+	var writers sync.WaitGroup
+	for g := 0; g < shards; g++ {
+		s := js.Shard(g)
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			k := jkey("f")
+			for seq := 0; seq < rows; seq++ {
+				if !s.ShouldSample() {
+					continue
+				}
+				s.Begin(&k, seq, time.Now())
+				s.Hop(&k, seq, HopJournal)
+				s.Hop(&k, seq, HopPoll)
+				if seq%3 == 0 {
+					s.Abort(&k, seq, "shed")
+				} else {
+					s.Complete(&k, seq)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			recent := js.Recent()
+			if len(recent) > 8 {
+				t.Errorf("Recent returned %d journeys, keep is 8", len(recent))
+			}
+			for i, j := range recent {
+				if !j.Done || len(j.Hops) < 3 || j.Hops[0].Name != "ingest" {
+					t.Errorf("torn journey: %s", j)
+				}
+				if prev := recent[max(i-1, 0)]; i > 0 && j.ID%shards == prev.ID%shards && j.ID < prev.ID {
+					t.Errorf("a shard's journeys out of order: %s before %s", recent[i-1], j)
+				}
+			}
+			js.Stats()
+			js.Active()
+			js.WriteText(io.Discard)
+		}
+	}()
+	writers.Wait()
+	close(done)
+	<-read
+	completed, aborted, evicted := js.Stats()
+	if completed+aborted != shards*rows || evicted != 0 || js.Active() != 0 {
+		t.Errorf("completed=%d aborted=%d evicted=%d active=%d, want %d finished and none left",
+			completed, aborted, evicted, js.Active(), shards*rows)
 	}
 }
 
@@ -306,9 +445,10 @@ func TestWriteBundleRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("intddos_reports_total").Add(7)
 	reg.Events().Logger().Info("pipeline started", "shards", 2)
-	js := NewJourneys(1, 4)
-	js.Begin(jid("f", 1), "f", "ingest", time.Now())
-	js.Complete(jid("f", 1), "vote")
+	js := NewJourneys(1, 4, 1)
+	k := jkey("f")
+	js.Shard(0).Begin(&k, 1, time.Now())
+	js.Shard(0).Complete(&k, 1)
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "attrib report top=" + string(rune('0'+topN%10)) })
 	reg.AddBundleFile("profiles/mutex.pb.gz", func() ([]byte, error) { return []byte{1, 2, 3}, nil })
@@ -354,9 +494,10 @@ func keys(m map[string][]byte) []string {
 func TestDiagnosticEndpoints(t *testing.T) {
 	reg := NewRegistry()
 	reg.Events().Logger().Info("worker restarted", "worker", "1")
-	js := NewJourneys(1, 4)
-	js.Begin(jid("f", 1), "f", "ingest", time.Now())
-	js.Complete(jid("f", 1), "vote")
+	js := NewJourneys(1, 4, 1)
+	k := jkey("f")
+	js.Shard(0).Begin(&k, 1, time.Now())
+	js.Shard(0).Complete(&k, 1)
 	reg.SetFlowJourneys(js)
 	reg.SetAttribution(func(topN int) string { return "== blocked time by pipeline stage ==" })
 

@@ -1,8 +1,9 @@
-// Package obs is the repository's dependency-free observability
-// layer: a metrics registry (counters, gauges, fixed-bucket latency
-// histograms, one-label vectors), a flow-journey sampler that follows
-// one record hop by hop through the pipeline, a Prometheus-text/pprof
-// HTTP handler, and a Snapshot API for end-of-run summaries.
+// Package obs is the repository's observability layer: a metrics
+// registry (counters, gauges, fixed-bucket latency histograms,
+// one-label vectors), a flow-journey sampler that follows one record
+// hop by hop through the pipeline, a Prometheus-text/pprof HTTP
+// handler, and a Snapshot API for end-of-run summaries. Of the
+// pipeline it imports only flow, for the key a journey record keeps.
 //
 // The paper reports its real-time behaviour post hoc (Table VI:
 // average/max prediction time, per-attack misclassification counts);

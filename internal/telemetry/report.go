@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net/netip"
-	"strconv"
 
 	"github.com/amlight/intddos/internal/netsim"
 )
@@ -62,15 +61,24 @@ func (r *Report) LastHop() (HopMetadata, bool) {
 	return r.Hops[len(r.Hops)-1], true
 }
 
-// SourceKey returns the identity sequence tracking is keyed by: the
-// sink switch that assigned the sequence number when the metadata
-// stack names one (robust even when several exporters share a relay
-// address), the transport source otherwise.
-func (r *Report) SourceKey() string {
+// SourceKey identifies the exporter whose sequence numbers a report
+// carries: the sink switch that assigned them when the metadata stack
+// names one (robust even when several exporters share a relay
+// address), the transport source otherwise. It is comparable, so
+// keying a SeqTracker by it builds nothing per report. The zero
+// SourceKey is a report with neither.
+type SourceKey struct {
+	Switch    uint32 // the sink switch's ID, when BySwitch
+	BySwitch  bool
+	Transport string // the transport source, when !BySwitch
+}
+
+// SourceKey returns the identity sequence tracking is keyed by.
+func (r *Report) SourceKey() SourceKey {
 	if h, ok := r.LastHop(); ok {
-		return "sw" + strconv.FormatUint(uint64(h.SwitchID), 10)
+		return SourceKey{Switch: h.SwitchID, BySwitch: true}
 	}
-	return r.Source
+	return SourceKey{Transport: r.Source}
 }
 
 // PathLatency sums wrap-aware per-hop residence times across the

@@ -71,7 +71,7 @@ type SeqTracker struct {
 	maxSources int
 	resetJump  uint64
 	clock      uint64
-	sources    map[string]*seqSource
+	sources    map[SourceKey]*seqSource
 
 	resets    int
 	evictions int
@@ -125,12 +125,12 @@ func NewSeqTracker(window, maxSources int) *SeqTracker {
 		window:     w,
 		maxSources: maxSources,
 		resetJump:  reset,
-		sources:    make(map[string]*seqSource),
+		sources:    make(map[SourceKey]*seqSource),
 	}
 }
 
 // Observe classifies one (source, sequence) observation.
-func (t *SeqTracker) Observe(src string, seq uint64) SeqResult {
+func (t *SeqTracker) Observe(src SourceKey, seq uint64) SeqResult {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.clock++
@@ -190,11 +190,12 @@ func (t *SeqTracker) Observe(src string, seq uint64) SeqResult {
 
 // admit returns a fresh source slot, evicting the least-recently
 // active source when the bound is reached. The tracker keys it by a
-// clone of src: it never keeps its caller's string (a report's Source,
-// say), so the report it came from is free to die with its caller.
-func (t *SeqTracker) admit(src string) *seqSource {
+// clone of src's transport: it never keeps its caller's string (a
+// report's Source, say), so the report it came from is free to die
+// with its caller.
+func (t *SeqTracker) admit(src SourceKey) *seqSource {
 	if len(t.sources) >= t.maxSources {
-		var coldest string
+		var coldest SourceKey
 		var min uint64
 		first := true
 		for name, s := range t.sources {
@@ -206,6 +207,6 @@ func (t *SeqTracker) admit(src string) *seqSource {
 		t.evictions++
 	}
 	s := &seqSource{bits: make([]uint64, (t.window+63)>>6)}
-	t.sources[strings.Clone(src)] = s
+	t.sources[SourceKey{Switch: src.Switch, BySwitch: src.BySwitch, Transport: strings.Clone(src.Transport)}] = s
 	return s
 }

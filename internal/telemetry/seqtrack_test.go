@@ -8,10 +8,13 @@ import (
 	"github.com/amlight/intddos/internal/netsim"
 )
 
+// transport keys a test source by its transport address alone.
+func transport(addr string) SourceKey { return SourceKey{Transport: addr} }
+
 func TestSeqTrackerInOrder(t *testing.T) {
 	tr := NewSeqTracker(8, 0)
 	for seq := uint64(1); seq <= 100; seq++ {
-		res := tr.Observe("a", seq)
+		res := tr.Observe(transport("a"), seq)
 		if res.Verdict != SeqAccept || res.Gaps != 0 {
 			t.Fatalf("seq %d: %+v, want clean accept", seq, res)
 		}
@@ -20,35 +23,35 @@ func TestSeqTrackerInOrder(t *testing.T) {
 
 func TestSeqTrackerDuplicateAndReorder(t *testing.T) {
 	tr := NewSeqTracker(8, 0)
-	tr.Observe("a", 1)
-	tr.Observe("a", 2)
-	if res := tr.Observe("a", 2); res.Verdict != SeqDuplicate {
+	tr.Observe(transport("a"), 1)
+	tr.Observe(transport("a"), 2)
+	if res := tr.Observe(transport("a"), 2); res.Verdict != SeqDuplicate {
 		t.Errorf("repeat of newest = %v, want duplicate", res.Verdict)
 	}
-	res := tr.Observe("a", 5) // 3, 4 provisionally lost
+	res := tr.Observe(transport("a"), 5) // 3, 4 provisionally lost
 	if res.Verdict != SeqAccept || res.Gaps != 2 {
 		t.Errorf("jump = %+v, want accept with 2 gaps", res)
 	}
-	res = tr.Observe("a", 3) // late arrival heals one
+	res = tr.Observe(transport("a"), 3) // late arrival heals one
 	if res.Verdict != SeqReordered || !res.Healed {
 		t.Errorf("late 3 = %+v, want reordered+healed", res)
 	}
-	if res := tr.Observe("a", 3); res.Verdict != SeqDuplicate {
+	if res := tr.Observe(transport("a"), 3); res.Verdict != SeqDuplicate {
 		t.Errorf("repeat of reordered = %v, want duplicate", res.Verdict)
 	}
-	if res := tr.Observe("a", 4); res.Verdict != SeqReordered || !res.Healed {
+	if res := tr.Observe(transport("a"), 4); res.Verdict != SeqReordered || !res.Healed {
 		t.Errorf("late 4 = %+v, want reordered+healed", res)
 	}
 }
 
 func TestSeqTrackerStaleBeyondWindow(t *testing.T) {
 	tr := NewSeqTracker(8, 0)
-	tr.Observe("a", 1)
-	tr.Observe("a", 50) // within reset jump; 48 provisional gaps
-	if res := tr.Observe("a", 42); res.Verdict != SeqStale {
+	tr.Observe(transport("a"), 1)
+	tr.Observe(transport("a"), 50) // within reset jump; 48 provisional gaps
+	if res := tr.Observe(transport("a"), 42); res.Verdict != SeqStale {
 		t.Errorf("seq 42 at highest 50, window 8 = %v, want stale", res.Verdict)
 	}
-	if res := tr.Observe("a", 43); res.Verdict != SeqReordered {
+	if res := tr.Observe(transport("a"), 43); res.Verdict != SeqReordered {
 		t.Errorf("seq 43 (window edge) = %v, want reordered", res.Verdict)
 	}
 }
@@ -58,7 +61,7 @@ func TestSeqTrackerPerSourceIndependence(t *testing.T) {
 	// Two interleaved in-order streams: no gaps, no reorders.
 	for seq := uint64(1); seq <= 50; seq++ {
 		for _, src := range []string{"a", "b"} {
-			res := tr.Observe(src, seq)
+			res := tr.Observe(transport(src), seq)
 			if res.Verdict != SeqAccept || res.Gaps != 0 {
 				t.Fatalf("%s/%d: %+v, want clean accept", src, seq, res)
 			}
@@ -71,14 +74,14 @@ func TestSeqTrackerPerSourceIndependence(t *testing.T) {
 
 func TestSeqTrackerStreamReset(t *testing.T) {
 	tr := NewSeqTracker(8, 0)
-	tr.Observe("a", 100000)
-	res := tr.Observe("a", 1) // agent restart: seq re-zeroed
+	tr.Observe(transport("a"), 100000)
+	res := tr.Observe(transport("a"), 1) // agent restart: seq re-zeroed
 	if res.Verdict != SeqStale {
 		t.Fatalf("restart low seq = %v, want stale (backward)", res.Verdict)
 	}
 	// Forward jumps beyond the reset threshold re-seed instead of
 	// inferring a million losses.
-	res = tr.Observe("a", 200000)
+	res = tr.Observe(transport("a"), 200000)
 	if res.Verdict != SeqAccept || res.Gaps != 0 {
 		t.Fatalf("huge forward jump = %+v, want reset accept with 0 gaps", res)
 	}
@@ -90,7 +93,7 @@ func TestSeqTrackerStreamReset(t *testing.T) {
 func TestSeqTrackerBoundedSources(t *testing.T) {
 	tr := NewSeqTracker(8, 16)
 	for i := 0; i < 100; i++ {
-		tr.Observe(fmt.Sprintf("src-%d", i), 1)
+		tr.Observe(transport(fmt.Sprintf("src-%d", i)), 1)
 	}
 	if len(tr.sources) > 16 {
 		t.Errorf("sources = %d, want <= 16", len(tr.sources))
@@ -99,7 +102,7 @@ func TestSeqTrackerBoundedSources(t *testing.T) {
 		t.Errorf("evictions = %d, want %d", tr.evictions, 100-16)
 	}
 	// The most recently active source survives eviction pressure.
-	res := tr.Observe("src-99", 2)
+	res := tr.Observe(transport("src-99"), 2)
 	if res.Verdict != SeqAccept || res.Gaps != 0 {
 		t.Errorf("hot source lost its state: %+v", res)
 	}
